@@ -163,10 +163,11 @@ def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
     dividend = np.asarray(dividend, dtype=float)[..., None]
     wealth = dividend * q / rho
     consumption = dividend * q
-    stock = wealth.sum(axis=-1)  # unit net supply: S = sum_j w_j
-    holdings = wealth * (alpha + np.asarray(kappa)[..., None]) / (
-        stock[..., None] * denom[..., None]
-    )
+    # unit net supply: holdings are each agent's share of
+    # sum_j w_j (alpha_j + kappa) = S (a + kappa), normalized by that sum
+    # itself, so they add up to 1 even where a + kappa is small
+    exposure = wealth * (alpha + np.asarray(kappa)[..., None])
+    holdings = exposure / exposure.sum(axis=-1, keepdims=True)
     return wealth, consumption, holdings
 
 

@@ -14,14 +14,19 @@ updates.  Alongside the actual price S the simulator maintains the ideal
 price S* that would obtain if every agent observed the dividend, so
 log(S/S*) isolates the effect of the mistaken observation channel.
 
-The fixed point is solved by a 200-point scan of the bracket (which also
-detects multiple roots; ties are broken toward the previous step's xi)
-followed by Brent refinement in the chosen cell.  The residual of every
-accepted step is recorded and bounded at run time.
+Where xi enters PD (some agent is not diligent) the fixed point is solved
+by a 200-point scan of the bracket (which also detects multiple roots;
+ties are broken toward the previous step's xi) followed by Brent
+refinement in the chosen cell.  When every agent is diligent PD does not
+depend on xi, the residual is linear with unit slope, and xi has a closed
+form.  The residual of every accepted step is recorded and bounded at run
+time.  All log-sum-exps go through one numpy kernel, ``_lse``: the arrays
+are small (one entry per agent) and a step makes dozens of them, so call
+overhead, not arithmetic, sets the cost.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -29,7 +34,7 @@ from scipy.optimize import brentq
 
 from .beliefs import log_density_increment, posterior_mean_step
 from .errors import ConfigError, FixedPointError
-from .numerics import logsumexp, scan_sign_changes
+from .numerics import scan_sign_changes
 from .rngtools import agent_rng, path_rng
 
 # residual bound every accepted step must satisfy (relative, on PD scale)
@@ -109,6 +114,16 @@ def draw_agents(config: FeedbackConfig) -> AgentTraits:
                        prior_mean_step=mu0 * config.dt, diligent=diligent)
 
 
+def _lse(v, axis=None):
+    """log sum exp(v), shifted by the maximum; over all of v, or per slice
+    along ``axis``.  Entries may be -inf as long as no slice is all -inf."""
+    if axis is None:
+        m = v.max()
+        return m + math.log(np.exp(v - m).sum())
+    m = v.max(axis=axis, keepdims=True)
+    return np.log(np.exp(v - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
 def log_price_dividend(rho_step, nu, log_weight, step: int):
     """log PD at the given step from per-agent log densities.
 
@@ -116,7 +131,7 @@ def log_price_dividend(rho_step, nu, log_weight, step: int):
        / [sum_j e^{-rho_j t} w_j / nu_j],  all in log space.
     """
     base = -rho_step * step + log_weight - np.log(nu)
-    return logsumexp(base - np.log(np.expm1(rho_step))) - logsumexp(base)
+    return _lse(base - np.log(np.expm1(rho_step))) - _lse(base)
 
 
 @dataclass
@@ -170,11 +185,6 @@ class _Population:
         self.mu = posterior_mean_step(self.mu, k, x)
 
 
-def _lse(v):
-    m = v.max()
-    return m + math.log(np.exp(v - m).sum())
-
-
 def solve_step(rho_step, nu, population: _Population, diligent_mask,
                step: int, log_stock: float, log_div_next: float,
                true_increment: float, prev_xi: float, sigma_step: float,
@@ -185,7 +195,9 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
     the true increment +/- 10 per-step standard deviations and doubles
     until the residual changes sign, capped at +/- 1 in log price.  A
     200-point scan locates every sign change (tie-break: nearest to the
-    previous xi), then Brent refines inside the chosen cell.
+    previous xi), then Brent refines inside the chosen cell.  With every
+    agent diligent the residual is linear with unit slope and its single
+    root is taken in closed form, under the same +/- 1 cap.
     """
     nd = ~diligent_mask
     k = population.sample_size(step)
@@ -204,8 +216,31 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
         den_dil = _lse(fixed)
     else:
         num_dil = den_dil = -np.inf
+    offset = log_stock - log_div_next
+
+    def no_root(residual, half_width):
+        return FixedPointError(
+            "no root for xi within +/- 1.0 of the dividend move",
+            step=step,
+            diagnostics={
+                "log_stock": log_stock,
+                "log_div_next": log_div_next,
+                "true_increment": true_increment,
+                "residual_lo": float(residual(true_increment - half_width)),
+                "residual_hi": float(residual(true_increment + half_width)),
+            })
 
     mu_nd = population.mu[nd]
+    if mu_nd.size == 0:
+        # PD does not depend on xi: the residual is linear with unit slope
+        def linear(xi):
+            return offset + xi - (num_dil - den_dil)
+
+        xi = (num_dil - den_dil) - offset
+        if abs(xi - true_increment) > 1.0:
+            raise no_root(linear, 1.0)
+        return xi, 1, abs(math.expm1(linear(xi)))
+
     # same increment as beliefs.log_density_increment, split into the
     # xi-independent constant and the quadratic coefficient
     ratio = k / (k + 1.0)
@@ -213,7 +248,6 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
                                  - math.log(2.0 * math.pi))
     quad_nd = 0.5 * population.tau[nd] * ratio
     const_num_nd = const_nd - log_expm1[nd]
-    offset = log_stock - log_div_next
 
     def residual(xi: float) -> float:
         dev = xi - mu_nd
@@ -225,20 +259,9 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
     def residual_grid(xi):
         dev = xi[:, None] - mu_nd
         varying = -quad_nd * dev * dev
-        log_num = np.logaddexp(
-            num_dil, logsumexp(const_num_nd + varying, axis=1))
-        log_den = np.logaddexp(
-            den_dil, logsumexp(const_nd + varying, axis=1))
+        log_num = np.logaddexp(num_dil, _lse(const_num_nd + varying, axis=1))
+        log_den = np.logaddexp(den_dil, _lse(const_nd + varying, axis=1))
         return offset + xi - (log_num - log_den)
-
-    if mu_nd.size == 0:
-        # PD does not depend on xi: residual is linear with unit slope,
-        # but keep the generic scan/refine route for uniformity
-        def residual(xi):  # noqa: F811
-            return offset + xi - (num_dil - den_dil)
-
-        def residual_grid(xi):  # noqa: F811
-            return offset + xi - (num_dil - den_dil)
 
     half_width = 10.0 * sigma_step
     while True:
@@ -248,16 +271,7 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
         if cells:
             break
         if half_width >= 1.0:
-            raise FixedPointError(
-                "no root for xi within +/- 1.0 of the dividend move",
-                step=step,
-                diagnostics={
-                    "log_stock": log_stock,
-                    "log_div_next": log_div_next,
-                    "true_increment": true_increment,
-                    "residual_lo": float(residual(true_increment - half_width)),
-                    "residual_hi": float(residual(true_increment + half_width)),
-                })
+            raise no_root(residual, half_width)
         half_width = min(2.0 * half_width, 1.0)
 
     if len(cells) > 1:
@@ -274,32 +288,62 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
     return xi, len(cells), rel_residual
 
 
-def run_feedback(config: FeedbackConfig) -> FeedbackResult:
-    """Run one feedback trajectory; deterministic given the config."""
+@dataclass(frozen=True)
+class _SeedInputs:
+    """What runs on one master seed share whatever their diligence count:
+    the agents, the dividend path and the ideal price S*."""
+
+    traits: AgentTraits
+    nu: np.ndarray
+    increments: np.ndarray
+    log_div: np.ndarray
+    log_stock_ideal: np.ndarray
+
+
+def _seed_inputs(config: FeedbackConfig) -> _SeedInputs:
     traits = draw_agents(config)
-    J = config.n_agents
-    nu = np.full(J, config.nu, dtype=float)
-    rho_step = traits.rho_step
+    nu = np.full(config.n_agents, config.nu, dtype=float)
     sigma_step = config.sigma_true * math.sqrt(config.dt)
     drift_step = config.growth_true * config.dt
-
     rng = path_rng(config.seed, 0)
     increments = drift_step + sigma_step * rng.standard_normal(config.n_steps)
+    log_div = np.concatenate([[0.0], np.cumsum(increments)])
 
-    actual = _Population(traits, config.prior_weight)
     ideal = _Population(traits, config.prior_weight)
+    log_stock_ideal = np.empty(config.n_steps + 1)
+    log_stock_ideal[0] = (
+        log_price_dividend(traits.rho_step, nu, ideal.log_weight, 0)
+        + log_div[0])
+    for t, d in enumerate(increments):
+        ideal.absorb(d, t)
+        log_stock_ideal[t + 1] = (
+            log_price_dividend(traits.rho_step, nu, ideal.log_weight, t + 1)
+            + log_div[t + 1])
+    return _SeedInputs(traits, nu, increments, log_div, log_stock_ideal)
+
+
+def run_feedback(config: FeedbackConfig) -> FeedbackResult:
+    """Run one feedback trajectory; deterministic given the config."""
+    return _run(config, _seed_inputs(config))
+
+
+def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
+    traits = replace(inputs.traits,
+                     diligent=np.arange(config.n_agents) < config.n_diligent)
+    rho_step = traits.rho_step
+    sigma_step = config.sigma_true * math.sqrt(config.dt)
+    increments, log_div = inputs.increments, inputs.log_div
+    log_stock_ideal = inputs.log_stock_ideal
+    actual = _Population(traits, config.prior_weight)
 
     n = config.n_steps
-    log_div = np.concatenate([[0.0], np.cumsum(increments)])
     log_stock = np.empty(n + 1)
-    log_stock_ideal = np.empty(n + 1)
     xi_series = np.full(n + 1, np.nan)
     warnings = np.zeros(n + 1)
     residuals = np.zeros(n + 1)
 
-    log_pd0 = log_price_dividend(rho_step, nu, actual.log_weight, 0)
-    log_stock[0] = log_pd0 + log_div[0]
-    log_stock_ideal[0] = log_stock[0]
+    # before any observation the population holds its priors, as S* does
+    log_stock[0] = log_stock_ideal[0]
     log_expm1 = np.log(np.expm1(rho_step))
 
     try:
@@ -307,7 +351,7 @@ def run_feedback(config: FeedbackConfig) -> FeedbackResult:
             d = increments[t]
             prev = xi_series[t] if t > 0 else d
             xi, n_roots, rel = solve_step(
-                rho_step, nu, actual, traits.diligent, t,
+                rho_step, inputs.nu, actual, traits.diligent, t,
                 log_stock[t], log_div[t + 1], d, prev, sigma_step,
                 log_expm1=log_expm1)
             if rel > RESIDUAL_TOL:
@@ -321,10 +365,6 @@ def run_feedback(config: FeedbackConfig) -> FeedbackResult:
 
             observed = np.where(traits.diligent, d, xi)
             actual.absorb(observed, t)
-            ideal.absorb(d, t)
-            log_stock_ideal[t + 1] = (
-                log_price_dividend(rho_step, nu, ideal.log_weight, t + 1)
-                + log_div[t + 1])
     except FixedPointError as exc:
         raise FixedPointError(
             f"step {exc.step}: {exc}", step=exc.step,
@@ -357,8 +397,11 @@ def run_feedback(config: FeedbackConfig) -> FeedbackResult:
     )
 
 
-def _sweep_cell(cfg: FeedbackConfig) -> Dict[str, float]:
-    return run_feedback(cfg).metrics
+def _sweep_seed(task) -> List[Dict[str, float]]:
+    config, n_diligent_values = task
+    inputs = _seed_inputs(config)
+    return [_run(replace(config, n_diligent=n_dil), inputs).metrics
+            for n_dil in n_diligent_values]
 
 
 def diligence_sweep(config: FeedbackConfig, n_diligent_values, master_seeds,
@@ -366,25 +409,16 @@ def diligence_sweep(config: FeedbackConfig, n_diligent_values, master_seeds,
     """Metrics of runs over a grid of diligence counts and master seeds.
 
     Results are keyed by diligence count, each holding one metrics dict
-    per seed in the order given.  Each trajectory is strictly sequential,
-    but the cells are independent: pass an executor's ``map`` as ``map_fn``
-    to run them in parallel.  Collection is an ordered fold over
-    (diligence, seed), so output never depends on scheduling.
+    per seed in the order given.  The unit of work is one master seed: its
+    agents, dividend path and ideal price S* do not depend on the
+    diligence count, so they are computed once and shared by that seed's
+    runs.  Seeds are independent: pass an executor's ``map`` as ``map_fn``
+    to run them in parallel.  Collection is an ordered fold over seeds, so
+    output never depends on scheduling.
     """
-    grid = [
-        FeedbackConfig(
-            n_agents=config.n_agents, n_diligent=n_dil,
-            n_steps=config.n_steps, seed=seed,
-            sigma_true=config.sigma_true, growth_true=config.growth_true,
-            dt=config.dt, rho_range=config.rho_range,
-            tau_factor_range=config.tau_factor_range,
-            prior_mean_range=config.prior_mean_range,
-            prior_weight=config.prior_weight, nu=config.nu)
-        for n_dil in n_diligent_values for seed in master_seeds
-    ]
-    rows = list(map_fn(_sweep_cell, grid))
-    out: Dict[int, List[Dict[str, float]]] = {}
-    n_seeds = len(list(master_seeds))
-    for i, n_dil in enumerate(n_diligent_values):
-        out[n_dil] = rows[i * n_seeds:(i + 1) * n_seeds]
-    return out
+    n_diligent_values = list(n_diligent_values)
+    tasks = [(replace(config, seed=seed), n_diligent_values)
+             for seed in master_seeds]
+    per_seed = list(map_fn(_sweep_seed, tasks))
+    return {n_dil: [rows[i] for rows in per_seed]
+            for i, n_dil in enumerate(n_diligent_values)}

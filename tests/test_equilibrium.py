@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefmkt.beliefs import BayesianGaussian, ConstantDrift
@@ -230,6 +230,7 @@ def test_degenerate_stock_volatility_raises():
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
+@example(291086945)  # holdings near +-1e3, where a + kappa is small
 @settings(max_examples=15, deadline=None)
 def test_identities_hold_on_random_markets(seed):
     rng = np.random.default_rng(seed)

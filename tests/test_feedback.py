@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from beliefmkt.beliefs import log_density_increment
 from beliefmkt.errors import ConfigError, FixedPointError
-from beliefmkt.feedback import (FeedbackConfig, _Population,
+from beliefmkt.feedback import (FeedbackConfig, _lse, _Population,
                                 diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
 from beliefmkt.numerics import logsumexp, scan_sign_changes
@@ -135,16 +137,17 @@ def test_generic_step_agrees_with_dense_grid_scan():
     k = population.sample_size(t_last)
 
     def residual(xi):
-        x = np.where(traits.diligent, d, xi)
+        # one row per candidate xi, one column per agent
+        x = np.where(traits.diligent, d, xi[:, None])
         dl = log_density_increment(population.mu, k, population.tau, x)
         base = -traits.rho_step * (t_last + 1) + population.log_weight \
             + dl - np.log(nu)
-        log_pd = logsumexp(base - np.log(np.expm1(traits.rho_step))) \
-            - logsumexp(base)
+        log_pd = logsumexp(base - np.log(np.expm1(traits.rho_step)), axis=1) \
+            - logsumexp(base, axis=1)
         return log_stock + xi - log_div_next - log_pd
 
     grid = np.linspace(d - 0.1, d + 0.1, 100_001)
-    values = np.array([residual(x) for x in grid])
+    values = residual(grid)
     cells = scan_sign_changes(values, grid)
     assert cells, "oracle found no root near the dividend move"
     centers = [0.5 * (lo + hi) for lo, hi in cells]
@@ -162,6 +165,57 @@ def test_no_root_within_cap_raises_with_step_index():
                    true_increment=0.0, prev_xi=0.0, sigma_step=0.015)
     assert err.value.step == 0
     assert "residual_lo" in err.value.diagnostics
+
+
+def test_all_diligent_root_above_cap_raises():
+    cfg = small_config(n_agents=2, n_diligent=2)
+    traits = draw_agents(cfg)
+    population = _Population(traits, cfg.prior_weight)
+    with pytest.raises(FixedPointError) as err:
+        solve_step(traits.rho_step, np.full(2, 1.0), population,
+                   traits.diligent, 0, log_stock=-50.0, log_div_next=0.0,
+                   true_increment=0.0, prev_xi=0.0, sigma_step=0.015)
+    assert err.value.step == 0
+    # the residual rises with unit slope and the root lies above +1
+    assert err.value.diagnostics["residual_lo"] < 0.0
+    assert err.value.diagnostics["residual_hi"] < 0.0
+
+
+def test_all_diligent_closed_form_matches_brent(rng):
+    cfg = small_config(n_agents=6, n_diligent=6)
+    traits = draw_agents(cfg)
+    nu = np.full(6, 1.0)
+    for trial in range(4):
+        population = _Population(traits, cfg.prior_weight)
+        t = 5 * trial
+        for s in range(t):
+            population.absorb(rng.normal(0.0, 0.015), s)
+        d = rng.normal(0.0, 0.015)
+        log_div_next = rng.normal(0.0, 0.1)
+        log_stock = log_div_next + rng.normal(0.0, 0.01) + log_price_dividend(
+            traits.rho_step, nu, population.log_weight, t)
+        xi, n_roots, rel = solve_step(
+            traits.rho_step, nu, population, traits.diligent, t,
+            log_stock, log_div_next, d, prev_xi=d, sigma_step=0.015)
+        dl = log_density_increment(population.mu, population.sample_size(t),
+                                   population.tau, d)
+        log_pd = log_price_dividend(traits.rho_step, nu,
+                                    population.log_weight + dl, t + 1)
+        root = brentq(lambda x: log_stock + x - log_div_next - log_pd,
+                      d - 1.0, d + 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert abs(xi - root) <= 1e-13
+        assert n_roots == 1
+        assert rel <= 1e-13
+
+
+@pytest.mark.parametrize("offset", [0.0, 700.0, -700.0])
+def test_lse_kernel_matches_scipy(rng, offset):
+    v = rng.normal(0.0, 5.0, size=(200, 30)) + offset
+    v[7, 3] = -np.inf
+    np.testing.assert_allclose(_lse(v, axis=1), logsumexp(v, axis=1),
+                               rtol=1e-14)
+    for row in (v[0], v[7]):
+        assert _lse(row) == pytest.approx(logsumexp(row), rel=1e-14)
 
 
 def test_scan_sign_changes_finds_all_roots():
@@ -241,6 +295,29 @@ def test_diligence_sweep_shapes_and_order():
     # all-diligent rows show no deviation at all
     for row in table[4]:
         assert row["log_ratio_range"] < 1e-10
+
+
+def test_diligence_sweep_accepts_iterators():
+    cfg = small_config(n_agents=4, n_steps=40)
+    want = diligence_sweep(cfg, [0, 4], [5, 6])
+    assert len(want[0]) == 2
+    assert diligence_sweep(cfg, [0, 4], iter([5, 6])) == want
+    assert diligence_sweep(cfg, iter([0, 4]), range(5, 7)) == want
+
+
+def test_diligence_sweep_rows_equal_single_runs():
+    # the sweep shares each seed's ideal price between diligence counts;
+    # that must not change a single bit of any row
+    cfg = small_config(n_agents=4, n_steps=40)
+    seeds = [5, 6]
+    table = diligence_sweep(cfg, [0, 2, 4], seeds)
+    for i, seed in enumerate(seeds):
+        runs = {n: run_feedback(replace(cfg, n_diligent=n, seed=seed))
+                for n in (0, 2, 4)}
+        for n, res in runs.items():
+            assert table[n][i] == res.metrics
+            np.testing.assert_array_equal(res.stock_ideal,
+                                          runs[0].stock_ideal)
 
 
 def test_csv_round_trip(tmp_path):
