@@ -145,23 +145,20 @@ def parse_feedback(cfg) -> FeedbackConfig:
     else:
         years = _get(cfg, "years", float, default=5.0, positive=True)
         n_steps = int(round(years / dt))
-    try:
-        return FeedbackConfig(
-            n_agents=_get(cfg, "n_agents", int, positive=True),
-            n_diligent=_get(cfg, "n_diligent", int, default=0),
-            n_steps=n_steps,
-            seed=_get(cfg, "seed", int, default=0),
-            sigma_true=_get(cfg, "sigma_true", float, default=0.25, positive=True),
-            growth_true=_get(cfg, "growth_true", float, default=0.015),
-            dt=dt,
-            rho_range=_pair(cfg, "rho_range", (0.04, 0.33)),
-            tau_factor_range=_pair(cfg, "tau_factor_range", (0.4, 1.05)),
-            prior_mean_range=_pair(cfg, "prior_mean_range", (-0.05, 0.15)),
-            prior_weight=_get(cfg, "prior_weight", float, default=252.0,
-                              positive=True),
-            nu=_get(cfg, "nu", float, default=1.0, positive=True))
-    except ConfigError:
-        raise
+    return FeedbackConfig(
+        n_agents=_get(cfg, "n_agents", int, positive=True),
+        n_diligent=_get(cfg, "n_diligent", int, default=0),
+        n_steps=n_steps,
+        seed=_get(cfg, "seed", int, default=0),
+        sigma_true=_get(cfg, "sigma_true", float, default=0.25, positive=True),
+        growth_true=_get(cfg, "growth_true", float, default=0.015),
+        dt=dt,
+        rho_range=_pair(cfg, "rho_range", (0.04, 0.33)),
+        tau_factor_range=_pair(cfg, "tau_factor_range", (0.4, 1.05)),
+        prior_mean_range=_pair(cfg, "prior_mean_range", (-0.05, 0.15)),
+        prior_weight=_get(cfg, "prior_weight", float, default=252.0,
+                          positive=True),
+        nu=_get(cfg, "nu", float, default=1.0, positive=True))
 
 
 def parse_contest(cfg) -> ContestSpec:
@@ -223,20 +220,17 @@ def parse_fit(cfg) -> CalibrationProblem:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"fixed.{name}: expected a number")
         fixed[name] = float(value)
-    try:
-        return CalibrationProblem(
-            n_agents=_get(cfg, "n_agents", int, positive=True),
-            free=tuple(free),
-            fixed=fixed,
-            n_paths=_get(cfg, "n_paths", int, default=200, positive=True),
-            horizon=_get(cfg, "horizon_years", float, default=50.0,
-                         positive=True),
-            dt=_get(cfg, "dt", float, default=1.0 / 252.0, positive=True),
-            seed=_get(cfg, "seed", int, default=0),
-            max_iterations=_get(cfg, "max_iterations", int, default=200,
-                                positive=True))
-    except ConfigError:
-        raise
+    return CalibrationProblem(
+        n_agents=_get(cfg, "n_agents", int, positive=True),
+        free=tuple(free),
+        fixed=fixed,
+        n_paths=_get(cfg, "n_paths", int, default=200, positive=True),
+        horizon=_get(cfg, "horizon_years", float, default=50.0,
+                     positive=True),
+        dt=_get(cfg, "dt", float, default=1.0 / 252.0, positive=True),
+        seed=_get(cfg, "seed", int, default=0),
+        max_iterations=_get(cfg, "max_iterations", int, default=200,
+                            positive=True))
 
 
 def write_manifest(outdir, subcommand: str, cfg: Dict[str, Any]):

@@ -21,8 +21,15 @@ l_j(t) = -rho_j t + log Lambda^j_t - log nu_j and q = softmax(l):
     pi_j     = w_j (alpha_j + kappa) / (S (a + kappa))
 
 so the clearing identities sum(c) = delta, sum(w) = S, sum(pi) = 1 hold to
-rounding error by construction.  All agent aggregation happens through the
-softmax of log weights, which is immune to under/overflow at large t.
+rounding error by construction.  All agent aggregation happens in log
+space, which is immune to under/overflow at large t.
+
+Arrays are agent-major: a path's per-agent quantities are (J, n+1), so
+every sum or max over agents reduces the leading, contiguous axis (J is
+small, and reductions over a short trailing axis are slow).  A path takes a
+single exp pass: with m = max_j l_j, e = exp(l - m) and s = sum_j e_j,
+q = e / s, zeta = exp(m + log s - log delta), PD = sum_j (e_j / rho_j) / s,
+and everything else follows from q and e.
 """
 
 import math
@@ -31,9 +38,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .beliefs import ConstantDrift, ContinuousBelief, drift_at
+from .beliefs import (ConstantDrift, ContinuousBelief,
+                      bayesian_log_ratio_closed_form, drift_at)
 from .errors import ConfigError, SingularMarketError
-from .numerics import logsumexp, softmax, solve_decreasing
+from .numerics import solve_decreasing
 from .rngtools import path_rng
 
 # |a + kappa| below this is treated as a degenerate (zero stock volatility)
@@ -97,62 +105,84 @@ class MarketSpec:
 
 
 # ---------------------------------------------------------------------------
-# pointwise equilibrium formulas (vectorized over a leading time axis)
+# pointwise equilibrium formulas, agent axis first: per-agent arrays have
+# shape (J, ...), so every aggregate over agents reduces the leading axis
 
 
-def log_agent_weights(rho, nu, log_lam, t):
-    """l_j = -rho_j t + log Lambda^j - log nu_j, shape (..., J)."""
-    t = np.asarray(t, dtype=float)[..., None]
-    return -rho * t + log_lam - np.log(nu)
+def _per_agent(values, like):
+    """A (J,) parameter shaped to broadcast against the (J, ...) ``like``."""
+    return np.reshape(values, (-1,) + (1,) * (np.ndim(like) - 1))
 
 
-def consumption_weights(rho, nu, log_lam, t):
-    """Normalized weights q_j; each agent's share of aggregate consumption."""
-    return softmax(log_agent_weights(rho, nu, log_lam, t), axis=-1)
+def _log_weights(rho, nu, log_lam, t):
+    """(m, e, s) for l_j = -rho_j t + log Lambda^j - log nu_j: m = max_j l_j,
+    e = exp(l - m) and s = sum_j e_j, so that q = e / s and
+    log sum_j exp(l_j) = m + log s.  The only exp over agents."""
+    l = -_per_agent(rho, log_lam) * t + log_lam - _per_agent(np.log(nu), log_lam)
+    m = l.max(axis=0)
+    l -= m
+    e = np.exp(l, out=l)
+    return m, e, e.sum(axis=0)
+
+
+def _state_price(m, s, dividend):
+    """(L, zeta) from the parts of log L = m + log s; zeta = L / dividend."""
+    log_level = m + np.log(s)
+    return np.exp(log_level), np.exp(log_level - np.log(dividend))
+
+
+def _wealth_moments(rho, e, s, alpha):
+    """(PD, a): PD = sum_j q_j / rho_j, and a, the drift average under
+    wealth weights proportional to q_j / rho_j."""
+    u = e / _per_agent(rho, e)
+    su = u.sum(axis=0)
+    return su / s, (u * alpha).sum(axis=0) / su
+
+
+def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment):
+    """(r, kappa, alphabar, rhobar) from the consumption shares q."""
+    alphabar = (q * alpha).sum(axis=0)
+    rhobar = (q * _per_agent(rho, q)).sum(axis=0)
+    r = rhobar + sigma * (drift_adjustment + alphabar) - sigma * sigma
+    kappa = sigma - alphabar
+    return r, kappa, alphabar, rhobar
 
 
 def state_price_density(rho, nu, log_lam, t, dividend):
     """(L_t, zeta_t) with L = sum_j exp(l_j) and zeta = L / dividend."""
-    log_level = logsumexp(log_agent_weights(rho, nu, log_lam, t), axis=-1)
-    level = np.exp(log_level)
-    return level, np.exp(log_level - np.log(dividend))
+    m, _, s = _log_weights(rho, nu, log_lam, t)
+    return _state_price(m, s, dividend)
 
 
 def price_dividend_ratio(rho, nu, log_lam, t):
     """PD depends on beliefs and impatience only, never on the dividend."""
-    q = consumption_weights(rho, nu, log_lam, t)
-    return q @ (1.0 / rho)
-
-
-def stock_price(rho, nu, log_lam, t, dividend):
-    pd = price_dividend_ratio(rho, nu, log_lam, t)
-    return dividend * pd, pd
+    _, e, s = _log_weights(rho, nu, log_lam, t)
+    return _wealth_moments(rho, e, s, 0.0)[0]
 
 
 def rate_and_kappa(rho, nu, alpha, sigma, drift_adjustment, log_lam, t):
     """Riskless rate, market price of risk, and the q-weighted aggregates.
 
     Returns (r, kappa, q, alphabar, rhobar); ``alpha`` holds each agent's
-    current believed drift, broadcastable against shape (..., J).
+    current believed drift, broadcastable against shape (J, ...).
     """
-    q = consumption_weights(rho, nu, log_lam, t)
-    alphabar = (q * alpha).sum(axis=-1)
-    rhobar = q @ rho
-    r = rhobar + sigma * (drift_adjustment + alphabar) - sigma * sigma
-    kappa = sigma - alphabar
+    _, e, s = _log_weights(rho, nu, log_lam, t)
+    q = e / s
+    r, kappa, alphabar, rhobar = _rate_and_kappa(rho, q, alpha, sigma,
+                                                 drift_adjustment)
     return r, kappa, q, alphabar, rhobar
 
 
 def stock_volatility(rho, nu, alpha, log_lam, t, kappa):
     """(sigma_S, a): a is the drift average under weights prop. to q_j/rho_j."""
-    l = log_agent_weights(rho, nu, log_lam, t)
-    wa = softmax(l - np.log(rho), axis=-1)
-    a = (wa * alpha).sum(axis=-1)
+    _, e, s = _log_weights(rho, nu, log_lam, t)
+    _, a = _wealth_moments(rho, e, s, alpha)
     return kappa + a, a
 
 
 def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
-    """Wealth, consumption and risky-asset holdings for every agent.
+    """Wealth, consumption and risky-asset holdings for every agent, each
+    of shape (J, ...).
 
     Raises SingularMarketError where the stock volatility denominator
     a + kappa vanishes.
@@ -160,34 +190,32 @@ def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
     denom = a + kappa
     if np.any(np.abs(denom) < _SINGULAR_TOL):
         raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
-    dividend = np.asarray(dividend, dtype=float)[..., None]
-    wealth = dividend * q / rho
+    wealth = dividend * q / _per_agent(rho, q)
     consumption = dividend * q
     # unit net supply: holdings are each agent's share of
     # sum_j w_j (alpha_j + kappa) = S (a + kappa), normalized by that sum
     # itself, so they add up to 1 even where a + kappa is small
-    exposure = wealth * (alpha + np.asarray(kappa)[..., None])
-    holdings = exposure / exposure.sum(axis=-1, keepdims=True)
+    exposure = wealth * (alpha + kappa)
+    holdings = exposure / exposure.sum(axis=0)
     return wealth, consumption, holdings
 
 
 def trade_volume(rho, q, alpha, sigma):
-    """Diffusion coefficients theta_j of the holdings processes and their
-    Euclidean norm (the total trading-volume proxy).
+    """Diffusion coefficients theta_j, shape (J, ...), of the holdings
+    processes and their Euclidean norm (the total trading-volume proxy).
 
     Valid only under the hypotheses of the closed form: common impatience,
     constant drifts and volatility.
     """
-    rho = np.asarray(rho, dtype=float)
     if np.ptp(rho) != 0.0:
         raise ConfigError("trade_volume requires a common impatience rate")
     alpha = np.asarray(alpha, dtype=float)
     q = np.asarray(q, dtype=float)
-    alphabar = (q * alpha).sum(axis=-1, keepdims=True)
+    alphabar = (q * alpha).sum(axis=0)
     dev = alpha - alphabar
-    v = (q * dev * dev).sum(axis=-1, keepdims=True)
+    v = (q * dev * dev).sum(axis=0)
     theta = q * (dev * dev / sigma - v / sigma + dev)
-    total = np.sqrt((theta * theta).sum(axis=-1))
+    total = np.sqrt((theta * theta).sum(axis=0))
     return theta, total
 
 
@@ -241,30 +269,23 @@ def _n_steps(horizon, dt):
     return int(round(horizon / dt))
 
 
-def log_ratio_paths(spec: MarketSpec, times, x, dt):
+def log_ratio_paths(spec: MarketSpec, times, x):
     """Per-agent (log Lambda, believed drift) along a driver path.
 
-    Constant-drift agents get the exact exponential-martingale form;
-    gaussian learners are integrated with the log-space Euler step, which
-    preserves positivity.
-    Returns arrays of shape (n+1, J).
+    Both are exact on the grid: constant-drift agents get the exponential
+    martingale, gaussian learners the closed form with the prior integrated
+    out.  Returns agent-major arrays of shape (J, n+1).
     """
-    n1 = len(times)
-    J = len(spec.agents)
-    alpha = np.empty((n1, J))
-    log_lam = np.empty((n1, J))
-    dx = np.diff(x)
+    log_lam = np.empty((len(spec.agents), len(times)))
+    alpha = np.empty_like(log_lam)
     for j, agent in enumerate(spec.agents):
         b = agent.belief
         if isinstance(b, ConstantDrift):
-            alpha[:, j] = b.drift
-            log_lam[:, j] = b.drift * x - 0.5 * b.drift**2 * times
+            alpha[j] = b.drift
+            log_lam[j] = b.drift * x - 0.5 * b.drift**2 * times
         else:
-            a_path = drift_at(b, times, x)
-            alpha[:, j] = a_path
-            incr = a_path[:-1] * dx - 0.5 * a_path[:-1] ** 2 * dt
-            log_lam[0, j] = 0.0
-            log_lam[1:, j] = np.cumsum(incr)
+            alpha[j] = drift_at(b, times, x)
+            log_lam[j] = bayesian_log_ratio_closed_form(b, times, x)
     return log_lam, alpha
 
 
@@ -324,15 +345,17 @@ class EquilibriumPath:
 
 
 def evaluate_grid(spec: MarketSpec, times, x, dividend, dt) -> EquilibriumPath:
-    """All equilibrium quantities along a given driver/dividend path."""
+    """All equilibrium quantities along a given driver/dividend path, in one
+    pass over agent-major (J, n+1) arrays; the per-agent fields of the
+    result are (n+1, J) views of them."""
     rho, nu = spec.arrays()
-    log_lam, alpha = log_ratio_paths(spec, times, x, dt)
-    _, zeta = state_price_density(rho, nu, log_lam, times, dividend)
-    r, kappa, q, abar, rhobar = rate_and_kappa(
-        rho, nu, alpha, spec.sigma, spec.drift_adjustment, log_lam, times)
-    sigma_s, a = stock_volatility(rho, nu, alpha, log_lam, times, kappa)
-    pd = q @ (1.0 / rho)
-    stock = dividend * pd
+    log_lam, alpha = log_ratio_paths(spec, times, x)
+    m, e, s = _log_weights(rho, nu, log_lam, times)
+    q = e / s
+    _, zeta = _state_price(m, s, dividend)
+    pd, a = _wealth_moments(rho, e, s, alpha)
+    r, kappa, abar, rhobar = _rate_and_kappa(
+        rho, q, alpha, spec.sigma, spec.drift_adjustment)
     wealth, consumption, holdings = wealth_and_portfolios(
         rho, q, alpha, dividend, kappa, a)
     if np.ptp(rho) == 0.0:
@@ -340,10 +363,10 @@ def evaluate_grid(spec: MarketSpec, times, x, dividend, dt) -> EquilibriumPath:
     else:
         trade = np.full_like(q, np.nan)
     return EquilibriumPath(
-        times=times, x=x, dividend=dividend, zeta=zeta, stock=stock,
-        pd_ratio=pd, rate=r, kappa=kappa, stock_vol=sigma_s, q=q,
-        wealth=wealth, consumption=consumption, holdings=holdings,
-        trade=trade, drifts=alpha, log_ratios=log_lam, mean_drift=abar,
+        times=times, x=x, dividend=dividend, zeta=zeta, stock=dividend * pd,
+        pd_ratio=pd, rate=r, kappa=kappa, stock_vol=kappa + a, q=q.T,
+        wealth=wealth.T, consumption=consumption.T, holdings=holdings.T,
+        trade=trade.T, drifts=alpha.T, log_ratios=log_lam.T, mean_drift=abar,
         mean_impatience=rhobar, wealth_drift=a, dt=dt, seed=-1,
         path_index=-1, ic_suspect=bool(np.any(pd > PD_DIVERGENCE_LIMIT)),
     )

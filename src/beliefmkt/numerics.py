@@ -1,18 +1,11 @@
-"""Small numerical utilities: stable weighted averages and root brackets."""
+"""Small numerical utilities: root brackets and sign-change scans."""
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp, softmax
 
 from .errors import BracketError
 
-__all__ = ["logsumexp", "softmax", "weights_from_logs", "expand_bracket",
-           "solve_decreasing", "scan_sign_changes"]
-
-
-def weights_from_logs(log_w, axis=-1):
-    """Normalized weights exp(log_w)/sum exp(log_w), computed stably."""
-    return softmax(np.asarray(log_w, dtype=float), axis=axis)
+__all__ = ["expand_bracket", "solve_decreasing", "scan_sign_changes"]
 
 
 def expand_bracket(f, lo, hi, grow=2.0, max_expansions=200):

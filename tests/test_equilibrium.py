@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
-from beliefmkt.beliefs import BayesianGaussian, ConstantDrift
+from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
+                               bayesian_log_ratio_closed_form)
 from beliefmkt.equilibrium import (AgentSpec, MarketSpec,
                                    evaluate_grid, price_dividend_ratio,
                                    rate_and_kappa, simulate_driver,
@@ -223,6 +225,90 @@ def test_degenerate_stock_volatility_raises():
     _, avg = stock_volatility(rho, nu, alpha, np.zeros(2), 0.0, kappa)
     with pytest.raises(SingularMarketError):
         wealth_and_portfolios(rho, q, alpha, 1.0, kappa, avg)
+    # the path kernel hits the same point at t = 0 and must raise too
+    with pytest.raises(SingularMarketError):
+        simulate_path(spec, 1.0, 1 / 52, seed=0)
+    times, x, dividend = simulate_driver(spec, 1.0, 1 / 52, seed=0)
+    with pytest.raises(SingularMarketError):
+        evaluate_grid(spec, times, x, dividend, 1 / 52)
+
+
+# ---------------------------------------------------------------------------
+# the path kernel against an independent (n, J) reference
+
+
+def reference_grid(spec, times, x, dividend):
+    """The module-docstring formulas on time-major (n, J) arrays, with
+    scipy's softmax and logsumexp doing every aggregation over agents."""
+    rho, nu = spec.arrays()
+    sigma, astar = spec.sigma, spec.drift_adjustment
+    alpha = np.array([a.belief.drift for a in spec.agents]) * np.ones((len(times), 1))
+    log_lam = alpha * x[:, None] - 0.5 * alpha**2 * times[:, None]
+    l = -rho * times[:, None] + log_lam - np.log(nu)
+    q = softmax(l, axis=1)
+    zeta = np.exp(logsumexp(l, axis=1) - np.log(dividend))
+    pd = q @ (1.0 / rho)
+    stock = dividend * pd
+    abar = (q * alpha).sum(axis=1)
+    rhobar = q @ rho
+    r = rhobar + sigma * (astar + abar) - sigma**2
+    kappa = sigma - abar
+    a = (softmax(l - np.log(rho), axis=1) * alpha).sum(axis=1)
+    wealth = dividend[:, None] * q / rho
+    holdings = wealth * (alpha + kappa[:, None]) / (stock * (a + kappa))[:, None]
+    dev = alpha - abar[:, None]
+    v = (q * dev * dev).sum(axis=1)
+    theta = q * (dev * dev / sigma - v[:, None] / sigma + dev)
+    return dict(zeta=zeta, stock=stock, pd_ratio=pd, q=q, wealth=wealth,
+                consumption=dividend[:, None] * q, mean_drift=abar,
+                mean_impatience=rhobar, wealth_drift=a, rate=r, kappa=kappa,
+                stock_vol=kappa + a, holdings=holdings, trade=theta)
+
+
+# strictly positive fields, compared relative to their size
+_POSITIVE = ("zeta", "stock", "pd_ratio", "q", "wealth", "consumption",
+             "mean_impatience")
+# fields that can cross zero, where a relative bound means nothing.  Their
+# terms are O(1) and holdings stay O(10) on the markets below
+# (a + kappa >= 0.1), so rounding leaves about 1e-15 of absolute error
+_SIGNED = ("mean_drift", "wealth_drift", "rate", "kappa", "stock_vol",
+           "holdings", "trade")
+_SIGNED_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("n_agents", [1, 3, 30])
+@pytest.mark.parametrize("common_rho", [True, False])
+@pytest.mark.parametrize("offset", [0.0, 700.0, -700.0, "split"])
+def test_evaluate_grid_matches_reference(n_agents, common_rho, offset):
+    rng = np.random.default_rng(100 * n_agents + 7 * common_rho)
+    rhos = np.full(n_agents, 0.07) if common_rho \
+        else rng.uniform(0.01, 0.5, n_agents)
+    # log nu shifts every log weight l_j; "split" puts half the agents
+    # 1400 apart from the other half, whose shares underflow to 0
+    if offset == "split":
+        shift = np.where(np.arange(n_agents) % 2 == 0, 700.0, -700.0)
+    else:
+        shift = np.full(n_agents, offset)
+    log_nu = -shift + rng.uniform(-0.5, 0.5, n_agents)
+    agents = tuple(
+        AgentSpec(impatience=r, belief=ConstantDrift(a), weight=math.exp(n))
+        for r, a, n in zip(rhos, rng.uniform(-0.1, 0.1, n_agents), log_nu))
+    spec = MarketSpec(sigma=rng.uniform(0.3, 0.6),
+                      drift_adjustment=rng.normal(0.0, 0.05), agents=agents)
+    times, x, dividend = simulate_driver(spec, 2.0, 1 / 52, seed=n_agents)
+    path = evaluate_grid(spec, times, x, dividend, 1 / 52)
+    want = reference_grid(spec, times, x, dividend)
+    if not common_rho and n_agents > 1:
+        assert np.all(np.isnan(path.trade))
+        del want["trade"]
+    for name in _POSITIVE:
+        np.testing.assert_allclose(getattr(path, name), want[name],
+                                   rtol=1e-12, atol=0, err_msg=name)
+    for name in _SIGNED:
+        if name in want:
+            np.testing.assert_allclose(getattr(path, name), want[name],
+                                       rtol=1e-12, atol=_SIGNED_ATOL,
+                                       err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +396,17 @@ def test_bayesian_agent_path_runs_and_clears():
     # learner drift moves over time, constant agent's does not
     assert np.std(path.drifts[:, 0]) > 0.0
     assert np.all(path.drifts[:, 1] == -0.1)
+
+
+def test_learner_log_ratio_is_the_closed_form():
+    learner = BayesianGaussian(-0.05, 2.0)
+    spec = MarketSpec(sigma=0.517, agents=(
+        AgentSpec(impatience=0.131, belief=ConstantDrift(0.21), weight=14.47),
+        AgentSpec(impatience=0.443, belief=learner, weight=0.174)))
+    path = simulate_path(spec, 50.0, 1 / 252, seed=5)
+    closed = bayesian_log_ratio_closed_form(learner, path.times, path.x)
+    np.testing.assert_allclose(path.log_ratios[:, 1], closed, rtol=0,
+                               atol=1e-12)
 
 
 def test_ic_violation_flagged_for_divergent_pd():

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from beliefmkt.beliefs import log_density_increment
 from beliefmkt.errors import ConfigError, FixedPointError
 from beliefmkt.feedback import (FeedbackConfig, _lse, _Population,
                                 diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
-from beliefmkt.numerics import logsumexp, scan_sign_changes
+from beliefmkt.numerics import scan_sign_changes
 
 
 def small_config(**kwargs):
