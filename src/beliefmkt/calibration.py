@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .equilibrium import MarketSpec, AgentSpec, simulate_path
 from .beliefs import ConstantDrift
@@ -364,6 +363,9 @@ def fit_parameters(problem: CalibrationProblem,
     trial point inside its box; non-finite losses (e.g. transversality
     violations) reject the point.  Deterministic given problem.seed.
     """
+    # imported here so that runs that never fit do not pay for scipy.optimize
+    from scipy.optimize import minimize
+
     names = [p.name for p in problem.free]
     lower = np.array([p.lower for p in problem.free])
     upper = np.array([p.upper for p in problem.free])

@@ -45,18 +45,15 @@ def cmd_simulate_log(cfg, args):
     out = _outdir(args)
     write_manifest(out, "simulate-log", cfg)
 
-    def one(p):
-        return simulate_path(spec, horizon, dt, seed, p)
-
+    tasks = [(spec, horizon, dt, seed, p) for p in range(n_paths)]
     if args.parallel > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             # executor.map preserves ordering, so the reduction is
             # deterministic regardless of scheduling
-            paths = pool.map(_simulate_star,
-                             [(spec, horizon, dt, seed, p) for p in range(n_paths)])
-            report = _consume_paths(paths, out, write_paths)
+            report = _consume_paths(pool.map(_simulate_one, tasks), out,
+                                    write_paths)
     else:
-        report = _consume_paths(map(one, range(n_paths)), out, write_paths)
+        report = _consume_paths(map(_simulate_one, tasks), out, write_paths)
 
     with open(out / "summary.txt", "w") as fp:
         fp.write(f"paths={n_paths} horizon_years={horizon:.17g} dt={dt:.17g} "
@@ -66,9 +63,10 @@ def cmd_simulate_log(cfg, args):
     return 0
 
 
-def _simulate_star(packed):
-    spec, horizon, dt, seed, p = packed
-    return simulate_path(spec, horizon, dt, seed, p)
+def _simulate_one(task):
+    """One path from a (spec, horizon, dt, seed, path index) tuple; module
+    level so that worker processes can unpickle it."""
+    return simulate_path(*task)
 
 
 def _consume_paths(paths, out, write_paths):

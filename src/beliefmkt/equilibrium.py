@@ -41,7 +41,7 @@ import numpy as np
 from .beliefs import (ConstantDrift, ContinuousBelief,
                       bayesian_log_ratio_closed_form, drift_at)
 from .errors import ConfigError, SingularMarketError
-from .numerics import solve_decreasing
+from .numerics import solve_decreasing, write_rows
 from .rngtools import path_rng
 
 # |a + kappa| below this is treated as a degenerate (zero stock volatility)
@@ -333,15 +333,14 @@ class EquilibriumPath:
     def write_csv(self, fp):
         """Fixed column order: t, X, delta, zeta, S, PD, r, kappa, sigmaS,
         then q_1..q_J, w_1..w_J, c_1..c_J, pi_1..pi_J, theta_1..theta_J."""
-        fp.write(",".join(self.csv_header()) + "\n")
-        base = (self.times, self.x, self.dividend, self.zeta, self.stock,
-                self.pd_ratio, self.rate, self.kappa, self.stock_vol)
-        blocks = (self.q, self.wealth, self.consumption, self.holdings, self.trade)
-        for i in range(len(self.times)):
-            row = [format(col[i], ".17g") for col in base]
-            for block in blocks:
-                row += [format(v, ".17g") for v in block[i]]
-            fp.write(",".join(row) + "\n")
+        header = self.csv_header()
+        fp.write(",".join(header) + "\n")
+        table = np.column_stack((
+            self.times, self.x, self.dividend, self.zeta, self.stock,
+            self.pd_ratio, self.rate, self.kappa, self.stock_vol,
+            self.q, self.wealth, self.consumption, self.holdings, self.trade))
+        row = ",".join(["%.17g"] * len(header)) + "\n"
+        write_rows(fp, table, lambda r: row % tuple(r))
 
 
 def evaluate_grid(spec: MarketSpec, times, x, dividend, dt) -> EquilibriumPath:

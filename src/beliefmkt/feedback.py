@@ -30,11 +30,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .beliefs import log_density_increment, posterior_mean_step
 from .errors import ConfigError, FixedPointError
-from .numerics import scan_sign_changes
+from .numerics import brentq, scan_sign_changes, write_rows
 from .rngtools import agent_rng, path_rng
 
 # residual bound every accepted step must satisfy (relative, on PD scale)
@@ -151,19 +150,20 @@ class FeedbackResult:
     metrics: Dict[str, float]
 
     def write_csv(self, fp):
+        """One row per step; xi is an empty field where it is NaN (t = 0)."""
         fp.write("t,delta,S_star,S,log_PD_star,log_ratio,xi,solver_warnings\n")
-        for i in range(len(self.times)):
-            xi = "" if math.isnan(self.xi[i]) else format(self.xi[i], ".17g")
-            fp.write(",".join([
-                format(self.times[i], ".17g"),
-                format(self.dividend[i], ".17g"),
-                format(self.stock_ideal[i], ".17g"),
-                format(self.stock[i], ".17g"),
-                format(self.log_pd_ideal[i], ".17g"),
-                format(self.log_ratio[i], ".17g"),
-                xi,
-                str(int(self.solver_warnings[i])),
-            ]) + "\n")
+        row = "%.17g," * 7 + "%d\n"
+        row_without_xi = "%.17g," * 6 + ",%d\n"
+        table = np.column_stack((
+            self.times, self.dividend, self.stock_ideal, self.stock,
+            self.log_pd_ideal, self.log_ratio, self.xi, self.solver_warnings))
+
+        def format_row(r):
+            if r[6] != r[6]:  # NaN xi
+                return row_without_xi % (*r[:6], r[7])
+            return row % tuple(r)
+
+        write_rows(fp, table, format_row)
 
 
 class _Population:

@@ -1,11 +1,23 @@
-"""Small numerical utilities: root brackets and sign-change scans."""
+"""Small numerical utilities: root brackets, Brent's method, sign-change
+scans and the ``%``-format CSV row writer."""
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError
 
-__all__ = ["expand_bracket", "solve_decreasing", "scan_sign_changes"]
+__all__ = ["brentq", "expand_bracket", "solve_decreasing",
+           "scan_sign_changes", "write_rows"]
+
+# rows per write in ``write_rows``: a few hundred rows amortize the write
+# call while the text held in memory stays far below one path's arrays
+_CHUNK_ROWS = 256
+
+
+def brentq(f, a, b, **kw):
+    """``scipy.optimize.brentq``, imported on first use: importing
+    scipy.optimize costs more than most CLI runs that never solve a root."""
+    from scipy.optimize import brentq as scipy_brentq
+    return scipy_brentq(f, a, b, **kw)
 
 
 def expand_bracket(f, lo, hi, grow=2.0, max_expansions=200):
@@ -49,3 +61,14 @@ def scan_sign_changes(values, grid):
     s = np.sign(v)
     idx = np.nonzero((s[:-1] * s[1:]) <= 0.0)[0]
     return [(grid[i], grid[i + 1]) for i in idx]
+
+
+def write_rows(fp, table, format_row):
+    """Write ``format_row(row)`` for every row of the 2-D array ``table``.
+
+    Rows reach ``format_row`` as lists of Python floats, converted and
+    joined into one write a chunk of rows at a time.
+    """
+    for start in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[start:start + _CHUNK_ROWS].tolist()
+        fp.write("".join(map(format_row, chunk)))

@@ -25,3 +25,12 @@ def benchmark_market() -> MarketSpec:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def assert_same_text(got: str, want: str):
+    """Exact equality of two texts, reported at the first line that differs
+    (pytest's own diff of two long strings takes minutes)."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (a, b) in enumerate(zip(got_lines, want_lines)):
+        assert a == b, f"line {i}"
+    assert len(got_lines) == len(want_lines)

@@ -1,6 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from beliefmkt.cli import main
 
@@ -254,3 +258,87 @@ def test_shipped_configs_parse_and_run_quickly(tmp_path):
                  "--config", str(REPO / "configs" / "benchmark3.json"),
                  "--out", str(tmp_path / "bench"), "--paths", "2"])
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+_SCIPY_OPTIMIZE_PROBE = """
+import json, sys
+from beliefmkt.cli import main
+loaded = ["scipy.optimize" in sys.modules]
+for cmd in json.loads(sys.argv[1]):
+    assert main(cmd) == 0, cmd
+    loaded.append("scipy.optimize" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_optimize_loads_only_for_root_finding_and_fits(tmp_path):
+    # importing scipy.optimize costs more than most CLI runs; only the
+    # subcommands that solve roots (feedback) or fit pay for it
+    simulate = write_config(tmp_path, tiny_market_config(), "simulate.json")
+    feedback = write_config(tmp_path, {
+        "n_agents": 4, "n_diligent": 0, "n_steps": 20, "seed": 3},
+        "feedback.json")
+    fit = write_config(tmp_path, {
+        "n_agents": 1,
+        "free": [{"name": "sigma", "lower": 0.1, "upper": 0.5, "start": 0.2}],
+        "fixed": {"alpha_0": 0.0, "rho_0": 0.05},
+        "n_paths": 1, "horizon_years": 1.0, "dt": 0.02, "seed": 1,
+        "max_iterations": 3}, "fit.json")
+
+    def run(commands):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_OPTIMIZE_PROBE,
+             json.dumps(commands)], cwd=REPO, env=env, capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    out = str(tmp_path / "out")
+    assert run([
+        ["beauty", "--config",
+         str(REPO / "configs" / "contest_two_agent.json"), "--out", out + "1"],
+        ["ingest", "--config", str(REPO / "configs" / "ingest_sample.json"),
+         "--out", out + "2"],
+        ["simulate-log", "--config", str(simulate), "--out", out + "3"],
+        ["simulate-log", "--config", out + "3/manifest.json",
+         "--out", out + "4"],
+    ]) == [False] * 5
+    assert run([["feedback", "--config", str(feedback), "--out", out + "5"]]) \
+        == [False, True]
+    assert run([["fit", "--config", str(fit), "--out", out + "6"]]) \
+        == [False, True]
+
+
+_THREAD_PROBE = """
+import os
+import beliefmkt
+import numpy
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+"""
+
+
+def test_import_starts_no_blas_threads():
+    # the engine has no BLAS work worth a thread; a value the user set wins
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc to count threads")
+
+    def run(**extra):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env.update(extra, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], cwd=REPO,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stdout.split()
+        return value, int(threads)
+
+    assert run() == ("1", 1)
+    assert run(OPENBLAS_NUM_THREADS="2")[0] == "2"

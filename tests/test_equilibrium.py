@@ -1,4 +1,6 @@
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from beliefmkt.equilibrium import (AgentSpec, MarketSpec,
                                    state_price_density, stock_volatility,
                                    trade_volume, wealth_and_portfolios)
 from beliefmkt.errors import ConfigError, SingularMarketError
-from conftest import benchmark_market
+from conftest import assert_same_text, benchmark_market
 
 
 def two_agent_market(alphas=(0.2, -0.2), rhos=(0.05, 0.05), nus=(1.0, 1.0),
@@ -317,6 +319,7 @@ def test_evaluate_grid_matches_reference(n_agents, common_rho, offset):
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @example(291086945)  # holdings near +-1e3, where a + kappa is small
+@example(935967012)  # sum_j |pi_j| = 1.6e5, so sum_j pi_j misses 1 by 7e-12
 @settings(max_examples=15, deadline=None)
 def test_identities_hold_on_random_markets(seed):
     rng = np.random.default_rng(seed)
@@ -330,7 +333,11 @@ def test_identities_hold_on_random_markets(seed):
     np.testing.assert_allclose(path.consumption,
                                path.wealth * np.array([a.impatience for a in spec.agents]),
                                rtol=1e-12)
-    np.testing.assert_allclose(path.holdings.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # holdings of either sign cancel in the sum: bound its rounding error
+    # per row by 4 J eps sum_j |pi_j|, not by a fixed absolute tolerance
+    J = len(spec.agents)
+    bound = 4 * J * np.finfo(float).eps * np.abs(path.holdings).sum(axis=1)
+    assert np.all(np.abs(path.holdings.sum(axis=1) - 1.0) <= bound)
 
 
 def test_equal_impatience_pd_has_no_volatility():
@@ -491,3 +498,63 @@ def test_clearing_cara_style_interior_point():
                                  delta, 0.0)
     hand = lam / nu * math.exp(-gamma * delta)
     assert zeta == pytest.approx(hand, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+
+
+def csv_by_value(path):
+    """The path CSV written one ``format(v, ".17g")`` per value."""
+    lines = [",".join(path.csv_header())]
+    base = (path.times, path.x, path.dividend, path.zeta, path.stock,
+            path.pd_ratio, path.rate, path.kappa, path.stock_vol)
+    blocks = (path.q, path.wealth, path.consumption, path.holdings, path.trade)
+    for i in range(len(path.times)):
+        row = [format(col[i], ".17g") for col in base]
+        for block in blocks:
+            row += [format(v, ".17g") for v in block[i]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def csv_text(path):
+    fp = io.StringIO()
+    path.write_csv(fp)
+    return fp.getvalue()
+
+
+def learner_market():
+    spec = benchmark_market()
+    third = replace(spec.agents[2], belief=BayesianGaussian(-0.05, 2.0))
+    return replace(spec, agents=spec.agents[:2] + (third,))
+
+
+@pytest.mark.parametrize("case", ["benchmark3", "equal_rho", "learner"])
+def test_write_csv_matches_per_value_format(case):
+    spec = {"benchmark3": benchmark_market,
+            "equal_rho": lambda: two_agent_market(rhos=(0.1, 0.1)),
+            "learner": learner_market}[case]()
+    # 3 years of daily steps: longer than one chunk of rows
+    path = simulate_path(spec, 3.0, 1 / 252, seed=17)
+    assert np.all(np.isnan(path.trade)) == (case != "equal_rho")
+    assert_same_text(csv_text(path), csv_by_value(path))
+
+
+def test_write_csv_special_values_match_per_value_format():
+    path = simulate_path(two_agent_market(rhos=(0.1, 0.1)), 0.5, 1 / 52,
+                         seed=3)
+    special = np.array([-0.0, np.inf, -np.inf, 1e-300, -1e-300, np.nan,
+                        5e-324, 0.1, -1.7976931348623157e308])
+
+    def spiked(a):
+        a = a.copy()
+        a.reshape(-1)[:len(special)] = special
+        return a
+
+    edited = replace(path, zeta=spiked(path.zeta), rate=spiked(path.rate),
+                     x=spiked(path.x), holdings=spiked(path.holdings),
+                     trade=spiked(path.trade))
+    text = csv_text(edited)
+    assert_same_text(text, csv_by_value(edited))
+    assert ",-0," in text and ",inf," in text and ",1e-300," in text

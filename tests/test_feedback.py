@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from beliefmkt.feedback import (FeedbackConfig, _lse, _Population,
                                 diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
 from beliefmkt.numerics import scan_sign_changes
+from conftest import assert_same_text
 
 
 def small_config(**kwargs):
@@ -333,3 +335,36 @@ def test_csv_round_trip(tmp_path):
     assert first[6] == ""  # no xi at t = 0
     parsed = float(rows[-1].split(",")[3])
     assert parsed == res.stock[-1]
+
+
+def series_by_value(res):
+    """series.csv written one ``format(v, ".17g")`` per value."""
+    lines = ["t,delta,S_star,S,log_PD_star,log_ratio,xi,solver_warnings"]
+    for i in range(len(res.times)):
+        xi = "" if math.isnan(res.xi[i]) else format(res.xi[i], ".17g")
+        lines.append(",".join([
+            format(res.times[i], ".17g"),
+            format(res.dividend[i], ".17g"),
+            format(res.stock_ideal[i], ".17g"),
+            format(res.stock[i], ".17g"),
+            format(res.log_pd_ideal[i], ".17g"),
+            format(res.log_ratio[i], ".17g"),
+            xi,
+            str(int(res.solver_warnings[i])),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_per_value_format():
+    res = run_feedback(small_config(n_diligent=0, n_steps=300))
+    xi = res.xi.copy()
+    xi[[5, 6, 7]] = [np.nan, -0.0, 1e-300]
+    warnings = res.solver_warnings.copy()
+    warnings[9] = 3.0
+    edited = replace(res, xi=xi, solver_warnings=warnings,
+                     log_ratio=np.where(np.arange(len(xi)) == 8, -np.inf,
+                                        res.log_ratio))
+    for r in (res, edited):
+        fp = io.StringIO()
+        r.write_csv(fp)
+        assert_same_text(fp.getvalue(), series_by_value(r))
