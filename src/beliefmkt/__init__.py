@@ -18,9 +18,8 @@ from .equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
 from .feedback import FeedbackConfig, FeedbackResult, run_feedback
 from .beauty import (ContestSpec, pareto_faked_equilibrium,
                      truthful_equilibrium, welfare_comparison)
-from .calibration import (CalibrationProblem, DEFAULT_TARGETS,
-                          EmpiricalTargets, FreeParameter, MomentReport,
-                          compute_moments, fit_parameters,
+from .calibration import (CalibrationProblem, DEFAULT_TARGETS, FreeParameter,
+                          MomentReport, compute_moments, fit_parameters,
                           ingest_price_dividend_csv, moment_loss)
 from .errors import (BeliefMktError, ConfigError, FixedPointError,
                      NumericError, SaturationError, SingularMarketError)

@@ -6,7 +6,7 @@ Continuous time: an agent believes the common Brownian driver X carries a
 drift.  The drift is either a fixed constant or the posterior mean of a
 gaussian prior updated from the observed path (a conjugate learner).  The
 belief enters equilibrium through the density process Lambda, which solves
-d Lambda = Lambda * alpha_t dX and is integrated in log space.
+d Lambda = Lambda * alpha_t dX; both kinds of agent have it in closed form.
 
 Discrete time: an agent models observed log increments as i.i.d. gaussian
 with known precision tau and unknown mean, carrying a conjugate
@@ -70,15 +70,6 @@ def drift_at(belief: ContinuousBelief, t, x):
         return np.broadcast_to(np.float64(belief.drift), t.shape)[()] if t.shape else float(belief.drift)
     beta, eps = belief.prior_mean, belief.prior_precision
     return (np.asarray(x, dtype=float) + beta * eps) / (eps + np.asarray(t, dtype=float))
-
-
-def log_ratio_step(log_lam, alpha_t, dx, dt):
-    """One Euler step of d Lambda = Lambda alpha dX, taken in log space.
-
-    Exact for constant alpha; O(dt) accurate for adapted alpha paths.
-    Positivity of Lambda is automatic.
-    """
-    return log_lam + alpha_t * dx - 0.5 * alpha_t * alpha_t * dt
 
 
 def bayesian_log_ratio_closed_form(belief: BayesianGaussian, t, x):

@@ -17,7 +17,7 @@ the order of the path set.
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -25,14 +25,25 @@ from .equilibrium import MarketSpec, AgentSpec, simulate_path
 from .beliefs import ConstantDrift
 from .errors import ConfigError
 
-MOMENT_NAMES = (
-    "mean_pd", "std_pd", "mean_equity_return", "std_equity_return",
-    "mean_riskless", "std_riskless", "equity_premium", "sharpe",
-)
+#: Moment name -> label of the comparison table, in report order.
+MOMENT_LABELS = {
+    "mean_pd": "Mean price/dividend ratio",
+    "std_pd": "Standard deviation of price/dividend ratio",
+    "mean_equity_return": "Mean return on equity",
+    "std_equity_return": "Standard deviation of return on equity",
+    "mean_riskless": "Mean riskless rate",
+    "std_riskless": "Standard deviation of riskless rate",
+    "equity_premium": "Equity premium",
+    "sharpe": "Sharpe ratio",
+}
+MOMENT_NAMES = tuple(MOMENT_LABELS)
 
 
 @dataclass(frozen=True)
 class MomentReport:
+    """The eight moments, of a model or of data; ``provenance`` says where
+    a set of empirical targets came from.  A NaN moment is unavailable."""
+
     mean_pd: float
     std_pd: float
     mean_equity_return: float
@@ -41,22 +52,7 @@ class MomentReport:
     std_riskless: float
     equity_premium: float
     sharpe: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {k: getattr(self, k) for k in MOMENT_NAMES}
-
-
-@dataclass(frozen=True)
-class EmpiricalTargets:
-    mean_pd: float
-    std_pd: float
-    mean_equity_return: float
-    std_equity_return: float
-    mean_riskless: float
-    std_riskless: float
-    equity_premium: float
-    sharpe: float
-    provenance: str = "unspecified"
+    provenance: str = ""
 
     def as_dict(self) -> Dict[str, float]:
         return {k: getattr(self, k) for k in MOMENT_NAMES}
@@ -64,7 +60,7 @@ class EmpiricalTargets:
 
 #: Long-sample US stock-market targets (S&P real price and dividend,
 #: 1871-1998, monthly): the default calibration target set.
-DEFAULT_TARGETS = EmpiricalTargets(
+DEFAULT_TARGETS = MomentReport(
     mean_pd=25.0, std_pd=7.1,
     mean_equity_return=0.07, std_equity_return=0.18,
     mean_riskless=0.018, std_riskless=0.057,
@@ -135,7 +131,7 @@ def compute_moments(paths) -> MomentReport:
 
 @dataclass(frozen=True)
 class IngestReport:
-    targets: EmpiricalTargets
+    targets: MomentReport
     n_rows: int
     first_date: str
     last_date: str
@@ -204,7 +200,7 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
         sharpe = premium / std_ret if std_ret > 0.0 else math.nan
     else:
         mean_r = std_r = premium = sharpe = math.nan
-    targets = EmpiricalTargets(
+    targets = MomentReport(
         mean_pd=float(pd_ratio.mean()), std_pd=float(pd_ratio.std()),
         mean_equity_return=mean_ret, std_equity_return=std_ret,
         mean_riskless=mean_r, std_riskless=std_r,
@@ -246,7 +242,6 @@ class CalibrationProblem:
     horizon: float = 50.0
     dt: float = 1.0 / 252.0
     seed: int = 0
-    loss_weights: Optional[Dict[str, float]] = None
     max_iterations: int = 200
 
     def __post_init__(self):
@@ -296,9 +291,8 @@ def build_market(values: Dict[str, float], n_agents: int) -> MarketSpec:
     )
 
 
-def moment_loss(report: MomentReport, targets: EmpiricalTargets,
-                weights: Optional[Dict[str, float]] = None) -> float:
-    """Weighted relative squared error, sum_k w_k ((m_k - t_k)/t_k)^2.
+def moment_loss(report: MomentReport, targets: MomentReport) -> float:
+    """Relative squared error, sum_k ((m_k - t_k)/t_k)^2.
 
     Moments whose target is NaN are skipped; a non-finite moment makes the
     loss infinite.
@@ -308,16 +302,15 @@ def moment_loss(report: MomentReport, targets: EmpiricalTargets,
         target = getattr(targets, name)
         if math.isnan(target):
             continue
-        w = 1.0 if weights is None else weights.get(name, 1.0)
         m = getattr(report, name)
         if not math.isfinite(m):
             return math.inf
-        total += w * ((m - target) / target) ** 2
+        total += ((m - target) / target) ** 2
     return total
 
 
 def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
-                   targets: EmpiricalTargets) -> Tuple[float, MomentReport]:
+                   targets: MomentReport) -> Tuple[float, MomentReport]:
     """Loss and moment report at one parameter point, with common random
     numbers (the same path seeds on every call)."""
     spec = build_market(values, problem.n_agents)
@@ -332,7 +325,7 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
             yield path
 
     report = compute_moments(gen())
-    loss = math.inf if ic else moment_loss(report, targets, problem.loss_weights)
+    loss = math.inf if ic else moment_loss(report, targets)
     return loss, report
 
 
@@ -356,7 +349,7 @@ class FitResult:
 
 
 def fit_parameters(problem: CalibrationProblem,
-                   targets: EmpiricalTargets) -> FitResult:
+                   targets: MomentReport) -> FitResult:
     """Derivative-free moment matching.
 
     Nelder-Mead simplex on logistic-transformed coordinates keeps every
@@ -394,21 +387,11 @@ def fit_parameters(problem: CalibrationProblem,
                      n_evaluations=n_eval, converged=bool(res.success))
 
 
-def comparison_table(report: MomentReport, targets: EmpiricalTargets) -> str:
+def comparison_table(report: MomentReport, targets: MomentReport) -> str:
     """Aligned two-column moment table (model vs target)."""
-    labels = {
-        "mean_pd": "Mean price/dividend ratio",
-        "std_pd": "Standard deviation of price/dividend ratio",
-        "mean_equity_return": "Mean return on equity",
-        "std_equity_return": "Standard deviation of return on equity",
-        "mean_riskless": "Mean riskless rate",
-        "std_riskless": "Standard deviation of riskless rate",
-        "equity_premium": "Equity premium",
-        "sharpe": "Sharpe ratio",
-    }
-    width = max(len(v) for v in labels.values())
+    width = max(map(len, MOMENT_LABELS.values()))
     lines = [f"{'':{width}}  {'Model':>10}  {'Target':>10}"]
-    for name in MOMENT_NAMES:
-        lines.append(f"{labels[name]:{width}}  {getattr(report, name):10.4g}"
+    for name, label in MOMENT_LABELS.items():
+        lines.append(f"{label:{width}}  {getattr(report, name):10.4g}"
                      f"  {getattr(targets, name):10.4g}")
     return "\n".join(lines)

@@ -13,17 +13,19 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .calibration import (comparison_table, compute_moments, fit_parameters,
                           ingest_price_dividend_csv, moment_loss)
 from .beauty import (format_solution, pareto_faked_equilibrium,
                      truthful_equilibrium, welfare_comparison)
-from .config import (load_config, parse_contest, parse_feedback, parse_fit,
-                     parse_market, parse_simulate, parse_targets,
-                     write_manifest)
+from .config import (_get, load_config, parse_contest, parse_feedback,
+                     parse_fit, parse_simulate, parse_targets, write_manifest)
 from .errors import ConfigError, NumericError
 from .feedback import diligence_sweep, run_feedback
 from .equilibrium import simulate_path
+from .numerics import write_rows
 
 
 def _outdir(args):
@@ -133,23 +135,16 @@ def cmd_beauty(cfg, args):
         truthful = truthful_equilibrium(spec)
         faked = pareto_faked_equilibrium(spec)
         report = welfare_comparison(spec)
+        table = np.column_stack((
+            np.arange(spec.n_agents), spec.risk_aversion, spec.mean_belief,
+            spec.belief_variance, truthful.weights, truthful.holdings,
+            truthful.objectives, faked.professed, faked.holdings,
+            faked.objectives, report.improved))
+        row = "%d" + ",%.17g" * 9 + ",%s\n"
         with open(out / "contest.csv", "w") as fp:
             fp.write("agent,gamma,alpha,variance,p,theta,objective,"
                      "alpha_faked,theta_faked,objective_faked,improved\n")
-            for j in range(spec.n_agents):
-                fp.write(",".join([
-                    str(j),
-                    format(spec.risk_aversion[j], ".17g"),
-                    format(spec.mean_belief[j], ".17g"),
-                    format(spec.belief_variance[j], ".17g"),
-                    format(truthful.weights[j], ".17g"),
-                    format(truthful.holdings[j], ".17g"),
-                    format(truthful.objectives[j], ".17g"),
-                    format(faked.professed[j], ".17g"),
-                    format(faked.holdings[j], ".17g"),
-                    format(faked.objectives[j], ".17g"),
-                    str(bool(report.improved[j])),
-                ]) + "\n")
+            write_rows(fp, table, lambda r: row % (*r[:10], bool(r[10])))
     return 0
 
 
@@ -175,10 +170,8 @@ def cmd_fit(cfg, args):
 
 
 def cmd_ingest(cfg, args):
-    csv_path = cfg.get("csv")
-    if not isinstance(csv_path, str):
-        raise ConfigError("csv: missing required field")
-    min_years = cfg.get("min_years", 10.0)
+    csv_path = _get(cfg, "csv", str)
+    min_years = _get(cfg, "min_years", float, default=10.0, positive=True)
     out = _outdir(args)
     write_manifest(out, "ingest", cfg)
     report = ingest_price_dividend_csv(csv_path, min_years=min_years)

@@ -13,8 +13,8 @@ from typing import Any, Dict
 from . import __version__
 from .beauty import ContestSpec
 from .beliefs import BayesianGaussian, ConstantDrift
-from .calibration import (CalibrationProblem, EmpiricalTargets, FreeParameter,
-                          DEFAULT_TARGETS)
+from .calibration import (CalibrationProblem, DEFAULT_TARGETS, FreeParameter,
+                          MOMENT_NAMES, MomentReport)
 from .equilibrium import AgentSpec, MarketSpec
 from .errors import ConfigError
 from .feedback import FeedbackConfig
@@ -168,15 +168,13 @@ def parse_contest(cfg) -> ContestSpec:
         path = f"agents[{i}]"
         if not isinstance(node, dict):
             raise ConfigError(f"{path}: expected an object")
-        g = _get(node, "risk_aversion", float)
-        v = _get(node, "belief_variance", float)
-        if not g > 0.0:
-            raise ConfigError(f"{path}.risk_aversion: must be > 0")
-        if not v > 0.0:
-            raise ConfigError(f"{path}.belief_variance: must be > 0")
-        gammas.append(g)
-        alphas.append(_get(node, "mean_belief", float))
-        variances.append(v)
+        try:
+            gammas.append(_get(node, "risk_aversion", float, positive=True))
+            alphas.append(_get(node, "mean_belief", float))
+            variances.append(_get(node, "belief_variance", float,
+                                  positive=True))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc}") from None
     try:
         return ContestSpec(risk_aversion=np.array(gammas),
                            mean_belief=np.array(alphas),
@@ -185,18 +183,15 @@ def parse_contest(cfg) -> ContestSpec:
         raise ConfigError(f"agents: {exc}") from None
 
 
-def parse_targets(cfg) -> EmpiricalTargets:
+def parse_targets(cfg) -> MomentReport:
     node = cfg.get("targets", "default")
     if node == "default":
         return DEFAULT_TARGETS
     if not isinstance(node, dict):
         raise ConfigError("targets: expected 'default' or an object")
-    kwargs = {}
-    for name in ("mean_pd", "std_pd", "mean_equity_return",
-                 "std_equity_return", "mean_riskless", "std_riskless",
-                 "equity_premium", "sharpe"):
-        kwargs[name] = _get(node, name, float, default=float("nan"))
-    return EmpiricalTargets(provenance="config targets", **kwargs)
+    kwargs = {name: _get(node, name, float, default=float("nan"))
+              for name in MOMENT_NAMES}
+    return MomentReport(provenance="config targets", **kwargs)
 
 
 def parse_fit(cfg) -> CalibrationProblem:

@@ -14,15 +14,15 @@ updates.  Alongside the actual price S the simulator maintains the ideal
 price S* that would obtain if every agent observed the dividend, so
 log(S/S*) isolates the effect of the mistaken observation channel.
 
-Where xi enters PD (some agent is not diligent) the fixed point is solved
-by a 200-point scan of the bracket (which also detects multiple roots;
-ties are broken toward the previous step's xi) followed by Brent
-refinement in the chosen cell.  When every agent is diligent PD does not
-depend on xi, the residual is linear with unit slope, and xi has a closed
-form.  The residual of every accepted step is recorded and bounded at run
-time.  All log-sum-exps go through one numpy kernel, ``_lse``: the arrays
-are small (one entry per agent) and a step makes dozens of them, so call
-overhead, not arithmetic, sets the cost.
+When every agent is diligent the population is the one that sets S*, so
+the price is S* by definition and nothing is solved.  Otherwise xi enters
+PD and the fixed point is solved by a 200-point scan of the bracket (which
+also detects multiple roots; ties are broken toward the previous step's
+xi) followed by Brent refinement in the chosen cell.  The residual of
+every accepted step is recorded and bounded at run time.  All
+log-sum-exps go through one numpy kernel, ``_lse``: the arrays are small
+(one entry per agent) and a step makes dozens of them, so call overhead,
+not arithmetic, sets the cost.
 """
 
 import math
@@ -40,6 +40,7 @@ from .rngtools import agent_rng, path_rng
 RESIDUAL_TOL = 1e-10
 _BISECT_WIDTH = 1e-13
 _SCAN_POINTS = 200
+_NO_ROOT = "no root for xi within +/- 1.0 of the dividend move"
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,14 @@ class FeedbackConfig:
             raise ConfigError("n_steps must be >= 1")
         if not self.prior_weight > 0.0:
             raise ConfigError("prior_weight must be > 0")
+        if not self.nu > 0.0:
+            raise ConfigError("nu must be > 0")
+        for name in ("rho_range", "tau_factor_range", "prior_mean_range"):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ConfigError(f"{name}: need low <= high")
+            if name != "prior_mean_range" and not low > 0.0:
+                raise ConfigError(f"{name}: need low > 0")
 
     @property
     def tau_true(self) -> float:
@@ -195,9 +204,8 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
     the true increment +/- 10 per-step standard deviations and doubles
     until the residual changes sign, capped at +/- 1 in log price.  A
     200-point scan locates every sign change (tie-break: nearest to the
-    previous xi), then Brent refines inside the chosen cell.  With every
-    agent diligent the residual is linear with unit slope and its single
-    root is taken in closed form, under the same +/- 1 cap.
+    previous xi), then Brent refines inside the chosen cell.  Needs at
+    least one agent that is not diligent.
     """
     nd = ~diligent_mask
     k = population.sample_size(step)
@@ -218,29 +226,7 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
         num_dil = den_dil = -np.inf
     offset = log_stock - log_div_next
 
-    def no_root(residual, half_width):
-        return FixedPointError(
-            "no root for xi within +/- 1.0 of the dividend move",
-            step=step,
-            diagnostics={
-                "log_stock": log_stock,
-                "log_div_next": log_div_next,
-                "true_increment": true_increment,
-                "residual_lo": float(residual(true_increment - half_width)),
-                "residual_hi": float(residual(true_increment + half_width)),
-            })
-
     mu_nd = population.mu[nd]
-    if mu_nd.size == 0:
-        # PD does not depend on xi: the residual is linear with unit slope
-        def linear(xi):
-            return offset + xi - (num_dil - den_dil)
-
-        xi = (num_dil - den_dil) - offset
-        if abs(xi - true_increment) > 1.0:
-            raise no_root(linear, 1.0)
-        return xi, 1, abs(math.expm1(linear(xi)))
-
     # same increment as beliefs.log_density_increment, split into the
     # xi-independent constant and the quadratic coefficient
     ratio = k / (k + 1.0)
@@ -271,7 +257,15 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
         if cells:
             break
         if half_width >= 1.0:
-            raise no_root(residual, half_width)
+            raise FixedPointError(
+                _NO_ROOT, step=step,
+                diagnostics={
+                    "log_stock": log_stock,
+                    "log_div_next": log_div_next,
+                    "true_increment": true_increment,
+                    "residual_lo": float(residual(true_increment - half_width)),
+                    "residual_hi": float(residual(true_increment + half_width)),
+                })
         half_width = min(2.0 * half_width, 1.0)
 
     if len(cells) > 1:
@@ -334,37 +328,47 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
     sigma_step = config.sigma_true * math.sqrt(config.dt)
     increments, log_div = inputs.increments, inputs.log_div
     log_stock_ideal = inputs.log_stock_ideal
-    actual = _Population(traits, config.prior_weight)
 
     n = config.n_steps
-    log_stock = np.empty(n + 1)
     xi_series = np.full(n + 1, np.nan)
     warnings = np.zeros(n + 1)
     residuals = np.zeros(n + 1)
 
-    # before any observation the population holds its priors, as S* does
-    log_stock[0] = log_stock_ideal[0]
-    log_expm1 = np.log(np.expm1(rho_step))
-
     try:
-        for t in range(n):
-            d = increments[t]
-            prev = xi_series[t] if t > 0 else d
-            xi, n_roots, rel = solve_step(
-                rho_step, inputs.nu, actual, traits.diligent, t,
-                log_stock[t], log_div[t + 1], d, prev, sigma_step,
-                log_expm1=log_expm1)
-            if rel > RESIDUAL_TOL:
-                raise FixedPointError(
-                    f"fixed-point residual {rel:.3e} above {RESIDUAL_TOL:g}",
-                    step=t, diagnostics={"xi": xi})
-            xi_series[t + 1] = xi
-            warnings[t + 1] = n_roots - 1
-            residuals[t + 1] = rel
-            log_stock[t + 1] = log_stock[t] + xi
+        if traits.diligent.all():
+            # the population that sets S*: the price is S* by definition
+            log_stock = log_stock_ideal
+            xi_series[1:] = np.diff(log_stock_ideal)
+            far = np.flatnonzero(np.abs(xi_series[1:] - increments) > 1.0)
+            if far.size:
+                t = int(far[0])
+                raise FixedPointError(_NO_ROOT, step=t, diagnostics={
+                    "xi": float(xi_series[t + 1]),
+                    "true_increment": float(increments[t])})
+        else:
+            actual = _Population(traits, config.prior_weight)
+            log_expm1 = np.log(np.expm1(rho_step))
+            log_stock = np.empty(n + 1)
+            # before any observation the population holds its priors, like S*
+            log_stock[0] = log_stock_ideal[0]
+            for t in range(n):
+                d = increments[t]
+                prev = xi_series[t] if t > 0 else d
+                xi, n_roots, rel = solve_step(
+                    rho_step, inputs.nu, actual, traits.diligent, t,
+                    log_stock[t], log_div[t + 1], d, prev, sigma_step,
+                    log_expm1=log_expm1)
+                if rel > RESIDUAL_TOL:
+                    raise FixedPointError(
+                        f"fixed-point residual {rel:.3e} above {RESIDUAL_TOL:g}",
+                        step=t, diagnostics={"xi": xi})
+                xi_series[t + 1] = xi
+                warnings[t + 1] = n_roots - 1
+                residuals[t + 1] = rel
+                log_stock[t + 1] = log_stock[t] + xi
 
-            observed = np.where(traits.diligent, d, xi)
-            actual.absorb(observed, t)
+                observed = np.where(traits.diligent, d, xi)
+                actual.absorb(observed, t)
     except FixedPointError as exc:
         raise FixedPointError(
             f"step {exc.step}: {exc}", step=exc.step,

@@ -10,7 +10,7 @@ from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
                                DiscreteBelief, bayesian_log_ratio_closed_form,
                                drift_at, initial_state, likelihood_ratio,
                                log_density_increment, log_likelihood_ratio,
-                               log_ratio_step, update)
+                               update)
 from beliefmkt.errors import SaturationError
 
 TWO_PI = 2.0 * math.pi
@@ -125,20 +125,6 @@ def test_prior_precision_must_be_positive():
 # continuous-time likelihood ratio
 
 
-def test_log_ratio_step_flat_for_zero_drift():
-    assert log_ratio_step(0.0, 0.0, 0.3, 0.01) == 0.0
-
-
-def test_constant_drift_exact_exponential_martingale():
-    # alpha = 0.5, X_1 = 0.2: Lambda = exp(0.1 - 0.125)
-    log_lam = 0.0
-    dt = 1.0 / 64
-    x = np.linspace(0.0, 0.2, 65)
-    for dx in np.diff(x):
-        log_lam = log_ratio_step(log_lam, 0.5, dx, dt)
-    assert log_lam == pytest.approx(0.5 * 0.2 - 0.5 * 0.25 * 1.0, abs=1e-13)
-
-
 def test_bayesian_sde_matches_closed_form_as_dt_shrinks():
     belief = BayesianGaussian(prior_mean=0.1, prior_precision=1.5)
     rng = np.random.default_rng(11)
@@ -154,7 +140,8 @@ def test_bayesian_sde_matches_closed_form_as_dt_shrinks():
         log_lam = 0.0
         for i in range(len(x) - 1):
             alpha = drift_at(belief, t[i], x[i])
-            log_lam = log_ratio_step(log_lam, alpha, x[i + 1] - x[i], dt)
+            # Euler step of d log Lambda = alpha dX - alpha^2 dt / 2
+            log_lam += alpha * (x[i + 1] - x[i]) - 0.5 * alpha * alpha * dt
         target = bayesian_log_ratio_closed_form(belief, horizon, x_fine[-1])
         errors.append(abs(log_lam - target))
     assert errors[2] < errors[0]

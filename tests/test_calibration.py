@@ -6,8 +6,8 @@ import pytest
 
 from beliefmkt.beliefs import ConstantDrift
 from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
-                                   EmpiricalTargets, FreeParameter,
-                                   MomentReport, build_market,
+                                   MOMENT_NAMES, FreeParameter, MomentReport,
+                                   build_market,
                                    comparison_table, compute_moments,
                                    evaluate_point, fit_parameters,
                                    ingest_price_dividend_csv, moment_loss)
@@ -156,8 +156,8 @@ def test_ingest_long_sample_us_file_matches_known_moments():
 
 def test_moment_loss_skips_nan_targets_and_rejects_nonfinite():
     report = MomentReport(20.0, 5.0, 0.08, 0.2, 0.02, 0.05, 0.06, 0.3)
-    targets = EmpiricalTargets(25.0, float("nan"), 0.07, 0.18, 0.018, 0.057,
-                               0.06, 0.33)
+    targets = MomentReport(25.0, float("nan"), 0.07, 0.18, 0.018, 0.057,
+                           0.06, 0.33)
     loss = moment_loss(report, targets)
     assert math.isfinite(loss)
     by_hand = ((20 - 25) / 25) ** 2 + ((0.08 - 0.07) / 0.07) ** 2 \
@@ -224,20 +224,12 @@ def test_one_parameter_sigma_recovery():
         n_agents=1,
         free=(FreeParameter("sigma", 0.1, 0.6, 0.15),),
         fixed={"alpha_0": 0.05, "rho_0": 0.05},
-        n_paths=6, horizon=10.0, dt=1 / 52, seed=5,
-        loss_weights={name: 0.0 for name in
-                      ("mean_pd", "std_pd", "mean_equity_return",
-                       "mean_riskless", "std_riskless", "equity_premium",
-                       "sharpe")} | {"std_equity_return": 1.0},
-        max_iterations=60)
+        n_paths=6, horizon=10.0, dt=1 / 52, seed=5, max_iterations=60)
     _, generated = evaluate_point(problem, true_values, DEFAULT_TARGETS)
-    targets = EmpiricalTargets(
-        mean_pd=generated.mean_pd, std_pd=float("nan"),
-        mean_equity_return=generated.mean_equity_return,
-        std_equity_return=generated.std_equity_return,
-        mean_riskless=generated.mean_riskless,
-        std_riskless=float("nan"),
-        equity_premium=generated.equity_premium, sharpe=generated.sharpe)
+    # a NaN target drops its moment from the loss
+    targets = MomentReport(**dict(
+        dict.fromkeys(MOMENT_NAMES, float("nan")),
+        std_equity_return=generated.std_equity_return))
     result = fit_parameters(problem, targets)
     assert result.values["sigma"] == pytest.approx(0.3, rel=0.05)
 
@@ -252,7 +244,7 @@ def test_self_consistency_from_nearby_start():
         max_iterations=80)
     truth = dict(fixed, alpha_0=0.2)
     _, generated = evaluate_point(problem, truth, DEFAULT_TARGETS)
-    targets = EmpiricalTargets(**generated.as_dict())
+    targets = MomentReport(**generated.as_dict())
     start_loss, _ = evaluate_point(problem, dict(fixed, alpha_0=0.25), targets)
     result = fit_parameters(problem, targets)
     assert result.loss < start_loss

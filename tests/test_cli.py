@@ -4,9 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from beliefmkt.beauty import (pareto_faked_equilibrium, truthful_equilibrium,
+                              welfare_comparison)
 from beliefmkt.cli import main
+from beliefmkt.config import parse_contest
+from conftest import assert_same_text
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -183,6 +188,18 @@ def test_feedback_parallel_sweep_matches_sequential(tmp_path):
     assert (out_a / "sweep.txt").read_bytes() == (out_b / "sweep.txt").read_bytes()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rho_range", [0.3, 0.1]), ("rho_range", [0, 0]),
+    ("tau_factor_range", [-1, 0.5]), ("prior_mean_range", [0.2, 0.1])])
+def test_feedback_unusable_range_exits_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, {
+        "n_agents": 4, "n_diligent": 0, "n_steps": 20, field: value})
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_feedback_numeric_failure_exits_3(tmp_path, capsys):
     # small populations can be driven into a crash larger than the
     # root bracket cap; that is a numeric failure, exit code 3
@@ -212,6 +229,55 @@ def test_beauty_outputs(tmp_path):
     rows = (out / "contest.csv").read_text().strip().split("\n")
     assert len(rows) == 3
     assert rows[1].split(",")[-1] == "False"  # both agents lose
+
+
+def contest_csv_by_value(spec):
+    """contest.csv written one ``format(v, ".17g")`` per value."""
+    truthful = truthful_equilibrium(spec)
+    faked = pareto_faked_equilibrium(spec)
+    report = welfare_comparison(spec)
+    lines = ["agent,gamma,alpha,variance,p,theta,objective,"
+             "alpha_faked,theta_faked,objective_faked,improved"]
+    for j in range(spec.n_agents):
+        lines.append(",".join([
+            str(j),
+            format(spec.risk_aversion[j], ".17g"),
+            format(spec.mean_belief[j], ".17g"),
+            format(spec.belief_variance[j], ".17g"),
+            format(truthful.weights[j], ".17g"),
+            format(truthful.holdings[j], ".17g"),
+            format(truthful.objectives[j], ".17g"),
+            format(faked.professed[j], ".17g"),
+            format(faked.holdings[j], ".17g"),
+            format(faked.objectives[j], ".17g"),
+            str(bool(report.improved[j])),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def test_contest_csv_matches_per_value_format(tmp_path, rng):
+    contests = [{"agents": [
+        {"risk_aversion": float(rng.uniform(0.2, 5.0)),
+         "mean_belief": float(rng.normal(0.0, 2.0)),
+         "belief_variance": float(rng.uniform(0.1, 3.0))}
+        for _ in range(rng.integers(2, 9))]} for _ in range(12)]
+    # -0.0 and 1e-300 as values; the beliefs differ by less than the
+    # squares can resolve, so every agent ties in ``improved``
+    contests.append({"agents": [
+        {"risk_aversion": 1.0, "mean_belief": -0.0, "belief_variance": 1.0},
+        {"risk_aversion": 2.0, "mean_belief": -0.0, "belief_variance": 0.5},
+        {"risk_aversion": 1.0, "mean_belief": 1e-300,
+         "belief_variance": 1.0}]})
+    written = ""
+    for k, payload in enumerate(contests):
+        payload["csv"] = True
+        cfg = write_config(tmp_path, payload, f"contest{k}.json")
+        out = tmp_path / f"out{k}"
+        assert main(["beauty", "--config", str(cfg), "--out", str(out)]) == 0
+        got = (out / "contest.csv").read_text()
+        assert_same_text(got, contest_csv_by_value(parse_contest(payload)))
+        written += got
+    assert "True" in written and ",-0," in written and "1e-300" in written
 
 
 def test_beauty_invalid_variance_names_field(tmp_path, capsys):
@@ -247,6 +313,20 @@ def test_ingest_subcommand(tmp_path):
     payload = json.loads((out / "targets.json").read_text())
     assert payload["n_rows"] == 360
     assert 15.0 < payload["mean_pd"] < 30.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("min_years", "10"), ("min_years", True), ("min_years", -5),
+    ("min_years", 0), ("csv", 5)])
+def test_ingest_invalid_field_exits_2_before_writing(tmp_path, capsys,
+                                                     field, value):
+    payload = {"csv": str(REPO / "configs" / "sample_price_dividend.csv")}
+    payload[field] = value
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_shipped_configs_parse_and_run_quickly(tmp_path):

@@ -414,6 +414,10 @@ def test_learner_log_ratio_is_the_closed_form():
     closed = bayesian_log_ratio_closed_form(learner, path.times, path.x)
     np.testing.assert_allclose(path.log_ratios[:, 1], closed, rtol=0,
                                atol=1e-12)
+    # the constant-drift agent's exponential martingale
+    np.testing.assert_allclose(
+        path.log_ratios[:, 0], 0.21 * path.x - 0.5 * 0.21**2 * path.times,
+        rtol=0, atol=1e-12)
 
 
 def test_ic_violation_flagged_for_divergent_pd():

@@ -4,13 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from beliefmkt.beliefs import log_density_increment
 from beliefmkt.errors import ConfigError, FixedPointError
-from beliefmkt.feedback import (FeedbackConfig, _lse, _Population,
-                                diligence_sweep, draw_agents,
+from beliefmkt.feedback import (FeedbackConfig, _lse, _Population, _run,
+                                _seed_inputs, diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
 from beliefmkt.numerics import scan_sign_changes
 from conftest import assert_same_text
@@ -35,6 +34,14 @@ def test_config_validation():
         small_config(n_steps=0)
     with pytest.raises(ConfigError):
         small_config(prior_weight=0.0)
+    for bad in (dict(rho_range=(-0.1, 0.2)), dict(rho_range=(0.0, 0.0)),
+                dict(rho_range=(0.3, 0.1)), dict(tau_factor_range=(-1.0, 0.5)),
+                dict(tau_factor_range=(1.05, 0.4)),
+                dict(prior_mean_range=(0.15, -0.05)), dict(nu=0.0)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            small_config(**bad)
+    # a degenerate but usable range is accepted
+    small_config(rho_range=(0.1, 0.1), prior_mean_range=(-0.1, -0.1))
 
 
 def test_agent_draws_prefix_property():
@@ -104,8 +111,8 @@ def test_two_agent_pd_hand_sum_and_npv_oracle():
 def test_all_diligent_step_reproduces_ideal_price():
     cfg = small_config(n_agents=4, n_diligent=4, n_steps=40)
     res = run_feedback(cfg)
-    np.testing.assert_allclose(res.stock, res.stock_ideal, rtol=1e-11)
-    assert np.abs(res.log_ratio).max() < 1e-11
+    np.testing.assert_array_equal(res.stock, res.stock_ideal)
+    assert np.abs(res.log_ratio).max() == 0.0
 
 
 def test_single_nondiligent_agent_sees_dividend_growth():
@@ -159,7 +166,7 @@ def test_generic_step_agrees_with_dense_grid_scan():
 
 
 def test_no_root_within_cap_raises_with_step_index():
-    cfg = small_config(n_agents=2, n_diligent=2)
+    cfg = small_config(n_agents=2, n_diligent=1)
     traits = draw_agents(cfg)
     population = _Population(traits, cfg.prior_weight)
     with pytest.raises(FixedPointError) as err:
@@ -171,44 +178,17 @@ def test_no_root_within_cap_raises_with_step_index():
 
 
 def test_all_diligent_root_above_cap_raises():
-    cfg = small_config(n_agents=2, n_diligent=2)
-    traits = draw_agents(cfg)
-    population = _Population(traits, cfg.prior_weight)
+    cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
+    inputs = _seed_inputs(cfg)
+    log_stock_ideal = inputs.log_stock_ideal.copy()
+    log_stock_ideal[18:] += 1.5   # S* jumps at step 17
     with pytest.raises(FixedPointError) as err:
-        solve_step(traits.rho_step, np.full(2, 1.0), population,
-                   traits.diligent, 0, log_stock=-50.0, log_div_next=0.0,
-                   true_increment=0.0, prev_xi=0.0, sigma_step=0.015)
-    assert err.value.step == 0
-    # the residual rises with unit slope and the root lies above +1
-    assert err.value.diagnostics["residual_lo"] < 0.0
-    assert err.value.diagnostics["residual_hi"] < 0.0
-
-
-def test_all_diligent_closed_form_matches_brent(rng):
-    cfg = small_config(n_agents=6, n_diligent=6)
-    traits = draw_agents(cfg)
-    nu = np.full(6, 1.0)
-    for trial in range(4):
-        population = _Population(traits, cfg.prior_weight)
-        t = 5 * trial
-        for s in range(t):
-            population.absorb(rng.normal(0.0, 0.015), s)
-        d = rng.normal(0.0, 0.015)
-        log_div_next = rng.normal(0.0, 0.1)
-        log_stock = log_div_next + rng.normal(0.0, 0.01) + log_price_dividend(
-            traits.rho_step, nu, population.log_weight, t)
-        xi, n_roots, rel = solve_step(
-            traits.rho_step, nu, population, traits.diligent, t,
-            log_stock, log_div_next, d, prev_xi=d, sigma_step=0.015)
-        dl = log_density_increment(population.mu, population.sample_size(t),
-                                   population.tau, d)
-        log_pd = log_price_dividend(traits.rho_step, nu,
-                                    population.log_weight + dl, t + 1)
-        root = brentq(lambda x: log_stock + x - log_div_next - log_pd,
-                      d - 1.0, d + 1.0, xtol=1e-15, rtol=8.9e-16)
-        assert abs(xi - root) <= 1e-13
-        assert n_roots == 1
-        assert rel <= 1e-13
+        _run(cfg, replace(inputs, log_stock_ideal=log_stock_ideal))
+    assert err.value.step == 17
+    assert str(err.value).startswith("step 17: no root for xi within")
+    assert err.value.diagnostics["xi"] == pytest.approx(
+        log_stock_ideal[18] - log_stock_ideal[17])
+    assert err.value.diagnostics["true_increment"] == inputs.increments[17]
 
 
 @pytest.mark.parametrize("offset", [0.0, 700.0, -700.0])
