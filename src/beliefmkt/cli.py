@@ -84,20 +84,21 @@ def _consume_paths(paths, out, write_paths):
 
 def cmd_feedback(cfg, args):
     config = parse_feedback(cfg)
-    out = _outdir(args)
-    write_manifest(out, "feedback", cfg)
     sweep = cfg.get("seed_sweep", 0)
     if isinstance(sweep, bool) or not isinstance(sweep, int) or sweep < 0:
         raise ConfigError("seed_sweep: expected a nonnegative integer")
+    diligence_values = cfg.get("diligence_values", [0, config.n_diligent])
+    if sweep and (not isinstance(diligence_values, list)
+                  or not diligence_values
+                  or not all(isinstance(v, int) and not isinstance(v, bool)
+                             and 0 <= v <= config.n_agents
+                             for v in diligence_values)):
+        raise ConfigError("diligence_values: expected a list of counts "
+                          "between 0 and n_agents")
+    out = _outdir(args)
+    write_manifest(out, "feedback", cfg)
     if sweep:
         seeds = list(range(config.seed, config.seed + sweep))
-        diligence_values = cfg.get("diligence_values", [0, config.n_diligent])
-        if (not isinstance(diligence_values, list) or not diligence_values
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           and 0 <= v <= config.n_agents
-                           for v in diligence_values)):
-            raise ConfigError("diligence_values: expected a list of counts "
-                              "between 0 and n_agents")
         if args.parallel > 1:
             with ProcessPoolExecutor(max_workers=args.parallel) as pool:
                 table = diligence_sweep(config, diligence_values, seeds,

@@ -76,7 +76,8 @@ def _get(cfg, path, kind, default=..., positive=False):
 
 def _pair(cfg, path, default):
     val = _get(cfg, path, list, default=list(default))
-    if len(val) != 2 or not all(isinstance(v, (int, float)) for v in val):
+    if len(val) != 2 or not all(isinstance(v, (int, float))
+                                and not isinstance(v, bool) for v in val):
         raise ConfigError(f"{path}: expected [low, high]")
     return float(val[0]), float(val[1])
 

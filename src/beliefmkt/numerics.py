@@ -1,5 +1,11 @@
 """Small numerical utilities: root brackets, Brent's method, sign-change
-scans and the ``%``-format CSV row writer."""
+scans and the ``%``-format CSV row writer.
+
+``brentq`` is a port of scipy's C routine that gives scipy's roots bit for
+bit, so that root solving (feedback steps, market clearing) does not load
+``scipy.optimize``; only ``calibration.fit_parameters`` imports it."""
+
+import math
 
 import numpy as np
 
@@ -11,13 +17,94 @@ __all__ = ["brentq", "expand_bracket", "solve_decreasing",
 # rows per write in ``write_rows``: a few hundred rows amortize the write
 # call while the text held in memory stays far below one path's arrays
 _CHUNK_ROWS = 256
+# smallest rtol that ``brentq`` accepts: 4 eps, as in scipy.optimize.brentq
+_RTOL_MIN = 4 * np.finfo(float).eps
 
 
-def brentq(f, a, b, **kw):
-    """``scipy.optimize.brentq``, imported on first use: importing
-    scipy.optimize costs more than most CLI runs that never solve a root."""
-    from scipy.optimize import brentq as scipy_brentq
-    return scipy_brentq(f, a, b, **kw)
+def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-by-line port of ``brentq.c`` from scipy.optimize and of the
+    checks in its Python wrapper; scipy is "Copyright (c) 2001-2002
+    Enthought, Inc. 2003, SciPy Developers", under the BSD-3-Clause license.  The operations run in the
+    same order on the same doubles, so the root is bit-identical to
+    ``scipy.optimize.brentq`` with the same arguments.
+
+    An endpoint where f is exactly zero is returned as it is.  Raises
+    ``ValueError`` when f(a) and f(b) have the same sign, when f returns
+    NaN, or for ``xtol <= 0``, ``rtol`` below 4 eps or ``maxiter < 0``;
+    ``RuntimeError`` when ``maxiter`` iterations do not converge.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # f values are never NaN and are tested for zero before their sign, so
+    # ``fx < 0`` is C's signbit(fx) wherever it is used
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's division gives +-inf or NaN here, which fails the
+                # step test below just as inf does
+                stry = math.inf
+            # C's MIN(fabs(spre), 3*fabs(sbis) - delta)
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def expand_bracket(f, lo, hi, grow=2.0, max_expansions=200):

@@ -190,13 +190,30 @@ def test_feedback_parallel_sweep_matches_sequential(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("rho_range", [0.3, 0.1]), ("rho_range", [0, 0]),
-    ("tau_factor_range", [-1, 0.5]), ("prior_mean_range", [0.2, 0.1])])
+    ("tau_factor_range", [-1, 0.5]), ("prior_mean_range", [0.2, 0.1]),
+    ("rho_range", [True, True])])
 def test_feedback_unusable_range_exits_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {
         "n_agents": 4, "n_diligent": 0, "n_steps": 20, field: value})
     out = tmp_path / "out"
     assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, values", [
+    (3, [0, 9]), (3, [True]), (3, []), (3, 2), (-1, None), (True, None)])
+def test_feedback_invalid_sweep_exits_2_before_writing(tmp_path, capsys,
+                                                       sweep, values):
+    payload = {"n_agents": 4, "n_diligent": 0, "n_steps": 20,
+               "seed_sweep": sweep}
+    if values is not None:
+        payload["diligence_values"] = values
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 2
+    field = "seed_sweep" if values is None else "diligence_values"
+    assert f"{field}:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -355,9 +372,9 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_optimize_loads_only_for_root_finding_and_fits(tmp_path):
-    # importing scipy.optimize costs more than most CLI runs; only the
-    # subcommands that solve roots (feedback) or fit pay for it
+def test_scipy_optimize_loads_only_for_fits(tmp_path):
+    # importing scipy.optimize costs more than most CLI runs; root solving
+    # has its own Brent, so only fit (Nelder-Mead) pays for it
     simulate = write_config(tmp_path, tiny_market_config(), "simulate.json")
     feedback = write_config(tmp_path, {
         "n_agents": 4, "n_diligent": 0, "n_steps": 20, "seed": 3},
@@ -390,7 +407,7 @@ def test_scipy_optimize_loads_only_for_root_finding_and_fits(tmp_path):
          "--out", out + "4"],
     ]) == [False] * 5
     assert run([["feedback", "--config", str(feedback), "--out", out + "5"]]) \
-        == [False, True]
+        == [False, False]
     assert run([["fit", "--config", str(fit), "--out", out + "6"]]) \
         == [False, True]
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from beliefmkt.beliefs import log_density_increment
+from beliefmkt.config import parse_feedback
 from beliefmkt.errors import ConfigError, FixedPointError
 from beliefmkt.feedback import (FeedbackConfig, _lse, _Population, _run,
                                 _seed_inputs, diligence_sweep, draw_agents,
@@ -42,6 +43,9 @@ def test_config_validation():
             small_config(**bad)
     # a degenerate but usable range is accepted
     small_config(rho_range=(0.1, 0.1), prior_mean_range=(-0.1, -0.1))
+    # JSON booleans are not numbers, in a range as in a scalar field
+    with pytest.raises(ConfigError, match="rho_range"):
+        parse_feedback({"n_agents": 5, "rho_range": [True, True]})
 
 
 def test_agent_draws_prefix_property():

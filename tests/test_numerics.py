@@ -1,0 +1,139 @@
+"""``numerics.brentq`` against ``scipy.optimize.brentq`` as the oracle.
+
+The port must be scipy's algorithm step for step, so every check is exact:
+the same root (``==``, sign of zero included), the same sequence of points
+at which f is evaluated, and the same exception type and message.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq as scipy_brentq
+
+from beliefmkt.numerics import brentq
+
+# (xtol, rtol): the default, feedback.solve_step, numerics.solve_decreasing,
+# and a coarse pair whose wide delta reaches the step rule's ``- delta``
+TOLERANCES = [(2e-12, 8.881784197001252e-16), (1e-13, 8.9e-16),
+              (5e-14, 8.9e-16), (1e-2, 1e-6)]
+
+_LSE_WEIGHTS = np.log([0.2, 0.5, 0.3])
+_LSE_CENTERS = np.array([-0.4, 0.1, 0.9])
+
+
+def _lse_residual(c):
+    # the shape of a feedback step: x minus a log-sum-exp of gaussian
+    # log-density updates, evaluated in numpy and returned as np.float64
+    def f(x):
+        terms = _LSE_WEIGHTS - (1.0 + c[0] ** 2) * (x - _LSE_CENTERS) ** 2
+        top = terms.max()
+        return c[1] + x - (top + np.log(np.exp(terms - top).sum()))
+    return f
+
+
+FAMILIES = [
+    lambda c: lambda x: math.exp(c[0] * x) - math.exp(c[1]),
+    lambda c: lambda x: math.tanh(c[0] * (x - c[1])) + 1e-3 * c[2],
+    lambda c: lambda x: math.sin(3.0 * c[0] * x) + c[1] * x - c[2],
+    lambda c: lambda x: c[1] * math.atan(x - c[0]) + 1e-9 * c[2],
+    lambda c: lambda x: math.log1p(math.exp(c[0] * x)) - c[1] * x - 0.5,
+    _lse_residual,
+]
+
+
+def _solve(solver, f, a, b, **kw):
+    """Root (or exception type and message) and the points f was asked at."""
+    points = []
+
+    def traced(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return solver(traced, a, b, **kw), points
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc), str(exc)), points
+
+
+def _assert_same(f, a, b, **kw):
+    mine, mine_points = _solve(brentq, f, a, b, **kw)
+    ref, ref_points = _solve(scipy_brentq, f, a, b, **kw)
+    assert mine == ref, (a, b, kw)
+    if isinstance(ref, float):
+        assert type(mine) is float
+        assert math.copysign(1.0, mine) == math.copysign(1.0, ref)
+    assert mine_points == ref_points, (a, b, kw)
+    return ref
+
+
+@pytest.mark.parametrize("xtol, rtol", TOLERANCES)
+def test_roots_bit_identical_to_scipy(xtol, rtol):
+    rng = random.Random(f"{xtol}/{rtol}")
+    converged = 0
+    for i in range(2400):
+        c = [rng.uniform(-3.0, 3.0) for _ in range(3)]
+        f = FAMILIES[i % len(FAMILIES)](c)
+        a, b = rng.uniform(-5.0, 0.5), rng.uniform(-0.5, 5.0)
+        if rng.random() < 0.5:
+            a, b = b, a
+        if isinstance(_assert_same(f, a, b, xtol=xtol, rtol=rtol), float):
+            converged += 1
+    # the same-sign brackets check error parity; the rest find a root
+    assert converged > 1000
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100, 1e100, 1e160,
+                                   1e300])
+def test_roots_bit_identical_for_extreme_function_scales(scale):
+    # products of tiny slopes underflow to a zero divisor and huge ones
+    # overflow to inf; C and Python must take the same (bisection) step
+    rng = random.Random(repr(scale))
+    for i in range(200):
+        c = [rng.uniform(-3.0, 3.0) for _ in range(3)]
+        g = FAMILIES[i % len(FAMILIES)](c)
+        _assert_same(lambda x: scale * g(x), -4.0, 4.5, xtol=1e-13,
+                     rtol=8.9e-16)
+
+
+def test_endpoint_root_returned_as_given():
+    def shifted(x):
+        return x - 0.25
+
+    def identity(x):
+        return x
+
+    for f, a, b, root in [(shifted, 0.25, 2.0, 0.25),
+                          (shifted, -3.0, 0.25, 0.25),
+                          (identity, 0.0, 1.0, 0.0),
+                          (identity, -0.0, 1.0, -0.0),
+                          (identity, 1.0, -0.0, -0.0),
+                          # f(x) == -0.0 counts as zero too
+                          (lambda x: -0.0 * x, 2.0, 3.0, 2.0)]:
+        assert _assert_same(f, a, b) == root
+        assert math.copysign(1.0, brentq(f, a, b)) == math.copysign(1.0, root)
+    # numpy endpoints come back as Python floats, as from scipy
+    assert type(brentq(identity, np.float64(0.0), 1.0)) is float
+
+
+def test_error_parity_with_scipy():
+    def expm(x):
+        return math.exp(x) - 1.3
+
+    # same sign at both ends
+    assert _assert_same(expm, 0.5, 1.0)[0] is ValueError
+    # NaN at a (f(b) is never evaluated), at b, and mid-iteration
+    for nan_at in (0.0, 1.0):
+        assert _assert_same(lambda x: math.nan if x == nan_at else expm(x),
+                            0.0, 1.0)[0] is ValueError
+    assert _assert_same(lambda x: math.nan if 0.2 < x < 0.3 else expm(x),
+                        0.0, 1.0)[0] is ValueError
+    # too few iterations
+    for maxiter in (0, 1, 2, 3):
+        assert _assert_same(expm, 0.0, 1.0, maxiter=maxiter)[0] \
+            is RuntimeError
+    # arguments outside scipy's accepted range
+    for kw in (dict(xtol=0.0), dict(xtol=-1e-12), dict(rtol=1e-16),
+               dict(maxiter=-1)):
+        assert _assert_same(expm, 0.0, 1.0, **kw)[0] is ValueError
