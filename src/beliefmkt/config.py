@@ -104,14 +104,15 @@ def parse_market(cfg) -> MarketSpec:
         if not isinstance(node, dict):
             raise ConfigError(f"{path}: expected an object")
         belief = parse_belief(_get(node, "belief", dict), f"{path}.belief")
-        weight = node.get("weight")
-        wealth = node.get("initial_wealth")
         try:
-            agents.append(AgentSpec(
-                impatience=_get(node, "impatience", float, positive=True),
-                belief=belief,
-                weight=float(weight) if weight is not None else None,
-                initial_wealth=float(wealth) if wealth is not None else None))
+            impatience = _get(node, "impatience", float, positive=True)
+            weight = _get(node, "weight", float, default=None)
+            wealth = _get(node, "initial_wealth", float, default=None)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc}") from None
+        try:
+            agents.append(AgentSpec(impatience=impatience, belief=belief,
+                                    weight=weight, initial_wealth=wealth))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     try:

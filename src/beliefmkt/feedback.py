@@ -19,10 +19,17 @@ the price is S* by definition and nothing is solved.  Otherwise xi enters
 PD and the fixed point is solved by a 200-point scan of the bracket (which
 also detects multiple roots; ties are broken toward the previous step's
 xi) followed by Brent refinement in the chosen cell.  The residual of
-every accepted step is recorded and bounded at run time.  All
-log-sum-exps go through one numpy kernel, ``_lse``: the arrays are small
-(one entry per agent) and a step makes dozens of them, so call overhead,
-not arithmetic, sets the cost.
+every accepted step is recorded and bounded at run time.
+
+The scan needs only the residual's signs.  It evaluates all 200 points in
+one exp pass over (agents x points) arrays, reducing over the leading
+axis, with one shift per point shared by the PD numerator and
+denominator.  Exponents below -700 are floored there: such a term cannot
+change a sum that is at least 1, and numpy's exp of an underflowing
+argument is about 100 times slower.  Every value the outputs carry
+(Brent's scalar residual, PD and with it S*) goes through one numpy
+log-sum-exp kernel, ``_lse``: its arrays are small (one entry per agent),
+so call overhead, not arithmetic, sets the cost.
 """
 
 import math
@@ -40,6 +47,10 @@ from .rngtools import agent_rng, path_rng
 RESIDUAL_TOL = 1e-10
 _BISECT_WIDTH = 1e-13
 _SCAN_POINTS = 200
+# floor on the scan's shifted exponents: e^-700 is far below half an ulp of
+# the sums (each at least 1) that it joins, and it keeps numpy's exp off its
+# slow path for underflowing arguments
+_EXP_FLOOR = -700.0
 _NO_ROOT = "no root for xi within +/- 1.0 of the dividend move"
 
 
@@ -122,14 +133,11 @@ def draw_agents(config: FeedbackConfig) -> AgentTraits:
                        prior_mean_step=mu0 * config.dt, diligent=diligent)
 
 
-def _lse(v, axis=None):
-    """log sum exp(v), shifted by the maximum; over all of v, or per slice
-    along ``axis``.  Entries may be -inf as long as no slice is all -inf."""
-    if axis is None:
-        m = v.max()
-        return m + math.log(np.exp(v - m).sum())
-    m = v.max(axis=axis, keepdims=True)
-    return np.log(np.exp(v - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+def _lse(v):
+    """log sum exp(v), shifted by the maximum.  Entries may be -inf as long
+    as not all of them are."""
+    m = v.max()
+    return m + math.log(np.exp(v - m).sum())
 
 
 def log_price_dividend(rho_step, nu, log_weight, step: int):
@@ -203,9 +211,11 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
     Returns (xi, n_roots_found, relative_residual).  The bracket starts at
     the true increment +/- 10 per-step standard deviations and doubles
     until the residual changes sign, capped at +/- 1 in log price.  A
-    200-point scan locates every sign change (tie-break: nearest to the
-    previous xi), then Brent refines inside the chosen cell.  Needs at
-    least one agent that is not diligent.
+    200-point scan, one agent-major exp pass, locates every sign change
+    (tie-break: nearest to the previous xi), then Brent refines inside the
+    chosen cell.  Each residual is evaluated once: the relative residual
+    is that of the point Brent returns, read back from its own calls.
+    Needs at least one agent that is not diligent.
     """
     nd = ~diligent_mask
     k = population.sample_size(step)
@@ -242,12 +252,20 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
         log_den = np.logaddexp(den_dil, _lse(const_nd + dl))
         return offset + xi - (log_num - log_den)
 
+    # the scan reads only signs: one exp pass over (agents, points) arrays
+    mu_col = mu_nd[:, None]
+    const_col = const_nd[:, None]
+    quad_col = quad_nd[:, None]
+    inv_expm1 = np.exp(-log_expm1[nd])
+
     def residual_grid(xi):
-        dev = xi[:, None] - mu_nd
-        varying = -quad_nd * dev * dev
-        log_num = np.logaddexp(num_dil, _lse(const_num_nd + varying, axis=1))
-        log_den = np.logaddexp(den_dil, _lse(const_nd + varying, axis=1))
-        return offset + xi - (log_num - log_den)
+        dev = xi - mu_col
+        v = const_col - quad_col * dev * dev
+        m = np.maximum(v.max(axis=0), den_dil)
+        e = np.exp(np.maximum(v - m, _EXP_FLOOR))
+        pd = (inv_expm1 @ e + np.exp(num_dil - m)) \
+            / (e.sum(axis=0) + np.exp(den_dil - m))
+        return offset + xi - np.log(pd)
 
     half_width = 10.0 * sigma_step
     while True:
@@ -271,15 +289,16 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
     if len(cells) > 1:
         cells.sort(key=lambda c: abs(0.5 * (c[0] + c[1]) - prev_xi))
     lo, hi = cells[0]
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0.0:
-        xi = lo
-    elif f_hi == 0.0:
-        xi = hi
-    else:
-        xi = brentq(residual, lo, hi, xtol=_BISECT_WIDTH, rtol=8.9e-16)
-    rel_residual = abs(math.expm1(float(residual(xi))))
-    return xi, len(cells), rel_residual
+    # Brent evaluates every point it may return (an endpoint where the
+    # residual is exactly 0 included), so the root's residual is read back
+    seen = {}
+
+    def remembered(xi):
+        seen[xi] = value = residual(xi)
+        return value
+
+    xi = brentq(remembered, lo, hi, xtol=_BISECT_WIDTH, rtol=8.9e-16)
+    return xi, len(cells), abs(math.expm1(float(seen[xi])))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,22 @@ def test_config_error_names_field_and_exits_2(tmp_path, capsys):
     assert "market.agents[1]" in err and "impatience" in err
 
 
+@pytest.mark.parametrize("field", ["weight", "initial_wealth"])
+@pytest.mark.parametrize("value", [True, "2.5", "abc", [1]])
+def test_agent_weight_must_be_a_number(tmp_path, capsys, field, value):
+    broken = tiny_market_config()
+    agent = broken["market"]["agents"][0]
+    del agent["weight"]
+    agent[field] = value
+    cfg = write_config(tmp_path, broken)
+    out = tmp_path / "out"
+    assert main(["simulate-log", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    assert f"market.agents[0].{field}: expected a number" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subcommand_mismatch_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(tiny_market_config(),
                                       subcommand="simulate-log"))

@@ -1,19 +1,24 @@
 import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from beliefmkt.beliefs import log_density_increment
-from beliefmkt.config import parse_feedback
+from beliefmkt import feedback
+from beliefmkt.config import load_config, parse_feedback
 from beliefmkt.errors import ConfigError, FixedPointError
-from beliefmkt.feedback import (FeedbackConfig, _lse, _Population, _run,
-                                _seed_inputs, diligence_sweep, draw_agents,
+from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse,
+                                _Population, _run, _seed_inputs,
+                                diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
-from beliefmkt.numerics import scan_sign_changes
+from beliefmkt.numerics import brentq, scan_sign_changes
 from conftest import assert_same_text
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_config(**kwargs):
@@ -169,6 +174,150 @@ def test_generic_step_agrees_with_dense_grid_scan():
     assert abs(nearest - res.xi[t_last + 1]) <= (grid[1] - grid[0])
 
 
+def _lse_rows(v):
+    """Row-wise log-sum-exp, shifted by each row's maximum."""
+    m = v.max(axis=1, keepdims=True)
+    return np.log(np.exp(v - m).sum(axis=1)) + m[:, 0]
+
+
+def solve_step_oracle(rho_step, nu, population, diligent_mask, step,
+                      log_stock, log_div_next, true_increment, prev_xi,
+                      sigma_step):
+    """The former ``solve_step``: a scan through two row-major log-sum-exps
+    with unfloored exps, and endpoint checks before Brent.  Returns
+    (xi, n_roots, relative residual, scan cells)."""
+    nd = ~diligent_mask
+    k = population.sample_size(step)
+    log_expm1 = np.log(np.expm1(rho_step))
+    base = -rho_step * (step + 1) + population.log_weight - np.log(nu)
+    if diligent_mask.any():
+        fixed = base[diligent_mask] + log_density_increment(
+            population.mu[diligent_mask], k, population.tau[diligent_mask],
+            true_increment)
+        num_dil = _lse(fixed - log_expm1[diligent_mask])
+        den_dil = _lse(fixed)
+    else:
+        num_dil = den_dil = -np.inf
+    offset = log_stock - log_div_next
+    mu_nd = population.mu[nd]
+    ratio = k / (k + 1.0)
+    const_nd = base[nd] + 0.5 * (np.log(population.tau[nd] * ratio)
+                                 - math.log(2.0 * math.pi))
+    quad_nd = 0.5 * population.tau[nd] * ratio
+    const_num_nd = const_nd - log_expm1[nd]
+
+    def residual(xi):
+        dev = xi - mu_nd
+        dl = -quad_nd * dev * dev
+        log_num = np.logaddexp(num_dil, _lse(const_num_nd + dl))
+        log_den = np.logaddexp(den_dil, _lse(const_nd + dl))
+        return offset + xi - (log_num - log_den)
+
+    def residual_grid(xi):
+        dev = xi[:, None] - mu_nd
+        varying = -quad_nd * dev * dev
+        log_num = np.logaddexp(num_dil, _lse_rows(const_num_nd + varying))
+        log_den = np.logaddexp(den_dil, _lse_rows(const_nd + varying))
+        return offset + xi - (log_num - log_den)
+
+    half_width = 10.0 * sigma_step
+    while True:
+        grid = np.linspace(true_increment - half_width,
+                           true_increment + half_width, 200)
+        cells = scan_sign_changes(residual_grid(grid), grid)
+        if cells:
+            break
+        if half_width >= 1.0:
+            raise FixedPointError("no root", step=step, diagnostics={
+                "residual_lo": float(residual(true_increment - half_width)),
+                "residual_hi": float(residual(true_increment + half_width))})
+        half_width = min(2.0 * half_width, 1.0)
+    scanned = list(cells)
+    if len(cells) > 1:
+        cells.sort(key=lambda c: abs(0.5 * (c[0] + c[1]) - prev_xi))
+    lo, hi = cells[0]
+    f_lo, f_hi = residual(lo), residual(hi)
+    if f_lo == 0.0:
+        xi = lo
+    elif f_hi == 0.0:
+        xi = hi
+    else:
+        xi = brentq(residual, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    rel_residual = abs(math.expm1(float(residual(xi))))
+    return xi, len(cells), rel_residual, scanned
+
+
+def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
+    # random belief states with log-weight spreads up to 2000, so that many
+    # scan exponents fall below the kernel's floor
+    scans = []
+
+    def recording_scan(values, grid):
+        cells = scan_sign_changes(values, grid)
+        scans.append(list(cells))
+        return cells
+
+    monkeypatch.setattr(feedback, "scan_sign_changes", recording_scan)
+    rng = np.random.default_rng(909)
+    dt = 1.0 / 252.0
+    sigma_step = 0.25 * math.sqrt(dt)
+    solved = failed = multiroot = floored = entries = 0
+    for _ in range(400):
+        J = int(rng.integers(1, 31))
+        diligent = np.zeros(J, dtype=bool)
+        diligent[rng.permutation(J)[:rng.integers(0, J)]] = True
+        traits = AgentTraits(
+            rho_step=rng.uniform(0.04, 0.33, J) * dt,
+            tau=rng.uniform(0.4, 1.05, J) / (0.0625 * dt),
+            prior_mean_step=rng.uniform(-0.05, 0.15, J) * dt,
+            diligent=diligent)
+        nu = rng.uniform(0.5, 2.0, J)
+        step = int(rng.integers(0, 2000))
+        population = _Population(traits, 252.0)
+        population.mu += rng.normal(0.0, 0.01, J)
+        population.log_weight = rng.uniform(-0.5, 0.5, J) \
+            * rng.uniform(0.0, 2000.0)
+        k = population.sample_size(step)
+        d = rng.normal(0.0, sigma_step)
+        base = -traits.rho_step * (step + 1) + population.log_weight \
+            - np.log(nu)
+
+        # the scan exponents of the first bracket, shifted by their maximum
+        grid = np.linspace(d - 10.0 * sigma_step, d + 10.0 * sigma_step, 200)
+        nd = ~diligent
+        v = base[nd, None] + log_density_increment(
+            population.mu[nd, None], k, traits.tau[nd, None], grid)
+        floored += int(np.sum(v - v.max(axis=0) < feedback._EXP_FLOOR))
+        entries += v.size
+
+        # a price near the one that clears at xi = d, give or take a few
+        # daily moves; some steps then have no root within the cap
+        at_d = base + log_density_increment(population.mu, k, traits.tau, d)
+        log_pd = _lse(at_d - np.log(np.expm1(traits.rho_step))) - _lse(at_d)
+        log_div_next = rng.normal(0.0, 1.0)
+        log_stock = log_div_next + log_pd - d \
+            + rng.normal(0.0, 5.0) * sigma_step
+        args = (traits.rho_step, nu, population, diligent, step, log_stock,
+                log_div_next, d, d + rng.normal(0.0, sigma_step), sigma_step)
+        try:
+            want = solve_step_oracle(*args)
+        except FixedPointError as exc:
+            with pytest.raises(FixedPointError) as err:
+                solve_step(*args)
+            for key in ("residual_lo", "residual_hi"):
+                assert err.value.diagnostics[key] == exc.diagnostics[key]
+            failed += 1
+            continue
+        scans.clear()
+        got = solve_step(*args)
+        assert scans[-1] == want[3]
+        assert got == want[:3]
+        solved += 1
+        multiroot += got[1] > 1
+    assert solved >= 300 and failed >= 1 and multiroot >= 1
+    assert floored > 0.1 * entries
+
+
 def test_no_root_within_cap_raises_with_step_index():
     cfg = small_config(n_agents=2, n_diligent=1)
     traits = draw_agents(cfg)
@@ -195,13 +344,21 @@ def test_all_diligent_root_above_cap_raises():
     assert err.value.diagnostics["true_increment"] == inputs.increments[17]
 
 
+def test_shipped_sweep_seed_22_fails_at_step_670():
+    # a crash larger than the bracket cap in the shipped sweep's population
+    cfg = parse_feedback(load_config(
+        str(REPO / "configs" / "feedback_diligence_sweep.json")))
+    with pytest.raises(FixedPointError) as err:
+        run_feedback(replace(cfg, seed=22, n_diligent=0))
+    assert err.value.step == 670
+    assert str(err.value).startswith("step 670: no root for xi within")
+
+
 @pytest.mark.parametrize("offset", [0.0, 700.0, -700.0])
 def test_lse_kernel_matches_scipy(rng, offset):
     v = rng.normal(0.0, 5.0, size=(200, 30)) + offset
     v[7, 3] = -np.inf
-    np.testing.assert_allclose(_lse(v, axis=1), logsumexp(v, axis=1),
-                               rtol=1e-14)
-    for row in (v[0], v[7]):
+    for row in v:
         assert _lse(row) == pytest.approx(logsumexp(row), rel=1e-14)
 
 
