@@ -21,7 +21,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .equilibrium import MarketSpec, AgentSpec, simulate_path
+from .equilibrium import (MarketSpec, AgentSpec, dividend_path,
+                          driver_batches, market_state)
 from .beliefs import ConstantDrift
 from .errors import ConfigError
 
@@ -70,7 +71,9 @@ DEFAULT_TARGETS = MomentReport(
 
 
 class _Pool:
-    """Streaming mean/std over pooled samples, fsum-reduced across paths."""
+    """Streaming mean/std over pooled samples, fsum-reduced across paths.
+    Values may carry leading path axes: each row along the last axis is one
+    path's samples."""
 
     def __init__(self):
         self.n = []
@@ -79,9 +82,10 @@ class _Pool:
 
     def add(self, values):
         v = np.asarray(values, dtype=float)
-        self.n.append(float(v.size))
-        self.s.append(float(v.sum()))
-        self.s2.append(float((v * v).sum()))
+        sums = v.sum(axis=-1).ravel()
+        self.n.extend([float(v.shape[-1])] * sums.size)
+        self.s.extend(sums.tolist())
+        self.s2.extend((v * v).sum(axis=-1).ravel().tolist())
 
     def mean(self):
         return math.fsum(self.s) / math.fsum(self.n)
@@ -93,36 +97,49 @@ class _Pool:
         return math.sqrt(max(var, 0.0))
 
 
+class _Moments:
+    """The pooled samples behind a MomentReport, on grid spacing dt."""
+
+    def __init__(self, dt):
+        self.dt = dt
+        self.pd, self.rate, self.ret = _Pool(), _Pool(), _Pool()
+
+    def add(self, pd, rate, stock, dividend):
+        """One path, or a batch with one path per row along the last axis."""
+        self.pd.add(pd)
+        self.rate.add(rate)
+        self.ret.add((stock[..., 1:] + dividend[..., :-1] * self.dt
+                      - stock[..., :-1]) / stock[..., :-1])
+
+    def report(self) -> MomentReport:
+        mean_ret = self.ret.mean() / self.dt
+        std_ret = self.ret.std() / math.sqrt(self.dt)
+        mean_r = self.rate.mean()
+        premium = mean_ret - mean_r
+        return MomentReport(
+            mean_pd=self.pd.mean(), std_pd=self.pd.std(),
+            mean_equity_return=mean_ret, std_equity_return=std_ret,
+            mean_riskless=mean_r, std_riskless=self.rate.std(),
+            equity_premium=premium,
+            sharpe=premium / std_ret if std_ret > 0.0 else math.nan,
+        )
+
+
 def compute_moments(paths) -> MomentReport:
     """Pooled moment report over an iterable of EquilibriumPath objects.
 
     Paths must share their grid spacing.  Raises ConfigError on empty input.
     """
-    pd_pool, r_pool, ret_pool = _Pool(), _Pool(), _Pool()
-    dt = None
+    moments = None
     for path in paths:
-        if dt is None:
-            dt = path.dt
-        elif path.dt != dt:
+        if moments is None:
+            moments = _Moments(path.dt)
+        elif path.dt != moments.dt:
             raise ConfigError("paths do not share a common grid spacing")
-        pd_pool.add(path.pd_ratio)
-        r_pool.add(path.rate)
-        ret = (path.stock[1:] + path.dividend[:-1] * path.dt - path.stock[:-1]) \
-            / path.stock[:-1]
-        ret_pool.add(ret)
-    if dt is None:
+        moments.add(path.pd_ratio, path.rate, path.stock, path.dividend)
+    if moments is None:
         raise ConfigError("compute_moments needs at least one path")
-    mean_ret = ret_pool.mean() / dt
-    std_ret = ret_pool.std() / math.sqrt(dt)
-    mean_r = r_pool.mean()
-    premium = mean_ret - mean_r
-    return MomentReport(
-        mean_pd=pd_pool.mean(), std_pd=pd_pool.std(),
-        mean_equity_return=mean_ret, std_equity_return=std_ret,
-        mean_riskless=mean_r, std_riskless=r_pool.std(),
-        equity_premium=premium,
-        sharpe=premium / std_ret if std_ret > 0.0 else math.nan,
-    )
+    return moments.report()
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +264,14 @@ class CalibrationProblem:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ConfigError("n_agents must be >= 1")
+        if self.n_paths < 1:
+            raise ConfigError("n_paths must be >= 1")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
+        if not self.horizon > 0.0:
+            raise ConfigError("horizon must be > 0")
+        if not 0.0 < self.dt <= self.horizon:
+            raise ConfigError("dt: must be > 0 and not exceed the horizon")
         names = [p.name for p in self.free]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate free parameter names")
@@ -257,6 +282,8 @@ class CalibrationProblem:
                     raise ConfigError(f"{p.name}: bounds must keep the value > 0")
         for name in self.fixed:
             _check_param_name(name, self.n_agents)
+            if name in names:
+                raise ConfigError(f"{name}: both free and fixed")
 
 
 def _check_param_name(name: str, n_agents: int):
@@ -309,22 +336,37 @@ def moment_loss(report: MomentReport, targets: MomentReport) -> float:
     return total
 
 
+#: Grid points (agents x paths x steps) per batch of the fit objective,
+#: which bounds each agent-major array of a batch at 512 KiB.
+_BATCH_POINTS = 1 << 16
+
+
+def draw_drivers(problem: CalibrationProblem):
+    """The problem's common random numbers: its driver paths, as a list of
+    (times, X) batches of whole paths.  A search draws them once."""
+    return list(driver_batches(problem.horizon, problem.dt, problem.seed,
+                               problem.n_paths,
+                               _BATCH_POINTS // problem.n_agents))
+
+
 def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
-                   targets: MomentReport) -> Tuple[float, MomentReport]:
+                   targets: MomentReport,
+                   drivers=None) -> Tuple[float, MomentReport]:
     """Loss and moment report at one parameter point, with common random
-    numbers (the same path seeds on every call)."""
+    numbers (the same path seeds on every call).  Each batch of ``drivers``
+    (default: ``draw_drivers(problem)``) is evaluated as one array."""
+    if drivers is None:
+        drivers = draw_drivers(problem)
     spec = build_market(values, problem.n_agents)
+    moments = _Moments(problem.dt)
     ic = False
-
-    def gen():
-        nonlocal ic
-        for p in range(problem.n_paths):
-            path = simulate_path(spec, problem.horizon, problem.dt,
-                                 problem.seed, p)
-            ic = ic or path.ic_suspect
-            yield path
-
-    report = compute_moments(gen())
+    for times, x in drivers:
+        state = market_state(spec, times, x)
+        ic = ic or state.ic_suspect
+        dividend = dividend_path(spec, times, x)
+        moments.add(state.pd_ratio, state.rate, dividend * state.pd_ratio,
+                    dividend)
+    report = moments.report()
     loss = math.inf if ic else moment_loss(report, targets)
     return loss, report
 
@@ -363,6 +405,7 @@ def fit_parameters(problem: CalibrationProblem,
     lower = np.array([p.lower for p in problem.free])
     upper = np.array([p.upper for p in problem.free])
     start = np.array([p.start for p in problem.free])
+    drivers = draw_drivers(problem)
     n_eval = 0
 
     def values_at(u):
@@ -374,7 +417,7 @@ def fit_parameters(problem: CalibrationProblem,
     def objective(u):
         nonlocal n_eval
         n_eval += 1
-        loss, _ = evaluate_point(problem, values_at(u), targets)
+        loss, _ = evaluate_point(problem, values_at(u), targets, drivers)
         return loss
 
     u0 = _from_box(start, lower, upper)
@@ -382,7 +425,7 @@ def fit_parameters(problem: CalibrationProblem,
                    options={"maxiter": problem.max_iterations,
                             "xatol": 1e-4, "fatol": 1e-6})
     best = values_at(res.x)
-    loss, report = evaluate_point(problem, best, targets)
+    loss, report = evaluate_point(problem, best, targets, drivers)
     return FitResult(values=best, report=report, loss=loss,
                      n_evaluations=n_eval, converged=bool(res.success))
 

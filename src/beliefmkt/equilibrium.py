@@ -24,17 +24,19 @@ so the clearing identities sum(c) = delta, sum(w) = S, sum(pi) = 1 hold to
 rounding error by construction.  All agent aggregation happens in log
 space, which is immune to under/overflow at large t.
 
-Arrays are agent-major: a path's per-agent quantities are (J, n+1), so
-every sum or max over agents reduces the leading, contiguous axis (J is
-small, and reductions over a short trailing axis are slow).  A path takes a
-single exp pass: with m = max_j l_j, e = exp(l - m) and s = sum_j e_j,
-q = e / s, zeta = exp(m + log s - log delta), PD = sum_j (e_j / rho_j) / s,
-and everything else follows from q and e.
+Arrays are agent-major: a path's per-agent quantities are (J, n+1), and
+those of a batch of P paths (J, P, n+1), so every sum or max over agents
+reduces the leading, contiguous axis (J is small, and reductions over a
+short trailing axis are slow).  Nothing ties one path to another, so the
+kernel (``market_state``) takes a single exp pass over any number of paths:
+with m = max_j l_j, e = exp(l - m) and s = sum_j e_j, q = e / s,
+zeta = exp(m + log s - log delta), PD = sum_j (e_j / rho_j) / s, and
+everything else follows from q and e.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -118,7 +120,8 @@ def _log_weights(rho, nu, log_lam, t):
     """(m, e, s) for l_j = -rho_j t + log Lambda^j - log nu_j: m = max_j l_j,
     e = exp(l - m) and s = sum_j e_j, so that q = e / s and
     log sum_j exp(l_j) = m + log s.  The only exp over agents."""
-    l = -_per_agent(rho, log_lam) * t + log_lam - _per_agent(np.log(nu), log_lam)
+    l = -_per_agent(rho, log_lam) * t + log_lam
+    l -= _per_agent(np.log(nu), log_lam)
     m = l.max(axis=0)
     l -= m
     e = np.exp(l, out=l)
@@ -136,7 +139,8 @@ def _wealth_moments(rho, e, s, alpha):
     wealth weights proportional to q_j / rho_j."""
     u = e / _per_agent(rho, e)
     su = u.sum(axis=0)
-    return su / s, (u * alpha).sum(axis=0) / su
+    u *= alpha
+    return su / s, u.sum(axis=0) / su
 
 
 def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment):
@@ -180,6 +184,13 @@ def stock_volatility(rho, nu, alpha, log_lam, t, kappa):
     return kappa + a, a
 
 
+def _check_volatility(a, kappa):
+    """Raise SingularMarketError where the stock volatility a + kappa
+    vanishes."""
+    if np.any(np.abs(a + kappa) < _SINGULAR_TOL):
+        raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
+
+
 def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
     """Wealth, consumption and risky-asset holdings for every agent, each
     of shape (J, ...).
@@ -187,16 +198,15 @@ def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
     Raises SingularMarketError where the stock volatility denominator
     a + kappa vanishes.
     """
-    denom = a + kappa
-    if np.any(np.abs(denom) < _SINGULAR_TOL):
-        raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
-    wealth = dividend * q / _per_agent(rho, q)
+    _check_volatility(a, kappa)
     consumption = dividend * q
+    wealth = consumption / _per_agent(rho, q)
     # unit net supply: holdings are each agent's share of
     # sum_j w_j (alpha_j + kappa) = S (a + kappa), normalized by that sum
     # itself, so they add up to 1 even where a + kappa is small
-    exposure = wealth * (alpha + kappa)
-    holdings = exposure / exposure.sum(axis=0)
+    holdings = np.add(alpha, kappa, out=np.empty_like(wealth))
+    holdings *= wealth
+    holdings /= holdings.sum(axis=0)
     return wealth, consumption, holdings
 
 
@@ -242,41 +252,61 @@ def solve_market_clearing(inverse_marginals: Sequence[Callable], lam, nu,
 # path simulation
 
 
-def simulate_driver(spec: MarketSpec, horizon: float, dt: float, seed: int,
-                    path_index: int = 0):
-    """Simulate (times, X, delta) under the reference measure.
-
-    X is a gaussian random walk with N(0, dt) increments; delta evolves in
-    log space, d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt.
-    Deterministic given (seed, path_index).
-    """
-    n = _n_steps(horizon, dt)
-    rng = path_rng(seed, path_index)
-    dx = rng.normal(0.0, math.sqrt(dt), size=n)
-    x = np.concatenate([[0.0], np.cumsum(dx)])
-    times = np.arange(n + 1) * dt
-    log_div = (
-        math.log(spec.initial_dividend)
-        + spec.sigma * x
-        + (spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2) * times
-    )
-    return times, x, np.exp(log_div)
-
-
 def _n_steps(horizon, dt):
     if not horizon > 0.0 or not dt > 0.0 or dt > horizon:
         raise ConfigError("need horizon > 0 and 0 < dt <= horizon")
     return int(round(horizon / dt))
 
 
+def _drivers(horizon, dt, seed, path_indices):
+    """(times, X) with X of shape (P, n+1): row i is the gaussian random
+    walk with N(0, dt) increments drawn from path_rng(seed, path_indices[i])."""
+    n = _n_steps(horizon, dt)
+    x = np.zeros((len(path_indices), n + 1))
+    for p, row in zip(path_indices, x):
+        np.cumsum(path_rng(seed, p).normal(0.0, math.sqrt(dt), size=n),
+                  out=row[1:])
+    return np.arange(n + 1) * dt, x
+
+
+def driver_batches(horizon: float, dt: float, seed: int, n_paths: int,
+                   max_points: int):
+    """Yield the (times, X) of paths 0..n_paths-1 in batches of whole paths,
+    each as large as keeps its P * (n+1) within max_points (at least one
+    path).  A path's driver does not depend on the batch it falls in."""
+    size = max(1, max_points // (_n_steps(horizon, dt) + 1))
+    for start in range(0, n_paths, size):
+        yield _drivers(horizon, dt, seed,
+                       range(start, min(start + size, n_paths)))
+
+
+def dividend_path(spec: MarketSpec, times, x):
+    """delta on the grid from driver values x of any leading path shape:
+    d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt."""
+    return np.exp(
+        math.log(spec.initial_dividend)
+        + spec.sigma * x
+        + (spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2) * times
+    )
+
+
+def simulate_driver(spec: MarketSpec, horizon: float, dt: float, seed: int,
+                    path_index: int = 0):
+    """Simulate (times, X, delta) under the reference measure; deterministic
+    given (seed, path_index)."""
+    times, x = _drivers(horizon, dt, seed, (path_index,))
+    return times, x[0], dividend_path(spec, times, x[0])
+
+
 def log_ratio_paths(spec: MarketSpec, times, x):
-    """Per-agent (log Lambda, believed drift) along a driver path.
+    """Per-agent (log Lambda, believed drift) along driver paths.
 
     Both are exact on the grid: constant-drift agents get the exponential
     martingale, gaussian learners the closed form with the prior integrated
-    out.  Returns agent-major arrays of shape (J, n+1).
+    out.  For x of shape (..., n+1), one path per row, returns agent-major
+    arrays of shape (J, ..., n+1).
     """
-    log_lam = np.empty((len(spec.agents), len(times)))
+    log_lam = np.empty((len(spec.agents),) + np.shape(x))
     alpha = np.empty_like(log_lam)
     for j, agent in enumerate(spec.agents):
         b = agent.belief
@@ -343,31 +373,62 @@ class EquilibriumPath:
         write_rows(fp, table, lambda r: row % tuple(r))
 
 
-def evaluate_grid(spec: MarketSpec, times, x, dividend, dt) -> EquilibriumPath:
-    """All equilibrium quantities along a given driver/dividend path, in one
-    pass over agent-major (J, n+1) arrays; the per-agent fields of the
-    result are (n+1, J) views of them."""
+class MarketState(NamedTuple):
+    """The equilibrium along driver paths x of shape (..., n+1): per-agent
+    fields are agent-major (J, ..., n+1), the rest (..., n+1)."""
+
+    log_lam: np.ndarray
+    alpha: np.ndarray
+    q: np.ndarray
+    log_max: np.ndarray    # m = max_j l_j
+    weight_sum: np.ndarray  # s = sum_j exp(l_j - m)
+    pd_ratio: np.ndarray
+    wealth_drift: np.ndarray
+    rate: np.ndarray
+    kappa: np.ndarray
+    mean_drift: np.ndarray
+    mean_impatience: np.ndarray
+    ic_suspect: bool   # PD exceeded PD_DIVERGENCE_LIMIT somewhere
+
+
+def market_state(spec: MarketSpec, times, x) -> MarketState:
+    """What the moments and the numeric guards need, in one exp pass over
+    agent-major arrays; no path is tied to another, so x may hold any
+    number of paths.  Raises SingularMarketError where a + kappa vanishes."""
     rho, nu = spec.arrays()
     log_lam, alpha = log_ratio_paths(spec, times, x)
     m, e, s = _log_weights(rho, nu, log_lam, times)
-    q = e / s
-    _, zeta = _state_price(m, s, dividend)
     pd, a = _wealth_moments(rho, e, s, alpha)
+    q = np.divide(e, s, out=e)
     r, kappa, abar, rhobar = _rate_and_kappa(
         rho, q, alpha, spec.sigma, spec.drift_adjustment)
+    _check_volatility(a, kappa)
+    return MarketState(log_lam, alpha, q, m, s, pd, a, r, kappa, abar, rhobar,
+                       bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
+
+
+def evaluate_grid(spec: MarketSpec, times, x, dividend, dt) -> EquilibriumPath:
+    """All equilibrium quantities along a given driver/dividend path: the
+    market state plus wealth, holdings and trade.  The per-agent fields of
+    the result are (n+1, J) views of agent-major (J, n+1) arrays."""
+    k = market_state(spec, times, x)
+    rho = spec.arrays()[0]
+    _, zeta = _state_price(k.log_max, k.weight_sum, dividend)
     wealth, consumption, holdings = wealth_and_portfolios(
-        rho, q, alpha, dividend, kappa, a)
+        rho, k.q, k.alpha, dividend, k.kappa, k.wealth_drift)
     if np.ptp(rho) == 0.0:
-        trade, _ = trade_volume(rho, q, alpha, spec.sigma)
+        trade, _ = trade_volume(rho, k.q, k.alpha, spec.sigma)
     else:
-        trade = np.full_like(q, np.nan)
+        trade = np.full_like(k.q, np.nan)
     return EquilibriumPath(
-        times=times, x=x, dividend=dividend, zeta=zeta, stock=dividend * pd,
-        pd_ratio=pd, rate=r, kappa=kappa, stock_vol=kappa + a, q=q.T,
+        times=times, x=x, dividend=dividend, zeta=zeta,
+        stock=dividend * k.pd_ratio, pd_ratio=k.pd_ratio, rate=k.rate,
+        kappa=k.kappa, stock_vol=k.kappa + k.wealth_drift, q=k.q.T,
         wealth=wealth.T, consumption=consumption.T, holdings=holdings.T,
-        trade=trade.T, drifts=alpha.T, log_ratios=log_lam.T, mean_drift=abar,
-        mean_impatience=rhobar, wealth_drift=a, dt=dt, seed=-1,
-        path_index=-1, ic_suspect=bool(np.any(pd > PD_DIVERGENCE_LIMIT)),
+        trade=trade.T, drifts=k.alpha.T, log_ratios=k.log_lam.T,
+        mean_drift=k.mean_drift, mean_impatience=k.mean_impatience,
+        wealth_drift=k.wealth_drift, dt=dt, seed=-1, path_index=-1,
+        ic_suspect=k.ic_suspect,
     )
 
 

@@ -9,10 +9,12 @@ from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
                                    MOMENT_NAMES, FreeParameter, MomentReport,
                                    build_market,
                                    comparison_table, compute_moments,
-                                   evaluate_point, fit_parameters,
+                                   draw_drivers, evaluate_point,
+                                   fit_parameters,
                                    ingest_price_dividend_csv, moment_loss)
-from beliefmkt.equilibrium import AgentSpec, MarketSpec, simulate_path
-from beliefmkt.errors import ConfigError
+from beliefmkt.equilibrium import (AgentSpec, MarketSpec, simulate_driver,
+                                   simulate_path)
+from beliefmkt.errors import ConfigError, SingularMarketError
 from conftest import benchmark_market
 
 
@@ -183,6 +185,20 @@ def test_problem_validation():
         CalibrationProblem(n_agents=1, free=(
             FreeParameter("sigma", 0.1, 0.5, 0.2),
             FreeParameter("sigma", 0.1, 0.5, 0.2)))
+    with pytest.raises(ConfigError, match="nu_0"):
+        CalibrationProblem(n_agents=1, free=(
+            FreeParameter("nu_0", 0.5, 2.0, 1.0),), fixed={"nu_0": 1.0})
+
+
+@pytest.mark.parametrize("budget, field", [
+    ({"n_paths": 0}, "n_paths"), ({"max_iterations": 0}, "max_iterations"),
+    ({"horizon": 0.0}, "horizon"), ({"horizon": -1.0}, "horizon"),
+    ({"dt": 0.0}, "dt"), ({"dt": 30.0, "horizon": 20.0}, "dt"),
+    ({"dt": math.nan}, "dt")])
+def test_problem_validates_monte_carlo_budget(budget, field):
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        CalibrationProblem(n_agents=1, free=(
+            FreeParameter("sigma", 0.1, 0.5, 0.2),), **budget)
 
 
 def test_build_market_roundtrip():
@@ -205,6 +221,122 @@ def test_common_random_numbers_identical_losses():
     loss_b, report_b = evaluate_point(problem, values, DEFAULT_TARGETS)
     assert loss_a == loss_b
     assert report_a == report_b
+
+
+# ---------------------------------------------------------------------------
+# the batched objective against the per-path oracle
+
+
+def per_path_objective(problem, values, targets):
+    """The objective path by path, through simulate_path and
+    compute_moments: the oracle for the batched evaluate_point."""
+    spec = build_market(values, problem.n_agents)
+    paths = [simulate_path(spec, problem.horizon, problem.dt, problem.seed, p)
+             for p in range(problem.n_paths)]
+    report = compute_moments(paths)
+    if any(path.ic_suspect for path in paths):
+        return math.inf, report
+    return moment_loss(report, targets), report
+
+
+def assert_same_objective(got, want):
+    """Equality by ==, with a NaN moment equal to a NaN moment."""
+    assert got[0] == want[0]
+    assert np.array_equal(list(got[1].as_dict().values()),
+                          list(want[1].as_dict().values()), equal_nan=True)
+
+
+def random_point(rng, n_agents, common_rho):
+    rhos = np.full(n_agents, rng.uniform(0.01, 0.5)) if common_rho \
+        else rng.uniform(0.01, 0.5, n_agents)
+    values = {"sigma": rng.uniform(0.05, 0.6),
+              "drift_adjustment": rng.normal(0.0, 0.05)}
+    for j in range(n_agents):
+        values[f"alpha_{j}"] = rng.uniform(-0.8, 0.8)
+        values[f"rho_{j}"] = rhos[j]
+        values[f"nu_{j}"] = math.exp(rng.uniform(-3.0, 3.0))
+    return values
+
+
+def oracle_problem(n_agents, **budget):
+    return CalibrationProblem(
+        n_agents=n_agents, free=(FreeParameter("sigma", 0.05, 0.6, 0.2),),
+        **{"n_paths": 5, "horizon": 6.0, "dt": 1 / 52, "seed": 17, **budget})
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 3])
+@pytest.mark.parametrize("common_rho", [False, True])
+def test_batched_objective_equals_per_path_oracle(n_agents, common_rho):
+    rng = np.random.default_rng(31 * n_agents + common_rho)
+    problem = oracle_problem(n_agents, seed=int(rng.integers(1000)))
+    drivers = draw_drivers(problem)
+    for _ in range(20):
+        values = random_point(rng, n_agents, common_rho)
+        want = per_path_objective(problem, values, DEFAULT_TARGETS)
+        assert_same_objective(
+            evaluate_point(problem, values, DEFAULT_TARGETS), want)
+        assert_same_objective(
+            evaluate_point(problem, values, DEFAULT_TARGETS, drivers), want)
+
+
+@pytest.mark.parametrize("values", [
+    {"sigma": 0.2, "rho_0": 1e-7},
+    {"sigma": 0.3, "rho_0": 1e-8, "rho_1": 0.05, "alpha_1": 0.3,
+     "nu_0": 0.01, "nu_1": 1.0}])
+def test_batched_objective_equals_oracle_where_ic_suspect(values):
+    n_agents = 1 + ("rho_1" in values)
+    problem = oracle_problem(n_agents)
+    want = per_path_objective(problem, values, DEFAULT_TARGETS)
+    assert want[0] == math.inf
+    assert_same_objective(
+        evaluate_point(problem, values, DEFAULT_TARGETS), want)
+
+
+def test_batched_objective_raises_as_oracle_on_singular_market():
+    # a + kappa = 0 exactly at t = 0 on every path
+    values = {"sigma": 0.5, "alpha_0": 1.0, "alpha_1": -1.0, "rho_0": 1.0,
+              "rho_1": 1.0 / 3.0, "nu_0": 1.0, "nu_1": 1.0}
+    problem = oracle_problem(2)
+    with pytest.raises(SingularMarketError) as want:
+        per_path_objective(problem, values, DEFAULT_TARGETS)
+    with pytest.raises(SingularMarketError) as got:
+        evaluate_point(problem, values, DEFAULT_TARGETS)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n_agents", [1, 3])
+def test_batched_objective_equals_oracle_across_batches(n_agents):
+    # rows longer than numpy's 8192-element reduction block, in several
+    # batches, the last one short
+    problem = oracle_problem(n_agents, n_paths=13, horizon=40.0,
+                             dt=1 / 252, seed=5)
+    drivers = draw_drivers(problem)
+    assert len(drivers) >= 2
+    assert sum(len(x) for _, x in drivers) == problem.n_paths
+    rng = np.random.default_rng(n_agents)
+    for _ in range(3):
+        values = random_point(rng, n_agents, False)
+        assert_same_objective(
+            evaluate_point(problem, values, DEFAULT_TARGETS, drivers),
+            per_path_objective(problem, values, DEFAULT_TARGETS))
+
+
+def test_drawn_drivers_are_the_per_path_drivers():
+    # common random numbers and the prefix property: path p is
+    # path_rng(seed, p)'s walk whatever the batch or the path count
+    problem = oracle_problem(1, n_paths=70, horizon=20.0, dt=1 / 52, seed=9)
+    drivers = draw_drivers(problem)
+    assert len(drivers) >= 2
+    rows = np.concatenate([x for _, x in drivers])
+    spec = single_agent_market()
+    for p, row in enumerate(rows):
+        times, x, _ = simulate_driver(spec, problem.horizon, problem.dt,
+                                      problem.seed, p)
+        assert np.array_equal(row, x)
+        assert np.array_equal(drivers[0][0], times)
+    fewer = draw_drivers(oracle_problem(1, n_paths=7, horizon=20.0,
+                                        dt=1 / 52, seed=9))
+    assert np.array_equal(np.concatenate([x for _, x in fewer]), rows[:7])
 
 
 def test_ic_violation_makes_loss_infinite():

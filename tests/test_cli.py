@@ -338,6 +338,23 @@ def test_fit_subcommand_writes_result(tmp_path):
     assert "Mean price/dividend ratio" in (out / "comparison.txt").read_text()
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"dt": 30.0, "horizon_years": 20.0}, "dt"),
+    ({"fixed": {"alpha_0": 0.0, "sigma": 0.2}}, "sigma")])
+def test_fit_invalid_problem_exits_2_before_writing(tmp_path, capsys,
+                                                    overrides, field):
+    cfg = write_config(tmp_path, {
+        "n_agents": 1,
+        "free": [{"name": "sigma", "lower": 0.1, "upper": 0.5, "start": 0.2}],
+        "fixed": {"alpha_0": 0.0, "rho_0": 0.05},
+        "n_paths": 2, "horizon_years": 2.0, "dt": 0.02, "seed": 1,
+        "max_iterations": 10, **overrides})
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_subcommand(tmp_path):
     cfg = write_config(tmp_path, {
         "csv": str(REPO / "configs" / "sample_price_dividend.csv")})

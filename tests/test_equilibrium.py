@@ -11,7 +11,8 @@ from scipy.special import logsumexp, softmax
 from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
                                bayesian_log_ratio_closed_form)
 from beliefmkt.equilibrium import (AgentSpec, MarketSpec,
-                                   evaluate_grid, price_dividend_ratio,
+                                   evaluate_grid, log_ratio_paths,
+                                   market_state, price_dividend_ratio,
                                    rate_and_kappa, simulate_driver,
                                    simulate_path, solve_market_clearing,
                                    state_price_density, stock_volatility,
@@ -418,6 +419,34 @@ def test_learner_log_ratio_is_the_closed_form():
     np.testing.assert_allclose(
         path.log_ratios[:, 0], 0.21 * path.x - 0.5 * 0.21**2 * path.times,
         rtol=0, atol=1e-12)
+
+
+def test_batch_of_paths_equals_row_by_row():
+    # one (P, n+1) batch of drivers, learners included, against each row
+    # on its own: log_ratio_paths and the kernel agree by ==
+    spec = MarketSpec(sigma=0.517, drift_adjustment=-0.01, agents=(
+        AgentSpec(impatience=0.131, belief=ConstantDrift(0.21), weight=14.47),
+        AgentSpec(impatience=0.443, belief=BayesianGaussian(-0.05, 2.0),
+                  weight=0.174),
+        AgentSpec(impatience=0.01, belief=BayesianGaussian(0.3, 0.5),
+                  weight=1.0)))
+    drivers = [simulate_driver(spec, 3.0, 1 / 52, seed=4, path_index=p)
+               for p in range(5)]
+    times = drivers[0][0]
+    x = np.stack([d[1] for d in drivers])
+    log_lam, alpha = log_ratio_paths(spec, times, x)
+    assert log_lam.shape == alpha.shape == (3, 5, len(times))
+    batch = market_state(spec, times, x)
+    for p, (_, row, dividend) in enumerate(drivers):
+        row_lam, row_alpha = log_ratio_paths(spec, times, row)
+        assert np.array_equal(log_lam[:, p], row_lam)
+        assert np.array_equal(alpha[:, p], row_alpha)
+        path = evaluate_grid(spec, times, row, dividend, 1 / 52)
+        assert np.array_equal(batch.q[:, p], path.q.T)
+        for name in ("pd_ratio", "rate", "kappa", "wealth_drift",
+                     "mean_drift", "mean_impatience"):
+            assert np.array_equal(getattr(batch, name)[p],
+                                  getattr(path, name)), name
 
 
 def test_ic_violation_flagged_for_divergent_pd():
