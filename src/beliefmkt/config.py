@@ -82,15 +82,25 @@ def _pair(cfg, path, default):
     return float(val[0]), float(val[1])
 
 
-def parse_belief(node, path):
-    kind = _get(node, "type", str)
+def parse_belief(agent):
+    """The belief of an agent node; errors name the field from ``belief.``"""
+    _get(agent, "belief", dict)
+    kind = _get(agent, "belief.type", str)
     if kind == "constant":
-        return ConstantDrift(drift=_get(node, "drift", float))
+        return ConstantDrift(drift=_get(agent, "belief.drift", float))
     if kind == "bayesian":
         return BayesianGaussian(
-            prior_mean=_get(node, "prior_mean", float),
-            prior_precision=_get(node, "prior_precision", float, positive=True))
-    raise ConfigError(f"{path}.type: unknown belief type '{kind}'")
+            prior_mean=_get(agent, "belief.prior_mean", float),
+            prior_precision=_get(agent, "belief.prior_precision", float,
+                                 positive=True))
+    raise ConfigError(f"belief.type: unknown belief type '{kind}'")
+
+
+def _seed(cfg) -> int:
+    seed = _get(cfg, "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError("seed: must be >= 0")
+    return seed
 
 
 def parse_market(cfg) -> MarketSpec:
@@ -103,8 +113,8 @@ def parse_market(cfg) -> MarketSpec:
         path = f"market.agents[{i}]"
         if not isinstance(node, dict):
             raise ConfigError(f"{path}: expected an object")
-        belief = parse_belief(_get(node, "belief", dict), f"{path}.belief")
         try:
+            belief = parse_belief(node)
             impatience = _get(node, "impatience", float, positive=True)
             weight = _get(node, "weight", float, default=None)
             wealth = _get(node, "initial_wealth", float, default=None)
@@ -131,7 +141,7 @@ def parse_simulate(cfg):
     horizon = _get(cfg, "horizon_years", float, default=128.0, positive=True)
     dt = _get(cfg, "dt", float, default=1.0 / 252.0, positive=True)
     n_paths = _get(cfg, "n_paths", int, default=1, positive=True)
-    seed = _get(cfg, "seed", int, default=0)
+    seed = _seed(cfg)
     write_paths = _get(cfg, "write_paths", int, default=1)
     if write_paths < 0 or write_paths > n_paths:
         raise ConfigError("write_paths: must be between 0 and n_paths")
@@ -151,7 +161,7 @@ def parse_feedback(cfg) -> FeedbackConfig:
         n_agents=_get(cfg, "n_agents", int, positive=True),
         n_diligent=_get(cfg, "n_diligent", int, default=0),
         n_steps=n_steps,
-        seed=_get(cfg, "seed", int, default=0),
+        seed=_seed(cfg),
         sigma_true=_get(cfg, "sigma_true", float, default=0.25, positive=True),
         growth_true=_get(cfg, "growth_true", float, default=0.015),
         dt=dt,
@@ -225,7 +235,7 @@ def parse_fit(cfg) -> CalibrationProblem:
         horizon=_get(cfg, "horizon_years", float, default=50.0,
                      positive=True),
         dt=_get(cfg, "dt", float, default=1.0 / 252.0, positive=True),
-        seed=_get(cfg, "seed", int, default=0),
+        seed=_seed(cfg),
         max_iterations=_get(cfg, "max_iterations", int, default=200,
                             positive=True))
 

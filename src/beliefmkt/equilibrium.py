@@ -32,10 +32,16 @@ kernel (``market_state``) takes a single exp pass over any number of paths:
 with m = max_j l_j, e = exp(l - m) and s = sum_j e_j, q = e / s,
 zeta = exp(m + log s - log delta), PD = sum_j (e_j / rho_j) / s, and
 everything else follows from q and e.
+
+A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``
+and derives S, sigma^S, zeta, w, c, pi and the trade diffusions theta from
+it on first access, so a caller that reads only PD, r and S (the moment
+report) never builds the per-agent portfolio arrays.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -128,12 +134,6 @@ def _log_weights(rho, nu, log_lam, t):
     return m, e, e.sum(axis=0)
 
 
-def _state_price(m, s, dividend):
-    """(L, zeta) from the parts of log L = m + log s; zeta = L / dividend."""
-    log_level = m + np.log(s)
-    return np.exp(log_level), np.exp(log_level - np.log(dividend))
-
-
 def _wealth_moments(rho, e, s, alpha):
     """(PD, a): PD = sum_j q_j / rho_j, and a, the drift average under
     wealth weights proportional to q_j / rho_j."""
@@ -150,38 +150,6 @@ def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment):
     r = rhobar + sigma * (drift_adjustment + alphabar) - sigma * sigma
     kappa = sigma - alphabar
     return r, kappa, alphabar, rhobar
-
-
-def state_price_density(rho, nu, log_lam, t, dividend):
-    """(L_t, zeta_t) with L = sum_j exp(l_j) and zeta = L / dividend."""
-    m, _, s = _log_weights(rho, nu, log_lam, t)
-    return _state_price(m, s, dividend)
-
-
-def price_dividend_ratio(rho, nu, log_lam, t):
-    """PD depends on beliefs and impatience only, never on the dividend."""
-    _, e, s = _log_weights(rho, nu, log_lam, t)
-    return _wealth_moments(rho, e, s, 0.0)[0]
-
-
-def rate_and_kappa(rho, nu, alpha, sigma, drift_adjustment, log_lam, t):
-    """Riskless rate, market price of risk, and the q-weighted aggregates.
-
-    Returns (r, kappa, q, alphabar, rhobar); ``alpha`` holds each agent's
-    current believed drift, broadcastable against shape (J, ...).
-    """
-    _, e, s = _log_weights(rho, nu, log_lam, t)
-    q = e / s
-    r, kappa, alphabar, rhobar = _rate_and_kappa(rho, q, alpha, sigma,
-                                                 drift_adjustment)
-    return r, kappa, q, alphabar, rhobar
-
-
-def stock_volatility(rho, nu, alpha, log_lam, t, kappa):
-    """(sigma_S, a): a is the drift average under weights prop. to q_j/rho_j."""
-    _, e, s = _log_weights(rho, nu, log_lam, t)
-    _, a = _wealth_moments(rho, e, s, alpha)
-    return kappa + a, a
 
 
 def _check_volatility(a, kappa):
@@ -319,35 +287,102 @@ def log_ratio_paths(spec: MarketSpec, times, x):
     return log_lam, alpha
 
 
+class MarketState(NamedTuple):
+    """The equilibrium along driver paths x of shape (..., n+1): per-agent
+    fields are agent-major (J, ..., n+1), the rest (..., n+1)."""
+
+    log_lam: np.ndarray
+    alpha: np.ndarray
+    q: np.ndarray
+    log_max: np.ndarray    # m = max_j l_j
+    weight_sum: np.ndarray  # s = sum_j exp(l_j - m)
+    pd_ratio: np.ndarray
+    wealth_drift: np.ndarray  # drift average under wealth weights q_j/rho_j
+    rate: np.ndarray
+    kappa: np.ndarray
+    mean_drift: np.ndarray       # q-weighted average drift
+    mean_impatience: np.ndarray  # q-weighted average impatience
+    ic_suspect: bool   # PD exceeded PD_DIVERGENCE_LIMIT somewhere
+
+
+def market_state(spec: MarketSpec, times, x) -> MarketState:
+    """What the moments and the numeric guards need, in one exp pass over
+    agent-major arrays; no path is tied to another, so x may hold any
+    number of paths.  Raises SingularMarketError where a + kappa vanishes."""
+    rho, nu = spec.arrays()
+    log_lam, alpha = log_ratio_paths(spec, times, x)
+    m, e, s = _log_weights(rho, nu, log_lam, times)
+    pd, a = _wealth_moments(rho, e, s, alpha)
+    q = np.divide(e, s, out=e)
+    r, kappa, abar, rhobar = _rate_and_kappa(
+        rho, q, alpha, spec.sigma, spec.drift_adjustment)
+    _check_volatility(a, kappa)
+    return MarketState(log_lam, alpha, q, m, s, pd, a, r, kappa, abar, rhobar,
+                       bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
+
+
 @dataclass
 class EquilibriumPath:
-    """One simulated equilibrium trajectory on a uniform grid."""
+    """One simulated equilibrium trajectory on a uniform grid: the driver,
+    the dividend and the market state along them.
 
+    pd_ratio, rate, kappa, ic_suspect, q, drifts and log_ratios read the
+    state; stock, stock_vol, zeta, wealth, consumption, holdings and trade
+    are derived from it on first access and then kept.  Per-agent fields
+    are (n+1, J) views of agent-major (J, n+1) arrays; trade is NaN unless
+    all agents share one impatience rate.
+    """
+
+    spec: MarketSpec
     times: np.ndarray
     x: np.ndarray
     dividend: np.ndarray
-    zeta: np.ndarray
-    stock: np.ndarray
-    pd_ratio: np.ndarray
-    rate: np.ndarray
-    kappa: np.ndarray
-    stock_vol: np.ndarray
-    q: np.ndarray            # (n+1, J) consumption shares
-    wealth: np.ndarray       # (n+1, J)
-    consumption: np.ndarray  # (n+1, J)
-    holdings: np.ndarray     # (n+1, J) units of the risky asset
-    trade: np.ndarray        # (n+1, J) theta; NaN unless common impatience
-    drifts: np.ndarray       # (n+1, J) believed drifts alpha^j_t
-    log_ratios: np.ndarray   # (n+1, J) log Lambda^j_t
-    mean_drift: np.ndarray       # q-weighted average drift
-    mean_impatience: np.ndarray  # q-weighted average impatience
-    wealth_drift: np.ndarray     # drift average under wealth weights q_j/rho_j
+    state: MarketState
     dt: float
-    seed: int
-    path_index: int
-    ic_suspect: bool = False  # PD exceeded PD_DIVERGENCE_LIMIT somewhere
+    seed: int = -1
+    path_index: int = -1
 
     CSV_BASE_COLUMNS = ("t", "X", "delta", "zeta", "S", "PD", "r", "kappa", "sigmaS")
+
+    pd_ratio = property(lambda self: self.state.pd_ratio)
+    rate = property(lambda self: self.state.rate)
+    kappa = property(lambda self: self.state.kappa)
+    ic_suspect = property(lambda self: self.state.ic_suspect)
+    q = property(lambda self: self.state.q.T)  # consumption shares
+    drifts = property(lambda self: self.state.alpha.T)  # alpha^j_t
+    log_ratios = property(lambda self: self.state.log_lam.T)  # log Lambda^j_t
+
+    @cached_property
+    def stock(self):
+        return self.dividend * self.state.pd_ratio
+
+    @cached_property
+    def stock_vol(self):
+        return self.state.kappa + self.state.wealth_drift
+
+    @cached_property
+    def zeta(self):
+        k = self.state
+        return np.exp(k.log_max + np.log(k.weight_sum) - np.log(self.dividend))
+
+    @cached_property
+    def _portfolios(self):
+        k = self.state
+        return tuple(a.T for a in wealth_and_portfolios(
+            self.spec.arrays()[0], k.q, k.alpha, self.dividend, k.kappa,
+            k.wealth_drift))
+
+    wealth = property(lambda self: self._portfolios[0])
+    consumption = property(lambda self: self._portfolios[1])
+    holdings = property(lambda self: self._portfolios[2])  # units of the asset
+
+    @cached_property
+    def trade(self):
+        rho = self.spec.arrays()[0]
+        if np.ptp(rho) != 0.0:
+            return np.full_like(self.state.q, np.nan).T
+        return trade_volume(rho, self.state.q, self.state.alpha,
+                            self.spec.sigma)[0].T
 
     @property
     def n_agents(self):
@@ -373,63 +408,10 @@ class EquilibriumPath:
         write_rows(fp, table, lambda r: row % tuple(r))
 
 
-class MarketState(NamedTuple):
-    """The equilibrium along driver paths x of shape (..., n+1): per-agent
-    fields are agent-major (J, ..., n+1), the rest (..., n+1)."""
-
-    log_lam: np.ndarray
-    alpha: np.ndarray
-    q: np.ndarray
-    log_max: np.ndarray    # m = max_j l_j
-    weight_sum: np.ndarray  # s = sum_j exp(l_j - m)
-    pd_ratio: np.ndarray
-    wealth_drift: np.ndarray
-    rate: np.ndarray
-    kappa: np.ndarray
-    mean_drift: np.ndarray
-    mean_impatience: np.ndarray
-    ic_suspect: bool   # PD exceeded PD_DIVERGENCE_LIMIT somewhere
-
-
-def market_state(spec: MarketSpec, times, x) -> MarketState:
-    """What the moments and the numeric guards need, in one exp pass over
-    agent-major arrays; no path is tied to another, so x may hold any
-    number of paths.  Raises SingularMarketError where a + kappa vanishes."""
-    rho, nu = spec.arrays()
-    log_lam, alpha = log_ratio_paths(spec, times, x)
-    m, e, s = _log_weights(rho, nu, log_lam, times)
-    pd, a = _wealth_moments(rho, e, s, alpha)
-    q = np.divide(e, s, out=e)
-    r, kappa, abar, rhobar = _rate_and_kappa(
-        rho, q, alpha, spec.sigma, spec.drift_adjustment)
-    _check_volatility(a, kappa)
-    return MarketState(log_lam, alpha, q, m, s, pd, a, r, kappa, abar, rhobar,
-                       bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
-
-
 def evaluate_grid(spec: MarketSpec, times, x, dividend, dt) -> EquilibriumPath:
-    """All equilibrium quantities along a given driver/dividend path: the
-    market state plus wealth, holdings and trade.  The per-agent fields of
-    the result are (n+1, J) views of agent-major (J, n+1) arrays."""
-    k = market_state(spec, times, x)
-    rho = spec.arrays()[0]
-    _, zeta = _state_price(k.log_max, k.weight_sum, dividend)
-    wealth, consumption, holdings = wealth_and_portfolios(
-        rho, k.q, k.alpha, dividend, k.kappa, k.wealth_drift)
-    if np.ptp(rho) == 0.0:
-        trade, _ = trade_volume(rho, k.q, k.alpha, spec.sigma)
-    else:
-        trade = np.full_like(k.q, np.nan)
-    return EquilibriumPath(
-        times=times, x=x, dividend=dividend, zeta=zeta,
-        stock=dividend * k.pd_ratio, pd_ratio=k.pd_ratio, rate=k.rate,
-        kappa=k.kappa, stock_vol=k.kappa + k.wealth_drift, q=k.q.T,
-        wealth=wealth.T, consumption=consumption.T, holdings=holdings.T,
-        trade=trade.T, drifts=k.alpha.T, log_ratios=k.log_lam.T,
-        mean_drift=k.mean_drift, mean_impatience=k.mean_impatience,
-        wealth_drift=k.wealth_drift, dt=dt, seed=-1, path_index=-1,
-        ic_suspect=k.ic_suspect,
-    )
+    """The equilibrium along a given driver/dividend path."""
+    return EquilibriumPath(spec, times, x, dividend,
+                           market_state(spec, times, x), dt)
 
 
 def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,

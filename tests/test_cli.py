@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,8 @@ import pytest
 
 from beliefmkt.beauty import (pareto_faked_equilibrium, truthful_equilibrium,
                               welfare_comparison)
-from beliefmkt.cli import main
-from beliefmkt.config import parse_contest
+from beliefmkt.cli import _simulate_one, main
+from beliefmkt.config import parse_contest, parse_simulate
 from conftest import assert_same_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -120,6 +122,22 @@ def test_parallel_runs_match_sequential(tmp_path):
     assert read_tree(out_a) == read_tree(out_b)
 
 
+def test_parallel_worker_path_pickles_without_derived_arrays():
+    # what a --parallel worker sends back: the market state, not the
+    # portfolio arrays, which the receiving side derives on demand
+    spec, horizon, dt, _, seed, _ = parse_simulate(tiny_market_config())
+    path = _simulate_one((spec, horizon, dt, seed, 1))
+    restored = pickle.loads(pickle.dumps(path))
+    assert set(vars(restored)) == {"spec", "times", "x", "dividend", "state",
+                                   "dt", "seed", "path_index"}
+    texts = []
+    for p in (path, restored):
+        fp = io.StringIO()
+        p.write_csv(fp)
+        texts.append(fp.getvalue())
+    assert texts[0] == texts[1]
+
+
 def test_config_error_names_field_and_exits_2(tmp_path, capsys):
     broken = tiny_market_config()
     broken["market"]["agents"][1]["impatience"] = -0.2
@@ -144,6 +162,52 @@ def test_agent_weight_must_be_a_number(tmp_path, capsys, field, value):
                  str(out)]) == 2
     assert f"market.agents[0].{field}: expected a number" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("belief, field", [
+    ({"type": "constant"}, "drift"), ({"drift": 0.1}, "type"),
+    ({"type": "bayesian", "prior_precision": 2.0}, "prior_mean"),
+    ({"type": "bayesian", "prior_mean": 0.1}, "prior_precision")])
+def test_belief_error_names_full_path(tmp_path, capsys, belief, field):
+    broken = tiny_market_config()
+    broken["market"]["agents"][1]["belief"] = belief
+    cfg = write_config(tmp_path, broken)
+    out = tmp_path / "out"
+    assert main(["simulate-log", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    assert f"market.agents[1].belief.{field}: missing required field" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SEEDED_CONFIGS = {
+    "simulate-log": tiny_market_config(),
+    "feedback": {"n_agents": 4, "n_diligent": 0, "n_steps": 20, "seed": 1},
+    "fit": {"n_agents": 1,
+            "free": [{"name": "sigma", "lower": 0.1, "upper": 0.5,
+                      "start": 0.2}],
+            "fixed": {"alpha_0": 0.0, "rho_0": 0.05},
+            "n_paths": 2, "horizon_years": 2.0, "dt": 0.02, "seed": 1,
+            "max_iterations": 10},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SEEDED_CONFIGS))
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys, subcommand,
+                                              route):
+    payload = dict(_SEEDED_CONFIGS[subcommand])
+    flags = []
+    if route == "config":
+        payload["seed"] = -1
+    else:
+        flags = ["--seed", "-3"]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                 *flags]) == 2
+    assert "seed:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,13 +10,14 @@ from scipy.special import logsumexp, softmax
 
 from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
                                bayesian_log_ratio_closed_form)
+from beliefmkt import equilibrium
+from beliefmkt.calibration import compute_moments
 from beliefmkt.equilibrium import (AgentSpec, MarketSpec,
                                    evaluate_grid, log_ratio_paths,
-                                   market_state, price_dividend_ratio,
-                                   rate_and_kappa, simulate_driver,
-                                   simulate_path, solve_market_clearing,
-                                   state_price_density, stock_volatility,
-                                   trade_volume, wealth_and_portfolios)
+                                   market_state, simulate_driver,
+                                   simulate_path, simulate_paths,
+                                   solve_market_clearing, trade_volume,
+                                   wealth_and_portfolios)
 from beliefmkt.errors import ConfigError, SingularMarketError
 from conftest import assert_same_text, benchmark_market
 
@@ -36,6 +37,22 @@ def random_market(rng, n_agents=3):
         for _ in range(n_agents))
     return MarketSpec(sigma=rng.uniform(0.05, 0.6),
                       drift_adjustment=rng.normal(0.0, 0.05), agents=agents)
+
+
+def zero_drift_market(rho, nu, log_lam=0.0, sigma=0.3):
+    """Agents who believe the reference drift 0, so log Lambda^j = 0 on
+    every path; a log Lambda value L_j at the point of interest enters
+    through the weight nu_j exp(-L_j), as l_j = -rho_j t + L_j - log nu_j."""
+    weights = np.asarray(nu) * np.exp(-np.asarray(log_lam))
+    return MarketSpec(sigma=sigma, agents=tuple(
+        AgentSpec(impatience=r, belief=ConstantDrift(0.0), weight=w)
+        for r, w in zip(rho, weights)))
+
+
+def at_point(spec, t=0.0, x=0.0, dividend=1.0):
+    """The equilibrium on the one-point grid (t, X_t = x)."""
+    return evaluate_grid(spec, np.array([t]), np.array([x]),
+                         np.array([dividend]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +75,7 @@ def test_wealth_to_weight_conversion():
                       initial_wealth=delta0 / rho)
     assert agent.resolved_weight() == pytest.approx(1.0 / delta0, rel=1e-15)
     spec = MarketSpec(sigma=0.2, agents=(agent,), initial_dividend=delta0)
-    rho_arr, nu = spec.arrays()
-    _, zeta0 = state_price_density(rho_arr, nu, np.zeros((1,)), 0.0, delta0)
+    zeta0 = at_point(spec, dividend=delta0).zeta[0]
     assert zeta0 == pytest.approx(1.0, rel=1e-14)
 
 
@@ -98,7 +114,9 @@ def test_driver_log_growth_moment():
 def test_state_price_benchmark_initial_value():
     spec = benchmark_market()
     rho, nu = spec.arrays()
-    level, zeta = state_price_density(rho, nu, np.zeros(3), 0.0, 1.0)
+    path = at_point(spec)
+    level = np.exp(path.state.log_max + np.log(path.state.weight_sum))[0]
+    zeta = path.zeta[0]
     hand = 1 / 14.47 + 1 / 1.00 + 1 / 0.174
     assert level == pytest.approx(hand, rel=1e-14)
     assert zeta == pytest.approx(hand, rel=1e-14)
@@ -111,7 +129,8 @@ def test_homogeneous_beliefs_deterministic_state_price():
     rho = np.array([0.05, 0.2])
     nu = np.array([2.0, 3.0])
     t = 7.0
-    level, _ = state_price_density(rho, nu, np.zeros(2), t, 1.5)
+    state = at_point(zero_drift_market(rho, nu), t, dividend=1.5).state
+    level = np.exp(state.log_max + np.log(state.weight_sum))[0]
     hand = math.exp(-0.05 * t) / 2.0 + math.exp(-0.2 * t) / 3.0
     assert level == pytest.approx(hand, rel=1e-14)
 
@@ -120,14 +139,15 @@ def test_pd_equal_impatience_is_inverse_rho():
     rho = np.array([0.04, 0.04, 0.04])
     nu = np.array([1.0, 2.0, 3.0])
     log_lam = np.array([0.3, -0.2, 1.0])
-    assert price_dividend_ratio(rho, nu, log_lam, 5.0) == pytest.approx(25.0, rel=1e-14)
+    pd = at_point(zero_drift_market(rho, nu, log_lam), 5.0).pd_ratio[0]
+    assert pd == pytest.approx(25.0, rel=1e-14)
 
 
 def test_pd_homogeneous_beliefs_deterministic():
     rho = np.array([0.02, 0.3])
     nu = np.array([1.0, 4.0])
     t = 3.0
-    pd = price_dividend_ratio(rho, nu, np.zeros(2), t)
+    pd = at_point(zero_drift_market(rho, nu), t).pd_ratio[0]
     num = math.exp(-0.02 * t) / (0.02 * 1.0) + math.exp(-0.3 * t) / (0.3 * 4.0)
     den = math.exp(-0.02 * t) / 1.0 + math.exp(-0.3 * t) / 4.0
     assert pd == pytest.approx(num / den, rel=1e-14)
@@ -145,8 +165,9 @@ def test_rate_and_kappa_single_agent():
     rho = np.array([0.07])
     nu = np.array([1.0])
     sigma = 0.3
-    r, kappa, q, abar, rhobar = rate_and_kappa(
-        rho, nu, np.array([0.0]), sigma, 0.0, np.zeros(1), 2.0)
+    state = at_point(zero_drift_market(rho, nu, sigma=sigma), 2.0).state
+    r, kappa, q, abar, rhobar = (state.rate[0], state.kappa[0], state.q[:, 0],
+                                 state.mean_drift[0], state.mean_impatience[0])
     assert kappa == pytest.approx(sigma)
     assert r == pytest.approx(0.07 - sigma**2)
     assert q[0] == 1.0 and abar == 0.0 and rhobar == pytest.approx(0.07)
@@ -157,12 +178,10 @@ def test_rate_homogeneous_beliefs_deterministic():
     alphas = (0.1, 0.1)
     spec = two_agent_market(alphas=alphas, rhos=(0.05, 0.3), nus=(1.0, 2.0),
                             sigma=0.25)
-    rho, nu = spec.arrays()
     t = 4.0
-    for log_lam_level in (0.0, 1.7):  # common Lambda cancels
-        log_lam = np.full(2, 0.1 * t + log_lam_level)
-        r, _, q, abar, rhobar = rate_and_kappa(
-            rho, nu, np.array(alphas), spec.sigma, 0.0, log_lam, t)
+    for x in (0.0, 17.0):  # common Lambda = exp(0.1 x - 0.005 t) cancels
+        state = at_point(spec, t, x).state
+        r, rhobar = state.rate[0], state.mean_impatience[0]
         expected_rhobar = (
             (math.exp(-0.05 * t) * 0.05 / 1.0 + math.exp(-0.3 * t) * 0.3 / 2.0)
             / (math.exp(-0.05 * t) / 1.0 + math.exp(-0.3 * t) / 2.0))
@@ -173,20 +192,15 @@ def test_rate_homogeneous_beliefs_deterministic():
 
 def test_stock_volatility_equal_impatience_reduces_to_sigma():
     spec = two_agent_market(alphas=(0.3, -0.1), rhos=(0.08, 0.08))
-    rho, nu = spec.arrays()
-    log_lam = np.array([0.4, -0.9])
-    alpha = np.array([0.3, -0.1])
-    _, kappa, _, _, _ = rate_and_kappa(rho, nu, alpha, spec.sigma, 0.0,
-                                       log_lam, 2.0)
-    sigma_s, a = stock_volatility(rho, nu, alpha, log_lam, 2.0, kappa)
+    # log Lambda = (1.2, -0.44) at t = 2, X = 4.3
+    sigma_s = at_point(spec, 2.0, 4.3).stock_vol[0]
     assert sigma_s == pytest.approx(spec.sigma, rel=1e-13)
 
 
 def test_stock_volatility_single_agent_is_sigma():
-    rho, nu = np.array([0.1]), np.array([1.0])
-    alpha = np.array([0.25])
-    _, kappa, _, _, _ = rate_and_kappa(rho, nu, alpha, 0.4, 0.0, np.zeros(1), 1.0)
-    sigma_s, _ = stock_volatility(rho, nu, alpha, np.zeros(1), 1.0, kappa)
+    spec = MarketSpec(sigma=0.4, agents=(
+        AgentSpec(impatience=0.1, belief=ConstantDrift(0.25), weight=1.0),))
+    sigma_s = at_point(spec, 1.0).stock_vol[0]
     assert sigma_s == pytest.approx(0.4, rel=1e-14)
 
 
@@ -205,29 +219,25 @@ def test_two_agent_portfolio_hand_substitution():
     # common normalization, evaluated directly
     sigma, a = 0.3, 0.2
     spec = two_agent_market(alphas=(a, -a), rhos=(0.05, 0.05), sigma=sigma)
-    rho, nu = spec.arrays()
-    alpha = np.array([a, -a])
-    r, kappa, q, abar, _ = rate_and_kappa(rho, nu, alpha, sigma, 0.0,
-                                          np.zeros(2), 0.0)
-    _, avg = stock_volatility(rho, nu, alpha, np.zeros(2), 0.0, kappa)
-    wealth, consumption, holdings = wealth_and_portfolios(
-        rho, q, alpha, 1.0, kappa, avg)
+    holdings = at_point(spec).holdings[0]
     assert holdings[0] == pytest.approx((a + sigma) / (2 * sigma), rel=1e-13)
     assert holdings.sum() == pytest.approx(1.0, rel=1e-13)
 
 
 def test_degenerate_stock_volatility_raises():
-    # constructed so a + kappa = 0 exactly at t = 0
+    # constructed so a + kappa = 0 exactly at t = 0: there q = (1/2, 1/2),
+    # so alphabar = 0 and kappa = sigma, and the wealth weights q_j / rho_j
+    # are (1/2, 3/2), so a = (1/2 - 3/2) / 2 = -1/2 = -sigma
     sigma = 0.5
     spec = two_agent_market(alphas=(1.0, -1.0), rhos=(1.0, 1.0 / 3.0),
                             nus=(1.0, 1.0), sigma=sigma)
-    rho, nu = spec.arrays()
+    rho, _ = spec.arrays()
     alpha = np.array([1.0, -1.0])
-    _, kappa, q, _, _ = rate_and_kappa(rho, nu, alpha, sigma, 0.0,
-                                       np.zeros(2), 0.0)
-    _, avg = stock_volatility(rho, nu, alpha, np.zeros(2), 0.0, kappa)
     with pytest.raises(SingularMarketError):
-        wealth_and_portfolios(rho, q, alpha, 1.0, kappa, avg)
+        wealth_and_portfolios(rho, np.array([0.5, 0.5]), alpha, 1.0,
+                              sigma, -sigma)
+    with pytest.raises(SingularMarketError):
+        market_state(spec, np.zeros(1), np.zeros(1))
     # the path kernel hits the same point at t = 0 and must raise too
     with pytest.raises(SingularMarketError):
         simulate_path(spec, 1.0, 1 / 52, seed=0)
@@ -304,12 +314,17 @@ def test_evaluate_grid_matches_reference(n_agents, common_rho, offset):
     if not common_rho and n_agents > 1:
         assert np.all(np.isnan(path.trade))
         del want["trade"]
+
+    # the q- and wealth-weighted averages only the market state holds
+    def got(name):
+        return getattr(path if hasattr(path, name) else path.state, name)
+
     for name in _POSITIVE:
-        np.testing.assert_allclose(getattr(path, name), want[name],
+        np.testing.assert_allclose(got(name), want[name],
                                    rtol=1e-12, atol=0, err_msg=name)
     for name in _SIGNED:
         if name in want:
-            np.testing.assert_allclose(getattr(path, name), want[name],
+            np.testing.assert_allclose(got(name), want[name],
                                        rtol=1e-12, atol=_SIGNED_ATOL,
                                        err_msg=name)
 
@@ -446,7 +461,37 @@ def test_batch_of_paths_equals_row_by_row():
         for name in ("pd_ratio", "rate", "kappa", "wealth_drift",
                      "mean_drift", "mean_impatience"):
             assert np.array_equal(getattr(batch, name)[p],
-                                  getattr(path, name)), name
+                                  getattr(path.state, name)), name
+
+
+def test_moments_build_no_portfolio_arrays(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("portfolio arrays built for the moments")
+
+    monkeypatch.setattr(equilibrium, "wealth_and_portfolios", forbidden)
+    monkeypatch.setattr(equilibrium, "trade_volume", forbidden)
+    paths = list(simulate_paths(two_agent_market(rhos=(0.1, 0.1)), 2.0,
+                                1 / 52, seed=6, n_paths=3))
+    report = compute_moments(paths)
+    assert math.isfinite(report.mean_pd) and math.isfinite(report.sharpe)
+    for path in paths:
+        assert not {"zeta", "_portfolios", "trade"} & set(vars(path))
+
+
+def test_portfolios_built_once_on_first_access(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return wealth_and_portfolios(*args)
+
+    monkeypatch.setattr(equilibrium, "wealth_and_portfolios", counted)
+    path = simulate_path(benchmark_market(), 1.0, 1 / 52, seed=2)
+    assert not calls
+    holdings = path.holdings
+    assert path.holdings is holdings and path.wealth is path.wealth
+    assert path.trade is path.trade and path.zeta is path.zeta
+    assert len(calls) == 1
 
 
 def test_ic_violation_flagged_for_divergent_pd():
@@ -580,14 +625,10 @@ def test_write_csv_special_values_match_per_value_format():
     special = np.array([-0.0, np.inf, -np.inf, 1e-300, -1e-300, np.nan,
                         5e-324, 0.1, -1.7976931348623157e308])
 
-    def spiked(a):
-        a = a.copy()
-        a.reshape(-1)[:len(special)] = special
-        return a
-
-    edited = replace(path, zeta=spiked(path.zeta), rate=spiked(path.rate),
-                     x=spiked(path.x), holdings=spiked(path.holdings),
-                     trade=spiked(path.trade))
-    text = csv_text(edited)
-    assert_same_text(text, csv_by_value(edited))
+    # every array written is the path's own, kept across accesses, so
+    # the values are spiked in place
+    for a in (path.zeta, path.rate, path.x, path.holdings, path.trade):
+        a.flat[:len(special)] = special
+    text = csv_text(path)
+    assert_same_text(text, csv_by_value(path))
     assert ",-0," in text and ",inf," in text and ",1e-300," in text
