@@ -25,6 +25,7 @@ from .equilibrium import (MarketSpec, AgentSpec, dividend_path,
                           driver_batches, market_state)
 from .beliefs import ConstantDrift
 from .errors import ConfigError
+from .numerics import nelder_mead
 
 #: Moment name -> label of the comparison table, in report order.
 MOMENT_LABELS = {
@@ -266,6 +267,8 @@ class CalibrationProblem:
             raise ConfigError("n_agents must be >= 1")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if not self.horizon > 0.0:
@@ -394,13 +397,12 @@ def fit_parameters(problem: CalibrationProblem,
                    targets: MomentReport) -> FitResult:
     """Derivative-free moment matching.
 
-    Nelder-Mead simplex on logistic-transformed coordinates keeps every
-    trial point inside its box; non-finite losses (e.g. transversality
-    violations) reject the point.  Deterministic given problem.seed.
+    Nelder-Mead simplex (``numerics.nelder_mead``, bit-identical to scipy's
+    with xatol 1e-4 and fatol 1e-6) on logistic-transformed coordinates
+    keeps every trial point inside its box; non-finite losses (e.g.
+    transversality violations) reject the point.  Deterministic given
+    problem.seed.
     """
-    # imported here so that runs that never fit do not pay for scipy.optimize
-    from scipy.optimize import minimize
-
     names = [p.name for p in problem.free]
     lower = np.array([p.lower for p in problem.free])
     upper = np.array([p.upper for p in problem.free])
@@ -421,13 +423,12 @@ def fit_parameters(problem: CalibrationProblem,
         return loss
 
     u0 = _from_box(start, lower, upper)
-    res = minimize(objective, u0, method="Nelder-Mead",
-                   options={"maxiter": problem.max_iterations,
-                            "xatol": 1e-4, "fatol": 1e-6})
-    best = values_at(res.x)
+    u_best, converged = nelder_mead(objective, u0, problem.max_iterations,
+                                    xatol=1e-4, fatol=1e-6)
+    best = values_at(u_best)
     loss, report = evaluate_point(problem, best, targets, drivers)
     return FitResult(values=best, report=report, loss=loss,
-                     n_evaluations=n_eval, converged=bool(res.success))
+                     n_evaluations=n_eval, converged=converged)
 
 
 def comparison_table(report: MomentReport, targets: MomentReport) -> str:

@@ -10,7 +10,6 @@ failure.
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +48,8 @@ def cmd_simulate_log(cfg, args):
 
     tasks = [(spec, horizon, dt, seed, p) for p in range(n_paths)]
     if args.parallel > 1:
+        # imported here: loading multiprocessing slows every default run
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             # executor.map preserves ordering, so the reduction is
             # deterministic regardless of scheduling
@@ -100,6 +101,7 @@ def cmd_feedback(cfg, args):
     if sweep:
         seeds = list(range(config.seed, config.seed + sweep))
         if args.parallel > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.parallel) as pool:
                 table = diligence_sweep(config, diligence_values, seeds,
                                         map_fn=pool.map)

@@ -1,9 +1,9 @@
-"""Small numerical utilities: root brackets, Brent's method, sign-change
-scans and the ``%``-format CSV row writer.
+"""Small numerical utilities: root brackets, Brent's method, the
+Nelder-Mead simplex, sign-change scans and the ``%``-format CSV row writer.
 
-``brentq`` is a port of scipy's C routine that gives scipy's roots bit for
-bit, so that root solving (feedback steps, market clearing) does not load
-``scipy.optimize``; only ``calibration.fit_parameters`` imports it."""
+``brentq`` and ``nelder_mead`` are ports of scipy's routines that give
+scipy's roots and minimizers bit for bit, so root solving (feedback steps,
+market clearing) and the ``fit`` search need numpy only."""
 
 import math
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BracketError
 
-__all__ = ["brentq", "expand_bracket", "solve_decreasing",
+__all__ = ["brentq", "expand_bracket", "nelder_mead", "solve_decreasing",
            "scan_sign_changes", "write_rows"]
 
 # rows per write in ``write_rows``: a few hundred rows amortize the write
@@ -19,6 +19,10 @@ __all__ = ["brentq", "expand_bracket", "solve_decreasing",
 _CHUNK_ROWS = 256
 # smallest rtol that ``brentq`` accepts: 4 eps, as in scipy.optimize.brentq
 _RTOL_MIN = 4 * np.finfo(float).eps
+# Nelder-Mead reflection, expansion, contraction and shrink coefficients,
+# and the relative and zero-coordinate steps of the initial simplex
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
@@ -105,6 +109,108 @@ def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def nelder_mead(f, x0, maxiter, xatol, fatol):
+    """Minimize f from x0 by the Nelder-Mead simplex (Nelder & Mead 1965).
+
+    A line-by-line port of ``_minimize_neldermead`` from scipy 1.17.1's
+    ``scipy.optimize`` (scipy is "Copyright (c) 2001-2002 Enthought, Inc.
+    2003, SciPy Developers", under the BSD-3-Clause license), restricted to
+    what ``minimize(f, x0, method="Nelder-Mead", options={"maxiter": ...,
+    "xatol": ..., "fatol": ...})`` runs: the default initial simplex, the
+    standard coefficients, no bounds, no ``adaptive`` and no limit on the
+    number of evaluations.  The operations, reorders (``np.argsort`` and
+    ``np.take``, so ties between infinite or NaN values order alike) and
+    calls of f run in the same order on the same doubles, so the result is
+    bit-identical to scipy's.
+
+    f receives a copy of the point as a float64 array and returns a float.
+    Returns ``(x, converged)``: the best vertex, and whether the tolerances
+    were met within ``maxiter`` iterations.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + _NONZDELT)*y[k]
+        else:
+            y[k] = _ZDELT
+        sim[k + 1] = y
+
+    def func(x):
+        # a copy of x goes to f, as scipy's wrapper sends it
+        return f(np.copy(x))
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = func(sim[k])
+    # scipy sorts the initial simplex twice (once in a ``finally``)
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+        fxr = func(xr)
+        doshrink = 0
+
+        if fxr < fsim[0]:
+            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+            fxe = func(xe)
+
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        else:  # fsim[0] <= fxr
+            if fxr < fsim[-2]:
+                sim[-1] = xr
+                fsim[-1] = fxr
+            else:  # fxr >= fsim[-2]
+                # Perform contraction
+                if fxr < fsim[-1]:
+                    xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                    fxc = func(xc)
+
+                    if fxc <= fxr:
+                        sim[-1] = xc
+                        fsim[-1] = fxc
+                    else:
+                        doshrink = 1
+                else:
+                    # Perform an inside contraction
+                    xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                    fxcc = func(xcc)
+
+                    if fxcc < fsim[-1]:
+                        sim[-1] = xcc
+                        fsim[-1] = fxcc
+                    else:
+                        doshrink = 1
+
+                if doshrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], iterations < maxiter
 
 
 def expand_bracket(f, lo, hi, grow=2.0, max_expansions=200):

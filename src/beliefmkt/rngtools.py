@@ -14,17 +14,24 @@ under the same master seed reproduces the earlier agents exactly.
 
 import numpy as np
 
+from .errors import ConfigError
+
 _PATH_DOMAIN = 0
 _AGENT_DOMAIN = 1
 
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Generator for the driver noise of one simulated path."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(_PATH_DOMAIN, path_index))
-    return np.random.default_rng(ss)
+    return _substream(master_seed, (_PATH_DOMAIN, path_index))
 
 
 def agent_rng(master_seed: int, agent_index: int) -> np.random.Generator:
     """Generator for the characteristic draws of one agent."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(_AGENT_DOMAIN, agent_index))
-    return np.random.default_rng(ss)
+    return _substream(master_seed, (_AGENT_DOMAIN, agent_index))
+
+
+def _substream(master_seed, spawn_key):
+    if master_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {master_seed}")
+    return np.random.default_rng(
+        np.random.SeedSequence(master_seed, spawn_key=spawn_key))

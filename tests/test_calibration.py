@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from beliefmkt import calibration
 from beliefmkt.beliefs import ConstantDrift
 from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
                                    MOMENT_NAMES, FreeParameter, MomentReport,
@@ -194,7 +195,7 @@ def test_problem_validation():
     ({"n_paths": 0}, "n_paths"), ({"max_iterations": 0}, "max_iterations"),
     ({"horizon": 0.0}, "horizon"), ({"horizon": -1.0}, "horizon"),
     ({"dt": 0.0}, "dt"), ({"dt": 30.0, "horizon": 20.0}, "dt"),
-    ({"dt": math.nan}, "dt")])
+    ({"dt": math.nan}, "dt"), ({"seed": -3}, "seed")])
 def test_problem_validates_monte_carlo_budget(budget, field):
     with pytest.raises(ConfigError, match=f"^{field}"):
         CalibrationProblem(n_agents=1, free=(
@@ -381,6 +382,31 @@ def test_self_consistency_from_nearby_start():
     result = fit_parameters(problem, targets)
     assert result.loss < start_loss
     assert result.loss < 1e-6  # common random numbers make the fit exact
+
+
+def test_fit_search_equals_scipy_nelder_mead(monkeypatch):
+    # the search scipy.optimize.minimize ran before the port, with the same
+    # options, gives the same fit to the last bit; a tiny rho_0 makes 4 of
+    # its 107 trial points infinite
+    from scipy.optimize import minimize
+
+    problem = CalibrationProblem(
+        n_agents=2,
+        free=(FreeParameter("sigma", 0.05, 0.6, 0.2),
+              FreeParameter("alpha_1", -0.8, 0.8, 0.1),
+              FreeParameter("rho_0", 1e-9, 0.3, 5e-7)),
+        n_paths=2, horizon=5.0, dt=1 / 52, seed=11, max_iterations=60)
+    result = fit_parameters(problem, DEFAULT_TARGETS)
+
+    def scipy_search(f, x0, maxiter, xatol, fatol):
+        assert (maxiter, xatol, fatol) == (60, 1e-4, 1e-6)
+        res = minimize(f, x0, method="Nelder-Mead",
+                       options={"maxiter": 60, "xatol": 1e-4,
+                                "fatol": 1e-6})
+        return res.x, res.success
+
+    monkeypatch.setattr(calibration, "nelder_mead", scipy_search)
+    assert repr(fit_parameters(problem, DEFAULT_TARGETS)) == repr(result)
 
 
 def test_diverse_beliefs_fit_at_least_as_good_as_homogeneous():

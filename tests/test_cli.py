@@ -458,20 +458,37 @@ def test_shipped_configs_parse_and_run_quickly(tmp_path):
 # imports
 
 
-_SCIPY_OPTIMIZE_PROBE = """
+_IMPORT_PROBE = """
 import json, sys
+if sys.argv[2] == "block-scipy":
+    sys.modules["scipy"] = None  # any import of scipy now fails
 from beliefmkt.cli import main
-loaded = ["scipy.optimize" in sys.modules]
+
+def loaded():
+    return [m for m in ("scipy", "multiprocessing") if sys.modules.get(m)]
+
+seen = [loaded()]
 for cmd in json.loads(sys.argv[1]):
     assert main(cmd) == 0, cmd
-    loaded.append("scipy.optimize" in sys.modules)
-print(json.dumps(loaded))
+    seen.append(loaded())
+print(json.dumps(seen))
 """
 
 
-def test_scipy_optimize_loads_only_for_fits(tmp_path):
-    # importing scipy.optimize costs more than most CLI runs; root solving
-    # has its own Brent, so only fit (Nelder-Mead) pays for it
+def _probe(commands, block_scipy=False):
+    """Heavy modules loaded after import and after each command, in a
+    fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands),
+         "block-scipy" if block_scipy else "-"], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _probe_configs(tmp_path):
     simulate = write_config(tmp_path, tiny_market_config(), "simulate.json")
     feedback = write_config(tmp_path, {
         "n_agents": 4, "n_diligent": 0, "n_steps": 20, "seed": 3},
@@ -482,19 +499,17 @@ def test_scipy_optimize_loads_only_for_fits(tmp_path):
         "fixed": {"alpha_0": 0.0, "rho_0": 0.05},
         "n_paths": 1, "horizon_years": 1.0, "dt": 0.02, "seed": 1,
         "max_iterations": 3}, "fit.json")
+    return simulate, feedback, fit
 
-    def run(commands):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_OPTIMIZE_PROBE,
-             json.dumps(commands)], cwd=REPO, env=env, capture_output=True,
-            text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
 
+def test_no_subcommand_loads_scipy(tmp_path):
+    # importing scipy.optimize costs more than most CLI runs, and
+    # multiprocessing serves only --parallel: root solving and the fit
+    # search have their own Brent and Nelder-Mead, so no default run loads
+    # either
+    simulate, feedback, fit = _probe_configs(tmp_path)
     out = str(tmp_path / "out")
-    assert run([
+    assert _probe([
         ["beauty", "--config",
          str(REPO / "configs" / "contest_two_agent.json"), "--out", out + "1"],
         ["ingest", "--config", str(REPO / "configs" / "ingest_sample.json"),
@@ -502,11 +517,28 @@ def test_scipy_optimize_loads_only_for_fits(tmp_path):
         ["simulate-log", "--config", str(simulate), "--out", out + "3"],
         ["simulate-log", "--config", out + "3/manifest.json",
          "--out", out + "4"],
-    ]) == [False] * 5
-    assert run([["feedback", "--config", str(feedback), "--out", out + "5"]]) \
-        == [False, False]
-    assert run([["fit", "--config", str(fit), "--out", out + "6"]]) \
-        == [False, True]
+    ]) == [[]] * 5
+    assert _probe([["feedback", "--config", str(feedback),
+                    "--out", out + "5"]]) == [[]] * 2
+    assert _probe([["fit", "--config", str(fit), "--out", out + "6"]]) \
+        == [[]] * 2
+
+
+def test_subcommands_run_without_scipy(tmp_path):
+    # the runtime needs numpy only: with scipy unimportable, fit,
+    # simulate-log and feedback still run and write the same files
+    simulate, feedback, fit = _probe_configs(tmp_path)
+    commands = [["fit", "--config", str(fit)],
+                ["simulate-log", "--config", str(simulate)],
+                ["feedback", "--config", str(feedback)]]
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    _probe([cmd + ["--out", str(blocked / cmd[0])] for cmd in commands],
+           block_scipy=True)
+    for cmd in commands:
+        assert main(cmd + ["--out", str(free / cmd[0])]) == 0
+        for name in sorted(os.listdir(free / cmd[0])):
+            assert (blocked / cmd[0] / name).read_bytes() \
+                == (free / cmd[0] / name).read_bytes(), (cmd[0], name)
 
 
 _THREAD_PROBE = """

@@ -246,6 +246,11 @@ def test_degenerate_stock_volatility_raises():
         evaluate_grid(spec, times, x, dividend, 1 / 52)
 
 
+def test_negative_seed_raises_config_error():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+        simulate_path(benchmark_market(), 1.0, 1 / 52, seed=-2)
+
+
 # ---------------------------------------------------------------------------
 # the path kernel against an independent (n, J) reference
 

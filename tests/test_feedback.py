@@ -16,6 +16,7 @@ from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse,
                                 diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
 from beliefmkt.numerics import brentq, scan_sign_changes
+from beliefmkt.rngtools import agent_rng, path_rng
 from conftest import assert_same_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -51,6 +52,17 @@ def test_config_validation():
     # JSON booleans are not numbers, in a range as in a scalar field
     with pytest.raises(ConfigError, match="rho_range"):
         parse_feedback({"n_agents": 5, "rho_range": [True, True]})
+
+
+def test_negative_seed_raises_config_error():
+    # library callers get a ConfigError naming the seed, not numpy's
+    # ValueError from inside SeedSequence
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        run_feedback(FeedbackConfig(n_agents=4, n_diligent=0, n_steps=5,
+                                    seed=-1))
+    for substream in (path_rng, agent_rng):
+        with pytest.raises(ConfigError, match="got -7"):
+            substream(-7, 0)
 
 
 def test_agent_draws_prefix_property():

@@ -1,8 +1,10 @@
-"""``numerics.brentq`` against ``scipy.optimize.brentq`` as the oracle.
+"""``numerics.brentq`` and ``numerics.nelder_mead`` against scipy as the
+oracle.
 
-The port must be scipy's algorithm step for step, so every check is exact:
-the same root (``==``, sign of zero included), the same sequence of points
-at which f is evaluated, and the same exception type and message.
+Each port must be scipy's algorithm step for step, so every check is exact:
+the same root or minimizer (``==``, sign of zero included), the same
+sequence of points at which f is evaluated, and the same exception type
+and message or convergence flag.
 """
 
 import math
@@ -11,8 +13,9 @@ import random
 import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
+from scipy.optimize import minimize
 
-from beliefmkt.numerics import brentq
+from beliefmkt.numerics import brentq, nelder_mead
 
 # (xtol, rtol): the default, feedback.solve_step, numerics.solve_decreasing,
 # and a coarse pair whose wide delta reaches the step rule's ``- delta``
@@ -137,3 +140,137 @@ def test_error_parity_with_scipy():
     for kw in (dict(xtol=0.0), dict(xtol=-1e-12), dict(rtol=1e-16),
                dict(maxiter=-1)):
         assert _assert_same(expm, 0.0, 1.0, **kw)[0] is ValueError
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead
+
+
+def _scipy_nelder_mead(f, x0, maxiter, xatol, fatol):
+    res = minimize(f, x0, method="Nelder-Mead",
+                   options={"maxiter": maxiter, "xatol": xatol,
+                            "fatol": fatol})
+    return res.x, res.success
+
+
+def _minimize(solver, f, x0, maxiter, xatol, fatol):
+    """(x, converged) and the points f was asked at, as bytes."""
+    points = []
+
+    def traced(x):
+        points.append(x.tobytes())
+        value = f(x)
+        # the solver must hand f a copy that f may overwrite
+        x[:] = np.nan
+        return value
+
+    x, converged = solver(traced, x0, maxiter, xatol, fatol)
+    return x, converged, points
+
+
+def _assert_same_search(f, x0, maxiter, xatol=1e-4, fatol=1e-6):
+    """Run both searches; return scipy's evaluation count."""
+    x, converged, points = _minimize(nelder_mead, f, x0, maxiter, xatol,
+                                     fatol)
+    ref_x, ref_converged, ref_points = _minimize(_scipy_nelder_mead, f, x0,
+                                                 maxiter, xatol, fatol)
+    assert points == ref_points, (x0, maxiter)
+    assert np.all(x == ref_x) and x.tobytes() == ref_x.tobytes()
+    assert converged == ref_converged
+    return len(ref_points), ref_converged
+
+
+def _random_quadratic(rng, dim):
+    m = rng.normal(size=(dim, dim))
+    a = m @ m.T + 0.1 * np.eye(dim)
+    c = rng.normal(size=dim)
+    return lambda x: float((x - c) @ a @ (x - c)) + 1.0
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_nelder_mead_bit_identical_on_random_quadratics(dim):
+    rng = np.random.default_rng(1000 + dim)
+    converged = 0
+    for i in range(40):
+        f = _random_quadratic(rng, dim)
+        x0 = rng.normal(scale=3.0, size=dim)
+        xatol, fatol = [(1e-4, 1e-6), (1e-4, 1e-4), (1e-9, 1e-12)][i % 3]
+        converged += _assert_same_search(f, x0, 200 * dim, xatol, fatol)[1]
+    assert converged > 30
+
+
+@pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0, 0.5],
+                                [-1.0, 0.5, 1.5, 0.8]])
+def test_nelder_mead_bit_identical_on_rosenbrock(x0):
+    # start coordinates of exactly 0 take the ``zdelt`` simplex step
+    _assert_same_search(_rosenbrock, np.array(x0), 400 * len(x0), 1e-8,
+                        1e-10)
+
+
+def test_nelder_mead_zero_start_coordinates():
+    rng = np.random.default_rng(7)
+    for x0 in ([0.0], [0.0, 1.3], [-0.0, 0.0, 2.0], [1.0, 0.0, -0.5, 0.0]):
+        f = _random_quadratic(rng, len(x0))
+        _assert_same_search(f, np.array(x0), 100)
+
+
+def _plateau(rng, dim):
+    # inf outside a random half-space, and a staircase of tied values
+    # inside it, so that the sorts meet ties between infs and finite values
+    normal = rng.normal(size=dim)
+    f = _random_quadratic(rng, dim)
+
+    def g(x):
+        if x @ normal > 0.5:
+            return math.inf
+        return math.floor(4.0 * f(x)) / 4.0
+    return g
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_nelder_mead_bit_identical_with_inf_plateaus(dim):
+    rng = np.random.default_rng(2000 + dim)
+    for _ in range(30):
+        _assert_same_search(_plateau(rng, dim),
+                            rng.normal(scale=2.0, size=dim), 60 * dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_nelder_mead_bit_identical_with_nan_values(dim):
+    rng = np.random.default_rng(3000 + dim)
+    for _ in range(30):
+        f = _random_quadratic(rng, dim)
+        normal = rng.normal(size=dim)
+        _assert_same_search(
+            lambda x: math.nan if x @ normal < -0.3 else f(x),
+            rng.normal(scale=2.0, size=dim), 60 * dim)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 3])
+def test_nelder_mead_iteration_limit(maxiter):
+    # maxiter counts the initial simplex as iteration 1, so maxiter = 1
+    # evaluates only the simplex; a run that hits the limit has not converged
+    rng = np.random.default_rng(maxiter)
+    for dim in (1, 2, 3, 4):
+        f = _random_quadratic(rng, dim)
+        n_evals, converged = _assert_same_search(
+            f, rng.normal(size=dim), maxiter)
+        assert not converged
+        if maxiter == 1:
+            assert n_evals == dim + 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_nelder_mead_shrink_step(dim):
+    # from an all-inf start every reflection and inside contraction fails,
+    # so each iteration shrinks the simplex towards its first vertex, whose
+    # choice among the tied infs is np.argsort's
+    n_evals, _ = _assert_same_search(
+        lambda x: math.inf if x.sum() > -1.0 else 0.0,
+        np.arange(1.0, dim + 1.0), 12)
+    assert n_evals == (dim + 1) + 11 * (2 + dim)
