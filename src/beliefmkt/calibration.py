@@ -21,10 +21,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .equilibrium import (MarketSpec, AgentSpec, dividend_path,
-                          driver_batches, market_state)
+from .equilibrium import (PD_DIVERGENCE_LIMIT, AgentSpec, MarketSpec,
+                          Workspace, buffer, dividend_path, driver_batches,
+                          market_state)
 from .beliefs import ConstantDrift
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .numerics import nelder_mead
 
 #: Moment name -> label of the comparison table, in report order.
@@ -81,12 +82,13 @@ class _Pool:
         self.s = []
         self.s2 = []
 
-    def add(self, values):
+    def add(self, values, ws):
         v = np.asarray(values, dtype=float)
         sums = v.sum(axis=-1).ravel()
         self.n.extend([float(v.shape[-1])] * sums.size)
         self.s.extend(sums.tolist())
-        self.s2.extend((v * v).sum(axis=-1).ravel().tolist())
+        square = np.multiply(v, v, out=buffer(ws, "square", v.shape))
+        self.s2.extend(square.sum(axis=-1).ravel().tolist())
 
     def mean(self):
         return math.fsum(self.s) / math.fsum(self.n)
@@ -105,12 +107,18 @@ class _Moments:
         self.dt = dt
         self.pd, self.rate, self.ret = _Pool(), _Pool(), _Pool()
 
-    def add(self, pd, rate, stock, dividend):
-        """One path, or a batch with one path per row along the last axis."""
-        self.pd.add(pd)
-        self.rate.add(rate)
-        self.ret.add((stock[..., 1:] + dividend[..., :-1] * self.dt
-                      - stock[..., :-1]) / stock[..., :-1])
+    def add(self, pd, rate, stock, dividend, ws):
+        """One path, or a batch with one path per row along the last axis;
+        ws holds the temporaries."""
+        self.pd.add(pd, ws)
+        self.rate.add(rate, ws)
+        # (S_{k+1} + delta_k dt - S_k) / S_k
+        ret = np.multiply(dividend[..., :-1], self.dt,
+                          out=buffer(ws, "return", stock[..., 1:].shape))
+        ret += stock[..., 1:]
+        ret -= stock[..., :-1]
+        ret /= stock[..., :-1]
+        self.ret.add(ret, ws)
 
     def report(self) -> MomentReport:
         mean_ret = self.ret.mean() / self.dt
@@ -132,12 +140,13 @@ def compute_moments(paths) -> MomentReport:
     Paths must share their grid spacing.  Raises ConfigError on empty input.
     """
     moments = None
+    ws = Workspace()
     for path in paths:
         if moments is None:
             moments = _Moments(path.dt)
         elif path.dt != moments.dt:
             raise ConfigError("paths do not share a common grid spacing")
-        moments.add(path.pd_ratio, path.rate, path.stock, path.dividend)
+        moments.add(path.pd_ratio, path.rate, path.stock, path.dividend, ws)
     if moments is None:
         raise ConfigError("compute_moments needs at least one path")
     return moments.report()
@@ -344,12 +353,22 @@ def moment_loss(report: MomentReport, targets: MomentReport) -> float:
 _BATCH_POINTS = 1 << 16
 
 
-def draw_drivers(problem: CalibrationProblem):
-    """The problem's common random numbers: its driver paths, as a list of
-    (times, X) batches of whole paths.  A search draws them once."""
-    return list(driver_batches(problem.horizon, problem.dt, problem.seed,
-                               problem.n_paths,
-                               _BATCH_POINTS // problem.n_agents))
+class DriverBatches(list):
+    """A list of (times, X) batches of whole driver paths, with the
+    ``Workspace`` that every evaluation on them reuses (None: fresh arrays
+    for each evaluation)."""
+
+    def __init__(self, batches):
+        super().__init__(batches)
+        self.workspace = Workspace()
+
+
+def draw_drivers(problem: CalibrationProblem) -> DriverBatches:
+    """The problem's common random numbers: its driver paths, in batches
+    of whole paths.  A search draws them once."""
+    return DriverBatches(driver_batches(problem.horizon, problem.dt,
+                                        problem.seed, problem.n_paths,
+                                        _BATCH_POINTS // problem.n_agents))
 
 
 def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
@@ -357,18 +376,21 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
                    drivers=None) -> Tuple[float, MomentReport]:
     """Loss and moment report at one parameter point, with common random
     numbers (the same path seeds on every call).  Each batch of ``drivers``
-    (default: ``draw_drivers(problem)``) is evaluated as one array."""
+    (default: ``draw_drivers(problem)``) is evaluated as one array, in the
+    arrays of ``drivers.workspace``."""
     if drivers is None:
         drivers = draw_drivers(problem)
+    ws = drivers.workspace
     spec = build_market(values, problem.n_agents)
     moments = _Moments(problem.dt)
     ic = False
     for times, x in drivers:
-        state = market_state(spec, times, x)
+        state = market_state(spec, times, x, ws)
         ic = ic or state.ic_suspect
-        dividend = dividend_path(spec, times, x)
-        moments.add(state.pd_ratio, state.rate, dividend * state.pd_ratio,
-                    dividend)
+        dividend = dividend_path(spec, times, x, ws)
+        stock = np.multiply(dividend, state.pd_ratio,
+                            out=buffer(ws, "stock", x.shape))
+        moments.add(state.pd_ratio, state.rate, stock, dividend, ws)
     report = moments.report()
     loss = math.inf if ic else moment_loss(report, targets)
     return loss, report
@@ -401,7 +423,8 @@ def fit_parameters(problem: CalibrationProblem,
     with xatol 1e-4 and fatol 1e-6) on logistic-transformed coordinates
     keeps every trial point inside its box; non-finite losses (e.g.
     transversality violations) reject the point.  Deterministic given
-    problem.seed.
+    problem.seed.  Every evaluation reuses the arrays of one workspace.
+    Raises NumericError when no trial point has a finite loss.
     """
     names = [p.name for p in problem.free]
     lower = np.array([p.lower for p in problem.free])
@@ -427,6 +450,12 @@ def fit_parameters(problem: CalibrationProblem,
                                     xatol=1e-4, fatol=1e-6)
     best = values_at(u_best)
     loss, report = evaluate_point(problem, best, targets, drivers)
+    if not math.isfinite(loss):
+        raise NumericError(
+            f"fit found no finite loss in {n_eval} evaluations: at every "
+            f"trial point the price/dividend ratio passed the transversality "
+            f"guard PD_DIVERGENCE_LIMIT = {PD_DIVERGENCE_LIMIT:g} or a "
+            f"moment was not finite")
     return FitResult(values=best, report=report, loss=loss,
                      n_evaluations=n_eval, converged=converged)
 

@@ -37,6 +37,17 @@ A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``
 and derives S, sigma^S, zeta, w, c, pi and the trade diffusions theta from
 it on first access, so a caller that reads only PD, r and S (the moment
 report) never builds the per-agent portfolio arrays.
+
+Every array the kernel makes is written in place (``out=``) into a buffer
+from an optional ``Workspace``, keyed by name, shape and dtype.  A caller
+that evaluates many same-shaped batches (the fit objective) passes one
+workspace to every call, so the heap is not given back to the OS and
+faulted in again on each one.  The contract: the arrays that
+``market_state``, ``log_ratio_paths`` and ``dividend_path`` return live in
+the workspace and are overwritten by the next call that uses it, so a
+caller keeps nothing across calls.  Without a workspace every call gets
+fresh arrays of its own (``simulate_path`` and ``EquilibriumPath``), and
+the values are the same to the bit either way.
 """
 
 import math
@@ -112,6 +123,26 @@ class MarketSpec:
         return rho, nu
 
 
+class Workspace:
+    """Reusable arrays, one per (name, shape, dtype), each allocated on its
+    first request.  Serves one evaluation at a time."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name, shape, dtype=float):
+        key = (name, shape, dtype)
+        array = self._arrays.get(key)
+        if array is None:
+            array = self._arrays[key] = np.empty(shape, dtype)
+        return array
+
+
+def buffer(ws: Optional[Workspace], name, shape, dtype=float):
+    """ws's array for (name, shape, dtype), or a fresh one without ws."""
+    return np.empty(shape, dtype) if ws is None else ws.get(name, shape, dtype)
+
+
 # ---------------------------------------------------------------------------
 # pointwise equilibrium formulas, agent axis first: per-agent arrays have
 # shape (J, ...), so every aggregate over agents reduces the leading axis
@@ -122,40 +153,55 @@ def _per_agent(values, like):
     return np.reshape(values, (-1,) + (1,) * (np.ndim(like) - 1))
 
 
-def _log_weights(rho, nu, log_lam, t):
+def _log_weights(rho, nu, log_lam, t, ws):
     """(m, e, s) for l_j = -rho_j t + log Lambda^j - log nu_j: m = max_j l_j,
     e = exp(l - m) and s = sum_j e_j, so that q = e / s and
     log sum_j exp(l_j) = m + log s.  The only exp over agents."""
-    l = -_per_agent(rho, log_lam) * t + log_lam
+    minus_rho = -_per_agent(rho, log_lam)
+    rho_t = np.multiply(minus_rho, t, out=buffer(
+        ws, "rho_t", np.broadcast_shapes(minus_rho.shape, np.shape(t))))
+    l = np.add(rho_t, log_lam, out=buffer(ws, "l", log_lam.shape))
     l -= _per_agent(np.log(nu), log_lam)
-    m = l.max(axis=0)
+    m = np.max(l, axis=0, out=buffer(ws, "m", l.shape[1:]))
     l -= m
     e = np.exp(l, out=l)
-    return m, e, e.sum(axis=0)
+    return m, e, np.sum(e, axis=0, out=buffer(ws, "s", l.shape[1:]))
 
 
-def _wealth_moments(rho, e, s, alpha):
+def _wealth_moments(rho, e, s, alpha, ws):
     """(PD, a): PD = sum_j q_j / rho_j, and a, the drift average under
     wealth weights proportional to q_j / rho_j."""
-    u = e / _per_agent(rho, e)
-    su = u.sum(axis=0)
+    u = np.divide(e, _per_agent(rho, e), out=buffer(ws, "u", e.shape))
+    su = np.sum(u, axis=0, out=buffer(ws, "su", s.shape))
     u *= alpha
-    return su / s, u.sum(axis=0) / su
+    pd = np.divide(su, s, out=buffer(ws, "pd", s.shape))
+    a = np.sum(u, axis=0, out=buffer(ws, "a", s.shape))
+    return pd, np.divide(a, su, out=a)
 
 
-def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment):
+def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment, ws):
     """(r, kappa, alphabar, rhobar) from the consumption shares q."""
-    alphabar = (q * alpha).sum(axis=0)
-    rhobar = (q * _per_agent(rho, q)).sum(axis=0)
-    r = rhobar + sigma * (drift_adjustment + alphabar) - sigma * sigma
-    kappa = sigma - alphabar
+    shape = q.shape[1:]
+    product = np.multiply(q, alpha, out=buffer(ws, "product", q.shape))
+    alphabar = np.sum(product, axis=0, out=buffer(ws, "alphabar", shape))
+    np.multiply(q, _per_agent(rho, q), out=product)
+    rhobar = np.sum(product, axis=0, out=buffer(ws, "rhobar", shape))
+    # r = rhobar + sigma * (drift_adjustment + alphabar) - sigma^2
+    r = np.add(alphabar, drift_adjustment, out=buffer(ws, "rate", shape))
+    r *= sigma
+    r += rhobar
+    r -= sigma * sigma
+    kappa = np.subtract(sigma, alphabar, out=buffer(ws, "kappa", shape))
     return r, kappa, alphabar, rhobar
 
 
-def _check_volatility(a, kappa):
+def _check_volatility(a, kappa, ws=None):
     """Raise SingularMarketError where the stock volatility a + kappa
     vanishes."""
-    if np.any(np.abs(a + kappa) < _SINGULAR_TOL):
+    shape = np.broadcast_shapes(np.shape(a), np.shape(kappa))
+    vol = np.add(a, kappa, out=buffer(ws, "vol", shape))
+    np.abs(vol, out=vol)
+    if np.any(np.less(vol, _SINGULAR_TOL, out=buffer(ws, "mask", shape, bool))):
         raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
 
 
@@ -232,8 +278,10 @@ def _drivers(horizon, dt, seed, path_indices):
     n = _n_steps(horizon, dt)
     x = np.zeros((len(path_indices), n + 1))
     for p, row in zip(path_indices, x):
-        np.cumsum(path_rng(seed, p).normal(0.0, math.sqrt(dt), size=n),
-                  out=row[1:])
+        # Generator.normal(0, scale) draws scale * z: the same doubles
+        steps = path_rng(seed, p).standard_normal(out=row[1:])
+        steps *= math.sqrt(dt)
+        np.cumsum(steps, out=steps)
     return np.arange(n + 1) * dt, x
 
 
@@ -248,14 +296,16 @@ def driver_batches(horizon: float, dt: float, seed: int, n_paths: int,
                        range(start, min(start + size, n_paths)))
 
 
-def dividend_path(spec: MarketSpec, times, x):
+def dividend_path(spec: MarketSpec, times, x, ws: Optional[Workspace] = None):
     """delta on the grid from driver values x of any leading path shape:
     d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt."""
-    return np.exp(
-        math.log(spec.initial_dividend)
-        + spec.sigma * x
-        + (spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2) * times
-    )
+    log_delta = np.multiply(x, spec.sigma,
+                            out=buffer(ws, "dividend", np.shape(x)))
+    log_delta += math.log(spec.initial_dividend)
+    log_delta += np.multiply(
+        times, spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2,
+        out=buffer(ws, "dividend_drift", np.shape(times)))
+    return np.exp(log_delta, out=log_delta)
 
 
 def simulate_driver(spec: MarketSpec, horizon: float, dt: float, seed: int,
@@ -266,7 +316,8 @@ def simulate_driver(spec: MarketSpec, horizon: float, dt: float, seed: int,
     return times, x[0], dividend_path(spec, times, x[0])
 
 
-def log_ratio_paths(spec: MarketSpec, times, x):
+def log_ratio_paths(spec: MarketSpec, times, x,
+                    ws: Optional[Workspace] = None):
     """Per-agent (log Lambda, believed drift) along driver paths.
 
     Both are exact on the grid: constant-drift agents get the exponential
@@ -274,13 +325,17 @@ def log_ratio_paths(spec: MarketSpec, times, x):
     out.  For x of shape (..., n+1), one path per row, returns agent-major
     arrays of shape (J, ..., n+1).
     """
-    log_lam = np.empty((len(spec.agents),) + np.shape(x))
-    alpha = np.empty_like(log_lam)
+    shape = (len(spec.agents),) + np.shape(x)
+    log_lam = buffer(ws, "log_lam", shape)
+    alpha = buffer(ws, "alpha", shape)
     for j, agent in enumerate(spec.agents):
         b = agent.belief
         if isinstance(b, ConstantDrift):
             alpha[j] = b.drift
-            log_lam[j] = b.drift * x - 0.5 * b.drift**2 * times
+            np.multiply(x, b.drift, out=log_lam[j])
+            log_lam[j] -= np.multiply(
+                times, 0.5 * b.drift**2,
+                out=buffer(ws, "log_lam_drift", np.shape(times)))
         else:
             alpha[j] = drift_at(b, times, x)
             log_lam[j] = bayesian_log_ratio_closed_form(b, times, x)
@@ -305,20 +360,24 @@ class MarketState(NamedTuple):
     ic_suspect: bool   # PD exceeded PD_DIVERGENCE_LIMIT somewhere
 
 
-def market_state(spec: MarketSpec, times, x) -> MarketState:
+def market_state(spec: MarketSpec, times, x,
+                 ws: Optional[Workspace] = None) -> MarketState:
     """What the moments and the numeric guards need, in one exp pass over
     agent-major arrays; no path is tied to another, so x may hold any
-    number of paths.  Raises SingularMarketError where a + kappa vanishes."""
+    number of paths.  Raises SingularMarketError where a + kappa vanishes.
+    With ws, every array of the state lives in ws until its next use."""
     rho, nu = spec.arrays()
-    log_lam, alpha = log_ratio_paths(spec, times, x)
-    m, e, s = _log_weights(rho, nu, log_lam, times)
-    pd, a = _wealth_moments(rho, e, s, alpha)
+    log_lam, alpha = log_ratio_paths(spec, times, x, ws)
+    m, e, s = _log_weights(rho, nu, log_lam, times, ws)
+    pd, a = _wealth_moments(rho, e, s, alpha, ws)
     q = np.divide(e, s, out=e)
     r, kappa, abar, rhobar = _rate_and_kappa(
-        rho, q, alpha, spec.sigma, spec.drift_adjustment)
-    _check_volatility(a, kappa)
+        rho, q, alpha, spec.sigma, spec.drift_adjustment, ws)
+    _check_volatility(a, kappa, ws)
+    diverged = np.greater(pd, PD_DIVERGENCE_LIMIT,
+                          out=buffer(ws, "mask", pd.shape, bool))
     return MarketState(log_lam, alpha, q, m, s, pd, a, r, kappa, abar, rhobar,
-                       bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
+                       bool(np.any(diverged)))
 
 
 @dataclass

@@ -156,9 +156,12 @@ def nelder_mead(f, x0, maxiter, xatol, fatol):
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol:
+            # vertices with infinite loss give inf - inf = NaN, which fails
+            # the test as it should; no warning is printed for it
+            with np.errstate(invalid="ignore"):
+                if np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                    break
 
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + _RHO) * xbar - _RHO * sim[-1]

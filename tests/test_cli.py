@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,25 @@ def test_fit_subcommand_writes_result(tmp_path):
     result = json.loads((out / "fit_result.json").read_text())
     assert 0.1 <= result["values"]["sigma"] <= 0.5
     assert "Mean price/dividend ratio" in (out / "comparison.txt").read_text()
+
+
+def test_fit_without_a_finite_loss_exits_3(tmp_path, capsys):
+    # every trial point has P/D near 1/rho_0 > PD_DIVERGENCE_LIMIT: no fit
+    # result is written, and the search prints no numpy warning
+    cfg = write_config(tmp_path, {
+        "n_agents": 1,
+        "free": [{"name": "sigma", "lower": 0.05, "upper": 0.6, "start": 0.2},
+                 {"name": "rho_0", "lower": 1e-9, "upper": 0.3,
+                  "start": 3e-7}],
+        "n_paths": 2, "horizon_years": 2.0, "dt": 0.02, "seed": 1,
+        "max_iterations": 40})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "no finite loss" in err and "PD_DIVERGENCE_LIMIT" in err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("overrides, field", [

@@ -469,6 +469,41 @@ def test_batch_of_paths_equals_row_by_row():
                                   getattr(path.state, name)), name
 
 
+def test_workspace_kernel_equals_fresh_arrays():
+    # the kernel and the dividend written into one workspace, for two
+    # markets in turn (learners included), equal fresh arrays by ==; a
+    # later call overwrites the arrays an earlier one returned
+    def market(alpha):
+        return MarketSpec(sigma=0.517, drift_adjustment=-0.01, agents=(
+            AgentSpec(impatience=0.131, belief=ConstantDrift(alpha),
+                      weight=14.47),
+            AgentSpec(impatience=0.443, belief=BayesianGaussian(-0.05, 2.0),
+                      weight=0.174)))
+
+    times, x = next(equilibrium.driver_batches(3.0, 1 / 52, 4, 3, 1000))
+    ws = equilibrium.Workspace()
+    first = market_state(market(0.21), times, x, ws)
+    for alpha in (0.21, -0.3, 0.21):
+        spec = market(alpha)
+        got = market_state(spec, times, x, ws)
+        want = market_state(spec, times, x)
+        for name, g, w in zip(want._fields, got, want):
+            assert np.array_equal(g, w), name
+        assert np.array_equal(equilibrium.dividend_path(spec, times, x, ws),
+                              equilibrium.dividend_path(spec, times, x))
+        assert got.pd_ratio is first.pd_ratio and got.q is first.q
+
+
+def test_simulated_paths_share_no_memory():
+    paths = list(simulate_paths(benchmark_market(), 2.0, 1 / 52, seed=8,
+                                n_paths=3))
+    for i, a in enumerate(paths):
+        for b in paths[i + 1:]:
+            for name in ("pd_ratio", "q", "stock", "rate", "dividend", "x"):
+                assert not np.shares_memory(getattr(a, name),
+                                            getattr(b, name)), name
+
+
 def test_moments_build_no_portfolio_arrays(monkeypatch):
     def forbidden(*args):
         raise AssertionError("portfolio arrays built for the moments")

@@ -9,6 +9,7 @@ and message or convergence flag.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -274,3 +275,21 @@ def test_nelder_mead_shrink_step(dim):
         lambda x: math.inf if x.sum() > -1.0 else 0.0,
         np.arange(1.0, dim + 1.0), 12)
     assert n_evals == (dim + 1) + 11 * (2 + dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nelder_mead_warns_nothing_on_infinite_vertices(dim):
+    # once the all-inf shrink search is within xatol, its fatol test meets
+    # inf - inf, where scipy warns; the port runs warning-free under an
+    # "error" filter and evaluates the same points
+    f = lambda x: math.inf if x.sum() > -1.0 else 0.0
+    x0 = np.arange(1.0, dim + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref_x, ref_converged, ref_points = _minimize(
+            _scipy_nelder_mead, f, x0, 30, 1e-4, 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, converged, points = _minimize(nelder_mead, f, x0, 30, 1e-4, 1e-6)
+    assert points == ref_points
+    assert x.tobytes() == ref_x.tobytes() and converged == ref_converged
