@@ -1,0 +1,5 @@
+"""``python -m beliefmkt``: the command-line front end."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -198,6 +198,18 @@ _COMMANDS = {
 }
 
 
+def _worker_count(text):
+    """--parallel's argument: a whole number of worker processes, >= 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return count
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="beliefmkt",
@@ -211,8 +223,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--paths", type=int, default=None,
                        help="override number of Monte Carlo paths")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes (default 1: sequential)")
+        p.add_argument("--parallel", type=_worker_count, default=1,
+                       help="worker processes, >= 1 (default 1: sequential)")
     return parser
 
 

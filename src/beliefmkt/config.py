@@ -8,6 +8,7 @@ which is what makes every run replayable byte for byte.
 """
 
 import json
+import math
 from typing import Any, Dict
 
 from . import __version__
@@ -42,6 +43,20 @@ def load_config(path: str) -> Dict[str, Any]:
     return cfg
 
 
+def _number(value, path) -> float:
+    """A finite float from a JSON number; ``json`` also reads ``NaN``,
+    ``Infinity`` and integers too large for a float, all rejected here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be a finite number")
+    return value
+
+
 def _get(cfg, path, kind, default=..., positive=False):
     node = cfg
     parts = path.split(".")
@@ -52,9 +67,7 @@ def _get(cfg, path, kind, default=..., positive=False):
             raise ConfigError(f"{path}: missing required field")
         node = node[part]
     if kind is float:
-        if isinstance(node, bool) or not isinstance(node, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        node = float(node)
+        node = _number(node, path)
         if positive and not node > 0.0:
             raise ConfigError(f"{path}: must be > 0")
     elif kind is int:
@@ -76,10 +89,9 @@ def _get(cfg, path, kind, default=..., positive=False):
 
 def _pair(cfg, path, default):
     val = _get(cfg, path, list, default=list(default))
-    if len(val) != 2 or not all(isinstance(v, (int, float))
-                                and not isinstance(v, bool) for v in val):
+    if len(val) != 2:
         raise ConfigError(f"{path}: expected [low, high]")
-    return float(val[0]), float(val[1])
+    return _number(val[0], f"{path}[0]"), _number(val[1], f"{path}[1]")
 
 
 def parse_belief(agent):
@@ -125,13 +137,15 @@ def parse_market(cfg) -> MarketSpec:
                                     weight=weight, initial_wealth=wealth))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+    sigma = _get(cfg, "market.sigma", float, positive=True)
+    drift_adjustment = _get(cfg, "market.drift_adjustment", float,
+                            default=0.0)
+    initial_dividend = _get(cfg, "market.initial_dividend", float,
+                            default=1.0, positive=True)
     try:
-        return MarketSpec(
-            sigma=_get(market, "sigma", float, positive=True),
-            drift_adjustment=_get(market, "drift_adjustment", float, default=0.0),
-            initial_dividend=_get(market, "initial_dividend", float,
-                                  default=1.0, positive=True),
-            agents=tuple(agents))
+        return MarketSpec(sigma=sigma, drift_adjustment=drift_adjustment,
+                          initial_dividend=initial_dividend,
+                          agents=tuple(agents))
     except ConfigError as exc:
         raise ConfigError(f"market: {exc}") from None
 
@@ -201,7 +215,7 @@ def parse_targets(cfg) -> MomentReport:
         return DEFAULT_TARGETS
     if not isinstance(node, dict):
         raise ConfigError("targets: expected 'default' or an object")
-    kwargs = {name: _get(node, name, float, default=float("nan"))
+    kwargs = {name: _get(cfg, f"targets.{name}", float, default=float("nan"))
               for name in MOMENT_NAMES}
     return MomentReport(provenance="config targets", **kwargs)
 
@@ -214,19 +228,20 @@ def parse_fit(cfg) -> CalibrationProblem:
         if not isinstance(node, dict):
             raise ConfigError(f"{path}: expected an object")
         try:
-            free.append(FreeParameter(
-                name=_get(node, "name", str),
-                lower=_get(node, "lower", float),
-                upper=_get(node, "upper", float),
-                start=_get(node, "start", float)))
+            name = _get(node, "name", str)
+            lower, upper, start = (_get(node, key, float)
+                                   for key in ("lower", "upper", "start"))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc}") from None
+        try:
+            free.append(FreeParameter(name=name, lower=lower, upper=upper,
+                                      start=start))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     fixed_node = _get(cfg, "fixed", dict, default={})
     fixed = {}
     for name, value in fixed_node.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"fixed.{name}: expected a number")
-        fixed[name] = float(value)
+        fixed[name] = _number(value, f"fixed.{name}")
     return CalibrationProblem(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         free=tuple(free),

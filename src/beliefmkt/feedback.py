@@ -21,15 +21,30 @@ also detects multiple roots; ties are broken toward the previous step's
 xi) followed by Brent refinement in the chosen cell.  The residual of
 every accepted step is recorded and bounded at run time.
 
-The scan needs only the residual's signs.  It evaluates all 200 points in
-one exp pass over (agents x points) arrays, reducing over the leading
-axis, with one shift per point shared by the PD numerator and
-denominator.  Exponents below -700 are floored there: such a term cannot
-change a sum that is at least 1, and numpy's exp of an underflowing
-argument is about 100 times slower.  Every value the outputs carry
-(Brent's scalar residual, PD and with it S*) goes through one numpy
-log-sum-exp kernel, ``_lse``: its arrays are small (one entry per agent),
-so call overhead, not arithmetic, sets the cost.
+The arrays are small (one entry per agent), so the number of numpy calls,
+not arithmetic, sets the cost.  The dynamics amplify any rounding change,
+so every kernel below runs the same operations on the same doubles as the
+step-by-step, one-vector-at-a-time form that the tests keep as their
+oracle, and the outputs are the same to the bit.
+
+* ``_lse`` is the one log-sum-exp.  It reduces each row of a C-ordered
+  (rows, agents) array, which numpy sums exactly as it sums that row on
+  its own, and takes each row's log with ``math.log``: ``np.log`` differs
+  from it in the last bit for a few inputs in 10,000.
+* A run splits its agents once (``_AgentSplit``): indices, trait slices
+  and scratch buffers.  Brent's residual stacks the PD numerator and
+  denominator as the two rows of one array, so each call makes one exp
+  pass and one ``np.logaddexp`` on both rows.
+* The scan needs only the residual's signs.  It evaluates all 200 points
+  in one exp pass over reused (agents x points) buffers, reducing over the
+  leading axis, with one shift per point shared by the PD numerator and
+  denominator.  Exponents below -700 are floored there: such a term cannot
+  change a sum that is at least 1, and numpy's exp of an underflowing
+  argument is about 100 times slower.
+* S* comes from blocks of steps: the posterior means keep their per-step
+  recursion, the log-weight increments of a block come from one pass and
+  accumulate with ``np.cumsum`` along time, and ``log_price_dividend``
+  prices the block's rows at once.
 """
 
 import math
@@ -51,6 +66,12 @@ _SCAN_POINTS = 200
 # the sums (each at least 1) that it joins, and it keeps numpy's exp off its
 # slow path for underflowing arguments
 _EXP_FLOOR = -700.0
+_SCAN_INDEX = np.arange(_SCAN_POINTS, dtype=float)
+# log-sum-exps of a step without diligent agents: PD numerator, denominator
+_NO_DILIGENT = np.array([-np.inf, -np.inf])
+# steps of S* per block: larger blocks save little and hold more memory
+_IDEAL_BLOCK = 128
+_LOG_TWO_PI = math.log(2.0 * math.pi)
 _NO_ROOT = "no root for xi within +/- 1.0 of the dividend move"
 
 
@@ -133,18 +154,31 @@ def draw_agents(config: FeedbackConfig) -> AgentTraits:
                        prior_mean_step=mu0 * config.dt, diligent=diligent)
 
 
-def _lse(v):
-    """log sum exp(v), shifted by the maximum.  Entries may be -inf as long
-    as not all of them are."""
-    m = v.max()
-    return m + math.log(np.exp(v - m).sum())
+def _lse(v, out=None):
+    """log sum exp over the last axis, shifted by each row's maximum: a
+    float for a vector, an array with one value per row for a C-ordered
+    matrix.  exp(v - max) is written to ``out`` (pass v itself to work in
+    place).  Entries may be -inf as long as no row is all -inf.
+
+    A row gives the bits it gives on its own: numpy sums each contiguous
+    row as it sums a vector, and the log is ``math.log`` row by row.
+    """
+    m = np.maximum.reduce(v, axis=-1, keepdims=True)
+    e = np.subtract(v, m, out=out)
+    s = np.add.reduce(np.exp(e, out=e), axis=-1)
+    if e.ndim == 1:
+        return m[0] + math.log(s)
+    return m[:, 0] + [math.log(x) for x in s.tolist()]
 
 
-def log_price_dividend(rho_step, nu, log_weight, step: int):
+def log_price_dividend(rho_step, nu, log_weight, step):
     """log PD at the given step from per-agent log densities.
 
     PD = [sum_j e^{-rho_j t} w_j / (nu_j (e^{rho_j} - 1))]
        / [sum_j e^{-rho_j t} w_j / nu_j],  all in log space.
+
+    ``log_weight`` is one (J,) state, or (B, J) rows with ``step`` a (B, 1)
+    column, which gives the B values at once.
     """
     base = -rho_step * step + log_weight - np.log(nu)
     return _lse(base - np.log(np.expm1(rho_step))) - _lse(base)
@@ -202,10 +236,50 @@ class _Population:
         self.mu = posterior_mean_step(self.mu, k, x)
 
 
-def solve_step(rho_step, nu, population: _Population, diligent_mask,
-               step: int, log_stock: float, log_div_next: float,
-               true_increment: float, prev_xi: float, sigma_step: float,
-               log_expm1=None):
+def _scan_grid(lo, hi, out):
+    """``np.linspace(lo, hi, _SCAN_POINTS)`` written into ``out``, by
+    numpy's own steps (index * ((hi - lo) / (n - 1)) + lo, then hi at the
+    end), so the points are the same doubles."""
+    np.multiply(_SCAN_INDEX, (hi - lo) / (_SCAN_POINTS - 1), out=out)
+    out += lo
+    out[-1] = hi
+    return out
+
+
+class _AgentSplit:
+    """What ``solve_step`` needs of a run's agents that stays fixed across
+    steps: the indices of the diligent (``_d``) and the other (``_n``)
+    agents, the slices of their traits, and scratch buffers sized for the
+    non-diligent count, which every ``solve_step`` call overwrites.  Built
+    once per run."""
+
+    def __init__(self, traits: AgentTraits, nu):
+        self.dil = np.flatnonzero(traits.diligent)
+        self.nd = np.flatnonzero(~traits.diligent)
+        neg_rho, log_nu = -traits.rho_step, np.log(nu)
+        log_expm1 = np.log(np.expm1(traits.rho_step))
+        self.neg_rho_d, self.neg_rho_n = neg_rho[self.dil], neg_rho[self.nd]
+        self.log_nu_d, self.log_nu_n = log_nu[self.dil], log_nu[self.nd]
+        self.log_expm1_d = log_expm1[self.dil]
+        self.log_expm1_n = log_expm1[self.nd]
+        self.inv_expm1_n = np.exp(-self.log_expm1_n)
+        self.tau_d, self.tau_n = traits.tau[self.dil], traits.tau[self.nd]
+        self.half_tau_n = 0.5 * self.tau_n
+        n_d, n_n = self.dil.size, self.nd.size
+        # rows: PD numerator, PD denominator
+        self.fixed = np.empty((2, n_d))
+        self.consts = np.empty((2, n_n))
+        self.rows = np.empty((2, n_n))
+        self.dev = np.empty(n_n)
+        self.dl = np.empty(n_n)
+        self.grid = np.empty(_SCAN_POINTS)
+        self.scan_dev = np.empty((n_n, _SCAN_POINTS))
+        self.scan_v = np.empty((n_n, _SCAN_POINTS))
+
+
+def solve_step(split: _AgentSplit, population: _Population, step: int,
+               log_stock: float, log_div_next: float, true_increment: float,
+               prev_xi: float, sigma_step: float):
     """Solve the per-step fixed point for xi.
 
     Returns (xi, n_roots_found, relative_residual).  The bracket starts at
@@ -217,60 +291,68 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
     is that of the point Brent returns, read back from its own calls.
     Needs at least one agent that is not diligent.
     """
-    nd = ~diligent_mask
+    s = split
     k = population.sample_size(step)
     k_next = step + 1
+    log_weight, mu = population.log_weight, population.mu
 
-    if log_expm1 is None:
-        log_expm1 = np.log(np.expm1(rho_step))
     # diligent agents' update factors do not depend on xi
-    base = -rho_step * k_next + population.log_weight - np.log(nu)
-    if diligent_mask.any():
-        dl_dil = log_density_increment(
-            population.mu[diligent_mask], k,
-            population.tau[diligent_mask], true_increment)
-        fixed = base[diligent_mask] + dl_dil
-        num_dil = _lse(fixed - log_expm1[diligent_mask])
-        den_dil = _lse(fixed)
+    if s.dil.size:
+        fixed = s.fixed
+        np.add(s.neg_rho_d * k_next + log_weight[s.dil] - s.log_nu_d,
+               log_density_increment(mu[s.dil], k, s.tau_d, true_increment),
+               out=fixed[1])
+        np.subtract(fixed[1], s.log_expm1_d, out=fixed[0])
+        dil = _lse(fixed, out=fixed)
     else:
-        num_dil = den_dil = -np.inf
+        dil = _NO_DILIGENT
+    num_dil, den_dil = dil.tolist()
     offset = log_stock - log_div_next
 
-    mu_nd = population.mu[nd]
+    mu_n = mu[s.nd]
     # same increment as beliefs.log_density_increment, split into the
     # xi-independent constant and the quadratic coefficient
     ratio = k / (k + 1.0)
-    const_nd = base[nd] + 0.5 * (np.log(population.tau[nd] * ratio)
-                                 - math.log(2.0 * math.pi))
-    quad_nd = 0.5 * population.tau[nd] * ratio
-    const_num_nd = const_nd - log_expm1[nd]
+    consts = s.consts
+    np.add(s.neg_rho_n * k_next + log_weight[s.nd] - s.log_nu_n,
+           0.5 * (np.log(s.tau_n * ratio) - _LOG_TWO_PI), out=consts[1])
+    np.subtract(consts[1], s.log_expm1_n, out=consts[0])
+    quad_n = s.half_tau_n * ratio
+    neg_quad_n = -quad_n
+    dev, dl, rows = s.dev, s.dl, s.rows
 
     def residual(xi: float) -> float:
-        dev = xi - mu_nd
-        dl = -quad_nd * dev * dev
-        log_num = np.logaddexp(num_dil, _lse(const_num_nd + dl))
-        log_den = np.logaddexp(den_dil, _lse(const_nd + dl))
+        np.subtract(xi, mu_n, out=dev)
+        np.multiply(neg_quad_n, dev, out=dl)
+        np.multiply(dl, dev, out=dl)
+        log_num, log_den = np.logaddexp(
+            dil, _lse(np.add(consts, dl, out=rows), out=rows)).tolist()
         return offset + xi - (log_num - log_den)
 
     # the scan reads only signs: one exp pass over (agents, points) arrays
-    mu_col = mu_nd[:, None]
-    const_col = const_nd[:, None]
-    quad_col = quad_nd[:, None]
-    inv_expm1 = np.exp(-log_expm1[nd])
+    mu_col = mu_n[:, None]
+    const_col = consts[1][:, None]
+    quad_col = quad_n[:, None]
 
     def residual_grid(xi):
-        dev = xi - mu_col
-        v = const_col - quad_col * dev * dev
-        m = np.maximum(v.max(axis=0), den_dil)
-        e = np.exp(np.maximum(v - m, _EXP_FLOOR))
-        pd = (inv_expm1 @ e + np.exp(num_dil - m)) \
-            / (e.sum(axis=0) + np.exp(den_dil - m))
+        dev = np.subtract(xi, mu_col, out=s.scan_dev)
+        v = np.multiply(quad_col, dev, out=s.scan_v)
+        np.multiply(v, dev, out=v)
+        np.subtract(const_col, v, out=v)
+        m = np.maximum.reduce(v, axis=0)
+        np.maximum(m, den_dil, out=m)
+        np.subtract(v, m, out=v)
+        e = np.exp(np.maximum(v, _EXP_FLOOR, out=v), out=v)
+        pd = s.inv_expm1_n @ e + np.exp(num_dil - m)
+        pd /= np.add.reduce(e, axis=0) + np.exp(den_dil - m)
         return offset + xi - np.log(pd)
 
+    grid = s.grid
     half_width = 10.0 * sigma_step
     while True:
-        grid = np.linspace(true_increment - half_width,
-                           true_increment + half_width, _SCAN_POINTS)
+        lo = true_increment - half_width
+        hi = true_increment + half_width
+        _scan_grid(lo, hi, grid)
         cells = scan_sign_changes(residual_grid(grid), grid)
         if cells:
             break
@@ -281,8 +363,8 @@ def solve_step(rho_step, nu, population: _Population, diligent_mask,
                     "log_stock": log_stock,
                     "log_div_next": log_div_next,
                     "true_increment": true_increment,
-                    "residual_lo": float(residual(true_increment - half_width)),
-                    "residual_hi": float(residual(true_increment + half_width)),
+                    "residual_lo": float(residual(lo)),
+                    "residual_hi": float(residual(hi)),
                 })
         half_width = min(2.0 * half_width, 1.0)
 
@@ -319,19 +401,35 @@ def _seed_inputs(config: FeedbackConfig) -> _SeedInputs:
     sigma_step = config.sigma_true * math.sqrt(config.dt)
     drift_step = config.growth_true * config.dt
     rng = path_rng(config.seed, 0)
-    increments = drift_step + sigma_step * rng.standard_normal(config.n_steps)
+    n = config.n_steps
+    increments = drift_step + sigma_step * rng.standard_normal(n)
     log_div = np.concatenate([[0.0], np.cumsum(increments)])
 
-    ideal = _Population(traits, config.prior_weight)
-    log_stock_ideal = np.empty(config.n_steps + 1)
+    # the ideal population, a block of steps at a time: the same
+    # operations, in the same order, as _Population.absorb step by step
+    mu = traits.prior_mean_step.copy()
+    log_weight = np.zeros(config.n_agents)
+    sample_size = config.prior_weight + np.arange(n)
+    log_stock_ideal = np.empty(n + 1)
     log_stock_ideal[0] = (
-        log_price_dividend(traits.rho_step, nu, ideal.log_weight, 0)
-        + log_div[0])
-    for t, d in enumerate(increments):
-        ideal.absorb(d, t)
-        log_stock_ideal[t + 1] = (
-            log_price_dividend(traits.rho_step, nu, ideal.log_weight, t + 1)
-            + log_div[t + 1])
+        log_price_dividend(traits.rho_step, nu, log_weight, 0) + log_div[0])
+    means = np.empty((min(n, _IDEAL_BLOCK), config.n_agents))
+    for start in range(0, n, _IDEAL_BLOCK):
+        stop = min(start + _IDEAL_BLOCK, n)
+        for i, t in enumerate(range(start, stop)):
+            means[i] = mu
+            mu = posterior_mean_step(mu, sample_size[t], increments[t])
+        block, after = slice(start, stop), slice(start + 1, stop + 1)
+        weights = log_density_increment(
+            means[:stop - start], sample_size[block, None], traits.tau,
+            increments[block, None])
+        # w_t = w_{t-1} + increment_t, added in that order along time
+        weights[0] += log_weight
+        np.cumsum(weights, axis=0, out=weights)
+        log_weight = weights[-1]
+        log_pd = log_price_dividend(traits.rho_step, nu, weights,
+                                    np.arange(start + 1, stop + 1)[:, None])
+        log_stock_ideal[after] = log_pd + log_div[after]
     return _SeedInputs(traits, nu, increments, log_div, log_stock_ideal)
 
 
@@ -343,7 +441,6 @@ def run_feedback(config: FeedbackConfig) -> FeedbackResult:
 def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
     traits = replace(inputs.traits,
                      diligent=np.arange(config.n_agents) < config.n_diligent)
-    rho_step = traits.rho_step
     sigma_step = config.sigma_true * math.sqrt(config.dt)
     increments, log_div = inputs.increments, inputs.log_div
     log_stock_ideal = inputs.log_stock_ideal
@@ -366,7 +463,7 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
                     "true_increment": float(increments[t])})
         else:
             actual = _Population(traits, config.prior_weight)
-            log_expm1 = np.log(np.expm1(rho_step))
+            split = _AgentSplit(traits, inputs.nu)
             log_stock = np.empty(n + 1)
             # before any observation the population holds its priors, like S*
             log_stock[0] = log_stock_ideal[0]
@@ -374,9 +471,8 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
                 d = increments[t]
                 prev = xi_series[t] if t > 0 else d
                 xi, n_roots, rel = solve_step(
-                    rho_step, inputs.nu, actual, traits.diligent, t,
-                    log_stock[t], log_div[t + 1], d, prev, sigma_step,
-                    log_expm1=log_expm1)
+                    split, actual, t, log_stock[t], log_div[t + 1], d, prev,
+                    sigma_step)
                 if rel > RESIDUAL_TOL:
                     raise FixedPointError(
                         f"fixed-point residual {rel:.3e} above {RESIDUAL_TOL:g}",

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -12,8 +13,9 @@ import pytest
 
 from beliefmkt.beauty import (pareto_faked_equilibrium, truthful_equilibrium,
                               welfare_comparison)
+from beliefmkt import __version__
 from beliefmkt.cli import _simulate_one, main
-from beliefmkt.config import parse_contest, parse_simulate
+from beliefmkt.config import parse_contest, parse_simulate, parse_targets
 from conftest import assert_same_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -210,6 +212,97 @@ def test_negative_seed_exits_2_before_writing(tmp_path, capsys, subcommand,
                  *flags]) == 2
     assert "seed:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _fit_config(**overrides):
+    return dict(_SEEDED_CONFIGS["fit"], **overrides)
+
+
+def _with_agent_field(field, value):
+    cfg = tiny_market_config()
+    if field == "weight":
+        cfg["market"]["agents"][0]["weight"] = value
+    else:
+        cfg["market"]["agents"][0]["belief"]["drift"] = value
+    return cfg
+
+
+_BIG = 10 ** 400   # a JSON integer beyond the float range
+
+
+_NON_FINITE = [
+    ("simulate-log", tiny_market_config(horizon_years=math.inf),
+     "horizon_years"),
+    ("simulate-log", tiny_market_config(horizon_years=_BIG), "horizon_years"),
+    ("simulate-log", tiny_market_config(dt=math.nan), "dt"),
+    ("simulate-log", dict(tiny_market_config(), market=dict(
+        tiny_market_config()["market"], sigma=math.inf)), "market.sigma"),
+    ("simulate-log", dict(tiny_market_config(), market=dict(
+        tiny_market_config()["market"], drift_adjustment=-math.inf)),
+     "market.drift_adjustment"),
+    ("simulate-log", _with_agent_field("drift", math.nan),
+     "market.agents[0].belief.drift"),
+    ("simulate-log", _with_agent_field("weight", math.inf),
+     "market.agents[0].weight"),
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"], growth_true=math.nan),
+     "growth_true"),
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"], sigma_true=math.inf),
+     "sigma_true"),
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"], rho_range=[0.04, math.inf]),
+     "rho_range[1]"),
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"],
+                      prior_mean_range=[-_BIG, 0.1]), "prior_mean_range[0]"),
+    ("fit", _fit_config(fixed={"alpha_0": math.nan, "rho_0": 0.05}),
+     "fixed.alpha_0"),
+    ("fit", _fit_config(free=[{"name": "sigma", "lower": 0.1,
+                               "upper": math.inf, "start": 0.2}]),
+     "free[0].upper"),
+    ("fit", _fit_config(targets={"mean_pd": math.inf}), "targets.mean_pd"),
+    ("beauty", {"agents": [{"risk_aversion": 1.0, "mean_belief": -math.inf,
+                            "belief_variance": 1.0}]},
+     "agents[0].mean_belief"),
+    ("ingest", {"csv": str(REPO / "configs" / "sample_price_dividend.csv"),
+                "min_years": math.inf}, "min_years"),
+]
+
+
+@pytest.mark.parametrize("subcommand, payload, field", _NON_FINITE,
+                         ids=[f"{c[0]}-{c[2]}" for c in _NON_FINITE])
+def test_non_finite_number_exits_2_before_writing(tmp_path, capsys,
+                                                  subcommand, payload, field):
+    # json reads NaN, Infinity and 1e400 (as inf); none is a usable number
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{field}: must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_omitted_target_is_unavailable():
+    targets = parse_targets({"targets": {"mean_pd": 25.0}})
+    assert targets.mean_pd == 25.0 and math.isnan(targets.std_pd)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+def test_parallel_below_one_exits_2_before_writing(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, _SEEDED_CONFIGS["feedback"])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["feedback", "--config", str(cfg), "--out", str(out),
+              "--parallel", value])
+    assert exc.value.code == 2
+    assert "--parallel: expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "beliefmkt", "--version"],
+                          cwd=REPO, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == __version__
 
 
 def test_subcommand_mismatch_rejected(tmp_path, capsys):

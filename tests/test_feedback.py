@@ -11,9 +11,9 @@ from beliefmkt.beliefs import log_density_increment
 from beliefmkt import feedback
 from beliefmkt.config import load_config, parse_feedback
 from beliefmkt.errors import ConfigError, FixedPointError
-from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse,
-                                _Population, _run, _seed_inputs,
-                                diligence_sweep, draw_agents,
+from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _AgentSplit,
+                                _lse, _Population, _run, _scan_grid,
+                                _seed_inputs, diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
 from beliefmkt.numerics import brentq, scan_sign_changes
 from beliefmkt.rngtools import agent_rng, path_rng
@@ -309,19 +309,22 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
         log_div_next = rng.normal(0.0, 1.0)
         log_stock = log_div_next + log_pd - d \
             + rng.normal(0.0, 5.0) * sigma_step
+        prev_xi = d + rng.normal(0.0, sigma_step)
         args = (traits.rho_step, nu, population, diligent, step, log_stock,
-                log_div_next, d, d + rng.normal(0.0, sigma_step), sigma_step)
+                log_div_next, d, prev_xi, sigma_step)
+        step_args = (_AgentSplit(traits, nu), population, step, log_stock,
+                     log_div_next, d, prev_xi, sigma_step)
         try:
             want = solve_step_oracle(*args)
         except FixedPointError as exc:
             with pytest.raises(FixedPointError) as err:
-                solve_step(*args)
+                solve_step(*step_args)
             for key in ("residual_lo", "residual_hi"):
                 assert err.value.diagnostics[key] == exc.diagnostics[key]
             failed += 1
             continue
         scans.clear()
-        got = solve_step(*args)
+        got = solve_step(*step_args)
         assert scans[-1] == want[3]
         assert got == want[:3]
         solved += 1
@@ -335,9 +338,9 @@ def test_no_root_within_cap_raises_with_step_index():
     traits = draw_agents(cfg)
     population = _Population(traits, cfg.prior_weight)
     with pytest.raises(FixedPointError) as err:
-        solve_step(traits.rho_step, np.full(2, 1.0), population,
-                   traits.diligent, 0, log_stock=50.0, log_div_next=0.0,
-                   true_increment=0.0, prev_xi=0.0, sigma_step=0.015)
+        solve_step(_AgentSplit(traits, np.full(2, 1.0)), population, 0,
+                   log_stock=50.0, log_div_next=0.0, true_increment=0.0,
+                   prev_xi=0.0, sigma_step=0.015)
     assert err.value.step == 0
     assert "residual_lo" in err.value.diagnostics
 
@@ -372,6 +375,78 @@ def test_lse_kernel_matches_scipy(rng, offset):
     v[7, 3] = -np.inf
     for row in v:
         assert _lse(row) == pytest.approx(logsumexp(row), rel=1e-14)
+
+
+def lse_vector(v):
+    """The former ``_lse``: log sum exp of a vector, shifted by its max."""
+    m = v.max()
+    return m + math.log(np.exp(v - m).sum())
+
+
+def test_two_row_lse_equals_each_row_on_its_own():
+    # Brent's residual reduces the PD numerator and denominator as the two
+    # rows of one array, in place; each row must keep its own bits.  Rows
+    # whose maximum is 0 keep the log's last bit, so np.log in place of
+    # math.log changes some of them
+    rng = np.random.default_rng(15)
+    for J in range(1, 31):
+        for k in range(300):
+            v = rng.normal(0.0, 5.0, size=(2, J))
+            if k % 2:
+                v += rng.uniform(-700.0, 700.0, size=(2, 1))
+            else:
+                v -= v.max(axis=1, keepdims=True)
+            if J > 1:
+                v[rng.integers(0, 2), rng.integers(0, J)] = -np.inf
+            scratch = v.copy()
+            rows = _lse(scratch, out=scratch)
+            for i in range(2):
+                assert rows[i] == _lse(v[i]) == lse_vector(v[i])
+
+
+def test_scan_grid_equals_linspace():
+    rng = np.random.default_rng(16)
+    grid = np.empty(feedback._SCAN_POINTS)
+    centers = rng.normal(0.0, 0.05, 10_000) \
+        * 10.0 ** rng.integers(-6, 2, 10_000)
+    half_widths = rng.uniform(1e-4, 1.0, 10_000)
+    for c, w in zip(centers.tolist(), half_widths.tolist()):
+        lo, hi = c - w, c + w
+        np.testing.assert_array_equal(
+            _scan_grid(lo, hi, grid), np.linspace(lo, hi, 200))
+
+
+def ideal_log_stock_oracle(config):
+    """The former per-step S* loop of ``_seed_inputs``."""
+    traits = draw_agents(config)
+    nu = np.full(config.n_agents, config.nu)
+    rng = path_rng(config.seed, 0)
+    increments = config.growth_true * config.dt + config.sigma_true \
+        * math.sqrt(config.dt) * rng.standard_normal(config.n_steps)
+    log_div = np.concatenate([[0.0], np.cumsum(increments)])
+
+    def log_pd(log_weight, step):
+        base = -traits.rho_step * step + log_weight - np.log(nu)
+        return lse_vector(base - np.log(np.expm1(traits.rho_step))) \
+            - lse_vector(base)
+
+    ideal = _Population(traits, config.prior_weight)
+    out = np.empty(config.n_steps + 1)
+    out[0] = log_pd(ideal.log_weight, 0) + log_div[0]
+    for t, d in enumerate(increments):
+        ideal.absorb(d, t)
+        out[t + 1] = log_pd(ideal.log_weight, t + 1) + log_div[t + 1]
+    return out
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 30])
+@pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 300])
+def test_blocked_ideal_price_equals_step_by_step(n_agents, n_steps):
+    for seed in (0, 1, 9):
+        cfg = small_config(n_agents=n_agents, n_diligent=0, n_steps=n_steps,
+                           seed=seed)
+        got = _seed_inputs(cfg).log_stock_ideal
+        assert got.tobytes() == ideal_log_stock_oracle(cfg).tobytes()
 
 
 def test_scan_sign_changes_finds_all_roots():
