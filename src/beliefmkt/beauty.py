@@ -12,7 +12,6 @@ gains, and parameter sets exist where every agent strictly loses.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
 
 import numpy as np
 
@@ -151,48 +150,6 @@ def welfare_comparison(spec: ContestSpec) -> WelfareReport:
         faked_price=faked.price,
         identity_gap=identity_gap,
     )
-
-
-def best_response(spec: ContestSpec, professed: np.ndarray, j: int) -> float:
-    """Agent j's optimal professed mean holding the others fixed.
-
-    Maximizes (a_j - F)(alpha_j - a_j) + (a_j - F)^2 / 2 over a_j, where
-    F = sum_i p_i a_i moves with a_j.  Strictly concave, so the first-order
-    condition a_j = [(1-p_j) alpha_j + p_j sum_{i != j} p_i a_i] / (1-p_j^2)
-    is the maximizer.
-    """
-    p = clearing_weights(spec)
-    others = float(p @ professed - p[j] * professed[j])
-    return ((1.0 - p[j]) * spec.mean_belief[j] + p[j] * others) \
-        / (1.0 - p[j] ** 2)
-
-
-def deviation_gains(spec: ContestSpec,
-                    faking: Sequence[int]) -> Dict[int, float]:
-    """Gain available to each truthful agent, given that the agents in
-    ``faking`` play the Pareto profile values and everyone else is truthful.
-
-    For each agent outside ``faking``, reports the objective improvement
-    from unilaterally switching to the best response.  Diagnostic only.
-    """
-    faking = set(faking)
-    pareto = pareto_faked_equilibrium(spec)
-    p = clearing_weights(spec)
-    professed = spec.mean_belief.copy()
-    for j in faking:
-        professed[j] = pareto.professed[j]
-    gains = {}
-    for j in range(spec.n_agents):
-        if j in faking:
-            continue
-        price = float(p @ professed)
-        base_obj, _ = _objective(spec, professed, price)
-        trial = professed.copy()
-        trial[j] = best_response(spec, professed, j)
-        trial_price = float(p @ trial)
-        trial_obj, _ = _objective(spec, trial, trial_price)
-        gains[j] = float(trial_obj[j] - base_obj[j])
-    return gains
 
 
 def format_solution(spec: ContestSpec) -> str:

@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .equilibrium import (PD_DIVERGENCE_LIMIT, AgentSpec, MarketSpec,
-                          Workspace, buffer, dividend_path, driver_batches,
+                          Workspace, dividend_path, driver_batches,
                           market_state)
 from .beliefs import ConstantDrift
 from .errors import ConfigError, NumericError
@@ -87,7 +87,7 @@ class _Pool:
         sums = v.sum(axis=-1).ravel()
         self.n.extend([float(v.shape[-1])] * sums.size)
         self.s.extend(sums.tolist())
-        square = np.multiply(v, v, out=buffer(ws, "square", v.shape))
+        square = np.multiply(v, v, out=ws.get("square", v.shape))
         self.s2.extend(square.sum(axis=-1).ravel().tolist())
 
     def mean(self):
@@ -107,14 +107,16 @@ class _Moments:
         self.dt = dt
         self.pd, self.rate, self.ret = _Pool(), _Pool(), _Pool()
 
-    def add(self, pd, rate, stock, dividend, ws):
-        """One path, or a batch with one path per row along the last axis;
-        ws holds the temporaries."""
-        self.pd.add(pd, ws)
-        self.rate.add(rate, ws)
+    def add(self, state, dividend, ws):
+        """The MarketState and dividend of one path, or of a batch with one
+        path per row along the last axis; ws holds the temporaries."""
+        self.pd.add(state.pd_ratio, ws)
+        self.rate.add(state.rate, ws)
+        stock = np.multiply(dividend, state.pd_ratio,
+                            out=ws.get("stock", dividend.shape))
         # (S_{k+1} + delta_k dt - S_k) / S_k
         ret = np.multiply(dividend[..., :-1], self.dt,
-                          out=buffer(ws, "return", stock[..., 1:].shape))
+                          out=ws.get("return", stock[..., 1:].shape))
         ret += stock[..., 1:]
         ret -= stock[..., :-1]
         ret /= stock[..., :-1]
@@ -146,7 +148,7 @@ def compute_moments(paths) -> MomentReport:
             moments = _Moments(path.dt)
         elif path.dt != moments.dt:
             raise ConfigError("paths do not share a common grid spacing")
-        moments.add(path.pd_ratio, path.rate, path.stock, path.dividend, ws)
+        moments.add(path.state, path.dividend, ws)
     if moments is None:
         raise ConfigError("compute_moments needs at least one path")
     return moments.report()
@@ -355,8 +357,7 @@ _BATCH_POINTS = 1 << 16
 
 class DriverBatches(list):
     """A list of (times, X) batches of whole driver paths, with the
-    ``Workspace`` that every evaluation on them reuses (None: fresh arrays
-    for each evaluation)."""
+    ``Workspace`` that every evaluation on them reuses."""
 
     def __init__(self, batches):
         super().__init__(batches)
@@ -387,10 +388,7 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
     for times, x in drivers:
         state = market_state(spec, times, x, ws)
         ic = ic or state.ic_suspect
-        dividend = dividend_path(spec, times, x, ws)
-        stock = np.multiply(dividend, state.pd_ratio,
-                            out=buffer(ws, "stock", x.shape))
-        moments.add(state.pd_ratio, state.rate, stock, dividend, ws)
+        moments.add(state, dividend_path(spec, times, x, ws), ws)
     report = moments.report()
     loss = math.inf if ic else moment_loss(report, targets)
     return loss, report

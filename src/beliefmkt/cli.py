@@ -16,14 +16,15 @@ import numpy as np
 
 from . import __version__
 from .calibration import (comparison_table, compute_moments, fit_parameters,
-                          ingest_price_dividend_csv, moment_loss)
+                          ingest_price_dividend_csv)
 from .beauty import (format_solution, pareto_faked_equilibrium,
                      truthful_equilibrium, welfare_comparison)
-from .config import (_get, load_config, parse_contest, parse_feedback,
-                     parse_fit, parse_simulate, parse_targets, write_manifest)
+from .config import (MAX_COUNT, _get, load_config, parse_contest,
+                     parse_feedback, parse_fit, parse_simulate, parse_targets,
+                     write_manifest)
 from .errors import ConfigError, NumericError
 from .feedback import diligence_sweep, run_feedback
-from .equilibrium import simulate_path
+from .equilibrium import simulate_paths
 from .numerics import write_rows
 
 
@@ -34,10 +35,10 @@ def _outdir(args):
 
 
 def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.paths is not None:
-        cfg["n_paths"] = args.paths
+    for option, key in (("seed", "seed"), ("paths", "n_paths")):
+        value = getattr(args, option, None)
+        if value is not None:
+            cfg[key] = value
     return cfg
 
 
@@ -46,30 +47,14 @@ def cmd_simulate_log(cfg, args):
     out = _outdir(args)
     write_manifest(out, "simulate-log", cfg)
 
-    tasks = [(spec, horizon, dt, seed, p) for p in range(n_paths)]
-    if args.parallel > 1:
-        # imported here: loading multiprocessing slows every default run
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            # executor.map preserves ordering, so the reduction is
-            # deterministic regardless of scheduling
-            report = _consume_paths(pool.map(_simulate_one, tasks), out,
-                                    write_paths)
-    else:
-        report = _consume_paths(map(_simulate_one, tasks), out, write_paths)
-
+    report = _consume_paths(simulate_paths(spec, horizon, dt, seed, n_paths),
+                            out, write_paths)
     with open(out / "summary.txt", "w") as fp:
         fp.write(f"paths={n_paths} horizon_years={horizon:.17g} dt={dt:.17g} "
                  f"seed={seed}\n")
         for name, value in report.as_dict().items():
             fp.write(f"{name}={value:.17g}\n")
     return 0
-
-
-def _simulate_one(task):
-    """One path from a (spec, horizon, dt, seed, path index) tuple; module
-    level so that worker processes can unpickle it."""
-    return simulate_path(*task)
 
 
 def _consume_paths(paths, out, write_paths):
@@ -88,6 +73,8 @@ def cmd_feedback(cfg, args):
     sweep = cfg.get("seed_sweep", 0)
     if isinstance(sweep, bool) or not isinstance(sweep, int) or sweep < 0:
         raise ConfigError("seed_sweep: expected a nonnegative integer")
+    if sweep > MAX_COUNT:
+        raise ConfigError(f"seed_sweep: must be at most {MAX_COUNT}")
     diligence_values = cfg.get("diligence_values", [0, config.n_diligent])
     if sweep and (not isinstance(diligence_values, list)
                   or not diligence_values
@@ -101,6 +88,7 @@ def cmd_feedback(cfg, args):
     if sweep:
         seeds = list(range(config.seed, config.seed + sweep))
         if args.parallel > 1:
+            # imported here: loading multiprocessing slows every default run
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.parallel) as pool:
                 table = diligence_sweep(config, diligence_values, seeds,
@@ -196,6 +184,9 @@ _COMMANDS = {
     "fit": (cmd_fit, "search parameters to match target moments"),
     "ingest": (cmd_ingest, "compute empirical targets from a price/dividend CSV"),
 }
+# the flags a subcommand reads; a subcommand that does not read one rejects it
+_FLAGS = {"simulate-log": ("seed", "paths"), "feedback": ("seed", "parallel"),
+          "fit": ("seed", "paths")}
 
 
 def _worker_count(text):
@@ -216,15 +207,19 @@ def build_parser():
         description="asset-market equilibrium engine with heterogeneous beliefs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    options = {
+        "seed": dict(type=int, help="override seed"),
+        "paths": dict(type=int, help="override number of Monte Carlo paths"),
+        "parallel": dict(type=_worker_count, default=1,
+                         help="worker processes for a seed_sweep, >= 1 "
+                              "(default 1: sequential)"),
+    }
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config or manifest")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--paths", type=int, default=None,
-                       help="override number of Monte Carlo paths")
-        p.add_argument("--parallel", type=_worker_count, default=1,
-                       help="worker processes, >= 1 (default 1: sequential)")
+        for flag in _FLAGS.get(name, ()):
+            p.add_argument("--" + flag, **options[flag])
     return parser
 
 

@@ -22,6 +22,11 @@ from .feedback import FeedbackConfig
 
 import numpy as np
 
+#: Ceiling on every count a config sets or implies (steps, agents, paths,
+#: sweep seeds, iterations): far past any run that fits in memory or time,
+#: so a larger count is a configuration error, reported before any output.
+MAX_COUNT = 10**9
+
 
 def load_config(path: str) -> Dict[str, Any]:
     try:
@@ -75,6 +80,8 @@ def _get(cfg, path, kind, default=..., positive=False):
             raise ConfigError(f"{path}: expected an integer")
         if positive and node <= 0:
             raise ConfigError(f"{path}: must be > 0")
+        if positive and node > MAX_COUNT:  # a positive integer is a count
+            raise ConfigError(f"{path}: must be at most {MAX_COUNT}")
     elif kind is str:
         if not isinstance(node, str):
             raise ConfigError(f"{path}: expected a string")
@@ -85,6 +92,15 @@ def _get(cfg, path, kind, default=..., positive=False):
         if not isinstance(node, dict):
             raise ConfigError(f"{path}: expected an object")
     return node
+
+
+def _step_count(span, dt, path):
+    """The number of steps of length dt in span, named after ``path``."""
+    steps = span / dt
+    if not (math.isfinite(steps) and round(steps) <= MAX_COUNT):
+        raise ConfigError(f"{path}: {path}/dt must be at most {MAX_COUNT} "
+                          f"steps")
+    return int(round(steps))
 
 
 def _pair(cfg, path, default):
@@ -161,6 +177,7 @@ def parse_simulate(cfg):
         raise ConfigError("write_paths: must be between 0 and n_paths")
     if dt > horizon:
         raise ConfigError("dt: must not exceed horizon_years")
+    _step_count(horizon, dt, "horizon_years")
     return spec, horizon, dt, n_paths, seed, write_paths
 
 
@@ -170,7 +187,7 @@ def parse_feedback(cfg) -> FeedbackConfig:
         n_steps = _get(cfg, "n_steps", int, positive=True)
     else:
         years = _get(cfg, "years", float, default=5.0, positive=True)
-        n_steps = int(round(years / dt))
+        n_steps = _step_count(years, dt, "years")
     return FeedbackConfig(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         n_diligent=_get(cfg, "n_diligent", int, default=0),
@@ -242,7 +259,7 @@ def parse_fit(cfg) -> CalibrationProblem:
     fixed = {}
     for name, value in fixed_node.items():
         fixed[name] = _number(value, f"fixed.{name}")
-    return CalibrationProblem(
+    problem = CalibrationProblem(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         free=tuple(free),
         fixed=fixed,
@@ -253,6 +270,8 @@ def parse_fit(cfg) -> CalibrationProblem:
         seed=_seed(cfg),
         max_iterations=_get(cfg, "max_iterations", int, default=200,
                             positive=True))
+    _step_count(problem.horizon, problem.dt, "horizon_years")
+    return problem
 
 
 def write_manifest(outdir, subcommand: str, cfg: Dict[str, Any]):

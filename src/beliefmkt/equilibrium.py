@@ -39,15 +39,13 @@ it on first access, so a caller that reads only PD, r and S (the moment
 report) never builds the per-agent portfolio arrays.
 
 Every array the kernel makes is written in place (``out=``) into a buffer
-from an optional ``Workspace``, keyed by name, shape and dtype.  A caller
+of the ``Workspace`` it is given, keyed by name, shape and dtype.  A caller
 that evaluates many same-shaped batches (the fit objective) passes one
 workspace to every call, so the heap is not given back to the OS and
 faulted in again on each one.  The contract: the arrays that
 ``market_state``, ``log_ratio_paths`` and ``dividend_path`` return live in
 the workspace and are overwritten by the next call that uses it, so a
-caller keeps nothing across calls.  Without a workspace every call gets
-fresh arrays of its own (``simulate_path`` and ``EquilibriumPath``), and
-the values are the same to the bit either way.
+caller keeps nothing across calls.
 """
 
 import math
@@ -125,7 +123,11 @@ class MarketSpec:
 
 class Workspace:
     """Reusable arrays, one per (name, shape, dtype), each allocated on its
-    first request.  Serves one evaluation at a time."""
+    first request.  Serves one evaluation at a time.
+
+    The kernel's temporaries, each dead before the next one is made, share
+    the names "tmp" (path-shaped) and "agents_tmp" (agent-major), so a
+    workspace holds one buffer of each kind, not one per temporary."""
 
     def __init__(self):
         self._arrays = {}
@@ -136,11 +138,6 @@ class Workspace:
         if array is None:
             array = self._arrays[key] = np.empty(shape, dtype)
         return array
-
-
-def buffer(ws: Optional[Workspace], name, shape, dtype=float):
-    """ws's array for (name, shape, dtype), or a fresh one without ws."""
-    return np.empty(shape, dtype) if ws is None else ws.get(name, shape, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -158,50 +155,50 @@ def _log_weights(rho, nu, log_lam, t, ws):
     e = exp(l - m) and s = sum_j e_j, so that q = e / s and
     log sum_j exp(l_j) = m + log s.  The only exp over agents."""
     minus_rho = -_per_agent(rho, log_lam)
-    rho_t = np.multiply(minus_rho, t, out=buffer(
-        ws, "rho_t", np.broadcast_shapes(minus_rho.shape, np.shape(t))))
-    l = np.add(rho_t, log_lam, out=buffer(ws, "l", log_lam.shape))
+    rho_t = np.multiply(minus_rho, t, out=ws.get(
+        "agents_tmp", np.broadcast_shapes(minus_rho.shape, np.shape(t))))
+    l = np.add(rho_t, log_lam, out=ws.get("l", log_lam.shape))
     l -= _per_agent(np.log(nu), log_lam)
-    m = np.max(l, axis=0, out=buffer(ws, "m", l.shape[1:]))
+    m = np.max(l, axis=0, out=ws.get("m", l.shape[1:]))
     l -= m
     e = np.exp(l, out=l)
-    return m, e, np.sum(e, axis=0, out=buffer(ws, "s", l.shape[1:]))
+    return m, e, np.sum(e, axis=0, out=ws.get("s", l.shape[1:]))
 
 
 def _wealth_moments(rho, e, s, alpha, ws):
     """(PD, a): PD = sum_j q_j / rho_j, and a, the drift average under
     wealth weights proportional to q_j / rho_j."""
-    u = np.divide(e, _per_agent(rho, e), out=buffer(ws, "u", e.shape))
-    su = np.sum(u, axis=0, out=buffer(ws, "su", s.shape))
+    u = np.divide(e, _per_agent(rho, e), out=ws.get("agents_tmp", e.shape))
+    su = np.sum(u, axis=0, out=ws.get("tmp", s.shape))
     u *= alpha
-    pd = np.divide(su, s, out=buffer(ws, "pd", s.shape))
-    a = np.sum(u, axis=0, out=buffer(ws, "a", s.shape))
+    pd = np.divide(su, s, out=ws.get("pd", s.shape))
+    a = np.sum(u, axis=0, out=ws.get("a", s.shape))
     return pd, np.divide(a, su, out=a)
 
 
 def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment, ws):
     """(r, kappa, alphabar, rhobar) from the consumption shares q."""
     shape = q.shape[1:]
-    product = np.multiply(q, alpha, out=buffer(ws, "product", q.shape))
-    alphabar = np.sum(product, axis=0, out=buffer(ws, "alphabar", shape))
+    product = np.multiply(q, alpha, out=ws.get("agents_tmp", q.shape))
+    alphabar = np.sum(product, axis=0, out=ws.get("alphabar", shape))
     np.multiply(q, _per_agent(rho, q), out=product)
-    rhobar = np.sum(product, axis=0, out=buffer(ws, "rhobar", shape))
+    rhobar = np.sum(product, axis=0, out=ws.get("rhobar", shape))
     # r = rhobar + sigma * (drift_adjustment + alphabar) - sigma^2
-    r = np.add(alphabar, drift_adjustment, out=buffer(ws, "rate", shape))
+    r = np.add(alphabar, drift_adjustment, out=ws.get("rate", shape))
     r *= sigma
     r += rhobar
     r -= sigma * sigma
-    kappa = np.subtract(sigma, alphabar, out=buffer(ws, "kappa", shape))
+    kappa = np.subtract(sigma, alphabar, out=ws.get("kappa", shape))
     return r, kappa, alphabar, rhobar
 
 
-def _check_volatility(a, kappa, ws=None):
+def _check_volatility(a, kappa, ws):
     """Raise SingularMarketError where the stock volatility a + kappa
     vanishes."""
     shape = np.broadcast_shapes(np.shape(a), np.shape(kappa))
-    vol = np.add(a, kappa, out=buffer(ws, "vol", shape))
+    vol = np.add(a, kappa, out=ws.get("tmp", shape))
     np.abs(vol, out=vol)
-    if np.any(np.less(vol, _SINGULAR_TOL, out=buffer(ws, "mask", shape, bool))):
+    if np.any(np.less(vol, _SINGULAR_TOL, out=ws.get("mask", shape, bool))):
         raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
 
 
@@ -212,7 +209,7 @@ def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
     Raises SingularMarketError where the stock volatility denominator
     a + kappa vanishes.
     """
-    _check_volatility(a, kappa)
+    _check_volatility(a, kappa, Workspace())
     consumption = dividend * q
     wealth = consumption / _per_agent(rho, q)
     # unit net supply: holdings are each agent's share of
@@ -296,28 +293,19 @@ def driver_batches(horizon: float, dt: float, seed: int, n_paths: int,
                        range(start, min(start + size, n_paths)))
 
 
-def dividend_path(spec: MarketSpec, times, x, ws: Optional[Workspace] = None):
+def dividend_path(spec: MarketSpec, times, x, ws: Workspace):
     """delta on the grid from driver values x of any leading path shape:
     d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt."""
     log_delta = np.multiply(x, spec.sigma,
-                            out=buffer(ws, "dividend", np.shape(x)))
+                            out=ws.get("dividend", np.shape(x)))
     log_delta += math.log(spec.initial_dividend)
     log_delta += np.multiply(
         times, spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2,
-        out=buffer(ws, "dividend_drift", np.shape(times)))
+        out=ws.get("tmp", np.shape(times)))
     return np.exp(log_delta, out=log_delta)
 
 
-def simulate_driver(spec: MarketSpec, horizon: float, dt: float, seed: int,
-                    path_index: int = 0):
-    """Simulate (times, X, delta) under the reference measure; deterministic
-    given (seed, path_index)."""
-    times, x = _drivers(horizon, dt, seed, (path_index,))
-    return times, x[0], dividend_path(spec, times, x[0])
-
-
-def log_ratio_paths(spec: MarketSpec, times, x,
-                    ws: Optional[Workspace] = None):
+def log_ratio_paths(spec: MarketSpec, times, x, ws: Workspace):
     """Per-agent (log Lambda, believed drift) along driver paths.
 
     Both are exact on the grid: constant-drift agents get the exponential
@@ -326,8 +314,8 @@ def log_ratio_paths(spec: MarketSpec, times, x,
     arrays of shape (J, ..., n+1).
     """
     shape = (len(spec.agents),) + np.shape(x)
-    log_lam = buffer(ws, "log_lam", shape)
-    alpha = buffer(ws, "alpha", shape)
+    log_lam = ws.get("log_lam", shape)
+    alpha = ws.get("alpha", shape)
     for j, agent in enumerate(spec.agents):
         b = agent.belief
         if isinstance(b, ConstantDrift):
@@ -335,7 +323,7 @@ def log_ratio_paths(spec: MarketSpec, times, x,
             np.multiply(x, b.drift, out=log_lam[j])
             log_lam[j] -= np.multiply(
                 times, 0.5 * b.drift**2,
-                out=buffer(ws, "log_lam_drift", np.shape(times)))
+                out=ws.get("tmp", np.shape(times)))
         else:
             alpha[j] = drift_at(b, times, x)
             log_lam[j] = bayesian_log_ratio_closed_form(b, times, x)
@@ -360,12 +348,11 @@ class MarketState(NamedTuple):
     ic_suspect: bool   # PD exceeded PD_DIVERGENCE_LIMIT somewhere
 
 
-def market_state(spec: MarketSpec, times, x,
-                 ws: Optional[Workspace] = None) -> MarketState:
+def market_state(spec: MarketSpec, times, x, ws: Workspace) -> MarketState:
     """What the moments and the numeric guards need, in one exp pass over
     agent-major arrays; no path is tied to another, so x may hold any
     number of paths.  Raises SingularMarketError where a + kappa vanishes.
-    With ws, every array of the state lives in ws until its next use."""
+    Every array of the state lives in ws until its next use."""
     rho, nu = spec.arrays()
     log_lam, alpha = log_ratio_paths(spec, times, x, ws)
     m, e, s = _log_weights(rho, nu, log_lam, times, ws)
@@ -375,7 +362,7 @@ def market_state(spec: MarketSpec, times, x,
         rho, q, alpha, spec.sigma, spec.drift_adjustment, ws)
     _check_volatility(a, kappa, ws)
     diverged = np.greater(pd, PD_DIVERGENCE_LIMIT,
-                          out=buffer(ws, "mask", pd.shape, bool))
+                          out=ws.get("mask", pd.shape, bool))
     return MarketState(log_lam, alpha, q, m, s, pd, a, r, kappa, abar, rhobar,
                        bool(np.any(diverged)))
 
@@ -467,20 +454,18 @@ class EquilibriumPath:
         write_rows(fp, table, lambda r: row % tuple(r))
 
 
-def evaluate_grid(spec: MarketSpec, times, x, dividend, dt) -> EquilibriumPath:
-    """The equilibrium along a given driver/dividend path."""
-    return EquilibriumPath(spec, times, x, dividend,
-                           market_state(spec, times, x), dt)
-
-
 def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,
                   path_index: int = 0) -> EquilibriumPath:
-    """Simulate one equilibrium path; deterministic given (seed, path_index)."""
-    times, x, dividend = simulate_driver(spec, horizon, dt, seed, path_index)
-    path = evaluate_grid(spec, times, x, dividend, dt)
-    path.seed = seed
-    path.path_index = path_index
-    return path
+    """Simulate one equilibrium path under the reference measure;
+    deterministic given (seed, path_index).  Each kernel call gets a
+    workspace of its own that the path does not keep, so the path owns its
+    arrays and the intermediate buffers are freed."""
+    times, x = _drivers(horizon, dt, seed, (path_index,))
+    x = x[0]
+    return EquilibriumPath(spec, times, x,
+                           dividend_path(spec, times, x, Workspace()),
+                           market_state(spec, times, x, Workspace()),
+                           dt, seed, path_index)
 
 
 def simulate_paths(spec: MarketSpec, horizon: float, dt: float, seed: int,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beliefmkt import equilibrium
 from beliefmkt.beliefs import ConstantDrift
 from beliefmkt.equilibrium import AgentSpec, MarketSpec
 
@@ -20,6 +21,13 @@ def benchmark_market() -> MarketSpec:
     )
     return MarketSpec(sigma=BENCHMARK_SIGMA,
                       drift_adjustment=BENCHMARK_ALPHA_STAR, agents=agents)
+
+
+def driver_path(spec, horizon, dt, seed, path_index=0):
+    """(times, X, delta) of one path, drawn as simulate_path draws them."""
+    times, x = equilibrium._drivers(horizon, dt, seed, (path_index,))
+    return times, x[0], equilibrium.dividend_path(spec, times, x[0],
+                                                  equilibrium.Workspace())
 
 
 @pytest.fixture

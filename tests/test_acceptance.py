@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefmkt.beauty import (ContestSpec, best_response, clearing_weights,
+from beliefmkt.beauty import (ContestSpec, clearing_weights,
                               pareto_faked_equilibrium, truthful_equilibrium,
                               welfare_comparison)
 from beliefmkt.beliefs import (BeliefState, DiscreteBelief, initial_state,
@@ -24,6 +24,7 @@ from beliefmkt.equilibrium import (AgentSpec, MarketSpec, simulate_path,
 from beliefmkt.beliefs import ConstantDrift
 from beliefmkt.feedback import FeedbackConfig, diligence_sweep, run_feedback
 from conftest import benchmark_market
+from test_beauty import best_response
 
 
 def report_line(label, ok, detail=""):

@@ -1,13 +1,14 @@
+from typing import Dict, Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from beliefmkt.beauty import (ContestSpec, best_response, clearing_weights,
-                              deviation_gains, format_solution,
-                              pareto_faked_equilibrium, truthful_equilibrium,
-                              welfare_comparison)
+from beliefmkt.beauty import (ContestSpec, _objective, clearing_weights,
+                              format_solution, pareto_faked_equilibrium,
+                              truthful_equilibrium, welfare_comparison)
 from beliefmkt.errors import ConfigError
 
 
@@ -21,6 +22,52 @@ def random_spec(rng, n=None):
     n = n or rng.integers(2, 7)
     return spec_from(rng.uniform(0.2, 5.0, n), rng.normal(0.0, 2.0, n),
                      rng.uniform(0.2, 5.0, n))
+
+
+# ---------------------------------------------------------------------------
+# oracles: unilateral deviations from a professed profile
+
+
+def best_response(spec: ContestSpec, professed: np.ndarray, j: int) -> float:
+    """Agent j's optimal professed mean holding the others fixed.
+
+    Maximizes (a_j - F)(alpha_j - a_j) + (a_j - F)^2 / 2 over a_j, where
+    F = sum_i p_i a_i moves with a_j.  Strictly concave, so the first-order
+    condition a_j = [(1-p_j) alpha_j + p_j sum_{i != j} p_i a_i] / (1-p_j^2)
+    is the maximizer.
+    """
+    p = clearing_weights(spec)
+    others = float(p @ professed - p[j] * professed[j])
+    return ((1.0 - p[j]) * spec.mean_belief[j] + p[j] * others) \
+        / (1.0 - p[j] ** 2)
+
+
+def deviation_gains(spec: ContestSpec,
+                    faking: Sequence[int]) -> Dict[int, float]:
+    """Gain available to each truthful agent, given that the agents in
+    ``faking`` play the Pareto profile values and everyone else is truthful.
+
+    For each agent outside ``faking``, reports the objective improvement
+    from unilaterally switching to the best response.
+    """
+    faking = set(faking)
+    pareto = pareto_faked_equilibrium(spec)
+    p = clearing_weights(spec)
+    professed = spec.mean_belief.copy()
+    for j in faking:
+        professed[j] = pareto.professed[j]
+    gains = {}
+    for j in range(spec.n_agents):
+        if j in faking:
+            continue
+        price = float(p @ professed)
+        base_obj, _ = _objective(spec, professed, price)
+        trial = professed.copy()
+        trial[j] = best_response(spec, professed, j)
+        trial_price = float(p @ trial)
+        trial_obj, _ = _objective(spec, trial, trial_price)
+        gains[j] = float(trial_obj[j] - base_obj[j])
+    return gains
 
 
 # ---------------------------------------------------------------------------

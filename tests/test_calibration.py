@@ -15,10 +15,10 @@ from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
                                    draw_drivers, evaluate_point,
                                    fit_parameters,
                                    ingest_price_dividend_csv, moment_loss)
-from beliefmkt.equilibrium import (AgentSpec, MarketSpec, simulate_driver,
+from beliefmkt.equilibrium import (AgentSpec, MarketSpec, Workspace,
                                    simulate_path)
 from beliefmkt.errors import ConfigError, SingularMarketError
-from conftest import benchmark_market
+from conftest import benchmark_market, driver_path
 
 
 def single_agent_market(sigma=0.2, alpha=0.0, rho=0.05):
@@ -333,8 +333,8 @@ def test_drawn_drivers_are_the_per_path_drivers():
     rows = np.concatenate([x for _, x in drivers])
     spec = single_agent_market()
     for p, row in enumerate(rows):
-        times, x, _ = simulate_driver(spec, problem.horizon, problem.dt,
-                                      problem.seed, p)
+        times, x, _ = driver_path(spec, problem.horizon, problem.dt,
+                                  problem.seed, p)
         assert np.array_equal(row, x)
         assert np.array_equal(drivers[0][0], times)
     fewer = draw_drivers(oracle_problem(1, n_paths=7, horizon=20.0,
@@ -345,16 +345,16 @@ def test_drawn_drivers_are_the_per_path_drivers():
 def test_reused_workspace_equals_fresh_arrays():
     # two batch shapes (a remainder batch) share one workspace; every call,
     # with another point evaluated in between, equals by == an evaluation
-    # on fresh arrays
+    # in a fresh workspace
     problem = oracle_problem(2, n_paths=13, horizon=40.0, dt=1 / 252, seed=5)
     drivers = draw_drivers(problem)
     assert len({x.shape for _, x in drivers}) == 2
     fresh = draw_drivers(problem)
-    fresh.workspace = None
     rng = np.random.default_rng(41)
     points = [random_point(rng, 2, False) for _ in range(2)]
     for values in points + points:
         got = evaluate_point(problem, values, DEFAULT_TARGETS, drivers)
+        fresh.workspace = Workspace()
         want = evaluate_point(problem, values, DEFAULT_TARGETS, fresh)
         assert got[0] == want[0]
         assert got[1] == want[1]  # all 8 moments, by ==

@@ -1,8 +1,6 @@
-import io
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 import warnings
@@ -14,8 +12,9 @@ import pytest
 from beliefmkt.beauty import (pareto_faked_equilibrium, truthful_equilibrium,
                               welfare_comparison)
 from beliefmkt import __version__
-from beliefmkt.cli import _simulate_one, main
-from beliefmkt.config import parse_contest, parse_simulate, parse_targets
+from beliefmkt.cli import main
+from beliefmkt.config import (MAX_COUNT, _get, parse_contest, parse_feedback,
+                              parse_targets)
 from conftest import assert_same_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -114,31 +113,6 @@ def test_seed_and_paths_overrides_change_output(tmp_path):
           "--paths", "2"])
     manifest = json.loads((out_c / "manifest.json").read_text())
     assert manifest["config"]["n_paths"] == 2
-
-
-def test_parallel_runs_match_sequential(tmp_path):
-    cfg = write_config(tmp_path, tiny_market_config())
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["simulate-log", "--config", str(cfg), "--out", str(out_a)])
-    main(["simulate-log", "--config", str(cfg), "--out", str(out_b),
-          "--parallel", "2"])
-    assert read_tree(out_a) == read_tree(out_b)
-
-
-def test_parallel_worker_path_pickles_without_derived_arrays():
-    # what a --parallel worker sends back: the market state, not the
-    # portfolio arrays, which the receiving side derives on demand
-    spec, horizon, dt, _, seed, _ = parse_simulate(tiny_market_config())
-    path = _simulate_one((spec, horizon, dt, seed, 1))
-    restored = pickle.loads(pickle.dumps(path))
-    assert set(vars(restored)) == {"spec", "times", "x", "dividend", "state",
-                                   "dt", "seed", "path_index"}
-    texts = []
-    for p in (path, restored):
-        fp = io.StringIO()
-        p.write_csv(fp)
-        texts.append(fp.getvalue())
-    assert texts[0] == texts[1]
 
 
 def test_config_error_names_field_and_exits_2(tmp_path, capsys):
@@ -275,6 +249,76 @@ def test_non_finite_number_exits_2_before_writing(tmp_path, capsys,
     out = tmp_path / "out"
     assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{field}: must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_HUGE = 10 ** 30   # a count no array can hold
+
+
+_OVER_CEILING = [
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"], n_steps=_HUGE), "n_steps"),
+    ("feedback", {"n_agents": 4, "years": 1e300}, "years"),
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"], n_agents=_HUGE),
+     "n_agents"),
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"], seed_sweep=_HUGE),
+     "seed_sweep"),
+    ("simulate-log", tiny_market_config(n_paths=_HUGE), "n_paths"),
+    ("simulate-log", tiny_market_config(horizon_years=1e300),
+     "horizon_years"),
+    ("fit", _fit_config(n_paths=MAX_COUNT + 1), "n_paths"),
+    ("fit", _fit_config(max_iterations=_HUGE), "max_iterations"),
+    ("fit", _fit_config(horizon_years=1e300), "horizon_years"),
+]
+
+
+@pytest.mark.parametrize("subcommand, payload, field", _OVER_CEILING,
+                         ids=[f"{c[0]}-{c[2]}" for c in _OVER_CEILING])
+def test_count_over_ceiling_exits_2_before_writing(tmp_path, capsys,
+                                                   subcommand, payload,
+                                                   field):
+    # a count past MAX_COUNT, set or implied (span / dt), names its field
+    # instead of failing mid-run with a traceback
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and f"at most {MAX_COUNT}" in err
+    assert not out.exists()
+
+
+def test_count_at_ceiling_is_accepted():
+    assert _get({"n": MAX_COUNT}, "n", int, positive=True) == MAX_COUNT
+    steps = parse_feedback({"n_agents": 4, "years": MAX_COUNT / 252}).n_steps
+    assert steps == MAX_COUNT
+
+
+# simulate-log runs its paths in one process: sending a path back from a
+# worker costs more than computing it, so it has no --parallel either
+_UNREAD_FLAGS = [
+    ("simulate-log", "--parallel"), ("fit", "--parallel"),
+    ("beauty", "--paths"), ("beauty", "--seed"), ("beauty", "--parallel"),
+    ("ingest", "--paths"), ("ingest", "--seed"), ("ingest", "--parallel"),
+    ("feedback", "--paths")]
+
+
+@pytest.mark.parametrize("subcommand, flag", _UNREAD_FLAGS)
+def test_unread_flag_exits_2_before_writing(tmp_path, capsys, subcommand,
+                                            flag):
+    # a flag is registered only where it is read, so it cannot be silently
+    # ignored and recorded in the manifest as if it had been used
+    configs = {"simulate-log": write_config(tmp_path, tiny_market_config()),
+               "beauty": REPO / "configs" / "contest_two_agent.json",
+               "ingest": REPO / "configs" / "ingest_sample.json",
+               "fit": write_config(tmp_path, _SEEDED_CONFIGS["fit"],
+                                   "fit.json"),
+               "feedback": write_config(tmp_path, _SEEDED_CONFIGS["feedback"],
+                                        "feedback.json")}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--config", str(configs[subcommand]),
+              "--out", str(out), flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,14 +12,13 @@ from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
                                bayesian_log_ratio_closed_form)
 from beliefmkt import equilibrium
 from beliefmkt.calibration import compute_moments
-from beliefmkt.equilibrium import (AgentSpec, MarketSpec,
-                                   evaluate_grid, log_ratio_paths,
-                                   market_state, simulate_driver,
+from beliefmkt.equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
+                                   Workspace, log_ratio_paths, market_state,
                                    simulate_path, simulate_paths,
                                    solve_market_clearing, trade_volume,
                                    wealth_and_portfolios)
 from beliefmkt.errors import ConfigError, SingularMarketError
-from conftest import assert_same_text, benchmark_market
+from conftest import assert_same_text, benchmark_market, driver_path
 
 
 def two_agent_market(alphas=(0.2, -0.2), rhos=(0.05, 0.05), nus=(1.0, 1.0),
@@ -49,10 +48,16 @@ def zero_drift_market(rho, nu, log_lam=0.0, sigma=0.3):
         for r, w in zip(rho, weights)))
 
 
+def grid_path(spec, times, x, dividend, dt):
+    """The equilibrium along a given driver and dividend path."""
+    return EquilibriumPath(spec, times, x, dividend,
+                           market_state(spec, times, x, Workspace()), dt)
+
+
 def at_point(spec, t=0.0, x=0.0, dividend=1.0):
     """The equilibrium on the one-point grid (t, X_t = x)."""
-    return evaluate_grid(spec, np.array([t]), np.array([x]),
-                         np.array([dividend]), 1.0)
+    return grid_path(spec, np.array([t]), np.array([x]),
+                     np.array([dividend]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +96,8 @@ def test_sigma_must_be_positive():
 
 def test_driver_is_deterministic():
     spec = two_agent_market()
-    a = simulate_driver(spec, 2.0, 1 / 252, seed=42)
-    b = simulate_driver(spec, 2.0, 1 / 252, seed=42)
+    a = driver_path(spec, 2.0, 1 / 252, seed=42)
+    b = driver_path(spec, 2.0, 1 / 252, seed=42)
     for left, right in zip(a, b):
         np.testing.assert_array_equal(left, right)
 
@@ -100,7 +105,7 @@ def test_driver_is_deterministic():
 def test_driver_log_growth_moment():
     spec = two_agent_market(sigma=0.4, astar=0.12)
     dt = 1 / 252
-    _, _, dividend = simulate_driver(spec, 1_000_000 * dt, dt, seed=9)
+    _, _, dividend = driver_path(spec, 1_000_000 * dt, dt, seed=9)
     dlog = np.diff(np.log(dividend))
     target = (spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2) * dt
     se = dlog.std(ddof=1) / math.sqrt(len(dlog))
@@ -155,9 +160,9 @@ def test_pd_homogeneous_beliefs_deterministic():
 
 def test_pd_never_depends_on_dividend():
     spec = benchmark_market()
-    times, x, dividend = simulate_driver(spec, 5.0, 1 / 252, seed=3)
-    path_a = evaluate_grid(spec, times, x, dividend, 1 / 252)
-    path_b = evaluate_grid(spec, times, x, dividend * 17.3, 1 / 252)
+    times, x, dividend = driver_path(spec, 5.0, 1 / 252, seed=3)
+    path_a = grid_path(spec, times, x, dividend, 1 / 252)
+    path_b = grid_path(spec, times, x, dividend * 17.3, 1 / 252)
     np.testing.assert_array_equal(path_a.pd_ratio, path_b.pd_ratio)
 
 
@@ -237,13 +242,13 @@ def test_degenerate_stock_volatility_raises():
         wealth_and_portfolios(rho, np.array([0.5, 0.5]), alpha, 1.0,
                               sigma, -sigma)
     with pytest.raises(SingularMarketError):
-        market_state(spec, np.zeros(1), np.zeros(1))
+        market_state(spec, np.zeros(1), np.zeros(1), Workspace())
     # the path kernel hits the same point at t = 0 and must raise too
     with pytest.raises(SingularMarketError):
         simulate_path(spec, 1.0, 1 / 52, seed=0)
-    times, x, dividend = simulate_driver(spec, 1.0, 1 / 52, seed=0)
+    times, x, dividend = driver_path(spec, 1.0, 1 / 52, seed=0)
     with pytest.raises(SingularMarketError):
-        evaluate_grid(spec, times, x, dividend, 1 / 52)
+        grid_path(spec, times, x, dividend, 1 / 52)
 
 
 def test_negative_seed_raises_config_error():
@@ -313,8 +318,8 @@ def test_evaluate_grid_matches_reference(n_agents, common_rho, offset):
         for r, a, n in zip(rhos, rng.uniform(-0.1, 0.1, n_agents), log_nu))
     spec = MarketSpec(sigma=rng.uniform(0.3, 0.6),
                       drift_adjustment=rng.normal(0.0, 0.05), agents=agents)
-    times, x, dividend = simulate_driver(spec, 2.0, 1 / 52, seed=n_agents)
-    path = evaluate_grid(spec, times, x, dividend, 1 / 52)
+    times, x, dividend = driver_path(spec, 2.0, 1 / 52, seed=n_agents)
+    path = grid_path(spec, times, x, dividend, 1 / 52)
     want = reference_grid(spec, times, x, dividend)
     if not common_rho and n_agents > 1:
         assert np.all(np.isnan(path.trade))
@@ -450,18 +455,18 @@ def test_batch_of_paths_equals_row_by_row():
                   weight=0.174),
         AgentSpec(impatience=0.01, belief=BayesianGaussian(0.3, 0.5),
                   weight=1.0)))
-    drivers = [simulate_driver(spec, 3.0, 1 / 52, seed=4, path_index=p)
+    drivers = [driver_path(spec, 3.0, 1 / 52, seed=4, path_index=p)
                for p in range(5)]
     times = drivers[0][0]
     x = np.stack([d[1] for d in drivers])
-    log_lam, alpha = log_ratio_paths(spec, times, x)
+    log_lam, alpha = log_ratio_paths(spec, times, x, Workspace())
     assert log_lam.shape == alpha.shape == (3, 5, len(times))
-    batch = market_state(spec, times, x)
+    batch = market_state(spec, times, x, Workspace())
     for p, (_, row, dividend) in enumerate(drivers):
-        row_lam, row_alpha = log_ratio_paths(spec, times, row)
+        row_lam, row_alpha = log_ratio_paths(spec, times, row, Workspace())
         assert np.array_equal(log_lam[:, p], row_lam)
         assert np.array_equal(alpha[:, p], row_alpha)
-        path = evaluate_grid(spec, times, row, dividend, 1 / 52)
+        path = grid_path(spec, times, row, dividend, 1 / 52)
         assert np.array_equal(batch.q[:, p], path.q.T)
         for name in ("pd_ratio", "rate", "kappa", "wealth_drift",
                      "mean_drift", "mean_impatience"):
@@ -471,8 +476,9 @@ def test_batch_of_paths_equals_row_by_row():
 
 def test_workspace_kernel_equals_fresh_arrays():
     # the kernel and the dividend written into one workspace, for two
-    # markets in turn (learners included), equal fresh arrays by ==; a
-    # later call overwrites the arrays an earlier one returned
+    # markets in turn (learners included), equal by == what a fresh
+    # workspace gives; a later call overwrites the arrays an earlier one
+    # returned
     def market(alpha):
         return MarketSpec(sigma=0.517, drift_adjustment=-0.01, agents=(
             AgentSpec(impatience=0.131, belief=ConstantDrift(alpha),
@@ -486,11 +492,12 @@ def test_workspace_kernel_equals_fresh_arrays():
     for alpha in (0.21, -0.3, 0.21):
         spec = market(alpha)
         got = market_state(spec, times, x, ws)
-        want = market_state(spec, times, x)
+        want = market_state(spec, times, x, Workspace())
         for name, g, w in zip(want._fields, got, want):
             assert np.array_equal(g, w), name
         assert np.array_equal(equilibrium.dividend_path(spec, times, x, ws),
-                              equilibrium.dividend_path(spec, times, x))
+                              equilibrium.dividend_path(spec, times, x,
+                                                        Workspace()))
         assert got.pd_ratio is first.pd_ratio and got.q is first.q
 
 
