@@ -1,0 +1,96 @@
+"""Write every output that a bit-identity check compares, to diff two
+checkouts.
+
+    python scripts/identity_outputs.py OUT
+
+Imports beliefmkt from the src/ of the checkout this script is in and
+writes under OUT:
+
+* ``cli/<name>/``: the CLI outputs of each shipped ``configs/<name>.json``,
+  plus ``cli/learner/``, benchmark3's market with its third agent a
+  Bayesian learner (2 written paths of 50 years), the only run that
+  reaches the learner branch of the kernel;
+* ``cli/<name>-replay/``: each of those runs replayed from its
+  ``manifest.json``;
+* ``moments.txt``: the ``repr`` of 24 moment reports, 200 paths of 50
+  years of ``configs/benchmark3.json`` at master seeds seed .. seed+23;
+* ``fits.txt``: the ``repr`` of 48 fits of
+  ``configs/fit_default_targets.json`` at search seeds seed .. seed+47.
+
+Run it in both checkouts (copy it into the older one if it is missing
+there), then ``diff -r OUT_A OUT_B``: no output means every output is
+identical.  It takes under a minute on a 2-core Xeon.
+"""
+
+import argparse
+import dataclasses
+import json
+import os
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from beliefmkt import calibration, cli, config, equilibrium  # noqa: E402
+
+
+def run_cli(subcommand, cfg_path, out):
+    if cli.main([subcommand, "--config", str(cfg_path),
+                 "--out", str(out)]) != 0:
+        raise SystemExit(f"{subcommand} --config {cfg_path} failed")
+
+
+def cli_outputs(out):
+    runs = {}
+    for path in sorted((REPO / "configs").glob("*.json")):
+        runs[path.stem] = (json.loads(path.read_text())["subcommand"], path)
+    learner = json.loads((REPO / "configs" / "benchmark3.json").read_text())
+    learner["market"]["agents"][2]["belief"] = {
+        "type": "bayesian", "prior_mean": -0.05, "prior_precision": 2.0}
+    learner.update(n_paths=2, write_paths=2)
+    out.mkdir(parents=True)
+    learner_path = out / "learner.json"
+    learner_path.write_text(json.dumps(learner))
+    runs["learner"] = ("simulate-log", learner_path)
+    for name, (subcommand, cfg_path) in runs.items():
+        run_cli(subcommand, cfg_path, out / name)
+        run_cli(subcommand, out / name / "manifest.json",
+                out / f"{name}-replay")
+    learner_path.unlink()
+
+
+def moment_reports(out):
+    cfg = config.load_config(str(REPO / "configs" / "benchmark3.json"))
+    spec, horizon, dt, _, seed, _ = config.parse_simulate(cfg)
+    with open(out, "w") as fp:
+        for k in range(24):
+            report = calibration.compute_moments(equilibrium.simulate_paths(
+                spec, horizon, dt, seed + k, 200))
+            fp.write(f"{seed + k} {report!r}\n")
+
+
+def fits(out):
+    cfg = config.load_config(str(REPO / "configs" /
+                                 "fit_default_targets.json"))
+    problem, targets = config.parse_fit(cfg), config.parse_targets(cfg)
+    with open(out, "w") as fp:
+        for k in range(48):
+            result = calibration.fit_parameters(
+                dataclasses.replace(problem, seed=problem.seed + k), targets)
+            fp.write(f"{problem.seed + k} {result!r}\n")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", help="output directory (must not exist)")
+    out = Path(ap.parse_args().out).resolve()
+    out.mkdir(parents=True, exist_ok=False)
+    os.chdir(REPO)  # configs name their input files relative to the root
+    cli_outputs(out / "cli")
+    moment_reports(out / "moments.txt")
+    fits(out / "fits.txt")
+
+
+if __name__ == "__main__":
+    main()

@@ -22,8 +22,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .equilibrium import (PD_DIVERGENCE_LIMIT, AgentSpec, MarketSpec,
-                          Workspace, dividend_path, driver_batches,
-                          market_state)
+                          dividend_path, driver_batches, market_state)
 from .beliefs import ConstantDrift
 from .errors import ConfigError, NumericError
 from .numerics import nelder_mead
@@ -82,13 +81,12 @@ class _Pool:
         self.s = []
         self.s2 = []
 
-    def add(self, values, ws):
+    def add(self, values):
         v = np.asarray(values, dtype=float)
         sums = v.sum(axis=-1).ravel()
         self.n.extend([float(v.shape[-1])] * sums.size)
         self.s.extend(sums.tolist())
-        square = np.multiply(v, v, out=ws.get("square", v.shape))
-        self.s2.extend(square.sum(axis=-1).ravel().tolist())
+        self.s2.extend((v * v).sum(axis=-1).ravel().tolist())
 
     def mean(self):
         return math.fsum(self.s) / math.fsum(self.n)
@@ -107,20 +105,14 @@ class _Moments:
         self.dt = dt
         self.pd, self.rate, self.ret = _Pool(), _Pool(), _Pool()
 
-    def add(self, state, dividend, ws):
+    def add(self, state, dividend):
         """The MarketState and dividend of one path, or of a batch with one
-        path per row along the last axis; ws holds the temporaries."""
-        self.pd.add(state.pd_ratio, ws)
-        self.rate.add(state.rate, ws)
-        stock = np.multiply(dividend, state.pd_ratio,
-                            out=ws.get("stock", dividend.shape))
-        # (S_{k+1} + delta_k dt - S_k) / S_k
-        ret = np.multiply(dividend[..., :-1], self.dt,
-                          out=ws.get("return", stock[..., 1:].shape))
-        ret += stock[..., 1:]
-        ret -= stock[..., :-1]
-        ret /= stock[..., :-1]
-        self.ret.add(ret, ws)
+        path per row along the last axis."""
+        self.pd.add(state.pd_ratio)
+        self.rate.add(state.rate)
+        stock = dividend * state.pd_ratio
+        self.ret.add((stock[..., 1:] + dividend[..., :-1] * self.dt
+                      - stock[..., :-1]) / stock[..., :-1])
 
     def report(self) -> MomentReport:
         mean_ret = self.ret.mean() / self.dt
@@ -142,13 +134,12 @@ def compute_moments(paths) -> MomentReport:
     Paths must share their grid spacing.  Raises ConfigError on empty input.
     """
     moments = None
-    ws = Workspace()
     for path in paths:
         if moments is None:
             moments = _Moments(path.dt)
         elif path.dt != moments.dt:
             raise ConfigError("paths do not share a common grid spacing")
-        moments.add(path.state, path.dividend, ws)
+        moments.add(path.state, path.dividend)
     if moments is None:
         raise ConfigError("compute_moments needs at least one path")
     return moments.report()
@@ -282,8 +273,8 @@ class CalibrationProblem:
             raise ConfigError("seed must be >= 0")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if not self.horizon > 0.0:
-            raise ConfigError("horizon must be > 0")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be finite and > 0")
         if not 0.0 < self.dt <= self.horizon:
             raise ConfigError("dt: must be > 0 and not exceed the horizon")
         names = [p.name for p in self.free]
@@ -355,21 +346,12 @@ def moment_loss(report: MomentReport, targets: MomentReport) -> float:
 _BATCH_POINTS = 1 << 16
 
 
-class DriverBatches(list):
-    """A list of (times, X) batches of whole driver paths, with the
-    ``Workspace`` that every evaluation on them reuses."""
-
-    def __init__(self, batches):
-        super().__init__(batches)
-        self.workspace = Workspace()
-
-
-def draw_drivers(problem: CalibrationProblem) -> DriverBatches:
-    """The problem's common random numbers: its driver paths, in batches
-    of whole paths.  A search draws them once."""
-    return DriverBatches(driver_batches(problem.horizon, problem.dt,
-                                        problem.seed, problem.n_paths,
-                                        _BATCH_POINTS // problem.n_agents))
+def draw_drivers(problem: CalibrationProblem):
+    """The problem's common random numbers: its driver paths, as a list of
+    (times, X) batches of whole paths.  A search draws them once."""
+    return list(driver_batches(problem.horizon, problem.dt, problem.seed,
+                               problem.n_paths,
+                               _BATCH_POINTS // problem.n_agents))
 
 
 def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
@@ -377,18 +359,16 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
                    drivers=None) -> Tuple[float, MomentReport]:
     """Loss and moment report at one parameter point, with common random
     numbers (the same path seeds on every call).  Each batch of ``drivers``
-    (default: ``draw_drivers(problem)``) is evaluated as one array, in the
-    arrays of ``drivers.workspace``."""
+    (default: ``draw_drivers(problem)``) is evaluated as one array."""
     if drivers is None:
         drivers = draw_drivers(problem)
-    ws = drivers.workspace
     spec = build_market(values, problem.n_agents)
     moments = _Moments(problem.dt)
     ic = False
     for times, x in drivers:
-        state = market_state(spec, times, x, ws)
+        state = market_state(spec, times, x)
         ic = ic or state.ic_suspect
-        moments.add(state, dividend_path(spec, times, x, ws), ws)
+        moments.add(state, dividend_path(spec, times, x))
     report = moments.report()
     loss = math.inf if ic else moment_loss(report, targets)
     return loss, report
@@ -421,8 +401,7 @@ def fit_parameters(problem: CalibrationProblem,
     with xatol 1e-4 and fatol 1e-6) on logistic-transformed coordinates
     keeps every trial point inside its box; non-finite losses (e.g.
     transversality violations) reject the point.  Deterministic given
-    problem.seed.  Every evaluation reuses the arrays of one workspace.
-    Raises NumericError when no trial point has a finite loss.
+    problem.seed.  Raises NumericError when no trial point has a finite loss.
     """
     names = [p.name for p in problem.free]
     lower = np.array([p.lower for p in problem.free])

@@ -270,7 +270,12 @@ def parse_fit(cfg) -> CalibrationProblem:
         seed=_seed(cfg),
         max_iterations=_get(cfg, "max_iterations", int, default=200,
                             positive=True))
-    _step_count(problem.horizon, problem.dt, "horizon_years")
+    # a search keeps all of its driver paths, so their points are a count
+    points = problem.n_paths * (
+        _step_count(problem.horizon, problem.dt, "horizon_years") + 1)
+    if points > MAX_COUNT:
+        raise ConfigError(f"n_paths: n_paths x (horizon_years/dt + 1) grid "
+                          f"points must be at most {MAX_COUNT}")
     return problem
 
 

@@ -37,15 +37,6 @@ A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``
 and derives S, sigma^S, zeta, w, c, pi and the trade diffusions theta from
 it on first access, so a caller that reads only PD, r and S (the moment
 report) never builds the per-agent portfolio arrays.
-
-Every array the kernel makes is written in place (``out=``) into a buffer
-of the ``Workspace`` it is given, keyed by name, shape and dtype.  A caller
-that evaluates many same-shaped batches (the fit objective) passes one
-workspace to every call, so the heap is not given back to the OS and
-faulted in again on each one.  The contract: the arrays that
-``market_state``, ``log_ratio_paths`` and ``dividend_path`` return live in
-the workspace and are overwritten by the next call that uses it, so a
-caller keeps nothing across calls.
 """
 
 import math
@@ -121,25 +112,6 @@ class MarketSpec:
         return rho, nu
 
 
-class Workspace:
-    """Reusable arrays, one per (name, shape, dtype), each allocated on its
-    first request.  Serves one evaluation at a time.
-
-    The kernel's temporaries, each dead before the next one is made, share
-    the names "tmp" (path-shaped) and "agents_tmp" (agent-major), so a
-    workspace holds one buffer of each kind, not one per temporary."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def get(self, name, shape, dtype=float):
-        key = (name, shape, dtype)
-        array = self._arrays.get(key)
-        if array is None:
-            array = self._arrays[key] = np.empty(shape, dtype)
-        return array
-
-
 # ---------------------------------------------------------------------------
 # pointwise equilibrium formulas, agent axis first: per-agent arrays have
 # shape (J, ...), so every aggregate over agents reduces the leading axis
@@ -150,55 +122,39 @@ def _per_agent(values, like):
     return np.reshape(values, (-1,) + (1,) * (np.ndim(like) - 1))
 
 
-def _log_weights(rho, nu, log_lam, t, ws):
+def _log_weights(rho, nu, log_lam, t):
     """(m, e, s) for l_j = -rho_j t + log Lambda^j - log nu_j: m = max_j l_j,
     e = exp(l - m) and s = sum_j e_j, so that q = e / s and
     log sum_j exp(l_j) = m + log s.  The only exp over agents."""
-    minus_rho = -_per_agent(rho, log_lam)
-    rho_t = np.multiply(minus_rho, t, out=ws.get(
-        "agents_tmp", np.broadcast_shapes(minus_rho.shape, np.shape(t))))
-    l = np.add(rho_t, log_lam, out=ws.get("l", log_lam.shape))
+    l = -_per_agent(rho, log_lam) * t + log_lam
     l -= _per_agent(np.log(nu), log_lam)
-    m = np.max(l, axis=0, out=ws.get("m", l.shape[1:]))
+    m = l.max(axis=0)
     l -= m
     e = np.exp(l, out=l)
-    return m, e, np.sum(e, axis=0, out=ws.get("s", l.shape[1:]))
+    return m, e, e.sum(axis=0)
 
 
-def _wealth_moments(rho, e, s, alpha, ws):
+def _wealth_moments(rho, e, s, alpha):
     """(PD, a): PD = sum_j q_j / rho_j, and a, the drift average under
     wealth weights proportional to q_j / rho_j."""
-    u = np.divide(e, _per_agent(rho, e), out=ws.get("agents_tmp", e.shape))
-    su = np.sum(u, axis=0, out=ws.get("tmp", s.shape))
+    u = e / _per_agent(rho, e)
+    su = u.sum(axis=0)
     u *= alpha
-    pd = np.divide(su, s, out=ws.get("pd", s.shape))
-    a = np.sum(u, axis=0, out=ws.get("a", s.shape))
-    return pd, np.divide(a, su, out=a)
+    return su / s, u.sum(axis=0) / su
 
 
-def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment, ws):
+def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment):
     """(r, kappa, alphabar, rhobar) from the consumption shares q."""
-    shape = q.shape[1:]
-    product = np.multiply(q, alpha, out=ws.get("agents_tmp", q.shape))
-    alphabar = np.sum(product, axis=0, out=ws.get("alphabar", shape))
-    np.multiply(q, _per_agent(rho, q), out=product)
-    rhobar = np.sum(product, axis=0, out=ws.get("rhobar", shape))
-    # r = rhobar + sigma * (drift_adjustment + alphabar) - sigma^2
-    r = np.add(alphabar, drift_adjustment, out=ws.get("rate", shape))
-    r *= sigma
-    r += rhobar
-    r -= sigma * sigma
-    kappa = np.subtract(sigma, alphabar, out=ws.get("kappa", shape))
-    return r, kappa, alphabar, rhobar
+    alphabar = (q * alpha).sum(axis=0)
+    rhobar = (q * _per_agent(rho, q)).sum(axis=0)
+    r = rhobar + sigma * (drift_adjustment + alphabar) - sigma * sigma
+    return r, sigma - alphabar, alphabar, rhobar
 
 
-def _check_volatility(a, kappa, ws):
+def _check_volatility(a, kappa):
     """Raise SingularMarketError where the stock volatility a + kappa
     vanishes."""
-    shape = np.broadcast_shapes(np.shape(a), np.shape(kappa))
-    vol = np.add(a, kappa, out=ws.get("tmp", shape))
-    np.abs(vol, out=vol)
-    if np.any(np.less(vol, _SINGULAR_TOL, out=ws.get("mask", shape, bool))):
+    if np.any(np.abs(a + kappa) < _SINGULAR_TOL):
         raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
 
 
@@ -209,7 +165,7 @@ def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
     Raises SingularMarketError where the stock volatility denominator
     a + kappa vanishes.
     """
-    _check_volatility(a, kappa, Workspace())
+    _check_volatility(a, kappa)
     consumption = dividend * q
     wealth = consumption / _per_agent(rho, q)
     # unit net supply: holdings are each agent's share of
@@ -264,8 +220,8 @@ def solve_market_clearing(inverse_marginals: Sequence[Callable], lam, nu,
 
 
 def _n_steps(horizon, dt):
-    if not horizon > 0.0 or not dt > 0.0 or dt > horizon:
-        raise ConfigError("need horizon > 0 and 0 < dt <= horizon")
+    if not (0.0 < dt <= horizon and math.isfinite(horizon / dt)):
+        raise ConfigError("need a finite horizon > 0 and 0 < dt <= horizon")
     return int(round(horizon / dt))
 
 
@@ -293,19 +249,15 @@ def driver_batches(horizon: float, dt: float, seed: int, n_paths: int,
                        range(start, min(start + size, n_paths)))
 
 
-def dividend_path(spec: MarketSpec, times, x, ws: Workspace):
+def dividend_path(spec: MarketSpec, times, x):
     """delta on the grid from driver values x of any leading path shape:
     d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt."""
-    log_delta = np.multiply(x, spec.sigma,
-                            out=ws.get("dividend", np.shape(x)))
-    log_delta += math.log(spec.initial_dividend)
-    log_delta += np.multiply(
-        times, spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2,
-        out=ws.get("tmp", np.shape(times)))
-    return np.exp(log_delta, out=log_delta)
+    return np.exp(math.log(spec.initial_dividend) + spec.sigma * x
+                  + (spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2)
+                  * times)
 
 
-def log_ratio_paths(spec: MarketSpec, times, x, ws: Workspace):
+def log_ratio_paths(spec: MarketSpec, times, x):
     """Per-agent (log Lambda, believed drift) along driver paths.
 
     Both are exact on the grid: constant-drift agents get the exponential
@@ -313,17 +265,13 @@ def log_ratio_paths(spec: MarketSpec, times, x, ws: Workspace):
     out.  For x of shape (..., n+1), one path per row, returns agent-major
     arrays of shape (J, ..., n+1).
     """
-    shape = (len(spec.agents),) + np.shape(x)
-    log_lam = ws.get("log_lam", shape)
-    alpha = ws.get("alpha", shape)
+    log_lam = np.empty((len(spec.agents),) + np.shape(x))
+    alpha = np.empty_like(log_lam)
     for j, agent in enumerate(spec.agents):
         b = agent.belief
         if isinstance(b, ConstantDrift):
             alpha[j] = b.drift
-            np.multiply(x, b.drift, out=log_lam[j])
-            log_lam[j] -= np.multiply(
-                times, 0.5 * b.drift**2,
-                out=ws.get("tmp", np.shape(times)))
+            log_lam[j] = b.drift * x - 0.5 * b.drift**2 * times
         else:
             alpha[j] = drift_at(b, times, x)
             log_lam[j] = bayesian_log_ratio_closed_form(b, times, x)
@@ -348,23 +296,20 @@ class MarketState(NamedTuple):
     ic_suspect: bool   # PD exceeded PD_DIVERGENCE_LIMIT somewhere
 
 
-def market_state(spec: MarketSpec, times, x, ws: Workspace) -> MarketState:
+def market_state(spec: MarketSpec, times, x) -> MarketState:
     """What the moments and the numeric guards need, in one exp pass over
     agent-major arrays; no path is tied to another, so x may hold any
-    number of paths.  Raises SingularMarketError where a + kappa vanishes.
-    Every array of the state lives in ws until its next use."""
+    number of paths.  Raises SingularMarketError where a + kappa vanishes."""
     rho, nu = spec.arrays()
-    log_lam, alpha = log_ratio_paths(spec, times, x, ws)
-    m, e, s = _log_weights(rho, nu, log_lam, times, ws)
-    pd, a = _wealth_moments(rho, e, s, alpha, ws)
+    log_lam, alpha = log_ratio_paths(spec, times, x)
+    m, e, s = _log_weights(rho, nu, log_lam, times)
+    pd, a = _wealth_moments(rho, e, s, alpha)
     q = np.divide(e, s, out=e)
     r, kappa, abar, rhobar = _rate_and_kappa(
-        rho, q, alpha, spec.sigma, spec.drift_adjustment, ws)
-    _check_volatility(a, kappa, ws)
-    diverged = np.greater(pd, PD_DIVERGENCE_LIMIT,
-                          out=ws.get("mask", pd.shape, bool))
+        rho, q, alpha, spec.sigma, spec.drift_adjustment)
+    _check_volatility(a, kappa)
     return MarketState(log_lam, alpha, q, m, s, pd, a, r, kappa, abar, rhobar,
-                       bool(np.any(diverged)))
+                       bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
 
 
 @dataclass
@@ -457,15 +402,11 @@ class EquilibriumPath:
 def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,
                   path_index: int = 0) -> EquilibriumPath:
     """Simulate one equilibrium path under the reference measure;
-    deterministic given (seed, path_index).  Each kernel call gets a
-    workspace of its own that the path does not keep, so the path owns its
-    arrays and the intermediate buffers are freed."""
+    deterministic given (seed, path_index)."""
     times, x = _drivers(horizon, dt, seed, (path_index,))
     x = x[0]
-    return EquilibriumPath(spec, times, x,
-                           dividend_path(spec, times, x, Workspace()),
-                           market_state(spec, times, x, Workspace()),
-                           dt, seed, path_index)
+    return EquilibriumPath(spec, times, x, dividend_path(spec, times, x),
+                           market_state(spec, times, x), dt, seed, path_index)
 
 
 def simulate_paths(spec: MarketSpec, horizon: float, dt: float, seed: int,

@@ -26,8 +26,7 @@ def benchmark_market() -> MarketSpec:
 def driver_path(spec, horizon, dt, seed, path_index=0):
     """(times, X, delta) of one path, drawn as simulate_path draws them."""
     times, x = equilibrium._drivers(horizon, dt, seed, (path_index,))
-    return times, x[0], equilibrium.dividend_path(spec, times, x[0],
-                                                  equilibrium.Workspace())
+    return times, x[0], equilibrium.dividend_path(spec, times, x[0])
 
 
 @pytest.fixture

@@ -268,11 +268,17 @@ _OVER_CEILING = [
     ("fit", _fit_config(n_paths=MAX_COUNT + 1), "n_paths"),
     ("fit", _fit_config(max_iterations=_HUGE), "max_iterations"),
     ("fit", _fit_config(horizon_years=1e300), "horizon_years"),
+    # each count within the ceiling, but not the product: a search keeps
+    # all n_paths x (horizon_years/dt + 1) points of its driver paths
+    pytest.param("fit", _fit_config(n_paths=MAX_COUNT, horizon_years=20.0,
+                                    dt=1 / 52), "n_paths",
+                 id="fit-n_paths-points"),
 ]
 
 
 @pytest.mark.parametrize("subcommand, payload, field", _OVER_CEILING,
-                         ids=[f"{c[0]}-{c[2]}" for c in _OVER_CEILING])
+                         ids=[getattr(c, "id", None) or f"{c[0]}-{c[2]}"
+                              for c in _OVER_CEILING])
 def test_count_over_ceiling_exits_2_before_writing(tmp_path, capsys,
                                                    subcommand, payload,
                                                    field):

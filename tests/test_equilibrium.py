@@ -13,7 +13,7 @@ from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
 from beliefmkt import equilibrium
 from beliefmkt.calibration import compute_moments
 from beliefmkt.equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
-                                   Workspace, log_ratio_paths, market_state,
+                                   log_ratio_paths, market_state,
                                    simulate_path, simulate_paths,
                                    solve_market_clearing, trade_volume,
                                    wealth_and_portfolios)
@@ -51,7 +51,7 @@ def zero_drift_market(rho, nu, log_lam=0.0, sigma=0.3):
 def grid_path(spec, times, x, dividend, dt):
     """The equilibrium along a given driver and dividend path."""
     return EquilibriumPath(spec, times, x, dividend,
-                           market_state(spec, times, x, Workspace()), dt)
+                           market_state(spec, times, x), dt)
 
 
 def at_point(spec, t=0.0, x=0.0, dividend=1.0):
@@ -242,7 +242,7 @@ def test_degenerate_stock_volatility_raises():
         wealth_and_portfolios(rho, np.array([0.5, 0.5]), alpha, 1.0,
                               sigma, -sigma)
     with pytest.raises(SingularMarketError):
-        market_state(spec, np.zeros(1), np.zeros(1), Workspace())
+        market_state(spec, np.zeros(1), np.zeros(1))
     # the path kernel hits the same point at t = 0 and must raise too
     with pytest.raises(SingularMarketError):
         simulate_path(spec, 1.0, 1 / 52, seed=0)
@@ -254,6 +254,11 @@ def test_degenerate_stock_volatility_raises():
 def test_negative_seed_raises_config_error():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
         simulate_path(benchmark_market(), 1.0, 1 / 52, seed=-2)
+
+
+def test_infinite_horizon_raises_config_error():
+    with pytest.raises(ConfigError, match="finite horizon"):
+        simulate_path(benchmark_market(), math.inf, 1 / 52, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +464,11 @@ def test_batch_of_paths_equals_row_by_row():
                for p in range(5)]
     times = drivers[0][0]
     x = np.stack([d[1] for d in drivers])
-    log_lam, alpha = log_ratio_paths(spec, times, x, Workspace())
+    log_lam, alpha = log_ratio_paths(spec, times, x)
     assert log_lam.shape == alpha.shape == (3, 5, len(times))
-    batch = market_state(spec, times, x, Workspace())
+    batch = market_state(spec, times, x)
     for p, (_, row, dividend) in enumerate(drivers):
-        row_lam, row_alpha = log_ratio_paths(spec, times, row, Workspace())
+        row_lam, row_alpha = log_ratio_paths(spec, times, row)
         assert np.array_equal(log_lam[:, p], row_lam)
         assert np.array_equal(alpha[:, p], row_alpha)
         path = grid_path(spec, times, row, dividend, 1 / 52)
@@ -474,41 +479,21 @@ def test_batch_of_paths_equals_row_by_row():
                                   getattr(path.state, name)), name
 
 
-def test_workspace_kernel_equals_fresh_arrays():
-    # the kernel and the dividend written into one workspace, for two
-    # markets in turn (learners included), equal by == what a fresh
-    # workspace gives; a later call overwrites the arrays an earlier one
-    # returned
-    def market(alpha):
-        return MarketSpec(sigma=0.517, drift_adjustment=-0.01, agents=(
-            AgentSpec(impatience=0.131, belief=ConstantDrift(alpha),
-                      weight=14.47),
-            AgentSpec(impatience=0.443, belief=BayesianGaussian(-0.05, 2.0),
-                      weight=0.174)))
-
-    times, x = next(equilibrium.driver_batches(3.0, 1 / 52, 4, 3, 1000))
-    ws = equilibrium.Workspace()
-    first = market_state(market(0.21), times, x, ws)
-    for alpha in (0.21, -0.3, 0.21):
-        spec = market(alpha)
-        got = market_state(spec, times, x, ws)
-        want = market_state(spec, times, x, Workspace())
-        for name, g, w in zip(want._fields, got, want):
-            assert np.array_equal(g, w), name
-        assert np.array_equal(equilibrium.dividend_path(spec, times, x, ws),
-                              equilibrium.dividend_path(spec, times, x,
-                                                        Workspace()))
-        assert got.pd_ratio is first.pd_ratio and got.q is first.q
-
-
 def test_simulated_paths_share_no_memory():
-    paths = list(simulate_paths(benchmark_market(), 2.0, 1 / 52, seed=8,
-                                n_paths=3))
+    spec = benchmark_market()
+    paths = list(simulate_paths(spec, 2.0, 1 / 52, seed=8, n_paths=3))
     for i, a in enumerate(paths):
         for b in paths[i + 1:]:
             for name in ("pd_ratio", "q", "stock", "rate", "dividend", "x"):
                 assert not np.shares_memory(getattr(a, name),
                                             getattr(b, name)), name
+    # successive kernel calls on one batch return arrays of their own
+    times, x = next(equilibrium.driver_batches(2.0, 1 / 52, 8, 3, 1000))
+    first, second = (market_state(spec, times, x) for _ in range(2))
+    for name, a, b in zip(first._fields[:-1], first, second):
+        assert not np.shares_memory(a, b), name
+    assert not np.shares_memory(equilibrium.dividend_path(spec, times, x),
+                                equilibrium.dividend_path(spec, times, x))
 
 
 def test_moments_build_no_portfolio_arrays(monkeypatch):
