@@ -94,14 +94,11 @@ class DiscreteBelief:
     prior_mean    mu0, prior mean of the per-step increment
     prior_weight  K0 > 0, prior effective sample size
     precision     tau > 0, assumed precision of one increment
-    diligent      True: updates consume true log-dividend increments;
-                  False: updates consume log-price increments
     """
 
     prior_mean: float
     prior_weight: float
     precision: float
-    diligent: bool = True
 
     def __post_init__(self):
         if not self.prior_weight > 0.0:

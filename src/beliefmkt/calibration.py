@@ -21,8 +21,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .equilibrium import (PD_DIVERGENCE_LIMIT, AgentSpec, MarketSpec,
-                          dividend_path, driver_batches, market_state)
+from .equilibrium import (MAX_COUNT, PD_DIVERGENCE_LIMIT, AgentSpec,
+                          MarketSpec, _n_steps, dividend_path, driver_batches,
+                          market_state)
 from .beliefs import ConstantDrift
 from .errors import ConfigError, NumericError
 from .numerics import nelder_mead
@@ -189,7 +190,9 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
                 date = row[cols["date"]].strip()
                 price = float(row[cols["price"]])
                 dividend = float(row[cols["dividend"]])
-                rate = float(row[cols["riskless"]]) if has_rate else math.nan
+                rate = float(row[cols["riskless"]]) if has_rate else 0.0
+                if not all(map(math.isfinite, (price, dividend, rate))):
+                    raise ValueError("non-finite value")
                 if price <= 0.0 or dividend <= 0.0:
                     raise ValueError("nonpositive price or dividend")
             except (ValueError, IndexError) as exc:
@@ -199,21 +202,21 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
         if bad_lines:
             listing = "; ".join(f"line {n}: {msg}" for n, msg in bad_lines[:5])
             raise ConfigError(f"{path}: {len(bad_lines)} unparseable row(s): {listing}")
-    if len(rows) < int(min_years * 12) + 1:
+    if len(rows) <= min_years * 12:  # no int(): the product may be inf
         raise ConfigError(
             f"{path}: span too short ({len(rows)} monthly rows; "
             f"need more than {min_years:g} years)")
 
     price = np.array([r[1] for r in rows])
     dividend = np.array([r[2] for r in rows])
-    rate = np.array([r[3] for r in rows])
 
     pd_ratio = price / dividend
     # monthly total return: next price plus one month of dividend flow
     ret_m = (price[1:] + dividend[:-1] / 12.0 - price[:-1]) / price[:-1]
     mean_ret = 12.0 * float(ret_m.mean())
     std_ret = math.sqrt(12.0) * float(ret_m.std())
-    if np.all(np.isfinite(rate)):
+    if has_rate:
+        rate = np.array([r[3] for r in rows])
         mean_r = float(rate.mean())
         std_r = float(rate.std())
         premium = mean_ret - mean_r
@@ -277,6 +280,10 @@ class CalibrationProblem:
             raise ConfigError("horizon must be finite and > 0")
         if not 0.0 < self.dt <= self.horizon:
             raise ConfigError("dt: must be > 0 and not exceed the horizon")
+        # a search keeps all of its driver paths, so their points are a count
+        if self.n_paths * (_n_steps(self.horizon, self.dt) + 1) > MAX_COUNT:
+            raise ConfigError(f"n_paths: n_paths x (horizon/dt + 1) grid "
+                              f"points must be at most {MAX_COUNT}")
         names = [p.name for p in self.free]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate free parameter names")

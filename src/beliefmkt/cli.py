@@ -28,9 +28,14 @@ from .equilibrium import simulate_paths
 from .numerics import write_rows
 
 
-def _outdir(args):
+def _start(args, cfg):
+    """Make --out and its manifest.json, once the config is fully parsed."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_manifest(out, args.subcommand, cfg)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
     return out
 
 
@@ -44,28 +49,23 @@ def _apply_overrides(cfg, args):
 
 def cmd_simulate_log(cfg, args):
     spec, horizon, dt, n_paths, seed, write_paths = parse_simulate(cfg)
-    out = _outdir(args)
-    write_manifest(out, "simulate-log", cfg)
+    out = _start(args, cfg)
 
-    report = _consume_paths(simulate_paths(spec, horizon, dt, seed, n_paths),
-                            out, write_paths)
+    def paths():
+        for p, path in enumerate(simulate_paths(spec, horizon, dt, seed,
+                                                n_paths)):
+            if p < write_paths:
+                with open(out / f"path_{p:03d}.csv", "w") as fp:
+                    path.write_csv(fp)
+            yield path
+
+    report = compute_moments(paths())
     with open(out / "summary.txt", "w") as fp:
         fp.write(f"paths={n_paths} horizon_years={horizon:.17g} dt={dt:.17g} "
                  f"seed={seed}\n")
         for name, value in report.as_dict().items():
             fp.write(f"{name}={value:.17g}\n")
     return 0
-
-
-def _consume_paths(paths, out, write_paths):
-    def gen():
-        for p, path in enumerate(paths):
-            if p < write_paths:
-                with open(out / f"path_{p:03d}.csv", "w") as fp:
-                    path.write_csv(fp)
-            yield path
-
-    return compute_moments(gen())
 
 
 def cmd_feedback(cfg, args):
@@ -83,8 +83,7 @@ def cmd_feedback(cfg, args):
                              for v in diligence_values)):
         raise ConfigError("diligence_values: expected a list of counts "
                           "between 0 and n_agents")
-    out = _outdir(args)
-    write_manifest(out, "feedback", cfg)
+    out = _start(args, cfg)
     if sweep:
         seeds = list(range(config.seed, config.seed + sweep))
         if args.parallel > 1:
@@ -118,11 +117,11 @@ def cmd_feedback(cfg, args):
 
 def cmd_beauty(cfg, args):
     spec = parse_contest(cfg)
-    out = _outdir(args)
-    write_manifest(out, "beauty", cfg)
+    write_csv = _get(cfg, "csv", bool, default=False)
+    out = _start(args, cfg)
     with open(out / "contest.txt", "w") as fp:
         fp.write(format_solution(spec) + "\n")
-    if cfg.get("csv", False):
+    if write_csv:
         truthful = truthful_equilibrium(spec)
         faked = pareto_faked_equilibrium(spec)
         report = welfare_comparison(spec)
@@ -142,8 +141,7 @@ def cmd_beauty(cfg, args):
 def cmd_fit(cfg, args):
     problem = parse_fit(cfg)
     targets = parse_targets(cfg)
-    out = _outdir(args)
-    write_manifest(out, "fit", cfg)
+    out = _start(args, cfg)
     result = fit_parameters(problem, targets)
     with open(out / "fit_result.json", "w") as fp:
         json.dump({
@@ -163,9 +161,11 @@ def cmd_fit(cfg, args):
 def cmd_ingest(cfg, args):
     csv_path = _get(cfg, "csv", str)
     min_years = _get(cfg, "min_years", float, default=10.0, positive=True)
-    out = _outdir(args)
-    write_manifest(out, "ingest", cfg)
-    report = ingest_price_dividend_csv(csv_path, min_years=min_years)
+    try:
+        report = ingest_price_dividend_csv(csv_path, min_years=min_years)
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"csv: {exc}") from None
+    out = _start(args, cfg)
     with open(out / "targets.json", "w") as fp:
         payload = report.targets.as_dict()
         payload["provenance"] = report.targets.provenance

@@ -16,16 +16,11 @@ from .beauty import ContestSpec
 from .beliefs import BayesianGaussian, ConstantDrift
 from .calibration import (CalibrationProblem, DEFAULT_TARGETS, FreeParameter,
                           MOMENT_NAMES, MomentReport)
-from .equilibrium import AgentSpec, MarketSpec
+from .equilibrium import MAX_COUNT, AgentSpec, MarketSpec
 from .errors import ConfigError
 from .feedback import FeedbackConfig
 
 import numpy as np
-
-#: Ceiling on every count a config sets or implies (steps, agents, paths,
-#: sweep seeds, iterations): far past any run that fits in memory or time,
-#: so a larger count is a configuration error, reported before any output.
-MAX_COUNT = 10**9
 
 
 def load_config(path: str) -> Dict[str, Any]:
@@ -85,6 +80,9 @@ def _get(cfg, path, kind, default=..., positive=False):
     elif kind is str:
         if not isinstance(node, str):
             raise ConfigError(f"{path}: expected a string")
+    elif kind is bool:
+        if not isinstance(node, bool):
+            raise ConfigError(f"{path}: expected true or false")
     elif kind is list:
         if not isinstance(node, list):
             raise ConfigError(f"{path}: expected a list")
@@ -259,24 +257,19 @@ def parse_fit(cfg) -> CalibrationProblem:
     fixed = {}
     for name, value in fixed_node.items():
         fixed[name] = _number(value, f"fixed.{name}")
-    problem = CalibrationProblem(
+    horizon = _get(cfg, "horizon_years", float, default=50.0, positive=True)
+    dt = _get(cfg, "dt", float, default=1.0 / 252.0, positive=True)
+    _step_count(horizon, dt, "horizon_years")
+    return CalibrationProblem(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         free=tuple(free),
         fixed=fixed,
         n_paths=_get(cfg, "n_paths", int, default=200, positive=True),
-        horizon=_get(cfg, "horizon_years", float, default=50.0,
-                     positive=True),
-        dt=_get(cfg, "dt", float, default=1.0 / 252.0, positive=True),
+        horizon=horizon,
+        dt=dt,
         seed=_seed(cfg),
         max_iterations=_get(cfg, "max_iterations", int, default=200,
                             positive=True))
-    # a search keeps all of its driver paths, so their points are a count
-    points = problem.n_paths * (
-        _step_count(problem.horizon, problem.dt, "horizon_years") + 1)
-    if points > MAX_COUNT:
-        raise ConfigError(f"n_paths: n_paths x (horizon_years/dt + 1) grid "
-                          f"points must be at most {MAX_COUNT}")
-    return problem
 
 
 def write_manifest(outdir, subcommand: str, cfg: Dict[str, Any]):

@@ -212,11 +212,17 @@ def solve_market_clearing(inverse_marginals: Sequence[Callable], lam, nu,
             I(t, zeta * nu_j / lam_j) for I, nu_j, lam_j in zip(inverse_marginals, nu, lam)
         ) - dividend
 
-    return solve_decreasing(excess, x0=1.0, rtol=rtol)
+    return solve_decreasing(excess, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
 # path simulation
+
+
+#: Ceiling on every count a run sets or implies (steps, agents, paths, sweep
+#: seeds, iterations, a fit's driver points): far past any run that fits in
+#: memory or time, so a larger count is a configuration error.
+MAX_COUNT = 10**9
 
 
 def _n_steps(horizon, dt):
@@ -330,8 +336,6 @@ class EquilibriumPath:
     dividend: np.ndarray
     state: MarketState
     dt: float
-    seed: int = -1
-    path_index: int = -1
 
     CSV_BASE_COLUMNS = ("t", "X", "delta", "zeta", "S", "PD", "r", "kappa", "sigmaS")
 
@@ -406,7 +410,7 @@ def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,
     times, x = _drivers(horizon, dt, seed, (path_index,))
     x = x[0]
     return EquilibriumPath(spec, times, x, dividend_path(spec, times, x),
-                           market_state(spec, times, x), dt, seed, path_index)
+                           market_state(spec, times, x), dt)
 
 
 def simulate_paths(spec: MarketSpec, horizon: float, dt: float, seed: int,

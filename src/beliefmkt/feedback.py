@@ -358,7 +358,7 @@ def solve_step(split: _AgentSplit, population: _Population, step: int,
             break
         if half_width >= 1.0:
             raise FixedPointError(
-                _NO_ROOT, step=step,
+                f"step {step}: {_NO_ROOT}", step=step,
                 diagnostics={
                     "log_stock": log_stock,
                     "log_div_next": log_div_next,
@@ -450,44 +450,39 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
     warnings = np.zeros(n + 1)
     residuals = np.zeros(n + 1)
 
-    try:
-        if traits.diligent.all():
-            # the population that sets S*: the price is S* by definition
-            log_stock = log_stock_ideal
-            xi_series[1:] = np.diff(log_stock_ideal)
-            far = np.flatnonzero(np.abs(xi_series[1:] - increments) > 1.0)
-            if far.size:
-                t = int(far[0])
-                raise FixedPointError(_NO_ROOT, step=t, diagnostics={
-                    "xi": float(xi_series[t + 1]),
-                    "true_increment": float(increments[t])})
-        else:
-            actual = _Population(traits, config.prior_weight)
-            split = _AgentSplit(traits, inputs.nu)
-            log_stock = np.empty(n + 1)
-            # before any observation the population holds its priors, like S*
-            log_stock[0] = log_stock_ideal[0]
-            for t in range(n):
-                d = increments[t]
-                prev = xi_series[t] if t > 0 else d
-                xi, n_roots, rel = solve_step(
-                    split, actual, t, log_stock[t], log_div[t + 1], d, prev,
-                    sigma_step)
-                if rel > RESIDUAL_TOL:
-                    raise FixedPointError(
-                        f"fixed-point residual {rel:.3e} above {RESIDUAL_TOL:g}",
-                        step=t, diagnostics={"xi": xi})
-                xi_series[t + 1] = xi
-                warnings[t + 1] = n_roots - 1
-                residuals[t + 1] = rel
-                log_stock[t + 1] = log_stock[t] + xi
+    if traits.diligent.all():
+        # the population that sets S*: the price is S* by definition
+        log_stock = log_stock_ideal
+        xi_series[1:] = np.diff(log_stock_ideal)
+        far = np.flatnonzero(np.abs(xi_series[1:] - increments) > 1.0)
+        if far.size:
+            t = int(far[0])
+            raise FixedPointError(f"step {t}: {_NO_ROOT}", step=t, diagnostics={
+                "xi": float(xi_series[t + 1]),
+                "true_increment": float(increments[t])})
+    else:
+        actual = _Population(traits, config.prior_weight)
+        split = _AgentSplit(traits, inputs.nu)
+        log_stock = np.empty(n + 1)
+        # before any observation the population holds its priors, like S*
+        log_stock[0] = log_stock_ideal[0]
+        for t in range(n):
+            d = increments[t]
+            prev = xi_series[t] if t > 0 else d
+            xi, n_roots, rel = solve_step(
+                split, actual, t, log_stock[t], log_div[t + 1], d, prev,
+                sigma_step)
+            if rel > RESIDUAL_TOL:
+                raise FixedPointError(
+                    f"step {t}: fixed-point residual {rel:.3e} above "
+                    f"{RESIDUAL_TOL:g}", step=t, diagnostics={"xi": xi})
+            xi_series[t + 1] = xi
+            warnings[t + 1] = n_roots - 1
+            residuals[t + 1] = rel
+            log_stock[t + 1] = log_stock[t] + xi
 
-                observed = np.where(traits.diligent, d, xi)
-                actual.absorb(observed, t)
-    except FixedPointError as exc:
-        raise FixedPointError(
-            f"step {exc.step}: {exc}", step=exc.step,
-            diagnostics=exc.diagnostics) from None
+            observed = np.where(traits.diligent, d, xi)
+            actual.absorb(observed, t)
 
     log_ratio = log_stock - log_stock_ideal
     jump_threshold = 5.0 * sigma_step

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import BracketError
 
-__all__ = ["brentq", "expand_bracket", "nelder_mead", "solve_decreasing",
-           "scan_sign_changes", "write_rows"]
+__all__ = ["brentq", "nelder_mead", "solve_decreasing", "scan_sign_changes",
+           "write_rows"]
 
 # rows per write in ``write_rows``: a few hundred rows amortize the write
 # call while the text held in memory stays far below one path's arrays
@@ -216,28 +216,25 @@ def nelder_mead(f, x0, maxiter, xatol, fatol):
     return sim[0], iterations < maxiter
 
 
-def expand_bracket(f, lo, hi, grow=2.0, max_expansions=200):
-    """Expand [lo, hi] geometrically (values must stay positive) until f
-    changes sign.  Returns (lo, hi, f_lo, f_hi)."""
-    f_lo, f_hi = f(lo), f(hi)
-    for _ in range(max_expansions):
-        if np.sign(f_lo) != np.sign(f_hi):
-            return lo, hi, f_lo, f_hi
-        lo /= grow
-        hi *= grow
-        f_lo, f_hi = f(lo), f(hi)
-    raise BracketError(
-        f"no sign change in [{lo:g}, {hi:g}] after {max_expansions} expansions"
-    )
+def solve_decreasing(f, rtol=1e-13):
+    """Root of a strictly decreasing f on (0, inf).
 
-
-def solve_decreasing(f, x0=1.0, rtol=1e-13):
-    """Root of a strictly decreasing f on (0, inf), bracketed from x0.
-
-    Brent runs on log x, so ``rtol`` is honored as a relative tolerance on
-    the root even when it is many orders of magnitude away from 1.
+    The bracket [1/2, 2] doubles outward until f changes sign (at most 200
+    times, then BracketError); an end where f is 0 is returned as it is.
+    Brent runs on log x, so ``rtol`` is a relative tolerance on the root
+    even many orders of magnitude away from 1.
     """
-    lo, hi, f_lo, f_hi = expand_bracket(f, x0 / 2.0, x0 * 2.0)
+    lo, hi = 0.5, 2.0
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(200):
+        if np.sign(f_lo) != np.sign(f_hi):
+            break
+        lo /= 2.0
+        hi *= 2.0
+        f_lo, f_hi = f(lo), f(hi)
+    else:
+        raise BracketError(
+            f"no sign change in [{lo:g}, {hi:g}] after 200 expansions")
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

@@ -138,10 +138,34 @@ def test_ingest_bad_rows_reported_with_line_numbers(tmp_path):
         ingest_price_dividend_csv(write_csv(tmp_path, rows))
 
 
+@pytest.mark.parametrize("row", ["d7,nan,4.0,0.02", "d7,100.0,inf,0.02",
+                                 "d7,100.0,4.0,nan"])
+def test_ingest_non_finite_row_reported_with_line_number(tmp_path, row):
+    rows = [f"d{i},100.0,4.0,0.02" for i in range(150)]
+    rows[7] = row
+    with pytest.raises(ConfigError, match="line 9: non-finite value"):
+        ingest_price_dividend_csv(
+            write_csv(tmp_path, rows, header="date,price,dividend,riskless"))
+
+
 def test_ingest_short_span_rejected(tmp_path):
     rows = [f"d{i},100.0,4.0" for i in range(24)]
     with pytest.raises(ConfigError, match="too short"):
         ingest_price_dividend_csv(write_csv(tmp_path, rows))
+
+
+@pytest.mark.parametrize("n_rows, min_years, accepted", [
+    (121, 10.0, True), (120, 10.0, False), (121, 10.05, True),
+    (120, 10.05, False), (200, 1e308, False)])
+def test_ingest_span_needs_more_than_min_years(tmp_path, n_rows, min_years,
+                                               accepted):
+    # 1e308 years is 12 * 1e308 = inf months, still a short span
+    path = write_csv(tmp_path, [f"d{i},100.0,4.0" for i in range(n_rows)])
+    if accepted:
+        assert ingest_price_dividend_csv(path, min_years).n_rows == n_rows
+    else:
+        with pytest.raises(ConfigError, match="too short"):
+            ingest_price_dividend_csv(path, min_years)
 
 
 @pytest.mark.skipif("BELIEFMKT_SHILLER_CSV" not in os.environ,
@@ -200,11 +224,21 @@ def test_problem_validation():
     ({"horizon": 0.0}, "horizon"), ({"horizon": -1.0}, "horizon"),
     ({"dt": 0.0}, "dt"), ({"dt": 30.0, "horizon": 20.0}, "dt"),
     ({"dt": math.nan}, "dt"), ({"seed": -3}, "seed"),
-    ({"horizon": math.inf}, "horizon")])
+    ({"horizon": math.inf}, "horizon"),
+    # each count within MAX_COUNT, but not the driver points a search keeps
+    ({"n_paths": 10**9, "horizon": 20.0, "dt": 1 / 52}, "n_paths")])
 def test_problem_validates_monte_carlo_budget(budget, field):
     with pytest.raises(ConfigError, match=f"^{field}"):
         CalibrationProblem(n_agents=1, free=(
             FreeParameter("sigma", 0.1, 0.5, 0.2),), **budget)
+
+
+def test_problem_accepts_driver_points_at_the_ceiling():
+    # 10**6 paths of 999 steps: exactly MAX_COUNT grid points
+    problem = CalibrationProblem(n_agents=1, free=(
+        FreeParameter("sigma", 0.1, 0.5, 0.2),), n_paths=10**6,
+        horizon=1.0, dt=1 / 999)
+    assert problem.n_paths * 1000 == config.MAX_COUNT
 
 
 def test_build_market_roundtrip():

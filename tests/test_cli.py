@@ -606,6 +606,58 @@ def test_ingest_invalid_field_exits_2_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+def _csv_with_nan_price(tmp_path):
+    path = tmp_path / "nan.csv"
+    rows = [f"d{i},100.0,4.0" for i in range(150)]
+    rows[7] = "d7,nan,4.0"
+    path.write_text("date,price,dividend\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _csv_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"date,price,dividend\n1900-01,\xff1.0,2.0\n")
+    return path
+
+
+@pytest.mark.parametrize("csv, message", [
+    (lambda tmp: tmp / "missing.csv", "csv: "),
+    (lambda tmp: tmp, "csv: "),
+    (_csv_not_utf8, "csv: "),
+    (_csv_with_nan_price, "line 9: non-finite value")],
+    ids=["missing", "directory", "not-utf8", "nan-row"])
+def test_unreadable_ingest_csv_exits_2_before_writing(tmp_path, capsys, csv,
+                                                      message):
+    cfg = write_config(tmp_path, {"csv": str(csv(tmp_path))})
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "csv": str(REPO / "configs" / "sample_price_dividend.csv")})
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "--out: " in capsys.readouterr().err
+    assert out.read_text() == "a file, not a directory\n"
+
+
+def test_beauty_csv_must_be_a_boolean(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "agents": [
+            {"risk_aversion": 1.0, "mean_belief": 0.0, "belief_variance": 1.0},
+            {"risk_aversion": 1.0, "mean_belief": 1.0, "belief_variance": 1.0},
+        ],
+        "csv": "false"})
+    out = tmp_path / "out"
+    assert main(["beauty", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "csv: expected true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shipped_configs_parse_and_run_quickly(tmp_path):
     # keep the shipped example configs loadable; run the cheap ones
     code = main(["beauty", "--config", str(REPO / "configs" / "contest_two_agent.json"),

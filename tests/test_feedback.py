@@ -342,6 +342,7 @@ def test_no_root_within_cap_raises_with_step_index():
                    log_stock=50.0, log_div_next=0.0, true_increment=0.0,
                    prev_xi=0.0, sigma_step=0.015)
     assert err.value.step == 0
+    assert str(err.value).startswith("step 0: no root for xi within")
     assert "residual_lo" in err.value.diagnostics
 
 

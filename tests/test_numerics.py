@@ -16,7 +16,8 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize
 
-from beliefmkt.numerics import brentq, nelder_mead
+from beliefmkt.errors import BracketError
+from beliefmkt.numerics import brentq, nelder_mead, solve_decreasing
 
 # (xtol, rtol): the default, feedback.solve_step, numerics.solve_decreasing,
 # and a coarse pair whose wide delta reaches the step rule's ``- delta``
@@ -141,6 +142,43 @@ def test_error_parity_with_scipy():
     for kw in (dict(xtol=0.0), dict(xtol=-1e-12), dict(rtol=1e-16),
                dict(maxiter=-1)):
         assert _assert_same(expm, 0.0, 1.0, **kw)[0] is ValueError
+
+
+# ---------------------------------------------------------------------------
+# solve_decreasing's bracket
+
+
+def _bracket_ends(n_doublings):
+    """The points [1/2, 2] and each of its doublings evaluates, in order."""
+    return [x for k in range(n_doublings + 1)
+            for x in (0.5 / 2.0 ** k, 2.0 * 2.0 ** k)]
+
+
+def test_bracket_without_sign_change_raises_after_200_doublings():
+    points = []
+
+    def positive(x):
+        points.append(x)
+        return 1.0
+
+    with pytest.raises(BracketError, match="after 200 expansions"):
+        solve_decreasing(positive)
+    assert points == _bracket_ends(200)
+
+
+@pytest.mark.parametrize("root, n_doublings", [
+    (0.5, 0), (2.0, 0), (0.125, 2), (32.0, 4)])
+def test_root_at_a_bracket_end_returned_as_it_is(root, n_doublings):
+    points = []
+
+    def f(x):
+        points.append(x)
+        return root - x
+
+    got = solve_decreasing(f)
+    assert got == root and type(got) is float
+    # no Brent step: only the bracket ends were evaluated
+    assert points == _bracket_ends(n_doublings)
 
 
 # ---------------------------------------------------------------------------
