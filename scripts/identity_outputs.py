@@ -15,15 +15,22 @@ writes under OUT:
 * ``moments.txt``: the ``repr`` of 24 moment reports, 200 paths of 50
   years of ``configs/benchmark3.json`` at master seeds seed .. seed+23;
 * ``fits.txt``: the ``repr`` of 48 fits of
-  ``configs/fit_default_targets.json`` at search seeds seed .. seed+47.
+  ``configs/fit_default_targets.json`` at search seeds seed .. seed+47;
+* ``feedback.txt``: one line per feedback run of
+  ``configs/feedback_diligence_sweep.json`` (30 agents, 1260 daily steps)
+  at master seeds 0 .. 39 and 0, 1, 5, 25, 29 and 30 diligent agents: a
+  sha256 of the bytes of S, S*, xi, log(S/S*), the solver warnings and
+  the residuals, and the ``repr`` of the metrics, or the error message of
+  a run that fails.
 
 Run it in both checkouts (copy it into the older one if it is missing
 there), then ``diff -r OUT_A OUT_B``: no output means every output is
-identical.  It takes under a minute on a 2-core Xeon.
+identical.  It takes about two minutes on a 2-core Xeon.
 """
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -32,7 +39,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from beliefmkt import calibration, cli, config, equilibrium  # noqa: E402
+from beliefmkt import (calibration, cli, config, equilibrium,  # noqa: E402
+                       feedback)
+from beliefmkt.errors import FixedPointError  # noqa: E402
 
 
 def run_cli(subcommand, cfg_path, out):
@@ -81,6 +90,27 @@ def fits(out):
             fp.write(f"{problem.seed + k} {result!r}\n")
 
 
+def feedback_runs(out):
+    cfg = config.parse_feedback(config.load_config(
+        str(REPO / "configs" / "feedback_diligence_sweep.json")))
+    with open(out, "w") as fp:
+        for seed in range(40):
+            for n_diligent in (0, 1, 5, 25, 29, 30):
+                try:
+                    res = feedback.run_feedback(dataclasses.replace(
+                        cfg, seed=seed, n_diligent=n_diligent))
+                except FixedPointError as exc:
+                    line = f"error {exc}"
+                else:
+                    digest = hashlib.sha256()
+                    for values in (res.stock, res.stock_ideal, res.xi,
+                                   res.log_ratio, res.solver_warnings,
+                                   res.residuals):
+                        digest.update(values.tobytes())
+                    line = f"{digest.hexdigest()} {res.metrics!r}"
+                fp.write(f"{seed} {n_diligent} {line}\n")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="output directory (must not exist)")
@@ -90,6 +120,7 @@ def main():
     cli_outputs(out / "cli")
     moment_reports(out / "moments.txt")
     fits(out / "fits.txt")
+    feedback_runs(out / "feedback.txt")
 
 
 if __name__ == "__main__":

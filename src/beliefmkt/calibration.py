@@ -280,6 +280,9 @@ class CalibrationProblem:
             raise ConfigError("horizon must be finite and > 0")
         if not 0.0 < self.dt <= self.horizon:
             raise ConfigError("dt: must be > 0 and not exceed the horizon")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ConfigError("dt: too small for the horizon "
+                              "(horizon/dt overflows)")
         # a search keeps all of its driver paths, so their points are a count
         if self.n_paths * (_n_steps(self.horizon, self.dt) + 1) > MAX_COUNT:
             raise ConfigError(f"n_paths: n_paths x (horizon/dt + 1) grid "

@@ -31,10 +31,14 @@ oracle, and the outputs are the same to the bit.
   (rows, agents) array, which numpy sums exactly as it sums that row on
   its own, and takes each row's log with ``math.log``: ``np.log`` differs
   from it in the last bit for a few inputs in 10,000.
-* A run splits its agents once (``_AgentSplit``): indices, trait slices
-  and scratch buffers.  Brent's residual stacks the PD numerator and
-  denominator as the two rows of one array, so each call makes one exp
-  pass and one ``np.logaddexp`` on both rows.
+* What does not depend on xi is computed outside the step.  Diligent
+  agents hold the S* population's beliefs, so the S* pass also gives their
+  per-step PD terms for each diligence count of a sweep.  ``_Population``
+  and ``_AgentSplit`` hold only the other agents, whose terms that depend
+  only on the step index are filled 128 steps at a time.
+* Brent's residual stacks the PD numerator and denominator as the two rows
+  of one array, so each call makes one exp pass; it joins the diligent
+  term in Python floats (``_logaddexp``, numpy's own steps).
 * The scan needs only the residual's signs.  It evaluates all 200 points
   in one exp pass over reused (agents x points) buffers, reducing over the
   leading axis, with one shift per point shared by the PD numerator and
@@ -67,11 +71,11 @@ _SCAN_POINTS = 200
 # slow path for underflowing arguments
 _EXP_FLOOR = -700.0
 _SCAN_INDEX = np.arange(_SCAN_POINTS, dtype=float)
-# log-sum-exps of a step without diligent agents: PD numerator, denominator
-_NO_DILIGENT = np.array([-np.inf, -np.inf])
-# steps of S* per block: larger blocks save little and hold more memory
+# steps per block of S* and of the step terms: larger blocks save little
+# and hold more memory
 _IDEAL_BLOCK = 128
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+_LOG_TWO = math.log(2.0)
 _NO_ROOT = "no root for xi within +/- 1.0 of the dividend move"
 
 
@@ -100,6 +104,9 @@ class FeedbackConfig:
             raise ConfigError("n_agents must be >= 1")
         if not 0 <= self.n_diligent <= self.n_agents:
             raise ConfigError("need 0 <= n_diligent <= n_agents")
+        for name in ("sigma_true", "growth_true", "dt", "prior_weight", "nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not self.sigma_true > 0.0:
             raise ConfigError("sigma_true must be > 0")
         if not self.dt > 0.0:
@@ -112,6 +119,8 @@ class FeedbackConfig:
             raise ConfigError("nu must be > 0")
         for name in ("rho_range", "tau_factor_range", "prior_mean_range"):
             low, high = getattr(self, name)
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ConfigError(f"{name}: need finite bounds")
             if not low <= high:
                 raise ConfigError(f"{name}: need low <= high")
             if name != "prior_mean_range" and not low > 0.0:
@@ -156,7 +165,7 @@ def draw_agents(config: FeedbackConfig) -> AgentTraits:
 
 def _lse(v, out=None):
     """log sum exp over the last axis, shifted by each row's maximum: a
-    float for a vector, an array with one value per row for a C-ordered
+    float for a vector, a list with one float per row for a C-ordered
     matrix.  exp(v - max) is written to ``out`` (pass v itself to work in
     place).  Entries may be -inf as long as no row is all -inf.
 
@@ -168,7 +177,19 @@ def _lse(v, out=None):
     s = np.add.reduce(np.exp(e, out=e), axis=-1)
     if e.ndim == 1:
         return m[0] + math.log(s)
-    return m[:, 0] + [math.log(x) for x in s.tolist()]
+    return [a + math.log(b) for (a,), b in zip(m.tolist(), s.tolist())]
+
+
+def _logaddexp(x, y):
+    """``np.logaddexp`` of two floats, by the steps of numpy's
+    ``npy_logaddexp``, whose exp and log1p are libm's, as ``math``'s are:
+    the same double (a NaN for a NaN, though maybe not the same NaN)."""
+    if x == y:
+        return x + _LOG_TWO
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d))
 
 
 def log_price_dividend(rho_step, nu, log_weight, step):
@@ -181,7 +202,7 @@ def log_price_dividend(rho_step, nu, log_weight, step):
     column, which gives the B values at once.
     """
     base = -rho_step * step + log_weight - np.log(nu)
-    return _lse(base - np.log(np.expm1(rho_step))) - _lse(base)
+    return np.subtract(_lse(base - np.log(np.expm1(rho_step))), _lse(base))
 
 
 @dataclass
@@ -218,12 +239,12 @@ class FeedbackResult:
 
 
 class _Population:
-    """Mutable learner state for one belief population."""
+    """Mutable learner state of a group of agents."""
 
-    def __init__(self, traits: AgentTraits, prior_weight: float):
-        self.mu = traits.prior_mean_step.copy()
+    def __init__(self, prior_mean_step, tau, prior_weight: float):
+        self.mu = prior_mean_step.copy()
         self.log_weight = np.zeros(len(self.mu))
-        self.tau = traits.tau
+        self.tau = tau
         self.k0 = prior_weight
 
     def sample_size(self, step: int) -> float:
@@ -247,39 +268,50 @@ def _scan_grid(lo, hi, out):
 
 
 class _AgentSplit:
-    """What ``solve_step`` needs of a run's agents that stays fixed across
-    steps: the indices of the diligent (``_d``) and the other (``_n``)
-    agents, the slices of their traits, and scratch buffers sized for the
-    non-diligent count, which every ``solve_step`` call overwrites.  Built
-    once per run."""
+    """What ``solve_step`` needs of a run's non-diligent agents that does
+    not depend on their beliefs: trait terms, the terms that depend only on
+    the step index, and scratch buffers that every ``solve_step`` call
+    overwrites.  Built once per run."""
 
-    def __init__(self, traits: AgentTraits, nu):
-        self.dil = np.flatnonzero(traits.diligent)
-        self.nd = np.flatnonzero(~traits.diligent)
-        neg_rho, log_nu = -traits.rho_step, np.log(nu)
-        log_expm1 = np.log(np.expm1(traits.rho_step))
-        self.neg_rho_d, self.neg_rho_n = neg_rho[self.dil], neg_rho[self.nd]
-        self.log_nu_d, self.log_nu_n = log_nu[self.dil], log_nu[self.nd]
-        self.log_expm1_d = log_expm1[self.dil]
-        self.log_expm1_n = log_expm1[self.nd]
-        self.inv_expm1_n = np.exp(-self.log_expm1_n)
-        self.tau_d, self.tau_n = traits.tau[self.dil], traits.tau[self.nd]
-        self.half_tau_n = 0.5 * self.tau_n
-        n_d, n_n = self.dil.size, self.nd.size
+    def __init__(self, rho_step, tau, nu, prior_weight: float):
+        self.neg_rho, self.log_nu = -rho_step, np.log(nu)
+        self.log_expm1 = np.log(np.expm1(rho_step))
+        self.inv_expm1 = np.exp(-self.log_expm1)
+        self.tau, self.half_tau = tau, 0.5 * tau
+        self.k0 = prior_weight
+        self.start = -_IDEAL_BLOCK   # first step of the filled block (none)
+        n = len(tau)
         # rows: PD numerator, PD denominator
-        self.fixed = np.empty((2, n_d))
-        self.consts = np.empty((2, n_n))
-        self.rows = np.empty((2, n_n))
-        self.dev = np.empty(n_n)
-        self.dl = np.empty(n_n)
+        self.consts = np.empty((2, n))
+        self.rows = np.empty((2, n))
+        self.dev = np.empty(n)
+        self.dl = np.empty(n)
         self.grid = np.empty(_SCAN_POINTS)
-        self.scan_dev = np.empty((n_n, _SCAN_POINTS))
-        self.scan_v = np.empty((n_n, _SCAN_POINTS))
+        self.scan_dev = np.empty((n, _SCAN_POINTS))
+        self.scan_v = np.empty((n, _SCAN_POINTS))
+
+    def step_terms(self, step: int):
+        """-rho (step + 1), the density increment's log normalizer and
+        its quadratic coefficient, plain and negated: rows of a block of
+        steps, refilled when ``step`` leaves it."""
+        i = step - self.start
+        if not 0 <= i < _IDEAL_BLOCK:
+            self.start, i = step, 0
+            t = np.arange(step, step + _IDEAL_BLOCK)[:, None]
+            k = self.k0 + t
+            ratio = k / (k + 1.0)
+            self.neg_rho_k = self.neg_rho * (t + 1)
+            self.log_norm = 0.5 * (np.log(self.tau * ratio) - _LOG_TWO_PI)
+            self.quad = self.half_tau * ratio
+            self.neg_quad = -self.quad
+        return (self.neg_rho_k[i], self.log_norm[i], self.quad[i],
+                self.neg_quad[i])
 
 
 def solve_step(split: _AgentSplit, population: _Population, step: int,
                log_stock: float, log_div_next: float, true_increment: float,
-               prev_xi: float, sigma_step: float):
+               prev_xi: float, sigma_step: float, num_dil: float,
+               den_dil: float):
     """Solve the per-step fixed point for xi.
 
     Returns (xi, n_roots_found, relative_residual).  The bracket starts at
@@ -289,50 +321,37 @@ def solve_step(split: _AgentSplit, population: _Population, step: int,
     (tie-break: nearest to the previous xi), then Brent refines inside the
     chosen cell.  Each residual is evaluated once: the relative residual
     is that of the point Brent returns, read back from its own calls.
-    Needs at least one agent that is not diligent.
+
+    ``split`` and ``population`` hold the agents that are not diligent (at
+    least one).  The diligent agents' terms do not depend on xi: they come
+    in as ``num_dil`` and ``den_dil``, the log-sum-exps of their PD
+    numerator and denominator terms at step + 1 (-inf without any).
     """
     s = split
-    k = population.sample_size(step)
-    k_next = step + 1
-    log_weight, mu = population.log_weight, population.mu
-
-    # diligent agents' update factors do not depend on xi
-    if s.dil.size:
-        fixed = s.fixed
-        np.add(s.neg_rho_d * k_next + log_weight[s.dil] - s.log_nu_d,
-               log_density_increment(mu[s.dil], k, s.tau_d, true_increment),
-               out=fixed[1])
-        np.subtract(fixed[1], s.log_expm1_d, out=fixed[0])
-        dil = _lse(fixed, out=fixed)
-    else:
-        dil = _NO_DILIGENT
-    num_dil, den_dil = dil.tolist()
-    offset = log_stock - log_div_next
-
-    mu_n = mu[s.nd]
+    neg_rho_k, log_norm, quad, neg_quad = s.step_terms(step)
+    mu = population.mu
     # same increment as beliefs.log_density_increment, split into the
     # xi-independent constant and the quadratic coefficient
-    ratio = k / (k + 1.0)
     consts = s.consts
-    np.add(s.neg_rho_n * k_next + log_weight[s.nd] - s.log_nu_n,
-           0.5 * (np.log(s.tau_n * ratio) - _LOG_TWO_PI), out=consts[1])
-    np.subtract(consts[1], s.log_expm1_n, out=consts[0])
-    quad_n = s.half_tau_n * ratio
-    neg_quad_n = -quad_n
+    np.add(neg_rho_k, population.log_weight, out=consts[1])
+    np.subtract(consts[1], s.log_nu, out=consts[1])
+    np.add(consts[1], log_norm, out=consts[1])
+    np.subtract(consts[1], s.log_expm1, out=consts[0])
+    offset = log_stock - log_div_next
     dev, dl, rows = s.dev, s.dl, s.rows
 
     def residual(xi: float) -> float:
-        np.subtract(xi, mu_n, out=dev)
-        np.multiply(neg_quad_n, dev, out=dl)
+        np.subtract(xi, mu, out=dev)
+        np.multiply(neg_quad, dev, out=dl)
         np.multiply(dl, dev, out=dl)
-        log_num, log_den = np.logaddexp(
-            dil, _lse(np.add(consts, dl, out=rows), out=rows)).tolist()
-        return offset + xi - (log_num - log_den)
+        log_num, log_den = _lse(np.add(consts, dl, out=rows), out=rows)
+        return offset + xi - (_logaddexp(num_dil, log_num)
+                              - _logaddexp(den_dil, log_den))
 
     # the scan reads only signs: one exp pass over (agents, points) arrays
-    mu_col = mu_n[:, None]
+    mu_col = mu[:, None]
     const_col = consts[1][:, None]
-    quad_col = quad_n[:, None]
+    quad_col = quad[:, None]
 
     def residual_grid(xi):
         dev = np.subtract(xi, mu_col, out=s.scan_dev)
@@ -343,7 +362,7 @@ def solve_step(split: _AgentSplit, population: _Population, step: int,
         np.maximum(m, den_dil, out=m)
         np.subtract(v, m, out=v)
         e = np.exp(np.maximum(v, _EXP_FLOOR, out=v), out=v)
-        pd = s.inv_expm1_n @ e + np.exp(num_dil - m)
+        pd = s.inv_expm1 @ e + np.exp(num_dil - m)
         pd /= np.add.reduce(e, axis=0) + np.exp(den_dil - m)
         return offset + xi - np.log(pd)
 
@@ -386,34 +405,46 @@ def solve_step(split: _AgentSplit, population: _Population, step: int,
 @dataclass(frozen=True)
 class _SeedInputs:
     """What runs on one master seed share whatever their diligence count:
-    the agents, the dividend path and the ideal price S*."""
+    the agents, the dividend path, the ideal price S* and, for each count
+    c with 0 < c < n_agents asked for, the per-step log-sum-exps of the
+    first c agents' PD numerator and denominator terms."""
 
     traits: AgentTraits
     nu: np.ndarray
     increments: np.ndarray
     log_div: np.ndarray
     log_stock_ideal: np.ndarray
+    diligent: Dict[int, Tuple[List[float], List[float]]]
 
 
-def _seed_inputs(config: FeedbackConfig) -> _SeedInputs:
+def _seed_inputs(config: FeedbackConfig, counts=None) -> _SeedInputs:
+    """The inputs of ``config``'s seed for the diligence ``counts`` (by
+    default the config's own)."""
+    J = config.n_agents
     traits = draw_agents(config)
-    nu = np.full(config.n_agents, config.nu, dtype=float)
+    nu = np.full(J, config.nu, dtype=float)
     sigma_step = config.sigma_true * math.sqrt(config.dt)
     drift_step = config.growth_true * config.dt
     rng = path_rng(config.seed, 0)
     n = config.n_steps
     increments = drift_step + sigma_step * rng.standard_normal(n)
     log_div = np.concatenate([[0.0], np.cumsum(increments)])
+    if counts is None:
+        counts = (config.n_diligent,)
+    diligent = {c: ([], []) for c in set(counts) if 0 < c < J}
+    widest = max(diligent, default=0)
+    neg_rho, log_nu = -traits.rho_step, np.log(nu)
+    log_expm1 = np.log(np.expm1(traits.rho_step))
 
     # the ideal population, a block of steps at a time: the same
     # operations, in the same order, as _Population.absorb step by step
     mu = traits.prior_mean_step.copy()
-    log_weight = np.zeros(config.n_agents)
+    log_weight = np.zeros(J)
     sample_size = config.prior_weight + np.arange(n)
     log_stock_ideal = np.empty(n + 1)
     log_stock_ideal[0] = (
         log_price_dividend(traits.rho_step, nu, log_weight, 0) + log_div[0])
-    means = np.empty((min(n, _IDEAL_BLOCK), config.n_agents))
+    means = np.empty((min(n, _IDEAL_BLOCK), J))
     for start in range(0, n, _IDEAL_BLOCK):
         stop = min(start + _IDEAL_BLOCK, n)
         for i, t in enumerate(range(start, stop)):
@@ -423,14 +454,25 @@ def _seed_inputs(config: FeedbackConfig) -> _SeedInputs:
         weights = log_density_increment(
             means[:stop - start], sample_size[block, None], traits.tau,
             increments[block, None])
+        steps = np.arange(start + 1, stop + 1)[:, None]
+        dlog_weight = weights[:, :widest].copy()
         # w_t = w_{t-1} + increment_t, added in that order along time
         weights[0] += log_weight
         np.cumsum(weights, axis=0, out=weights)
+        # the diligent agents' terms at step + 1, as the step-by-step form
+        # builds them: ((-rho (t+1) + w_t) - log nu) + dlog_weight_t
+        before = np.vstack((log_weight[:widest], weights[:-1, :widest]))
+        for c, (num, den) in diligent.items():
+            terms = neg_rho[:c] * steps + before[:, :c]
+            terms -= log_nu[:c]
+            terms += dlog_weight[:, :c]
+            num.extend(_lse(terms - log_expm1[:c]))
+            den.extend(_lse(terms, out=terms))
         log_weight = weights[-1]
-        log_pd = log_price_dividend(traits.rho_step, nu, weights,
-                                    np.arange(start + 1, stop + 1)[:, None])
+        log_pd = log_price_dividend(traits.rho_step, nu, weights, steps)
         log_stock_ideal[after] = log_pd + log_div[after]
-    return _SeedInputs(traits, nu, increments, log_div, log_stock_ideal)
+    return _SeedInputs(traits, nu, increments, log_div, log_stock_ideal,
+                       diligent)
 
 
 def run_feedback(config: FeedbackConfig) -> FeedbackResult:
@@ -439,8 +481,8 @@ def run_feedback(config: FeedbackConfig) -> FeedbackResult:
 
 
 def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
-    traits = replace(inputs.traits,
-                     diligent=np.arange(config.n_agents) < config.n_diligent)
+    c = config.n_diligent
+    traits = replace(inputs.traits, diligent=np.arange(config.n_agents) < c)
     sigma_step = config.sigma_true * math.sqrt(config.dt)
     increments, log_div = inputs.increments, inputs.log_div
     log_stock_ideal = inputs.log_stock_ideal
@@ -461,8 +503,13 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
                 "xi": float(xi_series[t + 1]),
                 "true_increment": float(increments[t])})
     else:
-        actual = _Population(traits, config.prior_weight)
-        split = _AgentSplit(traits, inputs.nu)
+        # only the agents that observe the price: the diligent ones enter
+        # through their per-step terms from the S* pass
+        actual = _Population(traits.prior_mean_step[c:], traits.tau[c:],
+                             config.prior_weight)
+        split = _AgentSplit(traits.rho_step[c:], traits.tau[c:],
+                            inputs.nu[c:], config.prior_weight)
+        num_dil, den_dil = inputs.diligent[c] if c else ([-math.inf] * n,) * 2
         log_stock = np.empty(n + 1)
         # before any observation the population holds its priors, like S*
         log_stock[0] = log_stock_ideal[0]
@@ -471,7 +518,7 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
             prev = xi_series[t] if t > 0 else d
             xi, n_roots, rel = solve_step(
                 split, actual, t, log_stock[t], log_div[t + 1], d, prev,
-                sigma_step)
+                sigma_step, num_dil[t], den_dil[t])
             if rel > RESIDUAL_TOL:
                 raise FixedPointError(
                     f"step {t}: fixed-point residual {rel:.3e} above "
@@ -480,9 +527,7 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
             warnings[t + 1] = n_roots - 1
             residuals[t + 1] = rel
             log_stock[t + 1] = log_stock[t] + xi
-
-            observed = np.where(traits.diligent, d, xi)
-            actual.absorb(observed, t)
+            actual.absorb(xi, t)
 
     log_ratio = log_stock - log_stock_ideal
     jump_threshold = 5.0 * sigma_step
@@ -513,7 +558,7 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
 
 def _sweep_seed(task) -> List[Dict[str, float]]:
     config, n_diligent_values = task
-    inputs = _seed_inputs(config)
+    inputs = _seed_inputs(config, n_diligent_values)
     return [_run(replace(config, n_diligent=n_dil), inputs).metrics
             for n_dil in n_diligent_values]
 

@@ -226,7 +226,9 @@ def test_problem_validation():
     ({"dt": math.nan}, "dt"), ({"seed": -3}, "seed"),
     ({"horizon": math.inf}, "horizon"),
     # each count within MAX_COUNT, but not the driver points a search keeps
-    ({"n_paths": 10**9, "horizon": 20.0, "dt": 1 / 52}, "n_paths")])
+    ({"n_paths": 10**9, "horizon": 20.0, "dt": 1 / 52}, "n_paths"),
+    # horizon/dt overflows
+    ({"horizon": 1e300, "dt": 1e-10}, "dt")])
 def test_problem_validates_monte_carlo_budget(budget, field):
     with pytest.raises(ConfigError, match=f"^{field}"):
         CalibrationProblem(n_agents=1, free=(

@@ -54,6 +54,19 @@ def test_config_validation():
         parse_feedback({"n_agents": 5, "rho_range": [True, True]})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dt", math.inf), ("sigma_true", math.inf), ("nu", math.inf),
+    ("prior_weight", math.inf), ("growth_true", math.nan),
+    ("rho_range", (0.04, math.inf)), ("tau_factor_range", (0.4, math.inf)),
+    ("prior_mean_range", (-math.inf, 0.1))])
+def test_config_rejects_non_finite_numbers(field, value):
+    # library callers get a ConfigError naming the field, not numpy
+    # warnings and a failed fixed point or an OverflowError
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        FeedbackConfig(n_agents=3, n_diligent=0, n_steps=5, seed=0,
+                       **{field: value})
+
+
 def test_negative_seed_raises_config_error():
     # library callers get a ConfigError naming the seed, not numpy's
     # ValueError from inside SeedSequence
@@ -155,7 +168,8 @@ def test_generic_step_agrees_with_dense_grid_scan():
     nu = np.full(3, 1.0)
 
     # replay the run to recover the belief state just before the last step
-    population = _Population(traits, cfg.prior_weight)
+    population = _Population(traits.prior_mean_step, traits.tau,
+                             cfg.prior_weight)
     increments = np.diff(np.log(res.dividend))
     t_last = cfg.n_steps - 1
     for t in range(t_last):
@@ -192,6 +206,22 @@ def _lse_rows(v):
     return np.log(np.exp(v - m).sum(axis=1)) + m[:, 0]
 
 
+def diligent_terms_oracle(rho_step, nu, population, diligent_mask, step,
+                          true_increment):
+    """The log-sum-exps of the diligent agents' PD numerator and
+    denominator terms at step + 1, as the former ``solve_step`` built them
+    at every step (-inf without diligent agents)."""
+    if not diligent_mask.any():
+        return -np.inf, -np.inf
+    k = population.sample_size(step)
+    base = -rho_step * (step + 1) + population.log_weight - np.log(nu)
+    fixed = base[diligent_mask] + log_density_increment(
+        population.mu[diligent_mask], k, population.tau[diligent_mask],
+        true_increment)
+    return (_lse(fixed - np.log(np.expm1(rho_step[diligent_mask]))),
+            _lse(fixed))
+
+
 def solve_step_oracle(rho_step, nu, population, diligent_mask, step,
                       log_stock, log_div_next, true_increment, prev_xi,
                       sigma_step):
@@ -202,14 +232,8 @@ def solve_step_oracle(rho_step, nu, population, diligent_mask, step,
     k = population.sample_size(step)
     log_expm1 = np.log(np.expm1(rho_step))
     base = -rho_step * (step + 1) + population.log_weight - np.log(nu)
-    if diligent_mask.any():
-        fixed = base[diligent_mask] + log_density_increment(
-            population.mu[diligent_mask], k, population.tau[diligent_mask],
-            true_increment)
-        num_dil = _lse(fixed - log_expm1[diligent_mask])
-        den_dil = _lse(fixed)
-    else:
-        num_dil = den_dil = -np.inf
+    num_dil, den_dil = diligent_terms_oracle(
+        rho_step, nu, population, diligent_mask, step, true_increment)
     offset = log_stock - log_div_next
     mu_nd = population.mu[nd]
     ratio = k / (k + 1.0)
@@ -285,7 +309,7 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
             diligent=diligent)
         nu = rng.uniform(0.5, 2.0, J)
         step = int(rng.integers(0, 2000))
-        population = _Population(traits, 252.0)
+        population = _Population(traits.prior_mean_step, traits.tau, 252.0)
         population.mu += rng.normal(0.0, 0.01, J)
         population.log_weight = rng.uniform(-0.5, 0.5, J) \
             * rng.uniform(0.0, 2000.0)
@@ -312,8 +336,14 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
         prev_xi = d + rng.normal(0.0, sigma_step)
         args = (traits.rho_step, nu, population, diligent, step, log_stock,
                 log_div_next, d, prev_xi, sigma_step)
-        step_args = (_AgentSplit(traits, nu), population, step, log_stock,
-                     log_div_next, d, prev_xi, sigma_step)
+        # solve_step sees the non-diligent agents and the diligent terms
+        mistaken = _Population(population.mu[nd], traits.tau[nd], 252.0)
+        mistaken.log_weight = population.log_weight[nd]
+        step_args = (
+            _AgentSplit(traits.rho_step[nd], traits.tau[nd], nu[nd], 252.0),
+            mistaken, step, log_stock, log_div_next, d, prev_xi, sigma_step,
+            *diligent_terms_oracle(traits.rho_step, nu, population, diligent,
+                                   step, d))
         try:
             want = solve_step_oracle(*args)
         except FixedPointError as exc:
@@ -334,13 +364,16 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
 
 
 def test_no_root_within_cap_raises_with_step_index():
-    cfg = small_config(n_agents=2, n_diligent=1)
+    cfg = small_config(n_agents=2, n_diligent=0)
     traits = draw_agents(cfg)
-    population = _Population(traits, cfg.prior_weight)
+    population = _Population(traits.prior_mean_step, traits.tau,
+                             cfg.prior_weight)
+    split = _AgentSplit(traits.rho_step, traits.tau, np.full(2, 1.0),
+                        cfg.prior_weight)
     with pytest.raises(FixedPointError) as err:
-        solve_step(_AgentSplit(traits, np.full(2, 1.0)), population, 0,
-                   log_stock=50.0, log_div_next=0.0, true_increment=0.0,
-                   prev_xi=0.0, sigma_step=0.015)
+        solve_step(split, population, 0, log_stock=50.0, log_div_next=0.0,
+                   true_increment=0.0, prev_xi=0.0, sigma_step=0.015,
+                   num_dil=-math.inf, den_dil=-math.inf)
     assert err.value.step == 0
     assert str(err.value).startswith("step 0: no root for xi within")
     assert "residual_lo" in err.value.diagnostics
@@ -431,7 +464,8 @@ def ideal_log_stock_oracle(config):
         return lse_vector(base - np.log(np.expm1(traits.rho_step))) \
             - lse_vector(base)
 
-    ideal = _Population(traits, config.prior_weight)
+    ideal = _Population(traits.prior_mean_step, traits.tau,
+                        config.prior_weight)
     out = np.empty(config.n_steps + 1)
     out[0] = log_pd(ideal.log_weight, 0) + log_div[0]
     for t, d in enumerate(increments):
@@ -448,6 +482,71 @@ def test_blocked_ideal_price_equals_step_by_step(n_agents, n_steps):
                            seed=seed)
         got = _seed_inputs(cfg).log_stock_ideal
         assert got.tobytes() == ideal_log_stock_oracle(cfg).tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 300])
+def test_blocked_diligent_terms_equal_step_by_step(n_steps):
+    # the S* pass gives each count's diligent terms as solve_step built
+    # them at every step, from the population that observes the dividend
+    J = 30
+    counts = (1, J // 2, J - 1)
+    for seed in (0, 9):
+        cfg = small_config(n_agents=J, n_diligent=0, n_steps=n_steps,
+                           seed=seed, nu=1.7)
+        inputs = _seed_inputs(cfg, (0, *counts, J))
+        assert sorted(inputs.diligent) == list(counts)
+        traits, nu = inputs.traits, inputs.nu
+        population = _Population(traits.prior_mean_step, traits.tau,
+                                 cfg.prior_weight)
+        want = {c: [] for c in counts}
+        for t, d in enumerate(inputs.increments):
+            for c in counts:
+                want[c].append(diligent_terms_oracle(
+                    traits.rho_step, nu, population, np.arange(J) < c, t, d))
+            population.absorb(d, t)
+        for c in counts:
+            num, den = inputs.diligent[c]
+            assert np.array(num).tobytes() == \
+                np.array([w[0] for w in want[c]]).tobytes()
+            assert np.array(den).tobytes() == \
+                np.array([w[1] for w in want[c]]).tobytes()
+
+
+def test_step_terms_equal_step_by_step():
+    # the blocks of step terms hold the doubles of the per-step formulas,
+    # at every offset in a block, across block boundaries and after a jump
+    rng = np.random.default_rng(19)
+    J, k0 = 7, 252.0
+    rho_step = rng.uniform(0.04, 0.33, J) / 252.0
+    tau = rng.uniform(0.4, 1.05, J) * 252.0 / 0.0625
+    split = _AgentSplit(rho_step, tau, np.ones(J), k0)
+    for step in [*range(300), 1000, 1001, 5]:
+        k = k0 + step
+        ratio = k / (k + 1.0)
+        quad = 0.5 * tau * ratio
+        want = (-rho_step * (step + 1),
+                0.5 * (np.log(tau * ratio) - math.log(2.0 * math.pi)),
+                quad, -quad)
+        got = split.step_terms(step)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_logaddexp_matches_numpy():
+    rng = np.random.default_rng(20)
+    x = rng.normal(0.0, 1.0, 100_000) * 10.0 ** rng.integers(-3, 4, 100_000)
+    # about half the pairs close together, where log1p does the work
+    y = np.where(rng.random(100_000) < 0.5,
+                 x + rng.normal(0.0, 1e-3, 100_000),
+                 rng.normal(0.0, 1.0, 100_000) * 10.0 ** rng.integers(
+                     -3, 4, 100_000))
+    inf = math.inf
+    special = [(a, a) for a in (0.0, -1.5, 700.0, -inf, inf)] + [
+        (-inf, b) for b in (0.0, -0.0, 3.25, -745.0, 1e300, inf)] + [
+        (inf, -inf), (3.25, -inf), (inf, 3.25), (3.25, inf)]
+    pairs = list(zip(x.tolist(), y.tolist())) + special
+    got = np.array([feedback._logaddexp(a, b) for a, b in pairs])
+    want = np.logaddexp(*np.array(pairs).T)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_scan_sign_changes_finds_all_roots():
