@@ -108,16 +108,16 @@ def pareto_faked_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
 
 @dataclass(frozen=True)
 class WelfareReport:
+    truthful: ContestEquilibrium
+    faked: ContestEquilibrium
     improved: np.ndarray          # strict per-agent improvement flags
     all_improved: bool            # never True (checked property)
     all_worse: bool
-    truthful_price: float
-    faked_price: float
     identity_gap: float           # residual of the q-weighted variance identity
 
 
 def welfare_comparison(spec: ContestSpec) -> WelfareReport:
-    """Compare the two equilibria agent by agent.
+    """Both equilibria, compared agent by agent.
 
     Agent j strictly improves iff
         (alpha_j - S)^2 < (a_j - F)^2 + 2 (a_j - F)(alpha_j - a_j)
@@ -143,20 +143,14 @@ def welfare_comparison(spec: ContestSpec) -> WelfareReport:
         - (truthful.price - faked.price) ** 2
     )
     return WelfareReport(
-        improved=improved,
-        all_improved=bool(improved.all()),
-        all_worse=bool(worse.all()),
-        truthful_price=truthful.price,
-        faked_price=faked.price,
-        identity_gap=identity_gap,
-    )
+        truthful=truthful, faked=faked, improved=improved,
+        all_improved=bool(improved.all()), all_worse=bool(worse.all()),
+        identity_gap=identity_gap)
 
 
-def format_solution(spec: ContestSpec) -> str:
-    """Aligned text table of both equilibria with welfare flags."""
-    truthful = truthful_equilibrium(spec)
-    faked = pareto_faked_equilibrium(spec)
-    report = welfare_comparison(spec)
+def format_solution(spec: ContestSpec, report: WelfareReport) -> str:
+    """Aligned text table of ``welfare_comparison(spec)``'s report."""
+    truthful, faked = report.truthful, report.faked
     lines = [
         f"truthful price {truthful.price:.6g}    "
         f"faked price {faked.price:.6g}",

@@ -61,6 +61,18 @@ class MomentReport:
         return {k: getattr(self, k) for k in MOMENT_NAMES}
 
 
+def _moment_report(mean_pd, std_pd, mean_ret, std_ret, mean_r, std_r,
+                   provenance=""):
+    """Six moments and the premium and Sharpe ratio derived from them."""
+    premium = mean_ret - mean_r
+    return MomentReport(
+        mean_pd=mean_pd, std_pd=std_pd, mean_equity_return=mean_ret,
+        std_equity_return=std_ret, mean_riskless=mean_r, std_riskless=std_r,
+        equity_premium=premium,
+        sharpe=premium / std_ret if std_ret > 0.0 else math.nan,
+        provenance=provenance)
+
+
 #: Long-sample US stock-market targets (S&P real price and dividend,
 #: 1871-1998, monthly): the default calibration target set.
 DEFAULT_TARGETS = MomentReport(
@@ -116,17 +128,10 @@ class _Moments:
                       - stock[..., :-1]) / stock[..., :-1])
 
     def report(self) -> MomentReport:
-        mean_ret = self.ret.mean() / self.dt
-        std_ret = self.ret.std() / math.sqrt(self.dt)
-        mean_r = self.rate.mean()
-        premium = mean_ret - mean_r
-        return MomentReport(
-            mean_pd=self.pd.mean(), std_pd=self.pd.std(),
-            mean_equity_return=mean_ret, std_equity_return=std_ret,
-            mean_riskless=mean_r, std_riskless=self.rate.std(),
-            equity_premium=premium,
-            sharpe=premium / std_ret if std_ret > 0.0 else math.nan,
-        )
+        return _moment_report(
+            self.pd.mean(), self.pd.std(), self.ret.mean() / self.dt,
+            self.ret.std() / math.sqrt(self.dt), self.rate.mean(),
+            self.rate.std())
 
 
 def compute_moments(paths) -> MomentReport:
@@ -217,19 +222,12 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
     std_ret = math.sqrt(12.0) * float(ret_m.std())
     if has_rate:
         rate = np.array([r[3] for r in rows])
-        mean_r = float(rate.mean())
-        std_r = float(rate.std())
-        premium = mean_ret - mean_r
-        sharpe = premium / std_ret if std_ret > 0.0 else math.nan
+        mean_r, std_r = float(rate.mean()), float(rate.std())
     else:
-        mean_r = std_r = premium = sharpe = math.nan
-    targets = MomentReport(
-        mean_pd=float(pd_ratio.mean()), std_pd=float(pd_ratio.std()),
-        mean_equity_return=mean_ret, std_equity_return=std_ret,
-        mean_riskless=mean_r, std_riskless=std_r,
-        equity_premium=premium, sharpe=sharpe,
-        provenance=f"ingested:{path}",
-    )
+        mean_r = std_r = math.nan
+    targets = _moment_report(
+        float(pd_ratio.mean()), float(pd_ratio.std()), mean_ret, std_ret,
+        mean_r, std_r, provenance=f"ingested:{path}")
     return IngestReport(targets=targets, n_rows=len(rows),
                         first_date=rows[0][0], last_date=rows[-1][0])
 

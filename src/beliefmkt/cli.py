@@ -17,11 +17,10 @@ import numpy as np
 from . import __version__
 from .calibration import (comparison_table, compute_moments, fit_parameters,
                           ingest_price_dividend_csv)
-from .beauty import (format_solution, pareto_faked_equilibrium,
-                     truthful_equilibrium, welfare_comparison)
+from .beauty import format_solution, welfare_comparison
 from .config import (MAX_COUNT, _get, load_config, parse_contest,
                      parse_feedback, parse_fit, parse_simulate, parse_targets,
-                     write_manifest)
+                     check_read, write_manifest)
 from .errors import ConfigError, NumericError
 from .feedback import diligence_sweep, run_feedback
 from .equilibrium import simulate_paths
@@ -29,7 +28,8 @@ from .numerics import write_rows
 
 
 def _start(args, cfg):
-    """Make --out and its manifest.json, once the config is fully parsed."""
+    """Make --out and its manifest.json once every config key is read."""
+    check_read(cfg)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -70,14 +70,12 @@ def cmd_simulate_log(cfg, args):
 
 def cmd_feedback(cfg, args):
     config = parse_feedback(cfg)
-    sweep = cfg.get("seed_sweep", 0)
-    if isinstance(sweep, bool) or not isinstance(sweep, int) or sweep < 0:
-        raise ConfigError("seed_sweep: expected a nonnegative integer")
-    if sweep > MAX_COUNT:
-        raise ConfigError(f"seed_sweep: must be at most {MAX_COUNT}")
-    diligence_values = cfg.get("diligence_values", [0, config.n_diligent])
-    if sweep and (not isinstance(diligence_values, list)
-                  or not diligence_values
+    sweep = _get(cfg, "seed_sweep", int, default=0)
+    if not 0 <= sweep <= MAX_COUNT:
+        raise ConfigError(f"seed_sweep: must be >= 0 and at most {MAX_COUNT}")
+    diligence_values = _get(cfg, "diligence_values", list,
+                            default=[0, config.n_diligent])
+    if sweep and (not diligence_values
                   or not all(isinstance(v, int) and not isinstance(v, bool)
                              and 0 <= v <= config.n_agents
                              for v in diligence_values)):
@@ -118,13 +116,12 @@ def cmd_feedback(cfg, args):
 def cmd_beauty(cfg, args):
     spec = parse_contest(cfg)
     write_csv = _get(cfg, "csv", bool, default=False)
+    report = welfare_comparison(spec)
     out = _start(args, cfg)
     with open(out / "contest.txt", "w") as fp:
-        fp.write(format_solution(spec) + "\n")
+        fp.write(format_solution(spec, report) + "\n")
     if write_csv:
-        truthful = truthful_equilibrium(spec)
-        faked = pareto_faked_equilibrium(spec)
-        report = welfare_comparison(spec)
+        truthful, faked = report.truthful, report.faked
         table = np.column_stack((
             np.arange(spec.n_agents), spec.risk_aversion, spec.mean_belief,
             spec.belief_variance, truthful.weights, truthful.holdings,

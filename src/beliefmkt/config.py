@@ -23,10 +23,35 @@ from .feedback import FeedbackConfig
 import numpy as np
 
 
+class _Node(dict):
+    """A JSON object that records the keys read from it with ``[]``."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def check_read(node, path=""):
+    """Raise a ConfigError naming the first key under ``node`` not read."""
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            check_read(value, f"{path}[{i}]")
+    elif isinstance(node, _Node):
+        for key, value in node.items():
+            name = f"{path}.{key}" if path else key
+            if key not in node.read:
+                raise ConfigError(f"{name}: key not read by this run")
+            check_read(value, name)
+
+
 def load_config(path: str) -> Dict[str, Any]:
     try:
         with open(path) as fp:
-            cfg = json.load(fp)
+            cfg = json.load(fp, object_hook=_Node)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -57,10 +82,13 @@ def _number(value, path) -> float:
     return value
 
 
+_EXPECTED = {str: "a string", bool: "true or false", list: "a list",
+             dict: "an object"}
+
+
 def _get(cfg, path, kind, default=..., positive=False):
     node = cfg
-    parts = path.split(".")
-    for i, part in enumerate(parts):
+    for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
             if default is not ...:
                 return default
@@ -77,18 +105,8 @@ def _get(cfg, path, kind, default=..., positive=False):
             raise ConfigError(f"{path}: must be > 0")
         if positive and node > MAX_COUNT:  # a positive integer is a count
             raise ConfigError(f"{path}: must be at most {MAX_COUNT}")
-    elif kind is str:
-        if not isinstance(node, str):
-            raise ConfigError(f"{path}: expected a string")
-    elif kind is bool:
-        if not isinstance(node, bool):
-            raise ConfigError(f"{path}: expected true or false")
-    elif kind is list:
-        if not isinstance(node, list):
-            raise ConfigError(f"{path}: expected a list")
-    elif kind is dict:
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path}: expected an object")
+    elif not isinstance(node, kind):
+        raise ConfigError(f"{path}: expected {_EXPECTED[kind]}")
     return node
 
 
@@ -198,8 +216,7 @@ def parse_feedback(cfg) -> FeedbackConfig:
         tau_factor_range=_pair(cfg, "tau_factor_range", (0.4, 1.05)),
         prior_mean_range=_pair(cfg, "prior_mean_range", (-0.05, 0.15)),
         prior_weight=_get(cfg, "prior_weight", float, default=252.0,
-                          positive=True),
-        nu=_get(cfg, "nu", float, default=1.0, positive=True))
+                          positive=True))
 
 
 def parse_contest(cfg) -> ContestSpec:
@@ -225,7 +242,7 @@ def parse_contest(cfg) -> ContestSpec:
 
 
 def parse_targets(cfg) -> MomentReport:
-    node = cfg.get("targets", "default")
+    node = cfg["targets"] if "targets" in cfg else "default"
     if node == "default":
         return DEFAULT_TARGETS
     if not isinstance(node, dict):
@@ -254,9 +271,8 @@ def parse_fit(cfg) -> CalibrationProblem:
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     fixed_node = _get(cfg, "fixed", dict, default={})
-    fixed = {}
-    for name, value in fixed_node.items():
-        fixed[name] = _number(value, f"fixed.{name}")
+    fixed = {name: _number(fixed_node[name], f"fixed.{name}")
+             for name in fixed_node}
     horizon = _get(cfg, "horizon_years", float, default=50.0, positive=True)
     dt = _get(cfg, "dt", float, default=1.0 / 252.0, positive=True)
     _step_count(horizon, dt, "horizon_years")

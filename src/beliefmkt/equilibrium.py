@@ -61,6 +61,13 @@ _SINGULAR_TOL = 1e-14
 PD_DIVERGENCE_LIMIT = 1e6
 
 
+def _require_finite(owner, prefix=""):
+    """ConfigError naming the first number field of ``owner`` not finite."""
+    for name, value in vars(owner).items():
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{name} must be finite")
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """One log investor: impatience rho > 0, a belief, and either an
@@ -81,6 +88,8 @@ class AgentSpec:
             raise ConfigError("weight must be > 0")
         if self.initial_wealth is not None and not self.initial_wealth > 0.0:
             raise ConfigError("initial_wealth must be > 0")
+        _require_finite(self)
+        _require_finite(self.belief, "belief.")
 
     def resolved_weight(self) -> float:
         if self.weight is not None:
@@ -104,6 +113,7 @@ class MarketSpec:
             raise ConfigError("initial_dividend must be > 0")
         if len(self.agents) < 1:
             raise ConfigError("at least one agent is required")
+        _require_finite(self)
         object.__setattr__(self, "agents", tuple(self.agents))
 
     def arrays(self):

@@ -33,9 +33,9 @@ oracle, and the outputs are the same to the bit.
   from it in the last bit for a few inputs in 10,000.
 * What does not depend on xi is computed outside the step.  Diligent
   agents hold the S* population's beliefs, so the S* pass also gives their
-  per-step PD terms for each diligence count of a sweep.  ``_Population``
-  and ``_AgentSplit`` hold only the other agents, whose terms that depend
-  only on the step index are filled 128 steps at a time.
+  per-step PD terms for each diligence count of a sweep.  ``_Observers``
+  holds the agents that observe the price: their learner state, trait
+  terms and step-index terms, the last filled 128 steps at a time.
 * Brent's residual stacks the PD numerator and denominator as the two rows
   of one array, so each call makes one exp pass; it joins the diligent
   term in Python floats (``_logaddexp``, numpy's own steps).
@@ -97,26 +97,26 @@ class FeedbackConfig:
     tau_factor_range: Tuple[float, float] = (0.4, 1.05)
     prior_mean_range: Tuple[float, float] = (-0.05, 0.15)
     prior_weight: float = 252.0
-    nu: float = 1.0
 
     def __post_init__(self):
         if self.n_agents < 1:
             raise ConfigError("n_agents must be >= 1")
         if not 0 <= self.n_diligent <= self.n_agents:
             raise ConfigError("need 0 <= n_diligent <= n_agents")
-        for name in ("sigma_true", "growth_true", "dt", "prior_weight", "nu"):
+        for name in ("sigma_true", "growth_true", "dt", "prior_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if not self.sigma_true > 0.0:
             raise ConfigError("sigma_true must be > 0")
         if not self.dt > 0.0:
             raise ConfigError("dt must be > 0")
+        variance = self.sigma_true**2 * self.dt
+        if not (0.0 < variance < math.inf and math.isfinite(1 / variance)):
+            raise ConfigError("sigma_true, dt: need a finite tau_true > 0")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
         if not self.prior_weight > 0.0:
             raise ConfigError("prior_weight must be > 0")
-        if not self.nu > 0.0:
-            raise ConfigError("nu must be > 0")
         for name in ("rho_range", "tau_factor_range", "prior_mean_range"):
             low, high = getattr(self, name)
             if not (math.isfinite(low) and math.isfinite(high)):
@@ -138,7 +138,6 @@ class AgentTraits:
     rho_step: np.ndarray      # impatience per step
     tau: np.ndarray           # assumed precision of one increment
     prior_mean_step: np.ndarray
-    diligent: np.ndarray      # bool
 
 
 def draw_agents(config: FeedbackConfig) -> AgentTraits:
@@ -157,10 +156,8 @@ def draw_agents(config: FeedbackConfig) -> AgentTraits:
         rho[j] = rng.uniform(*config.rho_range)
         tau[j] = rng.uniform(*config.tau_factor_range) * config.tau_true
         mu0[j] = rng.uniform(*config.prior_mean_range)
-    diligent = np.zeros(J, dtype=bool)
-    diligent[: config.n_diligent] = True
     return AgentTraits(rho_step=rho * config.dt, tau=tau,
-                       prior_mean_step=mu0 * config.dt, diligent=diligent)
+                       prior_mean_step=mu0 * config.dt)
 
 
 def _lse(v, out=None):
@@ -192,16 +189,17 @@ def _logaddexp(x, y):
     return y + math.log1p(math.exp(d))
 
 
-def log_price_dividend(rho_step, nu, log_weight, step):
+def log_price_dividend(rho_step, log_weight, step):
     """log PD at the given step from per-agent log densities.
 
-    PD = [sum_j e^{-rho_j t} w_j / (nu_j (e^{rho_j} - 1))]
-       / [sum_j e^{-rho_j t} w_j / nu_j],  all in log space.
+    PD = [sum_j e^{-rho_j t} w_j / (e^{rho_j} - 1)] / [sum_j e^{-rho_j t} w_j],
+    all in log space.  Every agent has the same equilibrium weight, which
+    scales both sums alike and so cancels.
 
     ``log_weight`` is one (J,) state, or (B, J) rows with ``step`` a (B, 1)
     column, which gives the B values at once.
     """
-    base = -rho_step * step + log_weight - np.log(nu)
+    base = -rho_step * step + log_weight
     return np.subtract(_lse(base - np.log(np.expm1(rho_step))), _lse(base))
 
 
@@ -218,7 +216,6 @@ class FeedbackResult:
     log_ratio: np.ndarray      # log(S/S*)
     solver_warnings: np.ndarray  # per-step multi-root count
     residuals: np.ndarray      # per-step relative fixed-point residual
-    traits: AgentTraits
     metrics: Dict[str, float]
 
     def write_csv(self, fp):
@@ -238,25 +235,6 @@ class FeedbackResult:
         write_rows(fp, table, format_row)
 
 
-class _Population:
-    """Mutable learner state of a group of agents."""
-
-    def __init__(self, prior_mean_step, tau, prior_weight: float):
-        self.mu = prior_mean_step.copy()
-        self.log_weight = np.zeros(len(self.mu))
-        self.tau = tau
-        self.k0 = prior_weight
-
-    def sample_size(self, step: int) -> float:
-        return self.k0 + step
-
-    def absorb(self, x, step: int):
-        """Consume observations x (scalar or per-agent) seen at step+1."""
-        k = self.sample_size(step)
-        self.log_weight += log_density_increment(self.mu, k, self.tau, x)
-        self.mu = posterior_mean_step(self.mu, k, x)
-
-
 def _scan_grid(lo, hi, out):
     """``np.linspace(lo, hi, _SCAN_POINTS)`` written into ``out``, by
     numpy's own steps (index * ((hi - lo) / (n - 1)) + lo, then hi at the
@@ -267,20 +245,22 @@ def _scan_grid(lo, hi, out):
     return out
 
 
-class _AgentSplit:
-    """What ``solve_step`` needs of a run's non-diligent agents that does
-    not depend on their beliefs: trait terms, the terms that depend only on
-    the step index, and scratch buffers that every ``solve_step`` call
-    overwrites.  Built once per run."""
+class _Observers:
+    """A run's agents that observe the price: their learner state (``mu``
+    and ``log_weight``), the terms of their traits and of the step index
+    that ``solve_step`` needs, and scratch buffers that every
+    ``solve_step`` call overwrites.  Built once per run."""
 
-    def __init__(self, rho_step, tau, nu, prior_weight: float):
-        self.neg_rho, self.log_nu = -rho_step, np.log(nu)
+    def __init__(self, rho_step, tau, prior_mean_step, prior_weight: float):
+        n = len(tau)
+        self.mu = prior_mean_step.copy()
+        self.log_weight = np.zeros(n)
+        self.neg_rho = -rho_step
         self.log_expm1 = np.log(np.expm1(rho_step))
         self.inv_expm1 = np.exp(-self.log_expm1)
         self.tau, self.half_tau = tau, 0.5 * tau
         self.k0 = prior_weight
         self.start = -_IDEAL_BLOCK   # first step of the filled block (none)
-        n = len(tau)
         # rows: PD numerator, PD denominator
         self.consts = np.empty((2, n))
         self.rows = np.empty((2, n))
@@ -289,6 +269,12 @@ class _AgentSplit:
         self.grid = np.empty(_SCAN_POINTS)
         self.scan_dev = np.empty((n, _SCAN_POINTS))
         self.scan_v = np.empty((n, _SCAN_POINTS))
+
+    def absorb(self, x, step: int):
+        """Consume observations x (scalar or per-agent) seen at step+1."""
+        k = self.k0 + step
+        self.log_weight += log_density_increment(self.mu, k, self.tau, x)
+        self.mu = posterior_mean_step(self.mu, k, x)
 
     def step_terms(self, step: int):
         """-rho (step + 1), the density increment's log normalizer and
@@ -308,10 +294,9 @@ class _AgentSplit:
                 self.neg_quad[i])
 
 
-def solve_step(split: _AgentSplit, population: _Population, step: int,
-               log_stock: float, log_div_next: float, true_increment: float,
-               prev_xi: float, sigma_step: float, num_dil: float,
-               den_dil: float):
+def solve_step(observers: _Observers, step: int, log_stock: float,
+               log_div_next: float, true_increment: float, prev_xi: float,
+               sigma_step: float, num_dil: float, den_dil: float):
     """Solve the per-step fixed point for xi.
 
     Returns (xi, n_roots_found, relative_residual).  The bracket starts at
@@ -322,19 +307,18 @@ def solve_step(split: _AgentSplit, population: _Population, step: int,
     chosen cell.  Each residual is evaluated once: the relative residual
     is that of the point Brent returns, read back from its own calls.
 
-    ``split`` and ``population`` hold the agents that are not diligent (at
-    least one).  The diligent agents' terms do not depend on xi: they come
-    in as ``num_dil`` and ``den_dil``, the log-sum-exps of their PD
-    numerator and denominator terms at step + 1 (-inf without any).
+    ``observers`` holds the non-diligent agents (at least one).  The
+    diligent ones' terms do not depend on xi: ``num_dil`` and ``den_dil``
+    are the log-sum-exps of their PD numerator and denominator terms at
+    step + 1 (-inf without any).
     """
-    s = split
+    s = observers
     neg_rho_k, log_norm, quad, neg_quad = s.step_terms(step)
-    mu = population.mu
+    mu = s.mu
     # same increment as beliefs.log_density_increment, split into the
     # xi-independent constant and the quadratic coefficient
     consts = s.consts
-    np.add(neg_rho_k, population.log_weight, out=consts[1])
-    np.subtract(consts[1], s.log_nu, out=consts[1])
+    np.add(neg_rho_k, s.log_weight, out=consts[1])
     np.add(consts[1], log_norm, out=consts[1])
     np.subtract(consts[1], s.log_expm1, out=consts[0])
     offset = log_stock - log_div_next
@@ -410,7 +394,6 @@ class _SeedInputs:
     first c agents' PD numerator and denominator terms."""
 
     traits: AgentTraits
-    nu: np.ndarray
     increments: np.ndarray
     log_div: np.ndarray
     log_stock_ideal: np.ndarray
@@ -422,7 +405,6 @@ def _seed_inputs(config: FeedbackConfig, counts=None) -> _SeedInputs:
     default the config's own)."""
     J = config.n_agents
     traits = draw_agents(config)
-    nu = np.full(J, config.nu, dtype=float)
     sigma_step = config.sigma_true * math.sqrt(config.dt)
     drift_step = config.growth_true * config.dt
     rng = path_rng(config.seed, 0)
@@ -433,17 +415,16 @@ def _seed_inputs(config: FeedbackConfig, counts=None) -> _SeedInputs:
         counts = (config.n_diligent,)
     diligent = {c: ([], []) for c in set(counts) if 0 < c < J}
     widest = max(diligent, default=0)
-    neg_rho, log_nu = -traits.rho_step, np.log(nu)
     log_expm1 = np.log(np.expm1(traits.rho_step))
 
     # the ideal population, a block of steps at a time: the same
-    # operations, in the same order, as _Population.absorb step by step
+    # operations, in the same order, as _Observers.absorb step by step
     mu = traits.prior_mean_step.copy()
     log_weight = np.zeros(J)
     sample_size = config.prior_weight + np.arange(n)
     log_stock_ideal = np.empty(n + 1)
     log_stock_ideal[0] = (
-        log_price_dividend(traits.rho_step, nu, log_weight, 0) + log_div[0])
+        log_price_dividend(traits.rho_step, log_weight, 0) + log_div[0])
     means = np.empty((min(n, _IDEAL_BLOCK), J))
     for start in range(0, n, _IDEAL_BLOCK):
         stop = min(start + _IDEAL_BLOCK, n)
@@ -460,19 +441,17 @@ def _seed_inputs(config: FeedbackConfig, counts=None) -> _SeedInputs:
         weights[0] += log_weight
         np.cumsum(weights, axis=0, out=weights)
         # the diligent agents' terms at step + 1, as the step-by-step form
-        # builds them: ((-rho (t+1) + w_t) - log nu) + dlog_weight_t
+        # builds them: (-rho (t+1) + w_t) + dlog_weight_t
         before = np.vstack((log_weight[:widest], weights[:-1, :widest]))
         for c, (num, den) in diligent.items():
-            terms = neg_rho[:c] * steps + before[:, :c]
-            terms -= log_nu[:c]
+            terms = -traits.rho_step[:c] * steps + before[:, :c]
             terms += dlog_weight[:, :c]
             num.extend(_lse(terms - log_expm1[:c]))
             den.extend(_lse(terms, out=terms))
         log_weight = weights[-1]
-        log_pd = log_price_dividend(traits.rho_step, nu, weights, steps)
+        log_pd = log_price_dividend(traits.rho_step, weights, steps)
         log_stock_ideal[after] = log_pd + log_div[after]
-    return _SeedInputs(traits, nu, increments, log_div, log_stock_ideal,
-                       diligent)
+    return _SeedInputs(traits, increments, log_div, log_stock_ideal, diligent)
 
 
 def run_feedback(config: FeedbackConfig) -> FeedbackResult:
@@ -482,7 +461,7 @@ def run_feedback(config: FeedbackConfig) -> FeedbackResult:
 
 def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
     c = config.n_diligent
-    traits = replace(inputs.traits, diligent=np.arange(config.n_agents) < c)
+    traits = inputs.traits
     sigma_step = config.sigma_true * math.sqrt(config.dt)
     increments, log_div = inputs.increments, inputs.log_div
     log_stock_ideal = inputs.log_stock_ideal
@@ -492,7 +471,7 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
     warnings = np.zeros(n + 1)
     residuals = np.zeros(n + 1)
 
-    if traits.diligent.all():
+    if c == config.n_agents:
         # the population that sets S*: the price is S* by definition
         log_stock = log_stock_ideal
         xi_series[1:] = np.diff(log_stock_ideal)
@@ -505,10 +484,8 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
     else:
         # only the agents that observe the price: the diligent ones enter
         # through their per-step terms from the S* pass
-        actual = _Population(traits.prior_mean_step[c:], traits.tau[c:],
-                             config.prior_weight)
-        split = _AgentSplit(traits.rho_step[c:], traits.tau[c:],
-                            inputs.nu[c:], config.prior_weight)
+        observers = _Observers(traits.rho_step[c:], traits.tau[c:],
+                               traits.prior_mean_step[c:], config.prior_weight)
         num_dil, den_dil = inputs.diligent[c] if c else ([-math.inf] * n,) * 2
         log_stock = np.empty(n + 1)
         # before any observation the population holds its priors, like S*
@@ -517,7 +494,7 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
             d = increments[t]
             prev = xi_series[t] if t > 0 else d
             xi, n_roots, rel = solve_step(
-                split, actual, t, log_stock[t], log_div[t + 1], d, prev,
+                observers, t, log_stock[t], log_div[t + 1], d, prev,
                 sigma_step, num_dil[t], den_dil[t])
             if rel > RESIDUAL_TOL:
                 raise FixedPointError(
@@ -527,7 +504,7 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
             warnings[t + 1] = n_roots - 1
             residuals[t + 1] = rel
             log_stock[t + 1] = log_stock[t] + xi
-            actual.absorb(xi, t)
+            observers.absorb(xi, t)
 
     log_ratio = log_stock - log_stock_ideal
     jump_threshold = 5.0 * sigma_step
@@ -551,7 +528,6 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
         log_ratio=log_ratio,
         solver_warnings=warnings,
         residuals=residuals,
-        traits=traits,
         metrics=metrics,
     )
 

@@ -261,6 +261,20 @@ def test_truthful_deviation_is_always_tempting():
 
 def test_format_solution_mentions_all_agents():
     spec = spec_from([1.0, 1.0], [0.0, 1.0], [1.0, 1.0])
-    text = format_solution(spec)
+    text = format_solution(spec, welfare_comparison(spec))
     assert "truthful price 0.5" in text
     assert text.count("\n") >= 4
+
+
+def test_welfare_report_holds_both_equilibria():
+    # one welfare pass gives the equilibria that the contest output prints
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        spec = random_spec(rng)
+        report = welfare_comparison(spec)
+        for got, want in ((report.truthful, truthful_equilibrium(spec)),
+                          (report.faked, pareto_faked_equilibrium(spec))):
+            assert got.price == want.price
+            for name in ("weights", "professed", "holdings", "objectives"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes()

@@ -328,6 +328,43 @@ def test_unread_flag_exits_2_before_writing(tmp_path, capsys, subcommand,
     assert not out.exists()
 
 
+def _market_with(path, key, value):
+    """tiny_market_config with ``value`` set at ``key`` of the node that
+    the ``path`` of keys and indexes leads to."""
+    cfg = tiny_market_config()
+    node = cfg
+    for part in path:
+        node = node[part]
+    node[key] = value
+    return cfg
+
+
+_UNREAD_KEYS = [
+    ("feedback", {"n_agents": 4, "n_diligent": 0, "n_step": 20}, "n_step"),
+    ("simulate-log", _market_with(("market", "agents", 0), "wieght", 1.0),
+     "market.agents[0].wieght"),
+    ("simulate-log", _market_with(("market", "agents", 1, "belief"),
+                                  "prior_mean", 0.0),
+     "market.agents[1].belief.prior_mean"),
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"], years=3.0), "years"),
+    ("feedback", dict(_SEEDED_CONFIGS["feedback"], nu=1.0), "nu"),
+]
+
+
+@pytest.mark.parametrize("subcommand, payload, key", _UNREAD_KEYS,
+                         ids=[c[2] for c in _UNREAD_KEYS])
+def test_unread_key_exits_2_before_writing(tmp_path, capsys, subcommand,
+                                           payload, key):
+    # a key that nothing reads (a typo, one that another key overrides, or
+    # one the program no longer has) would otherwise be ignored and
+    # recorded in the manifest as if it had been used
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {key}: key not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_omitted_target_is_unavailable():
     targets = parse_targets({"targets": {"mean_pd": 25.0}})
     assert targets.mean_pd == 25.0 and math.isnan(targets.std_pd)

@@ -90,6 +90,29 @@ def test_sigma_must_be_positive():
             AgentSpec(impatience=0.1, belief=ConstantDrift(0.0), weight=1.0),))
 
 
+_NON_FINITE_SPECS = [
+    ("sigma", {}, dict(sigma=math.inf)),
+    ("drift_adjustment", {}, dict(drift_adjustment=math.nan)),
+    ("initial_dividend", {}, dict(initial_dividend=math.inf)),
+    ("impatience", dict(impatience=math.inf), {}),
+    ("weight", dict(weight=math.inf), {}),
+    ("initial_wealth", dict(weight=None, initial_wealth=math.inf), {}),
+    ("belief.drift", dict(belief=ConstantDrift(math.nan)), {}),
+    ("belief.prior_mean", dict(belief=BayesianGaussian(math.nan, 2.0)), {}),
+    ("belief.prior_precision",
+     dict(belief=BayesianGaussian(0.0, math.inf)), {})]
+
+
+@pytest.mark.parametrize("field, agent, market", _NON_FINITE_SPECS,
+                         ids=[c[0] for c in _NON_FINITE_SPECS])
+def test_specs_reject_non_finite_numbers(field, agent, market):
+    # a non-finite number would otherwise give a report of NaNs, no error
+    with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
+        a = AgentSpec(**{"impatience": 0.1, "belief": ConstantDrift(0.0),
+                         "weight": 1.0, **agent})
+        MarketSpec(**{"sigma": 0.2, "agents": (a,), **market})
+
+
 # ---------------------------------------------------------------------------
 # driver simulation
 

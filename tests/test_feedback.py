@@ -11,9 +11,9 @@ from beliefmkt.beliefs import log_density_increment
 from beliefmkt import feedback
 from beliefmkt.config import load_config, parse_feedback
 from beliefmkt.errors import ConfigError, FixedPointError
-from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _AgentSplit,
-                                _lse, _Population, _run, _scan_grid,
-                                _seed_inputs, diligence_sweep, draw_agents,
+from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse, _Observers,
+                                _run, _scan_grid, _seed_inputs,
+                                diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
 from beliefmkt.numerics import brentq, scan_sign_changes
 from beliefmkt.rngtools import agent_rng, path_rng
@@ -44,7 +44,7 @@ def test_config_validation():
     for bad in (dict(rho_range=(-0.1, 0.2)), dict(rho_range=(0.0, 0.0)),
                 dict(rho_range=(0.3, 0.1)), dict(tau_factor_range=(-1.0, 0.5)),
                 dict(tau_factor_range=(1.05, 0.4)),
-                dict(prior_mean_range=(0.15, -0.05)), dict(nu=0.0)):
+                dict(prior_mean_range=(0.15, -0.05))):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             small_config(**bad)
     # a degenerate but usable range is accepted
@@ -55,7 +55,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("dt", math.inf), ("sigma_true", math.inf), ("nu", math.inf),
+    ("dt", math.inf), ("sigma_true", math.inf), ("dt", math.nan),
     ("prior_weight", math.inf), ("growth_true", math.nan),
     ("rho_range", (0.04, math.inf)), ("tau_factor_range", (0.4, math.inf)),
     ("prior_mean_range", (-math.inf, 0.1))])
@@ -63,6 +63,18 @@ def test_config_rejects_non_finite_numbers(field, value):
     # library callers get a ConfigError naming the field, not numpy
     # warnings and a failed fixed point or an OverflowError
     with pytest.raises(ConfigError, match=f"^{field}"):
+        FeedbackConfig(n_agents=3, n_diligent=0, n_steps=5, seed=0,
+                       **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma_true", 1e-200), ("sigma_true", 1e-160), ("dt", 1e-320)])
+def test_config_rejects_unusable_true_precision(field, value):
+    # sigma_true^2 dt underflows to 0 or to a number whose inverse, the
+    # true precision tau_true, overflows: a ZeroDivisionError or warnings
+    # and a misleading "no root" error before this check
+    with pytest.raises(ConfigError,
+                       match="^sigma_true, dt: need a finite tau_true > 0$"):
         FeedbackConfig(n_agents=3, n_diligent=0, n_steps=5, seed=0,
                        **{field: value})
 
@@ -97,37 +109,53 @@ def test_agent_draws_within_ranges():
     assert mu_annual.min() >= -0.05 and mu_annual.max() <= 0.15
 
 
-def test_diligent_flags_are_a_prefix():
-    traits = draw_agents(small_config(n_agents=6, n_diligent=4))
-    np.testing.assert_array_equal(traits.diligent,
-                                  [True, True, True, True, False, False])
-
-
 # ---------------------------------------------------------------------------
 # discrete price
 
 
 def test_single_agent_pd_is_level_perpetuity():
     rho_step = np.array([0.003])
-    nu = np.array([1.0])
     for t in (0, 100, 5000):
-        log_pd = log_price_dividend(rho_step, nu, np.array([0.0]), t)
+        log_pd = log_price_dividend(rho_step, np.array([0.0]), t)
         assert math.exp(log_pd) == pytest.approx(1.0 / math.expm1(0.003), rel=1e-12)
+
+
+def log_pd_with_common_weight(rho_step, nu, log_weight, step):
+    """``log_price_dividend`` as it was with a weight nu shared by every
+    agent: -log nu in each agent's term."""
+    base = -rho_step * step + log_weight - np.log(nu)
+    return np.subtract(_lse(base - np.log(np.expm1(rho_step))), _lse(base))
+
+
+def test_common_weight_cancels_from_pd():
+    # a weight shared by every agent scales PD's numerator and denominator
+    # alike; at nu = 1, log nu is 0.0 exactly and every double is kept
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        J = int(rng.integers(1, 31))
+        rho_step = rng.uniform(0.04, 0.33, J) / 252.0
+        blocks = int(rng.integers(1, 4))
+        log_weight = rng.normal(0.0, 5.0, (blocks, J))
+        steps = rng.integers(0, 5000, (blocks, 1))
+        for w, t in ((log_weight[0], int(steps[0, 0])), (log_weight, steps)):
+            got = np.asarray(log_price_dividend(rho_step, w, t))
+            same = log_pd_with_common_weight(rho_step, np.ones(J), w, t)
+            assert got.tobytes() == np.asarray(same).tobytes()
+            scaled = log_pd_with_common_weight(rho_step, np.full(J, 1.3), w, t)
+            np.testing.assert_allclose(scaled, got, rtol=0.0, atol=1e-13)
 
 
 def test_identical_agents_pd_constant():
     rho_step = np.full(4, 0.002)
-    nu = np.full(4, 1.3)
-    values = [log_price_dividend(rho_step, nu, np.full(4, w), t)
+    values = [log_price_dividend(rho_step, np.full(4, w), t)
               for t, w in [(0, 0.0), (50, -3.0), (900, 11.0)]]
     assert max(values) - min(values) < 1e-13
 
 
 def test_two_agent_pd_hand_sum_and_npv_oracle():
     rho_step = np.array([0.001, 0.002])
-    nu = np.array([1.0, 1.0])
     t = 37
-    log_pd = log_price_dividend(rho_step, nu, np.zeros(2), t)
+    log_pd = log_price_dividend(rho_step, np.zeros(2), t)
     # direct arithmetic on the two sums
     num = sum(math.exp(-r * t) / math.expm1(r) for r in rho_step)
     den = sum(math.exp(-r * t) for r in rho_step)
@@ -165,28 +193,27 @@ def test_generic_step_agrees_with_dense_grid_scan():
     cfg = small_config(n_agents=3, n_diligent=1, n_steps=30, seed=3)
     res = run_feedback(cfg)
     traits = draw_agents(cfg)
-    nu = np.full(3, 1.0)
+    diligent = np.arange(cfg.n_agents) < cfg.n_diligent
 
     # replay the run to recover the belief state just before the last step
-    population = _Population(traits.prior_mean_step, traits.tau,
-                             cfg.prior_weight)
+    population = _Observers(traits.rho_step, traits.tau,
+                            traits.prior_mean_step, cfg.prior_weight)
     increments = np.diff(np.log(res.dividend))
     t_last = cfg.n_steps - 1
     for t in range(t_last):
-        observed = np.where(traits.diligent, increments[t], res.xi[t + 1])
+        observed = np.where(diligent, increments[t], res.xi[t + 1])
         population.absorb(observed, t)
 
     d = increments[t_last]
     log_stock = math.log(res.stock[t_last])
     log_div_next = math.log(res.dividend[t_last + 1])
-    k = population.sample_size(t_last)
+    k = population.k0 + t_last
 
     def residual(xi):
         # one row per candidate xi, one column per agent
-        x = np.where(traits.diligent, d, xi[:, None])
+        x = np.where(diligent, d, xi[:, None])
         dl = log_density_increment(population.mu, k, population.tau, x)
-        base = -traits.rho_step * (t_last + 1) + population.log_weight \
-            + dl - np.log(nu)
+        base = -traits.rho_step * (t_last + 1) + population.log_weight + dl
         log_pd = logsumexp(base - np.log(np.expm1(traits.rho_step)), axis=1) \
             - logsumexp(base, axis=1)
         return log_stock + xi - log_div_next - log_pd
@@ -206,15 +233,15 @@ def _lse_rows(v):
     return np.log(np.exp(v - m).sum(axis=1)) + m[:, 0]
 
 
-def diligent_terms_oracle(rho_step, nu, population, diligent_mask, step,
+def diligent_terms_oracle(rho_step, population, diligent_mask, step,
                           true_increment):
     """The log-sum-exps of the diligent agents' PD numerator and
     denominator terms at step + 1, as the former ``solve_step`` built them
     at every step (-inf without diligent agents)."""
     if not diligent_mask.any():
         return -np.inf, -np.inf
-    k = population.sample_size(step)
-    base = -rho_step * (step + 1) + population.log_weight - np.log(nu)
+    k = population.k0 + step
+    base = -rho_step * (step + 1) + population.log_weight
     fixed = base[diligent_mask] + log_density_increment(
         population.mu[diligent_mask], k, population.tau[diligent_mask],
         true_increment)
@@ -222,18 +249,17 @@ def diligent_terms_oracle(rho_step, nu, population, diligent_mask, step,
             _lse(fixed))
 
 
-def solve_step_oracle(rho_step, nu, population, diligent_mask, step,
-                      log_stock, log_div_next, true_increment, prev_xi,
-                      sigma_step):
+def solve_step_oracle(rho_step, population, diligent_mask, step, log_stock,
+                      log_div_next, true_increment, prev_xi, sigma_step):
     """The former ``solve_step``: a scan through two row-major log-sum-exps
     with unfloored exps, and endpoint checks before Brent.  Returns
     (xi, n_roots, relative residual, scan cells)."""
     nd = ~diligent_mask
-    k = population.sample_size(step)
+    k = population.k0 + step
     log_expm1 = np.log(np.expm1(rho_step))
-    base = -rho_step * (step + 1) + population.log_weight - np.log(nu)
+    base = -rho_step * (step + 1) + population.log_weight
     num_dil, den_dil = diligent_terms_oracle(
-        rho_step, nu, population, diligent_mask, step, true_increment)
+        rho_step, population, diligent_mask, step, true_increment)
     offset = log_stock - log_div_next
     mu_nd = population.mu[nd]
     ratio = k / (k + 1.0)
@@ -305,18 +331,19 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
         traits = AgentTraits(
             rho_step=rng.uniform(0.04, 0.33, J) * dt,
             tau=rng.uniform(0.4, 1.05, J) / (0.0625 * dt),
-            prior_mean_step=rng.uniform(-0.05, 0.15, J) * dt,
-            diligent=diligent)
-        nu = rng.uniform(0.5, 2.0, J)
+            prior_mean_step=rng.uniform(-0.05, 0.15, J) * dt)
+        # an agent's own equilibrium weight nu_j enters PD only as
+        # -log nu_j beside its log weight, so it is drawn into that
+        log_nu = np.log(rng.uniform(0.5, 2.0, J))
         step = int(rng.integers(0, 2000))
-        population = _Population(traits.prior_mean_step, traits.tau, 252.0)
+        population = _Observers(traits.rho_step, traits.tau,
+                                traits.prior_mean_step, 252.0)
         population.mu += rng.normal(0.0, 0.01, J)
         population.log_weight = rng.uniform(-0.5, 0.5, J) \
-            * rng.uniform(0.0, 2000.0)
-        k = population.sample_size(step)
+            * rng.uniform(0.0, 2000.0) - log_nu
+        k = population.k0 + step
         d = rng.normal(0.0, sigma_step)
-        base = -traits.rho_step * (step + 1) + population.log_weight \
-            - np.log(nu)
+        base = -traits.rho_step * (step + 1) + population.log_weight
 
         # the scan exponents of the first bracket, shifted by their maximum
         grid = np.linspace(d - 10.0 * sigma_step, d + 10.0 * sigma_step, 200)
@@ -334,15 +361,15 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
         log_stock = log_div_next + log_pd - d \
             + rng.normal(0.0, 5.0) * sigma_step
         prev_xi = d + rng.normal(0.0, sigma_step)
-        args = (traits.rho_step, nu, population, diligent, step, log_stock,
+        args = (traits.rho_step, population, diligent, step, log_stock,
                 log_div_next, d, prev_xi, sigma_step)
         # solve_step sees the non-diligent agents and the diligent terms
-        mistaken = _Population(population.mu[nd], traits.tau[nd], 252.0)
+        mistaken = _Observers(traits.rho_step[nd], traits.tau[nd],
+                              population.mu[nd], 252.0)
         mistaken.log_weight = population.log_weight[nd]
         step_args = (
-            _AgentSplit(traits.rho_step[nd], traits.tau[nd], nu[nd], 252.0),
             mistaken, step, log_stock, log_div_next, d, prev_xi, sigma_step,
-            *diligent_terms_oracle(traits.rho_step, nu, population, diligent,
+            *diligent_terms_oracle(traits.rho_step, population, diligent,
                                    step, d))
         try:
             want = solve_step_oracle(*args)
@@ -366,12 +393,10 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
 def test_no_root_within_cap_raises_with_step_index():
     cfg = small_config(n_agents=2, n_diligent=0)
     traits = draw_agents(cfg)
-    population = _Population(traits.prior_mean_step, traits.tau,
-                             cfg.prior_weight)
-    split = _AgentSplit(traits.rho_step, traits.tau, np.full(2, 1.0),
-                        cfg.prior_weight)
+    observers = _Observers(traits.rho_step, traits.tau,
+                           traits.prior_mean_step, cfg.prior_weight)
     with pytest.raises(FixedPointError) as err:
-        solve_step(split, population, 0, log_stock=50.0, log_div_next=0.0,
+        solve_step(observers, 0, log_stock=50.0, log_div_next=0.0,
                    true_increment=0.0, prev_xi=0.0, sigma_step=0.015,
                    num_dil=-math.inf, den_dil=-math.inf)
     assert err.value.step == 0
@@ -453,19 +478,18 @@ def test_scan_grid_equals_linspace():
 def ideal_log_stock_oracle(config):
     """The former per-step S* loop of ``_seed_inputs``."""
     traits = draw_agents(config)
-    nu = np.full(config.n_agents, config.nu)
     rng = path_rng(config.seed, 0)
     increments = config.growth_true * config.dt + config.sigma_true \
         * math.sqrt(config.dt) * rng.standard_normal(config.n_steps)
     log_div = np.concatenate([[0.0], np.cumsum(increments)])
 
     def log_pd(log_weight, step):
-        base = -traits.rho_step * step + log_weight - np.log(nu)
+        base = -traits.rho_step * step + log_weight
         return lse_vector(base - np.log(np.expm1(traits.rho_step))) \
             - lse_vector(base)
 
-    ideal = _Population(traits.prior_mean_step, traits.tau,
-                        config.prior_weight)
+    ideal = _Observers(traits.rho_step, traits.tau, traits.prior_mean_step,
+                       config.prior_weight)
     out = np.empty(config.n_steps + 1)
     out[0] = log_pd(ideal.log_weight, 0) + log_div[0]
     for t, d in enumerate(increments):
@@ -492,17 +516,17 @@ def test_blocked_diligent_terms_equal_step_by_step(n_steps):
     counts = (1, J // 2, J - 1)
     for seed in (0, 9):
         cfg = small_config(n_agents=J, n_diligent=0, n_steps=n_steps,
-                           seed=seed, nu=1.7)
+                           seed=seed)
         inputs = _seed_inputs(cfg, (0, *counts, J))
         assert sorted(inputs.diligent) == list(counts)
-        traits, nu = inputs.traits, inputs.nu
-        population = _Population(traits.prior_mean_step, traits.tau,
-                                 cfg.prior_weight)
+        traits = inputs.traits
+        population = _Observers(traits.rho_step, traits.tau,
+                                traits.prior_mean_step, cfg.prior_weight)
         want = {c: [] for c in counts}
         for t, d in enumerate(inputs.increments):
             for c in counts:
                 want[c].append(diligent_terms_oracle(
-                    traits.rho_step, nu, population, np.arange(J) < c, t, d))
+                    traits.rho_step, population, np.arange(J) < c, t, d))
             population.absorb(d, t)
         for c in counts:
             num, den = inputs.diligent[c]
@@ -519,7 +543,7 @@ def test_step_terms_equal_step_by_step():
     J, k0 = 7, 252.0
     rho_step = rng.uniform(0.04, 0.33, J) / 252.0
     tau = rng.uniform(0.4, 1.05, J) * 252.0 / 0.0625
-    split = _AgentSplit(rho_step, tau, np.ones(J), k0)
+    observers = _Observers(rho_step, tau, np.zeros(J), k0)
     for step in [*range(300), 1000, 1001, 5]:
         k = k0 + step
         ratio = k / (k + 1.0)
@@ -527,7 +551,7 @@ def test_step_terms_equal_step_by_step():
         want = (-rho_step * (step + 1),
                 0.5 * (np.log(tau * ratio) - math.log(2.0 * math.pi)),
                 quad, -quad)
-        got = split.step_terms(step)
+        got = observers.step_terms(step)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
