@@ -33,6 +33,10 @@ class ContestSpec:
         if not (g.shape == a.shape == v.shape) or g.ndim != 1:
             raise ConfigError("risk_aversion, mean_belief, belief_variance "
                               "must be 1-d arrays of equal length")
+        for name, x in (("risk_aversion", g), ("mean_belief", a),
+                        ("belief_variance", v)):
+            if not np.all(np.isfinite(x)):
+                raise ConfigError(f"{name} must be finite")
         if len(g) < 2:
             raise ConfigError("need at least 2 agents")
         if not np.all(g > 0.0):

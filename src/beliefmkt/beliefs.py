@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SaturationError
+from .errors import ConfigError, SaturationError
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -52,7 +52,7 @@ class BayesianGaussian:
 
     def __post_init__(self):
         if not self.prior_precision > 0.0:
-            raise ValueError("prior_precision must be > 0")
+            raise ConfigError("prior_precision must be > 0")
 
 
 ContinuousBelief = Union[ConstantDrift, BayesianGaussian]
@@ -102,9 +102,9 @@ class DiscreteBelief:
 
     def __post_init__(self):
         if not self.prior_weight > 0.0:
-            raise ValueError("prior_weight must be > 0")
+            raise ConfigError("prior_weight must be > 0")
         if not self.precision > 0.0:
-            raise ValueError("precision must be > 0")
+            raise ConfigError("precision must be > 0")
 
 
 @dataclass(frozen=True)

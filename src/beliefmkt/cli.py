@@ -24,7 +24,6 @@ from .config import (MAX_COUNT, _get, load_config, parse_contest,
 from .errors import ConfigError, NumericError
 from .feedback import diligence_sweep, run_feedback
 from .equilibrium import simulate_paths
-from .numerics import write_rows
 
 
 def _start(args, cfg):
@@ -131,7 +130,8 @@ def cmd_beauty(cfg, args):
         with open(out / "contest.csv", "w") as fp:
             fp.write("agent,gamma,alpha,variance,p,theta,objective,"
                      "alpha_faked,theta_faked,objective_faked,improved\n")
-            write_rows(fp, table, lambda r: row % (*r[:10], bool(r[10])))
+            for r in table.tolist():
+                fp.write(row % (*r[:10], bool(r[10])))
     return 0
 
 

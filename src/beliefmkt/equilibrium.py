@@ -403,14 +403,11 @@ class EquilibriumPath:
     def write_csv(self, fp):
         """Fixed column order: t, X, delta, zeta, S, PD, r, kappa, sigmaS,
         then q_1..q_J, w_1..w_J, c_1..c_J, pi_1..pi_J, theta_1..theta_J."""
-        header = self.csv_header()
-        fp.write(",".join(header) + "\n")
-        table = np.column_stack((
+        fp.write(",".join(self.csv_header()) + "\n")
+        write_rows(fp, np.column_stack((
             self.times, self.x, self.dividend, self.zeta, self.stock,
             self.pd_ratio, self.rate, self.kappa, self.stock_vol,
-            self.q, self.wealth, self.consumption, self.holdings, self.trade))
-        row = ",".join(["%.17g"] * len(header)) + "\n"
-        write_rows(fp, table, lambda r: row % tuple(r))
+            self.q, self.wealth, self.consumption, self.holdings, self.trade)))
 
 
 def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,

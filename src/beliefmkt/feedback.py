@@ -219,20 +219,21 @@ class FeedbackResult:
     metrics: Dict[str, float]
 
     def write_csv(self, fp):
-        """One row per step; xi is an empty field where it is NaN (t = 0)."""
+        """One row per step; xi is an empty field where it is NaN (t = 0).
+
+        The warning counts are whole numbers >= 0, which ``%.17g`` prints
+        as ``%d`` does."""
         fp.write("t,delta,S_star,S,log_PD_star,log_ratio,xi,solver_warnings\n")
-        row = "%.17g," * 7 + "%d\n"
-        row_without_xi = "%.17g," * 6 + ",%d\n"
         table = np.column_stack((
             self.times, self.dividend, self.stock_ideal, self.stock,
             self.log_pd_ideal, self.log_ratio, self.xi, self.solver_warnings))
-
-        def format_row(r):
-            if r[6] != r[6]:  # NaN xi
-                return row_without_xi % (*r[:6], r[7])
-            return row % tuple(r)
-
-        write_rows(fp, table, format_row)
+        start = 0
+        for i in np.flatnonzero(np.isnan(self.xi)):
+            write_rows(fp, table[start:i])
+            r = table[i].tolist()
+            fp.write(("%.17g," * 6 + ",%d\n") % (*r[:6], r[7]))
+            start = i + 1
+        write_rows(fp, table[start:])
 
 
 def _scan_grid(lo, hi, out):

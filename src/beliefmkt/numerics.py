@@ -1,10 +1,14 @@
 """Small numerical utilities: root brackets, Brent's method, the
-Nelder-Mead simplex, sign-change scans and the ``%``-format CSV row writer.
+Nelder-Mead simplex, sign-change scans and the ``%.17g`` CSV table writer.
 
 ``brentq`` and ``nelder_mead`` are ports of scipy's routines that give
 scipy's roots and minimizers bit for bit, so root solving (feedback steps,
-market clearing) and the ``fit`` search need numpy only."""
+market clearing) and the ``fit`` search need numpy only.  ``write_rows``
+prints a float table as ``'%.17g' % value`` would, byte for byte, a chunk
+of values per numpy pass; a value whose digits it cannot certify is
+printed by ``%`` itself."""
 
+import functools
 import math
 
 import numpy as np
@@ -14,9 +18,19 @@ from .errors import BracketError
 __all__ = ["brentq", "nelder_mead", "solve_decreasing", "scan_sign_changes",
            "write_rows"]
 
-# rows per write in ``write_rows``: a few hundred rows amortize the write
-# call while the text held in memory stays far below one path's arrays
-_CHUNK_ROWS = 256
+# values per numpy pass in ``write_rows``: enough to amortize each pass's
+# call overhead, few enough that a chunk's temporaries stay well under a
+# megabyte
+_CHUNK_VALUES = 4096
+# |x| range of the vectorized %.17g digits: 10^(16 - k) and every partial
+# product of Dekker's algorithm stay normal doubles
+_FAST_MIN, _FAST_MAX = 1e-250, 1e250
+_K_MIN, _K_MAX = -252, 252  # decimal exponents k of the scale table
+_E16, _E17 = 10 ** 16, 10 ** 17
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+# the scaled value is exact to within 2**-46, so a fraction farther than
+# this from 1/2 rounds the same way as the exact value
+_TIE = 2.0 ** -40
 # smallest rtol that ``brentq`` accepts: 4 eps, as in scipy.optimize.brentq
 _RTOL_MIN = 4 * np.finfo(float).eps
 # Nelder-Mead reflection, expansion, contraction and shrink coefficients,
@@ -256,12 +270,184 @@ def scan_sign_changes(values, grid):
     return [(grid[i], grid[i + 1]) for i in idx]
 
 
-def write_rows(fp, table, format_row):
-    """Write ``format_row(row)`` for every row of the 2-D array ``table``.
+def _slots(strings):
+    """ASCII strings as zero-padded 48-byte slots of six '<i8' words."""
+    return np.array(strings, dtype="S48").view("<i8").reshape(-1, 6)
 
-    Rows reach ``format_row`` as lists of Python floats, converted and
-    joined into one write a chunk of rows at a time.
+
+@functools.cache
+def _scale_table():
+    """10^(16 - k) for k in [_K_MIN, _K_MAX] as double-doubles hi + lo,
+    with hi's Veltkamp halves, from exact integers: int / int and float(int)
+    are correctly rounded."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k <= 16:
+            power = 10 ** (16 - k)
+            hi.append(float(power))
+            lo.append(float(power - int(hi[-1])))
+        else:
+            den = 10 ** (k - 16)
+            hi.append(1 / den)
+            p, q = hi[-1].as_integer_ratio()
+            lo.append((q - p * den) / (q * den))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    h1 = c - (c - hi)
+    return hi, h1, hi - h1, np.array(lo)
+
+
+@functools.cache
+def _layout_table():
+    """The slot layout of ``_format_chunk``: the words of each 4-digit
+    group, its trailing zeros, the exponent words, the masks of each
+    class, the class base of each k, the lead word and the special values'
+    slots."""
+    # group[a, b, c, d] = "a.b.c.d." and its trailing zeros, by broadcasting
+    group = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    digit = np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)
+    z = digit == ord("0")
+    for i, shape in enumerate(((10, 1, 1, 1), (10, 1, 1), (10, 1), (10,))):
+        group[..., 2 * i] = digit.reshape(shape)
+    trailing = z * (1 + z[:, None] * (1 + z[:, None, None]
+                                      * (1 + z[:, None, None, None])))
+    # byte 47 of each exponent word is all ones: the mask supplies the
+    # separator there
+    exponent = _slots(["e+-%03d" % i for i in range(_K_MAX + 1)])[:, 0] \
+        | -1 << 56
+
+    # keep[layout, digits - 1, negative, byte]: layout k + 4 is fixed
+    # notation (-4 <= k <= 16); 21 + 2 (k < 0) + (|k| >= 100) exponent
+    b = np.arange(48)
+    lay = np.arange(25)[:, None, None, None]
+    nd = np.arange(1, 18)[:, None, None]
+    k = lay - 4
+    fixed, sci = lay < 21, lay >= 21
+    below_one = fixed & (k < 0)
+    j = (b - 6) // 2  # the digit at byte b, or the one before its point
+    in_digits, is_point = (6 <= b) & (b < 40), b % 2 == 1
+    # fixed notation prints every integer digit, zero or not
+    shown = np.where(fixed & (k >= 0), np.maximum(nd, k + 1), nd)
+    point = np.where(fixed, k, 0)  # the digit the point follows
+    keep = ((b == 0) & (np.arange(2)[:, None] == 1)
+            | in_digits & ~is_point & (j < shown)
+            | in_digits & is_point & ~below_one & (j == point)
+            & (nd > point + 1)
+            | below_one & (1 <= b) & (b <= 1 - k)
+            | sci & ((b == 40) | (b == 41 + (lay >= 23)) | (b == 43)
+                     & (lay % 2 == 0) | (b == 44) | (b == 45)))
+    masks = np.repeat(keep[..., None, :] * np.uint8(255), 2, axis=-2)
+    masks[..., 47] = (ord(","), ord("\n"))
+    ks = np.arange(_K_MIN, _K_MAX + 1)
+    layout = np.where((-4 <= ks) & (ks <= 16), ks + 4,
+                      21 + 2 * (ks < 0) + (abs(ks) >= 100))
+    special = _slots([s + end for s in ("nan", "inf", "-inf", "0", "-0")
+                      for end in ",\n"])
+    return (group.view("<i8").reshape(-1), trailing.reshape(-1), exponent,
+            masks.view("<i8").reshape(-1, 6), layout * 68 + 64,
+            np.frombuffer(b"-0.000\0.", "<i8")[0], special)
+
+
+def _scaled(a, k):
+    """floor(a * 10^(16 - k)) as int64 and the fraction left, within 2**-46:
+    Dekker's exact product of a and hi plus a * lo (Dekker 1971)."""
+    hi, h1, h2, lo = (t.take(k - _K_MIN) for t in _scale_table())
+    c = _SPLIT * a
+    a1 = c - (c - a)
+    a2 = a - a1
+    p = a * hi
+    t = (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo
+    f = np.floor(t)
+    return p.astype(np.int64) + f.astype(np.int64), t - f
+
+
+def _decimal(x):
+    """(ok, n, k): |x| rounded half-even to 17 digits is n * 10^(k - 16),
+    1e16 <= n < 1e17, wherever ``ok``.
+
+    ``ok`` holds for finite nonzero |x| in [_FAST_MIN, _FAST_MAX] whose
+    scaled value y = |x| 10^(16 - k) certainly lies in [1e16 - 0.05, 1e17)
+    and is not within _TIE of a tie, so that the rounding is certain (the
+    fall-back pattern of Loitsch 2010).  Below 1e16 the exponent may be
+    k - 1, but then 10 y rounds up to 1e17, which prints the same."""
+    a = np.abs(x)
+    ok = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(ok, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled(a, k)
+    # log10 may round across a power of ten: move k by one there
+    above = (n - _E16) + frac > -0.04
+    step = (n >= _E17).astype(np.int64) - ~above
+    moved = np.flatnonzero(step)
+    if moved.size:
+        k[moved] += step[moved]
+        n[moved], frac[moved] = _scaled(a[moved], k[moved])
+        above[moved] = (n[moved] - _E16) + frac[moved] > -0.04
+    ok &= above & (n < _E17) & (np.abs(frac - 0.5) > _TIE)
+    n = np.where(ok, n + (frac > 0.5), _E16)
+    carry = n == _E17  # 99999999999999999.5 and above
+    n[carry] = _E16
+    return ok, n, k + carry
+
+
+def _format_chunk(x, last):
+    """The bytes of ``'%.17g' % v`` for each v of the 1-d array x, each
+    followed by ',', or by a newline where ``last`` is 1.
+
+    Each value fills a 48-byte slot of six '<i8' words that holds every
+    character it could print; its class's mask zeroes the rest, and the
+    zeros are dropped:
+
+    * byte 0: '-';
+    * bytes 1-5: '0.000', the lead of fixed notation below 1;
+    * bytes 6-39: d0 . d1 . ... d16 ., digit j at 6 + 2j and a point
+      after it;
+    * bytes 40-45: 'e', '+', '-' and three exponent digits;
+    * byte 47: the separator.
+
+    The class is (layout, significant digits, sign, separator).  NaN, the
+    infinities and the zeros take fixed slots, and every other value that
+    ``_decimal`` does not certify is formatted by ``%``.
     """
-    for start in range(0, len(table), _CHUNK_ROWS):
-        chunk = table[start:start + _CHUNK_ROWS].tolist()
-        fp.write("".join(map(format_row, chunk)))
+    ok, n, k = _decimal(x)
+    group, trailing, exponent, masks, base, lead, special = _layout_table()
+    d0 = n // _E16
+    rest = n - d0 * _E16
+    hi, lo = rest // 10 ** 8, rest % 10 ** 8
+    groups = (hi // 10 ** 4, hi % 10 ** 4, lo // 10 ** 4, lo % 10 ** 4)
+    zeros = trailing.take(groups[0])
+    for g in groups[1:]:
+        t = trailing.take(g)
+        zeros = t + (t == 4) * zeros
+    words = masks.take(base.take(k - _K_MIN) - 4 * zeros + 2 * (x < 0) + last,
+                       axis=0)
+    words[:, 0] &= lead + ((d0 + ord("0")) << 48)
+    for col, g in enumerate(groups, 1):
+        words[:, col] &= group.take(g)
+    words[:, 5] &= exponent.take(np.abs(k))
+    other = np.flatnonzero(~ok)
+    if other.size:
+        v, end = x[other], last[other]
+        code = np.where(v != v, 0, np.where(v == 0, 3, 1) + np.signbit(v))
+        slots = special.take(2 * code + end, axis=0)
+        plain = np.flatnonzero(np.isfinite(v) & (v != 0))
+        if plain.size:
+            slots[plain] = _slots([
+                "%.17g%s" % (f, ",\n"[e])
+                for f, e in zip(v[plain].tolist(), end[plain].tolist())])
+        words[other] = slots
+    return words.tobytes().translate(None, b"\0")
+
+
+def write_rows(fp, table):
+    """Write the 2-d float array ``table`` as CSV rows, each value as
+    ``'%.17g' % value`` prints it, byte for byte."""
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    step = max(1, _CHUNK_VALUES // cols)
+    last = np.zeros((step, cols), np.int64)
+    last[:, -1] = 1
+    last = last.reshape(-1)
+    for start in range(0, rows, step):
+        chunk = table[start:start + step].reshape(-1)
+        fp.write(_format_chunk(chunk, last[:len(chunk)]).decode("ascii"))

@@ -1,3 +1,4 @@
+import math
 from typing import Dict, Sequence
 
 import numpy as np
@@ -81,6 +82,17 @@ def test_spec_validation():
         spec_from([1.0, -1.0], [0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ConfigError):
         spec_from([1.0, 1.0], [0.0, 1.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("field", ["risk_aversion", "mean_belief",
+                                   "belief_variance"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_numbers(field, bad):
+    numbers = {"risk_aversion": [1.0, 1.0], "mean_belief": [0.0, 1.0],
+               "belief_variance": [1.0, 1.0]}
+    numbers[field][0] = bad
+    with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
+        ContestSpec(**numbers)
 
 
 # ---------------------------------------------------------------------------

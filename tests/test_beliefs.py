@@ -11,7 +11,7 @@ from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
                                drift_at, initial_state, likelihood_ratio,
                                log_density_increment, log_likelihood_ratio,
                                update)
-from beliefmkt.errors import SaturationError
+from beliefmkt.errors import ConfigError, SaturationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,8 +117,18 @@ def test_bayesian_drift_consistency():
 
 
 def test_prior_precision_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         BayesianGaussian(0.0, 0.0)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: BayesianGaussian(0.0, math.nan), "prior_precision"),
+    (lambda: DiscreteBelief(0.0, math.nan, 1.0), "prior_weight"),
+    (lambda: DiscreteBelief(0.0, 1.0, math.nan), "precision"),
+])
+def test_belief_rejects_nan_naming_the_field(make, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be > 0$"):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +280,7 @@ def test_log_density_increment_vectorizes():
 
 
 def test_belief_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DiscreteBelief(prior_mean=0.0, prior_weight=0.0, precision=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DiscreteBelief(prior_mean=0.0, prior_weight=1.0, precision=-2.0)

@@ -1,23 +1,37 @@
 """``numerics.brentq`` and ``numerics.nelder_mead`` against scipy as the
-oracle.
+oracle, and ``numerics.write_rows`` against Python's per-value ``%.17g``.
 
 Each port must be scipy's algorithm step for step, so every check is exact:
 the same root or minimizer (``==``, sign of zero included), the same
 sequence of points at which f is evaluated, and the same exception type
-and message or convergence flag.
+and message or convergence flag.  The writer must print the same bytes.
 """
 
+import io
 import math
+import os
 import random
+import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize
 
+from beliefmkt import numerics
+from beliefmkt.equilibrium import simulate_path
 from beliefmkt.errors import BracketError
-from beliefmkt.numerics import brentq, nelder_mead, solve_decreasing
+from beliefmkt.numerics import (brentq, nelder_mead, solve_decreasing,
+                                write_rows)
+from conftest import assert_same_text, benchmark_market
+
+REPO = Path(__file__).resolve().parents[1]
 
 # (xtol, rtol): the default, feedback.solve_step, numerics.solve_decreasing,
 # and a coarse pair whose wide delta reaches the step rule's ``- delta``
@@ -331,3 +345,120 @@ def test_nelder_mead_warns_nothing_on_infinite_vertices(dim):
         x, converged, points = _minimize(nelder_mead, f, x0, 30, 1e-4, 1e-6)
     assert points == ref_points
     assert x.tobytes() == ref_x.tobytes() and converged == ref_converged
+
+
+# ---------------------------------------------------------------------------
+# write_rows
+
+
+def rows_by_value(table):
+    """The CSV text of ``table`` written one ``format(v, ".17g")`` per value."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in table.tolist())
+
+
+def rows_text(table):
+    fp = io.StringIO()
+    write_rows(fp, table)
+    return fp.getvalue()
+
+
+def from_bits(sign, exponent, mantissa):
+    return struct.unpack("<d", struct.pack(
+        "<Q", sign << 63 | exponent << 52 | mantissa))[0]
+
+
+# biased exponents: 0 (zeros, subnormals), 2047 (infinities, NaN payloads)
+# and both ends of the vectorized range, 1e-250 and 1e250
+_EDGE_EXPONENTS = [0, 1, 2047, 2046, 191, 192, 193, 1853, 1854]
+doubles = st.builds(
+    from_bits, st.integers(0, 1),
+    st.one_of(st.integers(0, 2047), st.sampled_from(_EDGE_EXPONENTS)),
+    st.one_of(st.integers(0, 2 ** 52 - 1), st.sampled_from([0, 1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda cols: st.lists(doubles, min_size=cols, max_size=60 * cols).map(
+        lambda v: np.array(v[:len(v) // cols * cols]).reshape(-1, cols))))
+def test_write_rows_matches_per_value_format_on_any_bits(table):
+    assert rows_text(table) == rows_by_value(table)
+
+
+def _near(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+NAMED = {
+    # exact ties at the 17th digit, which round half to even
+    "ties": [1234567890123456.75, 1234567890123456.25, 0.5, 2.5,
+             12345678901234567.0 / 2 ** 20],
+    # 10^k and its neighbours, where log10 may round onto the power
+    "powers": [v for k in range(-20, 21) for v in _near(float(f"1e{k}"))]
+    + _near(1e-240),
+    # the doubles 1e-243, 1e-176 and 1e-79 lie just below their powers
+    # of ten, and their 17 digits round up to them
+    "nines": [99999999999999999.0, 9.999999999999999e16,
+              9.9999999999999999e-5, 0.99999999999999994, 1e-243, 1e-176,
+              1e-79],
+    # both sides of each switch between fixed and exponent notation
+    "notation": [1.2345e-5, 1.2345e-4, 1.2345e16, 1.2345e17, 1e-5, 1e-4,
+                 1e16, 1e17, 123.0, 100.0],
+    "special": [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                -2.2250738585072014e-308, 1.7976931348623157e308, 1e-300,
+                1e300, 1e-250, 1e250],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED))
+def test_write_rows_matches_per_value_format_on_named_values(case):
+    values = np.array(NAMED[case])
+    for table in (values[:, None], np.stack((values, -values), 1)):
+        assert rows_text(table) == rows_by_value(table)
+
+
+def test_write_rows_matches_per_value_format_across_chunks():
+    # wider than one chunk of values in both directions
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((3 * numerics._CHUNK_VALUES // 7 + 5, 7)) \
+        * 10.0 ** rng.integers(-8, 20, size=(1, 7))
+    assert_same_text(rows_text(table), rows_by_value(table))
+    assert rows_text(table[:0]) == ""
+
+
+def test_path_values_take_the_vectorized_digits():
+    # a silent fall-back to % on every value would print the same bytes,
+    # only slower: the certify mask must hold for every ordinary value
+    path = simulate_path(benchmark_market(), 3.0, 1 / 252, seed=17)
+    values = np.concatenate([
+        np.ravel(a) for a in (path.times, path.x, path.dividend, path.stock,
+                              path.pd_ratio, path.rate, path.kappa,
+                              path.stock_vol, path.q, path.wealth,
+                              path.consumption, path.holdings)])
+    # 10^k +- 1 ulp, where log10 may round onto the power, too; the one
+    # below 1e15 is a tie at 17 digits
+    powers = [v for v in NAMED["powers"] if v != 999999999999999.875]
+    values = np.concatenate((values[values != 0], powers))
+    ok, n, k = numerics._decimal(values)
+    assert ok.all()
+    assert ((n >= 10 ** 16) & (n < 10 ** 17)).all()
+
+
+_IMPORT_PROBE = """
+import sys
+import beliefmkt.cli
+from beliefmkt import numerics
+print(sorted({"fractions", "decimal"} & set(sys.modules)),
+      numerics._scale_table.cache_info().currsize,
+      numerics._layout_table.cache_info().currsize)
+"""
+
+
+def test_import_loads_no_number_modules_and_builds_no_table():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=REPO,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "0", "0"]
