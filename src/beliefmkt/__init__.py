@@ -1,9 +1,30 @@
-"""Asset-market equilibrium engine for log investors with diverse beliefs."""
+"""Asset-market equilibrium engine for log investors with diverse beliefs.
+
+Each application lives in one engine (``equilibrium``, ``feedback``,
+``beauty``, ``calibration``), and a run needs only the one it calls.  So
+importing the package compiles none of them: every submodule but the
+command-line front end ``cli`` is registered in ``sys.modules`` through
+``importlib.util.LazyLoader`` and runs when one of its attributes is first
+read.  The names listed in ``__all__`` are served from their modules by
+the module ``__getattr__`` below (PEP 562), and the modules reach one
+another through module attributes read at call time
+(``feedback.run_feedback``), so running ``feedback`` never runs
+``equilibrium``, ``calibration`` or ``beauty``.
+
+Registering every module at import, rather than importing inside the
+functions that need one, keeps the whole program visible to a caller that
+wraps module attributes once, such as the benchmark's tracer: every module
+is in ``sys.modules`` from the start, and reading its attributes runs it.
+``LazyLoader`` is not thread-safe before Python 3.12; the package starts
+no threads.
+"""
 
 __version__ = "0.1.0"
 
 import ctypes
+import importlib.util
 import os
+import sys
 
 # Set before numpy loads OpenBLAS.  The engine's only BLAS calls are dot
 # products over a handful of agents, so OpenBLAS worker threads do no work
@@ -36,16 +57,50 @@ def _keep_freed_heap():
 
 _keep_freed_heap()
 
-from .beliefs import (BayesianGaussian, BeliefState, ConstantDrift,
-                      DiscreteBelief, drift_at, initial_state,
-                      likelihood_ratio, log_likelihood_ratio, update)
-from .equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
-                          simulate_path, simulate_paths, solve_market_clearing)
-from .feedback import FeedbackConfig, FeedbackResult, run_feedback
-from .beauty import (ContestSpec, pareto_faked_equilibrium,
-                     truthful_equilibrium, welfare_comparison)
-from .calibration import (CalibrationProblem, DEFAULT_TARGETS, FreeParameter,
-                          MomentReport, compute_moments, fit_parameters,
-                          ingest_price_dividend_csv, moment_loss)
-from .errors import (BeliefMktError, ConfigError, FixedPointError,
-                     NumericError, SaturationError, SingularMarketError)
+#: Public name -> the submodule that defines it.
+_ORIGIN = {name: module for module, names in (
+    ("beliefs", ("BayesianGaussian", "BeliefState", "ConstantDrift",
+                 "DiscreteBelief", "drift_at", "initial_state",
+                 "likelihood_ratio", "log_likelihood_ratio", "update")),
+    ("equilibrium", ("AgentSpec", "EquilibriumPath", "MarketSpec",
+                     "simulate_path", "simulate_paths",
+                     "solve_market_clearing")),
+    ("feedback", ("FeedbackConfig", "FeedbackResult", "run_feedback")),
+    ("beauty", ("ContestSpec", "pareto_faked_equilibrium",
+                "truthful_equilibrium", "welfare_comparison")),
+    ("calibration", ("CalibrationProblem", "DEFAULT_TARGETS",
+                     "FreeParameter", "MomentReport", "compute_moments",
+                     "fit_parameters", "ingest_price_dividend_csv",
+                     "moment_loss")),
+    ("errors", ("BeliefMktError", "ConfigError", "FixedPointError",
+                "NumericError", "SaturationError", "SingularMarketError")),
+) for name in names}
+__all__ = sorted(_ORIGIN)
+
+
+def _register(name):
+    """Put submodule ``name`` in sys.modules and in this namespace; its code
+    runs when one of its attributes is first read."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = globals()[name] = module
+    spec.loader.exec_module(module)
+
+
+# ``cli`` is left out: it is the entry point, imported by name, and a module
+# already in sys.modules would make ``python -m beliefmkt.cli`` warn.
+for _name in ("beauty", "beliefs", "calibration", "config", "equilibrium",
+              "errors", "feedback", "numerics", "rngtools"):
+    _register(_name)
+del _name
+
+
+def __getattr__(name):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_ORIGIN[name]], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,6 +14,8 @@ Pooled statistics accumulate with math.fsum so the report is invariant to
 the order of the path set.
 """
 
+from __future__ import annotations
+
 import csv
 import math
 from dataclasses import dataclass, field
@@ -21,11 +23,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .equilibrium import (MAX_COUNT, PD_DIVERGENCE_LIMIT, AgentSpec,
-                          MarketSpec, _n_steps, dividend_path, driver_batches,
-                          market_state)
-from .beliefs import ConstantDrift
-from .errors import ConfigError, NumericError
+from . import beliefs, equilibrium
+from .errors import MAX_COUNT, ConfigError, NumericError
 from .numerics import nelder_mead
 
 #: Moment name -> label of the comparison table, in report order.
@@ -282,7 +281,8 @@ class CalibrationProblem:
             raise ConfigError("dt: too small for the horizon "
                               "(horizon/dt overflows)")
         # a search keeps all of its driver paths, so their points are a count
-        if self.n_paths * (_n_steps(self.horizon, self.dt) + 1) > MAX_COUNT:
+        steps = equilibrium._n_steps(self.horizon, self.dt)
+        if self.n_paths * (steps + 1) > MAX_COUNT:
             raise ConfigError(f"n_paths: n_paths x (horizon/dt + 1) grid "
                               f"points must be at most {MAX_COUNT}")
         names = [p.name for p in self.free]
@@ -314,16 +314,18 @@ _SPEC_DEFAULTS = {"sigma": 0.2, "drift_adjustment": 0.0,
                   "alpha": 0.0, "rho": 0.05, "nu": 1.0}
 
 
-def build_market(values: Dict[str, float], n_agents: int) -> MarketSpec:
+def build_market(values: Dict[str, float],
+                 n_agents: int) -> equilibrium.MarketSpec:
     """MarketSpec from a flat parameter dict (constant-drift agents)."""
     agents = []
     for j in range(n_agents):
-        agents.append(AgentSpec(
+        agents.append(equilibrium.AgentSpec(
             impatience=values.get(f"rho_{j}", _SPEC_DEFAULTS["rho"]),
-            belief=ConstantDrift(values.get(f"alpha_{j}", _SPEC_DEFAULTS["alpha"])),
+            belief=beliefs.ConstantDrift(
+                values.get(f"alpha_{j}", _SPEC_DEFAULTS["alpha"])),
             weight=values.get(f"nu_{j}", _SPEC_DEFAULTS["nu"]),
         ))
-    return MarketSpec(
+    return equilibrium.MarketSpec(
         sigma=values.get("sigma", _SPEC_DEFAULTS["sigma"]),
         drift_adjustment=values.get("drift_adjustment",
                                     _SPEC_DEFAULTS["drift_adjustment"]),
@@ -357,9 +359,9 @@ _BATCH_POINTS = 1 << 16
 def draw_drivers(problem: CalibrationProblem):
     """The problem's common random numbers: its driver paths, as a list of
     (times, X) batches of whole paths.  A search draws them once."""
-    return list(driver_batches(problem.horizon, problem.dt, problem.seed,
-                               problem.n_paths,
-                               _BATCH_POINTS // problem.n_agents))
+    return list(equilibrium.driver_batches(
+        problem.horizon, problem.dt, problem.seed, problem.n_paths,
+        _BATCH_POINTS // problem.n_agents))
 
 
 def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
@@ -374,9 +376,9 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
     moments = _Moments(problem.dt)
     ic = False
     for times, x in drivers:
-        state = market_state(spec, times, x)
+        state = equilibrium.market_state(spec, times, x)
         ic = ic or state.ic_suspect
-        moments.add(state, dividend_path(spec, times, x))
+        moments.add(state, equilibrium.dividend_path(spec, times, x))
     report = moments.report()
     loss = math.inf if ic else moment_loss(report, targets)
     return loss, report
@@ -439,8 +441,8 @@ def fit_parameters(problem: CalibrationProblem,
         raise NumericError(
             f"fit found no finite loss in {n_eval} evaluations: at every "
             f"trial point the price/dividend ratio passed the transversality "
-            f"guard PD_DIVERGENCE_LIMIT = {PD_DIVERGENCE_LIMIT:g} or a "
-            f"moment was not finite")
+            f"guard PD_DIVERGENCE_LIMIT = {equilibrium.PD_DIVERGENCE_LIMIT:g} "
+            f"or a moment was not finite")
     return FitResult(values=best, report=report, loss=loss,
                      n_evaluations=n_eval, converged=converged)
 

@@ -12,27 +12,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .calibration import (comparison_table, compute_moments, fit_parameters,
-                          ingest_price_dividend_csv)
-from .beauty import format_solution, welfare_comparison
-from .config import (MAX_COUNT, _get, load_config, parse_contest,
-                     parse_feedback, parse_fit, parse_simulate, parse_targets,
-                     check_read, write_manifest)
-from .errors import ConfigError, NumericError
-from .feedback import diligence_sweep, run_feedback
-from .equilibrium import simulate_paths
+from . import (__version__, beauty, calibration, config, equilibrium,
+               feedback)
+from .errors import MAX_COUNT, ConfigError, NumericError
 
 
 def _start(args, cfg):
     """Make --out and its manifest.json once every config key is read."""
-    check_read(cfg)
+    config.check_read(cfg)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_manifest(out, args.subcommand, cfg)
+        config.write_manifest(out, args.subcommand, cfg)
     except OSError as exc:
         raise ConfigError(f"--out: {exc}") from None
     return out
@@ -47,18 +38,18 @@ def _apply_overrides(cfg, args):
 
 
 def cmd_simulate_log(cfg, args):
-    spec, horizon, dt, n_paths, seed, write_paths = parse_simulate(cfg)
+    spec, horizon, dt, n_paths, seed, write_paths = config.parse_simulate(cfg)
     out = _start(args, cfg)
 
     def paths():
-        for p, path in enumerate(simulate_paths(spec, horizon, dt, seed,
-                                                n_paths)):
+        for p, path in enumerate(equilibrium.simulate_paths(
+                spec, horizon, dt, seed, n_paths)):
             if p < write_paths:
                 with open(out / f"path_{p:03d}.csv", "w") as fp:
                     path.write_csv(fp)
             yield path
 
-    report = compute_moments(paths())
+    report = calibration.compute_moments(paths())
     with open(out / "summary.txt", "w") as fp:
         fp.write(f"paths={n_paths} horizon_years={horizon:.17g} dt={dt:.17g} "
                  f"seed={seed}\n")
@@ -68,29 +59,29 @@ def cmd_simulate_log(cfg, args):
 
 
 def cmd_feedback(cfg, args):
-    config = parse_feedback(cfg)
-    sweep = _get(cfg, "seed_sweep", int, default=0)
+    setup = config.parse_feedback(cfg)
+    sweep = config._get(cfg, "seed_sweep", int, default=0)
     if not 0 <= sweep <= MAX_COUNT:
         raise ConfigError(f"seed_sweep: must be >= 0 and at most {MAX_COUNT}")
-    diligence_values = _get(cfg, "diligence_values", list,
-                            default=[0, config.n_diligent])
+    diligence_values = config._get(cfg, "diligence_values", list,
+                                   default=[0, setup.n_diligent])
     if sweep and (not diligence_values
                   or not all(isinstance(v, int) and not isinstance(v, bool)
-                             and 0 <= v <= config.n_agents
+                             and 0 <= v <= setup.n_agents
                              for v in diligence_values)):
         raise ConfigError("diligence_values: expected a list of counts "
                           "between 0 and n_agents")
     out = _start(args, cfg)
     if sweep:
-        seeds = list(range(config.seed, config.seed + sweep))
+        seeds = list(range(setup.seed, setup.seed + sweep))
         if args.parallel > 1:
             # imported here: loading multiprocessing slows every default run
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                table = diligence_sweep(config, diligence_values, seeds,
-                                        map_fn=pool.map)
+                table = feedback.diligence_sweep(setup, diligence_values,
+                                                 seeds, map_fn=pool.map)
         else:
-            table = diligence_sweep(config, diligence_values, seeds)
+            table = feedback.diligence_sweep(setup, diligence_values, seeds)
         with open(out / "sweep.txt", "w") as fp:
             fp.write("n_diligent,seed,log_ratio_range,n_jumps\n")
             for n_dil in diligence_values:
@@ -102,7 +93,7 @@ def cmd_feedback(cfg, args):
                     / len(seeds)
                 fp.write(f"mean_range[n_diligent={n_dil}]={mean_range:.17g}\n")
         return 0
-    result = run_feedback(config)
+    result = feedback.run_feedback(setup)
     with open(out / "series.csv", "w") as fp:
         result.write_csv(fp)
     with open(out / "metrics.txt", "w") as fp:
@@ -113,33 +104,32 @@ def cmd_feedback(cfg, args):
 
 
 def cmd_beauty(cfg, args):
-    spec = parse_contest(cfg)
-    write_csv = _get(cfg, "csv", bool, default=False)
-    report = welfare_comparison(spec)
+    spec = config.parse_contest(cfg)
+    write_csv = config._get(cfg, "csv", bool, default=False)
+    report = beauty.welfare_comparison(spec)
     out = _start(args, cfg)
     with open(out / "contest.txt", "w") as fp:
-        fp.write(format_solution(spec, report) + "\n")
+        fp.write(beauty.format_solution(spec, report) + "\n")
     if write_csv:
         truthful, faked = report.truthful, report.faked
-        table = np.column_stack((
-            np.arange(spec.n_agents), spec.risk_aversion, spec.mean_belief,
-            spec.belief_variance, truthful.weights, truthful.holdings,
-            truthful.objectives, faked.professed, faked.holdings,
-            faked.objectives, report.improved))
+        columns = (spec.risk_aversion, spec.mean_belief, spec.belief_variance,
+                   truthful.weights, truthful.holdings, truthful.objectives,
+                   faked.professed, faked.holdings, faked.objectives,
+                   report.improved)
         row = "%d" + ",%.17g" * 9 + ",%s\n"
         with open(out / "contest.csv", "w") as fp:
             fp.write("agent,gamma,alpha,variance,p,theta,objective,"
                      "alpha_faked,theta_faked,objective_faked,improved\n")
-            for r in table.tolist():
-                fp.write(row % (*r[:10], bool(r[10])))
+            for j, values in enumerate(zip(*(c.tolist() for c in columns))):
+                fp.write(row % (j, *values))
     return 0
 
 
 def cmd_fit(cfg, args):
-    problem = parse_fit(cfg)
-    targets = parse_targets(cfg)
+    problem = config.parse_fit(cfg)
+    targets = config.parse_targets(cfg)
     out = _start(args, cfg)
-    result = fit_parameters(problem, targets)
+    result = calibration.fit_parameters(problem, targets)
     with open(out / "fit_result.json", "w") as fp:
         json.dump({
             "values": {k: result.values[k] for k in sorted(result.values)},
@@ -150,16 +140,18 @@ def cmd_fit(cfg, args):
         }, fp, indent=2, sort_keys=True)
         fp.write("\n")
     with open(out / "comparison.txt", "w") as fp:
-        fp.write(comparison_table(result.report, targets) + "\n")
+        fp.write(calibration.comparison_table(result.report, targets) + "\n")
         fp.write(f"\nloss={result.loss:.17g}\n")
     return 0
 
 
 def cmd_ingest(cfg, args):
-    csv_path = _get(cfg, "csv", str)
-    min_years = _get(cfg, "min_years", float, default=10.0, positive=True)
+    csv_path = config._get(cfg, "csv", str)
+    min_years = config._get(cfg, "min_years", float, default=10.0,
+                            positive=True)
     try:
-        report = ingest_price_dividend_csv(csv_path, min_years=min_years)
+        report = calibration.ingest_price_dividend_csv(csv_path,
+                                                       min_years=min_years)
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"csv: {exc}") from None
     out = _start(args, cfg)
@@ -223,7 +215,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = config.load_config(args.config)
         declared = cfg.pop("subcommand", None)
         if declared is not None and declared != args.subcommand:
             raise ConfigError(

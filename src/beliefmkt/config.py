@@ -7,20 +7,14 @@ the package version; a manifest is itself a valid ``--config`` argument,
 which is what makes every run replayable byte for byte.
 """
 
+from __future__ import annotations
+
 import json
 import math
 from typing import Any, Dict
 
-from . import __version__
-from .beauty import ContestSpec
-from .beliefs import BayesianGaussian, ConstantDrift
-from .calibration import (CalibrationProblem, DEFAULT_TARGETS, FreeParameter,
-                          MOMENT_NAMES, MomentReport)
-from .equilibrium import MAX_COUNT, AgentSpec, MarketSpec
-from .errors import ConfigError
-from .feedback import FeedbackConfig
-
-import numpy as np
+from . import __version__, beauty, beliefs, calibration, equilibrium, feedback
+from .errors import MAX_COUNT, ConfigError
 
 
 class _Node(dict):
@@ -131,9 +125,9 @@ def parse_belief(agent):
     _get(agent, "belief", dict)
     kind = _get(agent, "belief.type", str)
     if kind == "constant":
-        return ConstantDrift(drift=_get(agent, "belief.drift", float))
+        return beliefs.ConstantDrift(drift=_get(agent, "belief.drift", float))
     if kind == "bayesian":
-        return BayesianGaussian(
+        return beliefs.BayesianGaussian(
             prior_mean=_get(agent, "belief.prior_mean", float),
             prior_precision=_get(agent, "belief.prior_precision", float,
                                  positive=True))
@@ -147,7 +141,7 @@ def _seed(cfg) -> int:
     return seed
 
 
-def parse_market(cfg) -> MarketSpec:
+def parse_market(cfg) -> equilibrium.MarketSpec:
     market = _get(cfg, "market", dict)
     agents_node = _get(market, "agents", list)
     if not agents_node:
@@ -165,8 +159,9 @@ def parse_market(cfg) -> MarketSpec:
         except ConfigError as exc:
             raise ConfigError(f"{path}.{exc}") from None
         try:
-            agents.append(AgentSpec(impatience=impatience, belief=belief,
-                                    weight=weight, initial_wealth=wealth))
+            agents.append(equilibrium.AgentSpec(
+                impatience=impatience, belief=belief, weight=weight,
+                initial_wealth=wealth))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     sigma = _get(cfg, "market.sigma", float, positive=True)
@@ -175,9 +170,9 @@ def parse_market(cfg) -> MarketSpec:
     initial_dividend = _get(cfg, "market.initial_dividend", float,
                             default=1.0, positive=True)
     try:
-        return MarketSpec(sigma=sigma, drift_adjustment=drift_adjustment,
-                          initial_dividend=initial_dividend,
-                          agents=tuple(agents))
+        return equilibrium.MarketSpec(
+            sigma=sigma, drift_adjustment=drift_adjustment,
+            initial_dividend=initial_dividend, agents=tuple(agents))
     except ConfigError as exc:
         raise ConfigError(f"market: {exc}") from None
 
@@ -197,14 +192,14 @@ def parse_simulate(cfg):
     return spec, horizon, dt, n_paths, seed, write_paths
 
 
-def parse_feedback(cfg) -> FeedbackConfig:
+def parse_feedback(cfg) -> feedback.FeedbackConfig:
     dt = _get(cfg, "dt", float, default=1.0 / 252.0, positive=True)
     if "n_steps" in cfg:
         n_steps = _get(cfg, "n_steps", int, positive=True)
     else:
         years = _get(cfg, "years", float, default=5.0, positive=True)
         n_steps = _step_count(years, dt, "years")
-    return FeedbackConfig(
+    return feedback.FeedbackConfig(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         n_diligent=_get(cfg, "n_diligent", int, default=0),
         n_steps=n_steps,
@@ -219,7 +214,7 @@ def parse_feedback(cfg) -> FeedbackConfig:
                           positive=True))
 
 
-def parse_contest(cfg) -> ContestSpec:
+def parse_contest(cfg) -> beauty.ContestSpec:
     agents = _get(cfg, "agents", list)
     gammas, alphas, variances = [], [], []
     for i, node in enumerate(agents):
@@ -234,25 +229,24 @@ def parse_contest(cfg) -> ContestSpec:
         except ConfigError as exc:
             raise ConfigError(f"{path}.{exc}") from None
     try:
-        return ContestSpec(risk_aversion=np.array(gammas),
-                           mean_belief=np.array(alphas),
-                           belief_variance=np.array(variances))
+        return beauty.ContestSpec(risk_aversion=gammas, mean_belief=alphas,
+                                  belief_variance=variances)
     except ConfigError as exc:
         raise ConfigError(f"agents: {exc}") from None
 
 
-def parse_targets(cfg) -> MomentReport:
+def parse_targets(cfg) -> calibration.MomentReport:
     node = cfg["targets"] if "targets" in cfg else "default"
     if node == "default":
-        return DEFAULT_TARGETS
+        return calibration.DEFAULT_TARGETS
     if not isinstance(node, dict):
         raise ConfigError("targets: expected 'default' or an object")
     kwargs = {name: _get(cfg, f"targets.{name}", float, default=float("nan"))
-              for name in MOMENT_NAMES}
-    return MomentReport(provenance="config targets", **kwargs)
+              for name in calibration.MOMENT_NAMES}
+    return calibration.MomentReport(provenance="config targets", **kwargs)
 
 
-def parse_fit(cfg) -> CalibrationProblem:
+def parse_fit(cfg) -> calibration.CalibrationProblem:
     free_nodes = _get(cfg, "free", list)
     free = []
     for i, node in enumerate(free_nodes):
@@ -266,8 +260,8 @@ def parse_fit(cfg) -> CalibrationProblem:
         except ConfigError as exc:
             raise ConfigError(f"{path}.{exc}") from None
         try:
-            free.append(FreeParameter(name=name, lower=lower, upper=upper,
-                                      start=start))
+            free.append(calibration.FreeParameter(
+                name=name, lower=lower, upper=upper, start=start))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     fixed_node = _get(cfg, "fixed", dict, default={})
@@ -276,7 +270,7 @@ def parse_fit(cfg) -> CalibrationProblem:
     horizon = _get(cfg, "horizon_years", float, default=50.0, positive=True)
     dt = _get(cfg, "dt", float, default=1.0 / 252.0, positive=True)
     _step_count(horizon, dt, "horizon_years")
-    return CalibrationProblem(
+    return calibration.CalibrationProblem(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         free=tuple(free),
         fixed=fixed,

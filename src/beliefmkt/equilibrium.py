@@ -229,12 +229,6 @@ def solve_market_clearing(inverse_marginals: Sequence[Callable], lam, nu,
 # path simulation
 
 
-#: Ceiling on every count a run sets or implies (steps, agents, paths, sweep
-#: seeds, iterations, a fit's driver points): far past any run that fits in
-#: memory or time, so a larger count is a configuration error.
-MAX_COUNT = 10**9
-
-
 def _n_steps(horizon, dt):
     if not (0.0 < dt <= horizon and math.isfinite(horizon / dt)):
         raise ConfigError("need a finite horizon > 0 and 0 < dt <= horizon")

@@ -1,4 +1,12 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and its ceiling on counts.
+
+This module imports nothing of the package, so any module may read it
+without loading an engine."""
+
+#: Ceiling on every count a run sets or implies (steps, agents, paths, sweep
+#: seeds, iterations, a fit's driver points): far past any run that fits in
+#: memory or time, so a larger count is a configuration error.
+MAX_COUNT = 10**9
 
 
 class BeliefMktError(Exception):

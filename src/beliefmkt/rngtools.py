@@ -10,7 +10,12 @@ and adding paths or agents never perturbs the streams already drawn:
 
 The agent rule gives the prefix property: simulating with more agents
 under the same master seed reproduces the earlier agents exactly.
+
+Annotations are not evaluated, so ``numpy.random`` loads at the first
+draw, not when this module is imported.
 """
+
+from __future__ import annotations
 
 import numpy as np
 
