@@ -37,9 +37,21 @@ A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``
 and derives S, sigma^S, zeta, w, c, pi and the trade diffusions theta from
 it on first access, so a caller that reads only PD, r and S (the moment
 report) never builds the per-agent portfolio arrays.
+
+``simulate_paths`` returns a lazy sequence: item p is simulated from
+(seed, p) when it is read, through this module's ``simulate_path`` as it
+stands at that moment.  Because any item can be read on its own,
+``calibration.compute_moments`` splits such a sequence into one contiguous
+range of paths per usable CPU when the process runs one Python thread:
+forked children send back only their per-path sums, which the report pools
+with math.fsum, so it is identical to the bit to the in-order one, and an
+error is raised as an in-order loop would raise it, the lowest range's
+first.  A generator of paths is consumed in order instead.
 """
 
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -414,8 +426,34 @@ def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,
                            market_state(spec, times, x), dt)
 
 
+class PathSequence(abc.Sequence):
+    """The n_paths paths of a master seed, each simulated when it is read:
+    item p is ``simulate_path(spec, horizon, dt, seed, p)``, and iterating
+    goes in path order.  Nothing is kept, so a path read twice is simulated
+    twice."""
+
+    def __init__(self, spec, horizon, dt, seed, n_paths):
+        self.spec, self.horizon, self.dt, self.seed = spec, horizon, dt, seed
+        self.n_paths = n_paths
+
+    def __len__(self):
+        return self.n_paths
+
+    def __getitem__(self, p):
+        # a global read at call time, so a wrapper set on the module applies
+        return simulate_path(self.spec, self.horizon, self.dt, self.seed,
+                             range(self.n_paths)[operator.index(p)])
+
+
 def simulate_paths(spec: MarketSpec, horizon: float, dt: float, seed: int,
-                   n_paths: int):
-    """Yield n_paths independent paths split off the master seed."""
-    for p in range(n_paths):
-        yield simulate_path(spec, horizon, dt, seed, p)
+                   n_paths: int) -> PathSequence:
+    """The n_paths independent paths split off the master seed, as a lazy
+    sequence.  Raises ConfigError unless n_paths is an integer >= 0."""
+    try:
+        n_paths = operator.index(n_paths)
+    except TypeError:
+        raise ConfigError(f"n_paths must be an integer, not "
+                          f"{n_paths!r}") from None
+    if n_paths < 0:
+        raise ConfigError(f"n_paths must be >= 0, not {n_paths}")
+    return PathSequence(spec, horizon, dt, seed, n_paths)

@@ -1,8 +1,11 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from beliefmkt import equilibrium
-from beliefmkt.beliefs import ConstantDrift
+from beliefmkt.beliefs import BayesianGaussian, ConstantDrift
 from beliefmkt.equilibrium import AgentSpec, MarketSpec
 
 # The three-agent benchmark calibration used throughout: a fitted
@@ -23,10 +26,28 @@ def benchmark_market() -> MarketSpec:
                       drift_adjustment=BENCHMARK_ALPHA_STAR, agents=agents)
 
 
+def learner_market() -> MarketSpec:
+    """benchmark3 with its third agent a gaussian learner."""
+    spec = benchmark_market()
+    third = replace(spec.agents[2], belief=BayesianGaussian(-0.05, 2.0))
+    return replace(spec, agents=spec.agents[:2] + (third,))
+
+
 def driver_path(spec, horizon, dt, seed, path_index=0):
     """(times, X, delta) of one path, drawn as simulate_path draws them."""
     times, x = equilibrium._drivers(horizon, dt, seed, (path_index,))
     return times, x[0], equilibrium.dividend_path(spec, times, x[0])
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or not."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (pid {pid or '?'})")
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
+import collections.abc
 import ctypes
 import math
 import os
 import resource
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import beliefmkt
-from beliefmkt import calibration, config
+from beliefmkt import calibration, config, equilibrium
 from beliefmkt.beliefs import ConstantDrift
 from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
                                    MOMENT_NAMES, FreeParameter, MomentReport,
@@ -20,7 +22,7 @@ from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
                                    ingest_price_dividend_csv, moment_loss)
 from beliefmkt.equilibrium import AgentSpec, MarketSpec, simulate_path
 from beliefmkt.errors import ConfigError, SingularMarketError
-from conftest import benchmark_market, driver_path
+from conftest import benchmark_market, driver_path, learner_market
 
 
 def single_agent_market(sigma=0.2, alpha=0.0, rho=0.05):
@@ -78,6 +80,132 @@ def test_doubling_paths_shrinks_standard_error():
     se_small = np.mean([se_of_mean_pd(40, s) for s in (1, 2, 3)])
     se_big = np.mean([se_of_mean_pd(80, s) for s in (1, 2, 3)])
     assert se_big / se_small == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
+
+
+# ---------------------------------------------------------------------------
+# the report of a sequence split across forked children
+
+
+def in_order_report(paths):
+    """The report of the plain loop over the paths: the split's oracle."""
+    moments = calibration._Moments(paths[0].dt)
+    for path in paths:
+        moments.add(path.state, path.dividend)
+    return moments.report()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Patches the usable CPU count through ``forks.cpus`` and counts the
+    forks that compute_moments makes."""
+    real_fork = os.fork
+    counter = SimpleNamespace(count=0)
+
+    def fork():
+        counter.count += 1
+        return real_fork()
+
+    def cpus(n):
+        monkeypatch.setattr(calibration, "_usable_cpus", lambda: n)
+
+    monkeypatch.setattr(os, "fork", fork)
+    counter.cpus = cpus
+    return counter
+
+
+def no_fork():
+    raise AssertionError("compute_moments forked")
+
+
+@pytest.mark.parametrize("market", [benchmark_market, learner_market])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 9])
+def test_split_report_equals_the_in_order_loop(forks, market, cpus):
+    spec, n = market(), 5
+    forks.cpus(cpus)
+    lazy = equilibrium.simulate_paths(spec, 2.0, 1 / 52, 31, n)
+    want = in_order_report(lazy)
+    as_list = list(lazy)
+    for paths in (lazy, as_list):
+        forks.count = 0
+        assert compute_moments(paths) == want
+        assert forks.count == min(cpus, n) - 1
+    forks.count = 0
+    assert compute_moments(iter(as_list)) == want
+    assert forks.count == 0
+
+
+class FailingPaths(collections.abc.Sequence):
+    """Paths whose item k raises SingularMarketError("path k") for each k
+    in ``failing``."""
+
+    def __init__(self, paths, failing):
+        self.paths, self.failing = paths, failing
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, k):
+        if k in self.failing:
+            raise SingularMarketError(f"path {k}")
+        return self.paths[k]
+
+
+@pytest.mark.parametrize("cpus, failing, raised", [
+    (2, {4}, 4),            # the child's range fails
+    (2, {1, 4}, 1),         # this process's range fails first
+    (2, {4, 5}, 4),         # the first failing path of a range
+    (3, {3, 5}, 3),         # two children's ranges: the lower one wins
+    (3, {5, 2}, 2),
+    (3, {0}, 0),            # before any fork
+])
+def test_split_raises_the_first_error_in_path_order(forks, cpus, failing,
+                                                     raised):
+    paths = [simulate_path(benchmark_market(), 1.0, 1 / 52, 2, p)
+             for p in range(6)]
+    forks.cpus(cpus)
+    with pytest.raises(SingularMarketError, match=f"^path {raised}$"):
+        compute_moments(FailingPaths(paths, failing))
+    assert forks.count == (0 if 0 in failing else cpus - 1)
+
+
+class TwoPartError(Exception):
+    def __init__(self, a, b):  # pickles, but does not load back
+        super().__init__(f"{a} and {b}")
+
+
+def test_split_sends_an_error_it_cannot_pickle_by_name(forks):
+    paths = [simulate_path(benchmark_market(), 1.0, 1 / 52, 2, p)
+             for p in range(4)]
+
+    class Raising(FailingPaths):
+        def __getitem__(self, k):
+            if k == 3:
+                raise TwoPartError("this", "that")
+            return self.paths[k]
+
+    forks.cpus(2)
+    with pytest.raises(RuntimeError, match="^TwoPartError: this and that$"):
+        compute_moments(Raising(paths, ()))
+
+
+def test_split_needs_a_sequence_and_a_single_thread(monkeypatch):
+    spec = benchmark_market()
+    paths = [simulate_path(spec, 1.0, 1 / 52, 6, p) for p in range(4)]
+    want = in_order_report(paths)
+    monkeypatch.setattr(calibration, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert compute_moments(p for p in paths) == want
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert compute_moments(paths) == want
+        assert compute_moments(
+            equilibrium.simulate_paths(spec, 1.0, 1 / 52, 6, 4)) == want
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # ---------------------------------------------------------------------------

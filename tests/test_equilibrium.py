@@ -1,6 +1,6 @@
+import collections.abc
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,8 @@ from beliefmkt.equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
                                    solve_market_clearing, trade_volume,
                                    wealth_and_portfolios)
 from beliefmkt.errors import ConfigError, SingularMarketError
-from conftest import assert_same_text, benchmark_market, driver_path
+from conftest import (assert_same_text, benchmark_market, driver_path,
+                      learner_market)
 
 
 def two_agent_market(alphas=(0.2, -0.2), rhos=(0.05, 0.05), nus=(1.0, 1.0),
@@ -502,6 +503,34 @@ def test_batch_of_paths_equals_row_by_row():
                                   getattr(path.state, name)), name
 
 
+def test_simulate_paths_is_a_lazy_sequence_of_simulate_path(monkeypatch):
+    spec = benchmark_market()
+    paths = simulate_paths(spec, 1.0, 1 / 52, seed=4, n_paths=3)
+    assert isinstance(paths, collections.abc.Sequence) and len(paths) == 3
+    for p, (got, item) in enumerate(zip(paths, [paths[0], paths[-2],
+                                                paths[2]])):
+        want = simulate_path(spec, 1.0, 1 / 52, 4, p)
+        for path in (got, item):
+            assert np.array_equal(path.x, want.x)
+            assert np.array_equal(path.pd_ratio, want.pd_ratio)
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            paths[index]
+    # an item goes through the module's simulate_path as it is at read time
+    calls = []
+    monkeypatch.setattr(equilibrium, "simulate_path",
+                        lambda *args: calls.append(args))
+    paths[1]
+    assert calls == [(spec, 1.0, 1 / 52, 4, 1)]
+    assert len(simulate_paths(spec, 1.0, 1 / 52, 4, 0)) == 0
+
+
+@pytest.mark.parametrize("n_paths", [-1, 2.5, 2.0, "3", None])
+def test_simulate_paths_rejects_a_bad_path_count(n_paths):
+    with pytest.raises(ConfigError, match="n_paths"):
+        simulate_paths(benchmark_market(), 1.0, 1 / 52, 4, n_paths)
+
+
 def test_simulated_paths_share_no_memory():
     spec = benchmark_market()
     paths = list(simulate_paths(spec, 2.0, 1 / 52, seed=8, n_paths=3))
@@ -655,12 +684,6 @@ def csv_text(path):
     fp = io.StringIO()
     path.write_csv(fp)
     return fp.getvalue()
-
-
-def learner_market():
-    spec = benchmark_market()
-    third = replace(spec.agents[2], belief=BayesianGaussian(-0.05, 2.0))
-    return replace(spec, agents=spec.agents[:2] + (third,))
 
 
 @pytest.mark.parametrize("case", ["benchmark3", "equal_rho", "learner"])

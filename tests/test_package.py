@@ -92,9 +92,12 @@ def test_star_import_binds_every_public_name():
 
 def test_readme_library_example_runs():
     readme = (REPO / "README.md").read_text()
-    section = readme.split("## Library example", 1)[1]
-    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = readme.split("## Library example", 1)[1].split("\n## ", 1)[0]
     namespace = {}
-    exec(example, namespace)
+    for example in re.findall(r"```python\n(.*?)```", section, re.S):
+        exec(example, namespace)
     path = namespace["path"]
     assert path.pd_ratio.shape == path.times.shape
+    assert len(namespace["paths"]) == 8
+    assert namespace["report"] == beliefmkt.compute_moments(
+        iter(namespace["paths"]))
