@@ -28,8 +28,8 @@ import sys
 
 # Set before numpy loads OpenBLAS.  The engine's only BLAS calls are dot
 # products over a handful of agents, so OpenBLAS worker threads do no work
-# here; they only spin after start-up, taking CPU from the main thread, and
-# every --parallel worker would start its own.  A value the user set is kept.
+# here; they only spin after start-up, taking CPU from the main thread.  A
+# value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 

@@ -13,24 +13,16 @@ they are fixed here once):
 Pooled statistics keep one (count, sum, sum of squares) per path and
 reduce them with math.fsum, which rounds once whatever the order, so the
 report is invariant to the order of the path set.  That is what lets
-``compute_moments`` split a sequence of paths (``simulate_paths``, a list)
-into contiguous ranges across the usable CPUs, by ``os.fork``, and merge
-the ranges' per-path sums into a report identical to the bit to the
-in-order one.  It splits only where the process runs one Python thread;
-an error raised in a range comes back with its type and message, and where
-several ranges fail, the lowest one's error is raised, as in an in-order
-run.  Any other iterable is consumed in order in-process.
+``compute_moments`` take each path's sums from ``numerics.fork_map``, which
+splits a sequence of paths (``simulate_paths``, a list) across the usable
+CPUs, and merge them into a report identical to the bit to the in-order
+one.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-import pickle
-import signal
-import threading
-from collections import abc
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -38,7 +30,7 @@ import numpy as np
 
 from . import beliefs, equilibrium
 from .errors import MAX_COUNT, ConfigError, NumericError
-from .numerics import nelder_mead
+from .numerics import fork_map, nelder_mead
 
 #: Moment name -> label of the comparison table, in report order.
 MOMENT_LABELS = {
@@ -124,8 +116,7 @@ class _Pool:
 
 
 class _Moments:
-    """The pooled samples behind a MomentReport, on grid spacing dt (by
-    default that of the first path added)."""
+    """The pooled samples behind a MomentReport, on grid spacing dt."""
 
     def __init__(self, dt=None):
         self.dt = dt
@@ -140,22 +131,12 @@ class _Moments:
         self.ret.add((stock[..., 1:] + dividend[..., :-1] * self.dt
                       - stock[..., :-1]) / stock[..., :-1])
 
-    def add_paths(self, paths):
-        """Add EquilibriumPath objects in order; returns self."""
-        for path in paths:
-            if self.dt is None:
-                self.dt = path.dt
-            elif path.dt != self.dt:
-                raise ConfigError("paths do not share a common grid spacing")
-            self.add(path.state, path.dividend)
-        return self
-
     def sums(self):
         """The per-path (n, s, s2) lists of the three pools."""
         return [(p.n, p.s, p.s2) for p in (self.pd, self.rate, self.ret)]
 
     def extend(self, sums):
-        """Append the per-path sums of a later range of paths."""
+        """Append the per-path sums of later paths."""
         for pool, (n, s, s2) in zip((self.pd, self.rate, self.ret), sums):
             pool.n += n
             pool.s += s
@@ -173,109 +154,32 @@ def compute_moments(paths) -> MomentReport:
 
     Paths must share their grid spacing.  Raises ConfigError on empty input.
 
-    A sequence of more than one path (a list, or ``simulate_paths``) is
-    split across the usable CPUs when the process runs one Python thread
-    and has ``os.fork``: k = min(len(paths), usable CPUs) contiguous ranges
-    of indices, of which k - 1 forked children each add one and send back
-    only its per-path sums, while this process adds the first.  The pools
-    reduce their per-path sums with ``math.fsum``, which rounds exactly
-    once whatever the order, and the sums are merged in path order, so the
-    report equals the in-order one to the bit.  An error raised in any
-    range is raised here with its type and message; where several ranges
-    fail, the lowest one's error wins, as in an in-order run.  Every child
-    is reaped before this returns or raises.  Any other input, such as a
-    generator, is consumed in order in this process.
+    Each path's (count, sum, sum of squares) come from ``numerics.fork_map``,
+    which splits a sequence of more than one path (a list, or
+    ``simulate_paths``) across the usable CPUs, and consumes any other
+    input, such as a generator, in order in this process.  The pools
+    reduce the per-path sums with ``math.fsum``, which rounds exactly once
+    whatever the order, so a split report equals the in-order one to the
+    bit.  An error that reading or adding a path raises is raised here as
+    an in-order loop would raise it, the lowest path's first.
     """
     moments = _Moments()
-    ranges = _split_ranges(paths)
-    if ranges is None:
-        moments.add_paths(paths)
-    else:
-        moments.add_paths([paths[0]])  # the grid spacing the others need
-        _add_split(moments, paths, ranges)
+    for dt, sums in fork_map(_path_sums, paths):
+        if moments.dt is None:
+            moments.dt = dt
+        elif dt != moments.dt:
+            raise ConfigError("paths do not share a common grid spacing")
+        moments.extend(sums)
     if moments.dt is None:
         raise ConfigError("compute_moments needs at least one path")
     return moments.report()
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _split_ranges(paths):
-    """The contiguous index ranges that compute_moments splits ``paths``
-    into, or None where it adds them in order in this process."""
-    if not (isinstance(paths, abc.Sequence) and len(paths) > 1
-            and threading.active_count() == 1 and hasattr(os, "fork")):
-        return None
-    k = min(len(paths), _usable_cpus())
-    if k < 2:
-        return None
-    cuts = [len(paths) * i // k for i in range(k + 1)]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
-def _add_split(moments, paths, ranges):
-    """Add ``paths`` after the first to ``moments`` range by range: this
-    process adds the rest of the first range, and a forked child each of
-    the other ranges."""
-    children = []   # (pid, read end of its pipe)
-    try:
-        for indices in ranges[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _child_range(write_fd, moments.dt, paths, indices)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        moments.add_paths(map(paths.__getitem__, ranges[0][1:]))
-        for _, fp in children:
-            try:
-                ok, value = pickle.load(fp)
-            except EOFError:  # killed, say by the OOM killer
-                raise ChildProcessError("a child of compute_moments ended "
-                                        "without a result") from None
-            if not ok:
-                raise value
-            moments.extend(value)
-    except BaseException:
-        # the lowest failing range has raised: the others' work is moot
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fp in children:
-            fp.close()
-            os.waitpid(pid, 0)
-
-
-def _child_range(write_fd, dt, paths, indices):
-    """In a forked child: add ``paths[indices]`` and write the pickled
-    (True, per-path sums) or (False, exception) to ``write_fd``; never
-    returns."""
-    try:
-        try:
-            result = (True, _Moments(dt).add_paths(
-                map(paths.__getitem__, indices)).sums())
-        except BaseException as exc:
-            try:  # the parent must be able to load what it is sent
-                pickle.loads(pickle.dumps(exc))
-                result = (False, exc)
-            except Exception:
-                result = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
-        with os.fdopen(write_fd, "wb") as fp:
-            pickle.dump(result, fp)
-    finally:
-        os._exit(0)
+def _path_sums(path):
+    """The grid spacing and the per-path sums of one path."""
+    moments = _Moments(path.dt)
+    moments.add(path.state, path.dividend)
+    return path.dt, moments.sums()
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,7 @@ def cmd_feedback(cfg, args):
     out = _start(args, cfg)
     if sweep:
         seeds = list(range(setup.seed, setup.seed + sweep))
-        if args.parallel > 1:
-            # imported here: loading multiprocessing slows every default run
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                table = feedback.diligence_sweep(setup, diligence_values,
-                                                 seeds, map_fn=pool.map)
-        else:
-            table = feedback.diligence_sweep(setup, diligence_values, seeds)
+        table = feedback.diligence_sweep(setup, diligence_values, seeds)
         with open(out / "sweep.txt", "w") as fp:
             fp.write("n_diligent,seed,log_ratio_range,n_jumps\n")
             for n_dil in diligence_values:
@@ -174,20 +167,8 @@ _COMMANDS = {
     "ingest": (cmd_ingest, "compute empirical targets from a price/dividend CSV"),
 }
 # the flags a subcommand reads; a subcommand that does not read one rejects it
-_FLAGS = {"simulate-log": ("seed", "paths"), "feedback": ("seed", "parallel"),
+_FLAGS = {"simulate-log": ("seed", "paths"), "feedback": ("seed",),
           "fit": ("seed", "paths")}
-
-
-def _worker_count(text):
-    """--parallel's argument: a whole number of worker processes, >= 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return count
 
 
 def build_parser():
@@ -199,9 +180,6 @@ def build_parser():
     options = {
         "seed": dict(type=int, help="override seed"),
         "paths": dict(type=int, help="override number of Monte Carlo paths"),
-        "parallel": dict(type=_worker_count, default=1,
-                         help="worker processes for a seed_sweep, >= 1 "
-                              "(default 1: sequential)"),
     }
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)

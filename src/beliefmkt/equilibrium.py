@@ -42,11 +42,12 @@ report) never builds the per-agent portfolio arrays.
 (seed, p) when it is read, through this module's ``simulate_path`` as it
 stands at that moment.  Because any item can be read on its own,
 ``calibration.compute_moments`` splits such a sequence into one contiguous
-range of paths per usable CPU when the process runs one Python thread:
-forked children send back only their per-path sums, which the report pools
-with math.fsum, so it is identical to the bit to the in-order one, and an
-error is raised as an in-order loop would raise it, the lowest range's
-first.  A generator of paths is consumed in order instead.
+range of paths per usable CPU (``numerics.fork_map``) when the process
+runs one Python thread: forked children send back only their per-path
+sums, which the report pools with math.fsum, so it is identical to the
+bit to the in-order one, and an error is raised as an in-order loop would
+raise it, the lowest range's first.  A generator of paths is consumed in
+order instead.
 """
 
 import math

@@ -49,6 +49,12 @@ oracle, and the outputs are the same to the bit.
   recursion, the log-weight increments of a block come from one pass and
   accumulate with ``np.cumsum`` along time, and ``log_price_dividend``
   prices the block's rows at once.
+
+A diligence sweep's unit of work is one master seed, whose S* pass serves
+all its diligence counts.  ``numerics.fork_map`` splits the seeds across
+the usable CPUs, never one seed's counts: those would each redo the S*
+pass, and two feedback processes on two CPUs slow each other, so such a
+split costs more CPU time than it saves wall time.
 """
 
 import math
@@ -59,7 +65,7 @@ import numpy as np
 
 from .beliefs import log_density_increment, posterior_mean_step
 from .errors import ConfigError, FixedPointError
-from .numerics import brentq, scan_sign_changes, write_rows
+from .numerics import brentq, fork_map, scan_sign_changes, write_rows
 from .rngtools import agent_rng, path_rng
 
 # residual bound every accepted step must satisfy (relative, on PD scale)
@@ -540,21 +546,22 @@ def _sweep_seed(task) -> List[Dict[str, float]]:
             for n_dil in n_diligent_values]
 
 
-def diligence_sweep(config: FeedbackConfig, n_diligent_values, master_seeds,
-                    map_fn=map) -> Dict[int, List[Dict[str, float]]]:
+def diligence_sweep(config: FeedbackConfig, n_diligent_values,
+                    master_seeds) -> Dict[int, List[Dict[str, float]]]:
     """Metrics of runs over a grid of diligence counts and master seeds.
 
     Results are keyed by diligence count, each holding one metrics dict
     per seed in the order given.  The unit of work is one master seed: its
     agents, dividend path and ideal price S* do not depend on the
     diligence count, so they are computed once and shared by that seed's
-    runs.  Seeds are independent: pass an executor's ``map`` as ``map_fn``
-    to run them in parallel.  Collection is an ordered fold over seeds, so
-    output never depends on scheduling.
+    runs.  Seeds are independent, so ``numerics.fork_map`` splits more
+    than one of them across the usable CPUs; a seed's runs are never
+    split.  Its results come back in seed order, so the table never
+    depends on the split.
     """
     n_diligent_values = list(n_diligent_values)
     tasks = [(replace(config, seed=seed), n_diligent_values)
              for seed in master_seeds]
-    per_seed = list(map_fn(_sweep_seed, tasks))
+    per_seed = list(fork_map(_sweep_seed, tasks))
     return {n_dil: [rows[i] for rows in per_seed]
             for i, n_dil in enumerate(n_diligent_values)}

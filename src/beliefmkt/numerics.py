@@ -1,22 +1,31 @@
 """Small numerical utilities: root brackets, Brent's method, the
-Nelder-Mead simplex, sign-change scans and the ``%.17g`` CSV table writer.
+Nelder-Mead simplex, sign-change scans, the ``%.17g`` CSV table writer and
+the fork split of independent work.
 
 ``brentq`` and ``nelder_mead`` are ports of scipy's routines that give
 scipy's roots and minimizers bit for bit, so root solving (feedback steps,
 market clearing) and the ``fit`` search need numpy only.  ``write_rows``
 prints a float table as ``'%.17g' % value`` would, byte for byte, a chunk
 of values per numpy pass; a value whose digits it cannot certify is
-printed by ``%`` itself."""
+printed by ``%`` itself.  ``fork_map`` is the package's one split of
+independent work across processes: it maps a function over a sequence cut
+into contiguous ranges, one forked process per usable CPU, and returns
+the results in item order, as an in-order loop would give them."""
 
 import functools
 import math
+import os
+import pickle
+import signal
+import threading
+from collections import abc
 
 import numpy as np
 
 from .errors import BracketError
 
 __all__ = ["brentq", "nelder_mead", "solve_decreasing", "scan_sign_changes",
-           "write_rows"]
+           "write_rows", "fork_map"]
 
 # values per numpy pass in ``write_rows``: enough to amortize each pass's
 # call overhead, few enough that a chunk's temporaries stay well under a
@@ -451,3 +460,88 @@ def write_rows(fp, table):
     for start in range(0, rows, step):
         chunk = table[start:start + step].reshape(-1)
         fp.write(_format_chunk(chunk, last[:len(chunk)]).decode("ascii"))
+
+
+def fork_map(fn, items):
+    """fn(item) for each of ``items``, in item order, as an iterable.
+
+    A sequence of more than one item is split when the process runs one
+    Python thread and the platform has fork: k = min(len(items), usable CPUs)
+    contiguous ranges of indices, of which this process maps the first and
+    a forked child each of the others, sending back its pickled results.
+    An error raised in any range is raised here with its type and message
+    (an exception that does not pickle comes back as ``RuntimeError("<type>:
+    <message>")``); where several ranges fail, the lowest one's error wins,
+    as in an in-order loop, and the other children are killed.  Every child
+    is reaped before this returns or raises.  Any other input, a single
+    item, a single usable CPU or a second running thread gives the lazy
+    ``map(fn, items)`` in this process.
+    """
+    if not (isinstance(items, abc.Sequence) and threading.active_count() == 1
+            and hasattr(os, "fork")):
+        return map(fn, items)
+    k = min(len(items), _usable_cpus())
+    if k < 2:   # also no item or one item
+        return map(fn, items)
+    cuts = [len(items) * i // k for i in range(k + 1)]
+    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    children = []   # (pid, read end of its pipe)
+    try:
+        for indices in ranges[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _child_map(write_fd, fn, items, indices)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results = [fn(items[i]) for i in ranges[0]]
+        for _, fp in children:
+            try:
+                ok, value = pickle.load(fp)
+            except EOFError:  # killed, say by the OOM killer
+                raise ChildProcessError("a forked child ended without a "
+                                        "result") from None
+            if not ok:
+                raise value
+            results += value
+        return results
+    except BaseException:
+        # the lowest failing range has raised: the others' work is moot
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fp in children:
+            fp.close()
+            os.waitpid(pid, 0)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _child_map(write_fd, fn, items, indices):
+    """In a forked child: write the pickled (True, [fn(items[i]) for i in
+    indices]) or (False, exception) to ``write_fd``; never returns."""
+    try:
+        try:
+            result = (True, [fn(items[i]) for i in indices])
+        except BaseException as exc:
+            try:  # the parent must be able to load what it is sent
+                pickle.loads(pickle.dumps(exc))
+                result = (False, exc)
+            except Exception:
+                result = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(write_fd, "wb") as fp:
+            pickle.dump(result, fp)
+    finally:
+        os._exit(0)

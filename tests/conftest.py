@@ -1,10 +1,11 @@
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from beliefmkt import equilibrium
+from beliefmkt import equilibrium, numerics
 from beliefmkt.beliefs import BayesianGaussian, ConstantDrift
 from beliefmkt.equilibrium import AgentSpec, MarketSpec
 
@@ -48,6 +49,30 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process unreaped (pid {pid or '?'})")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Patches the usable CPU count through ``forks.cpus`` and counts the
+    forks that ``numerics.fork_map`` makes."""
+    real_fork = os.fork
+    counter = SimpleNamespace(count=0)
+
+    def fork():
+        counter.count += 1
+        return real_fork()
+
+    def cpus(n):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: n)
+
+    monkeypatch.setattr(os, "fork", fork)
+    counter.cpus = cpus
+    return counter
+
+
+def no_fork():
+    """Patched in for ``os.fork`` where nothing may fork."""
+    raise AssertionError("os.fork called")
 
 
 @pytest.fixture

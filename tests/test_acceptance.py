@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one test per criterion, each printing a
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-These run at full stated sizes: the module takes about 15 s on a 2-core
-Xeon, most of it in ``test_diligence_damping``.
+These run at full stated sizes: the module takes 13-15 s on a 2-core
+Xeon, about half of it in ``test_diligence_damping``, whose 20 seeds
+``diligence_sweep`` splits across the CPUs.
 """
 
 import json

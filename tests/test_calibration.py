@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import beliefmkt
-from beliefmkt import calibration, config, equilibrium
+from beliefmkt import calibration, config, equilibrium, numerics
 from beliefmkt.beliefs import ConstantDrift
 from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
                                    MOMENT_NAMES, FreeParameter, MomentReport,
@@ -22,7 +22,7 @@ from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
                                    ingest_price_dividend_csv, moment_loss)
 from beliefmkt.equilibrium import AgentSpec, MarketSpec, simulate_path
 from beliefmkt.errors import ConfigError, SingularMarketError
-from conftest import benchmark_market, driver_path, learner_market
+from conftest import benchmark_market, driver_path, learner_market, no_fork
 
 
 def single_agent_market(sigma=0.2, alpha=0.0, rho=0.05):
@@ -94,29 +94,6 @@ def in_order_report(paths):
     return moments.report()
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Patches the usable CPU count through ``forks.cpus`` and counts the
-    forks that compute_moments makes."""
-    real_fork = os.fork
-    counter = SimpleNamespace(count=0)
-
-    def fork():
-        counter.count += 1
-        return real_fork()
-
-    def cpus(n):
-        monkeypatch.setattr(calibration, "_usable_cpus", lambda: n)
-
-    monkeypatch.setattr(os, "fork", fork)
-    counter.cpus = cpus
-    return counter
-
-
-def no_fork():
-    raise AssertionError("compute_moments forked")
-
-
 @pytest.mark.parametrize("market", [benchmark_market, learner_market])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 9])
 def test_split_report_equals_the_in_order_loop(forks, market, cpus):
@@ -156,7 +133,7 @@ class FailingPaths(collections.abc.Sequence):
     (2, {4, 5}, 4),         # the first failing path of a range
     (3, {3, 5}, 3),         # two children's ranges: the lower one wins
     (3, {5, 2}, 2),
-    (3, {0}, 0),            # before any fork
+    (3, {0}, 0),            # this process's first path
 ])
 def test_split_raises_the_first_error_in_path_order(forks, cpus, failing,
                                                      raised):
@@ -165,7 +142,7 @@ def test_split_raises_the_first_error_in_path_order(forks, cpus, failing,
     forks.cpus(cpus)
     with pytest.raises(SingularMarketError, match=f"^path {raised}$"):
         compute_moments(FailingPaths(paths, failing))
-    assert forks.count == (0 if 0 in failing else cpus - 1)
+    assert forks.count == cpus - 1
 
 
 class TwoPartError(Exception):
@@ -192,7 +169,7 @@ def test_split_needs_a_sequence_and_a_single_thread(monkeypatch):
     spec = benchmark_market()
     paths = [simulate_path(spec, 1.0, 1 / 52, 6, p) for p in range(4)]
     want = in_order_report(paths)
-    monkeypatch.setattr(calibration, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(os, "fork", no_fork)
     assert compute_moments(p for p in paths) == want
     stop = threading.Event()

@@ -298,13 +298,14 @@ def test_count_at_ceiling_is_accepted():
     assert steps == MAX_COUNT
 
 
-# simulate-log runs its paths in one process: sending a path back from a
-# worker costs more than computing it, so it has no --parallel either
+# no subcommand has a worker count: a run splits its work across the usable
+# CPUs by itself, so --parallel, which feedback sweeps once read, is unread
+# everywhere
 _UNREAD_FLAGS = [
     ("simulate-log", "--parallel"), ("fit", "--parallel"),
     ("beauty", "--paths"), ("beauty", "--seed"), ("beauty", "--parallel"),
     ("ingest", "--paths"), ("ingest", "--seed"), ("ingest", "--parallel"),
-    ("feedback", "--paths")]
+    ("feedback", "--paths"), ("feedback", "--parallel")]
 
 
 @pytest.mark.parametrize("subcommand, flag", _UNREAD_FLAGS)
@@ -370,18 +371,6 @@ def test_omitted_target_is_unavailable():
     assert targets.mean_pd == 25.0 and math.isnan(targets.std_pd)
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
-def test_parallel_below_one_exits_2_before_writing(tmp_path, capsys, value):
-    cfg = write_config(tmp_path, _SEEDED_CONFIGS["feedback"])
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["feedback", "--config", str(cfg), "--out", str(out),
-              "--parallel", value])
-    assert exc.value.code == 2
-    assert "--parallel: expected an integer >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
@@ -436,17 +425,6 @@ def test_feedback_seed_sweep_table(tmp_path):
     sweep = (out / "sweep.txt").read_text()
     assert "mean_range[n_diligent=0]" in sweep
     assert "mean_range[n_diligent=4]" in sweep
-
-
-def test_feedback_parallel_sweep_matches_sequential(tmp_path):
-    payload = {"n_agents": 4, "n_diligent": 2, "years": 0.2, "seed": 1,
-               "seed_sweep": 3, "diligence_values": [0, 4]}
-    cfg = write_config(tmp_path, payload)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["feedback", "--config", str(cfg), "--out", str(out_a)]) == 0
-    assert main(["feedback", "--config", str(cfg), "--out", str(out_b),
-                 "--parallel", "2"]) == 0
-    assert (out_a / "sweep.txt").read_bytes() == (out_b / "sweep.txt").read_bytes()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -717,7 +695,8 @@ if sys.argv[2] == "block-scipy":
 from beliefmkt.cli import main
 
 def loaded():
-    return [m for m in ("scipy", "multiprocessing") if sys.modules.get(m)]
+    return [m for m in ("scipy", "multiprocessing", "concurrent.futures")
+            if sys.modules.get(m)]
 
 seen = [loaded()]
 for cmd in json.loads(sys.argv[1]):
@@ -755,11 +734,14 @@ def _probe_configs(tmp_path):
 
 
 def test_no_subcommand_loads_scipy(tmp_path):
-    # importing scipy.optimize costs more than most CLI runs, and
-    # multiprocessing serves only --parallel: root solving and the fit
-    # search have their own Brent and Nelder-Mead, so no default run loads
-    # either
+    # importing scipy.optimize costs more than most CLI runs: root solving
+    # and the fit search have their own Brent and Nelder-Mead.  A sweep
+    # splits its seeds by os.fork, so no run loads multiprocessing or
+    # concurrent.futures either
     simulate, feedback, fit = _probe_configs(tmp_path)
+    sweep = write_config(tmp_path, {
+        "n_agents": 4, "n_diligent": 2, "n_steps": 20, "seed": 3,
+        "seed_sweep": 2, "diligence_values": [0, 4]}, "sweep.json")
     out = str(tmp_path / "out")
     assert _probe([
         ["beauty", "--config",
@@ -770,8 +752,9 @@ def test_no_subcommand_loads_scipy(tmp_path):
         ["simulate-log", "--config", out + "3/manifest.json",
          "--out", out + "4"],
     ]) == [[]] * 5
-    assert _probe([["feedback", "--config", str(feedback),
-                    "--out", out + "5"]]) == [[]] * 2
+    assert _probe([["feedback", "--config", str(feedback), "--out", out + "5"],
+                   ["feedback", "--config", str(sweep), "--out", out + "7"]]) \
+        == [[]] * 3
     assert _probe([["fit", "--config", str(fit), "--out", out + "6"]]) \
         == [[]] * 2
 

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from scipy.special import logsumexp
 
 from beliefmkt.beliefs import log_density_increment
-from beliefmkt import feedback
+from beliefmkt import feedback, numerics
 from beliefmkt.config import load_config, parse_feedback
 from beliefmkt.errors import ConfigError, FixedPointError
 from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse, _Observers,
@@ -17,7 +19,7 @@ from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse, _Observers,
                                 log_price_dividend, run_feedback, solve_step)
 from beliefmkt.numerics import brentq, scan_sign_changes
 from beliefmkt.rngtools import agent_rng, path_rng
-from conftest import assert_same_text
+from conftest import assert_same_text, no_fork
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -418,7 +420,7 @@ def test_all_diligent_root_above_cap_raises():
     assert err.value.diagnostics["true_increment"] == inputs.increments[17]
 
 
-def test_shipped_sweep_seed_22_fails_at_step_670():
+def test_shipped_sweep_seed_22_fails_at_step_670(forks):
     # a crash larger than the bracket cap in the shipped sweep's population
     cfg = parse_feedback(load_config(
         str(REPO / "configs" / "feedback_diligence_sweep.json")))
@@ -426,6 +428,14 @@ def test_shipped_sweep_seed_22_fails_at_step_670():
         run_feedback(replace(cfg, seed=22, n_diligent=0))
     assert err.value.step == 670
     assert str(err.value).startswith("step 670: no root for xi within")
+    # raised in a forked child of a sweep, it keeps its step and diagnostics
+    forks.cpus(2)
+    with pytest.raises(FixedPointError) as split_err:
+        diligence_sweep(cfg, [0], [21, 22])
+    assert forks.count == 1
+    assert str(split_err.value) == str(err.value)
+    assert split_err.value.step == 670
+    assert split_err.value.diagnostics == err.value.diagnostics
 
 
 @pytest.mark.parametrize("offset", [0.0, 700.0, -700.0])
@@ -673,6 +683,79 @@ def test_diligence_sweep_rows_equal_single_runs():
             assert table[n][i] == res.metrics
             np.testing.assert_array_equal(res.stock_ideal,
                                           runs[0].stock_ideal)
+
+
+# ---------------------------------------------------------------------------
+# a sweep's seeds split across forked children
+
+
+def in_order_table(cfg, counts, seeds):
+    """The sweep's table from one run per cell: the split's oracle."""
+    return {n: [run_feedback(replace(cfg, n_diligent=n, seed=seed)).metrics
+                for seed in seeds] for n in counts}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 9])
+def test_sweep_split_equals_the_in_order_table(forks, cpus):
+    cfg, seeds = small_config(n_agents=4, n_steps=40), [5, 6, 7, 8, 9]
+    want = in_order_table(cfg, [0, 2], seeds)
+    forks.cpus(cpus)
+    assert diligence_sweep(cfg, [0, 2], seeds) == want
+    assert forks.count == min(cpus, len(seeds)) - 1
+
+
+def test_sweep_of_one_seed_runs_in_this_process(monkeypatch):
+    # the benchmark's feedback-sweep item: one seed's counts are never split
+    cfg = small_config(n_agents=4, n_steps=40)
+    want = in_order_table(cfg, [0, 4], [5])
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert diligence_sweep(cfg, [0, 4], [5]) == want
+    assert diligence_sweep(cfg, [0, 4], []) == {0: [], 4: []}
+
+
+@pytest.mark.parametrize("cpus, failing, raised", [
+    (2, {8}, 8),            # the child's range fails
+    (2, {6, 9}, 6),         # this process's range fails first
+    (2, {8, 9}, 8),         # the first failing seed of a range
+    (3, {7, 9}, 7),         # two children's ranges: the lower one wins
+    (3, {9, 5}, 5),
+])
+def test_sweep_raises_the_lowest_seeds_error(forks, monkeypatch, cpus,
+                                             failing, raised):
+    real_unit = feedback._sweep_seed
+
+    def unit(task):
+        seed = task[0].seed
+        if seed in failing:
+            raise FixedPointError(f"seed {seed}", step=seed,
+                                  diagnostics={"xi": seed / 2})
+        return real_unit(task)
+
+    monkeypatch.setattr(feedback, "_sweep_seed", unit)
+    forks.cpus(cpus)
+    with pytest.raises(FixedPointError, match=f"^seed {raised}$") as err:
+        diligence_sweep(small_config(n_agents=4, n_steps=40), [0, 4],
+                        [5, 6, 7, 8, 9])
+    assert err.value.step == raised
+    assert err.value.diagnostics == {"xi": raised / 2}
+    assert forks.count == cpus - 1
+
+
+def test_sweep_stays_in_process_beside_a_second_thread(monkeypatch):
+    cfg, seeds = small_config(n_agents=4, n_steps=40), [5, 6, 7]
+    want = in_order_table(cfg, [0, 4], seeds)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert diligence_sweep(cfg, [0, 4], seeds) == want
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_csv_round_trip(tmp_path):
