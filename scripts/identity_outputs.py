@@ -21,13 +21,19 @@ writes under OUT:
   at master seeds 0 .. 39 and 0, 1, 5, 25, 29 and 30 diligent agents: a
   sha256 of the bytes of S, S*, xi, log(S/S*), the solver warnings and
   the residuals, and the ``repr`` of the metrics, or the error message of
-  a run that fails.
+  a run that fails;
+* ``sweep.txt``: one line per master seed 0 .. 39 of the same config, from
+  one ``diligence_sweep`` over those six counts, which steps them
+  together: every count's metrics ``repr``, or the error's type, step and
+  the failing run's diagnostics (leaving out the seed and count, and the
+  message, which a sweep's error adds or prefixes).
 
 Run it in both checkouts (copy it into the older one if it is missing
 there), then ``diff -r OUT_A OUT_B``: no output means every output is
-identical.  It takes about 70 s on a 2-core Xeon, about 45 s of it the
-feedback runs and 5 s the moment reports, which ``compute_moments`` splits
-across the CPUs.
+identical.  It takes 80-125 s on a 2-core Xeon whose speed drifts: the
+240 single feedback runs take about 40 % of that, the 40 sweeps, which
+step their six counts together, about 30 %, and the moment reports, which
+``compute_moments`` splits across the CPUs, about 5 s.
 """
 
 import argparse
@@ -113,6 +119,23 @@ def feedback_runs(out):
                 fp.write(f"{seed} {n_diligent} {line}\n")
 
 
+def sweeps(out):
+    cfg = config.parse_feedback(config.load_config(
+        str(REPO / "configs" / "feedback_diligence_sweep.json")))
+    counts = [0, 1, 5, 25, 29, 30]
+    with open(out, "w") as fp:
+        for seed in range(40):
+            try:
+                table = feedback.diligence_sweep(cfg, counts, [seed])
+            except FixedPointError as exc:
+                run = {k: v for k, v in exc.diagnostics.items()
+                       if k not in ("seed", "n_diligent")}
+                line = f"error {type(exc).__name__} {exc.step} {run!r}"
+            else:
+                line = repr({c: rows[0] for c, rows in table.items()})
+            fp.write(f"{seed} {line}\n")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="output directory (must not exist)")
@@ -123,6 +146,7 @@ def main():
     moment_reports(out / "moments.txt")
     fits(out / "fits.txt")
     feedback_runs(out / "feedback.txt")
+    sweeps(out / "sweep.txt")
 
 
 if __name__ == "__main__":

@@ -71,6 +71,8 @@ def cmd_feedback(cfg, args):
                              for v in diligence_values)):
         raise ConfigError("diligence_values: expected a list of counts "
                           "between 0 and n_agents")
+    # each count once, in order: the default is [0] when n_diligent is 0
+    diligence_values = list(dict.fromkeys(diligence_values))
     out = _start(args, cfg)
     if sweep:
         seeds = list(range(setup.seed, setup.seed + sweep))

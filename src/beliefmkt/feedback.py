@@ -36,9 +36,17 @@ oracle, and the outputs are the same to the bit.
   per-step PD terms for each diligence count of a sweep.  ``_Observers``
   holds the agents that observe the price: their learner state, trait
   terms and step-index terms, the last filled 128 steps at a time.
+* The diligence counts of one seed step together: ``_Observers`` holds
+  every count's observers, count after count, as contiguous blocks of
+  rows.  Each step fills the step terms, runs the first scan's
+  elementwise passes and absorbs the solved moves once for all of them;
+  every reduction runs on one block, so each count gets the bits it gets
+  on its own.  ``solve_step`` then solves the counts in turn.
 * Brent's residual stacks the PD numerator and denominator as the two rows
   of one array, so each call makes one exp pass; it joins the diligent
-  term in Python floats (``_logaddexp``, numpy's own steps).
+  term in Python floats (``_logaddexp``, numpy's own steps).  The two ends
+  of the chosen cell, which Brent evaluates first, come from one pass over
+  2 points x 2 rows.
 * The scan needs only the residual's signs.  It evaluates all 200 points
   in one exp pass over reused (agents x points) buffers, reducing over the
   leading axis, with one shift per point shared by the PD numerator and
@@ -50,16 +58,16 @@ oracle, and the outputs are the same to the bit.
   accumulate with ``np.cumsum`` along time, and ``log_price_dividend``
   prices the block's rows at once.
 
-A diligence sweep's unit of work is one master seed, whose S* pass serves
-all its diligence counts.  ``numerics.fork_map`` splits the seeds across
-the usable CPUs, never one seed's counts: those would each redo the S*
-pass, and two feedback processes on two CPUs slow each other, so such a
-split costs more CPU time than it saves wall time.
+A diligence sweep's unit of work is one master seed, whose S* pass and
+stepper serve all its diligence counts.  ``numerics.fork_map`` splits the
+seeds across the usable CPUs, never one seed's counts: those would each
+redo the S* pass, and two feedback processes on two CPUs slow each other,
+so such a split costs more CPU time than it saves wall time.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -186,7 +194,10 @@ def _lse(v, out=None):
 def _logaddexp(x, y):
     """``np.logaddexp`` of two floats, by the steps of numpy's
     ``npy_logaddexp``, whose exp and log1p are libm's, as ``math``'s are:
-    the same double (a NaN for a NaN, though maybe not the same NaN)."""
+    the same double (a NaN for a NaN, though maybe not the same NaN).
+    With x = -inf (a count without diligent agents) that is y + log1p(0)."""
+    if x == -math.inf:
+        return y + 0.0
     if x == y:
         return x + _LOG_TWO
     d = x - y
@@ -253,15 +264,24 @@ def _scan_grid(lo, hi, out):
 
 
 class _Observers:
-    """A run's agents that observe the price: their learner state (``mu``
-    and ``log_weight``), the terms of their traits and of the step index
-    that ``solve_step`` needs, and scratch buffers that every
-    ``solve_step`` call overwrites.  Built once per run."""
+    """A run's agents that observe the price, for one diligence count or
+    for several stepped together: count after count, each count's agents
+    a contiguous block of rows (``sizes`` rows each; one block by
+    default).  Holds their learner state (``mu`` and ``log_weight``), the
+    terms of their traits and of the step index, and scratch buffers that
+    every step overwrites.  What runs on all rows at once is elementwise;
+    every reduction runs on one block's rows, as on that count alone."""
 
-    def __init__(self, rho_step, tau, prior_mean_step, prior_weight: float):
+    def __init__(self, rho_step, tau, prior_mean_step, prior_weight: float,
+                 sizes=None):
         n = len(tau)
+        self.sizes = [n] if sizes is None else list(sizes)
+        self.bounds = np.cumsum([0, *self.sizes]).tolist()
+        self.blocks = [slice(a, b)
+                       for a, b in zip(self.bounds, self.bounds[1:])]
         self.mu = prior_mean_step.copy()
         self.log_weight = np.zeros(n)
+        self.rho_step = rho_step
         self.neg_rho = -rho_step
         self.log_expm1 = np.log(np.expm1(rho_step))
         self.inv_expm1 = np.exp(-self.log_expm1)
@@ -270,15 +290,40 @@ class _Observers:
         self.start = -_IDEAL_BLOCK   # first step of the filled block (none)
         # rows: PD numerator, PD denominator
         self.consts = np.empty((2, n))
-        self.rows = np.empty((2, n))
-        self.dev = np.empty(n)
-        self.dl = np.empty(n)
         self.grid = np.empty(_SCAN_POINTS)
         self.scan_dev = np.empty((n, _SCAN_POINTS))
         self.scan_v = np.empty((n, _SCAN_POINTS))
+        # one row per block: the shift; the PD numerator and denominator
+        self.scan_max = np.empty((len(self.sizes), _SCAN_POINTS))
+        self.scan_pd = np.empty((2, len(self.sizes), _SCAN_POINTS))
+        # per block: its scan rows, their weights 1/expm1(rho), its rows of
+        # the three above; for Brent's residual, its constants and buffers
+        # for 2 points: the points, xi - mu, the density increment, and
+        # the PD numerator and denominator rows, (point, row) and flat
+        self.scan_blocks = list(zip(
+            [self.scan_v[b] for b in self.blocks],
+            [self.inv_expm1[b] for b in self.blocks],
+            self.scan_max, *self.scan_pd))
+        self.brent_blocks = []
+        for b, size in zip(self.blocks, self.sizes):
+            dev, dl, lse_rows = np.empty((2, size)), np.empty((2, size)), \
+                np.empty((4, size))
+            self.brent_blocks.append((
+                self.consts[:, b], np.empty((2, 1)), dev, dl,
+                lse_rows.reshape(2, 2, size), lse_rows, dev[0], dl[0],
+                lse_rows[:2]))
+
+    def head(self, n_blocks: int) -> "_Observers":
+        """The observers of the first ``n_blocks`` blocks, in their
+        state."""
+        r = self.bounds[n_blocks]
+        head = _Observers(self.rho_step[:r], self.tau[:r], self.mu[:r],
+                          self.k0, self.sizes[:n_blocks])
+        head.log_weight = self.log_weight[:r].copy()
+        return head
 
     def absorb(self, x, step: int):
-        """Consume observations x (scalar or per-agent) seen at step+1."""
+        """Consume observations x (scalar or per row) seen at step+1."""
         k = self.k0 + step
         self.log_weight += log_density_increment(self.mu, k, self.tau, x)
         self.mu = posterior_mean_step(self.mu, k, x)
@@ -295,102 +340,163 @@ class _Observers:
             ratio = k / (k + 1.0)
             self.neg_rho_k = self.neg_rho * (t + 1)
             self.log_norm = 0.5 * (np.log(self.tau * ratio) - _LOG_TWO_PI)
-            self.quad = self.half_tau * ratio
-            self.neg_quad = -self.quad
-        return (self.neg_rho_k[i], self.log_norm[i], self.quad[i],
-                self.neg_quad[i])
+            self.quad_k = self.half_tau * ratio
+            self.neg_quad_k = -self.quad_k
+        return (self.neg_rho_k[i], self.log_norm[i], self.quad_k[i],
+                self.neg_quad_k[i])
+
+    def start_step(self, step: int, true_increment: float, sigma_step: float,
+                   dil, n_blocks: int):
+        """Fill the step's xi-independent terms for every row, and scan the
+        first bracket, the true increment +/- 10 per-step standard
+        deviations, for the first ``n_blocks`` blocks: returns log PD at
+        each point of ``grid``, one row per block.
+
+        The terms split beliefs.log_density_increment into the constants
+        of the PD numerator and denominator rows (``consts``) and the
+        quadratic coefficient (``quad``, ``neg_quad``).  ``dil`` is as in
+        ``scan``.
+        """
+        neg_rho_k, log_norm, self.quad, self.neg_quad = self.step_terms(step)
+        consts = self.consts
+        np.add(neg_rho_k, self.log_weight, out=consts[1])
+        np.add(consts[1], log_norm, out=consts[1])
+        np.subtract(consts[1], self.log_expm1, out=consts[0])
+        half_width = 10.0 * sigma_step
+        _scan_grid(true_increment - half_width, true_increment + half_width,
+                   self.grid)
+        return self.scan(self.grid, 0, n_blocks, dil)
+
+    def scan(self, grid, first: int, stop: int, dil):
+        """log PD at each point of ``grid`` for blocks first .. stop - 1,
+        one row per block.  ``dil`` holds each block's log-sum-exps of its
+        diligent agents' PD numerator and denominator terms, a (2, stop -
+        first, 1) array.
+
+        Only the signs of the residual that these give are read: one exp
+        pass over (rows, points) arrays, with one shift per block and point
+        shared by the PD numerator and denominator, and exponents floored
+        at ``_EXP_FLOOR``.
+        """
+        rows = slice(self.bounds[first], self.bounds[stop])
+        blocks = self.scan_blocks[first:stop]
+        dev = np.subtract(grid, self.mu[rows, None], out=self.scan_dev[rows])
+        v = np.multiply(self.quad[rows, None], dev, out=self.scan_v[rows])
+        np.multiply(v, dev, out=v)
+        np.subtract(self.consts[1, rows, None], v, out=v)
+        for v_block, _, m_block, _, _ in blocks:
+            np.maximum.reduce(v_block, axis=0, out=m_block)
+        m = self.scan_max[first:stop]
+        np.maximum(m, dil[1], out=m)
+        for v_block, _, m_block, _, _ in blocks:
+            np.subtract(v_block, m_block, out=v_block)
+        np.exp(np.maximum(v, _EXP_FLOOR, out=v), out=v)
+        for e_block, inv_expm1, _, num_block, den_block in blocks:
+            np.matmul(inv_expm1, e_block, out=num_block)
+            np.add.reduce(e_block, axis=0, out=den_block)
+        pd = self.scan_pd[:, first:stop]
+        pd += np.exp(dil - m)
+        num, den = pd
+        num /= den
+        return np.log(num)
 
 
-def solve_step(observers: _Observers, step: int, log_stock: float,
-               log_div_next: float, true_increment: float, prev_xi: float,
-               sigma_step: float, num_dil: float, den_dil: float):
-    """Solve the per-step fixed point for xi.
+def solve_step(observers: _Observers, block: int, step: int,
+               log_stock: float, log_div_next: float, true_increment: float,
+               prev_xi: float, sigma_step: float, num_dil: float,
+               den_dil: float, first_scan):
+    """Solve one count's per-step fixed point for xi.
 
-    Returns (xi, n_roots_found, relative_residual).  The bracket starts at
-    the true increment +/- 10 per-step standard deviations and doubles
-    until the residual changes sign, capped at +/- 1 in log price.  A
-    200-point scan, one agent-major exp pass, locates every sign change
-    (tie-break: nearest to the previous xi), then Brent refines inside the
-    chosen cell.  Each residual is evaluated once: the relative residual
-    is that of the point Brent returns, read back from its own calls.
+    Returns (xi, n_roots_found, relative_residual).  Raises
+    ``FixedPointError`` when no root lies within +/- 1 in log price of the
+    true increment, or when the root's relative residual exceeds
+    ``RESIDUAL_TOL``.
 
-    ``observers`` holds the non-diligent agents (at least one).  The
-    diligent ones' terms do not depend on xi: ``num_dil`` and ``den_dil``
-    are the log-sum-exps of their PD numerator and denominator terms at
-    step + 1 (-inf without any).
+    ``observers.start_step`` has filled the step's terms and scanned the
+    first bracket: ``first_scan`` is this count's log PD at the points of
+    ``observers.grid``.  While a scan finds no sign change, the bracket
+    doubles, capped at +/- 1, and this count alone scans it again.  Of the
+    sign changes (tie-break: nearest to the previous xi) Brent refines the
+    chosen cell.  Each residual is evaluated once: the cell's two ends in
+    one pass before Brent starts, and the relative residual is that of the
+    point Brent returns, read back from its own calls.
+
+    Block ``block`` of ``observers`` holds the count's non-diligent agents
+    (at least one).  The diligent ones' terms do not depend on xi:
+    ``num_dil`` and ``den_dil`` are the log-sum-exps of their PD numerator
+    and denominator terms at step + 1 (-inf without any).
     """
     s = observers
-    neg_rho_k, log_norm, quad, neg_quad = s.step_terms(step)
-    mu = s.mu
-    # same increment as beliefs.log_density_increment, split into the
-    # xi-independent constant and the quadratic coefficient
-    consts = s.consts
-    np.add(neg_rho_k, s.log_weight, out=consts[1])
-    np.add(consts[1], log_norm, out=consts[1])
-    np.subtract(consts[1], s.log_expm1, out=consts[0])
+    rows = s.blocks[block]
+    mu, neg_quad = s.mu[rows], s.neg_quad[rows]
+    consts, points, dev, dl, lse_pairs, lse_rows, dev_1, dl_1, lse_1 = \
+        s.brent_blocks[block]
     offset = log_stock - log_div_next
-    dev, dl, rows = s.dev, s.dl, s.rows
 
-    def residual(xi: float) -> float:
-        np.subtract(xi, mu, out=dev)
-        np.multiply(neg_quad, dev, out=dl)
-        np.multiply(dl, dev, out=dl)
-        log_num, log_den = _lse(np.add(consts, dl, out=rows), out=rows)
+    def combine(xi, log_num, log_den):
         return offset + xi - (_logaddexp(num_dil, log_num)
                               - _logaddexp(den_dil, log_den))
 
-    # the scan reads only signs: one exp pass over (agents, points) arrays
-    mu_col = mu[:, None]
-    const_col = consts[1][:, None]
-    quad_col = quad[:, None]
+    def residual(xi: float) -> float:
+        # Brent evaluates every point it may return (an endpoint where the
+        # residual is exactly 0 included), so the root's residual is read
+        # back from ``seen``
+        value = seen.get(xi)
+        if value is None:
+            np.subtract(xi, mu, out=dev_1)
+            np.multiply(neg_quad, dev_1, out=dl_1)
+            np.multiply(dl_1, dev_1, out=dl_1)
+            log_num, log_den = _lse(np.add(consts, dl_1, out=lse_1),
+                                    out=lse_1)
+            seen[xi] = value = combine(xi, log_num, log_den)
+        return value
 
-    def residual_grid(xi):
-        dev = np.subtract(xi, mu_col, out=s.scan_dev)
-        v = np.multiply(quad_col, dev, out=s.scan_v)
-        np.multiply(v, dev, out=v)
-        np.subtract(const_col, v, out=v)
-        m = np.maximum.reduce(v, axis=0)
-        np.maximum(m, den_dil, out=m)
-        np.subtract(v, m, out=v)
-        e = np.exp(np.maximum(v, _EXP_FLOOR, out=v), out=v)
-        pd = s.inv_expm1 @ e + np.exp(num_dil - m)
-        pd /= np.add.reduce(e, axis=0) + np.exp(den_dil - m)
-        return offset + xi - np.log(pd)
+    def ends(lo, hi):
+        # the residual at lo and at hi from one pass over 2 points x 2 rows
+        points[0, 0], points[1, 0] = lo, hi
+        np.subtract(points, mu, out=dev)
+        np.multiply(neg_quad, dev, out=dl)
+        np.multiply(dl, dev, out=dl)
+        np.add(consts, dl[:, None], out=lse_pairs)
+        num_lo, den_lo, num_hi, den_hi = _lse(lse_rows, out=lse_rows)
+        return combine(lo, num_lo, den_lo), combine(hi, num_hi, den_hi)
 
-    grid = s.grid
+    grid, log_pd = s.grid, first_scan
     half_width = 10.0 * sigma_step
     while True:
-        lo = true_increment - half_width
-        hi = true_increment + half_width
-        _scan_grid(lo, hi, grid)
-        cells = scan_sign_changes(residual_grid(grid), grid)
+        cells = scan_sign_changes(offset + grid - log_pd, grid)
         if cells:
             break
         if half_width >= 1.0:
+            residual_lo, residual_hi = ends(true_increment - half_width,
+                                            true_increment + half_width)
             raise FixedPointError(
                 f"step {step}: {_NO_ROOT}", step=step,
                 diagnostics={
                     "log_stock": log_stock,
                     "log_div_next": log_div_next,
                     "true_increment": true_increment,
-                    "residual_lo": float(residual(lo)),
-                    "residual_hi": float(residual(hi)),
+                    "residual_lo": float(residual_lo),
+                    "residual_hi": float(residual_hi),
                 })
         half_width = min(2.0 * half_width, 1.0)
+        grid = _scan_grid(true_increment - half_width,
+                          true_increment + half_width,
+                          np.empty(_SCAN_POINTS))
+        log_pd = s.scan(grid, block, block + 1,
+                        np.array([[[num_dil]], [[den_dil]]]))[0]
 
     if len(cells) > 1:
         cells.sort(key=lambda c: abs(0.5 * (c[0] + c[1]) - prev_xi))
     lo, hi = cells[0]
-    # Brent evaluates every point it may return (an endpoint where the
-    # residual is exactly 0 included), so the root's residual is read back
-    seen = {}
-
-    def remembered(xi):
-        seen[xi] = value = residual(xi)
-        return value
-
-    xi = brentq(remembered, lo, hi, xtol=_BISECT_WIDTH, rtol=8.9e-16)
-    return xi, len(cells), abs(math.expm1(float(seen[xi])))
+    seen = dict(zip((lo, hi), ends(lo, hi)))
+    xi = brentq(residual, lo, hi, xtol=_BISECT_WIDTH, rtol=8.9e-16)
+    rel = abs(math.expm1(float(seen[xi])))
+    if rel > RESIDUAL_TOL:
+        raise FixedPointError(
+            f"step {step}: fixed-point residual {rel:.3e} above "
+            f"{RESIDUAL_TOL:g}", step=step, diagnostics={"xi": xi})
+    return xi, len(cells), rel
 
 
 @dataclass(frozen=True)
@@ -463,59 +569,126 @@ def _seed_inputs(config: FeedbackConfig, counts=None) -> _SeedInputs:
 
 def run_feedback(config: FeedbackConfig) -> FeedbackResult:
     """Run one feedback trajectory; deterministic given the config."""
-    return _run(config, _seed_inputs(config))
+    outcome, = _run(config, _seed_inputs(config), [config.n_diligent])
+    if isinstance(outcome, FixedPointError):
+        raise outcome
+    return outcome
 
 
-def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
-    c = config.n_diligent
-    traits = inputs.traits
-    sigma_step = config.sigma_true * math.sqrt(config.dt)
-    increments, log_div = inputs.increments, inputs.log_div
-    log_stock_ideal = inputs.log_stock_ideal
+def _run(config: FeedbackConfig, inputs: _SeedInputs,
+         counts) -> List[Union[FeedbackResult, FixedPointError]]:
+    """Run ``inputs``' seed at each of the distinct diligence ``counts``.
 
-    n = config.n_steps
-    xi_series = np.full(n + 1, np.nan)
-    warnings = np.zeros(n + 1)
-    residuals = np.zeros(n + 1)
-
-    if c == config.n_agents:
+    Returns one outcome per count, in order: its ``FeedbackResult``, or
+    the ``FixedPointError`` that ends the list where running the counts
+    one after another would stop.
+    """
+    J, n = config.n_agents, config.n_steps
+    increments, log_stock_ideal = inputs.increments, inputs.log_stock_ideal
+    outcomes = {}
+    if J in counts:
         # the population that sets S*: the price is S* by definition
-        log_stock = log_stock_ideal
+        xi_series = np.full(n + 1, np.nan)
         xi_series[1:] = np.diff(log_stock_ideal)
         far = np.flatnonzero(np.abs(xi_series[1:] - increments) > 1.0)
         if far.size:
             t = int(far[0])
-            raise FixedPointError(f"step {t}: {_NO_ROOT}", step=t, diagnostics={
-                "xi": float(xi_series[t + 1]),
-                "true_increment": float(increments[t])})
-    else:
-        # only the agents that observe the price: the diligent ones enter
-        # through their per-step terms from the S* pass
-        observers = _Observers(traits.rho_step[c:], traits.tau[c:],
-                               traits.prior_mean_step[c:], config.prior_weight)
-        num_dil, den_dil = inputs.diligent[c] if c else ([-math.inf] * n,) * 2
-        log_stock = np.empty(n + 1)
-        # before any observation the population holds its priors, like S*
-        log_stock[0] = log_stock_ideal[0]
-        for t in range(n):
-            d = increments[t]
-            prev = xi_series[t] if t > 0 else d
-            xi, n_roots, rel = solve_step(
-                observers, t, log_stock[t], log_div[t + 1], d, prev,
-                sigma_step, num_dil[t], den_dil[t])
-            if rel > RESIDUAL_TOL:
-                raise FixedPointError(
-                    f"step {t}: fixed-point residual {rel:.3e} above "
-                    f"{RESIDUAL_TOL:g}", step=t, diagnostics={"xi": xi})
-            xi_series[t + 1] = xi
-            warnings[t + 1] = n_roots - 1
-            residuals[t + 1] = rel
-            log_stock[t + 1] = log_stock[t] + xi
-            observers.absorb(xi, t)
+            outcomes[J] = FixedPointError(
+                f"step {t}: {_NO_ROOT}", step=t, diagnostics={
+                    "xi": float(xi_series[t + 1]),
+                    "true_increment": float(increments[t])})
+            counts = counts[:counts.index(J) + 1]
+        else:
+            outcomes[J] = _result(config, inputs, log_stock_ideal, xi_series,
+                                  np.zeros(n + 1), np.zeros(n + 1))
+    stepping = [c for c in counts if c < J]
+    if stepping:
+        outcomes.update(_lockstep(config, inputs, stepping))
+    ordered = []
+    for c in counts:
+        ordered.append(outcomes[c])
+        if isinstance(outcomes[c], FixedPointError):
+            break
+    return ordered
 
+
+def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
+              counts) -> Dict[int, Union[FeedbackResult, FixedPointError]]:
+    """The outcomes of the distinct ``counts`` below n_agents, stepped
+    together: each step fills the step terms, scans the first bracket and
+    absorbs the solved moves once for all of them (``_Observers``), and
+    ``solve_step`` solves each count in turn.  When a count fails, the
+    counts after it leave the stepper; the ones before it run on."""
+    J, n = config.n_agents, config.n_steps
+    traits = inputs.traits
+    sigma_step = config.sigma_true * math.sqrt(config.dt)
+    increments, log_div = inputs.increments, inputs.log_div
+    # only the agents that observe the price: the diligent ones enter
+    # through their per-step terms from the S* pass
+    sizes = [J - c for c in counts]
+    observers = _Observers(
+        *(np.concatenate([a[c:] for c in counts]) for a in
+          (traits.rho_step, traits.tau, traits.prior_mean_step)),
+        config.prior_weight, sizes)
+    no_terms = [-math.inf] * n
+    num_dil = [inputs.diligent[c][0] if c else no_terms for c in counts]
+    den_dil = [inputs.diligent[c][1] if c else no_terms for c in counts]
+    # the same terms as (steps, 2, counts, 1) arrays, for the shared scan
+    dil = np.array([num_dil, den_dil]).transpose(2, 0, 1)[..., None].copy()
+
+    k = len(counts)
+    log_stock = np.empty((k, n + 1))
+    # before any observation the population holds its priors, like S*
+    log_stock[:, 0] = inputs.log_stock_ideal[0]
+    xi_series = np.full((k, n + 1), np.nan)
+    warnings = np.zeros((k, n + 1))
+    residuals = np.zeros((k, n + 1))
+    observed = np.empty(len(observers.mu))   # each row's count's xi
+    # each count's series and diligent terms, and its rows in observed
+    runs = list(zip(log_stock, xi_series, warnings, residuals, num_dil,
+                    den_dil, observers.blocks))
+    outcomes = {}
+    active = k
+    for t in range(n):
+        d = increments[t]
+        first_scan = observers.start_step(t, d, sigma_step, dil[t], active)
+        for i, (stock, xis, warn, resid, num, den, rows) in enumerate(
+                runs[:active]):
+            prev = xis[t] if t > 0 else d
+            try:
+                xi, n_roots, rel = solve_step(
+                    observers, i, t, stock[t], log_div[t + 1], d, prev,
+                    sigma_step, num[t], den[t], first_scan[i])
+            except FixedPointError as exc:
+                outcomes[counts[i]] = exc
+                active = i
+                observers = observers.head(active)
+                observed = observed[:len(observers.mu)]
+                dil = dil[:, :, :active]
+                break
+            observed[rows] = xi
+            xis[t + 1] = xi
+            warn[t + 1] = n_roots - 1
+            resid[t + 1] = rel
+            stock[t + 1] = stock[t] + xi
+        if not active:
+            break
+        observers.absorb(observed, t)
+    for i in range(active):
+        outcomes[counts[i]] = _result(config, inputs, log_stock[i],
+                                      xi_series[i], warnings[i], residuals[i])
+    return outcomes
+
+
+def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
+            xi_series, warnings, residuals) -> FeedbackResult:
+    """One run's trajectory and its summary metrics."""
+    n = config.n_steps
+    log_div, log_stock_ideal = inputs.log_div, inputs.log_stock_ideal
+    sigma_step = config.sigma_true * math.sqrt(config.dt)
     log_ratio = log_stock - log_stock_ideal
     jump_threshold = 5.0 * sigma_step
-    moves = xi_series[1:] - increments
+    moves = xi_series[1:] - inputs.increments
     metrics = {
         "log_ratio_max": float(log_ratio.max()),
         "log_ratio_min": float(log_ratio.min()),
@@ -540,28 +713,36 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs) -> FeedbackResult:
 
 
 def _sweep_seed(task) -> List[Dict[str, float]]:
-    config, n_diligent_values = task
-    inputs = _seed_inputs(config, n_diligent_values)
-    return [_run(replace(config, n_diligent=n_dil), inputs).metrics
-            for n_dil in n_diligent_values]
+    config, counts = task
+    inputs = _seed_inputs(config, counts)
+    rows = []
+    for c, outcome in zip(counts, _run(config, inputs, counts)):
+        if isinstance(outcome, FixedPointError):
+            raise FixedPointError(
+                f"seed {config.seed}, n_diligent {c}: {outcome}",
+                step=outcome.step, diagnostics={
+                    "seed": config.seed, "n_diligent": c,
+                    **outcome.diagnostics}) from outcome
+        rows.append(outcome.metrics)
+    return rows
 
 
 def diligence_sweep(config: FeedbackConfig, n_diligent_values,
                     master_seeds) -> Dict[int, List[Dict[str, float]]]:
     """Metrics of runs over a grid of diligence counts and master seeds.
 
-    Results are keyed by diligence count, each holding one metrics dict
-    per seed in the order given.  The unit of work is one master seed: its
-    agents, dividend path and ideal price S* do not depend on the
-    diligence count, so they are computed once and shared by that seed's
-    runs.  Seeds are independent, so ``numerics.fork_map`` splits more
-    than one of them across the usable CPUs; a seed's runs are never
-    split.  Its results come back in seed order, so the table never
-    depends on the split.
+    Results are keyed by diligence count, each distinct count once, each
+    holding one metrics dict per seed in the order given.  The unit of
+    work is one master seed: its agents, dividend path and ideal price S*
+    do not depend on the diligence count, so they are computed once, and
+    its counts are stepped together (``_run``).  Seeds are independent,
+    so ``numerics.fork_map`` splits more than one of them across the
+    usable CPUs; a seed's counts are never split.  Its results come back
+    in seed order, so the table never depends on the split.  A failing
+    run raises its ``FixedPointError`` with the message prefixed by
+    ``seed S, n_diligent C: `` and both values in ``diagnostics``.
     """
-    n_diligent_values = list(n_diligent_values)
-    tasks = [(replace(config, seed=seed), n_diligent_values)
-             for seed in master_seeds]
+    counts = list(dict.fromkeys(n_diligent_values))
+    tasks = [(replace(config, seed=seed), counts) for seed in master_seeds]
     per_seed = list(fork_map(_sweep_seed, tasks))
-    return {n_dil: [rows[i] for rows in per_seed]
-            for i, n_dil in enumerate(n_diligent_values)}
+    return {c: [rows[i] for rows in per_seed] for i, c in enumerate(counts)}

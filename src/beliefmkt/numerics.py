@@ -273,9 +273,8 @@ def scan_sign_changes(values, grid):
     Grid points where the value is exactly zero count as a change with the
     following cell.  Returns a list of (grid[i], grid[i+1]) brackets.
     """
-    v = np.asarray(values)
-    s = np.sign(v)
-    idx = np.nonzero((s[:-1] * s[1:]) <= 0.0)[0]
+    s = np.sign(values)
+    idx = np.nonzero(s[:-1] * s[1:] <= 0.0)[0].tolist()
     return [(grid[i], grid[i + 1]) for i in idx]
 
 

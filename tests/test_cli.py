@@ -427,6 +427,27 @@ def test_feedback_seed_sweep_table(tmp_path):
     assert "mean_range[n_diligent=4]" in sweep
 
 
+@pytest.mark.parametrize("values, counts", [(None, [0]), ([4, 0, 4], [4, 0])])
+def test_feedback_sweep_lists_each_count_and_seed_once(tmp_path, values,
+                                                       counts):
+    # by default the counts are 0 and n_diligent, here both 0
+    payload = {"n_agents": 4, "n_diligent": 0, "years": 0.1, "seed": 1,
+               "seed_sweep": 2}
+    if values is not None:
+        payload["diligence_values"] = values
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", str(write_config(tmp_path, payload)),
+                 "--out", str(out)]) == 0
+    lines = (out / "sweep.txt").read_text().splitlines()
+    assert lines[0] == "n_diligent,seed,log_ratio_range,n_jumps"
+    rows = [line.split(",")[:2] for line in lines[1:]
+            if not line.startswith("mean_range")]
+    assert rows == [[str(c), str(seed)] for c in counts for seed in (1, 2)]
+    means = [line.split("=")[1] for line in lines
+             if line.startswith("mean_range")]
+    assert means == [f"{c}]" for c in counts]
+
+
 @pytest.mark.parametrize("field, value", [
     ("rho_range", [0.3, 0.1]), ("rho_range", [0, 0]),
     ("tau_factor_range", [-1, 0.5]), ("prior_mean_range", [0.2, 0.1]),

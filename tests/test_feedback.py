@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from beliefmkt.beliefs import log_density_increment
 from beliefmkt import feedback, numerics
+from beliefmkt.beliefs import (BayesianGaussian, log_density_increment,
+                               posterior_mean_step)
 from beliefmkt.config import load_config, parse_feedback
+from beliefmkt.equilibrium import AgentSpec, MarketSpec, market_state
 from beliefmkt.errors import ConfigError, FixedPointError
 from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse, _Observers,
-                                _run, _scan_grid, _seed_inputs,
+                                _result, _run, _scan_grid, _seed_inputs,
                                 diligence_sweep, draw_agents,
                                 log_price_dividend, run_feedback, solve_step)
 from beliefmkt.numerics import brentq, scan_sign_changes
@@ -311,6 +313,17 @@ def solve_step_oracle(rho_step, population, diligent_mask, step, log_stock,
     return xi, len(cells), rel_residual, scanned
 
 
+def solve_alone(observers, step, log_stock, log_div_next, true_increment,
+                prev_xi, sigma_step, num_dil, den_dil):
+    """One count's step as the stepper takes it: the step's terms and first
+    scan for the one block of ``observers``, then ``solve_step``."""
+    dil = np.array([[[num_dil]], [[den_dil]]])
+    first_scan = observers.start_step(step, true_increment, sigma_step, dil, 1)
+    return solve_step(observers, 0, step, log_stock, log_div_next,
+                      true_increment, prev_xi, sigma_step, num_dil, den_dil,
+                      first_scan[0])
+
+
 def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
     # random belief states with log-weight spreads up to 2000, so that many
     # scan exponents fall below the kernel's floor
@@ -377,13 +390,13 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
             want = solve_step_oracle(*args)
         except FixedPointError as exc:
             with pytest.raises(FixedPointError) as err:
-                solve_step(*step_args)
+                solve_alone(*step_args)
             for key in ("residual_lo", "residual_hi"):
                 assert err.value.diagnostics[key] == exc.diagnostics[key]
             failed += 1
             continue
         scans.clear()
-        got = solve_step(*step_args)
+        got = solve_alone(*step_args)
         assert scans[-1] == want[3]
         assert got == want[:3]
         solved += 1
@@ -398,9 +411,9 @@ def test_no_root_within_cap_raises_with_step_index():
     observers = _Observers(traits.rho_step, traits.tau,
                            traits.prior_mean_step, cfg.prior_weight)
     with pytest.raises(FixedPointError) as err:
-        solve_step(observers, 0, log_stock=50.0, log_div_next=0.0,
-                   true_increment=0.0, prev_xi=0.0, sigma_step=0.015,
-                   num_dil=-math.inf, den_dil=-math.inf)
+        solve_alone(observers, 0, log_stock=50.0, log_div_next=0.0,
+                    true_increment=0.0, prev_xi=0.0, sigma_step=0.015,
+                    num_dil=-math.inf, den_dil=-math.inf)
     assert err.value.step == 0
     assert str(err.value).startswith("step 0: no root for xi within")
     assert "residual_lo" in err.value.diagnostics
@@ -411,13 +424,14 @@ def test_all_diligent_root_above_cap_raises():
     inputs = _seed_inputs(cfg)
     log_stock_ideal = inputs.log_stock_ideal.copy()
     log_stock_ideal[18:] += 1.5   # S* jumps at step 17
-    with pytest.raises(FixedPointError) as err:
-        _run(cfg, replace(inputs, log_stock_ideal=log_stock_ideal))
-    assert err.value.step == 17
-    assert str(err.value).startswith("step 17: no root for xi within")
-    assert err.value.diagnostics["xi"] == pytest.approx(
+    # _run hands back each count's outcome; the error is the only one
+    err, = _run(cfg, replace(inputs, log_stock_ideal=log_stock_ideal), [2])
+    assert isinstance(err, FixedPointError)
+    assert err.step == 17
+    assert str(err).startswith("step 17: no root for xi within")
+    assert err.diagnostics["xi"] == pytest.approx(
         log_stock_ideal[18] - log_stock_ideal[17])
-    assert err.value.diagnostics["true_increment"] == inputs.increments[17]
+    assert err.diagnostics["true_increment"] == inputs.increments[17]
 
 
 def test_shipped_sweep_seed_22_fails_at_step_670(forks):
@@ -429,13 +443,15 @@ def test_shipped_sweep_seed_22_fails_at_step_670(forks):
     assert err.value.step == 670
     assert str(err.value).startswith("step 670: no root for xi within")
     # raised in a forked child of a sweep, it keeps its step and diagnostics
+    # and names its seed and count
     forks.cpus(2)
     with pytest.raises(FixedPointError) as split_err:
         diligence_sweep(cfg, [0], [21, 22])
     assert forks.count == 1
-    assert str(split_err.value) == str(err.value)
+    assert str(split_err.value) == f"seed 22, n_diligent 0: {err.value}"
     assert split_err.value.step == 670
-    assert split_err.value.diagnostics == err.value.diagnostics
+    assert split_err.value.diagnostics == {
+        "seed": 22, "n_diligent": 0, **err.value.diagnostics}
 
 
 @pytest.mark.parametrize("offset", [0.0, 700.0, -700.0])
@@ -516,6 +532,47 @@ def test_blocked_ideal_price_equals_step_by_step(n_agents, n_steps):
                            seed=seed)
         got = _seed_inputs(cfg).log_stock_ideal
         assert got.tobytes() == ideal_log_stock_oracle(cfg).tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [252, 1260, 2520])
+@pytest.mark.parametrize("n_agents", [1, 5, 30])
+def test_ideal_price_is_the_continuous_learners_equilibrium(n_agents,
+                                                            n_steps):
+    # With tau at the true precision, agent j is the continuous engine's
+    # gaussian learner on X = log(delta) / sigma with prior mean
+    # beta = mu0 / sigma and prior precision eps = K0 dt, sampled daily:
+    # conjugate updating is exact on a grid, so the feedback log weights
+    # are log Lambda_j(t, X_t) plus a term every agent shares, and
+    # log(S*/delta) = log sum_j q_j / expm1(rho_j dt) with q from
+    # equilibrium.market_state at unit weights.
+    #
+    # What differs is rounding, mostly in each agent's running sum of log
+    # density increments: step t adds an error of up to eps/2 |w_t|, and
+    # |w_t| grows as L t, L = log(tau / 2 pi) / 2 (the per-step normalizer).
+    # Summed over n steps, these errors grow about as eps L n^1.5; the
+    # largest differences over 12 seeds were 0.005-0.10 of that at 252,
+    # 1260 and 2520 steps (3.0e-13, 2.3e-12 and 4.6e-12), so the tolerance
+    # is eps L n^1.5 itself.
+    for seed in range(4):
+        cfg = FeedbackConfig(n_agents=n_agents, n_diligent=0,
+                             n_steps=n_steps, seed=seed,
+                             tau_factor_range=(1.0, 1.0))
+        inputs = _seed_inputs(cfg)
+        traits = inputs.traits
+        sigma, dt = cfg.sigma_true, cfg.dt
+        spec = MarketSpec(sigma=sigma, agents=tuple(
+            AgentSpec(impatience=rho_step / dt, weight=1.0,
+                      belief=BayesianGaussian(mu0_step / dt / sigma,
+                                              cfg.prior_weight * dt))
+            for rho_step, mu0_step in zip(traits.rho_step,
+                                          traits.prior_mean_step)))
+        state = market_state(spec, np.arange(n_steps + 1) * dt,
+                             inputs.log_div / sigma)
+        want = inputs.log_div + np.log(np.sum(
+            state.q / np.expm1(traits.rho_step)[:, None], axis=0))
+        growth = 0.5 * math.log(cfg.tau_true / (2.0 * math.pi))
+        tol = np.finfo(float).eps * growth * n_steps ** 1.5
+        assert np.max(np.abs(inputs.log_stock_ideal - want)) <= tol
 
 
 @pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 300])
@@ -756,6 +813,272 @@ def test_sweep_stays_in_process_beside_a_second_thread(monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# one seed's diligence counts stepped together
+
+
+class OneCountObservers:
+    """The former ``_Observers``: the agents of one count that observe the
+    price, with their step-index terms computed at every step."""
+
+    def __init__(self, rho_step, tau, prior_mean_step, prior_weight):
+        n = len(tau)
+        self.mu = prior_mean_step.copy()
+        self.log_weight = np.zeros(n)
+        self.neg_rho = -rho_step
+        self.log_expm1 = np.log(np.expm1(rho_step))
+        self.inv_expm1 = np.exp(-self.log_expm1)
+        self.tau, self.half_tau = tau, 0.5 * tau
+        self.k0 = prior_weight
+        self.consts = np.empty((2, n))
+        self.rows = np.empty((2, n))
+        self.dev = np.empty(n)
+        self.dl = np.empty(n)
+        self.grid = np.empty(feedback._SCAN_POINTS)
+        self.scan_dev = np.empty((n, feedback._SCAN_POINTS))
+        self.scan_v = np.empty((n, feedback._SCAN_POINTS))
+
+    def absorb(self, x, step):
+        k = self.k0 + step
+        self.log_weight += log_density_increment(self.mu, k, self.tau, x)
+        self.mu = posterior_mean_step(self.mu, k, x)
+
+    def step_terms(self, step):
+        k = self.k0 + step
+        ratio = k / (k + 1.0)
+        quad = self.half_tau * ratio
+        return (self.neg_rho * (step + 1),
+                0.5 * (np.log(self.tau * ratio) - math.log(2.0 * math.pi)),
+                quad, -quad)
+
+
+def one_count_solve_step(observers, step, log_stock, log_div_next,
+                         true_increment, prev_xi, sigma_step, num_dil,
+                         den_dil):
+    """The former ``solve_step``: one count's own scan, then Brent from
+    its two ends, each residual evaluated on its own."""
+    s = observers
+    neg_rho_k, log_norm, quad, neg_quad = s.step_terms(step)
+    mu = s.mu
+    consts = s.consts
+    np.add(neg_rho_k, s.log_weight, out=consts[1])
+    np.add(consts[1], log_norm, out=consts[1])
+    np.subtract(consts[1], s.log_expm1, out=consts[0])
+    offset = log_stock - log_div_next
+    dev, dl, rows = s.dev, s.dl, s.rows
+
+    def residual(xi):
+        np.subtract(xi, mu, out=dev)
+        np.multiply(neg_quad, dev, out=dl)
+        np.multiply(dl, dev, out=dl)
+        log_num, log_den = _lse(np.add(consts, dl, out=rows), out=rows)
+        return offset + xi - (feedback._logaddexp(num_dil, log_num)
+                              - feedback._logaddexp(den_dil, log_den))
+
+    mu_col, const_col, quad_col = mu[:, None], consts[1][:, None], \
+        quad[:, None]
+
+    def residual_grid(xi):
+        dev = np.subtract(xi, mu_col, out=s.scan_dev)
+        v = np.multiply(quad_col, dev, out=s.scan_v)
+        np.multiply(v, dev, out=v)
+        np.subtract(const_col, v, out=v)
+        m = np.maximum.reduce(v, axis=0)
+        np.maximum(m, den_dil, out=m)
+        np.subtract(v, m, out=v)
+        e = np.exp(np.maximum(v, feedback._EXP_FLOOR, out=v), out=v)
+        pd = s.inv_expm1 @ e + np.exp(num_dil - m)
+        pd /= np.add.reduce(e, axis=0) + np.exp(den_dil - m)
+        return offset + xi - np.log(pd)
+
+    grid = s.grid
+    half_width = 10.0 * sigma_step
+    while True:
+        lo = true_increment - half_width
+        hi = true_increment + half_width
+        _scan_grid(lo, hi, grid)
+        cells = feedback.scan_sign_changes(residual_grid(grid), grid)
+        if cells:
+            break
+        if half_width >= 1.0:
+            raise FixedPointError(
+                f"step {step}: {feedback._NO_ROOT}", step=step,
+                diagnostics={
+                    "log_stock": log_stock, "log_div_next": log_div_next,
+                    "true_increment": true_increment,
+                    "residual_lo": float(residual(lo)),
+                    "residual_hi": float(residual(hi))})
+        half_width = min(2.0 * half_width, 1.0)
+    if len(cells) > 1:
+        cells.sort(key=lambda c: abs(0.5 * (c[0] + c[1]) - prev_xi))
+    lo, hi = cells[0]
+    seen = {}
+
+    def remembered(xi):
+        seen[xi] = value = residual(xi)
+        return value
+
+    xi = brentq(remembered, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    return xi, len(cells), abs(math.expm1(float(seen[xi])))
+
+
+def one_count_run(config, inputs):
+    """The former ``_run``: one diligence count stepped on its own, its
+    result or its error.  Returns (log S, xi, warnings, residuals)."""
+    c, n = config.n_diligent, config.n_steps
+    traits = inputs.traits
+    sigma_step = config.sigma_true * math.sqrt(config.dt)
+    xi_series = np.full(n + 1, np.nan)
+    warnings = np.zeros(n + 1)
+    residuals = np.zeros(n + 1)
+    if c == config.n_agents:
+        xi_series[1:] = np.diff(inputs.log_stock_ideal)
+        return inputs.log_stock_ideal, xi_series, warnings, residuals
+    observers = OneCountObservers(traits.rho_step[c:], traits.tau[c:],
+                                  traits.prior_mean_step[c:],
+                                  config.prior_weight)
+    num_dil, den_dil = inputs.diligent[c] if c else ([-math.inf] * n,) * 2
+    log_stock = np.empty(n + 1)
+    log_stock[0] = inputs.log_stock_ideal[0]
+    for t in range(n):
+        d = inputs.increments[t]
+        prev = xi_series[t] if t > 0 else d
+        xi, n_roots, rel = one_count_solve_step(
+            observers, t, log_stock[t], inputs.log_div[t + 1], d, prev,
+            sigma_step, num_dil[t], den_dil[t])
+        if rel > feedback.RESIDUAL_TOL:
+            raise FixedPointError(f"step {t}: residual", step=t)
+        xi_series[t + 1] = xi
+        warnings[t + 1] = n_roots - 1
+        residuals[t + 1] = rel
+        log_stock[t + 1] = log_stock[t] + xi
+        observers.absorb(xi, t)
+    return log_stock, xi_series, warnings, residuals
+
+
+def shipped_sweep_config():
+    return parse_feedback(load_config(
+        str(REPO / "configs" / "feedback_diligence_sweep.json")))
+
+
+ALL_COUNTS = [0, 1, 5, 25, 29, 30]
+
+
+def tracking_solve_step(monkeypatch):
+    """Patch ``feedback.solve_step`` to record each call's (block, step)
+    and how many scans it ran."""
+    calls = []
+    scans = []
+    real_scan, real_solve = feedback.scan_sign_changes, feedback.solve_step
+
+    def scan(values, grid):
+        scans.append(1)
+        return real_scan(values, grid)
+
+    def solve(observers, block, step, *args):
+        before = len(scans)
+        try:
+            return real_solve(observers, block, step, *args)
+        finally:
+            calls.append((block, step, len(scans) - before))
+
+    monkeypatch.setattr(feedback, "scan_sign_changes", scan)
+    monkeypatch.setattr(feedback, "solve_step", solve)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_lockstep_equals_each_count_stepped_alone(monkeypatch, seed):
+    # every count of the lockstep gives the bits of the former one-count
+    # stepper; at seed 3 a count widens its bracket while the others do not
+    cfg = replace(shipped_sweep_config(), seed=seed)
+    inputs = _seed_inputs(cfg, ALL_COUNTS)
+    calls = tracking_solve_step(monkeypatch)
+    outcomes = _run(cfg, inputs, ALL_COUNTS)
+    assert len(outcomes) == len(ALL_COUNTS)
+    for c, got in zip(ALL_COUNTS, outcomes):
+        log_stock, xi, warnings, residuals = one_count_run(
+            replace(cfg, n_diligent=c), inputs)
+        want = {"stock": np.exp(log_stock),
+                "stock_ideal": np.exp(inputs.log_stock_ideal), "xi": xi,
+                "solver_warnings": warnings, "residuals": residuals,
+                "log_ratio": log_stock - inputs.log_stock_ideal}
+        for name, values in want.items():
+            assert getattr(got, name).tobytes() == values.tobytes(), (c, name)
+        assert got.metrics == _result(replace(cfg, n_diligent=c), inputs,
+                                      log_stock, xi, warnings,
+                                      residuals).metrics
+    # one solve_step per stepping count and step, in count order
+    stepping = [c for c in ALL_COUNTS if c < cfg.n_agents]
+    assert [(b, t) for b, t, _ in calls] == [
+        (b, t) for t in range(cfg.n_steps) for b in range(len(stepping))]
+    widened = [(stepping[b], t) for b, t, scans in calls if scans > 1]
+    if seed == 3:
+        assert (25, 63) in widened
+        assert [t for c, t in widened if c == 0] == [291, 456, 744, 983, 1146]
+        assert [c for c, t in widened if t == 63] == [25]
+
+
+def test_lockstep_raises_the_in_order_error(monkeypatch):
+    # seed 10: count 1 fails at step 61 and count 5 at step 73; one after
+    # another, [0, 1, 5] stops at count 1 once count 0 has run to the end,
+    # and [5, 1] at count 5
+    cfg = replace(shipped_sweep_config(), seed=10)
+    single = {}
+    for c in (1, 5):
+        with pytest.raises(FixedPointError) as err:
+            run_feedback(replace(cfg, n_diligent=c))
+        single[c] = err.value
+    assert (single[1].step, single[5].step) == (61, 73)
+    calls = tracking_solve_step(monkeypatch)
+    for counts, c in (([0, 1, 5], 1), ([5, 1], 5), ([1, 30], 1)):
+        calls.clear()
+        with pytest.raises(FixedPointError) as err:
+            diligence_sweep(cfg, counts, [10])
+        assert str(err.value) == f"seed 10, n_diligent {c}: {single[c]}"
+        assert err.value.step == single[c].step
+        assert err.value.diagnostics == {"seed": 10, "n_diligent": c,
+                                         **single[c].diagnostics}
+        if counts[0] == 0:
+            assert [t for b, t, _ in calls if b == 0] == list(range(1260))
+        # no count after the failing one is stepped past its failure
+        assert max(t for b, t, _ in calls if b >= counts.index(c)) \
+            == single[c].step
+    # seed 34: counts 25 and 29 fail at steps 59 and 71
+    cfg = replace(cfg, seed=34)
+    with pytest.raises(FixedPointError, match="^seed 34, n_diligent 25: "
+                       "step 59: no root") as err:
+        diligence_sweep(cfg, [25, 29], [34])
+    assert err.value.step == 59
+
+
+def test_all_diligent_error_waits_for_the_counts_before_it():
+    # the all-diligent count's error is raised where its turn comes
+    cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
+    inputs = _seed_inputs(cfg, (0, 2))
+    log_stock_ideal = inputs.log_stock_ideal.copy()
+    log_stock_ideal[18:] += 1.5   # S* jumps at step 17
+    inputs = replace(inputs, log_stock_ideal=log_stock_ideal)
+    first, err = _run(cfg, inputs, [0, 2])
+    assert isinstance(first, feedback.FeedbackResult)
+    assert isinstance(err, FixedPointError) and err.step == 17
+    err, = _run(cfg, inputs, [2, 0])
+    assert isinstance(err, FixedPointError) and err.step == 17
+
+
+def test_duplicated_count_runs_once(monkeypatch):
+    cfg = small_config(n_agents=4, n_steps=40)
+    want = diligence_sweep(cfg, [0, 2], [5])
+    calls = tracking_solve_step(monkeypatch)
+    got = diligence_sweep(cfg, [0, 2, 0, 2, 2], [5])
+    assert got == want and list(got) == [0, 2]
+    assert len(calls) == 2 * cfg.n_steps
+
+
+# ---------------------------------------------------------------------------
+# CSV output
 
 
 def test_csv_round_trip(tmp_path):
