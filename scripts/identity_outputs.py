@@ -30,10 +30,14 @@ writes under OUT:
 
 Run it in both checkouts (copy it into the older one if it is missing
 there), then ``diff -r OUT_A OUT_B``: no output means every output is
-identical.  It takes 80-125 s on a 2-core Xeon whose speed drifts: the
-240 single feedback runs take about 40 % of that, the 40 sweeps, which
-step their six counts together, about 30 %, and the moment reports, which
-``compute_moments`` splits across the CPUs, about 5 s.
+identical.  The 240 single feedback runs and the 40 sweeps go through
+``numerics.fork_map``, one task per output line, so they are split across
+the usable CPUs and their lines come out in order.  It takes 55-75 s on a
+2-core Xeon whose speed drifts (100-111 s when those ran one after
+another): the single runs take about 35 % of that, the sweeps, which step
+their six counts together, about 25 %, the CLI runs about 25 %, and the
+fits and the moment reports, which ``compute_moments`` splits across the
+CPUs, about 4 s each.
 """
 
 import argparse
@@ -48,8 +52,11 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from beliefmkt import (calibration, cli, config, equilibrium,  # noqa: E402
-                       feedback)
+                       feedback, numerics)
 from beliefmkt.errors import FixedPointError  # noqa: E402
+
+# the diligence counts of feedback.txt and sweep.txt
+SWEEP_COUNTS = [0, 1, 5, 25, 29, 30]
 
 
 def run_cli(subcommand, cfg_path, out):
@@ -98,42 +105,57 @@ def fits(out):
             fp.write(f"{problem.seed + k} {result!r}\n")
 
 
-def feedback_runs(out):
-    cfg = config.parse_feedback(config.load_config(
-        str(REPO / "configs" / "feedback_diligence_sweep.json")))
+def feedback_line(task):
+    cfg, seed, n_diligent = task
+    try:
+        res = feedback.run_feedback(dataclasses.replace(
+            cfg, seed=seed, n_diligent=n_diligent))
+    except FixedPointError as exc:
+        line = f"error {exc}"
+    else:
+        digest = hashlib.sha256()
+        for values in (res.stock, res.stock_ideal, res.xi, res.log_ratio,
+                       res.solver_warnings, res.residuals):
+            digest.update(values.tobytes())
+        line = f"{digest.hexdigest()} {res.metrics!r}"
+    return f"{seed} {n_diligent} {line}\n"
+
+
+def sweep_line(task):
+    cfg, seed = task
+    try:
+        table = feedback.diligence_sweep(cfg, SWEEP_COUNTS, [seed])
+    except FixedPointError as exc:
+        run = {k: v for k, v in exc.diagnostics.items()
+               if k not in ("seed", "n_diligent")}
+        line = f"error {type(exc).__name__} {exc.step} {run!r}"
+    else:
+        line = repr({c: rows[0] for c, rows in table.items()})
+    return f"{seed} {line}\n"
+
+
+def write_lines(out, fn, tasks):
+    """fn(task) for each task, one output line each, in task order: the
+    tasks are split across the usable CPUs by ``numerics.fork_map``."""
     with open(out, "w") as fp:
-        for seed in range(40):
-            for n_diligent in (0, 1, 5, 25, 29, 30):
-                try:
-                    res = feedback.run_feedback(dataclasses.replace(
-                        cfg, seed=seed, n_diligent=n_diligent))
-                except FixedPointError as exc:
-                    line = f"error {exc}"
-                else:
-                    digest = hashlib.sha256()
-                    for values in (res.stock, res.stock_ideal, res.xi,
-                                   res.log_ratio, res.solver_warnings,
-                                   res.residuals):
-                        digest.update(values.tobytes())
-                    line = f"{digest.hexdigest()} {res.metrics!r}"
-                fp.write(f"{seed} {n_diligent} {line}\n")
+        fp.writelines(numerics.fork_map(fn, tasks))
+
+
+def sweep_config():
+    return config.parse_feedback(config.load_config(
+        str(REPO / "configs" / "feedback_diligence_sweep.json")))
+
+
+def feedback_runs(out):
+    cfg = sweep_config()
+    write_lines(out, feedback_line, [
+        (cfg, seed, n_diligent) for seed in range(40)
+        for n_diligent in SWEEP_COUNTS])
 
 
 def sweeps(out):
-    cfg = config.parse_feedback(config.load_config(
-        str(REPO / "configs" / "feedback_diligence_sweep.json")))
-    counts = [0, 1, 5, 25, 29, 30]
-    with open(out, "w") as fp:
-        for seed in range(40):
-            try:
-                table = feedback.diligence_sweep(cfg, counts, [seed])
-            except FixedPointError as exc:
-                run = {k: v for k, v in exc.diagnostics.items()
-                       if k not in ("seed", "n_diligent")}
-                line = f"error {type(exc).__name__} {exc.step} {run!r}"
-            else:
-                line = repr({c: rows[0] for c, rows in table.items()})
-            fp.write(f"{seed} {line}\n")
+    cfg = sweep_config()
+    write_lines(out, sweep_line, [(cfg, seed) for seed in range(40)])
 
 
 def main():

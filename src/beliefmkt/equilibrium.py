@@ -344,7 +344,8 @@ class EquilibriumPath:
     state; stock, stock_vol, zeta, wealth, consumption, holdings and trade
     are derived from it on first access and then kept.  Per-agent fields
     are (n+1, J) views of agent-major (J, n+1) arrays; trade is NaN unless
-    all agents share one impatience rate.
+    all agents share one impatience rate and hold constant drifts, the
+    only case ``trade_volume``'s closed form covers.
     """
 
     spec: MarketSpec
@@ -391,7 +392,8 @@ class EquilibriumPath:
     @cached_property
     def trade(self):
         rho = self.spec.arrays()[0]
-        if np.ptp(rho) != 0.0:
+        if np.ptp(rho) != 0.0 or not all(
+                isinstance(a.belief, ConstantDrift) for a in self.spec.agents):
             return np.full_like(self.state.q, np.nan).T
         return trade_volume(rho, self.state.q, self.state.alpha,
                             self.spec.sigma)[0].T

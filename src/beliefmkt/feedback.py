@@ -23,7 +23,8 @@ every accepted step is recorded and bounded at run time.
 
 The arrays are small (one entry per agent), so the number of numpy calls,
 not arithmetic, sets the cost.  The dynamics amplify any rounding change,
-so every kernel below runs the same operations on the same doubles as the
+so every kernel below but the root scan, whose values are read only for
+their signs, runs the same operations on the same doubles as the
 step-by-step, one-vector-at-a-time form that the tests keep as their
 oracle, and the outputs are the same to the bit.
 
@@ -38,21 +39,32 @@ oracle, and the outputs are the same to the bit.
   terms and step-index terms, the last filled 128 steps at a time.
 * The diligence counts of one seed step together: ``_Observers`` holds
   every count's observers, count after count, as contiguous blocks of
-  rows.  Each step fills the step terms, runs the first scan's
-  elementwise passes and absorbs the solved moves once for all of them;
-  every reduction runs on one block, so each count gets the bits it gets
-  on its own.  ``solve_step`` then solves the counts in turn.
+  rows.  Each step fills the step terms, runs the first scan's product
+  and exp passes and absorbs the solved moves once for all of them; every
+  maximum and every sum over rows runs on one block, so no count's scan
+  reads another's rows, and Brent and the update give each count the
+  bits it gets on its own.  ``solve_step`` then solves the counts in turn.
 * Brent's residual stacks the PD numerator and denominator as the two rows
   of one array, so each call makes one exp pass; it joins the diligent
   term in Python floats (``_logaddexp``, numpy's own steps).  The two ends
   of the chosen cell, which Brent evaluates first, come from one pass over
   2 points x 2 rows.
-* The scan needs only the residual's signs.  It evaluates all 200 points
-  in one exp pass over reused (agents x points) buffers, reducing over the
-  leading axis, with one shift per point shared by the PD numerator and
-  denominator.  Exponents below -700 are floored there: such a term cannot
-  change a sum that is at least 1, and numpy's exp of an underflowing
-  argument is about 100 times slower.
+* The scan needs only the residual's signs.  Agent j's exponent at the
+  point x, c_j - q_j (x - mu_j)^2, is a quadratic in x, so one
+  (rows x 3) @ (3 x 200) product of the coefficients [c_j - q_j mu_j^2 -
+  M, 2 q_j mu_j, -q_j] with [1, x, x^2] gives every exponent of the
+  bracket, and per count one product with the weights [1/expm1(rho_j); 1]
+  gives the PD numerator and denominator.  The shift M is one number per
+  count, max(max_j c_j, the diligent denominator term), which bounds every
+  exponent from above.  It serves when the diligent term is that maximum
+  (the denominator then holds a 1), or when max_j q_j times the largest
+  (x - mu_j)^2 on the bracket is at most 600, so that the top agent's term
+  stays above e^-600 at every point; otherwise (brackets widened toward
+  +/- 1) each point is shifted by its own largest exponent, read off the
+  same product.  Exponents below -700 are floored: the one shift leaves
+  many terms far below it, numpy's exp of an underflowing argument is
+  about 100 times slower, and a term under e^-700 changes no sum of at
+  least e^-600 beyond its rounding.
 * S* comes from blocks of steps: the posterior means keep their per-step
   recursion, the log-weight increments of a block come from one pass and
   accumulate with ``np.cumsum`` along time, and ``log_price_dividend``
@@ -81,9 +93,12 @@ RESIDUAL_TOL = 1e-10
 _BISECT_WIDTH = 1e-13
 _SCAN_POINTS = 200
 # floor on the scan's shifted exponents: e^-700 is far below half an ulp of
-# the sums (each at least 1) that it joins, and it keeps numpy's exp off its
-# slow path for underflowing arguments
+# the sums (each at least e^-600, see _SHIFT_REACH) that it joins, and it
+# keeps numpy's exp off its slow path for underflowing arguments
 _EXP_FLOOR = -700.0
+# a count's scan takes one shift for its whole bracket while max_j q_j
+# times the bracket's largest (x - mu_j)^2 is at most this (_scan_shift)
+_SHIFT_REACH = 600.0
 _SCAN_INDEX = np.arange(_SCAN_POINTS, dtype=float)
 # steps per block of S* and of the step terms: larger blocks save little
 # and hold more memory
@@ -290,20 +305,27 @@ class _Observers:
         self.start = -_IDEAL_BLOCK   # first step of the filled block (none)
         # rows: PD numerator, PD denominator
         self.consts = np.empty((2, n))
-        self.grid = np.empty(_SCAN_POINTS)
-        self.scan_dev = np.empty((n, _SCAN_POINTS))
+        # the scan's coefficients c - q mu^2 - shift, 2 q mu and -q (one
+        # row per agent), its basis rows 1, x and x^2 for the first bracket
+        # and for a widened one, its exponents and the PD weights
+        # [1/expm1(rho); 1]
+        self.coefs = np.empty((n, 3))
+        self.basis = np.ones((3, _SCAN_POINTS))
+        self.wide_basis = np.ones((3, _SCAN_POINTS))
+        self.grid = self.basis[1]
         self.scan_v = np.empty((n, _SCAN_POINTS))
-        # one row per block: the shift; the PD numerator and denominator
-        self.scan_max = np.empty((len(self.sizes), _SCAN_POINTS))
-        self.scan_pd = np.empty((2, len(self.sizes), _SCAN_POINTS))
-        # per block: its scan rows, their weights 1/expm1(rho), its rows of
-        # the three above; for Brent's residual, its constants and buffers
-        # for 2 points: the points, xi - mu, the density increment, and
-        # the PD numerator and denominator rows, (point, row) and flat
-        self.scan_blocks = list(zip(
-            [self.scan_v[b] for b in self.blocks],
-            [self.inv_expm1[b] for b in self.blocks],
-            self.scan_max, *self.scan_pd))
+        weights = np.ones((2, n))
+        weights[0] = self.inv_expm1
+        # per block: the PD numerator and denominator; its largest tau / 2
+        # (its largest q over the step's ratio k / (k + 1)) and its rows of
+        # the constant coefficients, the exponents and the PD weights
+        self.scan_pd = np.empty((len(self.sizes), 2, _SCAN_POINTS))
+        self.scan_blocks = [
+            (max(self.half_tau[b]), self.coefs[b, 0], self.scan_v[b],
+             weights[:, b]) for b in self.blocks]
+        # per block, for Brent's residual: its constants and buffers for 2
+        # points: the points, xi - mu, the density increment, and the PD
+        # numerator and denominator rows, (point, row) and flat
         self.brent_blocks = []
         for b, size in zip(self.blocks, self.sizes):
             dev, dl, lse_rows = np.empty((2, size)), np.empty((2, size)), \
@@ -358,6 +380,8 @@ class _Observers:
         ``scan``.
         """
         neg_rho_k, log_norm, self.quad, self.neg_quad = self.step_terms(step)
+        k = self.k0 + step
+        self.ratio = k / (k + 1.0)   # quad = half_tau * ratio
         consts = self.consts
         np.add(neg_rho_k, self.log_weight, out=consts[1])
         np.add(consts[1], log_norm, out=consts[1])
@@ -365,40 +389,93 @@ class _Observers:
         half_width = 10.0 * sigma_step
         _scan_grid(true_increment - half_width, true_increment + half_width,
                    self.grid)
-        return self.scan(self.grid, 0, n_blocks, dil)
+        return self.scan(self.basis, 0, n_blocks, dil)
 
-    def scan(self, grid, first: int, stop: int, dil):
-        """log PD at each point of ``grid`` for blocks first .. stop - 1,
-        one row per block.  ``dil`` holds each block's log-sum-exps of its
-        diligent agents' PD numerator and denominator terms, a (2, stop -
-        first, 1) array.
+    def scan(self, basis, first: int, stop: int, dil):
+        """log PD at each point x of the grid ``basis[1]`` for blocks
+        first .. stop - 1, one row per block.  ``basis`` is a (3, points)
+        array whose row 0 holds ones; its row 2 is overwritten with x^2.
+        ``dil`` holds each block's log-sum-exps of its diligent agents' PD
+        numerator and denominator terms, a (stop - first, 2, 1) array.
 
-        Only the signs of the residual that these give are read: one exp
-        pass over (rows, points) arrays, with one shift per block and point
-        shared by the PD numerator and denominator, and exponents floored
-        at ``_EXP_FLOOR``.
+        Only the signs of the residual that these give are read.  Row j's
+        exponent c_j - q_j (x - mu_j)^2, less its block's shift, is the
+        product of [c_j - q_j mu_j^2 - shift, 2 q_j mu_j, -q_j] with
+        [1, x, x^2], so one (rows x 3) @ (3 x points) product gives them
+        all; one exp pass, with exponents floored at ``_EXP_FLOOR``, and
+        one (2 x rows) @ (rows x points) product per block with the weights
+        [1/expm1(rho_j); 1] give its PD numerator and denominator.
         """
         rows = slice(self.bounds[first], self.bounds[stop])
+        grid = basis[1]
+        np.multiply(grid, grid, out=basis[2])
+        lo, hi = float(grid[0]), float(grid[-1])
+        c, mu, neg_quad = self.consts[1, rows], self.mu[rows], \
+            self.neg_quad[rows]
+        coefs = self.coefs[rows]
+        constant, linear, quadratic = coefs.T
+        np.multiply(neg_quad, mu, out=linear)
+        np.multiply(linear, mu, out=constant)
+        np.add(constant, c, out=constant)
+        np.multiply(linear, -2.0, out=linear)
+        quadratic[:] = neg_quad
         blocks = self.scan_blocks[first:stop]
-        dev = np.subtract(grid, self.mu[rows, None], out=self.scan_dev[rows])
-        v = np.multiply(self.quad[rows, None], dev, out=self.scan_v[rows])
-        np.multiply(v, dev, out=v)
-        np.subtract(self.consts[1, rows, None], v, out=v)
-        for v_block, _, m_block, _, _ in blocks:
-            np.maximum.reduce(v_block, axis=0, out=m_block)
-        m = self.scan_max[first:stop]
-        np.maximum(m, dil[1], out=m)
-        for v_block, _, m_block, _, _ in blocks:
-            np.subtract(v_block, m_block, out=v_block)
+        # each block's largest constant and range of means: reduceat over
+        # the rows up to the last block's end, from the first block's start
+        end, starts = rows.stop, self.bounds[first:stop]
+        ranges = zip(
+            np.maximum.reduceat(self.consts[1, :end], starts).tolist(),
+            np.minimum.reduceat(self.mu[:end], starts).tolist(),
+            np.maximum.reduceat(self.mu[:end], starts).tolist())
+        shifts, per_point = [], []
+        for (half_tau_max, const, _, _), (_, (den_dil,)), (top, mu_lo, mu_hi) \
+                in zip(blocks, dil.tolist(), ranges):
+            shift = _scan_shift(top, den_dil, half_tau_max * self.ratio,
+                                mu_lo, mu_hi, lo, hi)
+            if shift is None:
+                shift = top
+                per_point.append(len(shifts))
+            const -= shift
+            shifts.append(shift)
+        v = np.matmul(coefs, basis, out=self.scan_v[rows])
+        shift = np.array(shifts)[:, None, None]
+        if per_point:
+            # shift each point of such a block by its largest exponent
+            shift = shift + np.zeros(_SCAN_POINTS)
+            for i in per_point:
+                v_block = blocks[i][2]
+                m = np.maximum.reduce(v_block, axis=0)
+                np.maximum(m, dil[i, 1, 0] - shifts[i], out=m)
+                np.subtract(v_block, m, out=v_block)
+                shift[i, 0] += m
         np.exp(np.maximum(v, _EXP_FLOOR, out=v), out=v)
-        for e_block, inv_expm1, _, num_block, den_block in blocks:
-            np.matmul(inv_expm1, e_block, out=num_block)
-            np.add.reduce(e_block, axis=0, out=den_block)
-        pd = self.scan_pd[:, first:stop]
-        pd += np.exp(dil - m)
-        num, den = pd
+        pd = self.scan_pd[first:stop]
+        for (_, _, e_block, weights), out in zip(blocks, pd):
+            np.matmul(weights, e_block, out=out)
+        pd += np.exp(dil - shift)
+        num, den = pd[:, 0], pd[:, 1]
         num /= den
         return np.log(num)
+
+
+def _scan_shift(top, den_dil, quad_max, mu_lo, mu_hi, lo, hi):
+    """The one shift of a block's scan exponents over the bracket [lo, hi],
+    or None where each point needs its own.
+
+    ``top`` is the block's largest constant max_j c_j and ``den_dil`` its
+    diligent PD denominator term, so max(top, den_dil) bounds every
+    exponent c_j - q_j (x - mu_j)^2 from above.  It serves as the shift
+    when the diligent term is that maximum (the denominator then holds a
+    1), or when ``quad_max`` (max_j q_j) times the largest (x - mu_j)^2 on
+    the bracket, with mu_j in [mu_lo, mu_hi], is at most ``_SHIFT_REACH``:
+    the top agent's term then stays above e^-600 at every point, so terms
+    floored at e^-700 change no sum beyond its rounding.
+    """
+    if den_dil >= top:
+        return den_dil
+    reach = max((lo - mu_lo) ** 2, (lo - mu_hi) ** 2, (hi - mu_lo) ** 2,
+                (hi - mu_hi) ** 2)
+    return top if quad_max * reach <= _SHIFT_REACH else None
 
 
 def solve_step(observers: _Observers, block: int, step: int,
@@ -409,7 +486,8 @@ def solve_step(observers: _Observers, block: int, step: int,
 
     Returns (xi, n_roots_found, relative_residual).  Raises
     ``FixedPointError`` when no root lies within +/- 1 in log price of the
-    true increment, or when the root's relative residual exceeds
+    true increment, when the residuals at the ends of the chosen scan cell
+    have the same sign, or when the root's relative residual exceeds
     ``RESIDUAL_TOL``.
 
     ``observers.start_step`` has filled the step's terms and scanned the
@@ -481,15 +559,25 @@ def solve_step(observers: _Observers, block: int, step: int,
                 })
         half_width = min(2.0 * half_width, 1.0)
         grid = _scan_grid(true_increment - half_width,
-                          true_increment + half_width,
-                          np.empty(_SCAN_POINTS))
-        log_pd = s.scan(grid, block, block + 1,
-                        np.array([[[num_dil]], [[den_dil]]]))[0]
+                          true_increment + half_width, s.wide_basis[1])
+        log_pd = s.scan(s.wide_basis, block, block + 1,
+                        np.array([[[num_dil], [den_dil]]]))[0]
 
     if len(cells) > 1:
         cells.sort(key=lambda c: abs(0.5 * (c[0] + c[1]) - prev_xi))
     lo, hi = cells[0]
-    seen = dict(zip((lo, hi), ends(lo, hi)))
+    residual_lo, residual_hi = ends(lo, hi)
+    if residual_lo != 0 and residual_hi != 0 \
+            and (residual_lo < 0) == (residual_hi < 0):
+        # the scan rounds apart from the residual, so a grid point within
+        # rounding of a root can end such a cell
+        raise FixedPointError(
+            f"step {step}: scan cell [{float(lo)!r}, {float(hi)!r}] does "
+            "not bracket a root", step=step, diagnostics={
+                "lo": float(lo), "hi": float(hi),
+                "residual_lo": float(residual_lo),
+                "residual_hi": float(residual_hi)})
+    seen = {lo: residual_lo, hi: residual_hi}
     xi = brentq(residual, lo, hi, xtol=_BISECT_WIDTH, rtol=8.9e-16)
     rel = abs(math.expm1(float(seen[xi])))
     if rel > RESIDUAL_TOL:
@@ -633,8 +721,8 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
     no_terms = [-math.inf] * n
     num_dil = [inputs.diligent[c][0] if c else no_terms for c in counts]
     den_dil = [inputs.diligent[c][1] if c else no_terms for c in counts]
-    # the same terms as (steps, 2, counts, 1) arrays, for the shared scan
-    dil = np.array([num_dil, den_dil]).transpose(2, 0, 1)[..., None].copy()
+    # the same terms as a (steps, counts, 2, 1) array, for the shared scan
+    dil = np.array([num_dil, den_dil]).transpose(2, 1, 0)[..., None].copy()
 
     k = len(counts)
     log_stock = np.empty((k, n + 1))
@@ -664,7 +752,7 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
                 active = i
                 observers = observers.head(active)
                 observed = observed[:len(observers.mu)]
-                dil = dil[:, :, :active]
+                dil = dil[:, :active]
                 break
             observed[rows] = xi
             xis[t + 1] = xi

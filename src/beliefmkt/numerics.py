@@ -271,11 +271,16 @@ def scan_sign_changes(values, grid):
     """Indices i with a sign change of ``values`` between grid[i], grid[i+1].
 
     Grid points where the value is exactly zero count as a change with the
-    following cell.  Returns a list of (grid[i], grid[i+1]) brackets.
+    following cell, and a zero at the last point with the last cell.
+    Returns a list of (grid[i], grid[i+1]) brackets.
     """
     s = np.sign(values)
     idx = np.nonzero(s[:-1] * s[1:] <= 0.0)[0].tolist()
-    return [(grid[i], grid[i + 1]) for i in idx]
+    # such a product is 0 in the cell before a zero too: that cell counts
+    # only where its own start is a zero, or where it is the last cell
+    last = len(s) - 2
+    return [(grid[i], grid[i + 1]) for i in idx
+            if s[i + 1] != 0.0 or s[i] == 0.0 or i == last]
 
 
 def _slots(strings):

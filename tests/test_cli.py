@@ -488,6 +488,21 @@ def test_feedback_numeric_failure_exits_3(tmp_path, capsys):
     assert "step 26" in capsys.readouterr().err
 
 
+def test_feedback_cell_without_a_root_exits_3(tmp_path, capsys,
+                                              monkeypatch):
+    # a scan cell whose exact end residuals share a sign is a numeric
+    # failure too, not a traceback
+    from beliefmkt import feedback
+    monkeypatch.setattr(feedback, "scan_sign_changes",
+                        lambda values, grid: [(grid[0], grid[1])])
+    cfg = write_config(tmp_path, {
+        "n_agents": 8, "n_diligent": 0, "n_steps": 20, "seed": 1})
+    code = main(["feedback", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")])
+    assert code == 3
+    assert "step 0: scan cell [" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # beauty / fit / ingest
 

@@ -623,6 +623,26 @@ def test_trade_volume_requires_common_impatience():
                      np.array([0.1, -0.1]), 0.3)
 
 
+def test_trade_is_nan_for_a_learner_market_with_common_impatience():
+    # the closed form holds for constant drifts only: on this market it
+    # gave theta_1 = +0.0218 at (t, X) = (1, 0.3), where a central
+    # difference of the holdings in X gives -0.2034
+    spec = MarketSpec(sigma=0.3, agents=(
+        AgentSpec(impatience=0.05, belief=ConstantDrift(0.2), weight=1.0),
+        AgentSpec(impatience=0.05, belief=BayesianGaussian(-0.05, 2.0),
+                  weight=2.0)))
+    path = simulate_path(spec, 2.0, 1 / 52, seed=4)
+    assert path.trade.shape == path.q.shape
+    assert np.all(np.isnan(path.trade))
+    assert np.all(np.isfinite(path.holdings))
+    # the same market with constant drifts only keeps its closed form
+    constant = MarketSpec(sigma=0.3, agents=(
+        spec.agents[0],
+        AgentSpec(impatience=0.05, belief=ConstantDrift(-0.05), weight=2.0)))
+    assert np.all(np.isfinite(simulate_path(constant, 2.0, 1 / 52,
+                                            seed=4).trade))
+
+
 # ---------------------------------------------------------------------------
 # general market clearing
 

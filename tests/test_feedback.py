@@ -317,7 +317,7 @@ def solve_alone(observers, step, log_stock, log_div_next, true_increment,
                 prev_xi, sigma_step, num_dil, den_dil):
     """One count's step as the stepper takes it: the step's terms and first
     scan for the one block of ``observers``, then ``solve_step``."""
-    dil = np.array([[[num_dil]], [[den_dil]]])
+    dil = np.array([[[num_dil], [den_dil]]])
     first_scan = observers.start_step(step, true_increment, sigma_step, dil, 1)
     return solve_step(observers, 0, step, log_stock, log_div_next,
                       true_increment, prev_xi, sigma_step, num_dil, den_dil,
@@ -405,6 +405,124 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
     assert floored > 0.1 * entries
 
 
+def scan_oracle(observers, step, grid, num_dil, den_dil):
+    """log PD at each point of ``grid`` from its exact, unfloored terms:
+    one log-sum-exp per point over every agent's term and the diligent
+    one, each shifted by that point's own maximum."""
+    k = observers.k0 + step
+    base = observers.neg_rho * (step + 1) + observers.log_weight
+    terms = base[:, None] + log_density_increment(
+        observers.mu[:, None], k, observers.tau[:, None], grid)
+    log_num = logsumexp(np.vstack((terms - observers.log_expm1[:, None],
+                                   np.full(len(grid), num_dil))), axis=0)
+    log_den = logsumexp(np.vstack((terms, np.full(len(grid), den_dil))),
+                        axis=0)
+    return log_num - log_den
+
+
+def random_scan_states(rng, n):
+    """(observers, step, true increment, sigma_step, dil) of one count:
+    random belief states with log-weight spreads up to 2000, means spread
+    by up to 0.3, and diligent terms that are absent, below the agents'
+    largest constant or above it, by up to 2000."""
+    dt = 1.0 / 252.0
+    sigma_step = 0.25 * math.sqrt(dt)
+    for _ in range(n):
+        J = int(rng.integers(1, 31))
+        traits = AgentTraits(
+            rho_step=rng.uniform(0.04, 0.33, J) * dt,
+            tau=rng.uniform(0.4, 1.05, J) / (0.0625 * dt),
+            prior_mean_step=rng.uniform(-0.05, 0.15, J) * dt)
+        observers = _Observers(traits.rho_step, traits.tau,
+                               traits.prior_mean_step, 252.0)
+        observers.mu += rng.normal(0.0, rng.choice([0.01, 0.3]), J)
+        observers.log_weight = rng.uniform(-0.5, 0.5, J) \
+            * rng.uniform(0.0, 2000.0)
+        step = int(rng.integers(0, 2000))
+        d = rng.normal(0.0, sigma_step)
+        no_dil = np.array([[[-np.inf], [-np.inf]]])
+        observers.start_step(step, d, sigma_step, no_dil, 1)
+        top = observers.consts[1].max()
+        den_dil = {0: -np.inf, 1: top - rng.uniform(0.0, 2000.0),
+                   2: top + rng.uniform(0.0, 2000.0)}[int(rng.integers(3))]
+        num_dil = den_dil - math.log(math.expm1(rng.uniform(0.04, 0.33) * dt))
+        yield observers, step, d, sigma_step, \
+            np.array([[[num_dil], [den_dil]]])
+
+
+def test_scan_matches_the_exact_oracle(monkeypatch):
+    # the scan's log PD, and so the cells of every residual built from it,
+    # match the exact per-point oracle on random states (first brackets,
+    # widened ones up to +/- 1) and on states whose top agent reaches just
+    # inside, just outside or far outside the one-shift bound at the
+    # bracket's end; every shift rule runs, and the scan's exp pass never
+    # sees an exponent below the floor
+    shifts = []
+    real_shift = feedback._scan_shift
+
+    def recording_shift(top, den_dil, *args):
+        shift = real_shift(top, den_dil, *args)
+        shifts.append("per point" if shift is None
+                      else "diligent" if den_dil >= top else "top")
+        return shift
+
+    monkeypatch.setattr(feedback, "_scan_shift", recording_shift)
+    lowest = []
+    real_exp = np.exp
+
+    def recording_exp(x, *args, **kwargs):
+        if np.ndim(x) == 2:   # the (rows, points) pass
+            lowest.append(float(np.min(x)))
+        return real_exp(x, *args, **kwargs)
+
+    def check(observers, step, basis, dil):
+        monkeypatch.setattr(np, "exp", recording_exp)
+        try:
+            got = observers.scan(basis, 0, 1, dil)[0]
+        finally:
+            monkeypatch.setattr(np, "exp", real_exp)
+        grid = basis[1]
+        want = scan_oracle(observers, step, grid, *dil[0, :, 0])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        # prices that clear at each of a few points of the bracket
+        for i in (3, 100, 196):
+            offset = want[i] - grid[i] + 1e-7 * (grid[1] - grid[0])
+            exact = offset + grid - want
+            if np.abs(exact).min() > 1e-9:
+                assert scan_sign_changes(offset + grid - got, grid) \
+                    == scan_sign_changes(exact, grid)
+
+    rng = np.random.default_rng(4242)
+    checked = 0
+    for observers, step, d, sigma_step, dil in random_scan_states(rng, 150):
+        check(observers, step, observers.basis, dil)
+        basis = observers.wide_basis
+        for half_width in (min(10.0 * sigma_step * 2 ** int(rng.integers(1, 4)),
+                               1.0), 1.0):
+            _scan_grid(d - half_width, d + half_width, basis[1])
+            check(observers, step, basis, dil)
+        checked += 3
+        # the agent with the largest quadratic coefficient on top, far from
+        # the others' means: brackets whose end it reaches just inside, just
+        # outside and far outside the bound
+        top = int(np.argmax(observers.tau))
+        observers.log_weight[top] += 3000.0
+        observers.mu[top] = d + rng.choice([-1.0, 1.0]) \
+            * rng.uniform(0.1, 0.3)
+        observers.start_step(step, d, sigma_step, dil, 1)
+        quad_max = observers.half_tau[top] * observers.ratio
+        far = max(d - observers.mu.min(), observers.mu.max() - d)
+        for reach in (600.0 * (1 - 1e-9), 600.0 * (1 + 1e-9), 900.0):
+            half_width = math.sqrt(reach / quad_max) - far
+            if half_width > 0.0:
+                _scan_grid(d - half_width, d + half_width, basis[1])
+                check(observers, step, basis, dil)
+                checked += 1
+    assert checked >= 500
+    assert {"diligent", "top", "per point"} <= set(shifts)
+    assert min(lowest) >= feedback._EXP_FLOOR
+
+
 def test_no_root_within_cap_raises_with_step_index():
     cfg = small_config(n_agents=2, n_diligent=0)
     traits = draw_agents(cfg)
@@ -417,6 +535,38 @@ def test_no_root_within_cap_raises_with_step_index():
     assert err.value.step == 0
     assert str(err.value).startswith("step 0: no root for xi within")
     assert "residual_lo" in err.value.diagnostics
+
+
+def test_cell_that_does_not_bracket_a_root_raises(monkeypatch):
+    # the scan rounds apart from the exact residual, so a grid point within
+    # rounding of a root can end a cell whose exact ends share a sign;
+    # solve_step raises FixedPointError then, not brentq's ValueError
+    cfg = small_config(n_agents=3, n_diligent=0)
+    inputs = _seed_inputs(cfg)
+    traits = inputs.traits
+    observers = _Observers(traits.rho_step, traits.tau,
+                           traits.prior_mean_step, cfg.prior_weight)
+    d = inputs.increments[0]
+    args = (observers, 0, inputs.log_stock_ideal[0], inputs.log_div[1], d, d,
+            cfg.sigma_true * math.sqrt(cfg.dt), -math.inf, -math.inf)
+    xi = solve_alone(*args)[0]
+    assert xi == run_feedback(cfg).xi[1]
+    # the first cell of the scan grid, far below the root
+    monkeypatch.setattr(feedback, "scan_sign_changes",
+                        lambda values, grid: [(grid[0], grid[1])])
+    with pytest.raises(FixedPointError) as err:
+        solve_alone(*args)
+    lo, hi = observers.grid[0], observers.grid[1]
+    assert hi < xi
+    assert str(err.value) == (f"step 0: scan cell [{float(lo)!r}, "
+                              f"{float(hi)!r}] does not bracket a root")
+    assert err.value.step == 0
+    diagnostics = err.value.diagnostics
+    assert (diagnostics["lo"], diagnostics["hi"]) == (lo, hi)
+    assert diagnostics["residual_lo"] < 0 and diagnostics["residual_hi"] < 0
+    # a run stops with that error at the step where it happens
+    with pytest.raises(FixedPointError, match="^step 0: scan cell"):
+        run_feedback(cfg)
 
 
 def test_all_diligent_root_above_cap_raises():
@@ -646,6 +796,27 @@ def test_scan_sign_changes_finds_all_roots():
     cells = scan_sign_changes(values, grid)
     roots = sorted(0.5 * (lo + hi) for lo, hi in cells)
     np.testing.assert_allclose(roots, [-1.0, 0.0, 1.0], atol=0.02)
+
+
+@pytest.mark.parametrize("values, starts", [
+    ([-1, 0, 1], [1]),
+    ([-1, 0, 0, 1], [1, 2]),
+    ([1, 0, 1], [1]),
+    ([1, 0, -1, 2], [1, 2]),
+    ([0, 1, 2], [0]),
+    ([1, 2, 0], [1]),
+    ([1, 0, 0], [1]),
+    ([0, -1, 0], [0, 1]),
+    ([0, 0], [0]),
+    ([1, 2, 3], []),
+])
+def test_scan_sign_changes_puts_a_zero_in_the_following_cell(values,
+                                                             starts):
+    # a zero at a grid point opens one cell, not also the one before it;
+    # a zero at the last point closes the last cell
+    grid = np.arange(len(values)) * 0.5
+    cells = scan_sign_changes(np.array(values, dtype=float), grid)
+    assert cells == [(grid[i], grid[i + 1]) for i in starts]
 
 
 # ---------------------------------------------------------------------------
