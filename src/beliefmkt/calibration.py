@@ -390,10 +390,14 @@ _BATCH_POINTS = 1 << 16
 
 def draw_drivers(problem: CalibrationProblem):
     """The problem's common random numbers: its driver paths, as a list of
-    (times, X) batches of whole paths.  A search draws them once."""
-    return list(equilibrium.driver_batches(
-        problem.horizon, problem.dt, problem.seed, problem.n_paths,
-        _BATCH_POINTS // problem.n_agents))
+    (times, X) batches of whole paths, each of at most ``_BATCH_POINTS``
+    grid points (at least one path).  A search draws them once."""
+    n_steps = equilibrium._n_steps(problem.horizon, problem.dt)
+    size = max(1, _BATCH_POINTS // problem.n_agents // (n_steps + 1))
+    return [equilibrium._drivers(
+        problem.horizon, problem.dt, problem.seed,
+        range(start, min(start + size, problem.n_paths)))
+        for start in range(0, problem.n_paths, size)]
 
 
 def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],

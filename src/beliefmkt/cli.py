@@ -65,26 +65,25 @@ def cmd_feedback(cfg, args):
         raise ConfigError(f"seed_sweep: must be >= 0 and at most {MAX_COUNT}")
     diligence_values = config._get(cfg, "diligence_values", list,
                                    default=[0, setup.n_diligent])
-    if sweep and (not diligence_values
-                  or not all(isinstance(v, int) and not isinstance(v, bool)
-                             and 0 <= v <= setup.n_agents
-                             for v in diligence_values)):
-        raise ConfigError("diligence_values: expected a list of counts "
-                          "between 0 and n_agents")
-    # each count once, in order: the default is [0] when n_diligent is 0
-    diligence_values = list(dict.fromkeys(diligence_values))
+    try:
+        if sweep and not feedback.diligence_counts(setup, diligence_values):
+            raise ConfigError("expected at least one count")
+    except ConfigError as exc:
+        raise ConfigError(f"diligence_values: {exc}") from None
     out = _start(args, cfg)
     if sweep:
         seeds = list(range(setup.seed, setup.seed + sweep))
+        # keyed by each distinct count once, in order: the default is [0]
+        # when n_diligent is 0
         table = feedback.diligence_sweep(setup, diligence_values, seeds)
         with open(out / "sweep.txt", "w") as fp:
             fp.write("n_diligent,seed,log_ratio_range,n_jumps\n")
-            for n_dil in diligence_values:
-                for seed, row in zip(seeds, table[n_dil]):
+            for n_dil, rows in table.items():
+                for seed, row in zip(seeds, rows):
                     fp.write(f"{n_dil},{seed},{row['log_ratio_range']:.17g},"
                              f"{row['n_jumps']}\n")
-            for n_dil in diligence_values:
-                mean_range = sum(r["log_ratio_range"] for r in table[n_dil]) \
+            for n_dil, rows in table.items():
+                mean_range = sum(r["log_ratio_range"] for r in rows) \
                     / len(seeds)
                 fp.write(f"mean_range[n_diligent={n_dil}]={mean_range:.17g}\n")
         return 0

@@ -261,17 +261,6 @@ def _drivers(horizon, dt, seed, path_indices):
     return np.arange(n + 1) * dt, x
 
 
-def driver_batches(horizon: float, dt: float, seed: int, n_paths: int,
-                   max_points: int):
-    """Yield the (times, X) of paths 0..n_paths-1 in batches of whole paths,
-    each as large as keeps its P * (n+1) within max_points (at least one
-    path).  A path's driver does not depend on the batch it falls in."""
-    size = max(1, max_points // (_n_steps(horizon, dt) + 1))
-    for start in range(0, n_paths, size):
-        yield _drivers(horizon, dt, seed,
-                       range(start, min(start + size, n_paths)))
-
-
 def dividend_path(spec: MarketSpec, times, x):
     """delta on the grid from driver values x of any leading path shape:
     d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt."""

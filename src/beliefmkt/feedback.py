@@ -44,6 +44,8 @@ oracle, and the outputs are the same to the bit.
   maximum and every sum over rows runs on one block, so no count's scan
   reads another's rows, and Brent and the update give each count the
   bits it gets on its own.  ``solve_step`` then solves the counts in turn.
+  A count that fails, and the counts after it, keep their rows, which go
+  on absorbing their last moves but are no longer scanned or solved.
 * Brent's residual stacks the PD numerator and denominator as the two rows
   of one array, so each call makes one exp pass; it joins the diligent
   term in Python floats (``_logaddexp``, numpy's own steps).  The two ends
@@ -56,15 +58,13 @@ oracle, and the outputs are the same to the bit.
   bracket, and per count one product with the weights [1/expm1(rho_j); 1]
   gives the PD numerator and denominator.  The shift M is one number per
   count, max(max_j c_j, the diligent denominator term), which bounds every
-  exponent from above.  It serves when the diligent term is that maximum
-  (the denominator then holds a 1), or when max_j q_j times the largest
-  (x - mu_j)^2 on the bracket is at most 600, so that the top agent's term
-  stays above e^-600 at every point; otherwise (brackets widened toward
-  +/- 1) each point is shifted by its own largest exponent, read off the
-  same product.  Exponents below -700 are floored: the one shift leaves
-  many terms far below it, numpy's exp of an underflowing argument is
-  about 100 times slower, and a term under e^-700 changes no sum of at
-  least e^-600 beyond its rounding.
+  exponent from above.  Exponents below -700 are floored: the one shift
+  leaves many terms far below it, numpy's exp of an underflowing argument
+  is about 100 times slower, and a term under e^-700 changes no sum of at
+  least e^-600 beyond its rounding.  A count whose PD denominator falls
+  below e^-600 at some point (brackets widened toward +/- 1 leave every
+  agent's term there far below the shift) is scanned again by the same
+  product, each point shifted by its own largest exponent.
 * S* comes from blocks of steps: the posterior means keep their per-step
   recursion, the log-weight increments of a block come from one pass and
   accumulate with ``np.cumsum`` along time, and ``log_price_dividend``
@@ -93,12 +93,12 @@ RESIDUAL_TOL = 1e-10
 _BISECT_WIDTH = 1e-13
 _SCAN_POINTS = 200
 # floor on the scan's shifted exponents: e^-700 is far below half an ulp of
-# the sums (each at least e^-600, see _SHIFT_REACH) that it joins, and it
-# keeps numpy's exp off its slow path for underflowing arguments
+# the sums (each at least _SUM_FLOOR) that it joins, and it keeps numpy's
+# exp off its slow path for underflowing arguments
 _EXP_FLOOR = -700.0
-# a count's scan takes one shift for its whole bracket while max_j q_j
-# times the bracket's largest (x - mu_j)^2 is at most this (_scan_shift)
-_SHIFT_REACH = 600.0
+# a count's scan keeps its one shift where its PD denominator is at least
+# this at every point, and is scanned again point by point where it is not
+_SUM_FLOOR = math.exp(-600.0)
 _SCAN_INDEX = np.arange(_SCAN_POINTS, dtype=float)
 # steps per block of S* and of the step terms: larger blocks save little
 # and hold more memory
@@ -158,6 +158,11 @@ class FeedbackConfig:
     @property
     def tau_true(self) -> float:
         return 1.0 / (self.sigma_true**2 * self.dt)
+
+    @property
+    def sigma_step(self) -> float:
+        """The true volatility of one step's log-dividend increment."""
+        return self.sigma_true * math.sqrt(self.dt)
 
 
 @dataclass(frozen=True)
@@ -296,11 +301,9 @@ class _Observers:
                        for a, b in zip(self.bounds, self.bounds[1:])]
         self.mu = prior_mean_step.copy()
         self.log_weight = np.zeros(n)
-        self.rho_step = rho_step
         self.neg_rho = -rho_step
         self.log_expm1 = np.log(np.expm1(rho_step))
-        self.inv_expm1 = np.exp(-self.log_expm1)
-        self.tau, self.half_tau = tau, 0.5 * tau
+        self.tau = tau
         self.k0 = prior_weight
         self.start = -_IDEAL_BLOCK   # first step of the filled block (none)
         # rows: PD numerator, PD denominator
@@ -314,15 +317,12 @@ class _Observers:
         self.wide_basis = np.ones((3, _SCAN_POINTS))
         self.grid = self.basis[1]
         self.scan_v = np.empty((n, _SCAN_POINTS))
-        weights = np.ones((2, n))
-        weights[0] = self.inv_expm1
-        # per block: the PD numerator and denominator; its largest tau / 2
-        # (its largest q over the step's ratio k / (k + 1)) and its rows of
-        # the constant coefficients, the exponents and the PD weights
+        weights = np.vstack((np.exp(-self.log_expm1), np.ones(n)))
+        # per block: the PD numerator and denominator, and its rows of the
+        # coefficients, the exponents and the PD weights
         self.scan_pd = np.empty((len(self.sizes), 2, _SCAN_POINTS))
-        self.scan_blocks = [
-            (max(self.half_tau[b]), self.coefs[b, 0], self.scan_v[b],
-             weights[:, b]) for b in self.blocks]
+        self.scan_blocks = [(self.coefs[b], self.scan_v[b], weights[:, b])
+                            for b in self.blocks]
         # per block, for Brent's residual: its constants and buffers for 2
         # points: the points, xi - mu, the density increment, and the PD
         # numerator and denominator rows, (point, row) and flat
@@ -335,15 +335,6 @@ class _Observers:
                 lse_rows.reshape(2, 2, size), lse_rows, dev[0], dl[0],
                 lse_rows[:2]))
 
-    def head(self, n_blocks: int) -> "_Observers":
-        """The observers of the first ``n_blocks`` blocks, in their
-        state."""
-        r = self.bounds[n_blocks]
-        head = _Observers(self.rho_step[:r], self.tau[:r], self.mu[:r],
-                          self.k0, self.sizes[:n_blocks])
-        head.log_weight = self.log_weight[:r].copy()
-        return head
-
     def absorb(self, x, step: int):
         """Consume observations x (scalar or per row) seen at step+1."""
         k = self.k0 + step
@@ -351,9 +342,9 @@ class _Observers:
         self.mu = posterior_mean_step(self.mu, k, x)
 
     def step_terms(self, step: int):
-        """-rho (step + 1), the density increment's log normalizer and
-        its quadratic coefficient, plain and negated: rows of a block of
-        steps, refilled when ``step`` leaves it."""
+        """-rho (step + 1), the density increment's log normalizer and its
+        negated quadratic coefficient: rows of a block of steps, refilled
+        when ``step`` leaves it."""
         i = step - self.start
         if not 0 <= i < _IDEAL_BLOCK:
             self.start, i = step, 0
@@ -362,26 +353,22 @@ class _Observers:
             ratio = k / (k + 1.0)
             self.neg_rho_k = self.neg_rho * (t + 1)
             self.log_norm = 0.5 * (np.log(self.tau * ratio) - _LOG_TWO_PI)
-            self.quad_k = self.half_tau * ratio
-            self.neg_quad_k = -self.quad_k
-        return (self.neg_rho_k[i], self.log_norm[i], self.quad_k[i],
-                self.neg_quad_k[i])
+            self.neg_quad_k = -(0.5 * self.tau * ratio)
+        return self.neg_rho_k[i], self.log_norm[i], self.neg_quad_k[i]
 
     def start_step(self, step: int, true_increment: float, sigma_step: float,
-                   dil, n_blocks: int):
+                   dil):
         """Fill the step's xi-independent terms for every row, and scan the
         first bracket, the true increment +/- 10 per-step standard
-        deviations, for the first ``n_blocks`` blocks: returns log PD at
+        deviations, for the first ``len(dil)`` blocks: returns log PD at
         each point of ``grid``, one row per block.
 
         The terms split beliefs.log_density_increment into the constants
         of the PD numerator and denominator rows (``consts``) and the
-        quadratic coefficient (``quad``, ``neg_quad``).  ``dil`` is as in
+        negated quadratic coefficient (``neg_quad``).  ``dil`` is as in
         ``scan``.
         """
-        neg_rho_k, log_norm, self.quad, self.neg_quad = self.step_terms(step)
-        k = self.k0 + step
-        self.ratio = k / (k + 1.0)   # quad = half_tau * ratio
+        neg_rho_k, log_norm, self.neg_quad = self.step_terms(step)
         consts = self.consts
         np.add(neg_rho_k, self.log_weight, out=consts[1])
         np.add(consts[1], log_norm, out=consts[1])
@@ -389,14 +376,15 @@ class _Observers:
         half_width = 10.0 * sigma_step
         _scan_grid(true_increment - half_width, true_increment + half_width,
                    self.grid)
-        return self.scan(self.basis, 0, n_blocks, dil)
+        return self.scan(self.basis, 0, dil)
 
-    def scan(self, basis, first: int, stop: int, dil):
-        """log PD at each point x of the grid ``basis[1]`` for blocks
-        first .. stop - 1, one row per block.  ``basis`` is a (3, points)
-        array whose row 0 holds ones; its row 2 is overwritten with x^2.
-        ``dil`` holds each block's log-sum-exps of its diligent agents' PD
-        numerator and denominator terms, a (stop - first, 2, 1) array.
+    def scan(self, basis, first: int, dil):
+        """log PD at each point x of the grid ``basis[1]`` for the
+        ``len(dil)`` blocks from block ``first`` on, one row per block.
+        ``basis`` is a (3, points) array whose row 0 holds ones; its row 2
+        is overwritten with x^2.  ``dil`` holds each block's log-sum-exps
+        of its diligent agents' PD numerator and denominator terms, a
+        (blocks, 2, 1) array.
 
         Only the signs of the residual that these give are read.  Row j's
         exponent c_j - q_j (x - mu_j)^2, less its block's shift, is the
@@ -404,12 +392,15 @@ class _Observers:
         [1, x, x^2], so one (rows x 3) @ (3 x points) product gives them
         all; one exp pass, with exponents floored at ``_EXP_FLOOR``, and
         one (2 x rows) @ (rows x points) product per block with the weights
-        [1/expm1(rho_j); 1] give its PD numerator and denominator.
+        [1/expm1(rho_j); 1] give its PD numerator and denominator.  A block
+        whose denominator falls below ``_SUM_FLOOR`` at some point has its
+        product run again and each point shifted by its own largest
+        exponent.
         """
+        stop = first + len(dil)
         rows = slice(self.bounds[first], self.bounds[stop])
         grid = basis[1]
         np.multiply(grid, grid, out=basis[2])
-        lo, hi = float(grid[0]), float(grid[-1])
         c, mu, neg_quad = self.consts[1, rows], self.mu[rows], \
             self.neg_quad[rows]
         coefs = self.coefs[rows]
@@ -419,63 +410,33 @@ class _Observers:
         np.add(constant, c, out=constant)
         np.multiply(linear, -2.0, out=linear)
         quadratic[:] = neg_quad
+        # each block's shift, max(its largest constant, its diligent PD
+        # denominator term): reduceat over the rows up to the last block's
+        # end, from the first block's start
+        shifts = np.maximum(
+            np.maximum.reduceat(self.consts[1, :rows.stop],
+                                self.bounds[first:stop]), dil[:, 1, 0])
+        constant -= np.repeat(shifts, self.sizes[first:stop])
         blocks = self.scan_blocks[first:stop]
-        # each block's largest constant and range of means: reduceat over
-        # the rows up to the last block's end, from the first block's start
-        end, starts = rows.stop, self.bounds[first:stop]
-        ranges = zip(
-            np.maximum.reduceat(self.consts[1, :end], starts).tolist(),
-            np.minimum.reduceat(self.mu[:end], starts).tolist(),
-            np.maximum.reduceat(self.mu[:end], starts).tolist())
-        shifts, per_point = [], []
-        for (half_tau_max, const, _, _), (_, (den_dil,)), (top, mu_lo, mu_hi) \
-                in zip(blocks, dil.tolist(), ranges):
-            shift = _scan_shift(top, den_dil, half_tau_max * self.ratio,
-                                mu_lo, mu_hi, lo, hi)
-            if shift is None:
-                shift = top
-                per_point.append(len(shifts))
-            const -= shift
-            shifts.append(shift)
         v = np.matmul(coefs, basis, out=self.scan_v[rows])
-        shift = np.array(shifts)[:, None, None]
-        if per_point:
-            # shift each point of such a block by its largest exponent
-            shift = shift + np.zeros(_SCAN_POINTS)
-            for i in per_point:
-                v_block = blocks[i][2]
-                m = np.maximum.reduce(v_block, axis=0)
-                np.maximum(m, dil[i, 1, 0] - shifts[i], out=m)
-                np.subtract(v_block, m, out=v_block)
-                shift[i, 0] += m
         np.exp(np.maximum(v, _EXP_FLOOR, out=v), out=v)
         pd = self.scan_pd[first:stop]
-        for (_, _, e_block, weights), out in zip(blocks, pd):
+        for (_, e_block, weights), out in zip(blocks, pd):
             np.matmul(weights, e_block, out=out)
-        pd += np.exp(dil - shift)
+        pd += np.exp(dil - shifts[:, None, None])
+        low = np.minimum.reduce(pd[:, 1], axis=1) < _SUM_FLOOR
+        for i in np.flatnonzero(low).tolist():
+            block_coefs, v_block, weights = blocks[i]
+            np.matmul(block_coefs, basis, out=v_block)
+            m = np.maximum.reduce(v_block, axis=0)
+            np.maximum(m, dil[i, 1, 0] - shifts[i], out=m)
+            np.subtract(v_block, m, out=v_block)
+            np.exp(np.maximum(v_block, _EXP_FLOOR, out=v_block), out=v_block)
+            np.matmul(weights, v_block, out=pd[i])
+            pd[i] += np.exp(dil[i] - (shifts[i] + m))
         num, den = pd[:, 0], pd[:, 1]
         num /= den
         return np.log(num)
-
-
-def _scan_shift(top, den_dil, quad_max, mu_lo, mu_hi, lo, hi):
-    """The one shift of a block's scan exponents over the bracket [lo, hi],
-    or None where each point needs its own.
-
-    ``top`` is the block's largest constant max_j c_j and ``den_dil`` its
-    diligent PD denominator term, so max(top, den_dil) bounds every
-    exponent c_j - q_j (x - mu_j)^2 from above.  It serves as the shift
-    when the diligent term is that maximum (the denominator then holds a
-    1), or when ``quad_max`` (max_j q_j) times the largest (x - mu_j)^2 on
-    the bracket, with mu_j in [mu_lo, mu_hi], is at most ``_SHIFT_REACH``:
-    the top agent's term then stays above e^-600 at every point, so terms
-    floored at e^-700 change no sum beyond its rounding.
-    """
-    if den_dil >= top:
-        return den_dil
-    reach = max((lo - mu_lo) ** 2, (lo - mu_hi) ** 2, (hi - mu_lo) ** 2,
-                (hi - mu_hi) ** 2)
-    return top if quad_max * reach <= _SHIFT_REACH else None
 
 
 def solve_step(observers: _Observers, block: int, step: int,
@@ -560,7 +521,7 @@ def solve_step(observers: _Observers, block: int, step: int,
         half_width = min(2.0 * half_width, 1.0)
         grid = _scan_grid(true_increment - half_width,
                           true_increment + half_width, s.wide_basis[1])
-        log_pd = s.scan(s.wide_basis, block, block + 1,
+        log_pd = s.scan(s.wide_basis, block,
                         np.array([[[num_dil], [den_dil]]]))[0]
 
     if len(cells) > 1:
@@ -601,19 +562,15 @@ class _SeedInputs:
     diligent: Dict[int, Tuple[List[float], List[float]]]
 
 
-def _seed_inputs(config: FeedbackConfig, counts=None) -> _SeedInputs:
-    """The inputs of ``config``'s seed for the diligence ``counts`` (by
-    default the config's own)."""
+def _seed_inputs(config: FeedbackConfig, counts) -> _SeedInputs:
+    """The inputs of ``config``'s seed for the diligence ``counts``."""
     J = config.n_agents
     traits = draw_agents(config)
-    sigma_step = config.sigma_true * math.sqrt(config.dt)
-    drift_step = config.growth_true * config.dt
     rng = path_rng(config.seed, 0)
     n = config.n_steps
-    increments = drift_step + sigma_step * rng.standard_normal(n)
+    increments = config.growth_true * config.dt \
+        + config.sigma_step * rng.standard_normal(n)
     log_div = np.concatenate([[0.0], np.cumsum(increments)])
-    if counts is None:
-        counts = (config.n_diligent,)
     diligent = {c: ([], []) for c in set(counts) if 0 < c < J}
     widest = max(diligent, default=0)
     log_expm1 = np.log(np.expm1(traits.rho_step))
@@ -657,7 +614,8 @@ def _seed_inputs(config: FeedbackConfig, counts=None) -> _SeedInputs:
 
 def run_feedback(config: FeedbackConfig) -> FeedbackResult:
     """Run one feedback trajectory; deterministic given the config."""
-    outcome, = _run(config, _seed_inputs(config), [config.n_diligent])
+    counts = [config.n_diligent]
+    outcome, = _run(config, _seed_inputs(config, counts), counts)
     if isinstance(outcome, FixedPointError):
         raise outcome
     return outcome
@@ -706,10 +664,11 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
     together: each step fills the step terms, scans the first bracket and
     absorbs the solved moves once for all of them (``_Observers``), and
     ``solve_step`` solves each count in turn.  When a count fails, the
-    counts after it leave the stepper; the ones before it run on."""
+    ones before it run on; its rows and those of the counts after it keep
+    absorbing their last moves, but are no longer scanned or solved."""
     J, n = config.n_agents, config.n_steps
     traits = inputs.traits
-    sigma_step = config.sigma_true * math.sqrt(config.dt)
+    sigma_step = config.sigma_step
     increments, log_div = inputs.increments, inputs.log_div
     # only the agents that observe the price: the diligent ones enter
     # through their per-step terms from the S* pass
@@ -731,7 +690,7 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
     xi_series = np.full((k, n + 1), np.nan)
     warnings = np.zeros((k, n + 1))
     residuals = np.zeros((k, n + 1))
-    observed = np.empty(len(observers.mu))   # each row's count's xi
+    observed = np.zeros(len(observers.mu))   # each row's count's xi
     # each count's series and diligent terms, and its rows in observed
     runs = list(zip(log_stock, xi_series, warnings, residuals, num_dil,
                     den_dil, observers.blocks))
@@ -739,7 +698,7 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
     active = k
     for t in range(n):
         d = increments[t]
-        first_scan = observers.start_step(t, d, sigma_step, dil[t], active)
+        first_scan = observers.start_step(t, d, sigma_step, dil[t, :active])
         for i, (stock, xis, warn, resid, num, den, rows) in enumerate(
                 runs[:active]):
             prev = xis[t] if t > 0 else d
@@ -750,9 +709,6 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
             except FixedPointError as exc:
                 outcomes[counts[i]] = exc
                 active = i
-                observers = observers.head(active)
-                observed = observed[:len(observers.mu)]
-                dil = dil[:, :active]
                 break
             observed[rows] = xi
             xis[t + 1] = xi
@@ -771,23 +727,20 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
 def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
             xi_series, warnings, residuals) -> FeedbackResult:
     """One run's trajectory and its summary metrics."""
-    n = config.n_steps
     log_div, log_stock_ideal = inputs.log_div, inputs.log_stock_ideal
-    sigma_step = config.sigma_true * math.sqrt(config.dt)
     log_ratio = log_stock - log_stock_ideal
-    jump_threshold = 5.0 * sigma_step
     moves = xi_series[1:] - inputs.increments
     metrics = {
         "log_ratio_max": float(log_ratio.max()),
         "log_ratio_min": float(log_ratio.min()),
         "log_ratio_range": float(log_ratio.max() - log_ratio.min()),
-        "n_jumps": int(np.sum(np.abs(moves) > jump_threshold)),
+        "n_jumps": int(np.sum(np.abs(moves) > 5.0 * config.sigma_step)),
         "n_multiroot_steps": int(np.sum(warnings > 0)),
         "max_residual": float(residuals.max()),
         "final_log_ratio": float(log_ratio[-1]),
     }
     return FeedbackResult(
-        times=np.arange(n + 1) * config.dt,
+        times=np.arange(config.n_steps + 1) * config.dt,
         dividend=np.exp(log_div),
         stock=np.exp(log_stock),
         stock_ideal=np.exp(log_stock_ideal),
@@ -815,6 +768,19 @@ def _sweep_seed(task) -> List[Dict[str, float]]:
     return rows
 
 
+def diligence_counts(config: FeedbackConfig, values) -> List[int]:
+    """The distinct diligence counts of ``values``, in order.  Raises
+    ``ConfigError`` naming the first value that is not an int (a bool is
+    not one) between 0 and n_agents."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) \
+                or not 0 <= v <= config.n_agents:
+            raise ConfigError(f"{v!r} is not a diligence count: need an int "
+                              f"in 0..{config.n_agents}")
+    return list(dict.fromkeys(values))
+
+
 def diligence_sweep(config: FeedbackConfig, n_diligent_values,
                     master_seeds) -> Dict[int, List[Dict[str, float]]]:
     """Metrics of runs over a grid of diligence counts and master seeds.
@@ -828,9 +794,10 @@ def diligence_sweep(config: FeedbackConfig, n_diligent_values,
     usable CPUs; a seed's counts are never split.  Its results come back
     in seed order, so the table never depends on the split.  A failing
     run raises its ``FixedPointError`` with the message prefixed by
-    ``seed S, n_diligent C: `` and both values in ``diagnostics``.
+    ``seed S, n_diligent C: `` and both values in ``diagnostics``.  The
+    counts are checked first (``diligence_counts``).
     """
-    counts = list(dict.fromkeys(n_diligent_values))
+    counts = diligence_counts(config, n_diligent_values)
     tasks = [(replace(config, seed=seed), counts) for seed in master_seeds]
     per_seed = list(fork_map(_sweep_seed, tasks))
     return {c: [rows[i] for rows in per_seed] for i, c in enumerate(counts)}

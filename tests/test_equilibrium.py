@@ -540,7 +540,7 @@ def test_simulated_paths_share_no_memory():
                 assert not np.shares_memory(getattr(a, name),
                                             getattr(b, name)), name
     # successive kernel calls on one batch return arrays of their own
-    times, x = next(equilibrium.driver_batches(2.0, 1 / 52, 8, 3, 1000))
+    times, x = equilibrium._drivers(2.0, 1 / 52, 8, range(3))
     first, second = (market_state(spec, times, x) for _ in range(2))
     for name, a, b in zip(first._fields[:-1], first, second):
         assert not np.shares_memory(a, b), name

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -318,7 +319,7 @@ def solve_alone(observers, step, log_stock, log_div_next, true_increment,
     """One count's step as the stepper takes it: the step's terms and first
     scan for the one block of ``observers``, then ``solve_step``."""
     dil = np.array([[[num_dil], [den_dil]]])
-    first_scan = observers.start_step(step, true_increment, sigma_step, dil, 1)
+    first_scan = observers.start_step(step, true_increment, sigma_step, dil)
     return solve_step(observers, 0, step, log_stock, log_div_next,
                       true_increment, prev_xi, sigma_step, num_dil, den_dil,
                       first_scan[0])
@@ -441,7 +442,7 @@ def random_scan_states(rng, n):
         step = int(rng.integers(0, 2000))
         d = rng.normal(0.0, sigma_step)
         no_dil = np.array([[[-np.inf], [-np.inf]]])
-        observers.start_step(step, d, sigma_step, no_dil, 1)
+        observers.start_step(step, d, sigma_step, no_dil)
         top = observers.consts[1].max()
         den_dil = {0: -np.inf, 1: top - rng.uniform(0.0, 2000.0),
                    2: top + rng.uniform(0.0, 2000.0)}[int(rng.integers(3))]
@@ -453,34 +454,33 @@ def random_scan_states(rng, n):
 def test_scan_matches_the_exact_oracle(monkeypatch):
     # the scan's log PD, and so the cells of every residual built from it,
     # match the exact per-point oracle on random states (first brackets,
-    # widened ones up to +/- 1) and on states whose top agent reaches just
-    # inside, just outside or far outside the one-shift bound at the
-    # bracket's end; every shift rule runs, and the scan's exp pass never
-    # sees an exponent below the floor
-    shifts = []
-    real_shift = feedback._scan_shift
-
-    def recording_shift(top, den_dil, *args):
-        shift = real_shift(top, den_dil, *args)
-        shifts.append("per point" if shift is None
-                      else "diligent" if den_dil >= top else "top")
-        return shift
-
-    monkeypatch.setattr(feedback, "_scan_shift", recording_shift)
-    lowest = []
-    real_exp = np.exp
-
-    def recording_exp(x, *args, **kwargs):
-        if np.ndim(x) == 2:   # the (rows, points) pass
-            lowest.append(float(np.min(x)))
-        return real_exp(x, *args, **kwargs)
+    # widened ones up to +/- 1) and on states whose top agent's term falls
+    # just above, just below or far below e^-600 at the bracket's end; some
+    # scans keep their one shift and some are run again point by point,
+    # and the scan's exp passes never see an exponent below the floor
+    lowest, products = [], []
+    real_exp, real_matmul = np.exp, np.matmul
 
     def check(observers, step, basis, dil):
+        """The number of times the scan ran again point by point."""
+        def recording_exp(x, *args, **kwargs):
+            if np.may_share_memory(x, observers.scan_v):   # (rows, points)
+                lowest.append(float(np.min(x)))
+            return real_exp(x, *args, **kwargs)
+
+        def recording_matmul(a, b, *args, **kwargs):
+            if b is basis:   # the (rows x 3) @ (3 x points) product
+                products.append(1)
+            return real_matmul(a, b, *args, **kwargs)
+
+        products.clear()
         monkeypatch.setattr(np, "exp", recording_exp)
+        monkeypatch.setattr(np, "matmul", recording_matmul)
         try:
-            got = observers.scan(basis, 0, 1, dil)[0]
+            got = observers.scan(basis, 0, dil)[0]
         finally:
             monkeypatch.setattr(np, "exp", real_exp)
+            monkeypatch.setattr(np, "matmul", real_matmul)
         grid = basis[1]
         want = scan_oracle(observers, step, grid, *dil[0, :, 0])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
@@ -491,35 +491,40 @@ def test_scan_matches_the_exact_oracle(monkeypatch):
             if np.abs(exact).min() > 1e-9:
                 assert scan_sign_changes(offset + grid - got, grid) \
                     == scan_sign_changes(exact, grid)
+        return len(products) - 1
 
     rng = np.random.default_rng(4242)
-    checked = 0
+    checked = rescanned = 0
     for observers, step, d, sigma_step, dil in random_scan_states(rng, 150):
-        check(observers, step, observers.basis, dil)
+        rescanned += check(observers, step, observers.basis, dil)
         basis = observers.wide_basis
         for half_width in (min(10.0 * sigma_step * 2 ** int(rng.integers(1, 4)),
                                1.0), 1.0):
             _scan_grid(d - half_width, d + half_width, basis[1])
-            check(observers, step, basis, dil)
+            rescanned += check(observers, step, basis, dil)
         checked += 3
         # the agent with the largest quadratic coefficient on top, far from
-        # the others' means: brackets whose end it reaches just inside, just
-        # outside and far outside the bound
+        # the others' means: brackets at whose end its term, q (x - mu)^2
+        # below the shift, is just above, just below and far below e^-600
         top = int(np.argmax(observers.tau))
         observers.log_weight[top] += 3000.0
         observers.mu[top] = d + rng.choice([-1.0, 1.0]) \
             * rng.uniform(0.1, 0.3)
-        observers.start_step(step, d, sigma_step, dil, 1)
-        quad_max = observers.half_tau[top] * observers.ratio
+        observers.start_step(step, d, sigma_step, dil)
+        quad_max = -observers.neg_quad[top]
         far = max(d - observers.mu.min(), observers.mu.max() - d)
         for reach in (600.0 * (1 - 1e-9), 600.0 * (1 + 1e-9), 900.0):
             half_width = math.sqrt(reach / quad_max) - far
             if half_width > 0.0:
                 _scan_grid(d - half_width, d + half_width, basis[1])
-                check(observers, step, basis, dil)
+                again = check(observers, step, basis, dil)
+                assert again in (0, 1)
+                if reach < 600.0:
+                    assert not again
+                rescanned += again
                 checked += 1
     assert checked >= 500
-    assert {"diligent", "top", "per point"} <= set(shifts)
+    assert 0 < rescanned < checked
     assert min(lowest) >= feedback._EXP_FLOOR
 
 
@@ -542,7 +547,7 @@ def test_cell_that_does_not_bracket_a_root_raises(monkeypatch):
     # rounding of a root can end a cell whose exact ends share a sign;
     # solve_step raises FixedPointError then, not brentq's ValueError
     cfg = small_config(n_agents=3, n_diligent=0)
-    inputs = _seed_inputs(cfg)
+    inputs = _seed_inputs(cfg, [cfg.n_diligent])
     traits = inputs.traits
     observers = _Observers(traits.rho_step, traits.tau,
                            traits.prior_mean_step, cfg.prior_weight)
@@ -571,7 +576,7 @@ def test_cell_that_does_not_bracket_a_root_raises(monkeypatch):
 
 def test_all_diligent_root_above_cap_raises():
     cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
-    inputs = _seed_inputs(cfg)
+    inputs = _seed_inputs(cfg, [cfg.n_diligent])
     log_stock_ideal = inputs.log_stock_ideal.copy()
     log_stock_ideal[18:] += 1.5   # S* jumps at step 17
     # _run hands back each count's outcome; the error is the only one
@@ -680,7 +685,7 @@ def test_blocked_ideal_price_equals_step_by_step(n_agents, n_steps):
     for seed in (0, 1, 9):
         cfg = small_config(n_agents=n_agents, n_diligent=0, n_steps=n_steps,
                            seed=seed)
-        got = _seed_inputs(cfg).log_stock_ideal
+        got = _seed_inputs(cfg, [cfg.n_diligent]).log_stock_ideal
         assert got.tobytes() == ideal_log_stock_oracle(cfg).tobytes()
 
 
@@ -707,7 +712,7 @@ def test_ideal_price_is_the_continuous_learners_equilibrium(n_agents,
         cfg = FeedbackConfig(n_agents=n_agents, n_diligent=0,
                              n_steps=n_steps, seed=seed,
                              tau_factor_range=(1.0, 1.0))
-        inputs = _seed_inputs(cfg)
+        inputs = _seed_inputs(cfg, [cfg.n_diligent])
         traits = inputs.traits
         sigma, dt = cfg.sigma_true, cfg.dt
         spec = MarketSpec(sigma=sigma, agents=tuple(
@@ -764,10 +769,9 @@ def test_step_terms_equal_step_by_step():
     for step in [*range(300), 1000, 1001, 5]:
         k = k0 + step
         ratio = k / (k + 1.0)
-        quad = 0.5 * tau * ratio
         want = (-rho_step * (step + 1),
                 0.5 * (np.log(tau * ratio) - math.log(2.0 * math.pi)),
-                quad, -quad)
+                -(0.5 * tau * ratio))
         got = observers.step_terms(step)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -888,6 +892,17 @@ def test_diligence_sweep_shapes_and_order():
     # all-diligent rows show no deviation at all
     for row in table[4]:
         assert row["log_ratio_range"] < 1e-10
+
+
+@pytest.mark.parametrize("counts, bad", [
+    ([0, 5], 5), ([-1], -1), ([True], True), ([1.5], 1.5)])
+def test_diligence_sweep_checks_its_counts(counts, bad):
+    # a count outside 0..n_agents, a bool or a float is named in a
+    # ConfigError before anything runs
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(repr(bad))} is not a diligence "
+                             "count: need an int in 0..4$"):
+        diligence_sweep(small_config(n_agents=4), counts, [5])
 
 
 def test_diligence_sweep_accepts_iterators():
@@ -1223,6 +1238,19 @@ def test_lockstep_raises_the_in_order_error(monkeypatch):
                        "step 59: no root") as err:
         diligence_sweep(cfg, [25, 29], [34])
     assert err.value.step == 59
+
+
+def test_count_running_on_after_a_later_count_fails_keeps_its_bits():
+    # seed 10: count 1 fails at step 61; count 0 runs on to the end while
+    # count 1's rows stay in the stepper, and gives the bits of its own run
+    cfg = replace(shipped_sweep_config(), seed=10)
+    got, err = _run(cfg, _seed_inputs(cfg, [0, 1]), [0, 1])
+    assert isinstance(err, FixedPointError) and err.step == 61
+    want = run_feedback(replace(cfg, n_diligent=0))
+    for name in ("stock", "xi", "solver_warnings", "residuals", "log_ratio"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
+            name
+    assert repr(got.metrics) == repr(want.metrics)
 
 
 def test_all_diligent_error_waits_for_the_counts_before_it():
