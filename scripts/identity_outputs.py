@@ -7,9 +7,11 @@ Imports beliefmkt from the src/ of the checkout this script is in and
 writes under OUT:
 
 * ``cli/<name>/``: the CLI outputs of each shipped ``configs/<name>.json``,
-  plus ``cli/learner/``, benchmark3's market with its third agent a
-  Bayesian learner (2 written paths of 50 years), the only run that
-  reaches the learner branch of the kernel;
+  plus two runs of 2 written paths of 50 years that reach the learner
+  branch of the kernel: ``cli/learner/``, benchmark3's market with its
+  third agent a Bayesian learner, and ``cli/learner-common-rho/``, a
+  constant drift 0.2 at weight 1 and a learner with prior mean -0.05 and
+  precision 2 at weight 2, both at impatience 0.05 and sigma 0.3;
 * ``cli/<name>-replay/``: each of those runs replayed from its
   ``manifest.json``;
 * ``moments.txt``: the ``repr`` of 24 moment reports, 200 paths of 50
@@ -73,15 +75,24 @@ def cli_outputs(out):
     learner["market"]["agents"][2]["belief"] = {
         "type": "bayesian", "prior_mean": -0.05, "prior_precision": 2.0}
     learner.update(n_paths=2, write_paths=2)
+    common_rho = dict(learner, market={"sigma": 0.3, "agents": [
+        {"impatience": 0.05, "weight": 1.0,
+         "belief": {"type": "constant", "drift": 0.2}},
+        {"impatience": 0.05, "weight": 2.0,
+         "belief": {"type": "bayesian", "prior_mean": -0.05,
+                    "prior_precision": 2.0}}]})
     out.mkdir(parents=True)
-    learner_path = out / "learner.json"
-    learner_path.write_text(json.dumps(learner))
-    runs["learner"] = ("simulate-log", learner_path)
+    written = []
+    for name, cfg in (("learner", learner), ("learner-common-rho", common_rho)):
+        written.append(out / f"{name}.json")
+        written[-1].write_text(json.dumps(cfg))
+        runs[name] = ("simulate-log", written[-1])
     for name, (subcommand, cfg_path) in runs.items():
         run_cli(subcommand, cfg_path, out / name)
         run_cli(subcommand, out / name / "manifest.json",
                 out / f"{name}-replay")
-    learner_path.unlink()
+    for path in written:
+        path.unlink()
 
 
 def moment_reports(out):

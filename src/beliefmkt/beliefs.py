@@ -72,6 +72,12 @@ def drift_at(belief: ContinuousBelief, t, x):
     return (np.asarray(x, dtype=float) + beta * eps) / (eps + np.asarray(t, dtype=float))
 
 
+def drift_slope(belief: ContinuousBelief, t):
+    """d drift_at / dx = 1 / (eps + t); a constant drift has eps = inf."""
+    eps = getattr(belief, "prior_precision", math.inf)
+    return 1.0 / (eps + np.asarray(t, dtype=float))
+
+
 def bayesian_log_ratio_closed_form(belief: BayesianGaussian, t, x):
     """Closed-form log Lambda_t for the gaussian learner (prior integrated
     out): 0.5*log(eps/(eps+t)) + (x^2 + 2*beta*eps*x - eps*beta^2*t) / (2*(eps+t))."""

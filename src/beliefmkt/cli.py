@@ -66,7 +66,8 @@ def cmd_feedback(cfg, args):
     diligence_values = config._get(cfg, "diligence_values", list,
                                    default=[0, setup.n_diligent])
     try:
-        if sweep and not feedback.diligence_counts(setup, diligence_values):
+        counts = feedback.diligence_counts(setup, diligence_values)
+        if sweep and not counts:
             raise ConfigError("expected at least one count")
     except ConfigError as exc:
         raise ConfigError(f"diligence_values: {exc}") from None
@@ -75,7 +76,7 @@ def cmd_feedback(cfg, args):
         seeds = list(range(setup.seed, setup.seed + sweep))
         # keyed by each distinct count once, in order: the default is [0]
         # when n_diligent is 0
-        table = feedback.diligence_sweep(setup, diligence_values, seeds)
+        table = feedback.diligence_sweep(setup, counts, seeds)
         with open(out / "sweep.txt", "w") as fp:
             fp.write("n_diligent,seed,log_ratio_range,n_jumps\n")
             for n_dil, rows in table.items():

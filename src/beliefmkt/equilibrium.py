@@ -59,8 +59,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .beliefs import (ConstantDrift, ContinuousBelief,
-                      bayesian_log_ratio_closed_form, drift_at)
+from .beliefs import (ConstantDrift, ContinuousBelief, drift_at, drift_slope,
+                      bayesian_log_ratio_closed_form)
 from .errors import ConfigError, SingularMarketError
 from .numerics import solve_decreasing, write_rows
 from .rngtools import path_rng
@@ -200,21 +200,23 @@ def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
     return wealth, consumption, holdings
 
 
-def trade_volume(rho, q, alpha, sigma):
-    """Diffusion coefficients theta_j, shape (J, ...), of the holdings
-    processes and their Euclidean norm (the total trading-volume proxy).
+def trade_volume(rho, q, alpha, sigma, slope=0.0):
+    """Diffusion coefficients theta_j = d pi_j / dX, shape (J, ...), of the
+    holdings, exact as the state is Markov in (t, X), and their Euclidean
+    norm (the total trading-volume proxy).
 
-    Valid only under the hypotheses of the closed form: common impatience,
-    constant drifts and volatility.
-    """
-    if np.ptp(rho) != 0.0:
-        raise ConfigError("trade_volume requires a common impatience rate")
-    alpha = np.asarray(alpha, dtype=float)
-    q = np.asarray(q, dtype=float)
+    With u = q / rho, b = alpha + kappa, N = u b, D = sum N, g = d alpha /
+    dX (``slope``), v = sum q (alpha - alphabar)^2 and gbar = sum q g,
+    N' = u (alpha b + g - v - gbar) is dN / dX up to a multiple of N, and
+    theta = N' / D - (N / D) (sum N' / D)."""
     alphabar = (q * alpha).sum(axis=0)
-    dev = alpha - alphabar
-    v = (q * dev * dev).sum(axis=0)
-    theta = q * (dev * dev / sigma - v / sigma + dev)
+    v = (q * (alpha - alphabar) ** 2).sum(axis=0)
+    u = q / _per_agent(rho, q)
+    b = alpha + (sigma - alphabar)
+    n = u * b
+    d = n.sum(axis=0)
+    dn = u * (alpha * b + slope - v - (q * slope).sum(axis=0))
+    theta = dn / d - n / d * (dn.sum(axis=0) / d)
     total = np.sqrt((theta * theta).sum(axis=0))
     return theta, total
 
@@ -332,9 +334,8 @@ class EquilibriumPath:
     pd_ratio, rate, kappa, ic_suspect, q, drifts and log_ratios read the
     state; stock, stock_vol, zeta, wealth, consumption, holdings and trade
     are derived from it on first access and then kept.  Per-agent fields
-    are (n+1, J) views of agent-major (J, n+1) arrays; trade is NaN unless
-    all agents share one impatience rate and hold constant drifts, the
-    only case ``trade_volume``'s closed form covers.
+    are (n+1, J) views of agent-major (J, n+1) arrays; trade is
+    ``trade_volume``'s theta_j = d pi_j / dX, exact for every market.
     """
 
     spec: MarketSpec
@@ -343,8 +344,6 @@ class EquilibriumPath:
     dividend: np.ndarray
     state: MarketState
     dt: float
-
-    CSV_BASE_COLUMNS = ("t", "X", "delta", "zeta", "S", "PD", "r", "kappa", "sigmaS")
 
     pd_ratio = property(lambda self: self.state.pd_ratio)
     rate = property(lambda self: self.state.rate)
@@ -380,32 +379,22 @@ class EquilibriumPath:
 
     @cached_property
     def trade(self):
-        rho = self.spec.arrays()[0]
-        if np.ptp(rho) != 0.0 or not all(
-                isinstance(a.belief, ConstantDrift) for a in self.spec.agents):
-            return np.full_like(self.state.q, np.nan).T
-        return trade_volume(rho, self.state.q, self.state.alpha,
-                            self.spec.sigma)[0].T
-
-    @property
-    def n_agents(self):
-        return self.q.shape[1]
-
-    def csv_header(self):
-        cols = list(self.CSV_BASE_COLUMNS)
-        J = self.n_agents
-        for name in ("q", "w", "c", "pi", "theta"):
-            cols += [f"{name}_{j + 1}" for j in range(J)]
-        return cols
+        slope = np.array([drift_slope(a.belief, self.times)
+                          for a in self.spec.agents])
+        return trade_volume(self.spec.arrays()[0], self.state.q,
+                            self.state.alpha, self.spec.sigma, slope)[0].T
 
     def write_csv(self, fp):
-        """Fixed column order: t, X, delta, zeta, S, PD, r, kappa, sigmaS,
-        then q_1..q_J, w_1..w_J, c_1..c_J, pi_1..pi_J, theta_1..theta_J."""
-        fp.write(",".join(self.csv_header()) + "\n")
-        write_rows(fp, np.column_stack((
-            self.times, self.x, self.dividend, self.zeta, self.stock,
-            self.pd_ratio, self.rate, self.kappa, self.stock_vol,
-            self.q, self.wealth, self.consumption, self.holdings, self.trade)))
+        """The header row, then one row per grid point."""
+        columns = dict(t=self.times, X=self.x, delta=self.dividend,
+                       zeta=self.zeta, S=self.stock, PD=self.pd_ratio,
+                       r=self.rate, kappa=self.kappa, sigmaS=self.stock_vol)
+        for name, block in dict(q=self.q, w=self.wealth, c=self.consumption,
+                                pi=self.holdings, theta=self.trade).items():
+            columns.update((f"{name}_{j}", v)
+                           for j, v in enumerate(block.T, 1))
+        fp.write(",".join(columns) + "\n")
+        write_rows(fp, np.column_stack(tuple(columns.values())))
 
 
 def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,

@@ -78,6 +78,7 @@ so such a split costs more CPU time than it saves wall time.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple, Union
 
@@ -92,6 +93,7 @@ from .rngtools import agent_rng, path_rng
 RESIDUAL_TOL = 1e-10
 _BISECT_WIDTH = 1e-13
 _SCAN_POINTS = 200
+_FIRST_HALF_WIDTH = 10.0  # per-step sds either side of the true increment
 # floor on the scan's shifted exponents: e^-700 is far below half an ulp of
 # the sums (each at least _SUM_FLOOR) that it joins, and it keeps numpy's
 # exp off its slow path for underflowing arguments
@@ -359,9 +361,9 @@ class _Observers:
     def start_step(self, step: int, true_increment: float, sigma_step: float,
                    dil):
         """Fill the step's xi-independent terms for every row, and scan the
-        first bracket, the true increment +/- 10 per-step standard
-        deviations, for the first ``len(dil)`` blocks: returns log PD at
-        each point of ``grid``, one row per block.
+        first bracket, the true increment +/- ``_FIRST_HALF_WIDTH``
+        per-step standard deviations, for the first ``len(dil)`` blocks:
+        returns log PD at each point of ``grid``, one row per block.
 
         The terms split beliefs.log_density_increment into the constants
         of the PD numerator and denominator rows (``consts``) and the
@@ -373,7 +375,7 @@ class _Observers:
         np.add(neg_rho_k, self.log_weight, out=consts[1])
         np.add(consts[1], log_norm, out=consts[1])
         np.subtract(consts[1], self.log_expm1, out=consts[0])
-        half_width = 10.0 * sigma_step
+        half_width = _FIRST_HALF_WIDTH * sigma_step
         _scan_grid(true_increment - half_width, true_increment + half_width,
                    self.grid)
         return self.scan(self.basis, 0, dil)
@@ -501,7 +503,7 @@ def solve_step(observers: _Observers, block: int, step: int,
         return combine(lo, num_lo, den_lo), combine(hi, num_hi, den_hi)
 
     grid, log_pd = s.grid, first_scan
-    half_width = 10.0 * sigma_step
+    half_width = _FIRST_HALF_WIDTH * sigma_step
     while True:
         cells = scan_sign_changes(offset + grid - log_pd, grid)
         if cells:
@@ -769,16 +771,19 @@ def _sweep_seed(task) -> List[Dict[str, float]]:
 
 
 def diligence_counts(config: FeedbackConfig, values) -> List[int]:
-    """The distinct diligence counts of ``values``, in order.  Raises
-    ``ConfigError`` naming the first value that is not an int (a bool is
-    not one) between 0 and n_agents."""
-    values = list(values)
+    """The distinct diligence counts of ``values``, in order, as ints.
+    Raises ``ConfigError`` naming the first value that is not an integer
+    (``operator.index``; a bool is not one) between 0 and n_agents."""
+    counts = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) \
-                or not 0 <= v <= config.n_agents:
+        try:
+            counts.append(-1 if isinstance(v, bool) else operator.index(v))
+        except TypeError:
+            counts.append(-1)
+        if not 0 <= counts[-1] <= config.n_agents:
             raise ConfigError(f"{v!r} is not a diligence count: need an int "
                               f"in 0..{config.n_agents}")
-    return list(dict.fromkeys(values))
+    return list(dict.fromkeys(counts))
 
 
 def diligence_sweep(config: FeedbackConfig, n_diligent_values,

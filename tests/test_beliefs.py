@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
                                DiscreteBelief, bayesian_log_ratio_closed_form,
-                               drift_at, initial_state, likelihood_ratio,
+                               drift_at, drift_slope, initial_state,
+                               likelihood_ratio,
                                log_density_increment, log_likelihood_ratio,
                                update)
 from beliefmkt.errors import ConfigError, SaturationError
@@ -101,6 +102,21 @@ def test_bayesian_drift_matches_posterior_quadrature():
     num, _ = quad(lambda b: b * weight(b), -20, 20, limit=200)
     den, _ = quad(weight, -20, 20, limit=200)
     assert drift_at(BayesianGaussian(beta, eps), t, x) == pytest.approx(num / den, rel=1e-9)
+
+
+@pytest.mark.parametrize("belief", [ConstantDrift(0.21),
+                                    BayesianGaussian(0.1, 2.0),
+                                    BayesianGaussian(-0.05, 0.3)])
+def test_drift_slope_is_the_drift_derivative_in_x(belief):
+    t = np.array([0.0, 0.5, 3.0, 40.0])
+    x = np.array([0.0, -1.2, 0.7, 9.0])
+    slope = drift_slope(belief, t)
+    assert slope.shape == t.shape
+    h = 1e-3  # drift_at is affine in x, so the difference is exact to rounding
+    np.testing.assert_allclose(
+        slope, (drift_at(belief, t, x + h) - drift_at(belief, t, x - h))
+        / (2 * h), rtol=0, atol=1e-12)
+    assert drift_slope(belief, 3.0) == slope[2]
 
 
 def test_bayesian_drift_consistency():

@@ -477,6 +477,19 @@ def test_feedback_invalid_sweep_exits_2_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", [["x", 99], [1.5], [True], 2])
+def test_feedback_single_run_checks_diligence_values(tmp_path, capsys,
+                                                     values):
+    # a single run does not use the counts, but a bad one is still an error
+    cfg = write_config(tmp_path, {
+        "n_agents": 4, "n_diligent": 0, "n_steps": 20,
+        "diligence_values": values})
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "diligence_values:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_feedback_numeric_failure_exits_3(tmp_path, capsys):
     # small populations can be driven into a crash larger than the
     # root bracket cap; that is a numeric failure, exit code 3

@@ -1,6 +1,7 @@
 import collections.abc
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,7 +352,8 @@ def test_evaluate_grid_matches_reference(n_agents, common_rho, offset):
     path = grid_path(spec, times, x, dividend, 1 / 52)
     want = reference_grid(spec, times, x, dividend)
     if not common_rho and n_agents > 1:
-        assert np.all(np.isnan(path.trade))
+        # the reference's theta is the common-impatience closed form; the
+        # general case is checked against the holdings' X-derivative below
         del want["trade"]
 
     # the q- and wealth-weighted averages only the market state holds
@@ -617,30 +619,92 @@ def test_wider_drift_spread_raises_volume():
     assert big > small
 
 
-def test_trade_volume_requires_common_impatience():
-    with pytest.raises(ConfigError):
-        trade_volume(np.array([0.1, 0.2]), np.array([0.5, 0.5]),
-                     np.array([0.1, -0.1]), 0.3)
+def trade_market(kind, common_rho):
+    """benchmark3's weights and sigma with constant drifts, gaussian
+    learners or both, at one impatience or at benchmark3's three."""
+    spec = benchmark_market()
+    beliefs = {
+        "constant": [a.belief for a in spec.agents],
+        "learner": [BayesianGaussian(a.belief.drift, eps) for a, eps in
+                    zip(spec.agents, (0.5, 2.0, 8.0))],
+        "mixed": [a.belief for a in learner_market().agents]}[kind]
+    return replace(spec, agents=tuple(
+        replace(a, belief=b, impatience=0.05 if common_rho else a.impatience)
+        for a, b in zip(spec.agents, beliefs)))
 
 
-def test_trade_is_nan_for_a_learner_market_with_common_impatience():
-    # the closed form holds for constant drifts only: on this market it
-    # gave theta_1 = +0.0218 at (t, X) = (1, 0.3), where a central
-    # difference of the holdings in X gives -0.2034
-    spec = MarketSpec(sigma=0.3, agents=(
+def common_rho_learner_market():
+    """Two agents at one impatience, the second a gaussian learner: the
+    market where the common-impatience closed form, applied to a learner,
+    gave theta_1 = +0.0218 at (t, X) = (1, 0.3) against -0.2034."""
+    return MarketSpec(sigma=0.3, agents=(
         AgentSpec(impatience=0.05, belief=ConstantDrift(0.2), weight=1.0),
         AgentSpec(impatience=0.05, belief=BayesianGaussian(-0.05, 2.0),
                   weight=2.0)))
-    path = simulate_path(spec, 2.0, 1 / 52, seed=4)
-    assert path.trade.shape == path.q.shape
-    assert np.all(np.isnan(path.trade))
-    assert np.all(np.isfinite(path.holdings))
-    # the same market with constant drifts only keeps its closed form
-    constant = MarketSpec(sigma=0.3, agents=(
-        spec.agents[0],
-        AgentSpec(impatience=0.05, belief=ConstantDrift(-0.05), weight=2.0)))
-    assert np.all(np.isfinite(simulate_path(constant, 2.0, 1 / 52,
-                                            seed=4).trade))
+
+
+@pytest.mark.parametrize("kind", ["constant", "learner", "mixed"])
+@pytest.mark.parametrize("common_rho", [True, False])
+def test_trade_is_the_holdings_derivative_in_x(kind, common_rho):
+    # the state is Markov in (t, X), so theta_j = d pi_j / dX: a central
+    # difference with h = 1e-5 has truncation and rounding errors near
+    # 1e-11 here, for holdings and their derivatives of order 1
+    spec = trade_market(kind, common_rho)
+    t = np.repeat(np.arange(1.0, 41.0), 9)
+    x = np.tile(np.linspace(-2.0, 2.0, 9), 40) * np.sqrt(t)
+    h = 1e-5
+    theta = grid_path(spec, t, x, np.ones_like(t), 1.0).trade
+    up, down = (grid_path(spec, t, x + d, np.ones_like(t), 1.0).holdings
+                for d in (h, -h))
+    np.testing.assert_allclose(theta, (up - down) / (2 * h), rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(theta.sum(axis=1), 0.0, rtol=0, atol=1e-14)
+    # a lone agent holds the whole asset and never trades
+    lone = replace(spec, agents=spec.agents[2:])
+    assert np.all(grid_path(lone, t, x, np.ones_like(t), 1.0).trade == 0.0)
+
+
+def test_trade_of_a_learner_market_at_common_impatience():
+    # central differences of the holdings, rounded to 4 places; the closed
+    # form gave +0.0218, +0.0347 and +0.0100 here
+    path = grid_path(common_rho_learner_market(), np.array([1.0, 5.0, 20.0]),
+                     np.array([0.3, -1.0, 2.0]), np.ones(3), 1.0)
+    np.testing.assert_allclose(path.trade[:, 0], [-0.2034, -0.0616, -0.0083],
+                               rtol=0, atol=5e-5)
+
+
+def test_trade_matches_the_common_impatience_closed_form():
+    # with one impatience and constant drifts, theta reduces to
+    # q_j ((alpha_j - alphabar)^2 / sigma - v / sigma + alpha_j - alphabar)
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        n_agents, rho = int(rng.integers(1, 6)), rng.uniform(0.01, 0.5)
+        spec = MarketSpec(sigma=rng.uniform(0.3, 0.6), agents=tuple(
+            AgentSpec(impatience=rho, belief=ConstantDrift(a),
+                      weight=rng.uniform(0.1, 10.0))
+            for a in rng.uniform(-0.1, 0.1, n_agents)))
+        times, x, dividend = driver_path(spec, 40.0, 1 / 52,
+                                         seed=int(rng.integers(1000)))
+        path = grid_path(spec, times, x, dividend, 1 / 52)
+        want = reference_grid(spec, times, x, dividend)["trade"]
+        np.testing.assert_allclose(path.trade, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", [learner_market(),
+                                  common_rho_learner_market()],
+                         ids=["learner", "common_rho_learner"])
+def test_trade_is_the_holdings_quadratic_variation(spec):
+    # along each daily path the realized quadratic variation of pi_j
+    # estimates the integral of theta_j^2 dt, so their ratio scatters
+    # about 1 (standard deviation 0.05-0.07 per 10-year path); its mean
+    # over the paths must lie within 4 standard errors of 1, the error
+    # measured from that scatter (the means here lie within 0.9 of them)
+    ratios = np.array([
+        (np.diff(p.holdings, axis=0) ** 2).sum(axis=0)
+        / ((p.trade[:-1] ** 2).sum(axis=0) * p.dt)
+        for p in simulate_paths(spec, 10.0, 1 / 252, seed=5, n_paths=200)])
+    se = ratios.std(axis=0, ddof=1) / math.sqrt(len(ratios))
+    assert np.all(np.abs(ratios.mean(axis=0) - 1.0) <= 4.0 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +752,13 @@ def test_clearing_cara_style_interior_point():
 
 def csv_by_value(path):
     """The path CSV written one ``format(v, ".17g")`` per value."""
-    lines = [",".join(path.csv_header())]
+    header = ["t", "X", "delta", "zeta", "S", "PD", "r", "kappa", "sigmaS"]
+    header += [f"{name}_{j}" for name in ("q", "w", "c", "pi", "theta")
+               for j in range(1, path.q.shape[1] + 1)]
+    lines = [",".join(header)]
+    blocks = (path.q, path.wealth, path.consumption, path.holdings, path.trade)
     base = (path.times, path.x, path.dividend, path.zeta, path.stock,
             path.pd_ratio, path.rate, path.kappa, path.stock_vol)
-    blocks = (path.q, path.wealth, path.consumption, path.holdings, path.trade)
     for i in range(len(path.times)):
         row = [format(col[i], ".17g") for col in base]
         for block in blocks:
@@ -713,7 +780,7 @@ def test_write_csv_matches_per_value_format(case):
             "learner": learner_market}[case]()
     # 3 years of daily steps: longer than one chunk of rows
     path = simulate_path(spec, 3.0, 1 / 252, seed=17)
-    assert np.all(np.isnan(path.trade)) == (case != "equal_rho")
+    assert np.all(np.isfinite(path.trade))
     assert_same_text(csv_text(path), csv_by_value(path))
 
 

@@ -895,10 +895,12 @@ def test_diligence_sweep_shapes_and_order():
 
 
 @pytest.mark.parametrize("counts, bad", [
-    ([0, 5], 5), ([-1], -1), ([True], True), ([1.5], 1.5)])
+    ([0, 5], 5), ([-1], -1), ([True], True), ([1.5], 1.5),
+    ([np.float64(2.0)], np.float64(2.0)), ([np.True_], np.True_),
+    (np.array([0, 5]), np.int64(5))])
 def test_diligence_sweep_checks_its_counts(counts, bad):
-    # a count outside 0..n_agents, a bool or a float is named in a
-    # ConfigError before anything runs
+    # a count outside 0..n_agents, a bool or a float, numpy's included, is
+    # named in a ConfigError before anything runs
     with pytest.raises(ConfigError,
                        match=f"^{re.escape(repr(bad))} is not a diligence "
                              "count: need an int in 0..4$"):
@@ -911,6 +913,13 @@ def test_diligence_sweep_accepts_iterators():
     assert len(want[0]) == 2
     assert diligence_sweep(cfg, [0, 4], iter([5, 6])) == want
     assert diligence_sweep(cfg, iter([0, 4]), range(5, 7)) == want
+
+
+def test_diligence_sweep_accepts_numpy_integers():
+    cfg = small_config(n_agents=4, n_steps=40)
+    table = diligence_sweep(cfg, np.arange(0, 5, 2), [5])
+    assert table == diligence_sweep(cfg, [0, 2, 4], [5])
+    assert [type(c) for c in table] == [int, int, int]
 
 
 def test_diligence_sweep_rows_equal_single_runs():
