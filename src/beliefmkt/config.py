@@ -110,6 +110,8 @@ def _step_count(span, dt, path):
     if not (math.isfinite(steps) and round(steps) <= MAX_COUNT):
         raise ConfigError(f"{path}: {path}/dt must be at most {MAX_COUNT} "
                           f"steps")
+    if round(steps) < 1:
+        raise ConfigError(f"{path}: {path}/dt must give at least 1 step")
     return int(round(steps))
 
 

@@ -16,10 +16,10 @@ log(S/S*) isolates the effect of the mistaken observation channel.
 
 When every agent is diligent the population is the one that sets S*, so
 the price is S* by definition and nothing is solved.  Otherwise xi enters
-PD and the fixed point is solved by a 200-point scan of the bracket (which
-also detects multiple roots; ties are broken toward the previous step's
-xi) followed by Brent refinement in the chosen cell.  The residual of
-every accepted step is recorded and bounded at run time.
+PD and the fixed point is solved by 200-point scans of widening brackets
+(``solve_step``; they also detect multiple roots, ties broken toward the
+previous step's xi) and Brent refinement in the chosen cell.  The residual
+of every accepted step is recorded and bounded at run time.
 
 The arrays are small (one entry per agent), so the number of numpy calls,
 not arithmetic, sets the cost.  The dynamics amplify any rounding change,
@@ -62,7 +62,7 @@ oracle, and the outputs are the same to the bit.
   leaves many terms far below it, numpy's exp of an underflowing argument
   is about 100 times slower, and a term under e^-700 changes no sum of at
   least e^-600 beyond its rounding.  A count whose PD denominator falls
-  below e^-600 at some point (brackets widened toward +/- 1 leave every
+  below e^-600 at some point (widened and exact brackets can leave every
   agent's term there far below the shift) is scanned again by the same
   product, each point shifted by its own largest exponent.
 * S* comes from blocks of steps: the posterior means keep their per-step
@@ -107,7 +107,7 @@ _SCAN_INDEX = np.arange(_SCAN_POINTS, dtype=float)
 _IDEAL_BLOCK = 128
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 _LOG_TWO = math.log(2.0)
-_NO_ROOT = "no root for xi within +/- 1.0 of the dividend move"
+_EXACT_PAD = 1e-9  # widens the exact bracket past log PD's rounding
 
 
 @dataclass(frozen=True)
@@ -444,23 +444,26 @@ class _Observers:
 def solve_step(observers: _Observers, block: int, step: int,
                log_stock: float, log_div_next: float, true_increment: float,
                prev_xi: float, sigma_step: float, num_dil: float,
-               den_dil: float, first_scan):
+               den_dil: float, first_scan, log_pd_bounds):
     """Solve one count's per-step fixed point for xi.
 
     Returns (xi, n_roots_found, relative_residual).  Raises
-    ``FixedPointError`` when no root lies within +/- 1 in log price of the
-    true increment, when the residuals at the ends of the chosen scan cell
-    have the same sign, or when the root's relative residual exceeds
-    ``RESIDUAL_TOL``.
+    ``FixedPointError`` when no scan finds a sign change, when the chosen
+    cell's end residuals share a sign, or when the root's relative residual
+    exceeds ``RESIDUAL_TOL``.
 
     ``observers.start_step`` has filled the step's terms and scanned the
     first bracket: ``first_scan`` is this count's log PD at the points of
-    ``observers.grid``.  While a scan finds no sign change, the bracket
-    doubles, capped at +/- 1, and this count alone scans it again.  Of the
-    sign changes (tie-break: nearest to the previous xi) Brent refines the
-    chosen cell.  Each residual is evaluated once: the cell's two ends in
-    one pass before Brent starts, and the relative residual is that of the
-    point Brent returns, read back from its own calls.
+    ``observers.grid``.  While a scan finds no sign change, this count alone
+    scans a bracket that doubles up to +/- 1 around the true increment, and
+    then the exact one: PD is a weighted mean of every agent's
+    1/expm1(rho_j), so the residual offset + xi - log PD changes sign in
+    [L - offset, U - offset] (padded by ``_EXACT_PAD``), with (L, U) =
+    ``log_pd_bounds``.  Of the sign changes (tie-break: nearest to the
+    previous xi) Brent refines the chosen cell.  Each residual is evaluated
+    once: the cell's two ends in one pass before Brent starts, and the
+    relative residual is that of the point Brent returns, read back from
+    its own calls.
 
     Block ``block`` of ``observers`` holds the count's non-diligent agents
     (at least one).  The diligent ones' terms do not depend on xi:
@@ -504,25 +507,27 @@ def solve_step(observers: _Observers, block: int, step: int,
 
     grid, log_pd = s.grid, first_scan
     half_width = _FIRST_HALF_WIDTH * sigma_step
+    exact = False
     while True:
         cells = scan_sign_changes(offset + grid - log_pd, grid)
         if cells:
             break
-        if half_width >= 1.0:
-            residual_lo, residual_hi = ends(true_increment - half_width,
-                                            true_increment + half_width)
+        if exact:
+            residual_lo, residual_hi = ends(lo, hi)
             raise FixedPointError(
-                f"step {step}: {_NO_ROOT}", step=step,
-                diagnostics={
-                    "log_stock": log_stock,
-                    "log_div_next": log_div_next,
-                    "true_increment": true_increment,
-                    "residual_lo": float(residual_lo),
-                    "residual_hi": float(residual_hi),
-                })
-        half_width = min(2.0 * half_width, 1.0)
-        grid = _scan_grid(true_increment - half_width,
-                          true_increment + half_width, s.wide_basis[1])
+                f"step {step}: no sign change in the scan of the exact "
+                f"bracket [{float(lo)!r}, {float(hi)!r}]", step=step,
+                diagnostics={"lo": float(lo), "hi": float(hi),
+                             "residual_lo": float(residual_lo),
+                             "residual_hi": float(residual_hi)})
+        if half_width < 1.0:
+            half_width = min(2.0 * half_width, 1.0)
+            lo, hi = true_increment - half_width, true_increment + half_width
+        else:
+            exact = True
+            lo = log_pd_bounds[0] - offset - _EXACT_PAD
+            hi = log_pd_bounds[1] - offset + _EXACT_PAD
+        grid = _scan_grid(lo, hi, s.wide_basis[1])
         log_pd = s.scan(s.wide_basis, block,
                         np.array([[[num_dil], [den_dil]]]))[0]
 
@@ -632,23 +637,13 @@ def _run(config: FeedbackConfig, inputs: _SeedInputs,
     one after another would stop.
     """
     J, n = config.n_agents, config.n_steps
-    increments, log_stock_ideal = inputs.increments, inputs.log_stock_ideal
     outcomes = {}
     if J in counts:
         # the population that sets S*: the price is S* by definition
         xi_series = np.full(n + 1, np.nan)
-        xi_series[1:] = np.diff(log_stock_ideal)
-        far = np.flatnonzero(np.abs(xi_series[1:] - increments) > 1.0)
-        if far.size:
-            t = int(far[0])
-            outcomes[J] = FixedPointError(
-                f"step {t}: {_NO_ROOT}", step=t, diagnostics={
-                    "xi": float(xi_series[t + 1]),
-                    "true_increment": float(increments[t])})
-            counts = counts[:counts.index(J) + 1]
-        else:
-            outcomes[J] = _result(config, inputs, log_stock_ideal, xi_series,
-                                  np.zeros(n + 1), np.zeros(n + 1))
+        xi_series[1:] = np.diff(inputs.log_stock_ideal)
+        outcomes[J] = _result(config, inputs, inputs.log_stock_ideal,
+                              xi_series, np.zeros(n + 1), np.zeros(n + 1))
     stepping = [c for c in counts if c < J]
     if stepping:
         outcomes.update(_lockstep(config, inputs, stepping))
@@ -684,6 +679,8 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
     den_dil = [inputs.diligent[c][1] if c else no_terms for c in counts]
     # the same terms as a (steps, counts, 2, 1) array, for the shared scan
     dil = np.array([num_dil, den_dil]).transpose(2, 1, 0)[..., None].copy()
+    log_expm1 = np.log(np.expm1(traits.rho_step))   # solve_step's bracket
+    log_pd_bounds = -log_expm1.max(), -log_expm1.min()
 
     k = len(counts)
     log_stock = np.empty((k, n + 1))
@@ -707,7 +704,8 @@ def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
             try:
                 xi, n_roots, rel = solve_step(
                     observers, i, t, stock[t], log_div[t + 1], d, prev,
-                    sigma_step, num[t], den[t], first_scan[i])
+                    sigma_step, num[t], den[t], first_scan[i],
+                    log_pd_bounds)
             except FixedPointError as exc:
                 outcomes[counts[i]] = exc
                 active = i

@@ -292,6 +292,19 @@ def test_count_over_ceiling_exits_2_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_span_under_half_a_step_exits_2_before_writing(tmp_path, capsys):
+    # years/dt rounds to 0 steps: the error names years, which the config
+    # sets, not n_steps, which it does not
+    cfg = write_config(tmp_path, {"n_agents": 3, "years": 0.001})
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "years: years/dt must give at least 1 step" in err
+    assert "n_steps" not in err
+    assert not out.exists()
+    assert parse_feedback({"n_agents": 3, "years": 0.6 / 252}).n_steps == 1
+
+
 def test_count_at_ceiling_is_accepted():
     assert _get({"n": MAX_COUNT}, "n", int, positive=True) == MAX_COUNT
     steps = parse_feedback({"n_agents": 4, "years": MAX_COUNT / 252}).n_steps
@@ -490,15 +503,22 @@ def test_feedback_single_run_checks_diligence_values(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_feedback_numeric_failure_exits_3(tmp_path, capsys):
-    # small populations can be driven into a crash larger than the
-    # root bracket cap; that is a numeric failure, exit code 3
+def test_feedback_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # this population crashes by 67 % at step 26, beyond +/- 1 of the
+    # dividend move: the exact bracket holds the root, and the run completes
     cfg = write_config(tmp_path, {
         "n_agents": 8, "n_diligent": 0, "n_steps": 252, "seed": 1})
+    assert main(["feedback", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    # a scan that finds no sign change even in the exact bracket is a
+    # numeric failure, exit code 3
+    from beliefmkt import feedback
+    monkeypatch.setattr(feedback, "scan_sign_changes", lambda values, grid: [])
     code = main(["feedback", "--config", str(cfg), "--out",
-                 str(tmp_path / "out")])
+                 str(tmp_path / "failed")])
     assert code == 3
-    assert "step 26" in capsys.readouterr().err
+    assert "step 0: no sign change in the scan of the exact bracket [" \
+        in capsys.readouterr().err
 
 
 def test_feedback_cell_without_a_root_exits_3(tmp_path, capsys,

@@ -279,6 +279,10 @@ def test_degenerate_stock_volatility_raises():
 def test_negative_seed_raises_config_error():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
         simulate_path(benchmark_market(), 1.0, 1 / 52, seed=-2)
+    for index in (-1, 1.5):
+        with pytest.raises(ConfigError, match=f"path_index .* got {index}$"):
+            simulate_path(benchmark_market(), 1.0, 1 / 52, seed=0,
+                          path_index=index)
 
 
 def test_infinite_horizon_raises_config_error():

@@ -90,9 +90,16 @@ def test_negative_seed_raises_config_error():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         run_feedback(FeedbackConfig(n_agents=4, n_diligent=0, n_steps=5,
                                     seed=-1))
-    for substream in (path_rng, agent_rng):
+    for substream, name in ((path_rng, "path_index"),
+                            (agent_rng, "agent_index")):
         with pytest.raises(ConfigError, match="got -7"):
             substream(-7, 0)
+        # so does an index that is negative or not an integer
+        for index in (-1, 1.5, "2"):
+            with pytest.raises(ConfigError, match=f"^{name} must be an "
+                               f"integer >= 0, got {index!r}$"):
+                substream(3, index)
+    assert path_rng(3, np.int64(2)).random() == path_rng(3, 2).random()
 
 
 def test_agent_draws_prefix_property():
@@ -257,8 +264,11 @@ def diligent_terms_oracle(rho_step, population, diligent_mask, step,
 def solve_step_oracle(rho_step, population, diligent_mask, step, log_stock,
                       log_div_next, true_increment, prev_xi, sigma_step):
     """The former ``solve_step``: a scan through two row-major log-sum-exps
-    with unfloored exps, and endpoint checks before Brent.  Returns
-    (xi, n_roots, relative residual, scan cells)."""
+    with unfloored exps, and endpoint checks before Brent.  Its brackets
+    double up to +/- 1 around the true increment, then are the exact one:
+    log PD lies between the least and the largest -log expm1(rho_j), so
+    the residual changes sign between those less the offset, padded by
+    1e-9.  Returns (xi, n_roots, relative residual, scan cells)."""
     nd = ~diligent_mask
     k = population.k0 + step
     log_expm1 = np.log(np.expm1(rho_step))
@@ -288,17 +298,21 @@ def solve_step_oracle(rho_step, population, diligent_mask, step, log_stock,
         return offset + xi - (log_num - log_den)
 
     half_width = 10.0 * sigma_step
+    lo, hi = true_increment - half_width, true_increment + half_width
     while True:
-        grid = np.linspace(true_increment - half_width,
-                           true_increment + half_width, 200)
+        grid = np.linspace(lo, hi, 200)
         cells = scan_sign_changes(residual_grid(grid), grid)
         if cells:
             break
-        if half_width >= 1.0:
-            raise FixedPointError("no root", step=step, diagnostics={
-                "residual_lo": float(residual(true_increment - half_width)),
-                "residual_hi": float(residual(true_increment + half_width))})
-        half_width = min(2.0 * half_width, 1.0)
+        if half_width < 1.0:
+            half_width = min(2.0 * half_width, 1.0)
+            lo, hi = true_increment - half_width, true_increment + half_width
+        elif half_width == math.inf:
+            raise FixedPointError("no sign change", step=step)
+        else:
+            half_width = math.inf
+            lo = -log_expm1.max() - offset - 1e-9
+            hi = -log_expm1.min() - offset + 1e-9
     scanned = list(cells)
     if len(cells) > 1:
         cells.sort(key=lambda c: abs(0.5 * (c[0] + c[1]) - prev_xi))
@@ -314,15 +328,26 @@ def solve_step_oracle(rho_step, population, diligent_mask, step, log_stock,
     return xi, len(cells), rel_residual, scanned
 
 
+def log_pd_bounds(rho_step):
+    """The least and the largest -log expm1(rho_j), between which log PD
+    lies, as the stepper takes them from all of a seed's agents."""
+    log_expm1 = np.log(np.expm1(rho_step))
+    return -log_expm1.max(), -log_expm1.min()
+
+
 def solve_alone(observers, step, log_stock, log_div_next, true_increment,
-                prev_xi, sigma_step, num_dil, den_dil):
+                prev_xi, sigma_step, num_dil, den_dil, rho_step=None):
     """One count's step as the stepper takes it: the step's terms and first
-    scan for the one block of ``observers``, then ``solve_step``."""
+    scan for the one block of ``observers``, then ``solve_step``, with the
+    log PD bounds of ``rho_step``, all the agents' impatience (by default,
+    those of ``observers``)."""
     dil = np.array([[[num_dil], [den_dil]]])
     first_scan = observers.start_step(step, true_increment, sigma_step, dil)
+    bounds = log_pd_bounds(-observers.neg_rho if rho_step is None
+                           else rho_step)
     return solve_step(observers, 0, step, log_stock, log_div_next,
                       true_increment, prev_xi, sigma_step, num_dil, den_dil,
-                      first_scan[0])
+                      first_scan[0], bounds)
 
 
 def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
@@ -339,7 +364,7 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
     rng = np.random.default_rng(909)
     dt = 1.0 / 252.0
     sigma_step = 0.25 * math.sqrt(dt)
-    solved = failed = multiroot = floored = entries = 0
+    solved = exact = multiroot = floored = entries = 0
     for _ in range(400):
         J = int(rng.integers(1, 31))
         diligent = np.zeros(J, dtype=bool)
@@ -370,7 +395,8 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
         entries += v.size
 
         # a price near the one that clears at xi = d, give or take a few
-        # daily moves; some steps then have no root within the cap
+        # daily moves; some steps then have their only roots beyond +/- 1
+        # of d, which the exact bracket finds
         at_d = base + log_density_increment(population.mu, k, traits.tau, d)
         log_pd = _lse(at_d - np.log(np.expm1(traits.rho_step))) - _lse(at_d)
         log_div_next = rng.normal(0.0, 1.0)
@@ -387,22 +413,15 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
             mistaken, step, log_stock, log_div_next, d, prev_xi, sigma_step,
             *diligent_terms_oracle(traits.rho_step, population, diligent,
                                    step, d))
-        try:
-            want = solve_step_oracle(*args)
-        except FixedPointError as exc:
-            with pytest.raises(FixedPointError) as err:
-                solve_alone(*step_args)
-            for key in ("residual_lo", "residual_hi"):
-                assert err.value.diagnostics[key] == exc.diagnostics[key]
-            failed += 1
-            continue
+        want = solve_step_oracle(*args)
         scans.clear()
-        got = solve_alone(*step_args)
+        got = solve_alone(*step_args, rho_step=traits.rho_step)
         assert scans[-1] == want[3]
         assert got == want[:3]
         solved += 1
+        exact += abs(got[0] - d) > 1.0
         multiroot += got[1] > 1
-    assert solved >= 300 and failed >= 1 and multiroot >= 1
+    assert solved == 400 and exact >= 1 and multiroot >= 1
     assert floored > 0.1 * entries
 
 
@@ -528,18 +547,29 @@ def test_scan_matches_the_exact_oracle(monkeypatch):
     assert min(lowest) >= feedback._EXP_FLOOR
 
 
-def test_no_root_within_cap_raises_with_step_index():
+def test_root_beyond_the_cap_is_solved_in_the_exact_bracket(monkeypatch):
+    # log S - log delta = 10 lies above every agent's log PD, so the price
+    # clears only beyond +/- 1 of the dividend move, in the exact bracket
     cfg = small_config(n_agents=2, n_diligent=0)
     traits = draw_agents(cfg)
     observers = _Observers(traits.rho_step, traits.tau,
                            traits.prior_mean_step, cfg.prior_weight)
+    args = (observers, 0, 10.0, 0.0, 0.0, 0.0, 0.015, -math.inf, -math.inf)
+    xi, n_roots, rel = solve_alone(*args)
+    low, high = log_pd_bounds(traits.rho_step)
+    lo, hi = low - 10.0 - 1e-9, high - 10.0 + 1e-9
+    assert lo <= xi <= hi and xi < -1.0
+    assert n_roots == 1 and rel <= feedback.RESIDUAL_TOL
+    # a scan that finds no sign change there either names that bracket
+    monkeypatch.setattr(feedback, "scan_sign_changes", lambda values, grid: [])
     with pytest.raises(FixedPointError) as err:
-        solve_alone(observers, 0, log_stock=50.0, log_div_next=0.0,
-                    true_increment=0.0, prev_xi=0.0, sigma_step=0.015,
-                    num_dil=-math.inf, den_dil=-math.inf)
+        solve_alone(*args)
     assert err.value.step == 0
-    assert str(err.value).startswith("step 0: no root for xi within")
-    assert "residual_lo" in err.value.diagnostics
+    assert str(err.value) == ("step 0: no sign change in the scan of the "
+                              f"exact bracket [{float(lo)!r}, {float(hi)!r}]")
+    diagnostics = err.value.diagnostics
+    assert (diagnostics["lo"], diagnostics["hi"]) == (lo, hi)
+    assert diagnostics["residual_lo"] < 0.0 < diagnostics["residual_hi"]
 
 
 def test_cell_that_does_not_bracket_a_root_raises(monkeypatch):
@@ -574,39 +604,50 @@ def test_cell_that_does_not_bracket_a_root_raises(monkeypatch):
         run_feedback(cfg)
 
 
-def test_all_diligent_root_above_cap_raises():
+def test_all_diligent_price_follows_a_jump_past_the_cap():
+    # the price of an all-diligent population is S*, whatever its move
     cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
     inputs = _seed_inputs(cfg, [cfg.n_diligent])
     log_stock_ideal = inputs.log_stock_ideal.copy()
     log_stock_ideal[18:] += 1.5   # S* jumps at step 17
-    # _run hands back each count's outcome; the error is the only one
-    err, = _run(cfg, replace(inputs, log_stock_ideal=log_stock_ideal), [2])
-    assert isinstance(err, FixedPointError)
-    assert err.step == 17
-    assert str(err).startswith("step 17: no root for xi within")
-    assert err.diagnostics["xi"] == pytest.approx(
-        log_stock_ideal[18] - log_stock_ideal[17])
-    assert err.diagnostics["true_increment"] == inputs.increments[17]
+    got, = _run(cfg, replace(inputs, log_stock_ideal=log_stock_ideal), [2])
+    assert got.xi[18] == log_stock_ideal[18] - log_stock_ideal[17]
+    assert got.xi[18] - inputs.increments[17] > 1.0
+    np.testing.assert_array_equal(got.stock, np.exp(log_stock_ideal))
 
 
-def test_shipped_sweep_seed_22_fails_at_step_670(forks):
-    # a crash larger than the bracket cap in the shipped sweep's population
-    cfg = parse_feedback(load_config(
-        str(REPO / "configs" / "feedback_diligence_sweep.json")))
-    with pytest.raises(FixedPointError) as err:
-        run_feedback(replace(cfg, seed=22, n_diligent=0))
-    assert err.value.step == 670
-    assert str(err.value).startswith("step 670: no root for xi within")
-    # raised in a forked child of a sweep, it keeps its step and diagnostics
-    # and names its seed and count
-    forks.cpus(2)
-    with pytest.raises(FixedPointError) as split_err:
-        diligence_sweep(cfg, [0], [21, 22])
-    assert forks.count == 1
-    assert str(split_err.value) == f"seed 22, n_diligent 0: {err.value}"
-    assert split_err.value.step == 670
-    assert split_err.value.diagnostics == {
-        "seed": 22, "n_diligent": 0, **err.value.diagnostics}
+def test_shipped_sweep_seed_22_crashes_at_step_670(monkeypatch):
+    # the crash that the former +/- 1 bracket cap turned into an error: the
+    # price falls by 68 % in a day, to the root that the exact bracket
+    # holds, which the oracle finds to the bit
+    cfg = replace(shipped_sweep_config(), seed=22, n_diligent=0)
+    real_solve, seen = feedback.solve_step, {}
+
+    def solve(observers, block, step, *args):
+        if step == 670:
+            seen.update(mu=observers.mu.copy(),
+                        log_weight=observers.log_weight.copy(), args=args)
+        return real_solve(observers, block, step, *args)
+
+    monkeypatch.setattr(feedback, "solve_step", solve)
+    res = run_feedback(cfg)
+    assert res.metrics["max_residual"] <= feedback.RESIDUAL_TOL
+    log_stock, log_div_next, d, prev_xi, sigma_step, _, _, _, bounds = \
+        seen["args"]
+    xi = res.xi[671]
+    assert math.exp(xi) == pytest.approx(0.3226, abs=1e-4)
+    assert xi < d - 1.0
+    traits = draw_agents(cfg)
+    assert bounds == log_pd_bounds(traits.rho_step)
+    offset = log_stock - log_div_next
+    assert bounds[0] - offset <= xi <= bounds[1] - offset
+    population = _Observers(traits.rho_step, traits.tau,
+                            traits.prior_mean_step, cfg.prior_weight)
+    population.mu, population.log_weight = seen["mu"], seen["log_weight"]
+    want = solve_step_oracle(traits.rho_step, population,
+                             np.zeros(cfg.n_agents, dtype=bool), 670,
+                             log_stock, log_div_next, d, prev_xi, sigma_step)
+    assert (xi, res.solver_warnings[671] + 1, res.residuals[671]) == want[:3]
 
 
 @pytest.mark.parametrize("offset", [0.0, 700.0, -700.0])
@@ -1097,14 +1138,9 @@ def one_count_solve_step(observers, step, log_stock, log_div_next,
         cells = feedback.scan_sign_changes(residual_grid(grid), grid)
         if cells:
             break
-        if half_width >= 1.0:
-            raise FixedPointError(
-                f"step {step}: {feedback._NO_ROOT}", step=step,
-                diagnostics={
-                    "log_stock": log_stock, "log_div_next": log_div_next,
-                    "true_increment": true_increment,
-                    "residual_lo": float(residual(lo)),
-                    "residual_hi": float(residual(hi))})
+        if half_width >= 1.0:   # the seeds run here never get so far
+            raise FixedPointError(f"step {step}: no root within +/- 1",
+                                  step=step)
         half_width = min(2.0 * half_width, 1.0)
     if len(cells) > 1:
         cells.sort(key=lambda c: abs(0.5 * (c[0] + c[1]) - prev_xi))
@@ -1216,11 +1252,56 @@ def test_lockstep_equals_each_count_stepped_alone(monkeypatch, seed):
         assert [c for c, t in widened if t == 63] == [25]
 
 
+def failing_at(monkeypatch, cells):
+    """Patch ``feedback`` so that the run of each (seed, count, step) of
+    ``cells`` fails there: ``solve_step`` solves the step, then raises a
+    ``FixedPointError`` with the solved xi as its diagnostics.  Patched
+    before a sweep forks, it holds in the forked children too."""
+    real_lockstep, real_solve = feedback._lockstep, feedback.solve_step
+    run = {}
+
+    def lockstep(config, *args):
+        run.update(seed=config.seed, n_agents=config.n_agents)
+        return real_lockstep(config, *args)
+
+    def solve(observers, block, step, *args):
+        got = real_solve(observers, block, step, *args)
+        count = run["n_agents"] - observers.sizes[block]
+        if (run["seed"], count, step) in cells:
+            raise FixedPointError(f"step {step}: forced", step=step,
+                                  diagnostics={"xi": got[0]})
+        return got
+
+    monkeypatch.setattr(feedback, "_lockstep", lockstep)
+    monkeypatch.setattr(feedback, "solve_step", solve)
+
+
+def test_error_from_a_forked_child_keeps_its_step_and_diagnostics(
+        forks, monkeypatch):
+    cfg = replace(shipped_sweep_config(), n_steps=700)
+    failing_at(monkeypatch, {(22, 0, 670)})
+    with pytest.raises(FixedPointError) as err:
+        run_feedback(replace(cfg, seed=22, n_diligent=0))
+    assert err.value.step == 670
+    # raised in a forked child of a sweep, it keeps its step and diagnostics
+    # and names its seed and count
+    forks.cpus(2)
+    with pytest.raises(FixedPointError) as split_err:
+        diligence_sweep(cfg, [0], [21, 22])
+    assert forks.count == 1
+    assert str(split_err.value) == f"seed 22, n_diligent 0: {err.value}"
+    assert split_err.value.step == 670
+    assert split_err.value.diagnostics == {
+        "seed": 22, "n_diligent": 0, **err.value.diagnostics}
+
+
 def test_lockstep_raises_the_in_order_error(monkeypatch):
-    # seed 10: count 1 fails at step 61 and count 5 at step 73; one after
+    # seed 10, count 1 failing at step 61 and count 5 at step 73: one after
     # another, [0, 1, 5] stops at count 1 once count 0 has run to the end,
     # and [5, 1] at count 5
     cfg = replace(shipped_sweep_config(), seed=10)
+    failing_at(monkeypatch, {(10, 1, 61), (10, 5, 73), (34, 25, 59),
+                             (34, 29, 71)})
     single = {}
     for c in (1, 5):
         with pytest.raises(FixedPointError) as err:
@@ -1241,38 +1322,40 @@ def test_lockstep_raises_the_in_order_error(monkeypatch):
         # no count after the failing one is stepped past its failure
         assert max(t for b, t, _ in calls if b >= counts.index(c)) \
             == single[c].step
-    # seed 34: counts 25 and 29 fail at steps 59 and 71
+    # seed 34: counts 25 and 29 failing at steps 59 and 71
     cfg = replace(cfg, seed=34)
     with pytest.raises(FixedPointError, match="^seed 34, n_diligent 25: "
-                       "step 59: no root") as err:
+                       "step 59: forced") as err:
         diligence_sweep(cfg, [25, 29], [34])
     assert err.value.step == 59
 
 
-def test_count_running_on_after_a_later_count_fails_keeps_its_bits():
-    # seed 10: count 1 fails at step 61; count 0 runs on to the end while
+def test_count_running_on_after_a_later_count_fails_keeps_its_bits(
+        monkeypatch):
+    # seed 10, count 1 failing at step 61: count 0 runs on to the end while
     # count 1's rows stay in the stepper, and gives the bits of its own run
     cfg = replace(shipped_sweep_config(), seed=10)
+    want = run_feedback(replace(cfg, n_diligent=0))
+    failing_at(monkeypatch, {(10, 1, 61)})
     got, err = _run(cfg, _seed_inputs(cfg, [0, 1]), [0, 1])
     assert isinstance(err, FixedPointError) and err.step == 61
-    want = run_feedback(replace(cfg, n_diligent=0))
     for name in ("stock", "xi", "solver_warnings", "residuals", "log_ratio"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
             name
     assert repr(got.metrics) == repr(want.metrics)
 
 
-def test_all_diligent_error_waits_for_the_counts_before_it():
-    # the all-diligent count's error is raised where its turn comes
+def test_all_diligent_count_keeps_its_place_in_order(monkeypatch):
+    # the all-diligent count is not stepped, but its result comes where its
+    # turn comes: before a count that fails, and not after one
     cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
     inputs = _seed_inputs(cfg, (0, 2))
-    log_stock_ideal = inputs.log_stock_ideal.copy()
-    log_stock_ideal[18:] += 1.5   # S* jumps at step 17
-    inputs = replace(inputs, log_stock_ideal=log_stock_ideal)
-    first, err = _run(cfg, inputs, [0, 2])
-    assert isinstance(first, feedback.FeedbackResult)
+    want, = _run(cfg, inputs, [2])
+    failing_at(monkeypatch, {(cfg.seed, 0, 17)})
+    first, err = _run(cfg, inputs, [2, 0])
+    assert first.stock.tobytes() == want.stock.tobytes()
     assert isinstance(err, FixedPointError) and err.step == 17
-    err, = _run(cfg, inputs, [2, 0])
+    err, = _run(cfg, inputs, [0, 2])
     assert isinstance(err, FixedPointError) and err.step == 17
 
 

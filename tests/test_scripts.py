@@ -1,0 +1,39 @@
+"""The shipped experiment scripts run end to end at small sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / name),
+                           *args], cwd=REPO, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_experiment_scripts_run(tmp_path):
+    # seed 10 of diligence_severity's population crashes beyond +/- 1 of
+    # the dividend move at 5 diligent agents, inside its first year
+    lines = run_script("diligence_severity.py", "--seeds", "11",
+                       "--years", "1")
+    assert lines[0].split() == ["diligent", "mean", "range", "median", "max",
+                                "mean", "jumps"]
+    assert [line.split()[0] for line in lines[1:]] == ["0", "5", "10", "25"]
+    assert all(len(line.split()) == 5 for line in lines[1:])
+
+    lines = run_script("bubble_panels.py", "--years", "1", "--out",
+                       str(tmp_path))
+    assert lines[0].split() == ["diligent", "range", "min", "max", "jumps"]
+    counts = ["0", "1", "5", "10", "25"]
+    assert [line.split()[0] for line in lines[1:]] == counts
+    for c in counts:
+        rows = (tmp_path / f"panels_30A_{c}D_seed1.csv").read_text() \
+            .splitlines()
+        assert len(rows) == 254   # the header and steps 0 .. 252
