@@ -238,10 +238,11 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
         if bad_lines:
             listing = "; ".join(f"line {n}: {msg}" for n, msg in bad_lines[:5])
             raise ConfigError(f"{path}: {len(bad_lines)} unparseable row(s): {listing}")
-    if len(rows) <= min_years * 12:  # no int(): the product may be inf
+    # a return needs two months; no int(): the product may be inf
+    if len(rows) < 2 or len(rows) <= min_years * 12:
         raise ConfigError(
-            f"{path}: span too short ({len(rows)} monthly rows; "
-            f"need more than {min_years:g} years)")
+            f"{path}: span too short ({len(rows)} monthly rows; need at "
+            f"least 2 and more than {min_years:g} years)")
 
     price = np.array([r[1] for r in rows])
     dividend = np.array([r[2] for r in rows])
@@ -318,6 +319,8 @@ class CalibrationProblem:
             raise ConfigError(f"n_paths: n_paths x (horizon/dt + 1) grid "
                               f"points must be at most {MAX_COUNT}")
         names = [p.name for p in self.free]
+        if not names:
+            raise ConfigError("free: need at least one free parameter")
         if len(set(names)) != len(names):
             raise ConfigError("duplicate free parameter names")
         for p in self.free:

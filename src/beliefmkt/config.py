@@ -245,6 +245,11 @@ def parse_targets(cfg) -> calibration.MomentReport:
         raise ConfigError("targets: expected 'default' or an object")
     kwargs = {name: _get(cfg, f"targets.{name}", float, default=float("nan"))
               for name in calibration.MOMENT_NAMES}
+    if all(map(math.isnan, kwargs.values())):
+        raise ConfigError("targets: need at least one moment")
+    for name, value in kwargs.items():
+        if value == 0.0:   # the loss divides by each target
+            raise ConfigError(f"targets.{name}: must not be 0")
     return calibration.MomentReport(provenance="config targets", **kwargs)
 
 

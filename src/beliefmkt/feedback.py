@@ -197,10 +197,10 @@ def draw_agents(config: FeedbackConfig) -> AgentTraits:
 
 
 def _lse(v, out=None):
-    """log sum exp over the last axis, shifted by each row's maximum: a
-    float for a vector, a list with one float per row for a C-ordered
-    matrix.  exp(v - max) is written to ``out`` (pass v itself to work in
-    place).  Entries may be -inf as long as no row is all -inf.
+    """log sum exp of each row of a C-ordered matrix, shifted by the row's
+    maximum: a list with one float per row.  exp(v - max) is written to
+    ``out`` (pass v itself to work in place).  Entries may be -inf as long
+    as no row is all -inf.
 
     A row gives the bits it gives on its own: numpy sums each contiguous
     row as it sums a vector, and the log is ``math.log`` row by row.
@@ -208,8 +208,6 @@ def _lse(v, out=None):
     m = np.maximum.reduce(v, axis=-1, keepdims=True)
     e = np.subtract(v, m, out=out)
     s = np.add.reduce(np.exp(e, out=e), axis=-1)
-    if e.ndim == 1:
-        return m[0] + math.log(s)
     return [a + math.log(b) for (a,), b in zip(m.tolist(), s.tolist())]
 
 
@@ -235,8 +233,8 @@ def log_price_dividend(rho_step, log_weight, step):
     all in log space.  Every agent has the same equilibrium weight, which
     scales both sums alike and so cancels.
 
-    ``log_weight`` is one (J,) state, or (B, J) rows with ``step`` a (B, 1)
-    column, which gives the B values at once.
+    ``log_weight`` holds B states as (B, J) rows and ``step`` their steps
+    as a (B, 1) column (or one step for all): gives the B values at once.
     """
     base = -rho_step * step + log_weight
     return np.subtract(_lse(base - np.log(np.expm1(rho_step))), _lse(base))
@@ -258,7 +256,7 @@ class FeedbackResult:
     metrics: Dict[str, float]
 
     def write_csv(self, fp):
-        """One row per step; xi is an empty field where it is NaN (t = 0).
+        """One row per step; xi is an empty field at t = 0, where it is NaN.
 
         The warning counts are whole numbers >= 0, which ``%.17g`` prints
         as ``%d`` does."""
@@ -266,13 +264,9 @@ class FeedbackResult:
         table = np.column_stack((
             self.times, self.dividend, self.stock_ideal, self.stock,
             self.log_pd_ideal, self.log_ratio, self.xi, self.solver_warnings))
-        start = 0
-        for i in np.flatnonzero(np.isnan(self.xi)):
-            write_rows(fp, table[start:i])
-            r = table[i].tolist()
-            fp.write(("%.17g," * 6 + ",%d\n") % (*r[:6], r[7]))
-            start = i + 1
-        write_rows(fp, table[start:])
+        r = table[0].tolist()
+        fp.write(("%.17g," * 6 + ",%d\n") % (*r[:6], r[7]))
+        write_rows(fp, table[1:])
 
 
 def _scan_grid(lo, hi, out):
@@ -443,8 +437,8 @@ class _Observers:
 
 def solve_step(observers: _Observers, block: int, step: int,
                log_stock: float, log_div_next: float, true_increment: float,
-               prev_xi: float, sigma_step: float, num_dil: float,
-               den_dil: float, first_scan, log_pd_bounds):
+               prev_xi: float, sigma_step: float, dil, first_scan,
+               log_pd_bounds):
     """Solve one count's per-step fixed point for xi.
 
     Returns (xi, n_roots_found, relative_residual).  Raises
@@ -466,11 +460,12 @@ def solve_step(observers: _Observers, block: int, step: int,
     its own calls.
 
     Block ``block`` of ``observers`` holds the count's non-diligent agents
-    (at least one).  The diligent ones' terms do not depend on xi:
-    ``num_dil`` and ``den_dil`` are the log-sum-exps of their PD numerator
-    and denominator terms at step + 1 (-inf without any).
+    (at least one).  The diligent ones' terms do not depend on xi: ``dil``
+    is a (2, 1) array of the log-sum-exps of their PD numerator and
+    denominator terms at step + 1 (-inf without any).
     """
     s = observers
+    (num_dil,), (den_dil,) = dil.tolist()
     rows = s.blocks[block]
     mu, neg_quad = s.mu[rows], s.neg_quad[rows]
     consts, points, dev, dl, lse_pairs, lse_rows, dev_1, dl_1, lse_1 = \
@@ -528,8 +523,7 @@ def solve_step(observers: _Observers, block: int, step: int,
             lo = log_pd_bounds[0] - offset - _EXACT_PAD
             hi = log_pd_bounds[1] - offset + _EXACT_PAD
         grid = _scan_grid(lo, hi, s.wide_basis[1])
-        log_pd = s.scan(s.wide_basis, block,
-                        np.array([[[num_dil], [den_dil]]]))[0]
+        log_pd = s.scan(s.wide_basis, block, dil[None])[0]
 
     if len(cells) > 1:
         cells.sort(key=lambda c: abs(0.5 * (c[0] + c[1]) - prev_xi))
@@ -558,19 +552,21 @@ def solve_step(observers: _Observers, block: int, step: int,
 @dataclass(frozen=True)
 class _SeedInputs:
     """What runs on one master seed share whatever their diligence count:
-    the agents, the dividend path, the ideal price S* and, for each count
-    c with 0 < c < n_agents asked for, the per-step log-sum-exps of the
-    first c agents' PD numerator and denominator terms."""
+    the agents, the dividend path, the ideal price S* and the diligent
+    agents' terms: for each step t and each stepping count c, the
+    log-sum-exps of the first c agents' PD numerator and denominator terms
+    at step t + 1, a (steps, counts, 2, 1) array (-inf for c = 0)."""
 
     traits: AgentTraits
     increments: np.ndarray
     log_div: np.ndarray
     log_stock_ideal: np.ndarray
-    diligent: Dict[int, Tuple[List[float], List[float]]]
+    diligent: np.ndarray
 
 
-def _seed_inputs(config: FeedbackConfig, counts) -> _SeedInputs:
-    """The inputs of ``config``'s seed for the diligence ``counts``."""
+def _seed_inputs(config: FeedbackConfig, stepping) -> _SeedInputs:
+    """The inputs of ``config``'s seed for the diligence counts
+    ``stepping``, each below n_agents."""
     J = config.n_agents
     traits = draw_agents(config)
     rng = path_rng(config.seed, 0)
@@ -578,8 +574,8 @@ def _seed_inputs(config: FeedbackConfig, counts) -> _SeedInputs:
     increments = config.growth_true * config.dt \
         + config.sigma_step * rng.standard_normal(n)
     log_div = np.concatenate([[0.0], np.cumsum(increments)])
-    diligent = {c: ([], []) for c in set(counts) if 0 < c < J}
-    widest = max(diligent, default=0)
+    diligent = np.full((n, len(stepping), 2, 1), -math.inf)
+    widest = max(stepping, default=0)
     log_expm1 = np.log(np.expm1(traits.rho_step))
 
     # the ideal population, a block of steps at a time: the same
@@ -588,8 +584,8 @@ def _seed_inputs(config: FeedbackConfig, counts) -> _SeedInputs:
     log_weight = np.zeros(J)
     sample_size = config.prior_weight + np.arange(n)
     log_stock_ideal = np.empty(n + 1)
-    log_stock_ideal[0] = (
-        log_price_dividend(traits.rho_step, log_weight, 0) + log_div[0])
+    log_stock_ideal[:1] = (
+        log_price_dividend(traits.rho_step, log_weight[None], 0) + log_div[:1])
     means = np.empty((min(n, _IDEAL_BLOCK), J))
     for start in range(0, n, _IDEAL_BLOCK):
         stop = min(start + _IDEAL_BLOCK, n)
@@ -608,11 +604,12 @@ def _seed_inputs(config: FeedbackConfig, counts) -> _SeedInputs:
         # the diligent agents' terms at step + 1, as the step-by-step form
         # builds them: (-rho (t+1) + w_t) + dlog_weight_t
         before = np.vstack((log_weight[:widest], weights[:-1, :widest]))
-        for c, (num, den) in diligent.items():
-            terms = -traits.rho_step[:c] * steps + before[:, :c]
-            terms += dlog_weight[:, :c]
-            num.extend(_lse(terms - log_expm1[:c]))
-            den.extend(_lse(terms, out=terms))
+        for i, c in enumerate(stepping):
+            if c:
+                terms = -traits.rho_step[:c] * steps + before[:, :c]
+                terms += dlog_weight[:, :c]
+                diligent[block, i, 0, 0] = _lse(terms - log_expm1[:c])
+                diligent[block, i, 1, 0] = _lse(terms, out=terms)
         log_weight = weights[-1]
         log_pd = log_price_dividend(traits.rho_step, weights, steps)
         log_stock_ideal[after] = log_pd + log_div[after]
@@ -621,106 +618,91 @@ def _seed_inputs(config: FeedbackConfig, counts) -> _SeedInputs:
 
 def run_feedback(config: FeedbackConfig) -> FeedbackResult:
     """Run one feedback trajectory; deterministic given the config."""
-    counts = [config.n_diligent]
-    outcome, = _run(config, _seed_inputs(config, counts), counts)
+    outcome, = _run(config, [config.n_diligent])
     if isinstance(outcome, FixedPointError):
         raise outcome
     return outcome
 
 
-def _run(config: FeedbackConfig, inputs: _SeedInputs,
+def _run(config: FeedbackConfig,
          counts) -> List[Union[FeedbackResult, FixedPointError]]:
-    """Run ``inputs``' seed at each of the distinct diligence ``counts``.
+    """Run ``config``'s seed at each of the distinct diligence ``counts``.
 
     Returns one outcome per count, in order: its ``FeedbackResult``, or
     the ``FixedPointError`` that ends the list where running the counts
-    one after another would stop.
+    one after another would stop.  The all-diligent count is priced at
+    S*; the others are stepped together: each step fills the step terms,
+    scans the first bracket and absorbs the solved moves once for all of
+    them (``_Observers``), and ``solve_step`` solves each count in turn.
+    When a count fails, the ones before it run on; its rows and those of
+    the counts after it keep absorbing their last moves, but are no longer
+    scanned or solved.
     """
     J, n = config.n_agents, config.n_steps
-    outcomes = {}
-    if J in counts:
-        # the population that sets S*: the price is S* by definition
-        xi_series = np.full(n + 1, np.nan)
-        xi_series[1:] = np.diff(inputs.log_stock_ideal)
-        outcomes[J] = _result(config, inputs, inputs.log_stock_ideal,
-                              xi_series, np.zeros(n + 1), np.zeros(n + 1))
     stepping = [c for c in counts if c < J]
-    if stepping:
-        outcomes.update(_lockstep(config, inputs, stepping))
-    ordered = []
-    for c in counts:
-        ordered.append(outcomes[c])
-        if isinstance(outcomes[c], FixedPointError):
-            break
-    return ordered
-
-
-def _lockstep(config: FeedbackConfig, inputs: _SeedInputs,
-              counts) -> Dict[int, Union[FeedbackResult, FixedPointError]]:
-    """The outcomes of the distinct ``counts`` below n_agents, stepped
-    together: each step fills the step terms, scans the first bracket and
-    absorbs the solved moves once for all of them (``_Observers``), and
-    ``solve_step`` solves each count in turn.  When a count fails, the
-    ones before it run on; its rows and those of the counts after it keep
-    absorbing their last moves, but are no longer scanned or solved."""
-    J, n = config.n_agents, config.n_steps
+    inputs = _seed_inputs(config, stepping)
     traits = inputs.traits
     sigma_step = config.sigma_step
-    increments, log_div = inputs.increments, inputs.log_div
+    increments, log_div, dil = inputs.increments, inputs.log_div, \
+        inputs.diligent
     # only the agents that observe the price: the diligent ones enter
     # through their per-step terms from the S* pass
-    sizes = [J - c for c in counts]
-    observers = _Observers(
-        *(np.concatenate([a[c:] for c in counts]) for a in
-          (traits.rho_step, traits.tau, traits.prior_mean_step)),
-        config.prior_weight, sizes)
-    no_terms = [-math.inf] * n
-    num_dil = [inputs.diligent[c][0] if c else no_terms for c in counts]
-    den_dil = [inputs.diligent[c][1] if c else no_terms for c in counts]
-    # the same terms as a (steps, counts, 2, 1) array, for the shared scan
-    dil = np.array([num_dil, den_dil]).transpose(2, 1, 0)[..., None].copy()
+    rows = [j for c in stepping for j in range(c, J)]
+    observers = _Observers(traits.rho_step[rows], traits.tau[rows],
+                           traits.prior_mean_step[rows], config.prior_weight,
+                           [J - c for c in stepping])
     log_expm1 = np.log(np.expm1(traits.rho_step))   # solve_step's bracket
     log_pd_bounds = -log_expm1.max(), -log_expm1.min()
 
-    k = len(counts)
+    k = len(stepping)
     log_stock = np.empty((k, n + 1))
     # before any observation the population holds its priors, like S*
     log_stock[:, 0] = inputs.log_stock_ideal[0]
     xi_series = np.full((k, n + 1), np.nan)
     warnings = np.zeros((k, n + 1))
     residuals = np.zeros((k, n + 1))
-    observed = np.zeros(len(observers.mu))   # each row's count's xi
-    # each count's series and diligent terms, and its rows in observed
-    runs = list(zip(log_stock, xi_series, warnings, residuals, num_dil,
-                    den_dil, observers.blocks))
-    outcomes = {}
+    observed = np.zeros(len(rows))   # each row's count's xi
+    # each count's series, and its rows in observed
+    runs = list(zip(log_stock, xi_series, warnings, residuals,
+                    observers.blocks))
+    error = None
     active = k
     for t in range(n):
+        if not active:
+            break
         d = increments[t]
         first_scan = observers.start_step(t, d, sigma_step, dil[t, :active])
-        for i, (stock, xis, warn, resid, num, den, rows) in enumerate(
-                runs[:active]):
+        for i, (stock, xis, warn, resid, block) in enumerate(runs[:active]):
             prev = xis[t] if t > 0 else d
             try:
                 xi, n_roots, rel = solve_step(
                     observers, i, t, stock[t], log_div[t + 1], d, prev,
-                    sigma_step, num[t], den[t], first_scan[i],
-                    log_pd_bounds)
+                    sigma_step, dil[t, i], first_scan[i], log_pd_bounds)
             except FixedPointError as exc:
-                outcomes[counts[i]] = exc
-                active = i
+                error, active = exc, i
                 break
-            observed[rows] = xi
+            observed[block] = xi
             xis[t + 1] = xi
             warn[t + 1] = n_roots - 1
             resid[t + 1] = rel
             stock[t + 1] = stock[t] + xi
-        if not active:
-            break
         observers.absorb(observed, t)
-    for i in range(active):
-        outcomes[counts[i]] = _result(config, inputs, log_stock[i],
-                                      xi_series[i], warnings[i], residuals[i])
+    # the failing count's outcome is its error, which ends the list
+    stepped = iter([_result(config, inputs, *run[:4])
+                    for run in runs[:active]])
+    outcomes = []
+    for c in counts:
+        if c < J:
+            outcomes.append(next(stepped, error))
+            if outcomes[-1] is error:
+                break
+        else:
+            # the population that sets S*: the price is S* by definition
+            xi_ideal = np.full(n + 1, np.nan)
+            xi_ideal[1:] = np.diff(inputs.log_stock_ideal)
+            outcomes.append(_result(config, inputs, inputs.log_stock_ideal,
+                                    xi_ideal, np.zeros(n + 1),
+                                    np.zeros(n + 1)))
     return outcomes
 
 
@@ -755,9 +737,8 @@ def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
 
 def _sweep_seed(task) -> List[Dict[str, float]]:
     config, counts = task
-    inputs = _seed_inputs(config, counts)
     rows = []
-    for c, outcome in zip(counts, _run(config, inputs, counts)):
+    for c, outcome in zip(counts, _run(config, counts)):
         if isinstance(outcome, FixedPointError):
             raise FixedPointError(
                 f"seed {config.seed}, n_diligent {c}: {outcome}",

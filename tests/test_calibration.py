@@ -261,10 +261,11 @@ def test_ingest_short_span_rejected(tmp_path):
 
 @pytest.mark.parametrize("n_rows, min_years, accepted", [
     (121, 10.0, True), (120, 10.0, False), (121, 10.05, True),
-    (120, 10.05, False), (200, 1e308, False)])
+    (120, 10.05, False), (200, 1e308, False), (1, 0.05, False)])
 def test_ingest_span_needs_more_than_min_years(tmp_path, n_rows, min_years,
                                                accepted):
-    # 1e308 years is 12 * 1e308 = inf months, still a short span
+    # 1e308 years is 12 * 1e308 = inf months, still a short span; one row
+    # gives no return, however short the span asked for
     path = write_csv(tmp_path, [f"d{i},100.0,4.0" for i in range(n_rows)])
     if accepted:
         assert ingest_price_dividend_csv(path, min_years).n_rows == n_rows

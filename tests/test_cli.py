@@ -651,7 +651,12 @@ def test_fit_without_a_finite_loss_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides, field", [
     ({"dt": 30.0, "horizon_years": 20.0}, "dt"),
-    ({"fixed": {"alpha_0": 0.0, "sigma": 0.2}}, "sigma")])
+    ({"fixed": {"alpha_0": 0.0, "sigma": 0.2}}, "sigma"),
+    # nothing to move, a target the loss would divide by, nothing to match
+    ({"free": []}, "free"),
+    ({"targets": {"mean_pd": 25, "equity_premium": 0}},
+     "targets.equity_premium"),
+    ({"targets": {}}, "targets")])
 def test_fit_invalid_problem_exits_2_before_writing(tmp_path, capsys,
                                                     overrides, field):
     cfg = write_config(tmp_path, {

@@ -128,7 +128,7 @@ def test_agent_draws_within_ranges():
 def test_single_agent_pd_is_level_perpetuity():
     rho_step = np.array([0.003])
     for t in (0, 100, 5000):
-        log_pd = log_price_dividend(rho_step, np.array([0.0]), t)
+        log_pd, = log_price_dividend(rho_step, np.array([[0.0]]), t)
         assert math.exp(log_pd) == pytest.approx(1.0 / math.expm1(0.003), rel=1e-12)
 
 
@@ -149,7 +149,8 @@ def test_common_weight_cancels_from_pd():
         blocks = int(rng.integers(1, 4))
         log_weight = rng.normal(0.0, 5.0, (blocks, J))
         steps = rng.integers(0, 5000, (blocks, 1))
-        for w, t in ((log_weight[0], int(steps[0, 0])), (log_weight, steps)):
+        # one state at one step, and every state at its own step
+        for w, t in ((log_weight[:1], int(steps[0, 0])), (log_weight, steps)):
             got = np.asarray(log_price_dividend(rho_step, w, t))
             same = log_pd_with_common_weight(rho_step, np.ones(J), w, t)
             assert got.tobytes() == np.asarray(same).tobytes()
@@ -159,7 +160,7 @@ def test_common_weight_cancels_from_pd():
 
 def test_identical_agents_pd_constant():
     rho_step = np.full(4, 0.002)
-    values = [log_price_dividend(rho_step, np.full(4, w), t)
+    values = [log_price_dividend(rho_step, np.full((1, 4), w), t)[0]
               for t, w in [(0, 0.0), (50, -3.0), (900, 11.0)]]
     assert max(values) - min(values) < 1e-13
 
@@ -167,7 +168,7 @@ def test_identical_agents_pd_constant():
 def test_two_agent_pd_hand_sum_and_npv_oracle():
     rho_step = np.array([0.001, 0.002])
     t = 37
-    log_pd = log_price_dividend(rho_step, np.zeros(2), t)
+    log_pd, = log_price_dividend(rho_step, np.zeros((1, 2)), t)
     # direct arithmetic on the two sums
     num = sum(math.exp(-r * t) / math.expm1(r) for r in rho_step)
     den = sum(math.exp(-r * t) for r in rho_step)
@@ -257,8 +258,8 @@ def diligent_terms_oracle(rho_step, population, diligent_mask, step,
     fixed = base[diligent_mask] + log_density_increment(
         population.mu[diligent_mask], k, population.tau[diligent_mask],
         true_increment)
-    return (_lse(fixed - np.log(np.expm1(rho_step[diligent_mask]))),
-            _lse(fixed))
+    return (lse_vector(fixed - np.log(np.expm1(rho_step[diligent_mask]))),
+            lse_vector(fixed))
 
 
 def solve_step_oracle(rho_step, population, diligent_mask, step, log_stock,
@@ -286,8 +287,8 @@ def solve_step_oracle(rho_step, population, diligent_mask, step, log_stock,
     def residual(xi):
         dev = xi - mu_nd
         dl = -quad_nd * dev * dev
-        log_num = np.logaddexp(num_dil, _lse(const_num_nd + dl))
-        log_den = np.logaddexp(den_dil, _lse(const_nd + dl))
+        log_num = np.logaddexp(num_dil, lse_vector(const_num_nd + dl))
+        log_den = np.logaddexp(den_dil, lse_vector(const_nd + dl))
         return offset + xi - (log_num - log_den)
 
     def residual_grid(xi):
@@ -346,7 +347,7 @@ def solve_alone(observers, step, log_stock, log_div_next, true_increment,
     bounds = log_pd_bounds(-observers.neg_rho if rho_step is None
                            else rho_step)
     return solve_step(observers, 0, step, log_stock, log_div_next,
-                      true_increment, prev_xi, sigma_step, num_dil, den_dil,
+                      true_increment, prev_xi, sigma_step, dil[0],
                       first_scan[0], bounds)
 
 
@@ -398,7 +399,8 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
         # daily moves; some steps then have their only roots beyond +/- 1
         # of d, which the exact bracket finds
         at_d = base + log_density_increment(population.mu, k, traits.tau, d)
-        log_pd = _lse(at_d - np.log(np.expm1(traits.rho_step))) - _lse(at_d)
+        log_pd = lse_vector(at_d - np.log(np.expm1(traits.rho_step))) \
+            - lse_vector(at_d)
         log_div_next = rng.normal(0.0, 1.0)
         log_stock = log_div_next + log_pd - d \
             + rng.normal(0.0, 5.0) * sigma_step
@@ -604,13 +606,16 @@ def test_cell_that_does_not_bracket_a_root_raises(monkeypatch):
         run_feedback(cfg)
 
 
-def test_all_diligent_price_follows_a_jump_past_the_cap():
+def test_all_diligent_price_follows_a_jump_past_the_cap(monkeypatch):
     # the price of an all-diligent population is S*, whatever its move
     cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
-    inputs = _seed_inputs(cfg, [cfg.n_diligent])
+    inputs = _seed_inputs(cfg, [])
     log_stock_ideal = inputs.log_stock_ideal.copy()
     log_stock_ideal[18:] += 1.5   # S* jumps at step 17
-    got, = _run(cfg, replace(inputs, log_stock_ideal=log_stock_ideal), [2])
+    monkeypatch.setattr(
+        feedback, "_seed_inputs", lambda config, stepping: replace(
+            inputs, log_stock_ideal=log_stock_ideal))
+    got = run_feedback(cfg)
     assert got.xi[18] == log_stock_ideal[18] - log_stock_ideal[17]
     assert got.xi[18] - inputs.increments[17] > 1.0
     np.testing.assert_array_equal(got.stock, np.exp(log_stock_ideal))
@@ -632,7 +637,7 @@ def test_shipped_sweep_seed_22_crashes_at_step_670(monkeypatch):
     monkeypatch.setattr(feedback, "solve_step", solve)
     res = run_feedback(cfg)
     assert res.metrics["max_residual"] <= feedback.RESIDUAL_TOL
-    log_stock, log_div_next, d, prev_xi, sigma_step, _, _, _, bounds = \
+    log_stock, log_div_next, d, prev_xi, sigma_step, _, _, bounds = \
         seen["args"]
     xi = res.xi[671]
     assert math.exp(xi) == pytest.approx(0.3226, abs=1e-4)
@@ -654,8 +659,10 @@ def test_shipped_sweep_seed_22_crashes_at_step_670(monkeypatch):
 def test_lse_kernel_matches_scipy(rng, offset):
     v = rng.normal(0.0, 5.0, size=(200, 30)) + offset
     v[7, 3] = -np.inf
-    for row in v:
-        assert _lse(row) == pytest.approx(logsumexp(row), rel=1e-14)
+    got = _lse(v)
+    assert len(got) == len(v)
+    for row, value in zip(v, got):
+        assert value == pytest.approx(logsumexp(row), rel=1e-14)
 
 
 def lse_vector(v):
@@ -682,7 +689,7 @@ def test_two_row_lse_equals_each_row_on_its_own():
             scratch = v.copy()
             rows = _lse(scratch, out=scratch)
             for i in range(2):
-                assert rows[i] == _lse(v[i]) == lse_vector(v[i])
+                assert rows[i] == _lse(v[i:i + 1])[0] == lse_vector(v[i])
 
 
 def test_scan_grid_equals_linspace():
@@ -780,8 +787,10 @@ def test_blocked_diligent_terms_equal_step_by_step(n_steps):
     for seed in (0, 9):
         cfg = small_config(n_agents=J, n_diligent=0, n_steps=n_steps,
                            seed=seed)
-        inputs = _seed_inputs(cfg, (0, *counts, J))
-        assert sorted(inputs.diligent) == list(counts)
+        inputs = _seed_inputs(cfg, (0, *counts))
+        assert inputs.diligent.shape == (n_steps, 1 + len(counts), 2, 1)
+        # count 0 has no diligent agents
+        assert np.all(inputs.diligent[:, 0] == -np.inf)
         traits = inputs.traits
         population = _Observers(traits.rho_step, traits.tau,
                                 traits.prior_mean_step, cfg.prior_weight)
@@ -791,12 +800,9 @@ def test_blocked_diligent_terms_equal_step_by_step(n_steps):
                 want[c].append(diligent_terms_oracle(
                     traits.rho_step, population, np.arange(J) < c, t, d))
             population.absorb(d, t)
-        for c in counts:
-            num, den = inputs.diligent[c]
-            assert np.array(num).tobytes() == \
-                np.array([w[0] for w in want[c]]).tobytes()
-            assert np.array(den).tobytes() == \
-                np.array([w[1] for w in want[c]]).tobytes()
+        for i, c in enumerate(counts, start=1):
+            assert inputs.diligent[:, i, :, 0].tobytes() == \
+                np.array(want[c]).tobytes()
 
 
 def test_step_terms_equal_step_by_step():
@@ -1155,9 +1161,11 @@ def one_count_solve_step(observers, step, log_stock, log_div_next,
     return xi, len(cells), abs(math.expm1(float(seen[xi])))
 
 
-def one_count_run(config, inputs):
-    """The former ``_run``: one diligence count stepped on its own, its
-    result or its error.  Returns (log S, xi, warnings, residuals)."""
+def one_count_run(config, inputs, dil):
+    """The former ``_run``: one diligence count stepped on its own, with
+    ``dil`` its (steps, 2, 1) diligent terms (None for the all-diligent
+    count), its result or its error.  Returns (log S, xi, warnings,
+    residuals)."""
     c, n = config.n_diligent, config.n_steps
     traits = inputs.traits
     sigma_step = config.sigma_true * math.sqrt(config.dt)
@@ -1170,7 +1178,7 @@ def one_count_run(config, inputs):
     observers = OneCountObservers(traits.rho_step[c:], traits.tau[c:],
                                   traits.prior_mean_step[c:],
                                   config.prior_weight)
-    num_dil, den_dil = inputs.diligent[c] if c else ([-math.inf] * n,) * 2
+    num_dil, den_dil = dil[:, 0, 0].tolist(), dil[:, 1, 0].tolist()
     log_stock = np.empty(n + 1)
     log_stock[0] = inputs.log_stock_ideal[0]
     for t in range(n):
@@ -1225,13 +1233,15 @@ def test_lockstep_equals_each_count_stepped_alone(monkeypatch, seed):
     # every count of the lockstep gives the bits of the former one-count
     # stepper; at seed 3 a count widens its bracket while the others do not
     cfg = replace(shipped_sweep_config(), seed=seed)
-    inputs = _seed_inputs(cfg, ALL_COUNTS)
+    stepping = [c for c in ALL_COUNTS if c < cfg.n_agents]
+    inputs = _seed_inputs(cfg, stepping)
     calls = tracking_solve_step(monkeypatch)
-    outcomes = _run(cfg, inputs, ALL_COUNTS)
+    outcomes = _run(cfg, ALL_COUNTS)
     assert len(outcomes) == len(ALL_COUNTS)
     for c, got in zip(ALL_COUNTS, outcomes):
+        dil = inputs.diligent[:, stepping.index(c)] if c in stepping else None
         log_stock, xi, warnings, residuals = one_count_run(
-            replace(cfg, n_diligent=c), inputs)
+            replace(cfg, n_diligent=c), inputs, dil)
         want = {"stock": np.exp(log_stock),
                 "stock_ideal": np.exp(inputs.log_stock_ideal), "xi": xi,
                 "solver_warnings": warnings, "residuals": residuals,
@@ -1242,7 +1252,6 @@ def test_lockstep_equals_each_count_stepped_alone(monkeypatch, seed):
                                       log_stock, xi, warnings,
                                       residuals).metrics
     # one solve_step per stepping count and step, in count order
-    stepping = [c for c in ALL_COUNTS if c < cfg.n_agents]
     assert [(b, t) for b, t, _ in calls] == [
         (b, t) for t in range(cfg.n_steps) for b in range(len(stepping))]
     widened = [(stepping[b], t) for b, t, scans in calls if scans > 1]
@@ -1257,12 +1266,12 @@ def failing_at(monkeypatch, cells):
     ``cells`` fails there: ``solve_step`` solves the step, then raises a
     ``FixedPointError`` with the solved xi as its diagnostics.  Patched
     before a sweep forks, it holds in the forked children too."""
-    real_lockstep, real_solve = feedback._lockstep, feedback.solve_step
+    real_inputs, real_solve = feedback._seed_inputs, feedback.solve_step
     run = {}
 
-    def lockstep(config, *args):
+    def seed_inputs(config, stepping):
         run.update(seed=config.seed, n_agents=config.n_agents)
-        return real_lockstep(config, *args)
+        return real_inputs(config, stepping)
 
     def solve(observers, block, step, *args):
         got = real_solve(observers, block, step, *args)
@@ -1272,7 +1281,7 @@ def failing_at(monkeypatch, cells):
                                   diagnostics={"xi": got[0]})
         return got
 
-    monkeypatch.setattr(feedback, "_lockstep", lockstep)
+    monkeypatch.setattr(feedback, "_seed_inputs", seed_inputs)
     monkeypatch.setattr(feedback, "solve_step", solve)
 
 
@@ -1337,7 +1346,7 @@ def test_count_running_on_after_a_later_count_fails_keeps_its_bits(
     cfg = replace(shipped_sweep_config(), seed=10)
     want = run_feedback(replace(cfg, n_diligent=0))
     failing_at(monkeypatch, {(10, 1, 61)})
-    got, err = _run(cfg, _seed_inputs(cfg, [0, 1]), [0, 1])
+    got, err = _run(cfg, [0, 1])
     assert isinstance(err, FixedPointError) and err.step == 61
     for name in ("stock", "xi", "solver_warnings", "residuals", "log_ratio"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
@@ -1349,13 +1358,12 @@ def test_all_diligent_count_keeps_its_place_in_order(monkeypatch):
     # the all-diligent count is not stepped, but its result comes where its
     # turn comes: before a count that fails, and not after one
     cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
-    inputs = _seed_inputs(cfg, (0, 2))
-    want, = _run(cfg, inputs, [2])
+    want, = _run(cfg, [2])
     failing_at(monkeypatch, {(cfg.seed, 0, 17)})
-    first, err = _run(cfg, inputs, [2, 0])
+    first, err = _run(cfg, [2, 0])
     assert first.stock.tobytes() == want.stock.tobytes()
     assert isinstance(err, FixedPointError) and err.step == 17
-    err, = _run(cfg, inputs, [0, 2])
+    err, = _run(cfg, [0, 2])
     assert isinstance(err, FixedPointError) and err.step == 17
 
 
@@ -1407,7 +1415,7 @@ def series_by_value(res):
 def test_csv_matches_per_value_format():
     res = run_feedback(small_config(n_diligent=0, n_steps=300))
     xi = res.xi.copy()
-    xi[[5, 6, 7]] = [np.nan, -0.0, 1e-300]
+    xi[[6, 7]] = [-0.0, 1e-300]
     warnings = res.solver_warnings.copy()
     warnings[9] = 3.0
     edited = replace(res, xi=xi, solver_warnings=warnings,

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from beliefmkt.calibration import MOMENT_LABELS
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -37,3 +39,10 @@ def test_experiment_scripts_run(tmp_path):
         rows = (tmp_path / f"panels_30A_{c}D_seed1.csv").read_text() \
             .splitlines()
         assert len(rows) == 254   # the header and steps 0 .. 252
+
+    lines = run_script("benchmark_moments.py", "--paths", "2",
+                       "--horizons", "1")
+    assert lines[1] == "=== horizon 1 years, 2 paths ==="
+    assert lines[2].split() == ["Model", "Target"]
+    assert [line.rsplit(None, 2)[0] for line in lines[3:]] == list(
+        MOMENT_LABELS.values())
