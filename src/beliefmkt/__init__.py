@@ -59,9 +59,7 @@ _keep_freed_heap()
 
 #: Public name -> the submodule that defines it.
 _ORIGIN = {name: module for module, names in (
-    ("beliefs", ("BayesianGaussian", "BeliefState", "ConstantDrift",
-                 "DiscreteBelief", "drift_at", "initial_state",
-                 "likelihood_ratio", "log_likelihood_ratio", "update")),
+    ("beliefs", ("BayesianGaussian", "ConstantDrift", "drift_at")),
     ("equilibrium", ("AgentSpec", "EquilibriumPath", "MarketSpec",
                      "simulate_path", "simulate_paths",
                      "solve_market_clearing")),

@@ -10,13 +10,10 @@ d Lambda = Lambda * alpha_t dX; both kinds of agent have it in closed form.
 
 Discrete time: an agent models observed log increments as i.i.d. gaussian
 with known precision tau and unknown mean, carrying a conjugate
-N(mu0, 1/(K0*tau)) prior.  The joint subjective density lambda_t of the
-observations admits a cheap multiplicative update, and the likelihood
-ratio against the mean-zero reference measure has a closed form in the
-posterior state alone.
-
-Everything is kept in log space; densities are exponentiated only on
-demand, with an explicit saturation error instead of silent infinities.
+N(mu0, 1/(K0*tau)) prior.  The feedback engine steps each agent's
+posterior mean and the log of the joint subjective density of its
+observations one observation at a time, with ``posterior_mean_step`` and
+``log_density_increment``; both work on arrays of agents.
 """
 
 import math
@@ -25,10 +22,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, SaturationError
+from .errors import ConfigError
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -93,45 +89,6 @@ def bayesian_log_ratio_closed_form(belief: BayesianGaussian, t, x):
 # discrete-time beliefs
 
 
-@dataclass(frozen=True)
-class DiscreteBelief:
-    """Conjugate gaussian model for per-step log growth.
-
-    prior_mean    mu0, prior mean of the per-step increment
-    prior_weight  K0 > 0, prior effective sample size
-    precision     tau > 0, assumed precision of one increment
-    """
-
-    prior_mean: float
-    prior_weight: float
-    precision: float
-
-    def __post_init__(self):
-        if not self.prior_weight > 0.0:
-            raise ConfigError("prior_weight must be > 0")
-        if not self.precision > 0.0:
-            raise ConfigError("precision must be > 0")
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """Immutable posterior state after ``step`` observations.
-
-    ``log_density`` accumulates the log joint subjective density of the
-    observations; ``sample_size`` is K_t and always equals K0 + step.
-    """
-
-    step: int
-    posterior_mean: float
-    sample_size: float
-    log_density: float
-
-
-def initial_state(belief: DiscreteBelief) -> BeliefState:
-    return BeliefState(step=0, posterior_mean=belief.prior_mean,
-                       sample_size=belief.prior_weight, log_density=0.0)
-
-
 def posterior_mean_step(mean, weight, x):
     """Posterior mean after observing x: mean + (x - mean) / (weight + 1)."""
     return mean + (x - mean) / (weight + 1.0)
@@ -149,41 +106,3 @@ def log_density_increment(mean, weight, precision, x):
         + np.log(weight / k1)
         + np.log(precision) - _LOG_TWO_PI
     )
-
-
-def update(state: BeliefState, belief: DiscreteBelief, x: float) -> BeliefState:
-    """Consume one observed increment and return the new state."""
-    dlog = log_density_increment(state.posterior_mean, state.sample_size,
-                                 belief.precision, x)
-    step = state.step + 1
-    return BeliefState(
-        step=step,
-        posterior_mean=posterior_mean_step(state.posterior_mean, state.sample_size, x),
-        # K_t is re-derived from the integer step count, never accumulated
-        # in floating point, so K_t = K0 + t holds exactly.
-        sample_size=belief.prior_weight + step,
-        log_density=state.log_density + float(dlog),
-    )
-
-
-def log_likelihood_ratio(state: BeliefState, belief: DiscreteBelief) -> float:
-    """log Lambda_t against the mean-zero reference measure of the same
-    precision: (tau/2) (K_t mu_t^2 - K0 mu0^2) + 0.5 log(K0/K_t)."""
-    tau = belief.precision
-    k0, mu0 = belief.prior_weight, belief.prior_mean
-    kt, mut = state.sample_size, state.posterior_mean
-    return 0.5 * tau * (kt * mut * mut - k0 * mu0 * mu0) + 0.5 * math.log(k0 / kt)
-
-
-def likelihood_ratio(state: BeliefState, belief: DiscreteBelief) -> float:
-    """Lambda_t materialized from log space.
-
-    Raises SaturationError instead of returning infinity when the log
-    ratio exceeds the representable range.
-    """
-    log_ratio = log_likelihood_ratio(state, belief)
-    if log_ratio > _LOG_MAX:
-        raise SaturationError(
-            f"log likelihood ratio {log_ratio:.6g} exceeds representable range"
-        )
-    return math.exp(log_ratio)

@@ -325,13 +325,21 @@ class CalibrationProblem:
             raise ConfigError("duplicate free parameter names")
         for p in self.free:
             _check_param_name(p.name, self.n_agents)
-            if p.name.startswith(("rho_", "nu_")) or p.name == "sigma":
-                if p.lower <= 0.0:
-                    raise ConfigError(f"{p.name}: bounds must keep the value > 0")
-        for name in self.fixed:
+            if not _in_domain(p.name, p.lower):
+                raise ConfigError(f"{p.name}: bounds must keep the value > 0")
+        for name, value in self.fixed.items():
             _check_param_name(name, self.n_agents)
             if name in names:
                 raise ConfigError(f"{name}: both free and fixed")
+            if not _in_domain(name, value):
+                raise ConfigError(f"{name}: must be > 0")
+
+
+def _in_domain(name: str, value: float) -> bool:
+    """Whether parameter ``name`` may take ``value``: sigma and every rho_j
+    and nu_j must be > 0."""
+    return value > 0.0 or not (name.startswith(("rho_", "nu_"))
+                               or name == "sigma")
 
 
 def _check_param_name(name: str, n_agents: int):

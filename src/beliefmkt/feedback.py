@@ -319,17 +319,6 @@ class _Observers:
         self.scan_pd = np.empty((len(self.sizes), 2, _SCAN_POINTS))
         self.scan_blocks = [(self.coefs[b], self.scan_v[b], weights[:, b])
                             for b in self.blocks]
-        # per block, for Brent's residual: its constants and buffers for 2
-        # points: the points, xi - mu, the density increment, and the PD
-        # numerator and denominator rows, (point, row) and flat
-        self.brent_blocks = []
-        for b, size in zip(self.blocks, self.sizes):
-            dev, dl, lse_rows = np.empty((2, size)), np.empty((2, size)), \
-                np.empty((4, size))
-            self.brent_blocks.append((
-                self.consts[:, b], np.empty((2, 1)), dev, dl,
-                lse_rows.reshape(2, 2, size), lse_rows, dev[0], dl[0],
-                lse_rows[:2]))
 
     def absorb(self, x, step: int):
         """Consume observations x (scalar or per row) seen at step+1."""
@@ -467,9 +456,7 @@ def solve_step(observers: _Observers, block: int, step: int,
     s = observers
     (num_dil,), (den_dil,) = dil.tolist()
     rows = s.blocks[block]
-    mu, neg_quad = s.mu[rows], s.neg_quad[rows]
-    consts, points, dev, dl, lse_pairs, lse_rows, dev_1, dl_1, lse_1 = \
-        s.brent_blocks[block]
+    consts, mu, neg_quad = s.consts[:, rows], s.mu[rows], s.neg_quad[rows]
     offset = log_stock - log_div_next
 
     def combine(xi, log_num, log_den):
@@ -482,22 +469,16 @@ def solve_step(observers: _Observers, block: int, step: int,
         # back from ``seen``
         value = seen.get(xi)
         if value is None:
-            np.subtract(xi, mu, out=dev_1)
-            np.multiply(neg_quad, dev_1, out=dl_1)
-            np.multiply(dl_1, dev_1, out=dl_1)
-            log_num, log_den = _lse(np.add(consts, dl_1, out=lse_1),
-                                    out=lse_1)
+            dev = xi - mu
+            log_num, log_den = _lse(consts + neg_quad * dev * dev)
             seen[xi] = value = combine(xi, log_num, log_den)
         return value
 
     def ends(lo, hi):
         # the residual at lo and at hi from one pass over 2 points x 2 rows
-        points[0, 0], points[1, 0] = lo, hi
-        np.subtract(points, mu, out=dev)
-        np.multiply(neg_quad, dev, out=dl)
-        np.multiply(dl, dev, out=dl)
-        np.add(consts, dl[:, None], out=lse_pairs)
-        num_lo, den_lo, num_hi, den_hi = _lse(lse_rows, out=lse_rows)
+        dev = np.array([[lo], [hi]]) - mu
+        num_lo, den_lo, num_hi, den_hi = _lse(
+            (consts + (neg_quad * dev * dev)[:, None]).reshape(4, -1))
         return combine(lo, num_lo, den_lo), combine(hi, num_hi, den_hi)
 
     grid, log_pd = s.grid, first_scan

@@ -16,9 +16,7 @@ import pytest
 from beliefmkt.beauty import (ContestSpec, clearing_weights,
                               pareto_faked_equilibrium, truthful_equilibrium,
                               welfare_comparison)
-from beliefmkt.beliefs import (BeliefState, DiscreteBelief, initial_state,
-                               log_likelihood_ratio, posterior_mean_step,
-                               update)
+from beliefmkt.beliefs import posterior_mean_step
 from beliefmkt.calibration import compute_moments
 from beliefmkt.cli import main
 from beliefmkt.equilibrium import (AgentSpec, MarketSpec, simulate_path,
@@ -27,6 +25,7 @@ from beliefmkt.beliefs import ConstantDrift
 from beliefmkt.feedback import FeedbackConfig, diligence_sweep, run_feedback
 from conftest import benchmark_market
 from test_beauty import best_response
+from test_beliefs import fold
 
 
 def report_line(label, ok, detail=""):
@@ -110,14 +109,13 @@ def test_belief_update_oracle_equivalence():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(1000):
-        belief = DiscreteBelief(prior_mean=rng.normal(0.0, 0.1),
-                                prior_weight=rng.uniform(0.5, 50.0),
-                                precision=rng.uniform(0.1, 100.0))
-        xs = rng.normal(0.0, 1.0 / math.sqrt(belief.precision), size=100)
-        state = initial_state(belief)
-        for x in xs:
-            state = update(state, belief, x)
-        k0, mu0, tau = belief.prior_weight, belief.prior_mean, belief.precision
+        mu0, k0, tau = (rng.normal(0.0, 0.1), rng.uniform(0.5, 50.0),
+                        rng.uniform(0.1, 100.0))
+        xs = rng.normal(0.0, 1.0 / math.sqrt(tau), size=100)
+        _, log_density = fold(xs, mu0, k0, tau)
+        # against the mean-zero reference density of the same precision
+        log_ratio = log_density - (-0.5 * tau * (xs * xs).sum()
+                                   + 50.0 * math.log(tau / (2.0 * math.pi)))
         kt = k0 + 100
         mut = (k0 * mu0 + xs.sum()) / kt
         batch_density = (-0.5 * tau * (xs * xs).sum()
@@ -126,9 +124,9 @@ def test_belief_update_oracle_equivalence():
                          + 0.5 * math.log(k0 / kt))
         batch_ratio = 0.5 * tau * (kt * mut**2 - k0 * mu0**2) \
             + 0.5 * math.log(k0 / kt)
-        err_density = abs(state.log_density - batch_density) \
+        err_density = abs(log_density - batch_density) \
             / max(1.0, abs(batch_density))
-        err_ratio = abs(log_likelihood_ratio(state, belief) - batch_ratio) \
+        err_ratio = abs(log_ratio - batch_ratio) \
             / max(1.0, abs(batch_ratio))
         worst = max(worst, err_density, err_ratio)
     ok = worst < 1e-10
@@ -153,20 +151,19 @@ def test_martingale_means():
         dev = abs(lam.mean() - 1.0) / se
         ok_all &= dev < 3.0
         details.append(f"constant drift {alpha}/{horizon}: {dev:.2f} SE")
-    belief = DiscreteBelief(prior_mean=0.02, prior_weight=3.0, precision=16.0)
+    mu0, k0, tau = 0.02, 3.0, 16.0
     t_steps = 25
     xs = rng.normal(0.0, 0.25, size=(n, t_steps))
-    mu = np.full(n, belief.prior_mean)
+    mu = np.full(n, mu0)
     for t in range(t_steps):
-        mu = posterior_mean_step(mu, belief.prior_weight + t, xs[:, t])
-    kt = belief.prior_weight + t_steps
-    log_lam = 0.5 * belief.precision * (kt * mu**2
-                                        - belief.prior_weight * belief.prior_mean**2) \
-        + 0.5 * math.log(belief.prior_weight / kt)
-    spot = BeliefState(step=t_steps, posterior_mean=float(mu[0]),
-                       sample_size=kt, log_density=0.0)
-    assert log_likelihood_ratio(spot, belief) == pytest.approx(
-        float(log_lam[0]), rel=1e-12)
+        mu = posterior_mean_step(mu, k0 + t, xs[:, t])
+    kt = k0 + t_steps
+    log_lam = 0.5 * tau * (kt * mu**2 - k0 * mu0**2) + 0.5 * math.log(k0 / kt)
+    # one path's folded log density less the mean-zero reference density
+    _, log_density = fold(xs[0], mu0, k0, tau)
+    assert log_density - (-0.5 * tau * (xs[0] * xs[0]).sum()
+                          + 0.5 * t_steps * math.log(tau / (2.0 * math.pi))) \
+        == pytest.approx(float(log_lam[0]), rel=1e-12)
     lam = np.exp(log_lam)
     se = lam.std(ddof=1) / math.sqrt(n)
     dev = abs(lam.mean() - 1.0) / se

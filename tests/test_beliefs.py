@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
-                               DiscreteBelief, bayesian_log_ratio_closed_form,
-                               drift_at, drift_slope, initial_state,
-                               likelihood_ratio,
-                               log_density_increment, log_likelihood_ratio,
-                               update)
-from beliefmkt.errors import ConfigError, SaturationError
+                               bayesian_log_ratio_closed_form, drift_at,
+                               drift_slope, log_density_increment,
+                               posterior_mean_step)
+from beliefmkt.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,12 +19,11 @@ TWO_PI = 2.0 * math.pi
 # independent oracles
 
 
-def batch_log_density(xs, belief):
+def batch_log_density(xs, mu0, k0, tau):
     """Joint log density of the observations, evaluated from the batch
     formula instead of the incremental update."""
     xs = np.asarray(xs, dtype=float)
     t = len(xs)
-    k0, mu0, tau = belief.prior_weight, belief.prior_mean, belief.precision
     kt = k0 + t
     mut = (k0 * mu0 + xs.sum()) / kt
     return (-0.5 * tau * (xs * xs).sum()
@@ -35,21 +32,18 @@ def batch_log_density(xs, belief):
             + 0.5 * math.log(k0 / kt))
 
 
-def batch_log_ratio(xs, belief):
+def batch_log_ratio(xs, mu0, k0, tau):
     """Likelihood ratio against the mean-zero reference, batch form."""
     xs = np.asarray(xs, dtype=float)
     t = len(xs)
-    k0, mu0, tau = belief.prior_weight, belief.prior_mean, belief.precision
     kt = k0 + t
     mut = (k0 * mu0 + xs.sum()) / kt
     return 0.5 * tau * (kt * mut * mut - k0 * mu0 * mu0) + 0.5 * math.log(k0 / kt)
 
 
-def quadrature_joint_density(xs, belief):
+def quadrature_joint_density(xs, mu0, k0, tau):
     """Joint density by integrating the gaussian likelihood against the
     prior on the unknown mean with adaptive quadrature."""
-    tau = belief.precision
-    k0, mu0 = belief.prior_weight, belief.prior_mean
     prior_sd = 1.0 / math.sqrt(k0 * tau)
 
     def integrand(mu):
@@ -64,11 +58,17 @@ def quadrature_joint_density(xs, belief):
     return value
 
 
-def run_updates(xs, belief):
-    state = initial_state(belief)
-    for x in xs:
-        state = update(state, belief, x)
-    return state
+def fold(xs, mu0, k0, tau):
+    """(posterior mean, accumulated log density) of a learner with prior
+    N(mu0, 1/(k0 tau)) after the observations xs, taken one step of the
+    first axis at a time through the feedback engine's two kernels; a
+    (steps, paths) array folds every path at once."""
+    mean, log_density = mu0, 0.0
+    for t, x in enumerate(xs):
+        k = k0 + t
+        log_density = log_density + log_density_increment(mean, k, tau, x)
+        mean = posterior_mean_step(mean, k, x)
+    return mean, log_density
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,6 @@ def test_prior_precision_must_be_positive():
 
 @pytest.mark.parametrize("make, field", [
     (lambda: BayesianGaussian(0.0, math.nan), "prior_precision"),
-    (lambda: DiscreteBelief(0.0, math.nan, 1.0), "prior_weight"),
-    (lambda: DiscreteBelief(0.0, 1.0, math.nan), "precision"),
 ])
 def test_belief_rejects_nan_naming_the_field(make, field):
     with pytest.raises(ConfigError, match=f"^{field} must be > 0$"):
@@ -188,104 +186,82 @@ def test_continuous_martingale_mean_constant_drift(rng):
 
 
 def test_update_zero_surprise_keeps_mean():
-    belief = DiscreteBelief(prior_mean=0.5, prior_weight=1.0, precision=1.0)
-    state = update(initial_state(belief), belief, 0.5)
-    assert state.posterior_mean == 0.5
-    assert state.sample_size == 2.0
+    mean, _ = fold([0.5], 0.5, 1.0, 1.0)
+    assert mean == 0.5
 
 
 def test_update_zero_observation_log_density():
     tau = 2.7
-    belief = DiscreteBelief(prior_mean=0.0, prior_weight=1.0, precision=tau)
-    state = update(initial_state(belief), belief, 0.0)
-    assert state.posterior_mean == 0.0
+    mean, log_density = fold([0.0], 0.0, 1.0, tau)
+    assert mean == 0.0
     expected = 0.5 * (math.log(0.5) + math.log(tau / TWO_PI))
-    assert state.log_density == pytest.approx(expected, rel=1e-14)
-
-
-def test_sample_size_ledger_is_exact():
-    belief = DiscreteBelief(prior_mean=0.1, prior_weight=2.5, precision=3.0)
-    state = initial_state(belief)
-    for t in range(1, 500):
-        state = update(state, belief, 0.01 * t)
-        assert state.sample_size == 2.5 + t
-        assert state.step == t
+    assert log_density == pytest.approx(expected, rel=1e-14)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_incremental_matches_batch_density(seed):
     rng = np.random.default_rng(seed)
-    belief = DiscreteBelief(prior_mean=rng.normal(0, 0.1),
-                            prior_weight=rng.uniform(0.5, 30.0),
-                            precision=rng.uniform(0.2, 50.0))
-    xs = rng.normal(0.0, 1.0 / math.sqrt(belief.precision), size=100)
-    state = run_updates(xs, belief)
-    batch = batch_log_density(xs, belief)
-    assert abs(state.log_density - batch) <= 1e-10 * max(1.0, abs(batch))
-    ratio = log_likelihood_ratio(state, belief)
-    batch_ratio = batch_log_ratio(xs, belief)
+    mu0, k0, tau = (rng.normal(0, 0.1), rng.uniform(0.5, 30.0),
+                    rng.uniform(0.2, 50.0))
+    xs = rng.normal(0.0, 1.0 / math.sqrt(tau), size=100)
+    _, log_density = fold(xs, mu0, k0, tau)
+    batch = batch_log_density(xs, mu0, k0, tau)
+    assert abs(log_density - batch) <= 1e-10 * max(1.0, abs(batch))
+    # against the mean-zero reference density of the same precision
+    ratio = log_density - (-0.5 * tau * (xs * xs).sum()
+                           + 0.5 * len(xs) * math.log(tau / TWO_PI))
+    batch_ratio = batch_log_ratio(xs, mu0, k0, tau)
     assert abs(ratio - batch_ratio) <= 1e-10 * max(1.0, abs(batch_ratio))
 
 
 def test_log_density_matches_quadrature_oracle():
-    belief = DiscreteBelief(prior_mean=0.3, prior_weight=2.0, precision=4.0)
+    prior = (0.3, 2.0, 4.0)
     xs = [0.1, -0.4, 0.8, 0.25]
-    state = run_updates(xs, belief)
-    oracle = quadrature_joint_density(xs, belief)
-    assert state.log_density == pytest.approx(math.log(oracle), rel=1e-9)
-
-
-def test_likelihood_ratio_at_time_zero_is_one():
-    belief = DiscreteBelief(prior_mean=0.2, prior_weight=3.0, precision=1.1)
-    assert likelihood_ratio(initial_state(belief), belief) == 1.0
+    _, log_density = fold(xs, *prior)
+    oracle = quadrature_joint_density(xs, *prior)
+    assert log_density == pytest.approx(math.log(oracle), rel=1e-9)
 
 
 def test_likelihood_ratio_one_step_hand_value():
     # mu0 = 0, K0 = 1, one observation x: the posterior mean is x/2 and
     # Lambda_1 = exp(tau (x/2)^2 * 2 / 2) * sqrt(1/2)
     tau, x = 1.8, 0.9
-    belief = DiscreteBelief(prior_mean=0.0, prior_weight=1.0, precision=tau)
-    state = update(initial_state(belief), belief, x)
+    mean, log_density = fold([x], 0.0, 1.0, tau)
+    assert mean == x / 2.0
     expected = math.exp(0.5 * tau * 2.0 * (x / 2.0) ** 2) * math.sqrt(0.5)
-    assert likelihood_ratio(state, belief) == pytest.approx(expected, rel=1e-13)
-    # and it agrees with the explicit density ratio lambda_t / lambda0_t
+    # the density ratio lambda_t / lambda0_t against the mean-zero reference
     ref_log_density = -0.5 * tau * x * x + 0.5 * math.log(tau / TWO_PI)
-    assert state.log_density - ref_log_density == pytest.approx(
-        math.log(expected), rel=1e-13)
+    log_ratio = log_density - ref_log_density
+    assert math.exp(log_ratio) == pytest.approx(expected, rel=1e-13)
+    assert log_ratio == pytest.approx(math.log(expected), rel=1e-13)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_likelihood_ratio_order_invariant(seed):
     rng = np.random.default_rng(seed)
-    belief = DiscreteBelief(prior_mean=0.05, prior_weight=2.0, precision=5.0)
+    tau = 5.0
     xs = rng.normal(0.0, 0.4, size=12)
-    forward = log_likelihood_ratio(run_updates(xs, belief), belief)
-    shuffled = log_likelihood_ratio(run_updates(xs[::-1], belief), belief)
-    assert forward == pytest.approx(shuffled, rel=1e-12, abs=1e-12)
+
+    def log_ratio(order):
+        _, log_density = fold(order, 0.05, 2.0, tau)
+        return log_density - (-0.5 * tau * (order * order).sum()
+                              + 0.5 * len(order) * math.log(tau / TWO_PI))
+
+    assert log_ratio(xs) == pytest.approx(log_ratio(xs[::-1]), rel=1e-12,
+                                          abs=1e-12)
 
 
 def test_discrete_martingale_mean(rng):
     # E[Lambda_T] = 1 under the reference measure (mean zero, precision tau)
     tau, t_steps, n_paths = 4.0, 15, 20_000
-    belief = DiscreteBelief(prior_mean=0.1, prior_weight=2.0, precision=tau)
     xs = rng.normal(0.0, 1.0 / math.sqrt(tau), size=(n_paths, t_steps))
-    k0, mu0 = belief.prior_weight, belief.prior_mean
-    kt = k0 + t_steps
-    mut = (k0 * mu0 + xs.sum(axis=1)) / kt
-    lam = np.exp(0.5 * tau * (kt * mut**2 - k0 * mu0**2)) * math.sqrt(k0 / kt)
+    _, log_density = fold(xs.T, 0.1, 2.0, tau)
+    lam = np.exp(log_density - (-0.5 * tau * (xs * xs).sum(axis=1)
+                                + 0.5 * t_steps * math.log(tau / TWO_PI)))
     se = lam.std(ddof=1) / math.sqrt(n_paths)
     assert abs(lam.mean() - 1.0) < 3.0 * se
-
-
-def test_saturation_is_an_explicit_error():
-    belief = DiscreteBelief(prior_mean=50.0, prior_weight=1.0, precision=10.0)
-    state = initial_state(belief)
-    for _ in range(60):
-        state = update(state, belief, 60.0)
-    with pytest.raises(SaturationError):
-        likelihood_ratio(state, belief)
 
 
 def test_log_density_increment_vectorizes():
@@ -293,10 +269,3 @@ def test_log_density_increment_vectorizes():
     out = log_density_increment(means, 2.0, 3.0, 0.05)
     scalar = [log_density_increment(m, 2.0, 3.0, 0.05) for m in means]
     np.testing.assert_allclose(out, scalar, rtol=1e-15)
-
-
-def test_belief_validation():
-    with pytest.raises(ConfigError):
-        DiscreteBelief(prior_mean=0.0, prior_weight=0.0, precision=1.0)
-    with pytest.raises(ConfigError):
-        DiscreteBelief(prior_mean=0.0, prior_weight=1.0, precision=-2.0)

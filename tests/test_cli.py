@@ -656,7 +656,13 @@ def test_fit_without_a_finite_loss_exits_3(tmp_path, capsys):
     ({"free": []}, "free"),
     ({"targets": {"mean_pd": 25, "equity_premium": 0}},
      "targets.equity_premium"),
-    ({"targets": {}}, "targets")])
+    ({"targets": {}}, "targets"),
+    # fixed values outside the range the model accepts
+    ({"fixed": {"alpha_0": 0.0, "rho_0": 0.05, "nu_0": 0.0}}, "nu_0"),
+    ({"free": [{"name": "alpha_0", "lower": -0.5, "upper": 0.5,
+                "start": 0.0}],
+      "fixed": {"rho_0": 0.05, "nu_0": 1.0, "sigma": 0.0}}, "sigma"),
+])
 def test_fit_invalid_problem_exits_2_before_writing(tmp_path, capsys,
                                                     overrides, field):
     cfg = write_config(tmp_path, {

@@ -1,6 +1,7 @@
 """The shipped experiment scripts run end to end at small sizes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,8 @@ def test_experiment_scripts_run(tmp_path):
     assert lines[2].split() == ["Model", "Target"]
     assert [line.rsplit(None, 2)[0] for line in lines[3:]] == list(
         MOMENT_LABELS.values())
+
+    # an A/A run of this checkout against itself on one seed
+    lines = run_script("ab_feedback.py", str(REPO), str(REPO), "3", "3")
+    assert re.fullmatch(r"median ratio \d+\.\d{3}  new faster on [01] of 1 "
+                        r"seeds", lines[-1])
