@@ -28,26 +28,37 @@ writes under OUT:
   one ``diligence_sweep`` over those six counts, which steps them
   together: every count's metrics ``repr``, or the error's type, step and
   the failing run's diagnostics (leaving out the seed and count, and the
-  message, which a sweep's error adds or prefixes).
+  message, which a sweep's error adds or prefixes);
+* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (46 configs
+  and flags, each with one fault: a non-object item, a missing field, a
+  non-number, a non-finite number, a count past ``MAX_COUNT``, a value
+  <= 0, an unknown or misplaced fit parameter, an unread key or flag, and
+  more), run through ``cli.main`` in this process: its name, exit code
+  and last line of stderr, with the temporary directory shown as
+  ``<tmp>``.  An input-layer change shows its messages byte for byte.
 
 Run it in both checkouts (copy it into the older one if it is missing
 there), then ``diff -r OUT_A OUT_B``: no output means every output is
 identical.  The 240 single feedback runs and the 40 sweeps go through
 ``numerics.fork_map``, one task per output line, so they are split across
-the usable CPUs and their lines come out in order.  It takes 55-75 s on a
+the usable CPUs and their lines come out in order.  It takes 55-80 s on a
 2-core Xeon whose speed drifts (100-111 s when those ran one after
 another): the single runs take about 35 % of that, the sweeps, which step
 their six counts together, about 25 %, the CLI runs about 25 %, and the
 fits and the moment reports, which ``compute_moments`` splits across the
-CPUs, about 4 s each.
+CPUs, about 4 s each, and the invalid runs of ``errors.txt`` about 1 s.
 """
 
 import argparse
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -93,6 +104,143 @@ def cli_outputs(out):
                 out / f"{name}-replay")
     for path in written:
         path.unlink()
+
+
+_MARKET = {"market": {"sigma": 0.3, "agents": [
+    {"impatience": 0.05, "weight": 1.0,
+     "belief": {"type": "constant", "drift": 0.1}},
+    {"impatience": 0.2, "weight": 2.0,
+     "belief": {"type": "bayesian", "prior_mean": 0.0,
+                "prior_precision": 2.0}}]},
+    "horizon_years": 2.0, "dt": 1.0 / 52.0, "n_paths": 2, "seed": 5}
+_FEEDBACK = {"n_agents": 4, "n_diligent": 0, "n_steps": 20, "seed": 1}
+_CONTEST = {"agents": [
+    {"risk_aversion": 1.0, "mean_belief": 0.05, "belief_variance": 0.04},
+    {"risk_aversion": 2.0, "mean_belief": 0.02, "belief_variance": 0.09}]}
+_FIT = {"n_agents": 1, "n_paths": 2, "horizon_years": 2.0, "dt": 1 / 52,
+        "free": [{"name": "sigma", "lower": 0.1, "upper": 0.5,
+                  "start": 0.2}]}
+_INGEST = {"csv": "configs/sample_price_dividend.csv"}
+_BIG = 10 ** 30   # past MAX_COUNT, and a JSON integer no array can hold
+
+
+def _edit(base, path, value=None):
+    """A deep copy of ``base`` with ``value`` at the ``path`` of keys and
+    indexes, or without that key when ``value`` is None."""
+    cfg = copy.deepcopy(base)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+_AGENT = ("market", "agents", 0)
+#: name -> (subcommand, config, extra arguments): each an invalid run
+ERROR_CASES = {
+    "market-agent-not-object": ("simulate-log", _edit(_MARKET, _AGENT, 5), []),
+    "beauty-agent-not-object": ("beauty", _edit(_CONTEST, ("agents", 1), "x"),
+                                []),
+    "fit-free-not-object": ("fit", _edit(_FIT, ("free", 0), 3), []),
+    "market-missing": ("simulate-log", _edit(_MARKET, ("market",)), []),
+    "market-agents-missing": ("simulate-log",
+                              _edit(_MARKET, ("market", "agents")), []),
+    "market-agents-not-list": ("simulate-log",
+                               _edit(_MARKET, ("market", "agents"), "x"), []),
+    "market-agents-empty": ("simulate-log",
+                            _edit(_MARKET, ("market", "agents"), []), []),
+    "market-sigma-missing": ("simulate-log",
+                             _edit(_MARKET, ("market", "sigma")), []),
+    "belief-type-missing": ("simulate-log",
+                            _edit(_MARKET, _AGENT + ("belief", "type")), []),
+    "belief-type-unknown": ("simulate-log", _edit(
+        _MARKET, _AGENT + ("belief", "type"), "random"), []),
+    "belief-not-object": ("simulate-log",
+                          _edit(_MARKET, _AGENT + ("belief",), 1.0), []),
+    "agent-weight-string": ("simulate-log",
+                            _edit(_MARKET, _AGENT + ("weight",), "2.5"), []),
+    "agent-weight-and-wealth": ("simulate-log", _edit(
+        _MARKET, _AGENT + ("initial_wealth",), 3.0), []),
+    "agent-impatience-negative": ("simulate-log", _edit(
+        _MARKET, ("market", "agents", 1, "impatience"), -0.2), []),
+    "prior-precision-zero": ("simulate-log", _edit(
+        _MARKET, ("market", "agents", 1, "belief", "prior_precision"), 0.0),
+        []),
+    "market-sigma-infinite": ("simulate-log", _edit(
+        _MARKET, ("market", "sigma"), float("inf")), []),
+    "horizon-nan": ("simulate-log",
+                    _edit(_MARKET, ("horizon_years",), float("nan")), []),
+    "paths-over-ceiling": ("simulate-log", _edit(_MARKET, ("n_paths",), _BIG),
+                           []),
+    "write-paths-over-paths": ("simulate-log",
+                               _edit(_MARKET, ("write_paths",), 3), []),
+    "agent-key-unread": ("simulate-log",
+                         _edit(_MARKET, _AGENT + ("wieght",), 1.0), []),
+    "seed-flag-negative": ("simulate-log", _MARKET, ["--seed", "-1"]),
+    "simulate-flag-unread": ("simulate-log", _MARKET, ["--parallel", "2"]),
+    "feedback-agents-missing": ("feedback", _edit(_FEEDBACK, ("n_agents",)),
+                                []),
+    "feedback-steps-over-ceiling": ("feedback",
+                                    _edit(_FEEDBACK, ("n_steps",), _BIG), []),
+    "feedback-growth-nan": ("feedback", _edit(
+        _FEEDBACK, ("growth_true",), float("nan")), []),
+    "feedback-sigma-zero": ("feedback", _edit(_FEEDBACK, ("sigma_true",), 0.0),
+                            []),
+    "feedback-range-string": ("feedback",
+                              _edit(_FEEDBACK, ("rho_range",), [0.04, "x"]),
+                              []),
+    "feedback-years-unread": ("feedback", _edit(_FEEDBACK, ("years",), 3.0),
+                              []),
+    "feedback-flag-unread": ("feedback", _FEEDBACK, ["--paths", "2"]),
+    "beauty-mean-missing": ("beauty", _edit(
+        _CONTEST, ("agents", 0, "mean_belief")), []),
+    "beauty-variance-zero": ("beauty", _edit(
+        _CONTEST, ("agents", 1, "belief_variance"), 0.0), []),
+    "beauty-one-agent": ("beauty", {"agents": _CONTEST["agents"][:1]}, []),
+    "beauty-flag-unread": ("beauty", _CONTEST, ["--seed", "2"]),
+    "fit-start-missing": ("fit", _edit(_FIT, ("free", 0, "start")), []),
+    "fit-lower-string": ("fit", _edit(_FIT, ("free", 0, "lower"), "a"), []),
+    "fit-bounds-crossed": ("fit", _edit(_FIT, ("free", 0, "upper"), 0.05),
+                           []),
+    "fit-bounds-not-positive": ("fit",
+                                _edit(_FIT, ("free", 0, "lower"), -0.1), []),
+    "fit-parameter-unknown": ("fit",
+                              _edit(_FIT, ("free", 0, "name"), "kappa"), []),
+    "fit-parameter-no-agent": ("fit",
+                               _edit(_FIT, ("free", 0, "name"), "rho_1"), []),
+    "fit-free-and-fixed": ("fit", _edit(_FIT, ("fixed",), {"sigma": 0.2}), []),
+    "fit-fixed-not-positive": ("fit", _edit(_FIT, ("fixed",), {"rho_0": 0.0}),
+                               []),
+    "fit-fixed-nan": ("fit",
+                      _edit(_FIT, ("fixed",), {"alpha_0": float("nan")}), []),
+    "fit-iterations-over-ceiling": ("fit", _edit(
+        _FIT, ("max_iterations",), _BIG), []),
+    "fit-target-zero": ("fit", _edit(_FIT, ("targets",), {"mean_pd": 0.0}),
+                        []),
+    "ingest-csv-missing": ("ingest", {}, []),
+    "ingest-min-years-zero": ("ingest", dict(_INGEST, min_years=0.0), []),
+}
+
+
+def error_lines(out):
+    with tempfile.TemporaryDirectory() as tmp, open(out, "w") as fp:
+        for k, (name, (subcommand, cfg, extra)) in enumerate(
+                ERROR_CASES.items()):
+            cfg_path = Path(tmp) / f"{k}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main([subcommand, "--config", str(cfg_path),
+                                     "--out", str(Path(tmp) / f"out{k}"),
+                                     *extra])
+                except SystemExit as exc:  # argparse rejects a flag
+                    code = exc.code
+            last = (stderr.getvalue().strip().splitlines() or [""])[-1]
+            fp.write(f"{name} {code} {last.replace(tmp, '<tmp>')}\n")
 
 
 def moment_reports(out):
@@ -175,6 +323,7 @@ def main():
     out = Path(ap.parse_args().out).resolve()
     out.mkdir(parents=True, exist_ok=False)
     os.chdir(REPO)  # configs name their input files relative to the root
+    error_lines(out / "errors.txt")
     cli_outputs(out / "cli")
     moment_reports(out / "moments.txt")
     fits(out / "fits.txt")

@@ -29,7 +29,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import beliefs, equilibrium
-from .errors import MAX_COUNT, ConfigError, NumericError
+from .errors import MAX_COUNT, ConfigError, NumericError, SaturationError
 from .numerics import fork_map, nelder_mead
 
 #: Moment name -> label of the comparison table, in report order.
@@ -152,7 +152,11 @@ class _Moments:
 def compute_moments(paths) -> MomentReport:
     """Pooled moment report over an iterable of EquilibriumPath objects.
 
-    Paths must share their grid spacing.  Raises ConfigError on empty input.
+    Paths must share their grid spacing.  Raises ConfigError on empty input,
+    and SaturationError naming each pooled mean and std (of P/D, of the
+    equity return and of the riskless rate) that is not finite, as when a
+    path's levels overflow.  A NaN Sharpe ratio, from a return std of 0,
+    is reported.
 
     Each path's (count, sum, sum of squares) come from ``numerics.fork_map``,
     which splits a sequence of more than one path (a list, or
@@ -172,7 +176,12 @@ def compute_moments(paths) -> MomentReport:
         moments.extend(sums)
     if moments.dt is None:
         raise ConfigError("compute_moments needs at least one path")
-    return moments.report()
+    report = moments.report()
+    bad = [name for name in MOMENT_NAMES[:6]   # premium and Sharpe derive
+           if not math.isfinite(getattr(report, name))]
+    if bad:
+        raise SaturationError(f"moment report: {', '.join(bad)} not finite")
+    return report
 
 
 def _path_sums(path):
@@ -324,37 +333,30 @@ class CalibrationProblem:
         if len(set(names)) != len(names):
             raise ConfigError("duplicate free parameter names")
         for p in self.free:
-            _check_param_name(p.name, self.n_agents)
-            if not _in_domain(p.name, p.lower):
+            if _parameter(p.name, self.n_agents)[1] and not p.lower > 0.0:
                 raise ConfigError(f"{p.name}: bounds must keep the value > 0")
         for name, value in self.fixed.items():
-            _check_param_name(name, self.n_agents)
+            positive = _parameter(name, self.n_agents)[1]
             if name in names:
                 raise ConfigError(f"{name}: both free and fixed")
-            if not _in_domain(name, value):
+            if positive and not value > 0.0:
                 raise ConfigError(f"{name}: must be > 0")
 
 
-def _in_domain(name: str, value: float) -> bool:
-    """Whether parameter ``name`` may take ``value``: sigma and every rho_j
-    and nu_j must be > 0."""
-    return value > 0.0 or not (name.startswith(("rho_", "nu_"))
-                               or name == "sigma")
+#: Fit parameter -> (default, whether it must be > 0).  alpha, rho and nu
+#: are per agent: agent j's are named alpha_<j>, rho_<j> and nu_<j>.
+_PARAMETERS = {"sigma": (0.2, True), "drift_adjustment": (0.0, False),
+               "alpha": (0.0, False), "rho": (0.05, True), "nu": (1.0, True)}
 
 
-def _check_param_name(name: str, n_agents: int):
+def _parameter(name: str, n_agents: int):
+    """The (default, must be > 0) of the fit parameter ``name``."""
+    kind, _, j = name.rpartition("_")
+    if kind in ("alpha", "rho", "nu") and j.isdigit() and int(j) < n_agents:
+        return _PARAMETERS[kind]
     if name in ("sigma", "drift_adjustment"):
-        return
-    for prefix in ("alpha_", "rho_", "nu_"):
-        if name.startswith(prefix):
-            idx = name[len(prefix):]
-            if idx.isdigit() and 0 <= int(idx) < n_agents:
-                return
+        return _PARAMETERS[name]
     raise ConfigError(f"unknown parameter name '{name}'")
-
-
-_SPEC_DEFAULTS = {"sigma": 0.2, "drift_adjustment": 0.0,
-                  "alpha": 0.0, "rho": 0.05, "nu": 1.0}
 
 
 def build_market(values: Dict[str, float],
@@ -363,15 +365,15 @@ def build_market(values: Dict[str, float],
     agents = []
     for j in range(n_agents):
         agents.append(equilibrium.AgentSpec(
-            impatience=values.get(f"rho_{j}", _SPEC_DEFAULTS["rho"]),
+            impatience=values.get(f"rho_{j}", _PARAMETERS["rho"][0]),
             belief=beliefs.ConstantDrift(
-                values.get(f"alpha_{j}", _SPEC_DEFAULTS["alpha"])),
-            weight=values.get(f"nu_{j}", _SPEC_DEFAULTS["nu"]),
+                values.get(f"alpha_{j}", _PARAMETERS["alpha"][0])),
+            weight=values.get(f"nu_{j}", _PARAMETERS["nu"][0]),
         ))
     return equilibrium.MarketSpec(
-        sigma=values.get("sigma", _SPEC_DEFAULTS["sigma"]),
+        sigma=values.get("sigma", _PARAMETERS["sigma"][0]),
         drift_adjustment=values.get("drift_adjustment",
-                                    _SPEC_DEFAULTS["drift_adjustment"]),
+                                    _PARAMETERS["drift_adjustment"][0]),
         agents=tuple(agents),
     )
 

@@ -29,14 +29,6 @@ def _start(args, cfg):
     return out
 
 
-def _apply_overrides(cfg, args):
-    for option, key in (("seed", "seed"), ("paths", "n_paths")):
-        value = getattr(args, option, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
 def cmd_simulate_log(cfg, args):
     spec, horizon, dt, n_paths, seed, write_paths = config.parse_simulate(cfg)
     out = _start(args, cfg)
@@ -179,9 +171,11 @@ def build_parser():
         description="asset-market equilibrium engine with heterogeneous beliefs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # each flag's dest is the config key it overrides
     options = {
-        "seed": dict(type=int, help="override seed"),
-        "paths": dict(type=int, help="override number of Monte Carlo paths"),
+        "seed": dict(type=int, dest="seed", help="override seed"),
+        "paths": dict(type=int, dest="n_paths",
+                      help="override number of Monte Carlo paths"),
     }
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -200,7 +194,9 @@ def main(argv=None) -> int:
         if declared is not None and declared != args.subcommand:
             raise ConfigError(
                 f"config is for subcommand '{declared}', not '{args.subcommand}'")
-        cfg = _apply_overrides(cfg, args)
+        for key in ("seed", "n_paths"):
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
         return _COMMANDS[args.subcommand][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -81,27 +81,31 @@ _EXPECTED = {str: "a string", bool: "true or false", list: "a list",
 
 
 def _get(cfg, path, kind, default=..., positive=False):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is not ...:
-                return default
+    """The value at ``path`` from the root; ``key[i]`` is item i of ``key``."""
+    value = cfg
+    for part in path.replace("[", ".[").split("."):
+        if part.startswith("["):
+            value = value[int(part[1:-1])]
+        elif isinstance(value, dict) and part in value:
+            value = value[part]
+        elif default is not ...:
+            return default
+        else:
             raise ConfigError(f"{path}: missing required field")
-        node = node[part]
     if kind is float:
-        node = _number(node, path)
-        if positive and not node > 0.0:
+        value = _number(value, path)
+        if positive and not value > 0.0:
             raise ConfigError(f"{path}: must be > 0")
     elif kind is int:
-        if isinstance(node, bool) or not isinstance(node, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer")
-        if positive and node <= 0:
+        if positive and value <= 0:
             raise ConfigError(f"{path}: must be > 0")
-        if positive and node > MAX_COUNT:  # a positive integer is a count
+        if positive and value > MAX_COUNT:  # a positive integer is a count
             raise ConfigError(f"{path}: must be at most {MAX_COUNT}")
-    elif not isinstance(node, kind):
+    elif not isinstance(value, kind):
         raise ConfigError(f"{path}: expected {_EXPECTED[kind]}")
-    return node
+    return value
 
 
 def _step_count(span, dt, path):
@@ -122,18 +126,18 @@ def _pair(cfg, path, default):
     return _number(val[0], f"{path}[0]"), _number(val[1], f"{path}[1]")
 
 
-def parse_belief(agent):
-    """The belief of an agent node; errors name the field from ``belief.``"""
-    _get(agent, "belief", dict)
-    kind = _get(agent, "belief.type", str)
+def parse_belief(cfg, path):
+    """The belief at ``path``, such as ``market.agents[0].belief``."""
+    _get(cfg, path, dict)
+    kind = _get(cfg, f"{path}.type", str)
     if kind == "constant":
-        return beliefs.ConstantDrift(drift=_get(agent, "belief.drift", float))
+        return beliefs.ConstantDrift(drift=_get(cfg, f"{path}.drift", float))
     if kind == "bayesian":
         return beliefs.BayesianGaussian(
-            prior_mean=_get(agent, "belief.prior_mean", float),
-            prior_precision=_get(agent, "belief.prior_precision", float,
+            prior_mean=_get(cfg, f"{path}.prior_mean", float),
+            prior_precision=_get(cfg, f"{path}.prior_precision", float,
                                  positive=True))
-    raise ConfigError(f"belief.type: unknown belief type '{kind}'")
+    raise ConfigError(f"{path}.type: unknown belief type '{kind}'")
 
 
 def _seed(cfg) -> int:
@@ -144,35 +148,32 @@ def _seed(cfg) -> int:
 
 
 def parse_market(cfg) -> equilibrium.MarketSpec:
-    market = _get(cfg, "market", dict)
-    agents_node = _get(market, "agents", list)
-    if not agents_node:
+    _get(cfg, "market", dict)
+    n_agents = len(_get(cfg, "market.agents", list))
+    if not n_agents:
         raise ConfigError("market.agents: need at least one agent")
     agents = []
-    for i, node in enumerate(agents_node):
+    for i in range(n_agents):
         path = f"market.agents[{i}]"
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path}: expected an object")
-        try:
-            belief = parse_belief(node)
-            impatience = _get(node, "impatience", float, positive=True)
-            weight = _get(node, "weight", float, default=None)
-            wealth = _get(node, "initial_wealth", float, default=None)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}.{exc}") from None
+        _get(cfg, path, dict)
+        belief = parse_belief(cfg, f"{path}.belief")
+        impatience = _get(cfg, f"{path}.impatience", float, positive=True)
+        weight = _get(cfg, f"{path}.weight", float, default=None)
+        wealth = _get(cfg, f"{path}.initial_wealth", float, default=None)
         try:
             agents.append(equilibrium.AgentSpec(
                 impatience=impatience, belief=belief, weight=weight,
                 initial_wealth=wealth))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+    spec = equilibrium.MarketSpec
     sigma = _get(cfg, "market.sigma", float, positive=True)
     drift_adjustment = _get(cfg, "market.drift_adjustment", float,
-                            default=0.0)
+                            default=spec.drift_adjustment)
     initial_dividend = _get(cfg, "market.initial_dividend", float,
-                            default=1.0, positive=True)
+                            default=spec.initial_dividend, positive=True)
     try:
-        return equilibrium.MarketSpec(
+        return spec(
             sigma=sigma, drift_adjustment=drift_adjustment,
             initial_dividend=initial_dividend, agents=tuple(agents))
     except ConfigError as exc:
@@ -195,41 +196,42 @@ def parse_simulate(cfg):
 
 
 def parse_feedback(cfg) -> feedback.FeedbackConfig:
-    dt = _get(cfg, "dt", float, default=1.0 / 252.0, positive=True)
+    spec = feedback.FeedbackConfig
+    dt = _get(cfg, "dt", float, default=spec.dt, positive=True)
     if "n_steps" in cfg:
         n_steps = _get(cfg, "n_steps", int, positive=True)
     else:
         years = _get(cfg, "years", float, default=5.0, positive=True)
         n_steps = _step_count(years, dt, "years")
-    return feedback.FeedbackConfig(
+    return spec(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         n_diligent=_get(cfg, "n_diligent", int, default=0),
         n_steps=n_steps,
         seed=_seed(cfg),
-        sigma_true=_get(cfg, "sigma_true", float, default=0.25, positive=True),
-        growth_true=_get(cfg, "growth_true", float, default=0.015),
+        sigma_true=_get(cfg, "sigma_true", float, default=spec.sigma_true,
+                        positive=True),
+        growth_true=_get(cfg, "growth_true", float,
+                         default=spec.growth_true),
         dt=dt,
-        rho_range=_pair(cfg, "rho_range", (0.04, 0.33)),
-        tau_factor_range=_pair(cfg, "tau_factor_range", (0.4, 1.05)),
-        prior_mean_range=_pair(cfg, "prior_mean_range", (-0.05, 0.15)),
-        prior_weight=_get(cfg, "prior_weight", float, default=252.0,
-                          positive=True))
+        rho_range=_pair(cfg, "rho_range", spec.rho_range),
+        tau_factor_range=_pair(cfg, "tau_factor_range",
+                               spec.tau_factor_range),
+        prior_mean_range=_pair(cfg, "prior_mean_range",
+                               spec.prior_mean_range),
+        prior_weight=_get(cfg, "prior_weight", float,
+                          default=spec.prior_weight, positive=True))
 
 
 def parse_contest(cfg) -> beauty.ContestSpec:
-    agents = _get(cfg, "agents", list)
     gammas, alphas, variances = [], [], []
-    for i, node in enumerate(agents):
+    for i in range(len(_get(cfg, "agents", list))):
         path = f"agents[{i}]"
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path}: expected an object")
-        try:
-            gammas.append(_get(node, "risk_aversion", float, positive=True))
-            alphas.append(_get(node, "mean_belief", float))
-            variances.append(_get(node, "belief_variance", float,
-                                  positive=True))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}.{exc}") from None
+        _get(cfg, path, dict)
+        gammas.append(_get(cfg, f"{path}.risk_aversion", float,
+                           positive=True))
+        alphas.append(_get(cfg, f"{path}.mean_belief", float))
+        variances.append(_get(cfg, f"{path}.belief_variance", float,
+                              positive=True))
     try:
         return beauty.ContestSpec(risk_aversion=gammas, mean_belief=alphas,
                                   belief_variance=variances)
@@ -238,10 +240,9 @@ def parse_contest(cfg) -> beauty.ContestSpec:
 
 
 def parse_targets(cfg) -> calibration.MomentReport:
-    node = cfg["targets"] if "targets" in cfg else "default"
-    if node == "default":
+    if "targets" not in cfg or cfg["targets"] == "default":
         return calibration.DEFAULT_TARGETS
-    if not isinstance(node, dict):
+    if not isinstance(cfg["targets"], dict):
         raise ConfigError("targets: expected 'default' or an object")
     kwargs = {name: _get(cfg, f"targets.{name}", float, default=float("nan"))
               for name in calibration.MOMENT_NAMES}
@@ -254,18 +255,13 @@ def parse_targets(cfg) -> calibration.MomentReport:
 
 
 def parse_fit(cfg) -> calibration.CalibrationProblem:
-    free_nodes = _get(cfg, "free", list)
     free = []
-    for i, node in enumerate(free_nodes):
+    for i in range(len(_get(cfg, "free", list))):
         path = f"free[{i}]"
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path}: expected an object")
-        try:
-            name = _get(node, "name", str)
-            lower, upper, start = (_get(node, key, float)
-                                   for key in ("lower", "upper", "start"))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}.{exc}") from None
+        _get(cfg, path, dict)
+        name = _get(cfg, f"{path}.name", str)
+        lower, upper, start = (_get(cfg, f"{path}.{key}", float)
+                               for key in ("lower", "upper", "start"))
         try:
             free.append(calibration.FreeParameter(
                 name=name, lower=lower, upper=upper, start=start))
@@ -274,19 +270,22 @@ def parse_fit(cfg) -> calibration.CalibrationProblem:
     fixed_node = _get(cfg, "fixed", dict, default={})
     fixed = {name: _number(fixed_node[name], f"fixed.{name}")
              for name in fixed_node}
-    horizon = _get(cfg, "horizon_years", float, default=50.0, positive=True)
-    dt = _get(cfg, "dt", float, default=1.0 / 252.0, positive=True)
+    spec = calibration.CalibrationProblem
+    horizon = _get(cfg, "horizon_years", float, default=spec.horizon,
+                   positive=True)
+    dt = _get(cfg, "dt", float, default=spec.dt, positive=True)
     _step_count(horizon, dt, "horizon_years")
-    return calibration.CalibrationProblem(
+    return spec(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         free=tuple(free),
         fixed=fixed,
-        n_paths=_get(cfg, "n_paths", int, default=200, positive=True),
+        n_paths=_get(cfg, "n_paths", int, default=spec.n_paths,
+                     positive=True),
         horizon=horizon,
         dt=dt,
         seed=_seed(cfg),
-        max_iterations=_get(cfg, "max_iterations", int, default=200,
-                            positive=True))
+        max_iterations=_get(cfg, "max_iterations", int,
+                            default=spec.max_iterations, positive=True))
 
 
 def write_manifest(outdir, subcommand: str, cfg: Dict[str, Any]):

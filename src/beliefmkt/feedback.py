@@ -442,11 +442,21 @@ def solve_step(observers: _Observers, block: int, step: int,
     then the exact one: PD is a weighted mean of every agent's
     1/expm1(rho_j), so the residual offset + xi - log PD changes sign in
     [L - offset, U - offset] (padded by ``_EXACT_PAD``), with (L, U) =
-    ``log_pd_bounds``.  Of the sign changes (tie-break: nearest to the
-    previous xi) Brent refines the chosen cell.  Each residual is evaluated
-    once: the cell's two ends in one pass before Brent starts, and the
-    relative residual is that of the point Brent returns, read back from
-    its own calls.
+    ``log_pd_bounds``.
+
+    Which root is taken: the brackets are tried in that order, +/- 10
+    per-step sds (``_FIRST_HALF_WIDTH``) around the dividend move, that
+    width doubled up to +/- 1, then the exact bracket, and the first whose
+    ``_SCAN_POINTS``-point scan shows a sign change is used.  Brent refines
+    the cell whose midpoint is nearest ``prev_xi`` (at step 0 the dividend
+    move).  Two roots in one cell cancel in the scan.  n_roots_found counts
+    the sign changes of that bracket only: ``solver_warnings`` records it
+    less one, and ``n_multiroot_steps`` counts the steps where that is
+    above zero.  So the root and both counts depend on the brackets.
+
+    Each residual is evaluated once: the cell's two ends in one pass
+    before Brent starts, and the relative residual is that of the point
+    Brent returns, read back from its own calls.
 
     Block ``block`` of ``observers`` holds the count's non-diligent agents
     (at least one).  The diligent ones' terms do not depend on xi: ``dil``

@@ -254,10 +254,12 @@ def test_likelihood_ratio_order_invariant(seed):
 
 
 def test_discrete_martingale_mean(rng):
-    # E[Lambda_T] = 1 under the reference measure (mean zero, precision tau)
+    # E[Lambda_T] = 1 under the reference measure (mean zero, precision tau).
+    # A prior weight of 40 keeps Lambda's spread small (a standard error of
+    # about 0.015), so a density off by a constant factor fails the test
     tau, t_steps, n_paths = 4.0, 15, 20_000
     xs = rng.normal(0.0, 1.0 / math.sqrt(tau), size=(n_paths, t_steps))
-    _, log_density = fold(xs.T, 0.1, 2.0, tau)
+    _, log_density = fold(xs.T, 0.1, 40.0, tau)
     lam = np.exp(log_density - (-0.5 * tau * (xs * xs).sum(axis=1)
                                 + 0.5 * t_steps * math.log(tau / TWO_PI)))
     se = lam.std(ddof=1) / math.sqrt(n_paths)

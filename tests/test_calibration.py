@@ -21,7 +21,7 @@ from beliefmkt.calibration import (CalibrationProblem, DEFAULT_TARGETS,
                                    fit_parameters,
                                    ingest_price_dividend_csv, moment_loss)
 from beliefmkt.equilibrium import AgentSpec, MarketSpec, simulate_path
-from beliefmkt.errors import ConfigError, SingularMarketError
+from beliefmkt.errors import ConfigError, SaturationError, SingularMarketError
 from conftest import benchmark_market, driver_path, learner_market, no_fork
 
 
@@ -58,6 +58,24 @@ def test_compute_moments_rejects_empty_and_mixed_grids():
     b = simulate_path(single_agent_market(), 2.0, 1 / 26, 1, 0)
     with pytest.raises(ConfigError):
         compute_moments([a, b])
+
+
+def overflowing_market():
+    # sigma 3 and alpha* 5: the dividend level overflows within 100 years
+    return MarketSpec(sigma=3.0, drift_adjustment=5.0, agents=(
+        AgentSpec(impatience=0.05, belief=ConstantDrift(0.1), weight=1.0),))
+
+
+def test_compute_moments_raises_when_levels_overflow():
+    # the return is built from the levels, so its moments are NaN; P/D and
+    # the rate stay finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = equilibrium.simulate_paths(overflowing_market(), 100.0, 0.1,
+                                           0, 4)
+        with pytest.raises(SaturationError, match="^moment report: "
+                           "mean_equity_return, std_equity_return not "
+                           "finite$"):
+            compute_moments(paths)
 
 
 def test_moments_permutation_invariant():

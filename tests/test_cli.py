@@ -188,6 +188,39 @@ def test_negative_seed_exits_2_before_writing(tmp_path, capsys, subcommand,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("market, message", [
+    ({"sigma": 0.3}, "missing required field"),
+    ({"sigma": 0.3, "agents": "x"}, "expected a list")])
+def test_market_agents_error_names_full_path(tmp_path, capsys, market,
+                                             message):
+    cfg = write_config(tmp_path, tiny_market_config(market=market))
+    out = tmp_path / "out"
+    assert main(["simulate-log", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr().err \
+        == f"config error: market.agents: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_log_overflow_exits_3(tmp_path, capsys):
+    # sigma 3 and alpha* 5 overflow the levels: the written path holds inf,
+    # and the report names the moments that are not finite
+    cfg = write_config(tmp_path, tiny_market_config(
+        market={"sigma": 3.0, "drift_adjustment": 5.0, "agents": [
+            {"impatience": 0.05, "weight": 1.0,
+             "belief": {"type": "constant", "drift": 0.1}}]},
+        horizon_years=100.0, dt=0.1, n_paths=4, seed=0, write_paths=1))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate-log", "--config", str(cfg), "--out",
+                     str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "numeric failure: moment report: mean_equity_return, "
+        "std_equity_return not finite")
+    assert "inf" in (out / "path_000.csv").read_text()
+    assert not (out / "summary.txt").exists()
+
+
 def _fit_config(**overrides):
     return dict(_SEEDED_CONFIGS["fit"], **overrides)
 

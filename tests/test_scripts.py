@@ -1,5 +1,6 @@
 """The shipped experiment scripts run end to end at small sizes."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -52,3 +53,17 @@ def test_experiment_scripts_run(tmp_path):
     lines = run_script("ab_feedback.py", str(REPO), str(REPO), "3", "3")
     assert re.fullmatch(r"median ratio \d+\.\d{3}  new faster on [01] of 1 "
                         r"seeds", lines[-1])
+
+
+def test_identity_error_cases_each_exit_2(tmp_path):
+    # errors.txt compares the input layer's messages between checkouts, so
+    # each of its cases must stay an invalid run: one that passed would run
+    spec = importlib.util.spec_from_file_location(
+        "identity_outputs", REPO / "scripts" / "identity_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.error_lines(tmp_path / "errors.txt")
+    lines = (tmp_path / "errors.txt").read_text().splitlines()
+    assert [line.split()[0] for line in lines] == list(module.ERROR_CASES)
+    assert all(line.split()[1] == "2" for line in lines)
+    assert all("error: " in line for line in lines)
