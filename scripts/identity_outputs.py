@@ -29,7 +29,7 @@ writes under OUT:
   together: every count's metrics ``repr``, or the error's type, step and
   the failing run's diagnostics (leaving out the seed and count, and the
   message, which a sweep's error adds or prefixes);
-* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (46 configs
+* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (50 configs
   and flags, each with one fault: a non-object item, a missing field, a
   non-number, a non-finite number, a count past ``MAX_COUNT``, a value
   <= 0, an unknown or misplaced fit parameter, an unread key or flag, and
@@ -180,6 +180,7 @@ ERROR_CASES = {
     "agent-key-unread": ("simulate-log",
                          _edit(_MARKET, _AGENT + ("wieght",), 1.0), []),
     "seed-flag-negative": ("simulate-log", _MARKET, ["--seed", "-1"]),
+    "simulate-paths-flag": ("simulate-log", _MARKET, ["--paths", "2"]),
     "simulate-flag-unread": ("simulate-log", _MARKET, ["--parallel", "2"]),
     "feedback-agents-missing": ("feedback", _edit(_FEEDBACK, ("n_agents",)),
                                 []),
@@ -195,6 +196,8 @@ ERROR_CASES = {
     "feedback-years-unread": ("feedback", _edit(_FEEDBACK, ("years",), 3.0),
                               []),
     "feedback-flag-unread": ("feedback", _FEEDBACK, ["--paths", "2"]),
+    "feedback-single-diligence-values": ("feedback", _edit(
+        _FEEDBACK, ("diligence_values",), [0, 2]), []),
     "beauty-mean-missing": ("beauty", _edit(
         _CONTEST, ("agents", 0, "mean_belief")), []),
     "beauty-variance-zero": ("beauty", _edit(
@@ -211,6 +214,10 @@ ERROR_CASES = {
                               _edit(_FIT, ("free", 0, "name"), "kappa"), []),
     "fit-parameter-no-agent": ("fit",
                                _edit(_FIT, ("free", 0, "name"), "rho_1"), []),
+    "fit-parameter-leading-zero": ("fit", _edit(
+        _FIT, ("free", 0, "name"), "alpha_00"), []),
+    "fit-parameter-superscript": ("fit", _edit(
+        _FIT, ("free", 0, "name"), "rho_\u00b2"), []),
     "fit-free-and-fixed": ("fit", _edit(_FIT, ("fixed",), {"sigma": 0.2}), []),
     "fit-fixed-not-positive": ("fit", _edit(_FIT, ("fixed",), {"rho_0": 0.0}),
                                []),
@@ -226,7 +233,8 @@ ERROR_CASES = {
 
 
 def error_lines(out):
-    with tempfile.TemporaryDirectory() as tmp, open(out, "w") as fp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            open(out, "w", encoding="utf-8") as fp:
         for k, (name, (subcommand, cfg, extra)) in enumerate(
                 ERROR_CASES.items()):
             cfg_path = Path(tmp) / f"{k}.json"

@@ -35,13 +35,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 def _keep_freed_heap():
     """Have glibc keep freed memory for reuse instead of handing it back to
-    the OS: the fit objective frees and re-allocates the same arrays on
-    every evaluation, and each hand-back made the next evaluation fault the
-    pages in again.  Blocks under 32 MiB (M_MMAP_THRESHOLD) come from the
-    heap, not from mmap, and up to 256 MiB of free memory at its top stays
-    mapped (M_TRIM_THRESHOLD); the arrays of a fit batch take 512 KiB.  A
-    user's MALLOC_* setting is kept, and without glibc's mallopt nothing
-    changes.  Returns whether the thresholds were set."""
+    the OS: the fit objective and the moment report free and re-allocate
+    the same arrays on every evaluation or path, and each hand-back made
+    the next one fault the pages in again.  Blocks under 32 MiB
+    (M_MMAP_THRESHOLD) come from the heap, not from mmap, and up to 256 MiB
+    of free memory at its top stays mapped (M_TRIM_THRESHOLD); each array
+    of a fit batch takes up to 512 KiB, and each per-agent array of a
+    50-year daily path of configs/benchmark3.json about 300 KiB.  A user's
+    MALLOC_* setting is kept, and without glibc's mallopt nothing changes.
+    Returns whether the thresholds were set."""
     if any(name.startswith("MALLOC_") for name in os.environ):
         return False
     try:

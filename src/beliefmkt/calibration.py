@@ -327,20 +327,25 @@ class CalibrationProblem:
         if self.n_paths * (steps + 1) > MAX_COUNT:
             raise ConfigError(f"n_paths: n_paths x (horizon/dt + 1) grid "
                               f"points must be at most {MAX_COUNT}")
+        # each error starts with the config path of the field it rejects
         names = [p.name for p in self.free]
         if not names:
             raise ConfigError("free: need at least one free parameter")
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate free parameter names")
-        for p in self.free:
-            if _parameter(p.name, self.n_agents)[1] and not p.lower > 0.0:
-                raise ConfigError(f"{p.name}: bounds must keep the value > 0")
+        for i, p in enumerate(self.free):
+            positive = _parameter(p.name, self.n_agents, f"free[{i}].name")[1]
+            if p.name in names[:i]:
+                raise ConfigError(f"free[{i}].name: duplicate of an earlier "
+                                  f"free parameter")
+            if positive and not p.lower > 0.0:
+                raise ConfigError(f"free[{i}].lower: bounds must keep "
+                                  f"{p.name} > 0")
         for name, value in self.fixed.items():
-            positive = _parameter(name, self.n_agents)[1]
+            path = f"fixed.{name}"
+            positive = _parameter(name, self.n_agents, path)[1]
             if name in names:
-                raise ConfigError(f"{name}: both free and fixed")
+                raise ConfigError(f"{path}: both free and fixed")
             if positive and not value > 0.0:
-                raise ConfigError(f"{name}: must be > 0")
+                raise ConfigError(f"{path}: must be > 0")
 
 
 #: Fit parameter -> (default, whether it must be > 0).  alpha, rho and nu
@@ -349,14 +354,19 @@ _PARAMETERS = {"sigma": (0.2, True), "drift_adjustment": (0.0, False),
                "alpha": (0.0, False), "rho": (0.05, True), "nu": (1.0, True)}
 
 
-def _parameter(name: str, n_agents: int):
-    """The (default, must be > 0) of the fit parameter ``name``."""
+def _parameter(name: str, n_agents: int, path: str):
+    """The (default, must be > 0) of the fit parameter ``name``, read at
+    the config ``path``.  An agent's name must be the exact string that
+    ``build_market`` looks up: j in decimal ASCII digits, no leading zero,
+    below n_agents (the length bound keeps ``int`` off a huge string)."""
     kind, _, j = name.rpartition("_")
-    if kind in ("alpha", "rho", "nu") and j.isdigit() and int(j) < n_agents:
+    if kind in ("alpha", "rho", "nu") and j.isdecimal() \
+            and len(j) <= len(str(n_agents)) \
+            and name == f"{kind}_{int(j)}" and int(j) < n_agents:
         return _PARAMETERS[kind]
     if name in ("sigma", "drift_adjustment"):
         return _PARAMETERS[name]
-    raise ConfigError(f"unknown parameter name '{name}'")
+    raise ConfigError(f"{path}: unknown parameter name '{name}'")
 
 
 def build_market(values: Dict[str, float],

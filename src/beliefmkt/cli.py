@@ -55,14 +55,15 @@ def cmd_feedback(cfg, args):
     sweep = config._get(cfg, "seed_sweep", int, default=0)
     if not 0 <= sweep <= MAX_COUNT:
         raise ConfigError(f"seed_sweep: must be >= 0 and at most {MAX_COUNT}")
-    diligence_values = config._get(cfg, "diligence_values", list,
-                                   default=[0, setup.n_diligent])
-    try:
-        counts = feedback.diligence_counts(setup, diligence_values)
-        if sweep and not counts:
-            raise ConfigError("expected at least one count")
-    except ConfigError as exc:
-        raise ConfigError(f"diligence_values: {exc}") from None
+    if sweep:  # a single run reads no counts, so it rejects diligence_values
+        diligence_values = config._get(cfg, "diligence_values", list,
+                                       default=[0, setup.n_diligent])
+        try:
+            counts = feedback.diligence_counts(setup, diligence_values)
+            if not counts:
+                raise ConfigError("expected at least one count")
+        except ConfigError as exc:
+            raise ConfigError(f"diligence_values: {exc}") from None
     out = _start(args, cfg)
     if sweep:
         seeds = list(range(setup.seed, setup.seed + sweep))
@@ -160,9 +161,6 @@ _COMMANDS = {
     "fit": (cmd_fit, "search parameters to match target moments"),
     "ingest": (cmd_ingest, "compute empirical targets from a price/dividend CSV"),
 }
-# the flags a subcommand reads; a subcommand that does not read one rejects it
-_FLAGS = {"simulate-log": ("seed", "paths"), "feedback": ("seed",),
-          "fit": ("seed", "paths")}
 
 
 def build_parser():
@@ -171,18 +169,10 @@ def build_parser():
         description="asset-market equilibrium engine with heterogeneous beliefs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # each flag's dest is the config key it overrides
-    options = {
-        "seed": dict(type=int, dest="seed", help="override seed"),
-        "paths": dict(type=int, dest="n_paths",
-                      help="override number of Monte Carlo paths"),
-    }
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config or manifest")
         p.add_argument("--out", required=True, help="output directory")
-        for flag in _FLAGS.get(name, ()):
-            p.add_argument("--" + flag, **options[flag])
     return parser
 
 
@@ -194,9 +184,6 @@ def main(argv=None) -> int:
         if declared is not None and declared != args.subcommand:
             raise ConfigError(
                 f"config is for subcommand '{declared}', not '{args.subcommand}'")
-        for key in ("seed", "n_paths"):
-            if getattr(args, key, None) is not None:
-                cfg[key] = getattr(args, key)
         return _COMMANDS[args.subcommand][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -156,16 +156,10 @@ def parse_market(cfg) -> equilibrium.MarketSpec:
     for i in range(n_agents):
         path = f"market.agents[{i}]"
         _get(cfg, path, dict)
-        belief = parse_belief(cfg, f"{path}.belief")
-        impatience = _get(cfg, f"{path}.impatience", float, positive=True)
-        weight = _get(cfg, f"{path}.weight", float, default=None)
-        wealth = _get(cfg, f"{path}.initial_wealth", float, default=None)
-        try:
-            agents.append(equilibrium.AgentSpec(
-                impatience=impatience, belief=belief, weight=weight,
-                initial_wealth=wealth))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        agents.append(equilibrium.AgentSpec(
+            belief=parse_belief(cfg, f"{path}.belief"),
+            impatience=_get(cfg, f"{path}.impatience", float, positive=True),
+            weight=_get(cfg, f"{path}.weight", float, positive=True)))
     spec = equilibrium.MarketSpec
     sigma = _get(cfg, "market.sigma", float, positive=True)
     drift_adjustment = _get(cfg, "market.drift_adjustment", float,

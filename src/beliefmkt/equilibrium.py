@@ -55,7 +55,7 @@ import operator
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,31 +83,21 @@ def _require_finite(owner, prefix=""):
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """One log investor: impatience rho > 0, a belief, and either an
-    equilibrium weight nu > 0 or an initial wealth (converted through
-    nu = 1 / (rho * wealth), the ratio the zeta_0 = 1 convention fixes)."""
+    """One log investor: impatience rho > 0, a belief, and an equilibrium
+    weight nu > 0.  An initial wealth w0 gives nu = 1 / (rho * w0), the
+    ratio the zeta_0 = 1 convention fixes."""
 
     impatience: float
     belief: ContinuousBelief
-    weight: Optional[float] = None
-    initial_wealth: Optional[float] = None
+    weight: float
 
     def __post_init__(self):
         if not self.impatience > 0.0:
             raise ConfigError("impatience must be > 0")
-        if (self.weight is None) == (self.initial_wealth is None):
-            raise ConfigError("exactly one of weight, initial_wealth must be set")
-        if self.weight is not None and not self.weight > 0.0:
+        if not self.weight > 0.0:
             raise ConfigError("weight must be > 0")
-        if self.initial_wealth is not None and not self.initial_wealth > 0.0:
-            raise ConfigError("initial_wealth must be > 0")
         _require_finite(self)
         _require_finite(self.belief, "belief.")
-
-    def resolved_weight(self) -> float:
-        if self.weight is not None:
-            return self.weight
-        return 1.0 / (self.impatience * self.initial_wealth)
 
 
 @dataclass(frozen=True)
@@ -131,7 +121,7 @@ class MarketSpec:
 
     def arrays(self):
         rho = np.array([a.impatience for a in self.agents])
-        nu = np.array([a.resolved_weight() for a in self.agents])
+        nu = np.array([a.weight for a in self.agents])
         return rho, nu
 
 

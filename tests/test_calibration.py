@@ -343,6 +343,31 @@ def test_problem_validation():
             FreeParameter("nu_0", 0.5, 2.0, 1.0),), fixed={"nu_0": 1.0})
 
 
+_BOX = (0.1, 0.5, 0.2)   # lower, upper, start
+
+
+@pytest.mark.parametrize("free, fixed, message", [
+    ((("alpha_00", *_BOX),), {},
+     "free[0].name: unknown parameter name 'alpha_00'"),
+    ((("rho_\u00b2", *_BOX),), {},
+     "free[0].name: unknown parameter name 'rho_\u00b2'"),
+    ((("sigma", *_BOX), ("sigma", *_BOX)), {}, "free[1].name: duplicate"),
+    ((("rho_0", -0.1, 0.5, 0.2),), {}, "free[0].lower: bounds must keep"),
+    ((("sigma", *_BOX),), {"alpha_00": 0.0},
+     "fixed.alpha_00: unknown parameter name 'alpha_00'"),
+    ((("sigma", *_BOX),), {"sigma": 0.2}, "fixed.sigma: both free and fixed"),
+    ((("sigma", *_BOX),), {"rho_0": 0.0}, "fixed.rho_0: must be > 0")],
+    ids=["leading-zero", "superscript", "duplicate", "lower", "fixed-name",
+         "free-and-fixed", "fixed-value"])
+def test_problem_errors_name_their_config_path(free, fixed, message):
+    # each message starts with the path that config.parse_fit reads, and a
+    # per-agent name must be the exact string that build_market looks up
+    with pytest.raises(ConfigError) as exc:
+        CalibrationProblem(n_agents=1, fixed=fixed,
+                           free=tuple(FreeParameter(*p) for p in free))
+    assert str(exc.value).startswith(message)
+
+
 @pytest.mark.parametrize("budget, field", [
     ({"n_paths": 0}, "n_paths"), ({"max_iterations": 0}, "max_iterations"),
     ({"horizon": 0.0}, "horizon"), ({"horizon": -1.0}, "horizon"),

@@ -101,20 +101,6 @@ def test_manifest_replays_byte_for_byte(tmp_path):
     assert read_tree(out_a) == read_tree(out_b)
 
 
-def test_seed_and_paths_overrides_change_output(tmp_path):
-    cfg = write_config(tmp_path, tiny_market_config())
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["simulate-log", "--config", str(cfg), "--out", str(out_a)])
-    main(["simulate-log", "--config", str(cfg), "--out", str(out_b),
-          "--seed", "6"])
-    assert read_tree(out_a)["path_000.csv"] != read_tree(out_b)["path_000.csv"]
-    out_c = tmp_path / "c"
-    main(["simulate-log", "--config", str(cfg), "--out", str(out_c),
-          "--paths", "2"])
-    manifest = json.loads((out_c / "manifest.json").read_text())
-    assert manifest["config"]["n_paths"] == 2
-
-
 def test_config_error_names_field_and_exits_2(tmp_path, capsys):
     broken = tiny_market_config()
     broken["market"]["agents"][1]["impatience"] = -0.2
@@ -126,13 +112,12 @@ def test_config_error_names_field_and_exits_2(tmp_path, capsys):
     assert "market.agents[1]" in err and "impatience" in err
 
 
-@pytest.mark.parametrize("field", ["weight", "initial_wealth"])
+@pytest.mark.parametrize("field", ["weight", "impatience"])
 @pytest.mark.parametrize("value", [True, "2.5", "abc", [1]])
 def test_agent_weight_must_be_a_number(tmp_path, capsys, field, value):
+    # and so must its impatience: a JSON number, not a bool, string or list
     broken = tiny_market_config()
-    agent = broken["market"]["agents"][0]
-    del agent["weight"]
-    agent[field] = value
+    broken["market"]["agents"][0][field] = value
     cfg = write_config(tmp_path, broken)
     out = tmp_path / "out"
     assert main(["simulate-log", "--config", str(cfg), "--out",
@@ -171,19 +156,17 @@ _SEEDED_CONFIGS = {
 
 
 @pytest.mark.parametrize("subcommand", sorted(_SEEDED_CONFIGS))
-@pytest.mark.parametrize("route", ["config", "flag"])
+@pytest.mark.parametrize("route", ["config", "manifest"])
 def test_negative_seed_exits_2_before_writing(tmp_path, capsys, subcommand,
                                               route):
-    payload = dict(_SEEDED_CONFIGS[subcommand])
-    flags = []
-    if route == "config":
-        payload["seed"] = -1
-    else:
-        flags = ["--seed", "-3"]
+    # a replayed manifest is checked as its config is
+    payload = dict(_SEEDED_CONFIGS[subcommand], seed=-1)
+    if route == "manifest":
+        payload = {"package": "beliefmkt", "version": __version__,
+                   "subcommand": subcommand, "config": payload}
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(cfg), "--out", str(out),
-                 *flags]) == 2
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
     assert "seed:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -344,21 +327,20 @@ def test_count_at_ceiling_is_accepted():
     assert steps == MAX_COUNT
 
 
-# no subcommand has a worker count: a run splits its work across the usable
-# CPUs by itself, so --parallel, which feedback sweeps once read, is unread
-# everywhere
-_UNREAD_FLAGS = [
-    ("simulate-log", "--parallel"), ("fit", "--parallel"),
-    ("beauty", "--paths"), ("beauty", "--seed"), ("beauty", "--parallel"),
-    ("ingest", "--paths"), ("ingest", "--seed"), ("ingest", "--parallel"),
-    ("feedback", "--paths"), ("feedback", "--parallel")]
+# every subcommand takes --config and --out only: the seed and the path
+# count are config keys, which the manifest records, and no run has a
+# worker count, since it splits its work across the usable CPUs by itself
+_UNREAD_FLAGS = [(subcommand, flag)
+                 for subcommand in ("simulate-log", "feedback", "beauty",
+                                    "fit", "ingest")
+                 for flag in ("--seed", "--paths", "--parallel")]
 
 
 @pytest.mark.parametrize("subcommand, flag", _UNREAD_FLAGS)
 def test_unread_flag_exits_2_before_writing(tmp_path, capsys, subcommand,
                                             flag):
-    # a flag is registered only where it is read, so it cannot be silently
-    # ignored and recorded in the manifest as if it had been used
+    # argparse rejects any other flag, so none can be silently ignored and
+    # the manifest left without the value that it set
     configs = {"simulate-log": write_config(tmp_path, tiny_market_config()),
                "beauty": REPO / "configs" / "contest_two_agent.json",
                "ingest": REPO / "configs" / "ingest_sample.json",
@@ -523,10 +505,11 @@ def test_feedback_invalid_sweep_exits_2_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("values", [["x", 99], [1.5], [True], 2])
+@pytest.mark.parametrize("values", [["x", 99], [1.5], [True], 2, [0, 4]])
 def test_feedback_single_run_checks_diligence_values(tmp_path, capsys,
                                                      values):
-    # a single run does not use the counts, but a bad one is still an error
+    # a single run reads no counts, so diligence_values, valid or not, is a
+    # key nothing reads, as years is beside n_steps
     cfg = write_config(tmp_path, {
         "n_agents": 4, "n_diligent": 0, "n_steps": 20,
         "diligence_values": values})
@@ -695,6 +678,7 @@ def test_fit_without_a_finite_loss_exits_3(tmp_path, capsys):
     ({"free": [{"name": "alpha_0", "lower": -0.5, "upper": 0.5,
                 "start": 0.0}],
       "fixed": {"rho_0": 0.05, "nu_0": 1.0, "sigma": 0.0}}, "sigma"),
+    ({"fixed": {"alpha_0": 0.0, "rho_0": 0}}, "fixed.rho_0"),
 ])
 def test_fit_invalid_problem_exits_2_before_writing(tmp_path, capsys,
                                                     overrides, field):
@@ -707,6 +691,21 @@ def test_fit_invalid_problem_exits_2_before_writing(tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["alpha_00", "rho_\u00b2"],
+                         ids=["leading-zero", "superscript"])
+def test_fit_parameter_name_must_be_one_the_market_reads(tmp_path, capsys,
+                                                         name):
+    # build_market looks up alpha_0, never alpha_00, and int() cannot read
+    # the superscript two that str.isdigit accepts
+    cfg = write_config(tmp_path, _fit_config(free=[
+        {"name": name, "lower": 0.1, "upper": 0.5, "start": 0.2}]))
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: free[0].name: unknown parameter name '{name}'\n")
     assert not out.exists()
 
 
@@ -791,9 +790,10 @@ def test_shipped_configs_parse_and_run_quickly(tmp_path):
     code = main(["beauty", "--config", str(REPO / "configs" / "contest_two_agent.json"),
                  "--out", str(tmp_path / "beauty")])
     assert code == 0
-    code = main(["simulate-log",
-                 "--config", str(REPO / "configs" / "benchmark3.json"),
-                 "--out", str(tmp_path / "bench"), "--paths", "2"])
+    bench = json.loads((REPO / "configs" / "benchmark3.json").read_text())
+    cfg = write_config(tmp_path, dict(bench, n_paths=2))
+    code = main(["simulate-log", "--config", str(cfg),
+                 "--out", str(tmp_path / "bench")])
     assert code == 0
 
 

@@ -66,21 +66,21 @@ def at_point(spec, t=0.0, x=0.0, dividend=1.0):
 # specs and weights
 
 
-def test_agent_needs_exactly_one_of_weight_and_wealth():
-    with pytest.raises(ConfigError):
+def test_agent_needs_a_weight():
+    with pytest.raises(TypeError, match="weight"):
         AgentSpec(impatience=0.1, belief=ConstantDrift(0.0))
-    with pytest.raises(ConfigError):
-        AgentSpec(impatience=0.1, belief=ConstantDrift(0.0),
-                  weight=1.0, initial_wealth=1.0)
+    for weight in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="weight must be > 0"):
+            AgentSpec(impatience=0.1, belief=ConstantDrift(0.0),
+                      weight=weight)
 
 
 def test_wealth_to_weight_conversion():
     # single agent consuming the whole dividend: w0 = delta0 / rho makes
-    # nu = 1/delta0 and normalizes zeta_0 to 1
+    # nu = 1 / (rho * w0) = 1/delta0 and normalizes zeta_0 to 1
     delta0, rho = 2.0, 0.25
     agent = AgentSpec(impatience=rho, belief=ConstantDrift(0.0),
-                      initial_wealth=delta0 / rho)
-    assert agent.resolved_weight() == pytest.approx(1.0 / delta0, rel=1e-15)
+                      weight=1.0 / delta0)
     spec = MarketSpec(sigma=0.2, agents=(agent,), initial_dividend=delta0)
     zeta0 = at_point(spec, dividend=delta0).zeta[0]
     assert zeta0 == pytest.approx(1.0, rel=1e-14)
@@ -98,7 +98,6 @@ _NON_FINITE_SPECS = [
     ("initial_dividend", {}, dict(initial_dividend=math.inf)),
     ("impatience", dict(impatience=math.inf), {}),
     ("weight", dict(weight=math.inf), {}),
-    ("initial_wealth", dict(weight=None, initial_wealth=math.inf), {}),
     ("belief.drift", dict(belief=ConstantDrift(math.nan)), {}),
     ("belief.prior_mean", dict(belief=BayesianGaussian(math.nan, 2.0)), {}),
     ("belief.prior_precision",
