@@ -39,7 +39,18 @@ writes under OUT:
 
 Run it in both checkouts (copy it into the older one if it is missing
 there), then ``diff -r OUT_A OUT_B``: no output means every output is
-identical.  The 240 single feedback runs and the 40 sweeps go through
+identical.
+
+    python scripts/identity_outputs.py OUT --digest FILE
+
+also writes to FILE, as JSON, the sha256 of every output file (by its
+path under OUT) and of each line of the top-level .txt files, with the
+Python, numpy and scipy versions that produced them.
+``tests/identity_digest.json`` is such a digest, and
+``tests/test_scripts.py`` re-runs a subset of the outputs against it; a
+change that alters an output records the digest again.
+
+The 240 single feedback runs and the 40 sweeps go through
 ``numerics.fork_map``, one task per output line, so they are split across
 the usable CPUs and their lines come out in order.  It takes 55-80 s on a
 2-core Xeon whose speed drifts (100-111 s when those ran one after
@@ -57,6 +68,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -251,25 +263,33 @@ def error_lines(out):
             fp.write(f"{name} {code} {last.replace(tmp, '<tmp>')}\n")
 
 
-def moment_reports(out):
+def moment_line(k):
+    """Line k of moments.txt."""
     cfg = config.load_config(str(REPO / "configs" / "benchmark3.json"))
     spec, horizon, dt, _, seed, _ = config.parse_simulate(cfg)
-    with open(out, "w") as fp:
-        for k in range(24):
-            report = calibration.compute_moments(equilibrium.simulate_paths(
-                spec, horizon, dt, seed + k, 200))
-            fp.write(f"{seed + k} {report!r}\n")
+    report = calibration.compute_moments(equilibrium.simulate_paths(
+        spec, horizon, dt, seed + k, 200))
+    return f"{seed + k} {report!r}\n"
 
 
-def fits(out):
+def fit_line(k):
+    """Line k of fits.txt."""
     cfg = config.load_config(str(REPO / "configs" /
                                  "fit_default_targets.json"))
     problem, targets = config.parse_fit(cfg), config.parse_targets(cfg)
+    result = calibration.fit_parameters(
+        dataclasses.replace(problem, seed=problem.seed + k), targets)
+    return f"{problem.seed + k} {result!r}\n"
+
+
+def moment_reports(out):
     with open(out, "w") as fp:
-        for k in range(48):
-            result = calibration.fit_parameters(
-                dataclasses.replace(problem, seed=problem.seed + k), targets)
-            fp.write(f"{problem.seed + k} {result!r}\n")
+        fp.writelines(moment_line(k) for k in range(24))
+
+
+def fits(out):
+    with open(out, "w") as fp:
+        fp.writelines(fit_line(k) for k in range(48))
 
 
 def feedback_line(task):
@@ -313,11 +333,15 @@ def sweep_config():
         str(REPO / "configs" / "feedback_diligence_sweep.json")))
 
 
-def feedback_runs(out):
+def feedback_tasks(seeds):
+    """The tasks of feedback.txt's lines for ``seeds``, in line order."""
     cfg = sweep_config()
-    write_lines(out, feedback_line, [
-        (cfg, seed, n_diligent) for seed in range(40)
-        for n_diligent in SWEEP_COUNTS])
+    return [(cfg, seed, n_diligent) for seed in seeds
+            for n_diligent in SWEEP_COUNTS]
+
+
+def feedback_runs(out):
+    write_lines(out, feedback_line, feedback_tasks(range(40)))
 
 
 def sweeps(out):
@@ -325,10 +349,37 @@ def sweeps(out):
     write_lines(out, sweep_line, [(cfg, seed) for seed in range(40)])
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def versions():
+    """The versions of Python, numpy and scipy, which a digest records."""
+    import numpy
+    import scipy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def digest(out):
+    """The sha256 of every file under ``out`` by its relative path, of each
+    line of its top-level .txt files, and the versions."""
+    files = {path.relative_to(out).as_posix(): sha256(path.read_bytes())
+             for path in sorted(out.rglob("*")) if path.is_file()}
+    lines = {path.name: [sha256(line) for line in
+                         path.read_bytes().splitlines(keepends=True)]
+             for path in sorted(out.glob("*.txt"))}
+    return {"versions": versions(), "files": files, "lines": lines}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="output directory (must not exist)")
-    out = Path(ap.parse_args().out).resolve()
+    ap.add_argument("--digest", metavar="FILE",
+                    help="also write the outputs' digest (JSON) to FILE")
+    args = ap.parse_args()
+    out = Path(args.out).resolve()
+    digest_path = args.digest and Path(args.digest).resolve()
     out.mkdir(parents=True, exist_ok=False)
     os.chdir(REPO)  # configs name their input files relative to the root
     error_lines(out / "errors.txt")
@@ -337,6 +388,10 @@ def main():
     fits(out / "fits.txt")
     feedback_runs(out / "feedback.txt")
     sweeps(out / "sweep.txt")
+    if digest_path:
+        with open(digest_path, "w") as fp:
+            json.dump(digest(out), fp, indent=1, sort_keys=True)
+            fp.write("\n")
 
 
 if __name__ == "__main__":

@@ -4,11 +4,13 @@ J agents trade a single risky asset in zero net supply whose payoff agent
 j truly believes is N(alpha_j, v_j); agent j has CARA utility with risk
 aversion gamma_j.  Demands are linear, so the market-clearing price is the
 p-weighted average of professed means with p_j proportional to
-1/(gamma_j v_j).  If every agent may misstate their mean, the unique
-Pareto-efficient profile shifts each stated mean part way toward the
-resulting price; the closed forms are below.  Professing is individually
-tempting yet collectively harmful: it is never the case that every agent
-gains, and parameter sets exist where every agent strictly loses.
+1/(gamma_j v_j).  If every agent may misstate their mean, the Nash
+equilibrium of that professing game, where each stated mean is its
+agent's best response to the others', shifts each stated mean part way
+toward the resulting price; the closed forms are below.  Professing is
+individually tempting yet collectively harmful: it is never the case that
+every agent gains, and parameter sets exist where every agent strictly
+loses, so that truthful reporting Pareto-dominates the equilibrium.
 """
 
 from dataclasses import dataclass
@@ -92,7 +94,11 @@ def truthful_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
 
 
 def pareto_faked_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
-    """The unique Pareto-efficient profile of professed means.
+    """The Nash equilibrium of professed means: each agent's stated mean
+    is its best response to the others' (first-order condition
+    stated_j - price = (1-p_j)(alpha_j - price)).  It is not
+    Pareto-efficient: wherever ``WelfareReport.all_worse`` holds,
+    truthful reporting gives every agent more.
 
     price = sum_j p_j(1-p_j) alpha_j / sum_j p_j(1-p_j), and each agent
     states (1-p_j) alpha_j + p_j price.  Degenerate for a single agent

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import (__version__, beauty, calibration, config, equilibrium,
                feedback)
-from .errors import MAX_COUNT, ConfigError, NumericError
+from .errors import MAX_COUNT, ConfigError, NumericError, SaturationError
 
 
 def _start(args, cfg):
@@ -37,6 +37,11 @@ def cmd_simulate_log(cfg, args):
         for p, path in enumerate(equilibrium.simulate_paths(
                 spec, horizon, dt, seed, n_paths)):
             if p < write_paths:
+                bad = path.first_non_finite()
+                if bad:
+                    raise SaturationError(
+                        f"path_{p:03d}.csv: column {bad[0]} is not finite "
+                        f"at t={bad[1]!r}; the file is not written")
                 with open(out / f"path_{p:03d}.csv", "w") as fp:
                     path.write_csv(fp)
             yield path

@@ -374,8 +374,8 @@ class EquilibriumPath:
         return trade_volume(self.spec.arrays()[0], self.state.q,
                             self.state.alpha, self.spec.sigma, slope)[0].T
 
-    def write_csv(self, fp):
-        """The header row, then one row per grid point."""
+    def _columns(self):
+        """The CSV's columns by name, in order."""
         columns = dict(t=self.times, X=self.x, delta=self.dividend,
                        zeta=self.zeta, S=self.stock, PD=self.pd_ratio,
                        r=self.rate, kappa=self.kappa, sigmaS=self.stock_vol)
@@ -383,6 +383,23 @@ class EquilibriumPath:
                                 pi=self.holdings, theta=self.trade).items():
             columns.update((f"{name}_{j}", v)
                            for j, v in enumerate(block.T, 1))
+        return columns
+
+    def first_non_finite(self):
+        """(column name, t) of the CSV's first value that is not finite,
+        row by row, or None when every value is finite."""
+        first = None
+        for name, values in self._columns().items():
+            finite = np.isfinite(values)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                if first is None or i < first[0]:
+                    first = i, name
+        return first and (first[1], float(self.times[first[0]]))
+
+    def write_csv(self, fp):
+        """The header row, then one row per grid point."""
+        columns = self._columns()
         fp.write(",".join(columns) + "\n")
         write_rows(fp, np.column_stack(tuple(columns.values())))
 

@@ -53,18 +53,16 @@ oracle, and the outputs are the same to the bit.
   2 points x 2 rows.
 * The scan needs only the residual's signs.  Agent j's exponent at the
   point x, c_j - q_j (x - mu_j)^2, is a quadratic in x, so one
-  (rows x 3) @ (3 x 200) product of the coefficients [c_j - q_j mu_j^2 -
-  M, 2 q_j mu_j, -q_j] with [1, x, x^2] gives every exponent of the
+  (rows x 3) @ (3 x 200) product of the coefficients [c_j - q_j mu_j^2,
+  2 q_j mu_j, -q_j] with [1, x, x^2] gives every exponent of the
   bracket, and per count one product with the weights [1/expm1(rho_j); 1]
-  gives the PD numerator and denominator.  The shift M is one number per
-  count, max(max_j c_j, the diligent denominator term), which bounds every
-  exponent from above.  Exponents below -700 are floored: the one shift
-  leaves many terms far below it, numpy's exp of an underflowing argument
-  is about 100 times slower, and a term under e^-700 changes no sum of at
-  least e^-600 beyond its rounding.  A count whose PD denominator falls
-  below e^-600 at some point (widened and exact brackets can leave every
-  agent's term there far below the shift) is scanned again by the same
-  product, each point shifted by its own largest exponent.
+  gives the PD numerator and denominator.  Each point of a count is
+  shifted by the larger of its largest exponent and the count's diligent
+  denominator term, so the largest term of every denominator is exactly
+  1.  Exponents below -700 are floored: many terms lie far below the
+  shift, numpy's exp of an underflowing argument is about 100 times
+  slower, and a term under e^-700 changes no sum of at least 1 beyond its
+  rounding.
 * S* comes from blocks of steps: the posterior means keep their per-step
   recursion, the log-weight increments of a block come from one pass and
   accumulate with ``np.cumsum`` along time, and ``log_price_dividend``
@@ -95,19 +93,20 @@ _BISECT_WIDTH = 1e-13
 _SCAN_POINTS = 200
 _FIRST_HALF_WIDTH = 10.0  # per-step sds either side of the true increment
 # floor on the scan's shifted exponents: e^-700 is far below half an ulp of
-# the sums (each at least _SUM_FLOOR) that it joins, and it keeps numpy's
-# exp off its slow path for underflowing arguments
+# the sums (each at least 1) that it joins, and it keeps numpy's exp off its
+# slow path for underflowing arguments
 _EXP_FLOOR = -700.0
-# a count's scan keeps its one shift where its PD denominator is at least
-# this at every point, and is scanned again point by point where it is not
-_SUM_FLOOR = math.exp(-600.0)
 _SCAN_INDEX = np.arange(_SCAN_POINTS, dtype=float)
 # steps per block of S* and of the step terms: larger blocks save little
 # and hold more memory
 _IDEAL_BLOCK = 128
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 _LOG_TWO = math.log(2.0)
-_EXACT_PAD = 1e-9  # widens the exact bracket past log PD's rounding
+# the exact bracket is widened past log PD's rounding by the larger of
+# _EXACT_PAD and _PAD_ULPS ulps of the largest exponent at its ends: log PD
+# from those exponents rounds to within about one such ulp
+_EXACT_PAD = 1e-9
+_PAD_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -304,20 +303,20 @@ class _Observers:
         self.start = -_IDEAL_BLOCK   # first step of the filled block (none)
         # rows: PD numerator, PD denominator
         self.consts = np.empty((2, n))
-        # the scan's coefficients c - q mu^2 - shift, 2 q mu and -q (one
-        # row per agent), its basis rows 1, x and x^2 for the first bracket
-        # and for a widened one, its exponents and the PD weights
-        # [1/expm1(rho); 1]
+        # the scan's coefficients c - q mu^2, 2 q mu and -q (one row per
+        # agent), its basis rows 1, x and x^2 for the first bracket and for
+        # a widened one, its exponents and the PD weights [1/expm1(rho); 1]
         self.coefs = np.empty((n, 3))
         self.basis = np.ones((3, _SCAN_POINTS))
         self.wide_basis = np.ones((3, _SCAN_POINTS))
         self.grid = self.basis[1]
         self.scan_v = np.empty((n, _SCAN_POINTS))
         weights = np.vstack((np.exp(-self.log_expm1), np.ones(n)))
-        # per block: the PD numerator and denominator, and its rows of the
-        # coefficients, the exponents and the PD weights
+        # per block: each point's shift, the PD numerator and denominator,
+        # and its rows of the exponents and the PD weights
+        self.scan_shift = np.empty((len(self.sizes), 1, _SCAN_POINTS))
         self.scan_pd = np.empty((len(self.sizes), 2, _SCAN_POINTS))
-        self.scan_blocks = [(self.coefs[b], self.scan_v[b], weights[:, b])
+        self.scan_blocks = [(self.scan_v[b], weights[:, b])
                             for b in self.blocks]
 
     def absorb(self, x, step: int):
@@ -372,15 +371,15 @@ class _Observers:
         (blocks, 2, 1) array.
 
         Only the signs of the residual that these give are read.  Row j's
-        exponent c_j - q_j (x - mu_j)^2, less its block's shift, is the
-        product of [c_j - q_j mu_j^2 - shift, 2 q_j mu_j, -q_j] with
-        [1, x, x^2], so one (rows x 3) @ (3 x points) product gives them
-        all; one exp pass, with exponents floored at ``_EXP_FLOOR``, and
-        one (2 x rows) @ (rows x points) product per block with the weights
-        [1/expm1(rho_j); 1] give its PD numerator and denominator.  A block
-        whose denominator falls below ``_SUM_FLOOR`` at some point has its
-        product run again and each point shifted by its own largest
-        exponent.
+        exponent c_j - q_j (x - mu_j)^2 is the product of
+        [c_j - q_j mu_j^2, 2 q_j mu_j, -q_j] with [1, x, x^2], so one
+        (rows x 3) @ (3 x points) product gives them all.  Each point of a
+        block is shifted by the larger of its largest exponent and the
+        block's diligent denominator term, so the largest term of every
+        PD denominator is exactly 1.  Then one exp pass, with exponents
+        floored at ``_EXP_FLOOR``, and one (2 x rows) @ (rows x points)
+        product per block with the weights [1/expm1(rho_j); 1] give its PD
+        numerator and denominator.
         """
         stop = first + len(dil)
         rows = slice(self.bounds[first], self.bounds[stop])
@@ -395,30 +394,19 @@ class _Observers:
         np.add(constant, c, out=constant)
         np.multiply(linear, -2.0, out=linear)
         quadratic[:] = neg_quad
-        # each block's shift, max(its largest constant, its diligent PD
-        # denominator term): reduceat over the rows up to the last block's
-        # end, from the first block's start
-        shifts = np.maximum(
-            np.maximum.reduceat(self.consts[1, :rows.stop],
-                                self.bounds[first:stop]), dil[:, 1, 0])
-        constant -= np.repeat(shifts, self.sizes[first:stop])
         blocks = self.scan_blocks[first:stop]
         v = np.matmul(coefs, basis, out=self.scan_v[rows])
+        shift = self.scan_shift[first:stop]
+        for (v_block, _), den_dil, (shift_row,) in zip(
+                blocks, dil[:, 1, 0].tolist(), shift):
+            np.maximum.reduce(v_block, axis=0, out=shift_row,
+                              initial=den_dil)
+            np.subtract(v_block, shift_row, out=v_block)
         np.exp(np.maximum(v, _EXP_FLOOR, out=v), out=v)
         pd = self.scan_pd[first:stop]
-        for (_, e_block, weights), out in zip(blocks, pd):
+        for (e_block, weights), out in zip(blocks, pd):
             np.matmul(weights, e_block, out=out)
-        pd += np.exp(dil - shifts[:, None, None])
-        low = np.minimum.reduce(pd[:, 1], axis=1) < _SUM_FLOOR
-        for i in np.flatnonzero(low).tolist():
-            block_coefs, v_block, weights = blocks[i]
-            np.matmul(block_coefs, basis, out=v_block)
-            m = np.maximum.reduce(v_block, axis=0)
-            np.maximum(m, dil[i, 1, 0] - shifts[i], out=m)
-            np.subtract(v_block, m, out=v_block)
-            np.exp(np.maximum(v_block, _EXP_FLOOR, out=v_block), out=v_block)
-            np.matmul(weights, v_block, out=pd[i])
-            pd[i] += np.exp(dil[i] - (shifts[i] + m))
+        pd += np.exp(dil - shift)
         num, den = pd[:, 0], pd[:, 1]
         num /= den
         return np.log(num)
@@ -433,7 +421,9 @@ def solve_step(observers: _Observers, block: int, step: int,
     Returns (xi, n_roots_found, relative_residual).  Raises
     ``FixedPointError`` when no scan finds a sign change, when the chosen
     cell's end residuals share a sign, or when the root's relative residual
-    exceeds ``RESIDUAL_TOL``.
+    exceeds ``RESIDUAL_TOL``: where Brent's absolute ``_BISECT_WIDTH``
+    leaves it above, Brent refines the same cell once more with only its
+    relative tolerance binding, and that root's residual decides.
 
     ``observers.start_step`` has filled the step's terms and scanned the
     first bracket: ``first_scan`` is this count's log PD at the points of
@@ -441,8 +431,9 @@ def solve_step(observers: _Observers, block: int, step: int,
     scans a bracket that doubles up to +/- 1 around the true increment, and
     then the exact one: PD is a weighted mean of every agent's
     1/expm1(rho_j), so the residual offset + xi - log PD changes sign in
-    [L - offset, U - offset] (padded by ``_EXACT_PAD``), with (L, U) =
-    ``log_pd_bounds``.
+    [L - offset, U - offset], with (L, U) = ``log_pd_bounds``, padded by
+    the larger of ``_EXACT_PAD`` and ``_PAD_ULPS`` ulps of the largest
+    exponent at those ends.
 
     Which root is taken: the brackets are tried in that order, +/- 10
     per-step sds (``_FIRST_HALF_WIDTH``) around the dividend move, that
@@ -484,11 +475,15 @@ def solve_step(observers: _Observers, block: int, step: int,
             seen[xi] = value = combine(xi, log_num, log_den)
         return value
 
-    def ends(lo, hi):
-        # the residual at lo and at hi from one pass over 2 points x 2 rows
+    def exponents(lo, hi):
+        # the PD numerator and denominator exponents at lo and at hi, as
+        # 2 points x 2 rows
         dev = np.array([[lo], [hi]]) - mu
-        num_lo, den_lo, num_hi, den_hi = _lse(
-            (consts + (neg_quad * dev * dev)[:, None]).reshape(4, -1))
+        return (consts + (neg_quad * dev * dev)[:, None]).reshape(4, -1)
+
+    def ends(lo, hi):
+        # the residual at lo and at hi from one pass
+        num_lo, den_lo, num_hi, den_hi = _lse(exponents(lo, hi))
         return combine(lo, num_lo, den_lo), combine(hi, num_hi, den_hi)
 
     grid, log_pd = s.grid, first_scan
@@ -511,8 +506,10 @@ def solve_step(observers: _Observers, block: int, step: int,
             lo, hi = true_increment - half_width, true_increment + half_width
         else:
             exact = True
-            lo = log_pd_bounds[0] - offset - _EXACT_PAD
-            hi = log_pd_bounds[1] - offset + _EXACT_PAD
+            lo, hi = log_pd_bounds[0] - offset, log_pd_bounds[1] - offset
+            largest = np.abs(exponents(lo, hi)).max()
+            pad = max(_EXACT_PAD, _PAD_ULPS * math.ulp(largest))
+            lo, hi = lo - pad, hi + pad
         grid = _scan_grid(lo, hi, s.wide_basis[1])
         log_pd = s.scan(s.wide_basis, block, dil[None])[0]
 
@@ -533,6 +530,11 @@ def solve_step(observers: _Observers, block: int, step: int,
     seen = {lo: residual_lo, hi: residual_hi}
     xi = brentq(residual, lo, hi, xtol=_BISECT_WIDTH, rtol=8.9e-16)
     rel = abs(math.expm1(float(seen[xi])))
+    if rel > RESIDUAL_TOL:
+        # a residual too steep for _BISECT_WIDTH (small sigma: large
+        # precisions)
+        xi = brentq(residual, lo, hi, xtol=1e-300, rtol=8.9e-16)
+        rel = abs(math.expm1(float(seen[xi])))
     if rel > RESIDUAL_TOL:
         raise FixedPointError(
             f"step {step}: fixed-point residual {rel:.3e} above "

@@ -186,13 +186,11 @@ def test_market_agents_error_names_full_path(tmp_path, capsys, market,
 
 
 def test_simulate_log_overflow_exits_3(tmp_path, capsys):
-    # sigma 3 and alpha* 5 overflow the levels: the written path holds inf,
-    # and the report names the moments that are not finite
+    # sigma 3 and alpha* 5 overflow the levels: with no path written, the
+    # report names the moments that are not finite
     cfg = write_config(tmp_path, tiny_market_config(
-        market={"sigma": 3.0, "drift_adjustment": 5.0, "agents": [
-            {"impatience": 0.05, "weight": 1.0,
-             "belief": {"type": "constant", "drift": 0.1}}]},
-        horizon_years=100.0, dt=0.1, n_paths=4, seed=0, write_paths=1))
+        market=_MARKET_B, horizon_years=100.0, dt=0.1, n_paths=4, seed=0,
+        write_paths=0))
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate-log", "--config", str(cfg), "--out",
@@ -200,7 +198,37 @@ def test_simulate_log_overflow_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == (
         "numeric failure: moment report: mean_equity_return, "
         "std_equity_return not finite")
-    assert "inf" in (out / "path_000.csv").read_text()
+    assert not (out / "summary.txt").exists()
+
+
+def _one_agent_market(sigma, drift_adjustment):
+    return {"sigma": sigma, "drift_adjustment": drift_adjustment, "agents": [
+        {"impatience": 0.05, "weight": 1.0,
+         "belief": {"type": "constant", "drift": 0.1}}]}
+
+
+_MARKET_B = _one_agent_market(3.0, 5.0)
+
+
+@pytest.mark.parametrize("market, horizon, dt, n_paths, message", [
+    # the dividend underflows to 0 and zeta overflows
+    (_one_agent_market(0.3, 0.0), 20000.0, 1.0, 1,
+     "column zeta is not finite at t=16695.0"),
+    # the levels overflow, and the portfolio share is inf / inf
+    (_MARKET_B, 100.0, 0.1, 4, "column pi_1 is not finite at t=70.4")],
+    ids=["underflow", "overflow"])
+def test_simulate_log_writes_no_path_that_is_not_finite(
+        tmp_path, capsys, market, horizon, dt, n_paths, message):
+    cfg = write_config(tmp_path, tiny_market_config(
+        market=market, horizon_years=horizon, dt=dt, n_paths=n_paths,
+        seed=0, write_paths=1))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        assert main(["simulate-log", "--config", str(cfg), "--out",
+                     str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"numeric failure: path_000.csv: {message}; the file is not written")
+    assert not list(out.glob("path_*.csv"))
     assert not (out / "summary.txt").exists()
 
 
