@@ -1,0 +1,129 @@
+"""A/B-time feedback sweeps, fits or moment reports of two checkouts in
+one process.
+
+    python scripts/ab_timing.py MODE OLD NEW FIRST LAST
+
+Loads the ``src/beliefmkt`` of the checkouts OLD and NEW, each under a
+package name of its own, with ``numerics._usable_cpus`` patched to 1 so
+that every run stays in this process, whose CPU time is the one measured.
+For each seed FIRST .. LAST it runs MODE on both sides, the side that runs
+first alternating from seed to seed, times each in CPU time
+(``time.process_time``) and checks that both sides give equal outcomes
+(or the same error):
+
+* ``feedback``: ``diligence_sweep(cfg, [0, 25, 30], [seed])`` on
+  ``configs/feedback_diligence_sweep.json``; equal metrics tables.
+* ``fit``: ``fit_parameters`` on ``configs/fit_default_targets.json`` at
+  search seed ``seed``; equal values, loss, ``n_evaluations`` and
+  ``converged``.
+* ``moments``: ``compute_moments`` over the 200 ``simulate_paths`` paths of
+  50 years of ``configs/benchmark3.json`` at master seed ``seed``; equal
+  report dicts.
+
+It prints each seed's NEW/OLD time ratio, then the median ratio and the
+number of seeds on which NEW took less time.  Passing one checkout as both
+OLD and NEW gives the A/A spread: on a 2-core Xeon, 24 to 48 seeds resolve
+changes of 2-3 %, where the quartiles of a benchmark workload's runs lie
+6-18 % apart, but 12 moment reports gave an A/A median of 1.048.
+"""
+
+import argparse
+import dataclasses
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+COUNTS = [0, 25, 30]
+MODES = ("feedback", "fit", "moments")
+
+
+class Side:
+    """One checkout's package, loaded as ``name``, and the inputs of each
+    mode, parsed from its configs."""
+
+    def __init__(self, checkout, name):
+        root = Path(checkout).resolve()
+        src = root / "src" / "beliefmkt"
+        spec = importlib.util.spec_from_file_location(
+            name, src / "__init__.py", submodule_search_locations=[str(src)])
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[name] = package
+        spec.loader.exec_module(package)
+        self.name = name
+        module = {m: importlib.import_module(f"{name}.{m}") for m in (
+            "calibration", "config", "equilibrium", "errors", "feedback",
+            "numerics")}
+        module["numerics"]._usable_cpus = lambda: 1
+        self.module = module
+        config = module["config"]
+
+        def load(stem):
+            return config.load_config(str(root / "configs" / f"{stem}.json"))
+
+        self.sweep_config = config.parse_feedback(
+            load("feedback_diligence_sweep"))
+        fit = load("fit_default_targets")
+        self.problem = config.parse_fit(fit)
+        self.targets = config.parse_targets(fit)
+        self.market = config.parse_simulate(load("benchmark3"))[:4]
+
+    def feedback(self, seed):
+        return self.module["feedback"].diligence_sweep(
+            self.sweep_config, COUNTS, [seed])
+
+    def fit(self, seed):
+        result = self.module["calibration"].fit_parameters(
+            dataclasses.replace(self.problem, seed=seed), self.targets)
+        return (result.values, result.loss, result.n_evaluations,
+                result.converged)
+
+    def moments(self, seed):
+        spec, horizon, dt, n_paths = self.market
+        return self.module["calibration"].compute_moments(
+            self.module["equilibrium"].simulate_paths(
+                spec, horizon, dt, seed, n_paths)).as_dict()
+
+    def run(self, mode, seed):
+        """(CPU seconds, outcome) of ``mode`` at ``seed``: what it returns,
+        or the type and message of the error it raises."""
+        start = time.process_time()
+        try:
+            outcome = getattr(self, mode)(seed)
+        except self.module["errors"].BeliefMktError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        return time.process_time() - start, outcome
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("mode", choices=MODES, help="what to time")
+    ap.add_argument("old", help="checkout of the reference side")
+    ap.add_argument("new", help="checkout of the side to compare")
+    ap.add_argument("first", type=int, help="first seed")
+    ap.add_argument("last", type=int, help="last seed (included)")
+    args = ap.parse_args()
+
+    old, new = Side(args.old, "beliefmkt_old"), Side(args.new, "beliefmkt_new")
+    for side in (old, new):   # untimed: lazy imports and caches settle
+        side.run(args.mode, args.first)
+    ratios = []
+    for i, seed in enumerate(range(args.first, args.last + 1)):
+        order = (old, new) if i % 2 == 0 else (new, old)
+        runs = {side.name: side.run(args.mode, seed) for side in order}
+        (old_s, want), (new_s, got) = runs[old.name], runs[new.name]
+        if got != want:
+            sys.exit(f"seed {seed}: the two sides' outcomes differ")
+        ratios.append(new_s / old_s)
+        first = "new" if order[0] is new else "old"
+        print(f"seed {seed:3d}  {first} first  old {old_s:.3f} s  "
+              f"new {new_s:.3f} s  ratio {ratios[-1]:.3f}", flush=True)
+    wins = sum(r < 1.0 for r in ratios)
+    print(f"median ratio {statistics.median(ratios):.3f}  "
+          f"new faster on {wins} of {len(ratios)} seeds")
+
+
+if __name__ == "__main__":
+    main()

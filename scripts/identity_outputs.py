@@ -29,11 +29,11 @@ writes under OUT:
   together: every count's metrics ``repr``, or the error's type, step and
   the failing run's diagnostics (leaving out the seed and count, and the
   message, which a sweep's error adds or prefixes);
-* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (50 configs
+* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (53 configs
   and flags, each with one fault: a non-object item, a missing field, a
-  non-number, a non-finite number, a count past ``MAX_COUNT``, a value
-  <= 0, an unknown or misplaced fit parameter, an unread key or flag, and
-  more), run through ``cli.main`` in this process: its name, exit code
+  non-number, a non-finite number, a count past ``MAX_COUNT``, a span
+  that dt does not cut into whole steps, a value <= 0, an unknown or
+  misplaced fit parameter, an unread key or flag, and more), run through ``cli.main`` in this process: its name, exit code
   and last line of stderr, with the temporary directory shown as
   ``<tmp>``.  An input-layer change shows its messages byte for byte.
 
@@ -185,6 +185,7 @@ ERROR_CASES = {
         _MARKET, ("market", "sigma"), float("inf")), []),
     "horizon-nan": ("simulate-log",
                     _edit(_MARKET, ("horizon_years",), float("nan")), []),
+    "horizon-odd-span": ("simulate-log", _edit(_MARKET, ("dt",), 0.3), []),
     "paths-over-ceiling": ("simulate-log", _edit(_MARKET, ("n_paths",), _BIG),
                            []),
     "write-paths-over-paths": ("simulate-log",
@@ -207,6 +208,8 @@ ERROR_CASES = {
                               []),
     "feedback-years-unread": ("feedback", _edit(_FEEDBACK, ("years",), 3.0),
                               []),
+    "feedback-years-odd-span": ("feedback", dict(
+        _edit(_FEEDBACK, ("n_steps",)), years=0.1), []),
     "feedback-flag-unread": ("feedback", _FEEDBACK, ["--paths", "2"]),
     "feedback-single-diligence-values": ("feedback", _edit(
         _FEEDBACK, ("diligence_values",), [0, 2]), []),
@@ -218,6 +221,7 @@ ERROR_CASES = {
     "beauty-flag-unread": ("beauty", _CONTEST, ["--seed", "2"]),
     "fit-start-missing": ("fit", _edit(_FIT, ("free", 0, "start")), []),
     "fit-lower-string": ("fit", _edit(_FIT, ("free", 0, "lower"), "a"), []),
+    "fit-horizon-odd-span": ("fit", _edit(_FIT, ("dt",), 0.3), []),
     "fit-bounds-crossed": ("fit", _edit(_FIT, ("free", 0, "upper"), 0.05),
                            []),
     "fit-bounds-not-positive": ("fit",

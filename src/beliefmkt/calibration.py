@@ -29,7 +29,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import beliefs, equilibrium
-from .errors import MAX_COUNT, ConfigError, NumericError, SaturationError
+from .errors import (MAX_COUNT, ConfigError, NumericError, SaturationError,
+                     step_count)
 from .numerics import fork_map, nelder_mead
 
 #: Moment name -> label of the comparison table, in report order.
@@ -315,15 +316,8 @@ class CalibrationProblem:
             raise ConfigError("seed must be >= 0")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if not 0.0 < self.horizon < math.inf:
-            raise ConfigError("horizon must be finite and > 0")
-        if not 0.0 < self.dt <= self.horizon:
-            raise ConfigError("dt: must be > 0 and not exceed the horizon")
-        if not math.isfinite(self.horizon / self.dt):
-            raise ConfigError("dt: too small for the horizon "
-                              "(horizon/dt overflows)")
         # a search keeps all of its driver paths, so their points are a count
-        steps = equilibrium._n_steps(self.horizon, self.dt)
+        steps = step_count(self.horizon, self.dt, "horizon_years")
         if self.n_paths * (steps + 1) > MAX_COUNT:
             raise ConfigError(f"n_paths: n_paths x (horizon/dt + 1) grid "
                               f"points must be at most {MAX_COUNT}")
@@ -415,10 +409,10 @@ def draw_drivers(problem: CalibrationProblem):
     """The problem's common random numbers: its driver paths, as a list of
     (times, X) batches of whole paths, each of at most ``_BATCH_POINTS``
     grid points (at least one path).  A search draws them once."""
-    n_steps = equilibrium._n_steps(problem.horizon, problem.dt)
+    n_steps = step_count(problem.horizon, problem.dt, "horizon_years")
     size = max(1, _BATCH_POINTS // problem.n_agents // (n_steps + 1))
     return [equilibrium._drivers(
-        problem.horizon, problem.dt, problem.seed,
+        n_steps, problem.dt, problem.seed,
         range(start, min(start + size, problem.n_paths)))
         for start in range(0, problem.n_paths, size)]
 

@@ -14,7 +14,7 @@ import math
 from typing import Any, Dict
 
 from . import __version__, beauty, beliefs, calibration, equilibrium, feedback
-from .errors import MAX_COUNT, ConfigError
+from .errors import MAX_COUNT, ConfigError, step_count
 
 
 class _Node(dict):
@@ -108,17 +108,6 @@ def _get(cfg, path, kind, default=..., positive=False):
     return value
 
 
-def _step_count(span, dt, path):
-    """The number of steps of length dt in span, named after ``path``."""
-    steps = span / dt
-    if not (math.isfinite(steps) and round(steps) <= MAX_COUNT):
-        raise ConfigError(f"{path}: {path}/dt must be at most {MAX_COUNT} "
-                          f"steps")
-    if round(steps) < 1:
-        raise ConfigError(f"{path}: {path}/dt must give at least 1 step")
-    return int(round(steps))
-
-
 def _pair(cfg, path, default):
     val = _get(cfg, path, list, default=list(default))
     if len(val) != 2:
@@ -183,9 +172,7 @@ def parse_simulate(cfg):
     write_paths = _get(cfg, "write_paths", int, default=1)
     if write_paths < 0 or write_paths > n_paths:
         raise ConfigError("write_paths: must be between 0 and n_paths")
-    if dt > horizon:
-        raise ConfigError("dt: must not exceed horizon_years")
-    _step_count(horizon, dt, "horizon_years")
+    step_count(horizon, dt, "horizon_years")
     return spec, horizon, dt, n_paths, seed, write_paths
 
 
@@ -196,7 +183,7 @@ def parse_feedback(cfg) -> feedback.FeedbackConfig:
         n_steps = _get(cfg, "n_steps", int, positive=True)
     else:
         years = _get(cfg, "years", float, default=5.0, positive=True)
-        n_steps = _step_count(years, dt, "years")
+        n_steps = step_count(years, dt, "years")
     return spec(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         n_diligent=_get(cfg, "n_diligent", int, default=0),
@@ -265,18 +252,15 @@ def parse_fit(cfg) -> calibration.CalibrationProblem:
     fixed = {name: _number(fixed_node[name], f"fixed.{name}")
              for name in fixed_node}
     spec = calibration.CalibrationProblem
-    horizon = _get(cfg, "horizon_years", float, default=spec.horizon,
-                   positive=True)
-    dt = _get(cfg, "dt", float, default=spec.dt, positive=True)
-    _step_count(horizon, dt, "horizon_years")
     return spec(
         n_agents=_get(cfg, "n_agents", int, positive=True),
         free=tuple(free),
         fixed=fixed,
         n_paths=_get(cfg, "n_paths", int, default=spec.n_paths,
                      positive=True),
-        horizon=horizon,
-        dt=dt,
+        horizon=_get(cfg, "horizon_years", float, default=spec.horizon,
+                     positive=True),
+        dt=_get(cfg, "dt", float, default=spec.dt, positive=True),
         seed=_seed(cfg),
         max_iterations=_get(cfg, "max_iterations", int,
                             default=spec.max_iterations, positive=True))

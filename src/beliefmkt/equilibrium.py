@@ -28,10 +28,8 @@ Arrays are agent-major: a path's per-agent quantities are (J, n+1), and
 those of a batch of P paths (J, P, n+1), so every sum or max over agents
 reduces the leading, contiguous axis (J is small, and reductions over a
 short trailing axis are slow).  Nothing ties one path to another, so the
-kernel (``market_state``) takes a single exp pass over any number of paths:
-with m = max_j l_j, e = exp(l - m) and s = sum_j e_j, q = e / s,
-zeta = exp(m + log s - log delta), PD = sum_j (e_j / rho_j) / s, and
-everything else follows from q and e.
+kernel (``market_state``, whose docstring gives its formulas in log space)
+takes a single exp pass over any number of paths.
 
 A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``
 and derives S, sigma^S, zeta, w, c, pi and the trade diffusions theta from
@@ -61,7 +59,7 @@ import numpy as np
 
 from .beliefs import (ConstantDrift, ContinuousBelief, drift_at, drift_slope,
                       bayesian_log_ratio_closed_form)
-from .errors import ConfigError, SingularMarketError
+from .errors import ConfigError, SingularMarketError, step_count
 from .numerics import solve_decreasing, write_rows
 from .rngtools import path_rng
 
@@ -135,35 +133,6 @@ def _per_agent(values, like):
     return np.reshape(values, (-1,) + (1,) * (np.ndim(like) - 1))
 
 
-def _log_weights(rho, nu, log_lam, t):
-    """(m, e, s) for l_j = -rho_j t + log Lambda^j - log nu_j: m = max_j l_j,
-    e = exp(l - m) and s = sum_j e_j, so that q = e / s and
-    log sum_j exp(l_j) = m + log s.  The only exp over agents."""
-    l = -_per_agent(rho, log_lam) * t + log_lam
-    l -= _per_agent(np.log(nu), log_lam)
-    m = l.max(axis=0)
-    l -= m
-    e = np.exp(l, out=l)
-    return m, e, e.sum(axis=0)
-
-
-def _wealth_moments(rho, e, s, alpha):
-    """(PD, a): PD = sum_j q_j / rho_j, and a, the drift average under
-    wealth weights proportional to q_j / rho_j."""
-    u = e / _per_agent(rho, e)
-    su = u.sum(axis=0)
-    u *= alpha
-    return su / s, u.sum(axis=0) / su
-
-
-def _rate_and_kappa(rho, q, alpha, sigma, drift_adjustment):
-    """(r, kappa, alphabar, rhobar) from the consumption shares q."""
-    alphabar = (q * alpha).sum(axis=0)
-    rhobar = (q * _per_agent(rho, q)).sum(axis=0)
-    r = rhobar + sigma * (drift_adjustment + alphabar) - sigma * sigma
-    return r, sigma - alphabar, alphabar, rhobar
-
-
 def _check_volatility(a, kappa):
     """Raise SingularMarketError where the stock volatility a + kappa
     vanishes."""
@@ -190,19 +159,20 @@ def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
     return wealth, consumption, holdings
 
 
-def trade_volume(rho, q, alpha, sigma, slope=0.0):
+def trade_volume(rho, q, alpha, alphabar, kappa, slope=0.0):
     """Diffusion coefficients theta_j = d pi_j / dX, shape (J, ...), of the
     holdings, exact as the state is Markov in (t, X), and their Euclidean
-    norm (the total trading-volume proxy).
+    norm (the total trading-volume proxy).  alphabar = sum q alpha and
+    kappa = sigma - alphabar are the market state's ``mean_drift`` and
+    ``kappa``.
 
     With u = q / rho, b = alpha + kappa, N = u b, D = sum N, g = d alpha /
     dX (``slope``), v = sum q (alpha - alphabar)^2 and gbar = sum q g,
     N' = u (alpha b + g - v - gbar) is dN / dX up to a multiple of N, and
     theta = N' / D - (N / D) (sum N' / D)."""
-    alphabar = (q * alpha).sum(axis=0)
     v = (q * (alpha - alphabar) ** 2).sum(axis=0)
     u = q / _per_agent(rho, q)
-    b = alpha + (sigma - alphabar)
+    b = alpha + kappa
     n = u * b
     d = n.sum(axis=0)
     dn = u * (alpha * b + slope - v - (q * slope).sum(axis=0))
@@ -234,16 +204,10 @@ def solve_market_clearing(inverse_marginals: Sequence[Callable], lam, nu,
 # path simulation
 
 
-def _n_steps(horizon, dt):
-    if not (0.0 < dt <= horizon and math.isfinite(horizon / dt)):
-        raise ConfigError("need a finite horizon > 0 and 0 < dt <= horizon")
-    return int(round(horizon / dt))
-
-
-def _drivers(horizon, dt, seed, path_indices):
+def _drivers(n, dt, seed, path_indices):
     """(times, X) with X of shape (P, n+1): row i is the gaussian random
-    walk with N(0, dt) increments drawn from path_rng(seed, path_indices[i])."""
-    n = _n_steps(horizon, dt)
+    walk of n steps with N(0, dt) increments drawn from
+    path_rng(seed, path_indices[i])."""
     x = np.zeros((len(path_indices), n + 1))
     for p, row in zip(path_indices, x):
         # Generator.normal(0, scale) draws scale * z: the same doubles
@@ -286,6 +250,7 @@ class MarketState(NamedTuple):
     """The equilibrium along driver paths x of shape (..., n+1): per-agent
     fields are agent-major (J, ..., n+1), the rest (..., n+1)."""
 
+    impatience: np.ndarray  # rho, (J,)
     log_lam: np.ndarray
     alpha: np.ndarray
     q: np.ndarray
@@ -303,17 +268,38 @@ class MarketState(NamedTuple):
 def market_state(spec: MarketSpec, times, x) -> MarketState:
     """What the moments and the numeric guards need, in one exp pass over
     agent-major arrays; no path is tied to another, so x may hold any
-    number of paths.  Raises SingularMarketError where a + kappa vanishes."""
+    number of paths.  Raises SingularMarketError where a + kappa vanishes.
+
+    With l_j = -rho_j t + log Lambda^j - log nu_j, m = max_j l_j,
+    e = exp(l - m) (the only exp over agents) and s = sum_j e_j:
+    q = e / s and log sum_j exp(l_j) = m + log s; with u = e / rho,
+    PD = sum_j u_j / s and a = sum_j u_j alpha_j / sum_j u_j, the drift
+    average under wealth weights q_j / rho_j; alphabar = sum_j q_j alpha_j,
+    rhobar = sum_j q_j rho_j, r = rhobar + sigma (alpha* + alphabar) -
+    sigma^2 and kappa = sigma - alphabar."""
     rho, nu = spec.arrays()
     log_lam, alpha = log_ratio_paths(spec, times, x)
-    m, e, s = _log_weights(rho, nu, log_lam, times)
-    pd, a = _wealth_moments(rho, e, s, alpha)
+    rho_j = _per_agent(rho, log_lam)
+    l = -rho_j * times + log_lam
+    l -= _per_agent(np.log(nu), log_lam)
+    m = l.max(axis=0)
+    l -= m
+    e = np.exp(l, out=l)
+    s = e.sum(axis=0)
+    u = e / rho_j
+    su = u.sum(axis=0)
+    u *= alpha
+    pd, a = su / s, u.sum(axis=0) / su
+    del u   # the products below reuse its block while it is in cache
     q = np.divide(e, s, out=e)
-    r, kappa, abar, rhobar = _rate_and_kappa(
-        rho, q, alpha, spec.sigma, spec.drift_adjustment)
+    abar = (q * alpha).sum(axis=0)
+    rhobar = (q * rho_j).sum(axis=0)
+    sigma = spec.sigma
+    r = rhobar + sigma * (spec.drift_adjustment + abar) - sigma * sigma
+    kappa = sigma - abar
     _check_volatility(a, kappa)
-    return MarketState(log_lam, alpha, q, m, s, pd, a, r, kappa, abar, rhobar,
-                       bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
+    return MarketState(rho, log_lam, alpha, q, m, s, pd, a, r, kappa, abar,
+                       rhobar, bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
 
 
 @dataclass
@@ -360,7 +346,7 @@ class EquilibriumPath:
     def _portfolios(self):
         k = self.state
         return tuple(a.T for a in wealth_and_portfolios(
-            self.spec.arrays()[0], k.q, k.alpha, self.dividend, k.kappa,
+            k.impatience, k.q, k.alpha, self.dividend, k.kappa,
             k.wealth_drift))
 
     wealth = property(lambda self: self._portfolios[0])
@@ -369,10 +355,11 @@ class EquilibriumPath:
 
     @cached_property
     def trade(self):
+        k = self.state
         slope = np.array([drift_slope(a.belief, self.times)
                           for a in self.spec.agents])
-        return trade_volume(self.spec.arrays()[0], self.state.q,
-                            self.state.alpha, self.spec.sigma, slope)[0].T
+        return trade_volume(k.impatience, k.q, k.alpha, k.mean_drift, k.kappa,
+                            slope)[0].T
 
     def _columns(self):
         """The CSV's columns by name, in order."""
@@ -407,8 +394,10 @@ class EquilibriumPath:
 def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,
                   path_index: int = 0) -> EquilibriumPath:
     """Simulate one equilibrium path under the reference measure;
-    deterministic given (seed, path_index)."""
-    times, x = _drivers(horizon, dt, seed, (path_index,))
+    deterministic given (seed, path_index).  Raises ConfigError unless
+    dt cuts the horizon into whole steps (``errors.step_count``)."""
+    times, x = _drivers(step_count(horizon, dt, "horizon"), dt, seed,
+                        (path_index,))
     x = x[0]
     return EquilibriumPath(spec, times, x, dividend_path(spec, times, x),
                            market_state(spec, times, x), dt)
@@ -436,7 +425,9 @@ class PathSequence(abc.Sequence):
 def simulate_paths(spec: MarketSpec, horizon: float, dt: float, seed: int,
                    n_paths: int) -> PathSequence:
     """The n_paths independent paths split off the master seed, as a lazy
-    sequence.  Raises ConfigError unless n_paths is an integer >= 0."""
+    sequence.  Raises ConfigError unless n_paths is an integer >= 0 and dt
+    cuts the horizon into whole steps (``errors.step_count``)."""
+    step_count(horizon, dt, "horizon")
     try:
         n_paths = operator.index(n_paths)
     except TypeError:

@@ -548,13 +548,15 @@ class _SeedInputs:
     the agents, the dividend path, the ideal price S* and the diligent
     agents' terms: for each step t and each stepping count c, the
     log-sum-exps of the first c agents' PD numerator and denominator terms
-    at step t + 1, a (steps, counts, 2, 1) array (-inf for c = 0)."""
+    at step t + 1, a (steps, counts, 2, 1) array (-inf for c = 0); and
+    the bounds (L, U) of every log PD, ``solve_step``'s exact bracket."""
 
     traits: AgentTraits
     increments: np.ndarray
     log_div: np.ndarray
     log_stock_ideal: np.ndarray
     diligent: np.ndarray
+    log_pd_bounds: Tuple[float, float]
 
 
 def _seed_inputs(config: FeedbackConfig, stepping) -> _SeedInputs:
@@ -606,7 +608,8 @@ def _seed_inputs(config: FeedbackConfig, stepping) -> _SeedInputs:
         log_weight = weights[-1]
         log_pd = log_price_dividend(traits.rho_step, weights, steps)
         log_stock_ideal[after] = log_pd + log_div[after]
-    return _SeedInputs(traits, increments, log_div, log_stock_ideal, diligent)
+    return _SeedInputs(traits, increments, log_div, log_stock_ideal, diligent,
+                       (-log_expm1.max(), -log_expm1.min()))
 
 
 def run_feedback(config: FeedbackConfig) -> FeedbackResult:
@@ -636,16 +639,14 @@ def _run(config: FeedbackConfig,
     inputs = _seed_inputs(config, stepping)
     traits = inputs.traits
     sigma_step = config.sigma_step
-    increments, log_div, dil = inputs.increments, inputs.log_div, \
-        inputs.diligent
+    increments, log_div, dil, log_pd_bounds = inputs.increments, \
+        inputs.log_div, inputs.diligent, inputs.log_pd_bounds
     # only the agents that observe the price: the diligent ones enter
     # through their per-step terms from the S* pass
     rows = [j for c in stepping for j in range(c, J)]
     observers = _Observers(traits.rho_step[rows], traits.tau[rows],
                            traits.prior_mean_step[rows], config.prior_weight,
                            [J - c for c in stepping])
-    log_expm1 = np.log(np.expm1(traits.rho_step))   # solve_step's bracket
-    log_pd_bounds = -log_expm1.max(), -log_expm1.min()
 
     k = len(stepping)
     log_stock = np.empty((k, n + 1))

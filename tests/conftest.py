@@ -8,6 +8,7 @@ import pytest
 from beliefmkt import equilibrium, numerics
 from beliefmkt.beliefs import BayesianGaussian, ConstantDrift
 from beliefmkt.equilibrium import AgentSpec, MarketSpec
+from beliefmkt.errors import step_count
 
 # The three-agent benchmark calibration used throughout: a fitted
 # configuration for long-sample US price/dividend data.
@@ -36,7 +37,8 @@ def learner_market() -> MarketSpec:
 
 def driver_path(spec, horizon, dt, seed, path_index=0):
     """(times, X, delta) of one path, drawn as simulate_path draws them."""
-    times, x = equilibrium._drivers(horizon, dt, seed, (path_index,))
+    times, x = equilibrium._drivers(step_count(horizon, dt, "horizon"), dt,
+                                    seed, (path_index,))
     return times, x[0], equilibrium.dividend_path(spec, times, x[0])
 
 

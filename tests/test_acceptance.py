@@ -346,7 +346,7 @@ def test_manifest_reproducibility(tmp_path):
                  "belief": {"type": "bayesian", "prior_mean": 0.0,
                             "prior_precision": 2.0}}]},
             "horizon_years": 1.0, "dt": 1.0 / 52.0, "n_paths": 2, "seed": 4},
-        "feedback": {"n_agents": 5, "n_diligent": 2, "years": 0.3, "seed": 2},
+        "feedback": {"n_agents": 5, "n_diligent": 2, "n_steps": 76, "seed": 2},
         "beauty": {"agents": [
             {"risk_aversion": 1.0, "mean_belief": 0.2, "belief_variance": 1.0},
             {"risk_aversion": 2.0, "mean_belief": -0.4, "belief_variance": 0.5}],

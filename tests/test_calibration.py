@@ -377,7 +377,9 @@ def test_problem_errors_name_their_config_path(free, fixed, message):
     # each count within MAX_COUNT, but not the driver points a search keeps
     ({"n_paths": 10**9, "horizon": 20.0, "dt": 1 / 52}, "n_paths"),
     # horizon/dt overflows
-    ({"horizon": 1e300, "dt": 1e-10}, "dt")])
+    ({"horizon": 1e300, "dt": 1e-10}, "dt"),
+    # 2 / 0.3 = 6.67 steps: the search would fit 1.8 years, not 2
+    ({"horizon": 2.0, "dt": 0.3}, "dt")])
 def test_problem_validates_monte_carlo_budget(budget, field):
     with pytest.raises(ConfigError, match=f"^{field}"):
         CalibrationProblem(n_agents=1, free=(

@@ -15,6 +15,7 @@ from beliefmkt import __version__
 from beliefmkt.cli import main
 from beliefmkt.config import (MAX_COUNT, _get, parse_contest, parse_feedback,
                               parse_targets)
+from beliefmkt.errors import step_count
 from conftest import assert_same_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -346,7 +347,44 @@ def test_span_under_half_a_step_exits_2_before_writing(tmp_path, capsys):
     assert "years: years/dt must give at least 1 step" in err
     assert "n_steps" not in err
     assert not out.exists()
-    assert parse_feedback({"n_agents": 3, "years": 0.6 / 252}).n_steps == 1
+    assert parse_feedback({"n_agents": 3, "years": 1 / 252}).n_steps == 1
+
+
+_ODD_SPANS = [
+    # 1 / 0.3 = 3.33 steps: the grid would stop at 0.9 and the summary
+    # would still say horizon_years=1
+    ("simulate-log", tiny_market_config(horizon_years=1.0, dt=0.3),
+     "horizon_years"),
+    ("feedback", {"n_agents": 4, "years": 0.1}, "years"),   # 25.2 steps
+    ("feedback", {"n_agents": 3, "years": 0.6 / 252}, "years"),
+    ("fit", _fit_config(horizon_years=2.0, dt=0.3), "horizon_years"),
+]
+
+
+@pytest.mark.parametrize("subcommand, payload, key", _ODD_SPANS,
+                         ids=["simulate-log", "feedback", "feedback-0.6-step",
+                              "fit"])
+def test_span_of_no_whole_step_count_exits_2_before_writing(
+        tmp_path, capsys, subcommand, payload, key):
+    # span/dt more than 1e-9 (relative) from a whole number is rejected,
+    # not rounded into a run shorter or longer than the one configured
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"dt: must cut {key} into whole steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_span_within_rounding_of_whole_steps_is_accepted(tmp_path):
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: 3 steps
+    assert 0.3 / 0.1 != 3.0
+    assert step_count(0.3, 0.1, "horizon_years") == 3
+    cfg = write_config(tmp_path, tiny_market_config(horizon_years=0.3,
+                                                    dt=0.1))
+    assert main(["simulate-log", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    csv = (tmp_path / "out" / "path_000.csv").read_text().splitlines()
+    assert len(csv) == 1 + 4   # the header and t = 0, 0.1, 0.2, 0.3
 
 
 def test_count_at_ceiling_is_accepted():
@@ -474,7 +512,7 @@ def test_feedback_run_and_metrics(tmp_path):
 
 def test_feedback_seed_sweep_table(tmp_path):
     cfg = write_config(tmp_path, {
-        "n_agents": 4, "n_diligent": 2, "years": 0.2, "seed": 1,
+        "n_agents": 4, "n_diligent": 2, "n_steps": 50, "seed": 1,
         "seed_sweep": 3, "diligence_values": [0, 4]})
     out = tmp_path / "out"
     assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 0
@@ -487,7 +525,7 @@ def test_feedback_seed_sweep_table(tmp_path):
 def test_feedback_sweep_lists_each_count_and_seed_once(tmp_path, values,
                                                        counts):
     # by default the counts are 0 and n_diligent, here both 0
-    payload = {"n_agents": 4, "n_diligent": 0, "years": 0.1, "seed": 1,
+    payload = {"n_agents": 4, "n_diligent": 0, "n_steps": 25, "seed": 1,
                "seed_sweep": 2}
     if values is not None:
         payload["diligence_values"] = values

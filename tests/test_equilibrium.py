@@ -18,7 +18,7 @@ from beliefmkt.equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
                                    simulate_path, simulate_paths,
                                    solve_market_clearing, trade_volume,
                                    wealth_and_portfolios)
-from beliefmkt.errors import ConfigError, SingularMarketError
+from beliefmkt.errors import MAX_COUNT, ConfigError, SingularMarketError
 from conftest import (assert_same_text, benchmark_market, driver_path,
                       learner_market)
 
@@ -289,6 +289,20 @@ def test_infinite_horizon_raises_config_error():
         simulate_path(benchmark_market(), math.inf, 1 / 52, seed=0)
 
 
+@pytest.mark.parametrize("horizon, dt, message", [
+    # 1e15 steps: the ceiling's ConfigError, not numpy's MemoryError
+    (1e12, 1e-3, f"^horizon: horizon/dt must be at most {MAX_COUNT} steps$"),
+    # 3.33 steps would give the grid [0, 0.3, 0.6, 0.9]
+    (1.0, 0.3, r"^dt: must cut horizon into whole steps, not horizon/dt = 3\.3")],
+    ids=["ceiling", "odd-span"])
+def test_step_rule_raises_config_error(horizon, dt, message):
+    # simulate_paths checks at once, not when the first path is read
+    with pytest.raises(ConfigError, match=message):
+        simulate_path(benchmark_market(), horizon, dt, 1)
+    with pytest.raises(ConfigError, match=message):
+        simulate_paths(benchmark_market(), horizon, dt, 1, n_paths=2)
+
+
 # ---------------------------------------------------------------------------
 # the path kernel against an independent (n, J) reference
 
@@ -545,7 +559,7 @@ def test_simulated_paths_share_no_memory():
                 assert not np.shares_memory(getattr(a, name),
                                             getattr(b, name)), name
     # successive kernel calls on one batch return arrays of their own
-    times, x = equilibrium._drivers(2.0, 1 / 52, 8, range(3))
+    times, x = equilibrium._drivers(104, 1 / 52, 8, range(3))
     first, second = (market_state(spec, times, x) for _ in range(2))
     for name, a, b in zip(first._fields[:-1], first, second):
         assert not np.shares_memory(a, b), name
@@ -594,11 +608,19 @@ def test_ic_violation_flagged_for_divergent_pd():
 # trade volume
 
 
+def mean_drift_and_kappa(q, alpha, sigma):
+    """(alphabar, kappa) at consumption shares q, as the market state
+    holds them."""
+    alphabar = (q * alpha).sum(axis=0)
+    return alphabar, sigma - alphabar
+
+
 def test_no_trade_with_homogeneous_beliefs():
     rho = np.array([0.1, 0.1, 0.1])
     q = np.array([0.2, 0.5, 0.3])
     alpha = np.array([0.07, 0.07, 0.07])
-    theta, total = trade_volume(rho, q, alpha, 0.3)
+    theta, total = trade_volume(rho, q, alpha, *mean_drift_and_kappa(
+        q, alpha, 0.3))
     np.testing.assert_allclose(theta, 0.0, atol=1e-16)
     assert total == pytest.approx(0.0, abs=1e-16)
 
@@ -607,8 +629,9 @@ def test_two_agent_trade_symbolic_value():
     # q = (1/2, 1/2), alpha = (a, -a): alphabar = 0, v = a^2, so
     # theta_1 = (a^2/sigma - a^2/sigma + a) / 2 = a / 2
     a, sigma = 0.2, 0.3
-    theta, total = trade_volume(np.array([0.1, 0.1]), np.array([0.5, 0.5]),
-                                np.array([a, -a]), sigma)
+    q, alpha = np.array([0.5, 0.5]), np.array([a, -a])
+    theta, total = trade_volume(np.array([0.1, 0.1]), q, alpha,
+                                *mean_drift_and_kappa(q, alpha, sigma))
     assert theta[0] == pytest.approx(a / 2.0, rel=1e-14)
     assert theta.sum() == pytest.approx(0.0, abs=1e-16)
     assert total == pytest.approx(a / math.sqrt(2.0), rel=1e-14)
@@ -617,8 +640,10 @@ def test_two_agent_trade_symbolic_value():
 def test_wider_drift_spread_raises_volume():
     q = np.array([0.3, 0.7])
     base = np.array([0.25, -0.15])
-    _, small = trade_volume(np.array([0.1, 0.1]), q, base, 0.3)
-    _, big = trade_volume(np.array([0.1, 0.1]), q, 2.0 * base, 0.3)
+    _, small = trade_volume(np.array([0.1, 0.1]), q, base,
+                            *mean_drift_and_kappa(q, base, 0.3))
+    _, big = trade_volume(np.array([0.1, 0.1]), q, 2.0 * base,
+                          *mean_drift_and_kappa(q, 2.0 * base, 0.3))
     assert big > small
 
 

@@ -50,10 +50,13 @@ def test_experiment_scripts_run(tmp_path):
     assert [line.rsplit(None, 2)[0] for line in lines[3:]] == list(
         MOMENT_LABELS.values())
 
-    # an A/A run of this checkout against itself on one seed
-    lines = run_script("ab_feedback.py", str(REPO), str(REPO), "3", "3")
-    assert re.fullmatch(r"median ratio \d+\.\d{3}  new faster on [01] of 1 "
-                        r"seeds", lines[-1])
+    # an A/A run of this checkout against itself on one seed, per mode
+    for mode in ("feedback", "fit", "moments"):
+        lines = run_script("ab_timing.py", mode, str(REPO), str(REPO), "3",
+                           "3")
+        assert len(lines) == 2 and lines[0].startswith("seed   3  old first")
+        assert re.fullmatch(r"median ratio \d+\.\d{3}  new faster on [01] "
+                            r"of 1 seeds", lines[-1])
 
 
 def identity_outputs():
