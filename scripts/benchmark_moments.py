@@ -1,13 +1,15 @@
 """Moment report for the three-agent benchmark calibration.
 
-Simulates the market from configs/benchmark3.json over a grid of horizons
-and prints the pooled moment report next to the built-in empirical
+Simulates the market of a simulate-log config (configs/benchmark3.json
+by default), at its n_paths, dt and seed, over a grid of horizons and
+prints the pooled moment report next to the built-in empirical
 targets.  The moments drift with the horizon because the consumption
 weights concentrate as the impatient and badly-calibrated investors lose
 ground; comparing horizons makes that visible.
 
 Usage:
-    python scripts/benchmark_moments.py --paths 200 --horizons 50 128
+    python scripts/benchmark_moments.py --config configs/benchmark3.json \
+        --horizons 50 128
 """
 
 import argparse
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from beliefmkt.calibration import (DEFAULT_TARGETS, compute_moments,
                                    comparison_table)
-from beliefmkt.config import load_config, parse_market
+from beliefmkt.config import load_config, parse_simulate
 from beliefmkt.equilibrium import simulate_paths
 
 REPO = Path(__file__).resolve().parents[1]
@@ -24,19 +26,16 @@ REPO = Path(__file__).resolve().parents[1]
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--config", default=str(REPO / "configs" / "benchmark3.json"))
-    ap.add_argument("--paths", type=int, default=200)
     ap.add_argument("--horizons", type=float, nargs="+", default=[50.0, 128.0])
-    ap.add_argument("--dt", type=float, default=1.0 / 252.0)
-    ap.add_argument("--seed", type=int, default=20260811)
     args = ap.parse_args()
 
     cfg = load_config(args.config)
     cfg.pop("subcommand", None)
-    spec = parse_market(cfg)
+    spec, _, dt, n_paths, seed, _ = parse_simulate(cfg)
     for horizon in args.horizons:
-        report = compute_moments(simulate_paths(
-            spec, horizon, args.dt, args.seed, args.paths))
-        print(f"\n=== horizon {horizon:g} years, {args.paths} paths ===")
+        report = compute_moments(simulate_paths(spec, horizon, dt, seed,
+                                                n_paths))
+        print(f"\n=== horizon {horizon:g} years, {n_paths} paths ===")
         print(comparison_table(report, DEFAULT_TARGETS))
 
 

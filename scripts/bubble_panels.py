@@ -13,6 +13,7 @@ Usage:
 import argparse
 from pathlib import Path
 
+from beliefmkt.errors import ConfigError, step_count
 from beliefmkt.feedback import FeedbackConfig, run_feedback
 
 
@@ -25,10 +26,13 @@ def main():
     ap.add_argument("--diligent", type=int, nargs="+",
                     default=[0, 1, 5, 10, 25])
     args = ap.parse_args()
+    try:
+        n_steps = step_count(args.years, FeedbackConfig.dt, "years")
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n_steps = int(round(args.years * 252))
     print(f"{'diligent':>8} {'range':>8} {'min':>8} {'max':>8} {'jumps':>6}")
     for n_dil in args.diligent:
         cfg = FeedbackConfig(n_agents=args.agents, n_diligent=n_dil,

@@ -11,6 +11,7 @@ import argparse
 
 import numpy as np
 
+from beliefmkt.errors import ConfigError, step_count
 from beliefmkt.feedback import FeedbackConfig, diligence_sweep
 
 
@@ -22,9 +23,13 @@ def main():
     ap.add_argument("--diligent", type=int, nargs="+",
                     default=[0, 5, 10, 25])
     args = ap.parse_args()
+    try:
+        n_steps = step_count(args.years, FeedbackConfig.dt, "years")
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     cfg = FeedbackConfig(n_agents=args.agents, n_diligent=0,
-                         n_steps=int(round(args.years * 252)), seed=0)
+                         n_steps=n_steps, seed=0)
     table = diligence_sweep(cfg, args.diligent, list(range(args.seeds)))
     print(f"{'diligent':>8} {'mean range':>11} {'median':>8} {'max':>8} "
           f"{'mean jumps':>11}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SaturationError
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,23 @@ class ContestSpec:
 
 
 def clearing_weights(spec: ContestSpec) -> np.ndarray:
-    """p_j proportional to 1/(gamma_j v_j), normalized to sum to 1."""
-    raw = 1.0 / (spec.risk_aversion * spec.belief_variance)
-    return raw / raw.sum()
+    """p_j proportional to 1/(gamma_j v_j), normalized to sum to 1.
+
+    Raises SaturationError when the sum of the 1/(gamma_j v_j) is not a
+    finite positive number, so the weights would not be finite: naming
+    the first agent at which the running sum overflows (gamma_j v_j
+    underflows, or its inverse overflows), or agent 0 when gamma_j v_j
+    overflows for every agent and every term is 0.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        raw = 1.0 / (spec.risk_aversion * spec.belief_variance)
+        total = raw.sum()
+        if not 0.0 < total < np.inf:
+            j = int(np.argmax(np.cumsum(raw) == np.inf))
+            raise SaturationError(
+                f"agent {j}: clearing weights not finite: the sum of "
+                f"1/(risk_aversion * belief_variance) is {float(total)!r}")
+    return raw / total
 
 
 def _objective(spec, professed, price):

@@ -155,12 +155,8 @@ def parse_market(cfg) -> equilibrium.MarketSpec:
                             default=spec.drift_adjustment)
     initial_dividend = _get(cfg, "market.initial_dividend", float,
                             default=spec.initial_dividend, positive=True)
-    try:
-        return spec(
-            sigma=sigma, drift_adjustment=drift_adjustment,
-            initial_dividend=initial_dividend, agents=tuple(agents))
-    except ConfigError as exc:
-        raise ConfigError(f"market: {exc}") from None
+    return spec(sigma=sigma, drift_adjustment=drift_adjustment,
+                initial_dividend=initial_dividend, agents=tuple(agents))
 
 
 def parse_simulate(cfg):

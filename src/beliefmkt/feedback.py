@@ -45,7 +45,9 @@ oracle, and the outputs are the same to the bit.
   reads another's rows, and Brent and the update give each count the
   bits it gets on its own.  ``solve_step`` then solves the counts in turn.
   A count that fails, and the counts after it, keep their rows, which go
-  on absorbing their last moves but are no longer scanned or solved.
+  on absorbing their last moves but are no longer scanned or solved; the
+  counts before it run to the end, as they would one count at a time, and
+  the first count in order that fails gives the error.
 * Brent's residual stacks the PD numerator and denominator as the two rows
   of one array, so each call makes one exp pass; it joins the diligent
   term in Python floats (``_logaddexp``, numpy's own steps).  The two ends
@@ -78,7 +80,8 @@ so such a split costs more CPU time than it saves wall time.
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -173,6 +176,12 @@ class AgentTraits:
     rho_step: np.ndarray      # impatience per step
     tau: np.ndarray           # assumed precision of one increment
     prior_mean_step: np.ndarray
+
+    @cached_property
+    def log_expm1(self) -> np.ndarray:
+        """log(expm1(rho_step)): minus the log of each agent's PD weight,
+        computed once for the seed's S* pass and its stepper."""
+        return np.log(np.expm1(self.rho_step))
 
 
 def draw_agents(config: FeedbackConfig) -> AgentTraits:
@@ -280,25 +289,26 @@ def _scan_grid(lo, hi, out):
 
 class _Observers:
     """A run's agents that observe the price, for one diligence count or
-    for several stepped together: count after count, each count's agents
-    a contiguous block of rows (``sizes`` rows each; one block by
-    default).  Holds their learner state (``mu`` and ``log_weight``), the
-    terms of their traits and of the step index, and scratch buffers that
-    every step overwrites.  What runs on all rows at once is elementwise;
-    every reduction runs on one block's rows, as on that count alone."""
+    for several stepped together: the agents ``rows`` of ``traits`` (all
+    by default), count after count, each count's agents a contiguous block
+    of rows (``sizes`` rows each; one block by default).  Holds their
+    learner state (``mu`` and ``log_weight``), the terms of their traits
+    and of the step index, and scratch buffers that every step overwrites.
+    What runs on all rows at once is elementwise; every reduction runs on
+    one block's rows, as on that count alone."""
 
-    def __init__(self, rho_step, tau, prior_mean_step, prior_weight: float,
-                 sizes=None):
-        n = len(tau)
+    def __init__(self, traits: AgentTraits, prior_weight: float,
+                 rows=slice(None), sizes=None):
+        self.tau = traits.tau[rows]
+        n = len(self.tau)
         self.sizes = [n] if sizes is None else list(sizes)
         self.bounds = np.cumsum([0, *self.sizes]).tolist()
         self.blocks = [slice(a, b)
                        for a, b in zip(self.bounds, self.bounds[1:])]
-        self.mu = prior_mean_step.copy()
+        self.mu = traits.prior_mean_step[rows].copy()
         self.log_weight = np.zeros(n)
-        self.neg_rho = -rho_step
-        self.log_expm1 = np.log(np.expm1(rho_step))
-        self.tau = tau
+        self.neg_rho = -traits.rho_step[rows]
+        self.log_expm1 = traits.log_expm1[rows]
         self.k0 = prior_weight
         self.start = -_IDEAL_BLOCK   # first step of the filled block (none)
         # rows: PD numerator, PD denominator
@@ -571,7 +581,7 @@ def _seed_inputs(config: FeedbackConfig, stepping) -> _SeedInputs:
     log_div = np.concatenate([[0.0], np.cumsum(increments)])
     diligent = np.full((n, len(stepping), 2, 1), -math.inf)
     widest = max(stepping, default=0)
-    log_expm1 = np.log(np.expm1(traits.rho_step))
+    log_expm1 = traits.log_expm1
 
     # the ideal population, a block of steps at a time: the same
     # operations, in the same order, as _Observers.absorb step by step
@@ -613,54 +623,54 @@ def _seed_inputs(config: FeedbackConfig, stepping) -> _SeedInputs:
 
 
 def run_feedback(config: FeedbackConfig) -> FeedbackResult:
-    """Run one feedback trajectory; deterministic given the config."""
-    outcome, = _run(config, [config.n_diligent])
-    if isinstance(outcome, FixedPointError):
-        raise outcome
-    return outcome
+    """Run one feedback trajectory; deterministic given the config.  A
+    step that cannot be solved raises its ``FixedPointError``, with the
+    count as ``n_diligent`` in its diagnostics."""
+    return _run(config, [config.n_diligent])[0]
 
 
-def _run(config: FeedbackConfig,
-         counts) -> List[Union[FeedbackResult, FixedPointError]]:
-    """Run ``config``'s seed at each of the distinct diligence ``counts``.
+def _run(config: FeedbackConfig, counts) -> List[FeedbackResult]:
+    """Run ``config``'s seed at each of the distinct diligence ``counts``:
+    one ``FeedbackResult`` per count, in order.
 
-    Returns one outcome per count, in order: its ``FeedbackResult``, or
-    the ``FixedPointError`` that ends the list where running the counts
-    one after another would stop.  The all-diligent count is priced at
-    S*; the others are stepped together: each step fills the step terms,
-    scans the first bracket and absorbs the solved moves once for all of
-    them (``_Observers``), and ``solve_step`` solves each count in turn.
-    When a count fails, the ones before it run on; its rows and those of
-    the counts after it keep absorbing their last moves, but are no longer
-    scanned or solved.
+    Every count starts at S*, and the all-diligent count, the population
+    that sets S*, stays there: its price is S* by definition.  The others
+    are stepped together: each step fills the step terms, scans the first
+    bracket and absorbs the solved moves once for all of them
+    (``_Observers``), and ``solve_step`` solves each count in turn.  When a
+    count fails, its rows and those of the counts after it keep absorbing
+    their last moves, but are no longer scanned or solved; the counts
+    before it run on to the end, since one of them may fail later.  Raises
+    the ``FixedPointError`` that running the counts one after another
+    would raise, with its count as ``n_diligent`` in its diagnostics.
     """
     J, n = config.n_agents, config.n_steps
-    stepping = [c for c in counts if c < J]
+    stepped = [i for i, c in enumerate(counts) if c < J]
+    stepping = [counts[i] for i in stepped]
     inputs = _seed_inputs(config, stepping)
-    traits = inputs.traits
     sigma_step = config.sigma_step
     increments, log_div, dil, log_pd_bounds = inputs.increments, \
         inputs.log_div, inputs.diligent, inputs.log_pd_bounds
     # only the agents that observe the price: the diligent ones enter
     # through their per-step terms from the S* pass
     rows = [j for c in stepping for j in range(c, J)]
-    observers = _Observers(traits.rho_step[rows], traits.tau[rows],
-                           traits.prior_mean_step[rows], config.prior_weight,
+    observers = _Observers(inputs.traits, config.prior_weight, rows,
                            [J - c for c in stepping])
 
-    k = len(stepping)
-    log_stock = np.empty((k, n + 1))
-    # before any observation the population holds its priors, like S*
-    log_stock[:, 0] = inputs.log_stock_ideal[0]
-    xi_series = np.full((k, n + 1), np.nan)
-    warnings = np.zeros((k, n + 1))
-    residuals = np.zeros((k, n + 1))
+    # every count starts at S*, since before any observation the population
+    # holds its priors; the all-diligent count stays there, and the stepped
+    # counts overwrite each step they solve
+    log_stock = np.tile(inputs.log_stock_ideal, (len(counts), 1))
+    xi_series = np.full((len(counts), n + 1), np.nan)
+    xi_series[:, 1:] = np.diff(inputs.log_stock_ideal)
+    warnings = np.zeros((len(counts), n + 1))
+    residuals = np.zeros((len(counts), n + 1))
     observed = np.zeros(len(rows))   # each row's count's xi
-    # each count's series, and its rows in observed
-    runs = list(zip(log_stock, xi_series, warnings, residuals,
-                    observers.blocks))
+    # each stepped count's series, and its rows in observed
+    runs = [(log_stock[i], xi_series[i], warnings[i], residuals[i], block)
+            for i, block in zip(stepped, observers.blocks)]
     error = None
-    active = k
+    active = len(runs)
     for t in range(n):
         if not active:
             break
@@ -681,23 +691,12 @@ def _run(config: FeedbackConfig,
             resid[t + 1] = rel
             stock[t + 1] = stock[t] + xi
         observers.absorb(observed, t)
-    # the failing count's outcome is its error, which ends the list
-    stepped = iter([_result(config, inputs, *run[:4])
-                    for run in runs[:active]])
-    outcomes = []
-    for c in counts:
-        if c < J:
-            outcomes.append(next(stepped, error))
-            if outcomes[-1] is error:
-                break
-        else:
-            # the population that sets S*: the price is S* by definition
-            xi_ideal = np.full(n + 1, np.nan)
-            xi_ideal[1:] = np.diff(inputs.log_stock_ideal)
-            outcomes.append(_result(config, inputs, inputs.log_stock_ideal,
-                                    xi_ideal, np.zeros(n + 1),
-                                    np.zeros(n + 1)))
-    return outcomes
+    if error is not None:
+        error.diagnostics = {"n_diligent": stepping[active],
+                             **error.diagnostics}
+        raise error
+    return [_result(config, inputs, *series)
+            for series in zip(log_stock, xi_series, warnings, residuals)]
 
 
 def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
@@ -730,17 +729,17 @@ def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
 
 
 def _sweep_seed(task) -> List[Dict[str, float]]:
+    """The metrics of one seed's counts, in order.  A failing count's
+    ``FixedPointError`` is raised again with ``seed S, n_diligent C: ``
+    before its message and the seed in its diagnostics."""
     config, counts = task
-    rows = []
-    for c, outcome in zip(counts, _run(config, counts)):
-        if isinstance(outcome, FixedPointError):
-            raise FixedPointError(
-                f"seed {config.seed}, n_diligent {c}: {outcome}",
-                step=outcome.step, diagnostics={
-                    "seed": config.seed, "n_diligent": c,
-                    **outcome.diagnostics}) from outcome
-        rows.append(outcome.metrics)
-    return rows
+    try:
+        return [result.metrics for result in _run(config, counts)]
+    except FixedPointError as exc:
+        raise FixedPointError(
+            f"seed {config.seed}, n_diligent {exc.diagnostics['n_diligent']}"
+            f": {exc}", step=exc.step,
+            diagnostics={"seed": config.seed, **exc.diagnostics}) from exc
 
 
 def diligence_counts(config: FeedbackConfig, values) -> List[int]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from typing import Dict, Sequence
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.optimize import minimize_scalar
 from beliefmkt.beauty import (ContestSpec, _objective, clearing_weights,
                               format_solution, pareto_faked_equilibrium,
                               truthful_equilibrium, welfare_comparison)
-from beliefmkt.errors import ConfigError
+from beliefmkt.errors import ConfigError, SaturationError
 
 
 def spec_from(gammas, alphas, variances):
@@ -124,6 +125,25 @@ def test_variance_scaling_leaves_price_unchanged():
                                clearing_weights(scaled), rtol=1e-14)
     assert truthful_equilibrium(spec).price == pytest.approx(
         truthful_equilibrium(scaled).price, rel=1e-14)
+
+
+@pytest.mark.parametrize("gammas, variances, agent, total", [
+    ([1e-200, 1.0], [1e-200, 1.0], 0, "inf"),   # gamma v underflows to 0
+    ([1.0, 1.0], [1e-320, 1.0], 0, "inf"),      # 1/(gamma v) overflows
+    ([1.0, 1.0], [1e-308, 1e-308], 1, "inf"),   # the sum overflows
+    ([1e200, 1e200], [1e200, 1e200], 0, "0.0")])  # every term is 0
+def test_clearing_weights_that_are_not_finite_raise(gammas, variances, agent,
+                                                    total):
+    # each contest passes ContestSpec, but its normalized weights would be
+    # NaN, or 0 for every agent: an error naming the agent, and no warning
+    spec = spec_from(gammas, [0.0, 1.0], variances)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SaturationError) as err:
+            welfare_comparison(spec)
+    assert str(err.value) == (
+        f"agent {agent}: clearing weights not finite: the sum of "
+        f"1/(risk_aversion * belief_variance) is {total}")
 
 
 # ---------------------------------------------------------------------------

@@ -687,6 +687,26 @@ def test_contest_csv_matches_per_value_format(tmp_path, rng):
     assert "True" in written and ",-0," in written and "1e-300" in written
 
 
+def test_beauty_weights_that_are_not_finite_exit_3(tmp_path, capsys):
+    # 1/(gamma v) overflows for agent 0, which would give nan prices,
+    # holdings and objectives: exit 3 before anything is written
+    cfg = write_config(tmp_path, {
+        "agents": [
+            {"risk_aversion": 1.0, "mean_belief": 0.0,
+             "belief_variance": 1e-320},
+            {"risk_aversion": 1.0, "mean_belief": 1.0, "belief_variance": 1.0},
+        ],
+        "csv": True})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["beauty", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: agent 0: clearing weights not finite: the sum of "
+        "1/(risk_aversion * belief_variance) is inf\n")
+    assert not out.exists()
+
+
 def test_beauty_invalid_variance_names_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "agents": [

@@ -209,8 +209,7 @@ def test_generic_step_agrees_with_dense_grid_scan():
     diligent = np.arange(cfg.n_agents) < cfg.n_diligent
 
     # replay the run to recover the belief state just before the last step
-    population = _Observers(traits.rho_step, traits.tau,
-                            traits.prior_mean_step, cfg.prior_weight)
+    population = _Observers(traits, cfg.prior_weight)
     increments = np.diff(np.log(res.dividend))
     t_last = cfg.n_steps - 1
     for t in range(t_last):
@@ -378,8 +377,7 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
         # -log nu_j beside its log weight, so it is drawn into that
         log_nu = np.log(rng.uniform(0.5, 2.0, J))
         step = int(rng.integers(0, 2000))
-        population = _Observers(traits.rho_step, traits.tau,
-                                traits.prior_mean_step, 252.0)
+        population = _Observers(traits, 252.0)
         population.mu += rng.normal(0.0, 0.01, J)
         population.log_weight = rng.uniform(-0.5, 0.5, J) \
             * rng.uniform(0.0, 2000.0) - log_nu
@@ -408,8 +406,8 @@ def test_solve_step_matches_oracle_on_random_steps(monkeypatch):
         args = (traits.rho_step, population, diligent, step, log_stock,
                 log_div_next, d, prev_xi, sigma_step)
         # solve_step sees the non-diligent agents and the diligent terms
-        mistaken = _Observers(traits.rho_step[nd], traits.tau[nd],
-                              population.mu[nd], 252.0)
+        mistaken = _Observers(traits, 252.0, nd)
+        mistaken.mu = population.mu[nd]
         mistaken.log_weight = population.log_weight[nd]
         step_args = (
             mistaken, step, log_stock, log_div_next, d, prev_xi, sigma_step,
@@ -455,8 +453,7 @@ def random_scan_states(rng, n):
             rho_step=rng.uniform(0.04, 0.33, J) * dt,
             tau=rng.uniform(0.4, 1.05, J) / (0.0625 * dt),
             prior_mean_step=rng.uniform(-0.05, 0.15, J) * dt)
-        observers = _Observers(traits.rho_step, traits.tau,
-                               traits.prior_mean_step, 252.0)
+        observers = _Observers(traits, 252.0)
         observers.mu += rng.normal(0.0, rng.choice([0.01, 0.3]), J)
         observers.log_weight = rng.uniform(-0.5, 0.5, J) \
             * rng.uniform(0.0, 2000.0)
@@ -540,8 +537,7 @@ def test_root_beyond_the_cap_is_solved_in_the_exact_bracket(monkeypatch):
     # clears only beyond +/- 1 of the dividend move, in the exact bracket
     cfg = small_config(n_agents=2, n_diligent=0)
     traits = draw_agents(cfg)
-    observers = _Observers(traits.rho_step, traits.tau,
-                           traits.prior_mean_step, cfg.prior_weight)
+    observers = _Observers(traits, cfg.prior_weight)
     args = (observers, 0, 10.0, 0.0, 0.0, 0.0, 0.015, -math.inf, -math.inf)
     xi, n_roots, rel = solve_alone(*args)
     low, high = log_pd_bounds(traits.rho_step)
@@ -567,8 +563,7 @@ def test_exact_bracket_pad_grows_with_the_exponents(monkeypatch):
     # bracket a root"); 4 such ulps do not
     cfg = small_config(n_agents=2, n_diligent=0)
     traits = draw_agents(cfg)
-    observers = _Observers(traits.rho_step, traits.tau,
-                           traits.prior_mean_step, cfg.prior_weight)
+    observers = _Observers(traits, cfg.prior_weight)
     args = (observers, 0, 2000.0, 0.0, 0.0, 0.0, 0.015, -math.inf, -math.inf)
     xi, n_roots, rel = solve_alone(*args)
     low, high = log_pd_bounds(traits.rho_step)
@@ -594,8 +589,7 @@ def test_cell_that_does_not_bracket_a_root_raises(monkeypatch):
     cfg = small_config(n_agents=3, n_diligent=0)
     inputs = _seed_inputs(cfg, [cfg.n_diligent])
     traits = inputs.traits
-    observers = _Observers(traits.rho_step, traits.tau,
-                           traits.prior_mean_step, cfg.prior_weight)
+    observers = _Observers(traits, cfg.prior_weight)
     d = inputs.increments[0]
     args = (observers, 0, inputs.log_stock_ideal[0], inputs.log_div[1], d, d,
             cfg.sigma_true * math.sqrt(cfg.dt), -math.inf, -math.inf)
@@ -659,8 +653,7 @@ def test_shipped_sweep_seed_22_crashes_at_step_670(monkeypatch):
     assert bounds == log_pd_bounds(traits.rho_step)
     offset = log_stock - log_div_next
     assert bounds[0] - offset <= xi <= bounds[1] - offset
-    population = _Observers(traits.rho_step, traits.tau,
-                            traits.prior_mean_step, cfg.prior_weight)
+    population = _Observers(traits, cfg.prior_weight)
     population.mu, population.log_weight = seen["mu"], seen["log_weight"]
     want = solve_step_oracle(traits.rho_step, population,
                              np.zeros(cfg.n_agents, dtype=bool), 670,
@@ -730,8 +723,7 @@ def ideal_log_stock_oracle(config):
         return lse_vector(base - np.log(np.expm1(traits.rho_step))) \
             - lse_vector(base)
 
-    ideal = _Observers(traits.rho_step, traits.tau, traits.prior_mean_step,
-                       config.prior_weight)
+    ideal = _Observers(traits, config.prior_weight)
     out = np.empty(config.n_steps + 1)
     out[0] = log_pd(ideal.log_weight, 0) + log_div[0]
     for t, d in enumerate(increments):
@@ -805,8 +797,7 @@ def test_blocked_diligent_terms_equal_step_by_step(n_steps):
         # count 0 has no diligent agents
         assert np.all(inputs.diligent[:, 0] == -np.inf)
         traits = inputs.traits
-        population = _Observers(traits.rho_step, traits.tau,
-                                traits.prior_mean_step, cfg.prior_weight)
+        population = _Observers(traits, cfg.prior_weight)
         want = {c: [] for c in counts}
         for t, d in enumerate(inputs.increments):
             for c in counts:
@@ -825,7 +816,7 @@ def test_step_terms_equal_step_by_step():
     J, k0 = 7, 252.0
     rho_step = rng.uniform(0.04, 0.33, J) / 252.0
     tau = rng.uniform(0.4, 1.05, J) * 252.0 / 0.0625
-    observers = _Observers(rho_step, tau, np.zeros(J), k0)
+    observers = _Observers(AgentTraits(rho_step, tau, np.zeros(J)), k0)
     for step in [*range(300), 1000, 1001, 5]:
         k = k0 + step
         ratio = k / (k + 1.0)
@@ -1316,6 +1307,7 @@ def test_error_from_a_forked_child_keeps_its_step_and_diagnostics(
     with pytest.raises(FixedPointError) as err:
         run_feedback(replace(cfg, seed=22, n_diligent=0))
     assert err.value.step == 670
+    assert err.value.diagnostics["n_diligent"] == 0
     # raised in a forked child of a sweep, it keeps its step and diagnostics
     # and names its seed and count
     forks.cpus(2)
@@ -1365,30 +1357,39 @@ def test_lockstep_raises_the_in_order_error(monkeypatch):
 
 def test_count_running_on_after_a_later_count_fails_keeps_its_bits(
         monkeypatch):
-    # seed 10, count 1 failing at step 61: count 0 runs on to the end while
-    # count 1's rows stay in the stepper, and gives the bits of its own run
+    # seed 10, count 1 failing at step 61 and count 0 at step 1000: count 0
+    # runs on while count 1's rows stay in the stepper, and reaches its
+    # failure with the bits of its own run, whose solved xi the error holds
     cfg = replace(shipped_sweep_config(), seed=10)
-    want = run_feedback(replace(cfg, n_diligent=0))
-    failing_at(monkeypatch, {(10, 1, 61)})
-    got, err = _run(cfg, [0, 1])
-    assert isinstance(err, FixedPointError) and err.step == 61
-    for name in ("stock", "xi", "solver_warnings", "residuals", "log_ratio"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
-            name
-    assert repr(got.metrics) == repr(want.metrics)
+    failing_at(monkeypatch, {(10, 0, 1000)})
+    with pytest.raises(FixedPointError) as alone:
+        run_feedback(replace(cfg, n_diligent=0))
+    monkeypatch.undo()
+    failing_at(monkeypatch, {(10, 0, 1000), (10, 1, 61)})
+    with pytest.raises(FixedPointError) as err:
+        _run(cfg, [0, 1])
+    assert err.value.step == alone.value.step == 1000
+    assert err.value.diagnostics == alone.value.diagnostics
+    assert err.value.diagnostics["n_diligent"] == 0
+    assert repr(err.value.diagnostics["xi"]) \
+        == repr(alone.value.diagnostics["xi"])
 
 
 def test_all_diligent_count_keeps_its_place_in_order(monkeypatch):
-    # the all-diligent count is not stepped, but its result comes where its
-    # turn comes: before a count that fails, and not after one
+    # the all-diligent count is not stepped: its price is S*, and before or
+    # after a count that fails it changes nothing of that count's error
     cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
     want, = _run(cfg, [2])
+    ideal = _seed_inputs(cfg, []).log_stock_ideal
+    assert want.stock.tobytes() == np.exp(ideal).tobytes()
+    assert want.xi[1:].tobytes() == np.diff(ideal).tobytes()
+    assert not want.log_ratio.any() and not want.solver_warnings.any()
     failing_at(monkeypatch, {(cfg.seed, 0, 17)})
-    first, err = _run(cfg, [2, 0])
-    assert first.stock.tobytes() == want.stock.tobytes()
-    assert isinstance(err, FixedPointError) and err.step == 17
-    err, = _run(cfg, [0, 2])
-    assert isinstance(err, FixedPointError) and err.step == 17
+    for counts in ([2, 0], [0, 2]):
+        with pytest.raises(FixedPointError) as err:
+            _run(cfg, counts)
+        assert err.value.step == 17
+        assert err.value.diagnostics["n_diligent"] == 0
 
 
 def test_duplicated_count_runs_once(monkeypatch):

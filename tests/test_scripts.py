@@ -13,14 +13,15 @@ from beliefmkt.calibration import MOMENT_LABELS
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / name),
                            *args], cwd=REPO, env=env, capture_output=True,
                           text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    assert proc.returncode == returncode, proc.stderr
+    return proc.stdout.splitlines() if returncode == 0 \
+        else proc.stderr.splitlines()
 
 
 def test_experiment_scripts_run(tmp_path):
@@ -43,8 +44,12 @@ def test_experiment_scripts_run(tmp_path):
             .splitlines()
         assert len(rows) == 254   # the header and steps 0 .. 252
 
-    lines = run_script("benchmark_moments.py", "--paths", "2",
-                       "--horizons", "1")
+    # n_paths, dt and seed come from the config
+    cfg = json.loads((REPO / "configs" / "benchmark3.json").read_text())
+    cfg["n_paths"] = 2
+    (tmp_path / "two_paths.json").write_text(json.dumps(cfg))
+    lines = run_script("benchmark_moments.py", "--config",
+                       str(tmp_path / "two_paths.json"), "--horizons", "1")
     assert lines[1] == "=== horizon 1 years, 2 paths ==="
     assert lines[2].split() == ["Model", "Target"]
     assert [line.rsplit(None, 2)[0] for line in lines[3:]] == list(
@@ -57,6 +62,16 @@ def test_experiment_scripts_run(tmp_path):
         assert len(lines) == 2 and lines[0].startswith("seed   3  old first")
         assert re.fullmatch(r"median ratio \d+\.\d{3}  new faster on [01] "
                             r"of 1 seeds", lines[-1])
+
+
+def test_feedback_scripts_take_whole_steps_only():
+    # --years is cut into steps by the rule every span of the engine uses:
+    # 0.1 years is 25.2 daily steps, not a whole number
+    for name in ("diligence_severity.py", "bubble_panels.py"):
+        lines = run_script(name, "--years", "0.1", returncode=2)
+        assert lines[-1].endswith(
+            "error: dt: must cut years into whole steps, not years/dt = "
+            f"{0.1 / (1.0 / 252.0)!r}"), name
 
 
 def identity_outputs():
