@@ -27,9 +27,9 @@ writes under OUT:
 * ``sweep.txt``: one line per master seed 0 .. 39 of the same config, from
   one ``diligence_sweep`` over those six counts, which steps them
   together: every count's metrics ``repr``, or the error's type, step and
-  the failing run's diagnostics (leaving out the seed and count, and the
-  message, which a sweep's error adds or prefixes);
-* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (53 configs
+  diagnostics, leaving out the seed, the count and the message, which
+  read as in that count's single run in ``feedback.txt``;
+* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (54 configs
   and flags, each with one fault: a non-object item, a missing field, a
   non-number, a non-finite number, a count past ``MAX_COUNT``, a span
   that dt does not cut into whole steps, a value <= 0, an unknown or
@@ -224,6 +224,7 @@ ERROR_CASES = {
     "fit-horizon-odd-span": ("fit", _edit(_FIT, ("dt",), 0.3), []),
     "fit-bounds-crossed": ("fit", _edit(_FIT, ("free", 0, "upper"), 0.05),
                            []),
+    "fit-start-outside": ("fit", _edit(_FIT, ("free", 0, "start"), 0.6), []),
     "fit-bounds-not-positive": ("fit",
                                 _edit(_FIT, ("free", 0, "lower"), -0.1), []),
     "fit-parameter-unknown": ("fit",

@@ -61,7 +61,7 @@ _keep_freed_heap()
 
 #: Public name -> the submodule that defines it.
 _ORIGIN = {name: module for module, names in (
-    ("beliefs", ("BayesianGaussian", "ConstantDrift", "drift_at")),
+    ("beliefs", ("BayesianGaussian", "ConstantDrift")),
     ("equilibrium", ("AgentSpec", "EquilibriumPath", "MarketSpec",
                      "simulate_path", "simulate_paths",
                      "solve_market_clearing")),

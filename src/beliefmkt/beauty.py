@@ -57,13 +57,13 @@ class ContestSpec:
 def clearing_weights(spec: ContestSpec) -> np.ndarray:
     """p_j proportional to 1/(gamma_j v_j), normalized to sum to 1.
 
-    Raises SaturationError when the sum of the 1/(gamma_j v_j) is not a
-    finite positive number, so the weights would not be finite: naming
-    the first agent at which the running sum overflows (gamma_j v_j
-    underflows, or its inverse overflows), or agent 0 when gamma_j v_j
-    overflows for every agent and every term is 0.
+    Raises SaturationError where a weight would not be finite or would be
+    0, naming the first agent at which the running sum of the 1/(gamma_j
+    v_j) overflows (gamma_j v_j underflows, or its inverse overflows),
+    agent 0 when every term is 0, or else the first agent whose weight is
+    0 (its gamma_j v_j overflows, or its share of the sum underflows).
     """
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
         raw = 1.0 / (spec.risk_aversion * spec.belief_variance)
         total = raw.sum()
         if not 0.0 < total < np.inf:
@@ -71,17 +71,35 @@ def clearing_weights(spec: ContestSpec) -> np.ndarray:
             raise SaturationError(
                 f"agent {j}: clearing weights not finite: the sum of "
                 f"1/(risk_aversion * belief_variance) is {float(total)!r}")
-    return raw / total
+        p = raw / total
+    if not p.all():
+        j = int(np.argmin(p))
+        raise SaturationError(
+            f"agent {j}: clearing weight is 0: its 1/(risk_aversion * "
+            f"belief_variance) is {float(raw[j])!r} of a sum of "
+            f"{float(total)!r}")
+    return p
 
 
 def _objective(spec, professed, price):
     """Per-agent expected-utility value when trading on ``professed`` means
-    at the given clearing price, evaluated under the true beliefs."""
+    at the given clearing price, evaluated under the true beliefs, and the
+    holdings.  Raises SaturationError naming the first agent whose
+    exponent, objective or holding is not finite."""
     g, a, v = spec.risk_aversion, spec.mean_belief, spec.belief_variance
-    holdings = (professed - price) / (g * v)
-    exponent = (professed - price) * (a - professed) / v \
-        + 0.5 * (professed - price) ** 2 / v
-    return -np.exp(-exponent) / g, holdings
+    with np.errstate(over="ignore", invalid="ignore"):
+        holdings = (professed - price) / (g * v)
+        exponent = (professed - price) * (a - professed) / v \
+            + 0.5 * (professed - price) ** 2 / v
+        objectives = -np.exp(-exponent) / g
+    finite = np.isfinite([exponent, objectives, holdings]).all(axis=0)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise SaturationError(
+            f"agent {j}: objective or holding not finite: exponent "
+            f"{float(exponent[j])!r}, objective {float(objectives[j])!r}, "
+            f"holding {float(holdings[j])!r}")
+    return objectives, holdings
 
 
 @dataclass(frozen=True)
@@ -115,15 +133,13 @@ def pareto_faked_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
     truthful reporting gives every agent more.
 
     price = sum_j p_j(1-p_j) alpha_j / sum_j p_j(1-p_j), and each agent
-    states (1-p_j) alpha_j + p_j price.  Degenerate for a single agent
-    (p = 1 makes the weights vanish), which ContestSpec already excludes.
+    states (1-p_j) alpha_j + p_j price.  sum_j p_j(1-p_j) > 0, since
+    ContestSpec has two agents or more and every p_j > 0
+    (``clearing_weights``).
     """
     p = clearing_weights(spec)
     pq = p * (1.0 - p)
-    total = pq.sum()
-    if total <= 0.0:
-        raise ConfigError("faked equilibrium degenerate: sum p(1-p) = 0")
-    price = float(pq @ spec.mean_belief / total)
+    price = float(pq @ spec.mean_belief / pq.sum())
     professed = (1.0 - p) * spec.mean_belief + p * price
     objectives, holdings = _objective(spec, professed, price)
     return ContestEquilibrium(weights=p, price=price, professed=professed,

@@ -6,7 +6,9 @@ Continuous time: an agent believes the common Brownian driver X carries a
 drift.  The drift is either a fixed constant or the posterior mean of a
 gaussian prior updated from the observed path (a conjugate learner).  The
 belief enters equilibrium through the density process Lambda, which solves
-d Lambda = Lambda * alpha_t dX; both kinds of agent have it in closed form.
+d Lambda = Lambda * alpha_t dX.  Each kind carries its own believed drift
+(``drift_at``), that drift's slope in the driver (``drift_slope``) and
+log Lambda in closed form (``log_ratio``), on scalars or arrays.
 
 Discrete time: an agent models observed log increments as i.i.d. gaussian
 with known precision tau and unknown mean, carrying a conjugate
@@ -37,6 +39,18 @@ class ConstantDrift:
 
     drift: float
 
+    def drift_at(self, t, x):
+        """The drift, whatever the time t and driver value x."""
+        return self.drift
+
+    def drift_slope(self, t):
+        """d drift_at / dx: zeros shaped like t."""
+        return np.zeros(np.shape(t))
+
+    def log_ratio(self, t, x):
+        """log Lambda_t, the exponential martingale drift*x - drift^2 t / 2."""
+        return self.drift * x - 0.5 * self.drift**2 * t
+
 
 @dataclass(frozen=True)
 class BayesianGaussian:
@@ -50,39 +64,25 @@ class BayesianGaussian:
         if not self.prior_precision > 0.0:
             raise ConfigError("prior_precision must be > 0")
 
+    def drift_at(self, t, x):
+        """The drift's posterior mean (x + beta*eps) / (eps + t)."""
+        eps = self.prior_precision
+        return (x + self.prior_mean * eps) / (eps + t)
+
+    def drift_slope(self, t):
+        """d drift_at / dx = 1 / (eps + t)."""
+        return 1.0 / (self.prior_precision + t)
+
+    def log_ratio(self, t, x):
+        """log Lambda_t with the prior integrated out: 0.5*log(eps/(eps+t))
+        + (x^2 + 2*beta*eps*x - eps*beta^2*t) / (2*(eps+t))."""
+        beta, eps = self.prior_mean, self.prior_precision
+        return 0.5 * np.log(eps / (eps + t)) + (
+            x * x + 2.0 * beta * eps * x - eps * beta * beta * t
+        ) / (2.0 * (eps + t))
+
 
 ContinuousBelief = Union[ConstantDrift, BayesianGaussian]
-
-
-def drift_at(belief: ContinuousBelief, t, x):
-    """Believed driver drift at time t given cumulative driver value x.
-
-    Constant-drift agents return their drift unconditionally; conjugate
-    learners return the posterior mean (x + beta*eps) / (eps + t).
-    Accepts scalar or array t, x.
-    """
-    if isinstance(belief, ConstantDrift):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(np.float64(belief.drift), t.shape)[()] if t.shape else float(belief.drift)
-    beta, eps = belief.prior_mean, belief.prior_precision
-    return (np.asarray(x, dtype=float) + beta * eps) / (eps + np.asarray(t, dtype=float))
-
-
-def drift_slope(belief: ContinuousBelief, t):
-    """d drift_at / dx = 1 / (eps + t); a constant drift has eps = inf."""
-    eps = getattr(belief, "prior_precision", math.inf)
-    return 1.0 / (eps + np.asarray(t, dtype=float))
-
-
-def bayesian_log_ratio_closed_form(belief: BayesianGaussian, t, x):
-    """Closed-form log Lambda_t for the gaussian learner (prior integrated
-    out): 0.5*log(eps/(eps+t)) + (x^2 + 2*beta*eps*x - eps*beta^2*t) / (2*(eps+t))."""
-    beta, eps = belief.prior_mean, belief.prior_precision
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return 0.5 * np.log(eps / (eps + t)) + (
-        x * x + 2.0 * beta * eps * x - eps * beta * beta * t
-    ) / (2.0 * (eps + t))
 
 
 # ---------------------------------------------------------------------------

@@ -280,18 +280,13 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
 
 @dataclass(frozen=True)
 class FreeParameter:
-    """A parameter the search may move, on a bounded box."""
+    """A parameter the search may move, on a bounded box; the problem that
+    holds it checks it."""
 
     name: str          # sigma | drift_adjustment | alpha_<j> | rho_<j> | nu_<j>
     lower: float
     upper: float
     start: float
-
-    def __post_init__(self):
-        if not (self.lower < self.upper):
-            raise ConfigError(f"{self.name}: need lower < upper")
-        if not (self.lower <= self.start <= self.upper):
-            raise ConfigError(f"{self.name}: start outside bounds")
 
 
 @dataclass(frozen=True)
@@ -330,6 +325,11 @@ class CalibrationProblem:
             if p.name in names[:i]:
                 raise ConfigError(f"free[{i}].name: duplicate of an earlier "
                                   f"free parameter")
+            if not p.lower < p.upper:
+                raise ConfigError(f"free[{i}].upper: need lower < upper")
+            if not p.lower <= p.start <= p.upper:
+                raise ConfigError(f"free[{i}].start: need lower <= start "
+                                  f"<= upper")
             if positive and not p.lower > 0.0:
                 raise ConfigError(f"free[{i}].lower: bounds must keep "
                                   f"{p.name} > 0")

@@ -61,14 +61,8 @@ def cmd_feedback(cfg, args):
     if not 0 <= sweep <= MAX_COUNT:
         raise ConfigError(f"seed_sweep: must be >= 0 and at most {MAX_COUNT}")
     if sweep:  # a single run reads no counts, so it rejects diligence_values
-        diligence_values = config._get(cfg, "diligence_values", list,
-                                       default=[0, setup.n_diligent])
-        try:
-            counts = feedback.diligence_counts(setup, diligence_values)
-            if not counts:
-                raise ConfigError("expected at least one count")
-        except ConfigError as exc:
-            raise ConfigError(f"diligence_values: {exc}") from None
+        counts = feedback.diligence_counts(setup, config._get(
+            cfg, "diligence_values", list, default=[0, setup.n_diligent]))
     out = _start(args, cfg)
     if sweep:
         seeds = list(range(setup.seed, setup.seed + sweep))

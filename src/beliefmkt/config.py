@@ -209,11 +209,10 @@ def parse_contest(cfg) -> beauty.ContestSpec:
         alphas.append(_get(cfg, f"{path}.mean_belief", float))
         variances.append(_get(cfg, f"{path}.belief_variance", float,
                               positive=True))
-    try:
-        return beauty.ContestSpec(risk_aversion=gammas, mean_belief=alphas,
-                                  belief_variance=variances)
-    except ConfigError as exc:
-        raise ConfigError(f"agents: {exc}") from None
+    if len(gammas) < 2:
+        raise ConfigError("agents: need at least 2 agents")
+    return beauty.ContestSpec(risk_aversion=gammas, mean_belief=alphas,
+                              belief_variance=variances)
 
 
 def parse_targets(cfg) -> calibration.MomentReport:
@@ -236,14 +235,10 @@ def parse_fit(cfg) -> calibration.CalibrationProblem:
     for i in range(len(_get(cfg, "free", list))):
         path = f"free[{i}]"
         _get(cfg, path, dict)
-        name = _get(cfg, f"{path}.name", str)
-        lower, upper, start = (_get(cfg, f"{path}.{key}", float)
-                               for key in ("lower", "upper", "start"))
-        try:
-            free.append(calibration.FreeParameter(
-                name=name, lower=lower, upper=upper, start=start))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        free.append(calibration.FreeParameter(
+            _get(cfg, f"{path}.name", str),
+            *(_get(cfg, f"{path}.{key}", float)
+              for key in ("lower", "upper", "start"))))
     fixed_node = _get(cfg, "fixed", dict, default={})
     fixed = {name: _number(fixed_node[name], f"fixed.{name}")
              for name in fixed_node}

@@ -57,8 +57,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .beliefs import (ConstantDrift, ContinuousBelief, drift_at, drift_slope,
-                      bayesian_log_ratio_closed_form)
+from .beliefs import ContinuousBelief
 from .errors import ConfigError, SingularMarketError, step_count
 from .numerics import solve_decreasing, write_rows
 from .rngtools import path_rng
@@ -228,21 +227,15 @@ def dividend_path(spec: MarketSpec, times, x):
 def log_ratio_paths(spec: MarketSpec, times, x):
     """Per-agent (log Lambda, believed drift) along driver paths.
 
-    Both are exact on the grid: constant-drift agents get the exponential
-    martingale, gaussian learners the closed form with the prior integrated
-    out.  For x of shape (..., n+1), one path per row, returns agent-major
-    arrays of shape (J, ..., n+1).
+    Both are exact on the grid: each belief gives its own closed forms
+    (``log_ratio`` and ``drift_at``).  For x of shape (..., n+1), one path
+    per row, returns agent-major arrays of shape (J, ..., n+1).
     """
     log_lam = np.empty((len(spec.agents),) + np.shape(x))
     alpha = np.empty_like(log_lam)
     for j, agent in enumerate(spec.agents):
-        b = agent.belief
-        if isinstance(b, ConstantDrift):
-            alpha[j] = b.drift
-            log_lam[j] = b.drift * x - 0.5 * b.drift**2 * times
-        else:
-            alpha[j] = drift_at(b, times, x)
-            log_lam[j] = bayesian_log_ratio_closed_form(b, times, x)
+        alpha[j] = agent.belief.drift_at(times, x)
+        log_lam[j] = agent.belief.log_ratio(times, x)
     return log_lam, alpha
 
 
@@ -356,7 +349,7 @@ class EquilibriumPath:
     @cached_property
     def trade(self):
         k = self.state
-        slope = np.array([drift_slope(a.belief, self.times)
+        slope = np.array([a.belief.drift_slope(self.times)
                           for a in self.spec.agents])
         return trade_volume(k.impatience, k.q, k.alpha, k.mean_drift, k.kappa,
                             slope)[0].T

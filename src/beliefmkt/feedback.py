@@ -234,7 +234,7 @@ def _logaddexp(x, y):
     return y + math.log1p(math.exp(d))
 
 
-def log_price_dividend(rho_step, log_weight, step):
+def log_price_dividend(traits: AgentTraits, log_weight, step):
     """log PD at the given step from per-agent log densities.
 
     PD = [sum_j e^{-rho_j t} w_j / (e^{rho_j} - 1)] / [sum_j e^{-rho_j t} w_j],
@@ -244,8 +244,8 @@ def log_price_dividend(rho_step, log_weight, step):
     ``log_weight`` holds B states as (B, J) rows and ``step`` their steps
     as a (B, 1) column (or one step for all): gives the B values at once.
     """
-    base = -rho_step * step + log_weight
-    return np.subtract(_lse(base - np.log(np.expm1(rho_step))), _lse(base))
+    base = -traits.rho_step * step + log_weight
+    return np.subtract(_lse(base - traits.log_expm1), _lse(base))
 
 
 @dataclass
@@ -590,7 +590,7 @@ def _seed_inputs(config: FeedbackConfig, stepping) -> _SeedInputs:
     sample_size = config.prior_weight + np.arange(n)
     log_stock_ideal = np.empty(n + 1)
     log_stock_ideal[:1] = (
-        log_price_dividend(traits.rho_step, log_weight[None], 0) + log_div[:1])
+        log_price_dividend(traits, log_weight[None], 0) + log_div[:1])
     means = np.empty((min(n, _IDEAL_BLOCK), J))
     for start in range(0, n, _IDEAL_BLOCK):
         stop = min(start + _IDEAL_BLOCK, n)
@@ -616,7 +616,7 @@ def _seed_inputs(config: FeedbackConfig, stepping) -> _SeedInputs:
                 diligent[block, i, 0, 0] = _lse(terms - log_expm1[:c])
                 diligent[block, i, 1, 0] = _lse(terms, out=terms)
         log_weight = weights[-1]
-        log_pd = log_price_dividend(traits.rho_step, weights, steps)
+        log_pd = log_price_dividend(traits, weights, steps)
         log_stock_ideal[after] = log_pd + log_div[after]
     return _SeedInputs(traits, increments, log_div, log_stock_ideal, diligent,
                        (-log_expm1.max(), -log_expm1.min()))
@@ -624,8 +624,8 @@ def _seed_inputs(config: FeedbackConfig, stepping) -> _SeedInputs:
 
 def run_feedback(config: FeedbackConfig) -> FeedbackResult:
     """Run one feedback trajectory; deterministic given the config.  A
-    step that cannot be solved raises its ``FixedPointError``, with the
-    count as ``n_diligent`` in its diagnostics."""
+    step that cannot be solved raises its ``FixedPointError``, as ``_run``
+    gives it."""
     return _run(config, [config.n_diligent])[0]
 
 
@@ -642,7 +642,8 @@ def _run(config: FeedbackConfig, counts) -> List[FeedbackResult]:
     their last moves, but are no longer scanned or solved; the counts
     before it run on to the end, since one of them may fail later.  Raises
     the ``FixedPointError`` that running the counts one after another
-    would raise, with its count as ``n_diligent`` in its diagnostics.
+    would raise, its message prefixed by ``seed S, n_diligent C: `` and
+    both values first in its diagnostics.
     """
     J, n = config.n_agents, config.n_steps
     stepped = [i for i, c in enumerate(counts) if c < J]
@@ -692,9 +693,11 @@ def _run(config: FeedbackConfig, counts) -> List[FeedbackResult]:
             stock[t + 1] = stock[t] + xi
         observers.absorb(observed, t)
     if error is not None:
-        error.diagnostics = {"n_diligent": stepping[active],
-                             **error.diagnostics}
-        raise error
+        seed, count = config.seed, stepping[active]
+        raise FixedPointError(
+            f"seed {seed}, n_diligent {count}: {error}", step=error.step,
+            diagnostics={"seed": seed, "n_diligent": count,
+                         **error.diagnostics}) from error
     return [_result(config, inputs, *series)
             for series in zip(log_stock, xi_series, warnings, residuals)]
 
@@ -729,23 +732,15 @@ def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
 
 
 def _sweep_seed(task) -> List[Dict[str, float]]:
-    """The metrics of one seed's counts, in order.  A failing count's
-    ``FixedPointError`` is raised again with ``seed S, n_diligent C: ``
-    before its message and the seed in its diagnostics."""
-    config, counts = task
-    try:
-        return [result.metrics for result in _run(config, counts)]
-    except FixedPointError as exc:
-        raise FixedPointError(
-            f"seed {config.seed}, n_diligent {exc.diagnostics['n_diligent']}"
-            f": {exc}", step=exc.step,
-            diagnostics={"seed": config.seed, **exc.diagnostics}) from exc
+    """The metrics of one seed's counts, in order."""
+    return [result.metrics for result in _run(*task)]
 
 
 def diligence_counts(config: FeedbackConfig, values) -> List[int]:
     """The distinct diligence counts of ``values``, in order, as ints.
-    Raises ``ConfigError`` naming the first value that is not an integer
-    (``operator.index``; a bool is not one) between 0 and n_agents."""
+    Raises ``ConfigError``, starting ``diligence_values: ``, on no value or
+    naming the first value that is not an integer (``operator.index``; a
+    bool is not one) between 0 and n_agents."""
     counts = []
     for v in values:
         try:
@@ -753,8 +748,10 @@ def diligence_counts(config: FeedbackConfig, values) -> List[int]:
         except TypeError:
             counts.append(-1)
         if not 0 <= counts[-1] <= config.n_agents:
-            raise ConfigError(f"{v!r} is not a diligence count: need an int "
-                              f"in 0..{config.n_agents}")
+            raise ConfigError(f"diligence_values: {v!r} is not a diligence "
+                              f"count: need an int in 0..{config.n_agents}")
+    if not counts:
+        raise ConfigError("diligence_values: expected at least one count")
     return list(dict.fromkeys(counts))
 
 
@@ -770,9 +767,8 @@ def diligence_sweep(config: FeedbackConfig, n_diligent_values,
     so ``numerics.fork_map`` splits more than one of them across the
     usable CPUs; a seed's counts are never split.  Its results come back
     in seed order, so the table never depends on the split.  A failing
-    run raises its ``FixedPointError`` with the message prefixed by
-    ``seed S, n_diligent C: `` and both values in ``diagnostics``.  The
-    counts are checked first (``diligence_counts``).
+    run raises its ``FixedPointError`` as ``_run`` gives it.  The counts
+    are checked first (``diligence_counts``).
     """
     counts = diligence_counts(config, n_diligent_values)
     tasks = [(replace(config, seed=seed), counts) for seed in master_seeds]

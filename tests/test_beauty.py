@@ -127,23 +127,57 @@ def test_variance_scaling_leaves_price_unchanged():
         truthful_equilibrium(scaled).price, rel=1e-14)
 
 
-@pytest.mark.parametrize("gammas, variances, agent, total", [
-    ([1e-200, 1.0], [1e-200, 1.0], 0, "inf"),   # gamma v underflows to 0
-    ([1.0, 1.0], [1e-320, 1.0], 0, "inf"),      # 1/(gamma v) overflows
-    ([1.0, 1.0], [1e-308, 1e-308], 1, "inf"),   # the sum overflows
-    ([1e200, 1e200], [1e200, 1e200], 0, "0.0")])  # every term is 0
-def test_clearing_weights_that_are_not_finite_raise(gammas, variances, agent,
-                                                    total):
+_SUM = "clearing weights not finite: the sum of " \
+    "1/(risk_aversion * belief_variance) is "
+
+
+@pytest.mark.parametrize("gammas, alphas, variances, message", [
+    # gamma v underflows to 0
+    pytest.param([1e-200, 1.0], [0.0, 1.0], [1e-200, 1.0],
+                 f"agent 0: {_SUM}inf", id="gammas0-variances0-0-inf"),
+    # 1/(gamma v) overflows
+    pytest.param([1.0, 1.0], [0.0, 1.0], [1e-320, 1.0],
+                 f"agent 0: {_SUM}inf", id="gammas1-variances1-0-inf"),
+    # the sum overflows
+    pytest.param([1.0, 1.0], [0.0, 1.0], [1e-308, 1e-308],
+                 f"agent 1: {_SUM}inf", id="gammas2-variances2-1-inf"),
+    # every term is 0
+    pytest.param([1e200, 1e200], [0.0, 1.0], [1e200, 1e200],
+                 f"agent 0: {_SUM}0.0", id="gammas3-variances3-0-0.0"),
+    # gamma v overflows for one agent, whose weight is 0
+    pytest.param([1e200, 1.0], [0.0, 1.0], [1e200, 1.0],
+                 "agent 0: clearing weight is 0: its 1/(risk_aversion * "
+                 "belief_variance) is 0.0 of a sum of 1.0",
+                 id="weight-0-product-overflows"),
+    # one agent's share of the sum underflows
+    pytest.param([1e-150, 1e20], [0.0, 1.0], [1e-150, 1e20],
+                 "agent 1: clearing weight is 0: its 1/(risk_aversion * "
+                 "belief_variance) is 1e-40 of a sum of "
+                 "9.999999999999999e+299", id="weight-0-share-underflows"),
+    # (alpha_j - price)^2 overflows in the truthful objective
+    pytest.param([1.0, 1.0], [-1e200, 1e200], [1.0, 1.0],
+                 "agent 0: objective or holding not finite: exponent inf, "
+                 "objective -0.0, holding -1e+200", id="exponent-overflows"),
+    # a holding overflows
+    pytest.param([1e-300, 1e-300], [-1e10, 1e10], [1.0, 1.0],
+                 "agent 0: objective or holding not finite: exponent 5e+19, "
+                 "objective -0.0, holding -inf", id="holding-overflows"),
+    # an objective overflows
+    pytest.param([1e-310, 1e-310], [0.0, 1.0], [1e10, 1e10],
+                 "agent 0: objective or holding not finite: exponent "
+                 "1.25e-11, objective -inf, holding -5.000000000000016e+299",
+                 id="objective-overflows")])
+def test_clearing_weights_that_are_not_finite_raise(gammas, alphas,
+                                                    variances, message):
     # each contest passes ContestSpec, but its normalized weights would be
-    # NaN, or 0 for every agent: an error naming the agent, and no warning
-    spec = spec_from(gammas, [0.0, 1.0], variances)
+    # NaN or 0, or an objective's exponent would not be finite: an error
+    # naming the first agent at fault, and no warning
+    spec = spec_from(gammas, alphas, variances)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SaturationError) as err:
             welfare_comparison(spec)
-    assert str(err.value) == (
-        f"agent {agent}: clearing weights not finite: the sum of "
-        f"1/(risk_aversion * belief_variance) is {total}")
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

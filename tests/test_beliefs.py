@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
-                               bayesian_log_ratio_closed_form, drift_at,
-                               drift_slope, log_density_increment,
-                               posterior_mean_step)
+                               log_density_increment, posterior_mean_step)
 from beliefmkt.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -77,17 +75,18 @@ def fold(xs, mu0, k0, tau):
 
 def test_constant_drift_is_unconditional():
     belief = ConstantDrift(0.21)
-    assert drift_at(belief, 0.0, 0.0) == 0.21
-    assert drift_at(belief, 7.3, -4.0) == 0.21
+    assert belief.drift_at(0.0, 0.0) == 0.21
+    assert belief.drift_at(7.3, -4.0) == 0.21
 
 
 def test_bayesian_prior_mean_at_time_zero():
-    assert drift_at(BayesianGaussian(0.0, 1.0), 0.0, 0.0) == 0.0
+    assert BayesianGaussian(0.0, 1.0).drift_at(0.0, 0.0) == 0.0
 
 
 def test_bayesian_drift_hand_value():
     # (0.5 + 0.1 * 2) / (2 + 3) = 0.14
-    assert drift_at(BayesianGaussian(0.1, 2.0), 3.0, 0.5) == pytest.approx(0.14, abs=1e-15)
+    assert BayesianGaussian(0.1, 2.0).drift_at(3.0, 0.5) \
+        == pytest.approx(0.14, abs=1e-15)
 
 
 def test_bayesian_drift_matches_posterior_quadrature():
@@ -101,7 +100,8 @@ def test_bayesian_drift_matches_posterior_quadrature():
 
     num, _ = quad(lambda b: b * weight(b), -20, 20, limit=200)
     den, _ = quad(weight, -20, 20, limit=200)
-    assert drift_at(BayesianGaussian(beta, eps), t, x) == pytest.approx(num / den, rel=1e-9)
+    assert BayesianGaussian(beta, eps).drift_at(t, x) \
+        == pytest.approx(num / den, rel=1e-9)
 
 
 @pytest.mark.parametrize("belief", [ConstantDrift(0.21),
@@ -110,13 +110,13 @@ def test_bayesian_drift_matches_posterior_quadrature():
 def test_drift_slope_is_the_drift_derivative_in_x(belief):
     t = np.array([0.0, 0.5, 3.0, 40.0])
     x = np.array([0.0, -1.2, 0.7, 9.0])
-    slope = drift_slope(belief, t)
+    slope = belief.drift_slope(t)
     assert slope.shape == t.shape
     h = 1e-3  # drift_at is affine in x, so the difference is exact to rounding
     np.testing.assert_allclose(
-        slope, (drift_at(belief, t, x + h) - drift_at(belief, t, x - h))
+        slope, (belief.drift_at(t, x + h) - belief.drift_at(t, x - h))
         / (2 * h), rtol=0, atol=1e-12)
-    assert drift_slope(belief, 3.0) == slope[2]
+    assert belief.drift_slope(3.0) == slope[2]
 
 
 def test_bayesian_drift_consistency():
@@ -128,7 +128,7 @@ def test_bayesian_drift_consistency():
     errors = {}
     for t in (1e2, 1e4):
         x_t = rng.normal(0.0, math.sqrt(t), size=400) + b * t
-        errors[t] = np.median(np.abs(drift_at(belief, t, x_t) - b))
+        errors[t] = np.median(np.abs(belief.drift_at(t, x_t) - b))
     assert errors[1e4] < 0.25 * errors[1e2]
 
 
@@ -163,20 +163,20 @@ def test_bayesian_sde_matches_closed_form_as_dt_shrinks():
         t = np.arange(len(x)) * dt
         log_lam = 0.0
         for i in range(len(x) - 1):
-            alpha = drift_at(belief, t[i], x[i])
+            alpha = belief.drift_at(t[i], x[i])
             # Euler step of d log Lambda = alpha dX - alpha^2 dt / 2
             log_lam += alpha * (x[i + 1] - x[i]) - 0.5 * alpha * alpha * dt
-        target = bayesian_log_ratio_closed_form(belief, horizon, x_fine[-1])
+        target = belief.log_ratio(horizon, x_fine[-1])
         errors.append(abs(log_lam - target))
     assert errors[2] < errors[0]
     assert errors[2] < 5e-3
 
 
 def test_continuous_martingale_mean_constant_drift(rng):
-    # exact form: mean of exp(alpha X_T - alpha^2 T / 2) over reference draws
+    # the exponential martingale's mean over reference draws is 1
     alpha, horizon, n = 0.8, 1.0, 30_000
     x_t = rng.normal(0.0, math.sqrt(horizon), size=n)
-    lam = np.exp(alpha * x_t - 0.5 * alpha**2 * horizon)
+    lam = np.exp(ConstantDrift(alpha).log_ratio(horizon, x_t))
     se = lam.std(ddof=1) / math.sqrt(n)
     assert abs(lam.mean() - 1.0) < 3.0 * se
 

@@ -599,8 +599,9 @@ def test_feedback_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     code = main(["feedback", "--config", str(cfg), "--out",
                  str(tmp_path / "failed")])
     assert code == 3
-    assert "step 0: no sign change in the scan of the exact bracket [" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: seed 1, n_diligent 0: step 0: no sign change in "
+        "the scan of the exact bracket [")
 
 
 def test_feedback_cell_without_a_root_exits_3(tmp_path, capsys,
@@ -687,24 +688,41 @@ def test_contest_csv_matches_per_value_format(tmp_path, rng):
     assert "True" in written and ",-0," in written and "1e-300" in written
 
 
-def test_beauty_weights_that_are_not_finite_exit_3(tmp_path, capsys):
+_SATURATED_CONTESTS = [
     # 1/(gamma v) overflows for agent 0, which would give nan prices,
-    # holdings and objectives: exit 3 before anything is written
-    cfg = write_config(tmp_path, {
-        "agents": [
-            {"risk_aversion": 1.0, "mean_belief": 0.0,
-             "belief_variance": 1e-320},
-            {"risk_aversion": 1.0, "mean_belief": 1.0, "belief_variance": 1.0},
-        ],
-        "csv": True})
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["beauty", "--config", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        "numeric failure: agent 0: clearing weights not finite: the sum of "
-        "1/(risk_aversion * belief_variance) is inf\n")
-    assert not out.exists()
+    # holdings and objectives
+    ([(1.0, 0.0, 1e-320), (1.0, 1.0, 1.0)],
+     "agent 0: clearing weights not finite: the sum of "
+     "1/(risk_aversion * belief_variance) is inf"),
+    # a clearing weight of 0, where gamma v overflows and where a share
+    # underflows
+    ([(1e200, 0.0, 1e200), (1.0, 1.0, 1.0)],
+     "agent 0: clearing weight is 0: its 1/(risk_aversion * "
+     "belief_variance) is 0.0 of a sum of 1.0"),
+    ([(1e-150, 0.0, 1e-150), (1e20, 1.0, 1e20)],
+     "agent 1: clearing weight is 0: its 1/(risk_aversion * "
+     "belief_variance) is 1e-40 of a sum of 9.999999999999999e+299"),
+    # an objective's exponent overflows
+    ([(1.0, -1e200, 1.0), (1.0, 1e200, 1.0)],
+     "agent 0: objective or holding not finite: exponent inf, objective "
+     "-0.0, holding -1e+200")]
+
+
+def test_beauty_weights_that_are_not_finite_exit_3(tmp_path, capsys):
+    # each contest (risk aversion, mean belief, variance per agent) exits 3
+    # before anything is written, and prints no warning
+    for k, (agents, message) in enumerate(_SATURATED_CONTESTS):
+        cfg = write_config(tmp_path, {
+            "agents": [{"risk_aversion": g, "mean_belief": a,
+                        "belief_variance": v} for g, a, v in agents],
+            "csv": True}, f"contest{k}.json")
+        out = tmp_path / f"out{k}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["beauty", "--config", str(cfg),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {message}\n"
+        assert not out.exists()
 
 
 def test_beauty_invalid_variance_names_field(tmp_path, capsys):

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
-from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
-                               bayesian_log_ratio_closed_form)
+from beliefmkt.beliefs import BayesianGaussian, ConstantDrift
 from beliefmkt import equilibrium
 from beliefmkt.calibration import compute_moments
 from beliefmkt.equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
@@ -485,7 +484,7 @@ def test_learner_log_ratio_is_the_closed_form():
         AgentSpec(impatience=0.131, belief=ConstantDrift(0.21), weight=14.47),
         AgentSpec(impatience=0.443, belief=learner, weight=0.174)))
     path = simulate_path(spec, 50.0, 1 / 252, seed=5)
-    closed = bayesian_log_ratio_closed_form(learner, path.times, path.x)
+    closed = learner.log_ratio(path.times, path.x)
     np.testing.assert_allclose(path.log_ratios[:, 1], closed, rtol=0,
                                atol=1e-12)
     # the constant-drift agent's exponential martingale

@@ -128,8 +128,14 @@ def test_agent_draws_within_ranges():
 def test_single_agent_pd_is_level_perpetuity():
     rho_step = np.array([0.003])
     for t in (0, 100, 5000):
-        log_pd, = log_price_dividend(rho_step, np.array([[0.0]]), t)
+        log_pd, = log_price_dividend(traits_of(rho_step), np.array([[0.0]]),
+                                     t)
         assert math.exp(log_pd) == pytest.approx(1.0 / math.expm1(0.003), rel=1e-12)
+
+
+def traits_of(rho_step):
+    """AgentTraits with the impatience that ``log_price_dividend`` reads."""
+    return AgentTraits(rho_step=rho_step, tau=None, prior_mean_step=None)
 
 
 def log_pd_with_common_weight(rho_step, nu, log_weight, step):
@@ -151,7 +157,7 @@ def test_common_weight_cancels_from_pd():
         steps = rng.integers(0, 5000, (blocks, 1))
         # one state at one step, and every state at its own step
         for w, t in ((log_weight[:1], int(steps[0, 0])), (log_weight, steps)):
-            got = np.asarray(log_price_dividend(rho_step, w, t))
+            got = np.asarray(log_price_dividend(traits_of(rho_step), w, t))
             same = log_pd_with_common_weight(rho_step, np.ones(J), w, t)
             assert got.tobytes() == np.asarray(same).tobytes()
             scaled = log_pd_with_common_weight(rho_step, np.full(J, 1.3), w, t)
@@ -160,7 +166,8 @@ def test_common_weight_cancels_from_pd():
 
 def test_identical_agents_pd_constant():
     rho_step = np.full(4, 0.002)
-    values = [log_price_dividend(rho_step, np.full((1, 4), w), t)[0]
+    values = [log_price_dividend(traits_of(rho_step), np.full((1, 4), w),
+                                 t)[0]
               for t, w in [(0, 0.0), (50, -3.0), (900, 11.0)]]
     assert max(values) - min(values) < 1e-13
 
@@ -168,7 +175,7 @@ def test_identical_agents_pd_constant():
 def test_two_agent_pd_hand_sum_and_npv_oracle():
     rho_step = np.array([0.001, 0.002])
     t = 37
-    log_pd, = log_price_dividend(rho_step, np.zeros((1, 2)), t)
+    log_pd, = log_price_dividend(traits_of(rho_step), np.zeros((1, 2)), t)
     # direct arithmetic on the two sums
     num = sum(math.exp(-r * t) / math.expm1(r) for r in rho_step)
     den = sum(math.exp(-r * t) for r in rho_step)
@@ -608,9 +615,13 @@ def test_cell_that_does_not_bracket_a_root_raises(monkeypatch):
     diagnostics = err.value.diagnostics
     assert (diagnostics["lo"], diagnostics["hi"]) == (lo, hi)
     assert diagnostics["residual_lo"] < 0 and diagnostics["residual_hi"] < 0
-    # a run stops with that error at the step where it happens
-    with pytest.raises(FixedPointError, match="^step 0: scan cell"):
+    # a run stops with that error at the step where it happens, naming its
+    # seed and count
+    with pytest.raises(FixedPointError, match="^seed 7, n_diligent 0: "
+                       r"step 0: scan cell \[") as err:
         run_feedback(cfg)
+    assert err.value.step == 0
+    assert list(err.value.diagnostics)[:2] == ["seed", "n_diligent"]
 
 
 def test_all_diligent_price_follows_a_jump_past_the_cap(monkeypatch):
@@ -964,8 +975,15 @@ def test_diligence_sweep_checks_its_counts(counts, bad):
     # a count outside 0..n_agents, a bool or a float, numpy's included, is
     # named in a ConfigError before anything runs
     with pytest.raises(ConfigError,
-                       match=f"^{re.escape(repr(bad))} is not a diligence "
-                             "count: need an int in 0..4$"):
+                       match=f"^diligence_values: {re.escape(repr(bad))} is "
+                             "not a diligence count: need an int in 0..4$"):
+        diligence_sweep(small_config(n_agents=4), counts, [5])
+
+
+@pytest.mark.parametrize("counts", [[], iter([]), np.array([], dtype=int)])
+def test_diligence_sweep_needs_a_count(counts):
+    with pytest.raises(ConfigError, match="^diligence_values: expected at "
+                       "least one count$"):
         diligence_sweep(small_config(n_agents=4), counts, [5])
 
 
@@ -1304,20 +1322,23 @@ def test_error_from_a_forked_child_keeps_its_step_and_diagnostics(
         forks, monkeypatch):
     cfg = replace(shipped_sweep_config(), n_steps=700)
     failing_at(monkeypatch, {(22, 0, 670)})
-    with pytest.raises(FixedPointError) as err:
+    with pytest.raises(FixedPointError,
+                       match="^seed 22, n_diligent 0: step 670: forced$") \
+            as err:
         run_feedback(replace(cfg, seed=22, n_diligent=0))
     assert err.value.step == 670
-    assert err.value.diagnostics["n_diligent"] == 0
-    # raised in a forked child of a sweep, it keeps its step and diagnostics
-    # and names its seed and count
+    diagnostics = err.value.diagnostics
+    assert list(diagnostics) == ["seed", "n_diligent", "xi"]
+    assert (diagnostics["seed"], diagnostics["n_diligent"]) == (22, 0)
+    # raised in a forked child of a sweep, it keeps its message, its step
+    # and its diagnostics
     forks.cpus(2)
     with pytest.raises(FixedPointError) as split_err:
         diligence_sweep(cfg, [0], [21, 22])
     assert forks.count == 1
-    assert str(split_err.value) == f"seed 22, n_diligent 0: {err.value}"
+    assert str(split_err.value) == str(err.value)
     assert split_err.value.step == 670
-    assert split_err.value.diagnostics == {
-        "seed": 22, "n_diligent": 0, **err.value.diagnostics}
+    assert split_err.value.diagnostics == diagnostics
 
 
 def test_lockstep_raises_the_in_order_error(monkeypatch):
@@ -1333,15 +1354,17 @@ def test_lockstep_raises_the_in_order_error(monkeypatch):
             run_feedback(replace(cfg, n_diligent=c))
         single[c] = err.value
     assert (single[1].step, single[5].step) == (61, 73)
+    for c in (1, 5):
+        assert str(single[c]).startswith(f"seed 10, n_diligent {c}: step ")
+        assert list(single[c].diagnostics)[:2] == ["seed", "n_diligent"]
     calls = tracking_solve_step(monkeypatch)
     for counts, c in (([0, 1, 5], 1), ([5, 1], 5), ([1, 30], 1)):
         calls.clear()
         with pytest.raises(FixedPointError) as err:
             diligence_sweep(cfg, counts, [10])
-        assert str(err.value) == f"seed 10, n_diligent {c}: {single[c]}"
+        assert str(err.value) == str(single[c])
         assert err.value.step == single[c].step
-        assert err.value.diagnostics == {"seed": 10, "n_diligent": c,
-                                         **single[c].diagnostics}
+        assert err.value.diagnostics == single[c].diagnostics
         if counts[0] == 0:
             assert [t for b, t, _ in calls if b == 0] == list(range(1260))
         # no count after the failing one is stepped past its failure
