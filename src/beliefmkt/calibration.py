@@ -169,12 +169,15 @@ def compute_moments(paths) -> MomentReport:
     an in-order loop would raise it, the lowest path's first.
     """
     moments = _Moments()
-    for dt, sums in fork_map(_path_sums, paths):
-        if moments.dt is None:
-            moments.dt = dt
-        elif dt != moments.dt:
-            raise ConfigError("paths do not share a common grid spacing")
-        moments.extend(sums)
+    # levels that overflow or underflow are named by the check below, or by
+    # that of a table written as the paths are read
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for dt, sums in fork_map(_path_sums, paths):
+            if moments.dt is None:
+                moments.dt = dt
+            elif dt != moments.dt:
+                raise ConfigError("paths do not share a common grid spacing")
+            moments.extend(sums)
     if moments.dt is None:
         raise ConfigError("compute_moments needs at least one path")
     report = moments.report()
@@ -419,12 +422,10 @@ def draw_drivers(problem: CalibrationProblem):
 
 def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
                    targets: MomentReport,
-                   drivers=None) -> Tuple[float, MomentReport]:
+                   drivers) -> Tuple[float, MomentReport]:
     """Loss and moment report at one parameter point, with common random
-    numbers (the same path seeds on every call).  Each batch of ``drivers``
-    (default: ``draw_drivers(problem)``) is evaluated as one array."""
-    if drivers is None:
-        drivers = draw_drivers(problem)
+    numbers: ``drivers`` are ``draw_drivers(problem)``, drawn once per
+    search, and each of their batches is evaluated as one array."""
     spec = build_market(values, problem.n_agents)
     moments = _Moments(problem.dt)
     ic = False

@@ -29,6 +29,19 @@ def _start(args, cfg):
     return out
 
 
+def _write_csv(out, name, result):
+    """Write ``result.write_csv`` to the file ``name`` in ``out``.  A table
+    that it refuses (SaturationError) leaves no file, and the error starts
+    with the file's name."""
+    try:
+        with open(out / name, "w") as fp:
+            result.write_csv(fp)
+    except SaturationError as exc:
+        (out / name).unlink()
+        raise SaturationError(f"{name}: {exc}; the file is not written") \
+            from None
+
+
 def cmd_simulate_log(cfg, args):
     spec, horizon, dt, n_paths, seed, write_paths = config.parse_simulate(cfg)
     out = _start(args, cfg)
@@ -37,13 +50,7 @@ def cmd_simulate_log(cfg, args):
         for p, path in enumerate(equilibrium.simulate_paths(
                 spec, horizon, dt, seed, n_paths)):
             if p < write_paths:
-                bad = path.first_non_finite()
-                if bad:
-                    raise SaturationError(
-                        f"path_{p:03d}.csv: column {bad[0]} is not finite "
-                        f"at t={bad[1]!r}; the file is not written")
-                with open(out / f"path_{p:03d}.csv", "w") as fp:
-                    path.write_csv(fp)
+                _write_csv(out, f"path_{p:03d}.csv", path)
             yield path
 
     report = calibration.compute_moments(paths())
@@ -81,8 +88,7 @@ def cmd_feedback(cfg, args):
                 fp.write(f"mean_range[n_diligent={n_dil}]={mean_range:.17g}\n")
         return 0
     result = feedback.run_feedback(setup)
-    with open(out / "series.csv", "w") as fp:
-        result.write_csv(fp)
+    _write_csv(out, "series.csv", result)
     with open(out / "metrics.txt", "w") as fp:
         for key, value in result.metrics.items():
             fp.write(f"{key}={value:.17g}\n" if isinstance(value, float)

@@ -59,7 +59,7 @@ import numpy as np
 
 from .beliefs import ContinuousBelief
 from .errors import ConfigError, SingularMarketError, step_count
-from .numerics import solve_decreasing, write_rows
+from .numerics import check_finite, solve_decreasing, write_rows
 from .rngtools import path_rng
 
 # |a + kappa| below this is treated as a degenerate (zero stock volatility)
@@ -354,8 +354,10 @@ class EquilibriumPath:
         return trade_volume(k.impatience, k.q, k.alpha, k.mean_drift, k.kappa,
                             slope)[0].T
 
-    def _columns(self):
-        """The CSV's columns by name, in order."""
+    def write_csv(self, fp):
+        """The header row, then one row per grid point.  Raises
+        SaturationError (``numerics.check_finite``), having written
+        nothing, when a value is not finite."""
         columns = dict(t=self.times, X=self.x, delta=self.dividend,
                        zeta=self.zeta, S=self.stock, PD=self.pd_ratio,
                        r=self.rate, kappa=self.kappa, sigmaS=self.stock_vol)
@@ -363,25 +365,10 @@ class EquilibriumPath:
                                 pi=self.holdings, theta=self.trade).items():
             columns.update((f"{name}_{j}", v)
                            for j, v in enumerate(block.T, 1))
-        return columns
-
-    def first_non_finite(self):
-        """(column name, t) of the CSV's first value that is not finite,
-        row by row, or None when every value is finite."""
-        first = None
-        for name, values in self._columns().items():
-            finite = np.isfinite(values)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                if first is None or i < first[0]:
-                    first = i, name
-        return first and (first[1], float(self.times[first[0]]))
-
-    def write_csv(self, fp):
-        """The header row, then one row per grid point."""
-        columns = self._columns()
+        table = np.column_stack(tuple(columns.values()))
+        check_finite(list(columns), table)
         fp.write(",".join(columns) + "\n")
-        write_rows(fp, np.column_stack(tuple(columns.values())))
+        write_rows(fp, table)
 
 
 def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,

@@ -87,7 +87,8 @@ import numpy as np
 
 from .beliefs import log_density_increment, posterior_mean_step
 from .errors import ConfigError, FixedPointError
-from .numerics import brentq, fork_map, scan_sign_changes, write_rows
+from .numerics import (brentq, check_finite, fork_map, scan_sign_changes,
+                       write_rows)
 from .rngtools import agent_rng, path_rng
 
 # residual bound every accepted step must satisfy (relative, on PD scale)
@@ -265,15 +266,19 @@ class FeedbackResult:
 
     def write_csv(self, fp):
         """One row per step; xi is an empty field at t = 0, where it is NaN.
+        Raises SaturationError (``numerics.check_finite``), having written
+        nothing, when any other value is not finite.
 
         The warning counts are whole numbers >= 0, which ``%.17g`` prints
         as ``%d`` does."""
-        fp.write("t,delta,S_star,S,log_PD_star,log_ratio,xi,solver_warnings\n")
+        header = "t,delta,S_star,S,log_PD_star,log_ratio,xi,solver_warnings"
         table = np.column_stack((
             self.times, self.dividend, self.stock_ideal, self.stock,
             self.log_pd_ideal, self.log_ratio, self.xi, self.solver_warnings))
         r = table[0].tolist()
-        fp.write(("%.17g," * 6 + ",%d\n") % (*r[:6], r[7]))
+        table[0, 6] = 0.0   # the check passes the empty xi of row 0
+        check_finite(header.split(","), table)
+        fp.write((header + "\n" + "%.17g," * 6 + ",%d\n") % (*r[:6], r[7]))
         write_rows(fp, table[1:])
 
 
@@ -717,18 +722,20 @@ def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
         "max_residual": float(residuals.max()),
         "final_log_ratio": float(log_ratio[-1]),
     }
-    return FeedbackResult(
-        times=np.arange(config.n_steps + 1) * config.dt,
-        dividend=np.exp(log_div),
-        stock=np.exp(log_stock),
-        stock_ideal=np.exp(log_stock_ideal),
-        xi=xi_series,
-        log_pd_ideal=log_stock_ideal - log_div,
-        log_ratio=log_ratio,
-        solver_warnings=warnings,
-        residuals=residuals,
-        metrics=metrics,
-    )
+    # a level that overflows is named by the check of the written table
+    with np.errstate(over="ignore"):
+        return FeedbackResult(
+            times=np.arange(config.n_steps + 1) * config.dt,
+            dividend=np.exp(log_div),
+            stock=np.exp(log_stock),
+            stock_ideal=np.exp(log_stock_ideal),
+            xi=xi_series,
+            log_pd_ideal=log_stock_ideal - log_div,
+            log_ratio=log_ratio,
+            solver_warnings=warnings,
+            residuals=residuals,
+            metrics=metrics,
+        )
 
 
 def _sweep_seed(task) -> List[Dict[str, float]]:

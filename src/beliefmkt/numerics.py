@@ -1,16 +1,20 @@
 """Small numerical utilities: root brackets, Brent's method, the
 Nelder-Mead simplex, sign-change scans, the ``%.17g`` CSV table writer and
-the fork split of independent work.
+its finite-output rule, and the fork split of independent work.
 
 ``brentq`` and ``nelder_mead`` are ports of scipy's routines that give
 scipy's roots and minimizers bit for bit, so root solving (feedback steps,
 market clearing) and the ``fit`` search need numpy only.  ``write_rows``
 prints a float table as ``'%.17g' % value`` would, byte for byte, a chunk
 of values per numpy pass; a value whose digits it cannot certify is
-printed by ``%`` itself.  ``fork_map`` is the package's one split of
-independent work across processes: it maps a function over a sequence cut
-into contiguous ranges, one forked process per usable CPU, and returns
-the results in item order, as an in-order loop would give them."""
+printed by ``%`` itself, NaN and the infinities among them.
+``check_finite`` is the finite-output rule of the result tables: the
+writers of a path CSV and of a feedback series run it before writing a
+byte, so neither holds ``inf`` or ``nan``.  ``fork_map`` is the
+package's one split of independent work across processes: it maps a
+function over a sequence cut into contiguous ranges, one forked process
+per usable CPU, and returns the results in item order, as an in-order
+loop would give them."""
 
 import functools
 import math
@@ -22,10 +26,10 @@ from collections import abc
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, SaturationError
 
 __all__ = ["brentq", "nelder_mead", "solve_decreasing", "scan_sign_changes",
-           "write_rows", "fork_map"]
+           "check_finite", "write_rows", "fork_map"]
 
 # values per numpy pass in ``write_rows``: enough to amortize each pass's
 # call overhead, few enough that a chunk's temporaries stay well under a
@@ -314,8 +318,7 @@ def _scale_table():
 def _layout_table():
     """The slot layout of ``_format_chunk``: the words of each 4-digit
     group, its trailing zeros, the exponent words, the masks of each
-    class, the class base of each k, the lead word and the special values'
-    slots."""
+    class, the class base of each k, the lead word and the zeros' slots."""
     # group[a, b, c, d] = "a.b.c.d." and its trailing zeros, by broadcasting
     group = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
     digit = np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)
@@ -354,11 +357,10 @@ def _layout_table():
     ks = np.arange(_K_MIN, _K_MAX + 1)
     layout = np.where((-4 <= ks) & (ks <= 16), ks + 4,
                       21 + 2 * (ks < 0) + (abs(ks) >= 100))
-    special = _slots([s + end for s in ("nan", "inf", "-inf", "0", "-0")
-                      for end in ",\n"])
+    zeros = _slots([s + end for s in ("0", "-0") for end in ",\n"])
     return (group.view("<i8").reshape(-1), trailing.reshape(-1), exponent,
             masks.view("<i8").reshape(-1, 6), layout * 68 + 64,
-            np.frombuffer(b"-0.000\0.", "<i8")[0], special)
+            np.frombuffer(b"-0.000\0.", "<i8")[0], zeros)
 
 
 def _scaled(a, k):
@@ -418,12 +420,13 @@ def _format_chunk(x, last):
     * bytes 40-45: 'e', '+', '-' and three exponent digits;
     * byte 47: the separator.
 
-    The class is (layout, significant digits, sign, separator).  NaN, the
-    infinities and the zeros take fixed slots, and every other value that
-    ``_decimal`` does not certify is formatted by ``%``.
+    The class is (layout, significant digits, sign, separator).  The
+    zeros, common in result tables, take fixed slots, and every other
+    value that ``_decimal`` does not certify, NaN and the infinities among
+    them, is formatted by ``%``.
     """
     ok, n, k = _decimal(x)
-    group, trailing, exponent, masks, base, lead, special = _layout_table()
+    group, trailing, exponent, masks, base, lead, zero = _layout_table()
     d0 = n // _E16
     rest = n - d0 * _E16
     hi, lo = rest // 10 ** 8, rest % 10 ** 8
@@ -441,15 +444,25 @@ def _format_chunk(x, last):
     other = np.flatnonzero(~ok)
     if other.size:
         v, end = x[other], last[other]
-        code = np.where(v != v, 0, np.where(v == 0, 3, 1) + np.signbit(v))
-        slots = special.take(2 * code + end, axis=0)
-        plain = np.flatnonzero(np.isfinite(v) & (v != 0))
+        slots = zero.take(2 * np.signbit(v) + end, axis=0)
+        plain = np.flatnonzero(v != 0)
         if plain.size:
             slots[plain] = _slots([
                 "%.17g%s" % (f, ",\n"[e])
                 for f, e in zip(v[plain].tolist(), end[plain].tolist())])
         words[other] = slots
     return words.tobytes().translate(None, b"\0")
+
+
+def check_finite(names, table):
+    """Raise SaturationError naming the column (of ``names``) and the t
+    (column 0) of the first value of the 2-d float array ``table``, row by
+    row, that is not finite."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), table.shape[1])
+        raise SaturationError(f"column {names[j]} is not finite at "
+                              f"t={table[i, 0].item()!r}")
 
 
 def write_rows(fp, table):

@@ -69,13 +69,10 @@ def overflowing_market():
 def test_compute_moments_raises_when_levels_overflow():
     # the return is built from the levels, so its moments are NaN; P/D and
     # the rate stay finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        paths = equilibrium.simulate_paths(overflowing_market(), 100.0, 0.1,
-                                           0, 4)
-        with pytest.raises(SaturationError, match="^moment report: "
-                           "mean_equity_return, std_equity_return not "
-                           "finite$"):
-            compute_moments(paths)
+    paths = equilibrium.simulate_paths(overflowing_market(), 100.0, 0.1, 0, 4)
+    with pytest.raises(SaturationError, match="^moment report: "
+                       "mean_equity_return, std_equity_return not finite$"):
+        compute_moments(paths)
 
 
 def test_moments_permutation_invariant():
@@ -410,8 +407,10 @@ def test_common_random_numbers_identical_losses():
         fixed={"alpha_0": 0.1, "alpha_1": -0.1, "rho_0": 0.05, "rho_1": 0.1},
         n_paths=4, horizon=4.0, dt=1 / 52, seed=11)
     values = {"sigma": 0.27, **problem.fixed}
-    loss_a, report_a = evaluate_point(problem, values, DEFAULT_TARGETS)
-    loss_b, report_b = evaluate_point(problem, values, DEFAULT_TARGETS)
+    loss_a, report_a = evaluate_point(problem, values, DEFAULT_TARGETS,
+                                      draw_drivers(problem))
+    loss_b, report_b = evaluate_point(problem, values, DEFAULT_TARGETS,
+                                      draw_drivers(problem))
     assert loss_a == loss_b
     assert report_a == report_b
 
@@ -467,8 +466,6 @@ def test_batched_objective_equals_per_path_oracle(n_agents, common_rho):
         values = random_point(rng, n_agents, common_rho)
         want = per_path_objective(problem, values, DEFAULT_TARGETS)
         assert_same_objective(
-            evaluate_point(problem, values, DEFAULT_TARGETS), want)
-        assert_same_objective(
             evaluate_point(problem, values, DEFAULT_TARGETS, drivers), want)
 
 
@@ -481,8 +478,8 @@ def test_batched_objective_equals_oracle_where_ic_suspect(values):
     problem = oracle_problem(n_agents)
     want = per_path_objective(problem, values, DEFAULT_TARGETS)
     assert want[0] == math.inf
-    assert_same_objective(
-        evaluate_point(problem, values, DEFAULT_TARGETS), want)
+    assert_same_objective(evaluate_point(problem, values, DEFAULT_TARGETS,
+                                         draw_drivers(problem)), want)
 
 
 def test_batched_objective_raises_as_oracle_on_singular_market():
@@ -493,7 +490,7 @@ def test_batched_objective_raises_as_oracle_on_singular_market():
     with pytest.raises(SingularMarketError) as want:
         per_path_objective(problem, values, DEFAULT_TARGETS)
     with pytest.raises(SingularMarketError) as got:
-        evaluate_point(problem, values, DEFAULT_TARGETS)
+        evaluate_point(problem, values, DEFAULT_TARGETS, draw_drivers(problem))
     assert str(got.value) == str(want.value)
 
 
@@ -591,7 +588,7 @@ def test_ic_violation_makes_loss_infinite():
         n_agents=1, free=(FreeParameter("sigma", 0.1, 0.5, 0.2),),
         fixed={"rho_0": 1e-7}, n_paths=1, horizon=1.0, dt=0.5, seed=0)
     loss, _ = evaluate_point(problem, {"sigma": 0.2, "rho_0": 1e-7},
-                             DEFAULT_TARGETS)
+                             DEFAULT_TARGETS, draw_drivers(problem))
     assert loss == math.inf
 
 
@@ -604,7 +601,8 @@ def test_one_parameter_sigma_recovery():
         free=(FreeParameter("sigma", 0.1, 0.6, 0.15),),
         fixed={"alpha_0": 0.05, "rho_0": 0.05},
         n_paths=6, horizon=10.0, dt=1 / 52, seed=5, max_iterations=60)
-    _, generated = evaluate_point(problem, true_values, DEFAULT_TARGETS)
+    _, generated = evaluate_point(problem, true_values, DEFAULT_TARGETS,
+                                  draw_drivers(problem))
     # a NaN target drops its moment from the loss
     targets = MomentReport(**dict(
         dict.fromkeys(MOMENT_NAMES, float("nan")),
@@ -622,9 +620,11 @@ def test_self_consistency_from_nearby_start():
         fixed=fixed, n_paths=6, horizon=8.0, dt=1 / 52, seed=9,
         max_iterations=80)
     truth = dict(fixed, alpha_0=0.2)
-    _, generated = evaluate_point(problem, truth, DEFAULT_TARGETS)
+    drivers = draw_drivers(problem)
+    _, generated = evaluate_point(problem, truth, DEFAULT_TARGETS, drivers)
     targets = MomentReport(**generated.as_dict())
-    start_loss, _ = evaluate_point(problem, dict(fixed, alpha_0=0.25), targets)
+    start_loss, _ = evaluate_point(problem, dict(fixed, alpha_0=0.25), targets,
+                                   drivers)
     result = fit_parameters(problem, targets)
     assert result.loss < start_loss
     assert result.loss < 1e-6  # common random numbers make the fit exact

@@ -6,7 +6,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from beliefmkt.beauty import (pareto_faked_equilibrium, truthful_equilibrium,
@@ -193,9 +192,8 @@ def test_simulate_log_overflow_exits_3(tmp_path, capsys):
         market=_MARKET_B, horizon_years=100.0, dt=0.1, n_paths=4, seed=0,
         write_paths=0))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate-log", "--config", str(cfg), "--out",
-                     str(out)]) == 3
+    assert main(["simulate-log", "--config", str(cfg), "--out",
+                 str(out)]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == (
         "numeric failure: moment report: mean_equity_return, "
         "std_equity_return not finite")
@@ -224,9 +222,8 @@ def test_simulate_log_writes_no_path_that_is_not_finite(
         market=market, horizon_years=horizon, dt=dt, n_paths=n_paths,
         seed=0, write_paths=1))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        assert main(["simulate-log", "--config", str(cfg), "--out",
-                     str(out)]) == 3
+    assert main(["simulate-log", "--config", str(cfg), "--out",
+                 str(out)]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"numeric failure: path_000.csv: {message}; the file is not written")
     assert not list(out.glob("path_*.csv"))
@@ -617,6 +614,20 @@ def test_feedback_cell_without_a_root_exits_3(tmp_path, capsys,
                  str(tmp_path / "out")])
     assert code == 3
     assert "step 0: scan cell [" in capsys.readouterr().err
+
+
+def test_feedback_levels_that_overflow_exit_3(tmp_path, capsys):
+    # a true growth of 3000 a year takes S* past the float range within a
+    # year: series.csv is refused rather than written with inf
+    cfg = write_config(tmp_path, {
+        "n_agents": 5, "n_diligent": 5, "n_steps": 252, "seed": 1,
+        "growth_true": 3000.0})
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: series.csv: column S_star is not finite at "
+        "t=0.23412698412698413; the file is not written\n")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from beliefmkt.beliefs import (BayesianGaussian, log_density_increment,
                                posterior_mean_step)
 from beliefmkt.config import load_config, parse_feedback
 from beliefmkt.equilibrium import AgentSpec, MarketSpec, market_state
-from beliefmkt.errors import ConfigError, FixedPointError
+from beliefmkt.errors import ConfigError, FixedPointError, SaturationError
 from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse, _Observers,
                                 _result, _run, _scan_grid, _seed_inputs,
                                 diligence_sweep, draw_agents,
@@ -1466,10 +1466,19 @@ def test_csv_matches_per_value_format():
     xi[[6, 7]] = [-0.0, 1e-300]
     warnings = res.solver_warnings.copy()
     warnings[9] = 3.0
-    edited = replace(res, xi=xi, solver_warnings=warnings,
-                     log_ratio=np.where(np.arange(len(xi)) == 8, -np.inf,
-                                        res.log_ratio))
+    edited = replace(res, xi=xi, solver_warnings=warnings)
     for r in (res, edited):
         fp = io.StringIO()
         r.write_csv(fp)
         assert_same_text(fp.getvalue(), series_by_value(r))
+    # any value that is not finite but row 0's xi is refused before a byte
+    # is written
+    t = re.escape(repr(res.times[8].item()))
+    for value in (-np.inf, np.inf, np.nan):
+        log_ratio = res.log_ratio.copy()
+        log_ratio[8] = value
+        fp = io.StringIO()
+        with pytest.raises(SaturationError, match="^column log_ratio is not "
+                           f"finite at t={t}$"):
+            replace(res, log_ratio=log_ratio).write_csv(fp)
+        assert fp.getvalue() == ""

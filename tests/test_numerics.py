@@ -11,6 +11,7 @@ import io
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -26,9 +27,9 @@ from scipy.optimize import minimize
 
 from beliefmkt import numerics
 from beliefmkt.equilibrium import simulate_path
-from beliefmkt.errors import BracketError
-from beliefmkt.numerics import (brentq, nelder_mead, solve_decreasing,
-                                write_rows)
+from beliefmkt.errors import BracketError, SaturationError
+from beliefmkt.numerics import (brentq, check_finite, nelder_mead,
+                                solve_decreasing, write_rows)
 from conftest import assert_same_text, benchmark_market
 
 REPO = Path(__file__).resolve().parents[1]
@@ -442,6 +443,35 @@ def test_path_values_take_the_vectorized_digits():
     ok, n, k = numerics._decimal(values)
     assert ok.all()
     assert ((n >= 10 ** 16) & (n < 10 ** 17)).all()
+
+
+# ---------------------------------------------------------------------------
+# check_finite
+
+
+_COLUMNS = ("t", "a", "b", "c")
+
+
+def test_check_finite_passes_a_finite_table():
+    check_finite(_COLUMNS, np.array([
+        [0.0, -0.0, 5e-324, 1.7976931348623157e308],
+        [0.5, -1e-300, 1e300, -1.7976931348623157e308]]))
+
+
+@pytest.mark.parametrize("cells, message", [
+    # an earlier row in a later column wins over a later row in an earlier
+    # column
+    ([(2, 1), (1, 3)], "column c is not finite at t=0.25"),
+    # within a row, the first column wins
+    ([(1, 3), (1, 2)], "column b is not finite at t=0.25"),
+    ([(2, 0)], "column t is not finite at t=inf")])
+def test_check_finite_names_the_first_value_row_by_row(cells, message):
+    table = np.array([[0.0, 1.0, 2.0, 3.0], [0.25, 1.0, 2.0, 3.0],
+                      [0.5, 1.0, 2.0, 3.0]])
+    for (i, j), value in zip(cells, (np.inf, np.nan)):
+        table[i, j] = value
+    with pytest.raises(SaturationError, match=f"^{re.escape(message)}$"):
+        check_finite(_COLUMNS, table)
 
 
 _IMPORT_PROBE = """
