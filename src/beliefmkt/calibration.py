@@ -4,8 +4,12 @@ Estimator conventions (these matter and are easy to get subtly wrong, so
 they are fixed here once):
 
 * PD and the riskless rate are pooled over every grid point of every path.
-* The equity return is the per-step total return
-      R_k = (S_{k+1} + delta_k * dt - S_k) / S_k,
+* The equity return is the per-step total return (``total_return``)
+      R_k = exp(log delta_{k+1} - log delta_k) PD_{k+1} / PD_k
+            + dt / PD_k - 1,
+  which is (S_{k+1} + delta_k * dt - S_k) / S_k with S = delta PD, built
+  from the log dividend and PD, so no moment reads a level: R is finite
+  wherever PD is, unless a step's log-dividend move overflows exp.  It is
   annualized by 1/dt on the mean and 1/sqrt(dt) on the std.
 * equity premium = mean equity return - mean riskless rate, and
   Sharpe = premium / std equity return, exactly as computed.
@@ -116,6 +120,16 @@ class _Pool:
         return math.sqrt(max(var, 0.0))
 
 
+@np.errstate(over="ignore")
+def total_return(dlog_dividend, pd, pd_next, dt):
+    """The per-step total return exp(dlog_dividend) pd_next / pd + dt / pd
+    - 1 of a stock S = delta PD that pays the dividend flow delta dt, which
+    is (S' + delta dt - S) / S.  It reads no level, so it is finite wherever
+    PD is; a log-dividend move that overflows exp gives inf, of which numpy
+    does not warn, as the moment report names it."""
+    return np.exp(dlog_dividend) * (pd_next / pd) + dt / pd - 1.0
+
+
 class _Moments:
     """The pooled samples behind a MomentReport, on grid spacing dt."""
 
@@ -123,14 +137,14 @@ class _Moments:
         self.dt = dt
         self.pd, self.rate, self.ret = _Pool(), _Pool(), _Pool()
 
-    def add(self, state, dividend):
-        """The MarketState and dividend of one path, or of a batch with one
-        path per row along the last axis."""
-        self.pd.add(state.pd_ratio)
+    def add(self, state, log_dividend):
+        """The MarketState and log dividend of one path, or of a batch with
+        one path per row along the last axis."""
+        pd = state.pd_ratio
+        self.pd.add(pd)
         self.rate.add(state.rate)
-        stock = dividend * state.pd_ratio
-        self.ret.add((stock[..., 1:] + dividend[..., :-1] * self.dt
-                      - stock[..., :-1]) / stock[..., :-1])
+        self.ret.add(total_return(np.diff(log_dividend), pd[..., :-1],
+                                  pd[..., 1:], self.dt))
 
     def sums(self):
         """The per-path (n, s, s2) lists of the three pools."""
@@ -156,8 +170,8 @@ def compute_moments(paths) -> MomentReport:
     Paths must share their grid spacing.  Raises ConfigError on empty input,
     and SaturationError naming each pooled mean and std (of P/D, of the
     equity return and of the riskless rate) that is not finite, as when a
-    path's levels overflow.  A NaN Sharpe ratio, from a return std of 0,
-    is reported.
+    step's log-dividend move overflows exp.  A NaN Sharpe ratio, from a
+    return std of 0, is reported.
 
     Each path's (count, sum, sum of squares) come from ``numerics.fork_map``,
     which splits a sequence of more than one path (a list, or
@@ -169,15 +183,12 @@ def compute_moments(paths) -> MomentReport:
     an in-order loop would raise it, the lowest path's first.
     """
     moments = _Moments()
-    # levels that overflow or underflow are named by the check below, or by
-    # that of a table written as the paths are read
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for dt, sums in fork_map(_path_sums, paths):
-            if moments.dt is None:
-                moments.dt = dt
-            elif dt != moments.dt:
-                raise ConfigError("paths do not share a common grid spacing")
-            moments.extend(sums)
+    for dt, sums in fork_map(_path_sums, paths):
+        if moments.dt is None:
+            moments.dt = dt
+        elif dt != moments.dt:
+            raise ConfigError("paths do not share a common grid spacing")
+        moments.extend(sums)
     if moments.dt is None:
         raise ConfigError("compute_moments needs at least one path")
     report = moments.report()
@@ -191,7 +202,7 @@ def compute_moments(paths) -> MomentReport:
 def _path_sums(path):
     """The grid spacing and the per-path sums of one path."""
     moments = _Moments(path.dt)
-    moments.add(path.state, path.dividend)
+    moments.add(path.state, path.log_dividend)
     return path.dt, moments.sums()
 
 
@@ -216,8 +227,10 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
     column (annualized rate, decimal) enables the rate moments; otherwise
     those moments are NaN.
 
-    Annualization: monthly total returns scaled by 12 (mean) and sqrt(12)
-    (std); PD is price over the annualized dividend, pooled monthly.
+    Annualization: monthly total returns (``total_return`` at dt = 1/12,
+    which is P' / P + dividend / (12 P) - 1) scaled by 12 (mean) and
+    sqrt(12) (std); PD is price over the annualized dividend, pooled
+    monthly.
     """
     rows = []
     with open(path, newline="") as fp:
@@ -257,21 +270,15 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
             f"{path}: span too short ({len(rows)} monthly rows; need at "
             f"least 2 and more than {min_years:g} years)")
 
-    price = np.array([r[1] for r in rows])
-    dividend = np.array([r[2] for r in rows])
-
+    _, price, dividend, rate = map(np.array, zip(*rows))
     pd_ratio = price / dividend
-    # monthly total return: next price plus one month of dividend flow
-    ret_m = (price[1:] + dividend[:-1] / 12.0 - price[:-1]) / price[:-1]
-    mean_ret = 12.0 * float(ret_m.mean())
-    std_ret = math.sqrt(12.0) * float(ret_m.std())
-    if has_rate:
-        rate = np.array([r[3] for r in rows])
-        mean_r, std_r = float(rate.mean()), float(rate.std())
-    else:
-        mean_r = std_r = math.nan
+    ret_m = total_return(np.diff(np.log(dividend)), pd_ratio[:-1],
+                         pd_ratio[1:], 1.0 / 12.0)
+    mean_r, std_r = (float(rate.mean()), float(rate.std())) if has_rate \
+        else (math.nan, math.nan)
     targets = _moment_report(
-        float(pd_ratio.mean()), float(pd_ratio.std()), mean_ret, std_ret,
+        float(pd_ratio.mean()), float(pd_ratio.std()),
+        12.0 * float(ret_m.mean()), math.sqrt(12.0) * float(ret_m.std()),
         mean_r, std_r, provenance=f"ingested:{path}")
     return IngestReport(targets=targets, n_rows=len(rows),
                         first_date=rows[0][0], last_date=rows[-1][0])
@@ -432,7 +439,7 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
     for times, x in drivers:
         state = equilibrium.market_state(spec, times, x)
         ic = ic or state.ic_suspect
-        moments.add(state, equilibrium.dividend_path(spec, times, x))
+        moments.add(state, equilibrium.log_dividend_path(spec, times, x))
     report = moments.report()
     loss = math.inf if ic else moment_loss(report, targets)
     return loss, report

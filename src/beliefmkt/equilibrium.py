@@ -32,9 +32,10 @@ kernel (``market_state``, whose docstring gives its formulas in log space)
 takes a single exp pass over any number of paths.
 
 A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``
-and derives S, sigma^S, zeta, w, c, pi and the trade diffusions theta from
-it on first access, so a caller that reads only PD, r and S (the moment
-report) never builds the per-agent portfolio arrays.
+and the log dividend, and derives delta, S, sigma^S, zeta, w, c, pi and
+the trade diffusions theta from them on first access, so a caller that
+reads only PD, r and log delta (the moment report) never builds a level
+or the per-agent portfolio arrays.
 
 ``simulate_paths`` returns a lazy sequence: item p is simulated from
 (seed, p) when it is read, through this module's ``simulate_path`` as it
@@ -216,12 +217,12 @@ def _drivers(n, dt, seed, path_indices):
     return np.arange(n + 1) * dt, x
 
 
-def dividend_path(spec: MarketSpec, times, x):
-    """delta on the grid from driver values x of any leading path shape:
+def log_dividend_path(spec: MarketSpec, times, x):
+    """log delta on the grid from driver values x of any leading path shape:
     d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt."""
-    return np.exp(math.log(spec.initial_dividend) + spec.sigma * x
-                  + (spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2)
-                  * times)
+    return (math.log(spec.initial_dividend) + spec.sigma * x
+            + (spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2)
+            * times)
 
 
 def log_ratio_paths(spec: MarketSpec, times, x):
@@ -298,11 +299,11 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
 @dataclass
 class EquilibriumPath:
     """One simulated equilibrium trajectory on a uniform grid: the driver,
-    the dividend and the market state along them.
+    the log dividend and the market state along them.
 
     pd_ratio, rate, kappa, ic_suspect, q, drifts and log_ratios read the
-    state; stock, stock_vol, zeta, wealth, consumption, holdings and trade
-    are derived from it on first access and then kept.  Per-agent fields
+    state; dividend, stock, stock_vol, zeta, wealth, consumption, holdings
+    and trade are derived on first access and then kept.  Per-agent fields
     are (n+1, J) views of agent-major (J, n+1) arrays; trade is
     ``trade_volume``'s theta_j = d pi_j / dX, exact for every market.
     """
@@ -310,7 +311,7 @@ class EquilibriumPath:
     spec: MarketSpec
     times: np.ndarray
     x: np.ndarray
-    dividend: np.ndarray
+    log_dividend: np.ndarray
     state: MarketState
     dt: float
 
@@ -321,6 +322,8 @@ class EquilibriumPath:
     q = property(lambda self: self.state.q.T)  # consumption shares
     drifts = property(lambda self: self.state.alpha.T)  # alpha^j_t
     log_ratios = property(lambda self: self.state.log_lam.T)  # log Lambda^j_t
+
+    dividend = cached_property(lambda self: np.exp(self.log_dividend))
 
     @cached_property
     def stock(self):
@@ -354,10 +357,12 @@ class EquilibriumPath:
         return trade_volume(k.impatience, k.q, k.alpha, k.mean_drift, k.kappa,
                             slope)[0].T
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def write_csv(self, fp):
         """The header row, then one row per grid point.  Raises
         SaturationError (``numerics.check_finite``), having written
-        nothing, when a value is not finite."""
+        nothing, when a value is not finite: numpy does not warn of a level
+        that overflows or underflows, as that error names it."""
         columns = dict(t=self.times, X=self.x, delta=self.dividend,
                        zeta=self.zeta, S=self.stock, PD=self.pd_ratio,
                        r=self.rate, kappa=self.kappa, sigmaS=self.stock_vol)
@@ -379,7 +384,7 @@ def simulate_path(spec: MarketSpec, horizon: float, dt: float, seed: int,
     times, x = _drivers(step_count(horizon, dt, "horizon"), dt, seed,
                         (path_index,))
     x = x[0]
-    return EquilibriumPath(spec, times, x, dividend_path(spec, times, x),
+    return EquilibriumPath(spec, times, x, log_dividend_path(spec, times, x),
                            market_state(spec, times, x), dt)
 
 

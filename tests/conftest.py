@@ -39,7 +39,8 @@ def driver_path(spec, horizon, dt, seed, path_index=0):
     """(times, X, delta) of one path, drawn as simulate_path draws them."""
     times, x = equilibrium._drivers(step_count(horizon, dt, "horizon"), dt,
                                     seed, (path_index,))
-    return times, x[0], equilibrium.dividend_path(spec, times, x[0])
+    return times, x[0], np.exp(equilibrium.log_dividend_path(spec, times,
+                                                             x[0]))
 
 
 @pytest.fixture(autouse=True)

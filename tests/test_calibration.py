@@ -60,19 +60,55 @@ def test_compute_moments_rejects_empty_and_mixed_grids():
         compute_moments([a, b])
 
 
-def overflowing_market():
-    # sigma 3 and alpha* 5: the dividend level overflows within 100 years
-    return MarketSpec(sigma=3.0, drift_adjustment=5.0, agents=(
-        AgentSpec(impatience=0.05, belief=ConstantDrift(0.1), weight=1.0),))
-
-
 def test_compute_moments_raises_when_levels_overflow():
-    # the return is built from the levels, so its moments are NaN; P/D and
-    # the rate stay finite
-    paths = equilibrium.simulate_paths(overflowing_market(), 100.0, 0.1, 0, 4)
+    # sigma 30 and alpha* 100 at dt 1: each step's log-dividend move (about
+    # 2550) overflows exp, so the returns are inf and their moments are not
+    # finite; P/D and the rate stay finite
+    spec = MarketSpec(sigma=30.0, drift_adjustment=100.0, agents=(
+        AgentSpec(impatience=0.05, belief=ConstantDrift(0.1), weight=1.0),))
+    paths = equilibrium.simulate_paths(spec, 10.0, 1.0, 0, 2)
     with pytest.raises(SaturationError, match="^moment report: "
                        "mean_equity_return, std_equity_return not finite$"):
         compute_moments(paths)
+
+
+def test_total_return_is_the_return_of_the_levels():
+    # where the levels are finite, R = exp(d log delta) PD' / PD + dt / PD - 1
+    # is (S' + delta dt - S) / S to rounding
+    dt = 1 / 252
+    path = simulate_path(benchmark_market(), 50.0, dt, 20260811, 0)
+    stock, dividend, pd = path.stock, path.dividend, path.pd_ratio
+    levels = (stock[1:] + dividend[:-1] * dt - stock[:-1]) / stock[:-1]
+    got = calibration.total_return(np.diff(path.log_dividend), pd[:-1],
+                                   pd[1:], dt)
+    assert np.abs(got - levels).max() <= 8 * np.spacing(1.0)
+    # one agent: PD = 1 / rho at every step, so R = exp(d log delta) + rho dt
+    # - 1; and the report builds no level
+    lone = simulate_path(single_agent_market(), 20.0, 1 / 52, 3, 0)
+    compute_moments([lone])
+    assert "dividend" not in vars(lone) and "stock" not in vars(lone)
+    want = np.exp(np.diff(lone.log_dividend)) + 0.05 / 52 - 1.0
+    got = calibration.total_return(np.diff(lone.log_dividend),
+                                   lone.pd_ratio[:-1], lone.pd_ratio[1:],
+                                   1 / 52)
+    assert np.abs(got - want).max() <= 2 * np.spacing(1.0)
+
+
+def test_an_overflowing_dividend_leaves_the_objective_finite():
+    # sigma 3 and alpha* 5: the dividend level overflows within 100 years,
+    # but the return reads no level, so neither the loss nor the report
+    # overflows, and numpy does not warn (warnings fail the test)
+    problem = CalibrationProblem(
+        n_agents=1, free=(FreeParameter("sigma", 0.1, 4.0, 3.0),),
+        n_paths=4, horizon=100.0, dt=0.1)
+    values = {"sigma": 3.0, "drift_adjustment": 5.0, "alpha_0": 0.1,
+              "rho_0": 0.05}
+    loss, report = evaluate_point(problem, values, DEFAULT_TARGETS,
+                                  draw_drivers(problem))
+    assert all(map(math.isfinite, report.as_dict().values()))
+    assert loss == pytest.approx(573312.0, rel=1e-6)
+    assert report.mean_pd == 20.0
+    assert report.mean_equity_return == pytest.approx(33.79, abs=5e-3)
 
 
 def test_moments_permutation_invariant():
@@ -105,7 +141,7 @@ def in_order_report(paths):
     """The report of the plain loop over the paths: the split's oracle."""
     moments = calibration._Moments(paths[0].dt)
     for path in paths:
-        moments.add(path.state, path.dividend)
+        moments.add(path.state, path.log_dividend)
     return moments.report()
 
 

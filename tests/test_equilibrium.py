@@ -52,7 +52,7 @@ def zero_drift_market(rho, nu, log_lam=0.0, sigma=0.3):
 
 def grid_path(spec, times, x, dividend, dt):
     """The equilibrium along a given driver and dividend path."""
-    return EquilibriumPath(spec, times, x, dividend,
+    return EquilibriumPath(spec, times, x, np.log(dividend),
                            market_state(spec, times, x), dt)
 
 
@@ -563,8 +563,8 @@ def test_simulated_paths_share_no_memory():
     first, second = (market_state(spec, times, x) for _ in range(2))
     for name, a, b in zip(first._fields[:-1], first, second):
         assert not np.shares_memory(a, b), name
-    assert not np.shares_memory(equilibrium.dividend_path(spec, times, x),
-                                equilibrium.dividend_path(spec, times, x))
+    assert not np.shares_memory(equilibrium.log_dividend_path(spec, times, x),
+                                equilibrium.log_dividend_path(spec, times, x))
 
 
 def test_moments_build_no_portfolio_arrays(monkeypatch):
@@ -833,3 +833,16 @@ def test_write_csv_special_values_match_per_value_format():
                            r"at t=0\.09615384615384616$"):
             path.write_csv(fp)
         assert fp.getvalue() == ""
+
+
+def test_a_refused_path_warns_no_library_caller():
+    # Market A: the dividend underflows to 0 and zeta = .../delta overflows;
+    # the refusal names the column, so numpy does not warn of the log of 0
+    # (warnings fail the test)
+    spec = MarketSpec(sigma=0.3, agents=(
+        AgentSpec(impatience=0.05, belief=ConstantDrift(0.1), weight=1.0),))
+    fp = io.StringIO()
+    with pytest.raises(SaturationError, match=r"^column zeta is not finite "
+                       r"at t=16695\.0$"):
+        simulate_path(spec, 20000.0, 1.0, seed=0).write_csv(fp)
+    assert fp.getvalue() == ""
