@@ -232,38 +232,40 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
     sqrt(12) (std); PD is price over the annualized dividend, pooled
     monthly.
     """
-    rows = []
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        cols = {name.strip().lower(): i for i, name in enumerate(header)}
-        for required in ("date", "price", "dividend"):
-            if required not in cols:
-                raise ConfigError(f"{path}: missing column '{required}'")
-        has_rate = "riskless" in cols
-        bad_lines = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                date = row[cols["date"]].strip()
-                price = float(row[cols["price"]])
-                dividend = float(row[cols["dividend"]])
-                rate = float(row[cols["riskless"]]) if has_rate else 0.0
-                if not all(map(math.isfinite, (price, dividend, rate))):
-                    raise ValueError("non-finite value")
-                if price <= 0.0 or dividend <= 0.0:
-                    raise ValueError("nonpositive price or dividend")
-            except (ValueError, IndexError) as exc:
-                bad_lines.append((lineno, str(exc)))
-                continue
-            rows.append((date, price, dividend, rate))
-        if bad_lines:
-            listing = "; ".join(f"line {n}: {msg}" for n, msg in bad_lines[:5])
-            raise ConfigError(f"{path}: {len(bad_lines)} unparseable row(s): {listing}")
+            table = list(reader)
+        except csv.Error as exc:   # e.g. a field past csv's size limit
+            raise ConfigError(f"{path}: line {reader.line_num}: {exc}") \
+                from None
+    if not table:
+        raise ConfigError(f"{path}: empty file")
+    cols = {name.strip().lower(): i for i, name in enumerate(table[0])}
+    for required in ("date", "price", "dividend"):
+        if required not in cols:
+            raise ConfigError(f"{path}: missing column '{required}'")
+    has_rate = "riskless" in cols
+    rows, bad_lines = [], []
+    for lineno, row in enumerate(table[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            date = row[cols["date"]].strip()
+            price = float(row[cols["price"]])
+            dividend = float(row[cols["dividend"]])
+            rate = float(row[cols["riskless"]]) if has_rate else 0.0
+            if not all(map(math.isfinite, (price, dividend, rate))):
+                raise ValueError("non-finite value")
+            if price <= 0.0 or dividend <= 0.0:
+                raise ValueError("nonpositive price or dividend")
+        except (ValueError, IndexError) as exc:
+            bad_lines.append((lineno, str(exc)))
+            continue
+        rows.append((date, price, dividend, rate))
+    if bad_lines:
+        listing = "; ".join(f"line {n}: {msg}" for n, msg in bad_lines[:5])
+        raise ConfigError(f"{path}: {len(bad_lines)} unparseable row(s): {listing}")
     # a return needs two months; no int(): the product may be inf
     if len(rows) < 2 or len(rows) <= min_years * 12:
         raise ConfigError(

@@ -44,12 +44,17 @@ def check_read(node, path=""):
 
 def load_config(path: str) -> Dict[str, Any]:
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             cfg = json.load(fp, object_hook=_Node)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") \
+            from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
     # a manifest wraps the original config; accept it directly

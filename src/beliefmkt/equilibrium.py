@@ -25,17 +25,19 @@ rounding error by construction.  All agent aggregation happens in log
 space, which is immune to under/overflow at large t.
 
 Arrays are agent-major: a path's per-agent quantities are (J, n+1), and
-those of a batch of P paths (J, P, n+1), so every sum or max over agents
-reduces the leading, contiguous axis (J is small, and reductions over a
-short trailing axis are slow).  Nothing ties one path to another, so the
-kernel (``market_state``, whose docstring gives its formulas in log space)
-takes a single exp pass over any number of paths.
+those of a batch of P paths (J, P, n+1), so every max over agents reduces
+the leading, contiguous axis (J is small, and reductions over a short
+trailing axis are slow).  Nothing ties one path to another, so the kernel
+(``market_state``, whose docstring gives its formulas in log space) takes
+a single exp pass over any number of paths, and one matrix product of a
+(5, J + V) weight matrix with those exponentials gives every agent sum the
+state needs; a path priced alone and inside a batch agree to the bit.
 
 A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``
-and the log dividend, and derives delta, S, sigma^S, zeta, w, c, pi and
-the trade diffusions theta from them on first access, so a caller that
-reads only PD, r and log delta (the moment report) never builds a level
-or the per-agent portfolio arrays.
+and the log dividend.  It derives delta, S, sigma^S, zeta, the per-agent
+log Lambda, alpha and q, and w, c, pi and the trade diffusions theta from
+them on first access, so a caller that reads only PD, r and log delta
+(the moment report) never builds a level or a per-agent array.
 
 ``simulate_paths`` returns a lazy sequence: item p is simulated from
 (seed, p) when it is read, through this module's ``simulate_path`` as it
@@ -53,7 +55,7 @@ import math
 import operator
 from collections import abc
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -204,6 +206,15 @@ def solve_market_clearing(inverse_marginals: Sequence[Callable], lam, nu,
 # path simulation
 
 
+@lru_cache(maxsize=1)
+def _grid(n, dt):
+    """The read-only grid of n steps of dt, built once for the paths of a
+    ``PathSequence`` and of a fit's driver batches, which share it."""
+    times = np.arange(n + 1) * dt
+    times.flags.writeable = False
+    return times
+
+
 def _drivers(n, dt, seed, path_indices):
     """(times, X) with X of shape (P, n+1): row i is the gaussian random
     walk of n steps with N(0, dt) increments drawn from
@@ -214,7 +225,7 @@ def _drivers(n, dt, seed, path_indices):
         steps = path_rng(seed, p).standard_normal(out=row[1:])
         steps *= math.sqrt(dt)
         np.cumsum(steps, out=steps)
-    return np.arange(n + 1) * dt, x
+    return _grid(n, dt), x
 
 
 def log_dividend_path(spec: MarketSpec, times, x):
@@ -240,14 +251,23 @@ def log_ratio_paths(spec: MarketSpec, times, x):
     return log_lam, alpha
 
 
+def _log_weights(spec: MarketSpec, times, x, out):
+    """The log weights l_j = log Lambda^j - rho_j t - log nu_j, written
+    one agent at a time into the rows of ``out``, which is returned."""
+    rho, nu = spec.arrays()
+    log_nu = np.log(nu)
+    for j, agent in enumerate(spec.agents):
+        np.subtract(agent.belief.log_ratio(times, x), rho[j] * times,
+                    out=out[j])
+        out[j] -= log_nu[j]
+    return out
+
+
 class MarketState(NamedTuple):
-    """The equilibrium along driver paths x of shape (..., n+1): per-agent
-    fields are agent-major (J, ..., n+1), the rest (..., n+1)."""
+    """The equilibrium along driver paths x of shape (..., n+1): every
+    field but rho is (..., n+1)."""
 
     impatience: np.ndarray  # rho, (J,)
-    log_lam: np.ndarray
-    alpha: np.ndarray
-    q: np.ndarray
     log_max: np.ndarray    # m = max_j l_j
     weight_sum: np.ndarray  # s = sum_j exp(l_j - m)
     pd_ratio: np.ndarray
@@ -260,40 +280,53 @@ class MarketState(NamedTuple):
 
 
 def market_state(spec: MarketSpec, times, x) -> MarketState:
-    """What the moments and the numeric guards need, in one exp pass over
-    agent-major arrays; no path is tied to another, so x may hold any
-    number of paths.  Raises SingularMarketError where a + kappa vanishes.
+    """What the moments and the numeric guards need, in one exp pass and
+    one matrix product over agent-major arrays; no path is tied to
+    another, so x may hold any number of paths.  Raises
+    SingularMarketError where a + kappa vanishes.
 
-    With l_j = -rho_j t + log Lambda^j - log nu_j, m = max_j l_j,
-    e = exp(l - m) (the only exp over agents) and s = sum_j e_j:
-    q = e / s and log sum_j exp(l_j) = m + log s; with u = e / rho,
-    PD = sum_j u_j / s and a = sum_j u_j alpha_j / sum_j u_j, the drift
-    average under wealth weights q_j / rho_j; alphabar = sum_j q_j alpha_j,
-    rhobar = sum_j q_j rho_j, r = rhobar + sigma (alpha* + alphabar) -
-    sigma^2 and kappa = sigma - alphabar."""
-    rho, nu = spec.arrays()
-    log_lam, alpha = log_ratio_paths(spec, times, x)
-    rho_j = _per_agent(rho, log_lam)
-    l = -rho_j * times + log_lam
-    l -= _per_agent(np.log(nu), log_lam)
+    With the log weights l_j = -rho_j t + log Lambda^j - log nu_j
+    (``_log_weights``), m = max_j l_j and e = exp(l - m) (the only exp
+    over agents), one ``np.dot`` of a (5, J + V) weight matrix with the
+    rows of e, and one row e_j alpha_j for each of the V agents whose
+    ``drift_at`` returns an array, gives s = sum_j e_j, sum_j e_j / rho_j,
+    sum_j e_j rho_j, sum_j e_j alpha_j and sum_j e_j alpha_j / rho_j; a
+    scalar drift enters the weights instead.  Then with q = e / s:
+    PD = sum_j q_j / rho_j, a = sum_j e_j alpha_j / rho_j / sum_j e_j /
+    rho_j, the drift average under wealth weights q_j / rho_j,
+    alphabar = sum_j q_j alpha_j, rhobar = sum_j q_j rho_j,
+    r = rhobar + sigma (alpha* + alphabar) - sigma^2 and kappa = sigma -
+    alphabar.  The shares q, the drifts alpha and log Lambda themselves
+    are not built (``EquilibriumPath`` derives them when they are read)."""
+    rho = spec.arrays()[0]
+    drifts = [agent.belief.drift_at(times, x) for agent in spec.agents]
+    varying = [j for j, alpha in enumerate(drifts) if np.ndim(alpha)]
+    n_agents = len(rho)
+    e = np.empty((n_agents + len(varying),) + np.shape(x))
+    l = _log_weights(spec, times, x, e[:n_agents])
     m = l.max(axis=0)
     l -= m
-    e = np.exp(l, out=l)
-    s = e.sum(axis=0)
-    u = e / rho_j
-    su = u.sum(axis=0)
-    u *= alpha
-    pd, a = su / s, u.sum(axis=0) / su
-    del u   # the products below reuse its block while it is in cache
-    q = np.divide(e, s, out=e)
-    abar = (q * alpha).sum(axis=0)
-    rhobar = (q * rho_j).sum(axis=0)
+    np.exp(l, out=l)
+    for row, j in enumerate(varying, n_agents):
+        np.multiply(e[j], drifts[j], out=e[row])
+    # rows: the weights of s, sum e/rho, sum e rho, sum e alpha and
+    # sum e alpha/rho; columns: the rows of e
+    inv = 1.0 / rho
+    const = np.array([0.0 if np.ndim(alpha) else alpha for alpha in drifts])
+    weights = np.zeros((5, len(e)))
+    weights[:, :n_agents] = np.ones(n_agents), inv, rho, const, const * inv
+    weights[3, n_agents:] = 1.0
+    weights[4, n_agents:] = inv[varying]
+    s, su, srho, salpha, sau = np.dot(weights, e.reshape(len(e), -1)).reshape(
+        (5,) + np.shape(x))
+    pd, a = su / s, sau / su
+    abar, rhobar = salpha / s, srho / s
     sigma = spec.sigma
     r = rhobar + sigma * (spec.drift_adjustment + abar) - sigma * sigma
     kappa = sigma - abar
     _check_volatility(a, kappa)
-    return MarketState(rho, log_lam, alpha, q, m, s, pd, a, r, kappa, abar,
-                       rhobar, bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
+    return MarketState(rho, m, s, pd, a, r, kappa, abar, rhobar,
+                       bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
 
 
 @dataclass
@@ -301,10 +334,11 @@ class EquilibriumPath:
     """One simulated equilibrium trajectory on a uniform grid: the driver,
     the log dividend and the market state along them.
 
-    pd_ratio, rate, kappa, ic_suspect, q, drifts and log_ratios read the
-    state; dividend, stock, stock_vol, zeta, wealth, consumption, holdings
-    and trade are derived on first access and then kept.  Per-agent fields
-    are (n+1, J) views of agent-major (J, n+1) arrays; trade is
+    pd_ratio, rate, kappa and ic_suspect read the state; dividend, stock,
+    stock_vol, zeta, the per-agent log_ratios, drifts and shares q, wealth,
+    consumption, holdings and trade are derived on first access and then
+    kept.  Per-agent fields are (n+1, J) views of agent-major (J, n+1)
+    arrays; q_j = exp(l_j - m) / s with the state's m and s, and trade is
     ``trade_volume``'s theta_j = d pi_j / dX, exact for every market.
     """
 
@@ -319,9 +353,22 @@ class EquilibriumPath:
     rate = property(lambda self: self.state.rate)
     kappa = property(lambda self: self.state.kappa)
     ic_suspect = property(lambda self: self.state.ic_suspect)
-    q = property(lambda self: self.state.q.T)  # consumption shares
-    drifts = property(lambda self: self.state.alpha.T)  # alpha^j_t
-    log_ratios = property(lambda self: self.state.log_lam.T)  # log Lambda^j_t
+
+    @cached_property
+    def _agents(self):
+        """Agent-major (log Lambda, alpha, q), q from the log weights l."""
+        k = self.state
+        log_lam, alpha = log_ratio_paths(self.spec, self.times, self.x)
+        q = _log_weights(self.spec, self.times, self.x,
+                         np.empty_like(log_lam))
+        q -= k.log_max
+        np.exp(q, out=q)
+        q /= k.weight_sum
+        return log_lam, alpha, q
+
+    log_ratios = property(lambda self: self._agents[0].T)  # log Lambda^j_t
+    drifts = property(lambda self: self._agents[1].T)  # alpha^j_t
+    q = property(lambda self: self._agents[2].T)  # consumption shares
 
     dividend = cached_property(lambda self: np.exp(self.log_dividend))
 
@@ -341,9 +388,9 @@ class EquilibriumPath:
     @cached_property
     def _portfolios(self):
         k = self.state
+        _, alpha, q = self._agents
         return tuple(a.T for a in wealth_and_portfolios(
-            k.impatience, k.q, k.alpha, self.dividend, k.kappa,
-            k.wealth_drift))
+            k.impatience, q, alpha, self.dividend, k.kappa, k.wealth_drift))
 
     wealth = property(lambda self: self._portfolios[0])
     consumption = property(lambda self: self._portfolios[1])
@@ -354,7 +401,8 @@ class EquilibriumPath:
         k = self.state
         slope = np.array([a.belief.drift_slope(self.times)
                           for a in self.spec.agents])
-        return trade_volume(k.impatience, k.q, k.alpha, k.mean_drift, k.kappa,
+        _, alpha, q = self._agents
+        return trade_volume(k.impatience, q, alpha, k.mean_drift, k.kappa,
                             slope)[0].T
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")

@@ -113,6 +113,22 @@ def test_config_error_names_field_and_exits_2(tmp_path, capsys):
     assert "market.agents[1]" in err and "impatience" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"market": "\xff"}', "not UTF-8 text: 'utf-8' codec can't decode"),
+    (b"[" * 100_000, "invalid JSON: nested too deeply")],
+    ids=["not-utf8", "nested-past-recursion-limit"])
+def test_unparseable_config_exits_2_naming_the_file(tmp_path, capsys, content,
+                                                    message):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["simulate-log", "--config", str(cfg), "--out",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: {message}")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("field", ["weight", "impatience"])
 @pytest.mark.parametrize("value", [True, "2.5", "abc", [1]])
 def test_agent_weight_must_be_a_number(tmp_path, capsys, field, value):
@@ -866,12 +882,22 @@ def _csv_not_utf8(tmp_path):
     return path
 
 
+def _csv_field_past_limit(tmp_path):
+    # csv refuses a field of more than 131072 characters
+    path = tmp_path / "long.csv"
+    path.write_text("date,price,dividend\n1900-01,1.0,2.0\n"
+                    + "x" * 200_000 + ",1.0,2.0\n")
+    return path
+
+
 @pytest.mark.parametrize("csv, message", [
     (lambda tmp: tmp / "missing.csv", "csv: "),
     (lambda tmp: tmp, "csv: "),
     (_csv_not_utf8, "csv: "),
-    (_csv_with_nan_price, "line 9: non-finite value")],
-    ids=["missing", "directory", "not-utf8", "nan-row"])
+    (_csv_with_nan_price, "line 9: non-finite value"),
+    (_csv_field_past_limit,
+     "long.csv: line 3: field larger than field limit (131072)")],
+    ids=["missing", "directory", "not-utf8", "nan-row", "field-past-limit"])
 def test_unreadable_ingest_csv_exits_2_before_writing(tmp_path, capsys, csv,
                                                       message):
     cfg = write_config(tmp_path, {"csv": str(csv(tmp_path))})

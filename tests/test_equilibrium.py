@@ -194,8 +194,9 @@ def test_rate_and_kappa_single_agent():
     rho = np.array([0.07])
     nu = np.array([1.0])
     sigma = 0.3
-    state = at_point(zero_drift_market(rho, nu, sigma=sigma), 2.0).state
-    r, kappa, q, abar, rhobar = (state.rate[0], state.kappa[0], state.q[:, 0],
+    path = at_point(zero_drift_market(rho, nu, sigma=sigma), 2.0)
+    state = path.state
+    r, kappa, q, abar, rhobar = (state.rate[0], state.kappa[0], path.q[0],
                                  state.mean_drift[0], state.mean_impatience[0])
     assert kappa == pytest.approx(sigma)
     assert r == pytest.approx(0.07 - sigma**2)
@@ -387,6 +388,64 @@ def test_evaluate_grid_matches_reference(n_agents, common_rho, offset):
                                        err_msg=name)
 
 
+def learner_common_rho_market():
+    return MarketSpec(sigma=0.3, agents=(
+        AgentSpec(impatience=0.05, belief=ConstantDrift(0.2), weight=1.0),
+        AgentSpec(impatience=0.05, belief=BayesianGaussian(-0.05, 2.0),
+                  weight=2.0)))
+
+
+@pytest.mark.parametrize("market", [benchmark_market, learner_market,
+                                    learner_common_rho_market])
+def test_kernel_sums_are_the_share_weighted_formulas(market):
+    # the kernel's one matrix product against the q-weighted formulas, with
+    # q = softmax(l) evaluated directly.  Each aggregate lies within 8 ulp
+    # of the sum of its terms' magnitudes (3.7 ulp at most over 5 paths
+    # of 50 daily years per market)
+    spec = market()
+    rho, nu = spec.arrays()
+    sigma, astar = spec.sigma, spec.drift_adjustment
+    eps = np.finfo(float).eps
+    for p in range(2):
+        times, x, _ = driver_path(spec, 50.0, 1 / 252, seed=20260811,
+                                  path_index=p)
+        state = market_state(spec, times, x)
+        log_lam, alpha = log_ratio_paths(spec, times, x)
+        rho_j = rho[:, None]
+        q = softmax(-rho_j * times + log_lam - np.log(nu)[:, None], axis=0)
+        drift_size = (q * np.abs(alpha)).sum(axis=0)
+        pd = (q / rho_j).sum(axis=0)
+        abar, rhobar = (q * alpha).sum(axis=0), (q * rho_j).sum(axis=0)
+        want = dict(
+            pd_ratio=(pd, pd), mean_impatience=(rhobar, rhobar),
+            mean_drift=(abar, drift_size),
+            wealth_drift=((q * alpha / rho_j).sum(axis=0) / pd,
+                          (q * np.abs(alpha) / rho_j).sum(axis=0) / pd),
+            kappa=(sigma - abar, sigma + drift_size),
+            rate=(rhobar + sigma * (astar + abar) - sigma * sigma,
+                  rhobar + sigma * (abs(astar) + drift_size) + sigma * sigma))
+        for name, (value, size) in want.items():
+            gap = np.abs(getattr(state, name) - value) / size
+            assert np.max(gap) <= 8 * eps, name
+
+
+@pytest.mark.parametrize("belief", [ConstantDrift(0.21),
+                                    BayesianGaussian(-0.05, 2.0)])
+def test_one_agent_pd_and_rate_are_exact(belief):
+    # with one agent e = exp(l - l) = 1, so the sums are the weights
+    # themselves: PD = 1/rho and r = rho + sigma (alpha* + alpha) - sigma^2
+    # to the bit, whatever the path
+    rho, sigma, astar = 0.131, 0.517, -0.01
+    spec = MarketSpec(sigma=sigma, drift_adjustment=astar, agents=(
+        AgentSpec(impatience=rho, belief=belief, weight=14.47),))
+    times, x, _ = driver_path(spec, 10.0, 1 / 252, seed=3)
+    state = market_state(spec, times, x)
+    alpha = belief.drift_at(times, x)
+    assert np.all(state.pd_ratio == 1.0 / rho)
+    assert np.all(state.rate == rho + sigma * (astar + alpha) - sigma * sigma)
+    assert np.all(state.mean_drift == alpha) and np.all(state.weight_sum == 1)
+
+
 # ---------------------------------------------------------------------------
 # clearing identities along simulated paths
 
@@ -494,15 +553,19 @@ def test_learner_log_ratio_is_the_closed_form():
         rtol=0, atol=1e-12)
 
 
-def test_batch_of_paths_equals_row_by_row():
-    # one (P, n+1) batch of drivers, learners included, against each row
-    # on its own: log_ratio_paths and the kernel agree by ==
-    spec = MarketSpec(sigma=0.517, drift_adjustment=-0.01, agents=(
+def mixed_learner_market():
+    return MarketSpec(sigma=0.517, drift_adjustment=-0.01, agents=(
         AgentSpec(impatience=0.131, belief=ConstantDrift(0.21), weight=14.47),
         AgentSpec(impatience=0.443, belief=BayesianGaussian(-0.05, 2.0),
                   weight=0.174),
         AgentSpec(impatience=0.01, belief=BayesianGaussian(0.3, 0.5),
                   weight=1.0)))
+
+
+def test_batch_of_paths_equals_row_by_row():
+    # one (P, n+1) batch of drivers, learners included, against each row
+    # on its own: log_ratio_paths and the kernel agree by ==
+    spec = mixed_learner_market()
     drivers = [driver_path(spec, 3.0, 1 / 52, seed=4, path_index=p)
                for p in range(5)]
     times = drivers[0][0]
@@ -515,11 +578,26 @@ def test_batch_of_paths_equals_row_by_row():
         assert np.array_equal(log_lam[:, p], row_lam)
         assert np.array_equal(alpha[:, p], row_alpha)
         path = grid_path(spec, times, row, dividend, 1 / 52)
-        assert np.array_equal(batch.q[:, p], path.q.T)
         for name in ("pd_ratio", "rate", "kappa", "wealth_drift",
                      "mean_drift", "mean_impatience"):
             assert np.array_equal(getattr(batch, name)[p],
                                   getattr(path.state, name)), name
+
+
+@pytest.mark.parametrize("width", [3, 5, 8])
+@pytest.mark.parametrize("market", [benchmark_market, learner_market,
+                                    mixed_learner_market])
+def test_a_path_alone_and_in_a_batch_agree_to_the_bit(market, width):
+    # the kernel's agent sums are one matrix product over the whole batch;
+    # each path's columns of it are those of the path priced alone
+    spec = market()
+    times, x = equilibrium._drivers(156, 1 / 52, 4, range(width))
+    batch = market_state(spec, times, x)
+    for p, row in enumerate(x):
+        alone = market_state(spec, times, row)
+        for name in batch._fields[1:-1]:
+            assert np.array_equal(getattr(batch, name)[p],
+                                  getattr(alone, name)), name
 
 
 def test_simulate_paths_is_a_lazy_sequence_of_simulate_path(monkeypatch):
@@ -568,17 +646,20 @@ def test_simulated_paths_share_no_memory():
 
 
 def test_moments_build_no_portfolio_arrays(monkeypatch):
+    # nor any other per-agent array: no log Lambda, drift or share
     def forbidden(*args):
-        raise AssertionError("portfolio arrays built for the moments")
+        raise AssertionError("per-agent arrays built for the moments")
 
+    monkeypatch.setattr(equilibrium, "log_ratio_paths", forbidden)
     monkeypatch.setattr(equilibrium, "wealth_and_portfolios", forbidden)
     monkeypatch.setattr(equilibrium, "trade_volume", forbidden)
-    paths = list(simulate_paths(two_agent_market(rhos=(0.1, 0.1)), 2.0,
-                                1 / 52, seed=6, n_paths=3))
+    paths = list(simulate_paths(learner_market(), 2.0, 1 / 52, seed=6,
+                                n_paths=3))
     report = compute_moments(paths)
     assert math.isfinite(report.mean_pd) and math.isfinite(report.sharpe)
     for path in paths:
-        assert not {"zeta", "_portfolios", "trade"} & set(vars(path))
+        assert not {"zeta", "_agents", "_portfolios", "trade"} \
+            & set(vars(path))
 
 
 def test_portfolios_built_once_on_first_access(monkeypatch):
@@ -594,6 +675,8 @@ def test_portfolios_built_once_on_first_access(monkeypatch):
     holdings = path.holdings
     assert path.holdings is holdings and path.wealth is path.wealth
     assert path.trade is path.trade and path.zeta is path.zeta
+    q = path.q   # the per-agent fields are derived once, too
+    assert path.q.base is q.base
     assert len(calls) == 1
 
 

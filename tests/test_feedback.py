@@ -14,7 +14,8 @@ from beliefmkt import feedback, numerics
 from beliefmkt.beliefs import (BayesianGaussian, log_density_increment,
                                posterior_mean_step)
 from beliefmkt.config import load_config, parse_feedback
-from beliefmkt.equilibrium import AgentSpec, MarketSpec, market_state
+from beliefmkt.equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
+                                   market_state)
 from beliefmkt.errors import ConfigError, FixedPointError, SaturationError
 from beliefmkt.feedback import (AgentTraits, FeedbackConfig, _lse, _Observers,
                                 _result, _run, _scan_grid, _seed_inputs,
@@ -763,7 +764,7 @@ def test_ideal_price_is_the_continuous_learners_equilibrium(n_agents,
     # conjugate updating is exact on a grid, so the feedback log weights
     # are log Lambda_j(t, X_t) plus a term every agent shares, and
     # log(S*/delta) = log sum_j q_j / expm1(rho_j dt) with q from
-    # equilibrium.market_state at unit weights.
+    # an EquilibriumPath at unit weights.
     #
     # What differs is rounding, mostly in each agent's running sum of log
     # density increments: step t adds an error of up to eps/2 |w_t|, and
@@ -785,10 +786,11 @@ def test_ideal_price_is_the_continuous_learners_equilibrium(n_agents,
                                               cfg.prior_weight * dt))
             for rho_step, mu0_step in zip(traits.rho_step,
                                           traits.prior_mean_step)))
-        state = market_state(spec, np.arange(n_steps + 1) * dt,
-                             inputs.log_div / sigma)
+        times, x = np.arange(n_steps + 1) * dt, inputs.log_div / sigma
+        path = EquilibriumPath(spec, times, x, inputs.log_div,
+                               market_state(spec, times, x), dt)
         want = inputs.log_div + np.log(np.sum(
-            state.q / np.expm1(traits.rho_step)[:, None], axis=0))
+            path.q.T / np.expm1(traits.rho_step)[:, None], axis=0))
         growth = 0.5 * math.log(cfg.tau_true / (2.0 * math.pi))
         tol = np.finfo(float).eps * growth * n_steps ** 1.5
         assert np.max(np.abs(inputs.log_stock_ideal - want)) <= tol

@@ -59,9 +59,13 @@ def test_experiment_scripts_run(tmp_path):
     for mode in ("feedback", "fit", "moments"):
         lines = run_script("ab_timing.py", mode, str(REPO), str(REPO), "3",
                            "3")
-        assert len(lines) == 2 and lines[0].startswith("seed   3  old first")
+        assert len(lines) == 3 + (mode == "moments")
+        assert lines[0].startswith("seed   3  old first")
         assert re.fullmatch(r"median ratio \d+\.\d{3}  new faster on [01] "
-                            r"of 1 seeds", lines[-1])
+                            r"of 1 seeds", lines[1])
+        assert lines[2] == "quartile spread  old 0.000 s  new 0.000 s"
+    # a checkout against itself: its moments agree to the bit
+    assert lines[3] == "largest relative moment gap 0"
 
 
 def test_feedback_scripts_take_whole_steps_only():
