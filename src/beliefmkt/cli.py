@@ -90,9 +90,10 @@ def cmd_feedback(cfg, args):
     result = feedback.run_feedback(setup)
     _write_csv(out, "series.csv", result)
     with open(out / "metrics.txt", "w") as fp:
-        for key, value in result.metrics.items():
-            fp.write(f"{key}={value:.17g}\n" if isinstance(value, float)
-                     else f"{key}={value}\n")
+        # the counts are whole numbers below MAX_COUNT < 2**53, which
+        # .17g prints as str does
+        fp.writelines(f"{key}={value:.17g}\n"
+                      for key, value in result.metrics.items())
     return 0
 
 

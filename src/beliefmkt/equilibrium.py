@@ -33,11 +33,13 @@ a single exp pass over any number of paths, and one matrix product of a
 (5, J + V) weight matrix with those exponentials gives every agent sum the
 state needs; a path priced alone and inside a batch agree to the bit.
 
-A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``
-and the log dividend.  It derives delta, S, sigma^S, zeta, the per-agent
-log Lambda, alpha and q, and w, c, pi and the trade diffusions theta from
-them on first access, so a caller that reads only PD, r and log delta
-(the moment report) never builds a level or a per-agent array.
+A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``,
+whose exponentials e_j = exp(l_j - m) are the one per-agent array the
+kernel builds, and the log dividend.  It derives delta, S, sigma^S, zeta,
+the shares q = e / s, the per-agent log Lambda and alpha, and w, c, pi and
+the trade diffusions theta from them on first access, so a caller that
+reads only PD, r and log delta (the moment report) never builds a level
+or a per-agent array beyond the kernel's e.
 
 ``simulate_paths`` returns a lazy sequence: item p is simulated from
 (seed, p) when it is read, through this module's ``simulate_path`` as it
@@ -251,25 +253,16 @@ def log_ratio_paths(spec: MarketSpec, times, x):
     return log_lam, alpha
 
 
-def _log_weights(spec: MarketSpec, times, x, out):
-    """The log weights l_j = log Lambda^j - rho_j t - log nu_j, written
-    one agent at a time into the rows of ``out``, which is returned."""
-    rho, nu = spec.arrays()
-    log_nu = np.log(nu)
-    for j, agent in enumerate(spec.agents):
-        np.subtract(agent.belief.log_ratio(times, x), rho[j] * times,
-                    out=out[j])
-        out[j] -= log_nu[j]
-    return out
-
-
 class MarketState(NamedTuple):
     """The equilibrium along driver paths x of shape (..., n+1): every
-    field but rho is (..., n+1)."""
+    field but rho and the agent-major weights e is (..., n+1).  e is a
+    view of the kernel's own exp pass, so keeping it costs no pass and no
+    copy."""
 
     impatience: np.ndarray  # rho, (J,)
     log_max: np.ndarray    # m = max_j l_j
-    weight_sum: np.ndarray  # s = sum_j exp(l_j - m)
+    weights: np.ndarray    # e_j = exp(l_j - m), agent-major (J, ..., n+1)
+    weight_sum: np.ndarray  # s = sum_j e_j
     pd_ratio: np.ndarray
     wealth_drift: np.ndarray  # drift average under wealth weights q_j/rho_j
     rate: np.ndarray
@@ -285,25 +278,31 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     another, so x may hold any number of paths.  Raises
     SingularMarketError where a + kappa vanishes.
 
-    With the log weights l_j = -rho_j t + log Lambda^j - log nu_j
-    (``_log_weights``), m = max_j l_j and e = exp(l - m) (the only exp
-    over agents), one ``np.dot`` of a (5, J + V) weight matrix with the
-    rows of e, and one row e_j alpha_j for each of the V agents whose
-    ``drift_at`` returns an array, gives s = sum_j e_j, sum_j e_j / rho_j,
-    sum_j e_j rho_j, sum_j e_j alpha_j and sum_j e_j alpha_j / rho_j; a
-    scalar drift enters the weights instead.  Then with q = e / s:
+    With the log weights l_j = -rho_j t + log Lambda^j - log nu_j, built
+    one agent at a time, m = max_j l_j and e = exp(l - m) (the only exp
+    over agents, taken in place and kept in the state), one ``np.dot`` of
+    a (5, J + V) weight matrix with the rows of e, and one row e_j alpha_j
+    for each of the V agents whose ``drift_at`` returns an array, gives
+    s = sum_j e_j, sum_j e_j / rho_j, sum_j e_j rho_j, sum_j e_j alpha_j
+    and sum_j e_j alpha_j / rho_j; a scalar drift enters the weights
+    instead.  Then with q = e / s:
     PD = sum_j q_j / rho_j, a = sum_j e_j alpha_j / rho_j / sum_j e_j /
     rho_j, the drift average under wealth weights q_j / rho_j,
     alphabar = sum_j q_j alpha_j, rhobar = sum_j q_j rho_j,
     r = rhobar + sigma (alpha* + alphabar) - sigma^2 and kappa = sigma -
     alphabar.  The shares q, the drifts alpha and log Lambda themselves
-    are not built (``EquilibriumPath`` derives them when they are read)."""
-    rho = spec.arrays()[0]
+    are not built (``EquilibriumPath`` derives them when they are read,
+    q = e / s from the state's e and s)."""
+    rho, nu = spec.arrays()
     drifts = [agent.belief.drift_at(times, x) for agent in spec.agents]
     varying = [j for j, alpha in enumerate(drifts) if np.ndim(alpha)]
     n_agents = len(rho)
     e = np.empty((n_agents + len(varying),) + np.shape(x))
-    l = _log_weights(spec, times, x, e[:n_agents])
+    l = e[:n_agents]   # the log weights, then their exponentials
+    for j, (agent, log_nu) in enumerate(zip(spec.agents, np.log(nu))):
+        np.subtract(agent.belief.log_ratio(times, x), rho[j] * times,
+                    out=l[j])
+        l[j] -= log_nu
     m = l.max(axis=0)
     l -= m
     np.exp(l, out=l)
@@ -313,11 +312,11 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     # sum e alpha/rho; columns: the rows of e
     inv = 1.0 / rho
     const = np.array([0.0 if np.ndim(alpha) else alpha for alpha in drifts])
-    weights = np.zeros((5, len(e)))
-    weights[:, :n_agents] = np.ones(n_agents), inv, rho, const, const * inv
-    weights[3, n_agents:] = 1.0
-    weights[4, n_agents:] = inv[varying]
-    s, su, srho, salpha, sau = np.dot(weights, e.reshape(len(e), -1)).reshape(
+    matrix = np.zeros((5, len(e)))
+    matrix[:, :n_agents] = np.ones(n_agents), inv, rho, const, const * inv
+    matrix[3, n_agents:] = 1.0
+    matrix[4, n_agents:] = inv[varying]
+    s, su, srho, salpha, sau = np.dot(matrix, e.reshape(len(e), -1)).reshape(
         (5,) + np.shape(x))
     pd, a = su / s, sau / su
     abar, rhobar = salpha / s, srho / s
@@ -325,7 +324,7 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     r = rhobar + sigma * (spec.drift_adjustment + abar) - sigma * sigma
     kappa = sigma - abar
     _check_volatility(a, kappa)
-    return MarketState(rho, m, s, pd, a, r, kappa, abar, rhobar,
+    return MarketState(rho, m, l, s, pd, a, r, kappa, abar, rhobar,
                        bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
 
 
@@ -338,8 +337,10 @@ class EquilibriumPath:
     stock_vol, zeta, the per-agent log_ratios, drifts and shares q, wealth,
     consumption, holdings and trade are derived on first access and then
     kept.  Per-agent fields are (n+1, J) views of agent-major (J, n+1)
-    arrays; q_j = exp(l_j - m) / s with the state's m and s, and trade is
-    ``trade_volume``'s theta_j = d pi_j / dX, exact for every market.
+    arrays; q_j = e_j / s with the state's e = exp(l - m) and s, so the
+    shares take no exp pass and no ``log_ratio`` of their own; log Lambda
+    and alpha come from ``log_ratio_paths``.  trade is ``trade_volume``'s
+    theta_j = d pi_j / dX, exact for every market.
     """
 
     spec: MarketSpec
@@ -356,15 +357,10 @@ class EquilibriumPath:
 
     @cached_property
     def _agents(self):
-        """Agent-major (log Lambda, alpha, q), q from the log weights l."""
+        """Agent-major (log Lambda, alpha, q), q = e / s from the state."""
         k = self.state
-        log_lam, alpha = log_ratio_paths(self.spec, self.times, self.x)
-        q = _log_weights(self.spec, self.times, self.x,
-                         np.empty_like(log_lam))
-        q -= k.log_max
-        np.exp(q, out=q)
-        q /= k.weight_sum
-        return log_lam, alpha, q
+        return (*log_ratio_paths(self.spec, self.times, self.x),
+                k.weights / k.weight_sum)
 
     log_ratios = property(lambda self: self._agents[0].T)  # log Lambda^j_t
     drifts = property(lambda self: self._agents[1].T)  # alpha^j_t

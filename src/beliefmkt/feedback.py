@@ -85,7 +85,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .beliefs import log_density_increment, posterior_mean_step
+from .beliefs import _LOG_TWO_PI, log_density_increment, posterior_mean_step
 from .errors import ConfigError, FixedPointError
 from .numerics import (brentq, check_finite, fork_map, scan_sign_changes,
                        write_rows)
@@ -104,7 +104,6 @@ _SCAN_INDEX = np.arange(_SCAN_POINTS, dtype=float)
 # steps per block of S* and of the step terms: larger blocks save little
 # and hold more memory
 _IDEAL_BLOCK = 128
-_LOG_TWO_PI = math.log(2.0 * math.pi)
 _LOG_TWO = math.log(2.0)
 # the exact bracket is widened past log PD's rounding by the larger of
 # _EXACT_PAD and _PAD_ULPS ulps of the largest exponent at its ends: log PD
@@ -251,23 +250,40 @@ def log_price_dividend(traits: AgentTraits, log_weight, step):
 
 @dataclass
 class FeedbackResult:
-    """Full trajectory of one feedback run plus summary metrics."""
+    """Full trajectory of one feedback run plus summary metrics.
 
-    times: np.ndarray          # step index * dt (years)
-    dividend: np.ndarray
-    stock: np.ndarray          # S, feedback price
-    stock_ideal: np.ndarray    # S*, all-diligent price
-    xi: np.ndarray             # log(S_t/S_{t-1}); NaN at t=0
-    log_pd_ideal: np.ndarray   # log(S*/delta)
-    log_ratio: np.ndarray      # log(S/S*)
+    The record stores what the run computed: the log series and the
+    per-step solver outputs.  The grid times, the levels delta, S and S*,
+    log(S*/delta) and log(S/S*) are derived from them on first access and
+    then kept, so a sweep that keeps only the metrics builds none of
+    them."""
+
+    dt: float
+    log_dividend: np.ndarray
+    log_stock: np.ndarray        # log S, feedback price
+    log_stock_ideal: np.ndarray  # log S*, all-diligent price
+    xi: np.ndarray               # log(S_t/S_{t-1}); NaN at t=0
     solver_warnings: np.ndarray  # per-step multi-root count
-    residuals: np.ndarray      # per-step relative fixed-point residual
+    residuals: np.ndarray        # per-step relative fixed-point residual
     metrics: Dict[str, float]
 
+    # step index * dt (years)
+    times = cached_property(
+        lambda self: np.arange(len(self.log_dividend)) * self.dt)
+    dividend = cached_property(lambda self: np.exp(self.log_dividend))
+    stock = cached_property(lambda self: np.exp(self.log_stock))
+    stock_ideal = cached_property(lambda self: np.exp(self.log_stock_ideal))
+    log_pd_ideal = cached_property(  # log(S*/delta)
+        lambda self: self.log_stock_ideal - self.log_dividend)
+    log_ratio = cached_property(  # log(S/S*)
+        lambda self: self.log_stock - self.log_stock_ideal)
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def write_csv(self, fp):
         """One row per step; xi is an empty field at t = 0, where it is NaN.
         Raises SaturationError (``numerics.check_finite``), having written
-        nothing, when any other value is not finite.
+        nothing, when any other value is not finite: numpy does not warn of
+        a level that overflows, as that error names it.
 
         The warning counts are whole numbers >= 0, which ``%.17g`` prints
         as ``%d`` does."""
@@ -710,10 +726,12 @@ def _run(config: FeedbackConfig, counts) -> List[FeedbackResult]:
 def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
             xi_series, warnings, residuals) -> FeedbackResult:
     """One run's trajectory and its summary metrics."""
-    log_div, log_stock_ideal = inputs.log_div, inputs.log_stock_ideal
-    log_ratio = log_stock - log_stock_ideal
+    result = FeedbackResult(config.dt, inputs.log_div, log_stock,
+                            inputs.log_stock_ideal, xi_series, warnings,
+                            residuals, {})
+    log_ratio = result.log_ratio
     moves = xi_series[1:] - inputs.increments
-    metrics = {
+    result.metrics.update({
         "log_ratio_max": float(log_ratio.max()),
         "log_ratio_min": float(log_ratio.min()),
         "log_ratio_range": float(log_ratio.max() - log_ratio.min()),
@@ -721,21 +739,8 @@ def _result(config: FeedbackConfig, inputs: _SeedInputs, log_stock,
         "n_multiroot_steps": int(np.sum(warnings > 0)),
         "max_residual": float(residuals.max()),
         "final_log_ratio": float(log_ratio[-1]),
-    }
-    # a level that overflows is named by the check of the written table
-    with np.errstate(over="ignore"):
-        return FeedbackResult(
-            times=np.arange(config.n_steps + 1) * config.dt,
-            dividend=np.exp(log_div),
-            stock=np.exp(log_stock),
-            stock_ideal=np.exp(log_stock_ideal),
-            xi=xi_series,
-            log_pd_ideal=log_stock_ideal - log_div,
-            log_ratio=log_ratio,
-            solver_warnings=warnings,
-            residuals=residuals,
-            metrics=metrics,
-        )
+    })
+    return result
 
 
 def _sweep_seed(task) -> List[Dict[str, float]]:

@@ -589,14 +589,16 @@ def test_batch_of_paths_equals_row_by_row():
                                     mixed_learner_market])
 def test_a_path_alone_and_in_a_batch_agree_to_the_bit(market, width):
     # the kernel's agent sums are one matrix product over the whole batch;
-    # each path's columns of it are those of the path priced alone
+    # each path's columns of it are those of the path priced alone.  Every
+    # field but rho and ic_suspect has the paths on its second-last axis:
+    # (P, n+1), or (J, P, n+1) for the agent-major weights
     spec = market()
     times, x = equilibrium._drivers(156, 1 / 52, 4, range(width))
     batch = market_state(spec, times, x)
     for p, row in enumerate(x):
         alone = market_state(spec, times, row)
         for name in batch._fields[1:-1]:
-            assert np.array_equal(getattr(batch, name)[p],
+            assert np.array_equal(getattr(batch, name)[..., p, :],
                                   getattr(alone, name)), name
 
 
@@ -678,6 +680,28 @@ def test_portfolios_built_once_on_first_access(monkeypatch):
     q = path.q   # the per-agent fields are derived once, too
     assert path.q.base is q.base
     assert len(calls) == 1
+
+
+def test_written_path_takes_its_shares_from_the_kernel(monkeypatch):
+    # a written path reads q, w, pi and theta: each belief's log_ratio runs
+    # twice, once in the kernel and once for log Lambda, and q is the
+    # kernel's e / s, the same doubles as exp(l - m) / s from l rebuilt
+    spec = learner_market()
+    calls = collections.Counter()
+    for kind in {type(a.belief) for a in spec.agents}:
+        def counted(self, t, x, log_ratio=kind.log_ratio):
+            calls[id(self)] += 1
+            return log_ratio(self, t, x)
+        monkeypatch.setattr(kind, "log_ratio", counted)
+    path = simulate_path(spec, 2.0, 1 / 252, seed=9)
+    path.write_csv(io.StringIO())
+    assert calls == {id(a.belief): 2 for a in spec.agents}
+    monkeypatch.undo()
+    rho, nu = spec.arrays()
+    log_lam, _ = log_ratio_paths(spec, path.times, path.x)
+    l = log_lam - rho[:, None] * path.times - np.log(nu)[:, None]
+    k = path.state
+    assert np.array_equal(path.q.T, np.exp(l - k.log_max) / k.weight_sum)
 
 
 def test_ic_violation_flagged_for_divergent_pd():

@@ -1474,13 +1474,37 @@ def test_csv_matches_per_value_format():
         r.write_csv(fp)
         assert_same_text(fp.getvalue(), series_by_value(r))
     # any value that is not finite but row 0's xi is refused before a byte
-    # is written
+    # is written.  A bad log S is named by the first column it spoils: S
+    # for inf and nan, log_ratio for -inf (S = exp(-inf) = 0 is finite)
     t = re.escape(repr(res.times[8].item()))
-    for value in (-np.inf, np.inf, np.nan):
-        log_ratio = res.log_ratio.copy()
-        log_ratio[8] = value
+    for value, column in ((-np.inf, "log_ratio"), (np.inf, "S"),
+                          (np.nan, "S")):
+        log_stock = res.log_stock.copy()
+        log_stock[8] = value
         fp = io.StringIO()
-        with pytest.raises(SaturationError, match="^column log_ratio is not "
+        with pytest.raises(SaturationError, match=f"^column {column} is not "
                            f"finite at t={t}$"):
-            replace(res, log_ratio=log_ratio).write_csv(fp)
+            replace(res, log_stock=log_stock).write_csv(fp)
         assert fp.getvalue() == ""
+
+
+def test_result_stores_its_logs_and_derives_the_rest_on_first_read():
+    # the record holds what the run computed; each level and log ratio is
+    # built when first read, then kept, with the expressions the record
+    # once applied when it was made
+    cfg = small_config(n_steps=60)
+    res = run_feedback(cfg)
+    derived = {
+        "times": lambda: np.arange(cfg.n_steps + 1) * cfg.dt,
+        "dividend": lambda: np.exp(res.log_dividend),
+        "stock": lambda: np.exp(res.log_stock),
+        "stock_ideal": lambda: np.exp(res.log_stock_ideal),
+        "log_pd_ideal": lambda: res.log_stock_ideal - res.log_dividend,
+        "log_ratio": lambda: res.log_stock - res.log_stock_ideal}
+    # only log(S/S*), which the metrics read, is built by the run
+    assert set(derived) & set(vars(res)) == {"log_ratio"}
+    for name, want in derived.items():
+        got = getattr(res, name)
+        assert getattr(res, name) is got
+        assert got.tobytes() == want().tobytes(), name
+    assert res.metrics["final_log_ratio"] == res.log_ratio[-1]
