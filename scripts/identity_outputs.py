@@ -11,7 +11,9 @@ writes under OUT:
   branch of the kernel: ``cli/learner/``, benchmark3's market with its
   third agent a Bayesian learner, and ``cli/learner-common-rho/``, a
   constant drift 0.2 at weight 1 and a learner with prior mean -0.05 and
-  precision 2 at weight 2, both at impatience 0.05 and sigma 0.3;
+  precision 2 at weight 2, both at impatience 0.05 and sigma 0.3, and
+  ``cli/ingest-no-riskless/``, an ``ingest`` run of
+  ``configs/sample_price_dividend.csv`` without its ``riskless`` column;
 * ``cli/<name>-replay/``: each of those runs replayed from its
   ``manifest.json``;
 * ``moments.txt``: the ``repr`` of 24 moment reports, 200 paths of 50
@@ -116,6 +118,24 @@ def cli_outputs(out):
                 out / f"{name}-replay")
     for path in written:
         path.unlink()
+    ingest_without_riskless(out)
+
+
+def ingest_without_riskless(out, replay=True):
+    """``out/ingest-no-riskless/``: an ``ingest`` run of
+    configs/sample_price_dividend.csv without its riskless column and, with
+    ``replay``, its replay from the manifest.  Both run in a temporary
+    directory that holds the CSV, named relative to it, so the manifest
+    reads the same wherever it runs; ``out`` must be absolute."""
+    rows = (REPO / "configs" / "sample_price_dividend.csv").read_text()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("prices.csv").write_text("".join(
+            line.rsplit(",", 1)[0] + "\n" for line in rows.splitlines()))
+        Path("ingest.json").write_text(json.dumps({"csv": "prices.csv"}))
+        run_cli("ingest", "ingest.json", out / "ingest-no-riskless")
+        if replay:
+            run_cli("ingest", out / "ingest-no-riskless" / "manifest.json",
+                    out / "ingest-no-riskless-replay")
 
 
 _MARKET = {"market": {"sigma": 0.3, "agents": [

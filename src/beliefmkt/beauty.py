@@ -81,11 +81,21 @@ def clearing_weights(spec: ContestSpec) -> np.ndarray:
     return p
 
 
-def _objective(spec, professed, price):
-    """Per-agent expected-utility value when trading on ``professed`` means
-    at the given clearing price, evaluated under the true beliefs, and the
-    holdings.  Raises SaturationError naming the first agent whose
-    exponent, objective or holding is not finite."""
+@dataclass(frozen=True)
+class ContestEquilibrium:
+    weights: np.ndarray      # p_j
+    price: float
+    professed: np.ndarray    # means the demands are based on
+    holdings: np.ndarray
+    objectives: np.ndarray   # true-belief expected utility values
+
+
+def _equilibrium(spec, p, price, professed):
+    """The contest equilibrium at clearing weights p and the given price
+    when every agent trades on its ``professed`` mean: the holdings, and
+    each agent's expected-utility value evaluated under its true belief.
+    Raises SaturationError naming the first agent whose exponent,
+    objective or holding is not finite."""
     g, a, v = spec.risk_aversion, spec.mean_belief, spec.belief_variance
     with np.errstate(over="ignore", invalid="ignore"):
         holdings = (professed - price) / (g * v)
@@ -99,30 +109,18 @@ def _objective(spec, professed, price):
             f"agent {j}: objective or holding not finite: exponent "
             f"{float(exponent[j])!r}, objective {float(objectives[j])!r}, "
             f"holding {float(holdings[j])!r}")
-    return objectives, holdings
-
-
-@dataclass(frozen=True)
-class ContestEquilibrium:
-    weights: np.ndarray      # p_j
-    price: float
-    professed: np.ndarray    # means the demands are based on
-    holdings: np.ndarray
-    objectives: np.ndarray   # true-belief expected utility values
+    return ContestEquilibrium(weights=p, price=price, professed=professed,
+                              holdings=holdings, objectives=objectives)
 
 
 def truthful_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
-    """Equilibrium when everyone states their true mean.
-
-    price = sum_j p_j alpha_j; holdings theta_j = (alpha_j - price) /
-    (gamma_j v_j); objective -exp(-(alpha_j - price)^2 / (2 v_j)) / gamma_j.
-    """
+    """Equilibrium when everyone states their true mean: price =
+    sum_j p_j alpha_j, and ``_equilibrium`` builds the rest (holdings
+    theta_j = (alpha_j - price) / (gamma_j v_j), objective
+    -exp(-(alpha_j - price)^2 / (2 v_j)) / gamma_j)."""
     p = clearing_weights(spec)
-    price = float(p @ spec.mean_belief)
-    objectives, holdings = _objective(spec, spec.mean_belief, price)
-    return ContestEquilibrium(weights=p, price=price,
-                              professed=spec.mean_belief.copy(),
-                              holdings=holdings, objectives=objectives)
+    return _equilibrium(spec, p, float(p @ spec.mean_belief),
+                        spec.mean_belief.copy())
 
 
 def pareto_faked_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
@@ -133,17 +131,15 @@ def pareto_faked_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
     truthful reporting gives every agent more.
 
     price = sum_j p_j(1-p_j) alpha_j / sum_j p_j(1-p_j), and each agent
-    states (1-p_j) alpha_j + p_j price.  sum_j p_j(1-p_j) > 0, since
-    ContestSpec has two agents or more and every p_j > 0
-    (``clearing_weights``).
+    states (1-p_j) alpha_j + p_j price; ``_equilibrium`` builds the rest.
+    sum_j p_j(1-p_j) > 0, since ContestSpec has two agents or more and
+    every p_j > 0 (``clearing_weights``).
     """
     p = clearing_weights(spec)
     pq = p * (1.0 - p)
     price = float(pq @ spec.mean_belief / pq.sum())
-    professed = (1.0 - p) * spec.mean_belief + p * price
-    objectives, holdings = _objective(spec, professed, price)
-    return ContestEquilibrium(weights=p, price=price, professed=professed,
-                              holdings=holdings, objectives=objectives)
+    return _equilibrium(spec, p, price,
+                        (1.0 - p) * spec.mean_belief + p * price)
 
 
 @dataclass(frozen=True)

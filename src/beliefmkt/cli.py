@@ -8,7 +8,6 @@ failure.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -124,15 +123,13 @@ def cmd_fit(cfg, args):
     targets = config.parse_targets(cfg)
     out = _start(args, cfg)
     result = calibration.fit_parameters(problem, targets)
-    with open(out / "fit_result.json", "w") as fp:
-        json.dump({
-            "values": {k: result.values[k] for k in sorted(result.values)},
-            "loss": result.loss,
-            "n_evaluations": result.n_evaluations,
-            "converged": result.converged,
-            "moments": result.report.as_dict(),
-        }, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    config.write_json(out / "fit_result.json", {
+        "values": result.values,
+        "loss": result.loss,
+        "n_evaluations": result.n_evaluations,
+        "converged": result.converged,
+        "moments": result.report.as_dict(),
+    })
     with open(out / "comparison.txt", "w") as fp:
         fp.write(calibration.comparison_table(result.report, targets) + "\n")
         fp.write(f"\nloss={result.loss:.17g}\n")
@@ -149,14 +146,12 @@ def cmd_ingest(cfg, args):
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"csv: {exc}") from None
     out = _start(args, cfg)
-    with open(out / "targets.json", "w") as fp:
-        payload = report.targets.as_dict()
-        payload["provenance"] = report.targets.provenance
-        payload["n_rows"] = report.n_rows
-        payload["first_date"] = report.first_date
-        payload["last_date"] = report.last_date
-        json.dump(payload, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    payload = report.targets.as_dict()
+    payload["provenance"] = report.targets.provenance
+    payload["n_rows"] = report.n_rows
+    payload["first_date"] = report.first_date
+    payload["last_date"] = report.last_date
+    config.write_json(out / "targets.json", payload)
     return 0
 
 

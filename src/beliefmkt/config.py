@@ -4,7 +4,8 @@ One JSON file fully describes a run.  Validation errors always name the
 offending field with its dotted path.  A run's output directory receives a
 ``manifest.json`` echoing the resolved configuration, the subcommand and
 the package version; a manifest is itself a valid ``--config`` argument,
-which is what makes every run replayable byte for byte.
+which is what makes every run replayable byte for byte.  ``write_json``
+writes it, and the CLI's other JSON outputs, as strict JSON.
 """
 
 from __future__ import annotations
@@ -262,15 +263,27 @@ def parse_fit(cfg) -> calibration.CalibrationProblem:
                             default=spec.max_iterations, positive=True))
 
 
-def write_manifest(outdir, subcommand: str, cfg: Dict[str, Any]):
-    manifest = {
-        "package": "beliefmkt",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": cfg,
-    }
-    path = outdir / "manifest.json"
+def _strict(value):
+    """``value`` with each float that is not finite replaced by None."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) \
+        else value
+
+
+def write_json(path, obj):
+    """Write ``obj`` to ``path`` as strict JSON: keys sorted, indented by
+    2, a final newline, and null for a float that is not finite (``json``
+    would write the non-JSON tokens NaN and Infinity)."""
     with open(path, "w") as fp:
-        json.dump(manifest, fp, indent=2, sort_keys=True)
+        json.dump(_strict(obj), fp, indent=2, sort_keys=True, allow_nan=False)
         fp.write("\n")
+
+
+def write_manifest(outdir, subcommand: str, cfg: Dict[str, Any]):
+    path = outdir / "manifest.json"
+    write_json(path, {"package": "beliefmkt", "version": __version__,
+                      "subcommand": subcommand, "config": cfg})
     return path

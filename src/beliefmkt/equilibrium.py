@@ -35,11 +35,13 @@ state needs; a path priced alone and inside a batch agree to the bit.
 
 A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``,
 whose exponentials e_j = exp(l_j - m) are the one per-agent array the
-kernel builds, and the log dividend.  It derives delta, S, sigma^S, zeta,
-the shares q = e / s, the per-agent log Lambda and alpha, and w, c, pi and
-the trade diffusions theta from them on first access, so a caller that
-reads only PD, r and log delta (the moment report) never builds a level
-or a per-agent array beyond the kernel's e.
+kernel builds and whose drifts are each belief's ``drift_at`` (a float for
+a constant drift), and the log dividend.  It derives delta, S, sigma^S,
+zeta, the shares q = e / s, the per-agent alpha, and w, c, pi and the
+trade diffusions theta from them on first access, so a caller that reads
+only PD, r and log delta (the moment report) never builds a level or a
+per-agent array beyond the kernel's own, and a written path evaluates no
+belief a second time.
 
 ``simulate_paths`` returns a lazy sequence: item p is simulated from
 (seed, p) when it is read, through this module's ``simulate_path`` as it
@@ -137,21 +139,11 @@ def _per_agent(values, like):
     return np.reshape(values, (-1,) + (1,) * (np.ndim(like) - 1))
 
 
-def _check_volatility(a, kappa):
-    """Raise SingularMarketError where the stock volatility a + kappa
-    vanishes."""
-    if np.any(np.abs(a + kappa) < _SINGULAR_TOL):
-        raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
-
-
-def wealth_and_portfolios(rho, q, alpha, dividend, kappa, a):
+def wealth_and_portfolios(rho, q, alpha, dividend, kappa):
     """Wealth, consumption and risky-asset holdings for every agent, each
-    of shape (J, ...).
-
-    Raises SingularMarketError where the stock volatility denominator
-    a + kappa vanishes.
-    """
-    _check_volatility(a, kappa)
+    of shape (J, ...), at a market state whose stock volatility a + kappa
+    does not vanish: ``market_state`` has already raised
+    SingularMarketError where it does."""
     consumption = dividend * q
     wealth = consumption / _per_agent(rho, q)
     # unit net supply: holdings are each agent's share of
@@ -238,28 +230,15 @@ def log_dividend_path(spec: MarketSpec, times, x):
             * times)
 
 
-def log_ratio_paths(spec: MarketSpec, times, x):
-    """Per-agent (log Lambda, believed drift) along driver paths.
-
-    Both are exact on the grid: each belief gives its own closed forms
-    (``log_ratio`` and ``drift_at``).  For x of shape (..., n+1), one path
-    per row, returns agent-major arrays of shape (J, ..., n+1).
-    """
-    log_lam = np.empty((len(spec.agents),) + np.shape(x))
-    alpha = np.empty_like(log_lam)
-    for j, agent in enumerate(spec.agents):
-        alpha[j] = agent.belief.drift_at(times, x)
-        log_lam[j] = agent.belief.log_ratio(times, x)
-    return log_lam, alpha
-
-
 class MarketState(NamedTuple):
     """The equilibrium along driver paths x of shape (..., n+1): every
-    field but rho and the agent-major weights e is (..., n+1).  e is a
-    view of the kernel's own exp pass, so keeping it costs no pass and no
+    field but rho, the drifts and the agent-major weights e is (..., n+1).
+    e is a view of the kernel's own exp pass, and the drifts are the
+    kernel's own ``drift_at`` values, so keeping them costs no pass and no
     copy."""
 
     impatience: np.ndarray  # rho, (J,)
+    drifts: list  # alpha_j: a float, or an (..., n+1) array, per agent
     log_max: np.ndarray    # m = max_j l_j
     weights: np.ndarray    # e_j = exp(l_j - m), agent-major (J, ..., n+1)
     weight_sum: np.ndarray  # s = sum_j e_j
@@ -278,9 +257,10 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     another, so x may hold any number of paths.  Raises
     SingularMarketError where a + kappa vanishes.
 
-    With the log weights l_j = -rho_j t + log Lambda^j - log nu_j, built
-    one agent at a time, m = max_j l_j and e = exp(l - m) (the only exp
-    over agents, taken in place and kept in the state), one ``np.dot`` of
+    With the drifts alpha_j (each belief's ``drift_at``), the log weights
+    l_j = -rho_j t + log Lambda^j - log nu_j, built one agent at a time,
+    m = max_j l_j and e = exp(l - m) (the only exp over agents, taken in
+    place and kept in the state), one ``np.dot`` of
     a (5, J + V) weight matrix with the rows of e, and one row e_j alpha_j
     for each of the V agents whose ``drift_at`` returns an array, gives
     s = sum_j e_j, sum_j e_j / rho_j, sum_j e_j rho_j, sum_j e_j alpha_j
@@ -290,9 +270,10 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     rho_j, the drift average under wealth weights q_j / rho_j,
     alphabar = sum_j q_j alpha_j, rhobar = sum_j q_j rho_j,
     r = rhobar + sigma (alpha* + alphabar) - sigma^2 and kappa = sigma -
-    alphabar.  The shares q, the drifts alpha and log Lambda themselves
-    are not built (``EquilibriumPath`` derives them when they are read,
-    q = e / s from the state's e and s)."""
+    alphabar.  The state keeps the drifts as ``drift_at`` returned them.
+    The shares q, an agent-major alpha and log Lambda itself are not
+    built (``EquilibriumPath`` derives q and alpha when they are read,
+    q = e / s from the state's e and s, and alpha from its drifts)."""
     rho, nu = spec.arrays()
     drifts = [agent.belief.drift_at(times, x) for agent in spec.agents]
     varying = [j for j, alpha in enumerate(drifts) if np.ndim(alpha)]
@@ -323,8 +304,9 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     sigma = spec.sigma
     r = rhobar + sigma * (spec.drift_adjustment + abar) - sigma * sigma
     kappa = sigma - abar
-    _check_volatility(a, kappa)
-    return MarketState(rho, m, l, s, pd, a, r, kappa, abar, rhobar,
+    if np.any(np.abs(a + kappa) < _SINGULAR_TOL):
+        raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
+    return MarketState(rho, drifts, m, l, s, pd, a, r, kappa, abar, rhobar,
                        bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
 
 
@@ -334,13 +316,14 @@ class EquilibriumPath:
     the log dividend and the market state along them.
 
     pd_ratio, rate, kappa and ic_suspect read the state; dividend, stock,
-    stock_vol, zeta, the per-agent log_ratios, drifts and shares q, wealth,
+    stock_vol, zeta, the per-agent drifts and shares q, wealth,
     consumption, holdings and trade are derived on first access and then
     kept.  Per-agent fields are (n+1, J) views of agent-major (J, n+1)
-    arrays; q_j = e_j / s with the state's e = exp(l - m) and s, so the
-    shares take no exp pass and no ``log_ratio`` of their own; log Lambda
-    and alpha come from ``log_ratio_paths``.  trade is ``trade_volume``'s
-    theta_j = d pi_j / dX, exact for every market.
+    arrays, built from what the kernel computed: alpha from the state's
+    drifts and q_j = e_j / s from its e = exp(l - m) and s, so a written
+    path calls each belief's ``drift_at`` and ``log_ratio`` once, in the
+    kernel.  trade is ``trade_volume``'s theta_j = d pi_j / dX, exact for
+    every market.
     """
 
     spec: MarketSpec
@@ -357,14 +340,13 @@ class EquilibriumPath:
 
     @cached_property
     def _agents(self):
-        """Agent-major (log Lambda, alpha, q), q = e / s from the state."""
+        """Agent-major (alpha, q): the state's drifts, and q = e / s."""
         k = self.state
-        return (*log_ratio_paths(self.spec, self.times, self.x),
+        return (np.stack(np.broadcast_arrays(self.x, *k.drifts)[1:]),
                 k.weights / k.weight_sum)
 
-    log_ratios = property(lambda self: self._agents[0].T)  # log Lambda^j_t
-    drifts = property(lambda self: self._agents[1].T)  # alpha^j_t
-    q = property(lambda self: self._agents[2].T)  # consumption shares
+    drifts = property(lambda self: self._agents[0].T)  # alpha^j_t
+    q = property(lambda self: self._agents[1].T)  # consumption shares
 
     dividend = cached_property(lambda self: np.exp(self.log_dividend))
 
@@ -384,9 +366,9 @@ class EquilibriumPath:
     @cached_property
     def _portfolios(self):
         k = self.state
-        _, alpha, q = self._agents
+        alpha, q = self._agents
         return tuple(a.T for a in wealth_and_portfolios(
-            k.impatience, q, alpha, self.dividend, k.kappa, k.wealth_drift))
+            k.impatience, q, alpha, self.dividend, k.kappa))
 
     wealth = property(lambda self: self._portfolios[0])
     consumption = property(lambda self: self._portfolios[1])
@@ -397,7 +379,7 @@ class EquilibriumPath:
         k = self.state
         slope = np.array([a.belief.drift_slope(self.times)
                           for a in self.spec.agents])
-        _, alpha, q = self._agents
+        alpha, q = self._agents
         return trade_volume(k.impatience, q, alpha, k.mean_drift, k.kappa,
                             slope)[0].T
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from beliefmkt.beauty import (ContestSpec, _objective, clearing_weights,
+from beliefmkt.beauty import (ContestSpec, _equilibrium, clearing_weights,
                               format_solution, pareto_faked_equilibrium,
                               truthful_equilibrium, welfare_comparison)
 from beliefmkt.errors import ConfigError, SaturationError
@@ -63,11 +63,11 @@ def deviation_gains(spec: ContestSpec,
         if j in faking:
             continue
         price = float(p @ professed)
-        base_obj, _ = _objective(spec, professed, price)
+        base_obj = _equilibrium(spec, p, price, professed).objectives
         trial = professed.copy()
         trial[j] = best_response(spec, professed, j)
         trial_price = float(p @ trial)
-        trial_obj, _ = _objective(spec, trial, trial_price)
+        trial_obj = _equilibrium(spec, p, trial_price, trial).objectives
         gains[j] = float(trial_obj[j] - base_obj[j])
     return gains
 

@@ -854,6 +854,29 @@ def test_ingest_subcommand(tmp_path):
     assert 15.0 < payload["mean_pd"] < 30.0
 
 
+def test_ingest_without_riskless_writes_strict_json(tmp_path):
+    # the rate moments, premium and Sharpe ratio are unavailable: null,
+    # not the token NaN, which is not JSON
+    rows = (REPO / "configs" / "sample_price_dividend.csv").read_text()
+    csv = tmp_path / "prices.csv"
+    csv.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                           for line in rows.splitlines()))
+    cfg = write_config(tmp_path, {"csv": str(csv)})
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    payload = json.loads((out / "targets.json").read_text(),
+                         parse_constant=reject)
+    unavailable = ("mean_riskless", "std_riskless", "equity_premium",
+                   "sharpe")
+    assert all(payload[key] is None for key in unavailable)
+    assert all(math.isfinite(payload[key]) for key in MOMENT_NAMES
+               if key not in unavailable)
+
+
 @pytest.mark.parametrize("field, value", [
     ("min_years", "10"), ("min_years", True), ("min_years", -5),
     ("min_years", 0), ("csv", 5)])

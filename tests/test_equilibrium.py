@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import logsumexp, softmax
 
 from beliefmkt.beliefs import BayesianGaussian, ConstantDrift
 from beliefmkt import equilibrium
 from beliefmkt.calibration import compute_moments
 from beliefmkt.equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
-                                   log_ratio_paths, market_state,
-                                   simulate_path, simulate_paths,
+                                   market_state, simulate_path, simulate_paths,
                                    solve_market_clearing, trade_volume,
                                    wealth_and_portfolios)
 from beliefmkt.errors import (MAX_COUNT, ConfigError, SaturationError,
@@ -60,6 +60,17 @@ def at_point(spec, t=0.0, x=0.0, dividend=1.0):
     """The equilibrium on the one-point grid (t, X_t = x)."""
     return grid_path(spec, np.array([t]), np.array([x]),
                      np.array([dividend]), 1.0)
+
+
+def log_ratio_paths(spec, times, x):
+    """Agent-major (log Lambda, alpha) of shape (J, ..., n+1) along driver
+    paths x of shape (..., n+1), from each belief's own closed forms."""
+    log_lam = np.empty((len(spec.agents),) + np.shape(x))
+    alpha = np.empty_like(log_lam)
+    for j, agent in enumerate(spec.agents):
+        alpha[j] = agent.belief.drift_at(times, x)
+        log_lam[j] = agent.belief.log_ratio(times, x)
+    return log_lam, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +272,6 @@ def test_degenerate_stock_volatility_raises():
     sigma = 0.5
     spec = two_agent_market(alphas=(1.0, -1.0), rhos=(1.0, 1.0 / 3.0),
                             nus=(1.0, 1.0), sigma=sigma)
-    rho, _ = spec.arrays()
-    alpha = np.array([1.0, -1.0])
-    with pytest.raises(SingularMarketError):
-        wealth_and_portfolios(rho, np.array([0.5, 0.5]), alpha, 1.0,
-                              sigma, -sigma)
     with pytest.raises(SingularMarketError):
         market_state(spec, np.zeros(1), np.zeros(1))
     # the path kernel hits the same point at t = 0 and must raise too
@@ -539,18 +545,33 @@ def test_bayesian_agent_path_runs_and_clears():
 
 
 def test_learner_log_ratio_is_the_closed_form():
-    learner = BayesianGaussian(-0.05, 2.0)
-    spec = MarketSpec(sigma=0.517, agents=(
-        AgentSpec(impatience=0.131, belief=ConstantDrift(0.21), weight=14.47),
-        AgentSpec(impatience=0.443, belief=learner, weight=0.174)))
-    path = simulate_path(spec, 50.0, 1 / 252, seed=5)
-    closed = learner.log_ratio(path.times, path.x)
-    np.testing.assert_allclose(path.log_ratios[:, 1], closed, rtol=0,
-                               atol=1e-12)
-    # the constant-drift agent's exponential martingale
+    # a constant drift's Lambda is the exponential martingale
+    # exp(alpha X - alpha^2 t / 2); a gaussian learner's is that martingale
+    # averaged over its N(beta, 1 / eps) prior on alpha
+    beta, eps = -0.05, 2.0
+    learner = BayesianGaussian(beta, eps)
+    times, x, _ = driver_path(benchmark_market(), 50.0, 1 / 252, seed=5)
     np.testing.assert_allclose(
-        path.log_ratios[:, 0], 0.21 * path.x - 0.5 * 0.21**2 * path.times,
+        ConstantDrift(0.21).log_ratio(times, x),
+        0.21 * x - 0.5 * 0.21**2 * times, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        learner.log_ratio(times, x),
+        0.5 * np.log(eps / (eps + times))
+        + (eps * beta + x) ** 2 / (2 * (eps + times)) - 0.5 * eps * beta**2,
         rtol=0, atol=1e-12)
+    for i in (1, 2520, len(times) - 1):
+        t, xi = times[i], x[i]
+        prior_sd = 1.0 / math.sqrt(eps)
+
+        def integrand(alpha):
+            return math.exp(alpha * xi - 0.5 * alpha * alpha * t
+                            - 0.5 * ((alpha - beta) / prior_sd) ** 2) \
+                / (prior_sd * math.sqrt(2.0 * math.pi))
+
+        value, _ = quad(integrand, beta - 12 * prior_sd, beta + 12 * prior_sd,
+                        limit=200, epsabs=0.0, epsrel=1e-12)
+        assert learner.log_ratio(t, xi) == pytest.approx(math.log(value),
+                                                         rel=1e-9, abs=1e-9)
 
 
 def mixed_learner_market():
@@ -590,16 +611,23 @@ def test_batch_of_paths_equals_row_by_row():
 def test_a_path_alone_and_in_a_batch_agree_to_the_bit(market, width):
     # the kernel's agent sums are one matrix product over the whole batch;
     # each path's columns of it are those of the path priced alone.  Every
-    # field but rho and ic_suspect has the paths on its second-last axis:
-    # (P, n+1), or (J, P, n+1) for the agent-major weights
+    # field but rho, the drifts and ic_suspect has the paths on its
+    # second-last axis: (P, n+1), or (J, P, n+1) for the agent-major
+    # weights; a drift is the same float, or an array of (P, n+1)
     spec = market()
     times, x = equilibrium._drivers(156, 1 / 52, 4, range(width))
     batch = market_state(spec, times, x)
     for p, row in enumerate(x):
         alone = market_state(spec, times, row)
-        for name in batch._fields[1:-1]:
+        for name in batch._fields[2:-1]:
             assert np.array_equal(getattr(batch, name)[..., p, :],
                                   getattr(alone, name)), name
+        for drift, drift_alone in zip(batch.drifts, alone.drifts):
+            if np.ndim(drift):
+                assert np.array_equal(drift[p], drift_alone)
+            else:
+                assert type(drift) is type(drift_alone) is float
+                assert drift == drift_alone
 
 
 def test_simulate_paths_is_a_lazy_sequence_of_simulate_path(monkeypatch):
@@ -652,7 +680,6 @@ def test_moments_build_no_portfolio_arrays(monkeypatch):
     def forbidden(*args):
         raise AssertionError("per-agent arrays built for the moments")
 
-    monkeypatch.setattr(equilibrium, "log_ratio_paths", forbidden)
     monkeypatch.setattr(equilibrium, "wealth_and_portfolios", forbidden)
     monkeypatch.setattr(equilibrium, "trade_volume", forbidden)
     paths = list(simulate_paths(learner_market(), 2.0, 1 / 52, seed=6,
@@ -683,25 +710,31 @@ def test_portfolios_built_once_on_first_access(monkeypatch):
 
 
 def test_written_path_takes_its_shares_from_the_kernel(monkeypatch):
-    # a written path reads q, w, pi and theta: each belief's log_ratio runs
-    # twice, once in the kernel and once for log Lambda, and q is the
-    # kernel's e / s, the same doubles as exp(l - m) / s from l rebuilt
+    # a written path reads q, w, pi and theta: each belief's drift_at and
+    # log_ratio run once, in the kernel.  q is the kernel's e / s, the same
+    # doubles as exp(l - m) / s from l rebuilt, and the drifts are the
+    # kernel's drift_at values
     spec = learner_market()
     calls = collections.Counter()
     for kind in {type(a.belief) for a in spec.agents}:
-        def counted(self, t, x, log_ratio=kind.log_ratio):
-            calls[id(self)] += 1
-            return log_ratio(self, t, x)
-        monkeypatch.setattr(kind, "log_ratio", counted)
+        for method in ("drift_at", "log_ratio"):
+            def counted(self, t, x, method=method, real=getattr(kind, method)):
+                calls[id(self), method] += 1
+                return real(self, t, x)
+            monkeypatch.setattr(kind, method, counted)
     path = simulate_path(spec, 2.0, 1 / 252, seed=9)
     path.write_csv(io.StringIO())
-    assert calls == {id(a.belief): 2 for a in spec.agents}
+    assert calls == {(id(a.belief), method): 1 for a in spec.agents
+                     for method in ("drift_at", "log_ratio")}
     monkeypatch.undo()
     rho, nu = spec.arrays()
     log_lam, _ = log_ratio_paths(spec, path.times, path.x)
     l = log_lam - rho[:, None] * path.times - np.log(nu)[:, None]
     k = path.state
     assert np.array_equal(path.q.T, np.exp(l - k.log_max) / k.weight_sum)
+    for j, agent in enumerate(spec.agents):
+        assert np.all(path.drifts[:, j]
+                      == agent.belief.drift_at(path.times, path.x))
 
 
 def test_ic_violation_flagged_for_divergent_pd():

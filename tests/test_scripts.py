@@ -100,8 +100,9 @@ def test_identity_error_cases_each_exit_2(tmp_path):
 def test_outputs_match_the_recorded_digest(tmp_path, monkeypatch):
     # a subset of scripts/identity_outputs.py's outputs, each byte for byte
     # as recorded in tests/identity_digest.json: errors.txt, the CLI
-    # outputs of every shipped config, two moment reports, three fits and
-    # the feedback runs of seeds 0-3 at the six counts
+    # outputs of every shipped config and of the ingest run without a
+    # riskless column, two moment reports, three fits and the feedback runs
+    # of seeds 0-3 at the six counts
     module = identity_outputs()
     want = json.loads((REPO / "tests" / "identity_digest.json").read_text())
     assert module.versions() == want["versions"], (
@@ -113,7 +114,9 @@ def test_outputs_match_the_recorded_digest(tmp_path, monkeypatch):
     for path in shipped:
         subcommand = json.loads(path.read_text())["subcommand"]
         module.run_cli(subcommand, path, tmp_path / "cli" / path.stem)
-    runs = tuple(f"cli/{path.stem}/" for path in shipped)
+    module.ingest_without_riskless(tmp_path / "cli", replay=False)
+    runs = tuple(f"cli/{path.stem}/" for path in shipped) \
+        + ("cli/ingest-no-riskless/",)
     assert module.digest(tmp_path)["files"] == {
         name: sha for name, sha in want["files"].items()
         if name == "errors.txt" or name.startswith(runs)}
