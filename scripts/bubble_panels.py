@@ -26,17 +26,21 @@ def main():
     ap.add_argument("--diligent", type=int, nargs="+",
                     default=[0, 1, 5, 10, 25])
     args = ap.parse_args()
+    # every run's config is built before the first run or --out is made
     try:
         n_steps = step_count(args.years, FeedbackConfig.dt, "years")
+        configs = [FeedbackConfig(n_agents=args.agents, n_diligent=n_dil,
+                                  n_steps=n_steps, seed=args.seed)
+                   for n_dil in args.diligent]
     except ConfigError as exc:
         ap.error(str(exc))
+    if args.seed < 0:
+        ap.error("seed must be >= 0")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"{'diligent':>8} {'range':>8} {'min':>8} {'max':>8} {'jumps':>6}")
-    for n_dil in args.diligent:
-        cfg = FeedbackConfig(n_agents=args.agents, n_diligent=n_dil,
-                             n_steps=n_steps, seed=args.seed)
+    for n_dil, cfg in zip(args.diligent, configs):
         res = run_feedback(cfg)
         name = out / f"panels_{args.agents}A_{n_dil}D_seed{args.seed}.csv"
         with open(name, "w") as fp:

@@ -12,7 +12,8 @@ import argparse
 import numpy as np
 
 from beliefmkt.errors import ConfigError, step_count
-from beliefmkt.feedback import FeedbackConfig, diligence_sweep
+from beliefmkt.feedback import (FeedbackConfig, diligence_counts,
+                                diligence_sweep)
 
 
 def main():
@@ -23,13 +24,17 @@ def main():
     ap.add_argument("--diligent", type=int, nargs="+",
                     default=[0, 5, 10, 25])
     args = ap.parse_args()
+    # every argument is checked before the first run
     try:
         n_steps = step_count(args.years, FeedbackConfig.dt, "years")
+        cfg = FeedbackConfig(n_agents=args.agents, n_diligent=0,
+                             n_steps=n_steps, seed=0)
+        diligence_counts(cfg, args.diligent)
     except ConfigError as exc:
         ap.error(str(exc))
+    if args.seeds < 1:
+        ap.error("seeds must be >= 1")
 
-    cfg = FeedbackConfig(n_agents=args.agents, n_diligent=0,
-                         n_steps=n_steps, seed=0)
     table = diligence_sweep(cfg, args.diligent, list(range(args.seeds)))
     print(f"{'diligent':>8} {'mean range':>11} {'median':>8} {'max':>8} "
           f"{'mean jumps':>11}")

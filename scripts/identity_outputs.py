@@ -128,14 +128,20 @@ def ingest_without_riskless(out, replay=True):
     directory that holds the CSV, named relative to it, so the manifest
     reads the same wherever it runs; ``out`` must be absolute."""
     rows = (REPO / "configs" / "sample_price_dividend.csv").read_text()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        Path("prices.csv").write_text("".join(
-            line.rsplit(",", 1)[0] + "\n" for line in rows.splitlines()))
-        Path("ingest.json").write_text(json.dumps({"csv": "prices.csv"}))
-        run_cli("ingest", "ingest.json", out / "ingest-no-riskless")
-        if replay:
-            run_cli("ingest", out / "ingest-no-riskless" / "manifest.json",
-                    out / "ingest-no-riskless-replay")
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)   # not contextlib.chdir, which needs Python 3.11
+        try:
+            Path("prices.csv").write_text("".join(
+                line.rsplit(",", 1)[0] + "\n" for line in rows.splitlines()))
+            Path("ingest.json").write_text(json.dumps({"csv": "prices.csv"}))
+            run_cli("ingest", "ingest.json", out / "ingest-no-riskless")
+            if replay:
+                run_cli("ingest",
+                        out / "ingest-no-riskless" / "manifest.json",
+                        out / "ingest-no-riskless-replay")
+        finally:
+            os.chdir(home)
 
 
 _MARKET = {"market": {"sigma": 0.3, "agents": [

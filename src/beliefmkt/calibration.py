@@ -14,13 +14,15 @@ they are fixed here once):
 * equity premium = mean equity return - mean riskless rate, and
   Sharpe = premium / std equity return, exactly as computed.
 
-Pooled statistics keep one (count, sum, sum of squares) per path and
-reduce them with math.fsum, which rounds once whatever the order, so the
-report is invariant to the order of the path set.  That is what lets
-``compute_moments`` take each path's sums from ``numerics.fork_map``, which
-splits a sequence of paths (``simulate_paths``, a list) across the usable
-CPUs, and merge them into a report identical to the bit to the in-order
-one.
+Pooling is per-path rows: ``_path_sums`` gives each path one row of nine
+floats, the (count, sum, sum of squares) of P/D, of the riskless rate and
+of the return, and ``_report`` reduces each column with math.fsum, which
+rounds once whatever the order, so the report is invariant to the order
+of the path set.  The pooled std is sqrt(E[x^2] - m^2) of those sums.
+That is what lets ``compute_moments`` take each path's row from
+``numerics.fork_map``, which splits a sequence of paths
+(``simulate_paths``, a list) across the usable CPUs, and reduce them into
+a report identical to the bit to the in-order one.
 """
 
 from __future__ import annotations
@@ -93,33 +95,6 @@ DEFAULT_TARGETS = MomentReport(
 )
 
 
-class _Pool:
-    """Streaming mean/std over pooled samples, fsum-reduced across paths.
-    Values may carry leading path axes: each row along the last axis is one
-    path's samples."""
-
-    def __init__(self):
-        self.n = []
-        self.s = []
-        self.s2 = []
-
-    def add(self, values):
-        v = np.asarray(values, dtype=float)
-        sums = v.sum(axis=-1).ravel()
-        self.n.extend([float(v.shape[-1])] * sums.size)
-        self.s.extend(sums.tolist())
-        self.s2.extend((v * v).sum(axis=-1).ravel().tolist())
-
-    def mean(self):
-        return math.fsum(self.s) / math.fsum(self.n)
-
-    def std(self):
-        n = math.fsum(self.n)
-        m = math.fsum(self.s) / n
-        var = math.fsum(self.s2) / n - m * m
-        return math.sqrt(max(var, 0.0))
-
-
 @np.errstate(over="ignore")
 def total_return(dlog_dividend, pd, pd_next, dt):
     """The per-step total return exp(dlog_dividend) pd_next / pd + dt / pd
@@ -130,38 +105,36 @@ def total_return(dlog_dividend, pd, pd_next, dt):
     return np.exp(dlog_dividend) * (pd_next / pd) + dt / pd - 1.0
 
 
-class _Moments:
-    """The pooled samples behind a MomentReport, on grid spacing dt."""
+def _path_sums(state, log_dividend, dt):
+    """One row of nine floats per path of a MarketState and its log
+    dividend, on grid spacing dt: the (count, sum, sum of squares) of P/D,
+    of the riskless rate and of the per-step total return.  A batch, with
+    one path per row along the last axis, gives a list of one row per path,
+    in order; each sum is the row's own numpy reduction, so it has the bits
+    of the path's sum taken alone."""
+    pd = state.pd_ratio
+    columns = []
+    for v in (pd, state.rate, total_return(np.diff(log_dividend),
+                                           pd[..., :-1], pd[..., 1:], dt)):
+        sums = v.sum(axis=-1).ravel().tolist()
+        columns += [[float(v.shape[-1])] * len(sums), sums,
+                    (v * v).sum(axis=-1).ravel().tolist()]
+    return list(zip(*columns))
 
-    def __init__(self, dt=None):
-        self.dt = dt
-        self.pd, self.rate, self.ret = _Pool(), _Pool(), _Pool()
 
-    def add(self, state, log_dividend):
-        """The MarketState and log dividend of one path, or of a batch with
-        one path per row along the last axis."""
-        pd = state.pd_ratio
-        self.pd.add(pd)
-        self.rate.add(state.rate)
-        self.ret.add(total_return(np.diff(log_dividend), pd[..., :-1],
-                                  pd[..., 1:], self.dt))
-
-    def sums(self):
-        """The per-path (n, s, s2) lists of the three pools."""
-        return [(p.n, p.s, p.s2) for p in (self.pd, self.rate, self.ret)]
-
-    def extend(self, sums):
-        """Append the per-path sums of later paths."""
-        for pool, (n, s, s2) in zip((self.pd, self.rate, self.ret), sums):
-            pool.n += n
-            pool.s += s
-            pool.s2 += s2
-
-    def report(self) -> MomentReport:
-        return _moment_report(
-            self.pd.mean(), self.pd.std(), self.ret.mean() / self.dt,
-            self.ret.std() / math.sqrt(self.dt), self.rate.mean(),
-            self.rate.std())
+def _report(rows, dt) -> MomentReport:
+    """The MomentReport of ``_path_sums`` rows on grid spacing dt.  Each
+    column is reduced with math.fsum, which rounds once whatever the order
+    of the rows; the std is E[x^2] - m^2 of those sums.  The return's mean
+    is annualized by 1/dt and its std by 1/sqrt(dt)."""
+    sums = [math.fsum(column) for column in zip(*rows)]
+    moments = []
+    for n, s, s2 in (sums[0:3], sums[3:6], sums[6:9]):
+        m = s / n
+        moments += [m, math.sqrt(max(s2 / n - m * m, 0.0))]
+    mean_pd, std_pd, mean_r, std_r, mean_ret, std_ret = moments
+    return _moment_report(mean_pd, std_pd, mean_ret / dt,
+                          std_ret / math.sqrt(dt), mean_r, std_r)
 
 
 def compute_moments(paths) -> MomentReport:
@@ -173,37 +146,32 @@ def compute_moments(paths) -> MomentReport:
     step's log-dividend move overflows exp.  A NaN Sharpe ratio, from a
     return std of 0, is reported.
 
-    Each path's (count, sum, sum of squares) come from ``numerics.fork_map``,
+    Each path's row of ``_path_sums`` comes from ``numerics.fork_map``,
     which splits a sequence of more than one path (a list, or
     ``simulate_paths``) across the usable CPUs, and consumes any other
-    input, such as a generator, in order in this process.  The pools
-    reduce the per-path sums with ``math.fsum``, which rounds exactly once
-    whatever the order, so a split report equals the in-order one to the
-    bit.  An error that reading or adding a path raises is raised here as
-    an in-order loop would raise it, the lowest path's first.
+    input, such as a generator, in order in this process.  The rows come
+    back in path order, and ``_report`` reduces each column with
+    ``math.fsum``, which rounds exactly once whatever the order, so a split
+    report equals the in-order one to the bit.  An error that reading or
+    adding a path raises is raised here as an in-order loop would raise it,
+    the lowest path's first.
     """
-    moments = _Moments()
-    for dt, sums in fork_map(_path_sums, paths):
-        if moments.dt is None:
-            moments.dt = dt
-        elif dt != moments.dt:
+    dt, rows = None, []
+    for path_dt, path_rows in fork_map(lambda path: (path.dt, _path_sums(
+            path.state, path.log_dividend, path.dt)), paths):
+        if dt is None:
+            dt = path_dt
+        elif path_dt != dt:
             raise ConfigError("paths do not share a common grid spacing")
-        moments.extend(sums)
-    if moments.dt is None:
+        rows += path_rows
+    if dt is None:
         raise ConfigError("compute_moments needs at least one path")
-    report = moments.report()
+    report = _report(rows, dt)
     bad = [name for name in MOMENT_NAMES[:6]   # premium and Sharpe derive
            if not math.isfinite(getattr(report, name))]
     if bad:
         raise SaturationError(f"moment report: {', '.join(bad)} not finite")
     return report
-
-
-def _path_sums(path):
-    """The grid spacing and the per-path sums of one path."""
-    moments = _Moments(path.dt)
-    moments.add(path.state, path.log_dividend)
-    return path.dt, moments.sums()
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +193,15 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
     price and dividend; price is the real index level and dividend the
     annualized real dividend rate, monthly rows.  An optional riskless
     column (annualized rate, decimal) enables the rate moments; otherwise
-    those moments are NaN.
+    those moments are NaN.  The file is read as UTF-8, whatever the
+    locale.
 
     Annualization: monthly total returns (``total_return`` at dt = 1/12,
     which is P' / P + dividend / (12 P) - 1) scaled by 12 (mean) and
     sqrt(12) (std); PD is price over the annualized dividend, pooled
     monthly.
     """
-    with open(path, newline="") as fp:
+    with open(path, newline="", encoding="utf-8") as fp:
         reader = csv.reader(fp)
         try:
             table = list(reader)
@@ -434,15 +403,17 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
                    drivers) -> Tuple[float, MomentReport]:
     """Loss and moment report at one parameter point, with common random
     numbers: ``drivers`` are ``draw_drivers(problem)``, drawn once per
-    search, and each of their batches is evaluated as one array."""
+    search, and each of their batches is evaluated as one array, whose
+    ``_path_sums`` rows, one per path, are concatenated in path order for
+    ``_report``."""
     spec = build_market(values, problem.n_agents)
-    moments = _Moments(problem.dt)
-    ic = False
+    rows, ic = [], False
     for times, x in drivers:
         state = equilibrium.market_state(spec, times, x)
         ic = ic or state.ic_suspect
-        moments.add(state, equilibrium.log_dividend_path(spec, times, x))
-    report = moments.report()
+        rows += _path_sums(state, equilibrium.log_dividend_path(
+            spec, times, x), problem.dt)
+    report = _report(rows, problem.dt)
     loss = math.inf if ic else moment_loss(report, targets)
     return loss, report
 

@@ -139,10 +139,27 @@ def test_doubling_paths_shrinks_standard_error():
 
 def in_order_report(paths):
     """The report of the plain loop over the paths: the split's oracle."""
-    moments = calibration._Moments(paths[0].dt)
+    rows = []
     for path in paths:
-        moments.add(path.state, path.log_dividend)
-    return moments.report()
+        rows += calibration._path_sums(path.state, path.log_dividend,
+                                       path.dt)
+    return calibration._report(rows, paths[0].dt)
+
+
+@pytest.mark.parametrize("market", [benchmark_market, learner_market])
+def test_a_batch_gives_the_rows_of_its_paths_one_at_a_time(market):
+    # rows longer than numpy's 8192-element reduction block
+    spec, dt, n_steps = market(), 1 / 252, 10080
+    times, x = equilibrium._drivers(n_steps, dt, 8, range(4))
+
+    def rows(x):
+        return calibration._path_sums(
+            equilibrium.market_state(spec, times, x),
+            equilibrium.log_dividend_path(spec, times, x), dt)
+
+    batch = rows(x)
+    assert len(batch) == 4 and all(len(row) == 9 for row in batch)
+    assert batch == [row for path in x for row in rows(path)]
 
 
 @pytest.mark.parametrize("market", [benchmark_market, learner_market])

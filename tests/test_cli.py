@@ -930,6 +930,33 @@ def test_unreadable_ingest_csv_exits_2_before_writing(tmp_path, capsys, csv,
     assert not out.exists()
 
 
+def test_ingest_reads_utf8_whatever_the_locale(tmp_path):
+    # a non-ASCII date, read in a fresh interpreter under the default
+    # environment and under the C locale without UTF-8 mode, whose
+    # preferred encoding is ASCII
+    lines = (REPO / "configs" / "sample_price_dividend.csv").read_text() \
+        .splitlines(keepends=True)
+    lines[1] = lines[1].replace(",", "-été,", 1)
+    csv = tmp_path / "prices.csv"
+    csv.write_text("".join(lines), encoding="utf-8")
+    cfg = write_config(tmp_path, {"csv": str(csv)})
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    c_locale = dict(base, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                    LC_ALL="C")
+    outputs = []
+    for name, env in (("default", base), ("c-locale", c_locale)):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "beliefmkt", "ingest", "--config",
+             str(cfg), "--out", str(out)], cwd=REPO, env=env,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (name, proc.stderr)
+        outputs.append((out / "targets.json").read_bytes())
+    assert json.loads(outputs[0])["first_date"].endswith("-été")
+    assert outputs[0] == outputs[1]
+
+
 def test_out_that_cannot_be_created_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "csv": str(REPO / "configs" / "sample_price_dividend.csv")})

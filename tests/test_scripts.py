@@ -20,8 +20,10 @@ def run_script(name, *args, returncode=0):
                            *args], cwd=REPO, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == returncode, proc.stderr
-    return proc.stdout.splitlines() if returncode == 0 \
-        else proc.stderr.splitlines()
+    if returncode == 0:
+        return proc.stdout.splitlines()
+    assert proc.stdout == ""   # a failing script prints no table
+    return proc.stderr.splitlines()
 
 
 def test_experiment_scripts_run(tmp_path):
@@ -68,7 +70,7 @@ def test_experiment_scripts_run(tmp_path):
     assert lines[3] == "largest relative moment gap 0"
 
 
-def test_feedback_scripts_take_whole_steps_only():
+def test_feedback_scripts_take_whole_steps_only(tmp_path):
     # --years is cut into steps by the rule every span of the engine uses:
     # 0.1 years is 25.2 daily steps, not a whole number
     for name in ("diligence_severity.py", "bubble_panels.py"):
@@ -76,6 +78,27 @@ def test_feedback_scripts_take_whole_steps_only():
         assert lines[-1].endswith(
             "error: dt: must cut years into whole steps, not years/dt = "
             f"{0.1 / (1.0 / 252.0)!r}"), name
+    # and every other bad argument exits 2 as argparse's own errors do,
+    # before any run, table or output directory
+    out = tmp_path / "panels"
+    panels = ["--out", str(out)]
+    for name, args, message in [
+            ("diligence_severity.py", ["--diligent", "40"],
+             "diligence_values: 40 is not a diligence count: need an int "
+             "in 0..30"),
+            ("diligence_severity.py", ["--agents", "0"],
+             "n_agents must be >= 1"),
+            ("diligence_severity.py", ["--seeds", "0"], "seeds must be >= 1"),
+            ("bubble_panels.py", [*panels, "--agents", "0"],
+             "n_agents must be >= 1"),
+            ("bubble_panels.py", [*panels, "--diligent", "0", "31"],
+             "need 0 <= n_diligent <= n_agents"),
+            ("bubble_panels.py", [*panels, "--seed", "-1"],
+             "seed must be >= 0")]:
+        lines = run_script(name, *args, returncode=2)
+        assert lines[0].startswith("usage: "), (name, args)
+        assert lines[-1].endswith(f"error: {message}"), (name, args)
+        assert not out.exists()
 
 
 def identity_outputs():
