@@ -1,5 +1,5 @@
-"""A/B-time feedback sweeps, fits or moment reports of two checkouts in
-one process.
+"""A/B-time feedback sweeps, fits, moment reports or written paths of two
+checkouts in one process.
 
     python scripts/ab_timing.py MODE OLD NEW FIRST LAST
 
@@ -21,11 +21,18 @@ not:
   50 years of ``configs/benchmark3.json`` at master seed ``seed``; report
   dicts whose moments agree within ``MOMENTS_RTOL`` relative, so that a
   change of declared rounding drift can be timed.
+* ``paths``: the two ``simulate_paths`` paths of 50 years of
+  ``configs/benchmark3.json`` with its third agent a
+  ``BayesianGaussian(-0.05, 2)`` learner (the learner market of perfbench's
+  cli-outputs and of ``identity_outputs.py``) at master seed ``seed``, each
+  written with ``write_csv`` to an ``io.StringIO``; equal headers and
+  every value within ``MOMENTS_RTOL`` relative.  Formatting the rows takes
+  about 95 % of the time, simulating and deriving the columns the rest.
 
 It prints each seed's NEW/OLD time ratio, then the median ratio, the
 number of seeds on which NEW took less time, each side's quartile spread
-of CPU times and, in ``moments`` mode, the largest relative gap between
-the two sides' moments.  Passing one checkout as both
+of CPU times and, in ``moments`` and ``paths`` modes, the largest relative
+gap between the two sides' values.  Passing one checkout as both
 OLD and NEW gives the A/A spread: on a 2-core Xeon, 24 to 48 seeds resolve
 changes of 2-3 %, where the quartiles of a benchmark workload's runs lie
 6-18 % apart, but 12 moment reports gave an A/A median of 1.048.
@@ -35,15 +42,19 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import io
 import math
 import statistics
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 COUNTS = [0, 25, 30]
-MODES = ("feedback", "fit", "moments")
-# moments may differ by rounding: far inside perfbench's 1e-8 check
+MODES = ("feedback", "fit", "moments", "paths")
+# moments and written path values may differ by rounding: far inside
+# perfbench's 1e-8 check
 MOMENTS_RTOL = 1e-12
 
 
@@ -75,7 +86,11 @@ class Side:
         fit = load("fit_default_targets")
         self.problem = config.parse_fit(fit)
         self.targets = config.parse_targets(fit)
-        self.market = config.parse_simulate(load("benchmark3"))[:4]
+        bench3 = load("benchmark3")
+        self.market = config.parse_simulate(bench3)[:4]
+        bench3["market"]["agents"][2]["belief"] = {
+            "type": "bayesian", "prior_mean": -0.05, "prior_precision": 2.0}
+        self.learner = config.parse_simulate(bench3)[0]
 
     def feedback(self, seed):
         return self.module["feedback"].diligence_sweep(
@@ -92,6 +107,16 @@ class Side:
         return self.module["calibration"].compute_moments(
             self.module["equilibrium"].simulate_paths(
                 spec, horizon, dt, seed, n_paths)).as_dict()
+
+    def paths(self, seed):
+        _, horizon, dt, _ = self.market
+        texts = []
+        for path in self.module["equilibrium"].simulate_paths(
+                self.learner, horizon, dt, seed, 2):
+            fp = io.StringIO()
+            path.write_csv(fp)
+            texts.append(fp.getvalue())
+        return texts
 
     def run(self, mode, seed):
         """(CPU seconds, outcome) of ``mode`` at ``seed``: what it returns,
@@ -121,8 +146,11 @@ def main():
         order = (old, new) if i % 2 == 0 else (new, old)
         runs = {side.name: side.run(args.mode, seed) for side in order}
         (old_s, want), (new_s, got) = runs[old.name], runs[new.name]
-        gap = relative_gap(got, want) if args.mode == "moments" \
-            else 0.0 if got == want else math.inf
+        if args.mode in GAPS and not isinstance(got, str) \
+                and not isinstance(want, str):
+            gap = GAPS[args.mode][1](got, want)
+        else:   # equal outcomes, or the same error
+            gap = 0.0 if got == want else math.inf
         if not gap <= MOMENTS_RTOL:
             sys.exit(f"seed {seed}: the two sides' outcomes differ")
         largest_gap = max(largest_gap, gap)
@@ -137,19 +165,38 @@ def main():
           f"new faster on {wins} of {len(ratios)} seeds")
     print(f"quartile spread  old {quartile_spread(old_times):.3f} s  "
           f"new {quartile_spread(new_times):.3f} s")
-    if args.mode == "moments":
-        print(f"largest relative moment gap {largest_gap:.3g}")
+    if args.mode in GAPS:
+        print(f"largest relative {GAPS[args.mode][0]} gap {largest_gap:.3g}")
 
 
 def relative_gap(got, want):
     """The largest relative gap between two moment reports' entries, 0
-    where both are equal (NaN included); inf if only one side raised, or
-    raised another error."""
-    if isinstance(got, str) or isinstance(want, str):
-        return 0.0 if got == want else math.inf
+    where both are equal (NaN included)."""
     return max(0.0 if a == b or math.isnan(a) and math.isnan(b)
                else abs(a - b) / abs(b) if b else math.inf
                for a, b in ((got[k], want[k]) for k in want))
+
+
+def path_gap(got, want):
+    """The largest relative gap between the values of two lists of path
+    CSVs, 0 where both are equal; inf unless the headers and the table
+    shapes match."""
+    gap = 0.0
+    for text, reference in zip(got, want, strict=True):
+        (head, body), (ref_head, ref_body) = (
+            t.split("\n", 1) for t in (text, reference))
+        a, b = (np.loadtxt(io.StringIO(t), delimiter=",", ndmin=2)
+                for t in (body, ref_body))
+        if head != ref_head or a.shape != b.shape:
+            return math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = max(gap, np.where(a == b, 0.0, abs(a - b) / abs(b)).max())
+    return float(gap)
+
+
+# the modes whose two sides may differ by rounding: (what they compare, the
+# largest relative gap between two outcomes)
+GAPS = {"moments": ("moment", relative_gap), "paths": ("path value", path_gap)}
 
 
 def quartile_spread(values):

@@ -11,10 +11,11 @@ Usage:
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from beliefmkt.errors import ConfigError, step_count
-from beliefmkt.feedback import FeedbackConfig, run_feedback
+from beliefmkt.feedback import FeedbackConfig, diligence_counts, run_feedback
 
 
 def main():
@@ -26,16 +27,25 @@ def main():
     ap.add_argument("--diligent", type=int, nargs="+",
                     default=[0, 1, 5, 10, 25])
     args = ap.parse_args()
-    # every run's config is built before the first run or --out is made
-    try:
-        n_steps = step_count(args.years, FeedbackConfig.dt, "years")
-        configs = [FeedbackConfig(n_agents=args.agents, n_diligent=n_dil,
-                                  n_steps=n_steps, seed=args.seed)
-                   for n_dil in args.diligent]
-    except ConfigError as exc:
-        ap.error(str(exc))
+
+    def check(flag, make):
+        """make(), or exit 2 naming --flag with the ConfigError it raises."""
+        try:
+            return make()
+        except ConfigError as exc:
+            ap.error(f"argument --{flag}: {exc}")
+
+    # every argument is checked on its own before the first run or --out
+    # is made
+    base = check("agents", lambda: FeedbackConfig(
+        n_agents=args.agents, n_diligent=0, n_steps=1, seed=args.seed))
+    n_steps = check("years", lambda: step_count(args.years, FeedbackConfig.dt,
+                                                "years"))
+    check("diligent", lambda: diligence_counts(base, args.diligent))
     if args.seed < 0:
-        ap.error("seed must be >= 0")
+        ap.error("argument --seed: must be >= 0")
+    configs = [replace(base, n_diligent=n_dil, n_steps=n_steps)
+               for n_dil in args.diligent]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

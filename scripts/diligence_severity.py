@@ -8,6 +8,7 @@ Usage:
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,16 +25,23 @@ def main():
     ap.add_argument("--diligent", type=int, nargs="+",
                     default=[0, 5, 10, 25])
     args = ap.parse_args()
-    # every argument is checked before the first run
-    try:
-        n_steps = step_count(args.years, FeedbackConfig.dt, "years")
-        cfg = FeedbackConfig(n_agents=args.agents, n_diligent=0,
-                             n_steps=n_steps, seed=0)
-        diligence_counts(cfg, args.diligent)
-    except ConfigError as exc:
-        ap.error(str(exc))
+
+    def check(flag, make):
+        """make(), or exit 2 naming --flag with the ConfigError it raises."""
+        try:
+            return make()
+        except ConfigError as exc:
+            ap.error(f"argument --{flag}: {exc}")
+
+    # every argument is checked on its own before the first run
+    base = check("agents", lambda: FeedbackConfig(
+        n_agents=args.agents, n_diligent=0, n_steps=1, seed=0))
+    n_steps = check("years", lambda: step_count(args.years, FeedbackConfig.dt,
+                                                "years"))
+    check("diligent", lambda: diligence_counts(base, args.diligent))
     if args.seeds < 1:
-        ap.error("seeds must be >= 1")
+        ap.error("argument --seeds: must be >= 1")
+    cfg = replace(base, n_steps=n_steps)
 
     table = diligence_sweep(cfg, args.diligent, list(range(args.seeds)))
     print(f"{'diligent':>8} {'mean range':>11} {'median':>8} {'max':>8} "

@@ -19,10 +19,13 @@ l_j(t) = -rho_j t + log Lambda^j_t - log nu_j and q = softmax(l):
     sigma^S  = kappa + a,   a = weighted drift with weights q_j/rho_j
     w_j      = delta * q_j / rho_j,   c_j = rho_j w_j = delta * q_j
     pi_j     = w_j (alpha_j + kappa) / (S (a + kappa))
+             = N_j / sum_k N_k,   N_j = (q_j / rho_j) (alpha_j + kappa)
 
 so the clearing identities sum(c) = delta, sum(w) = S, sum(pi) = 1 hold to
 rounding error by construction.  All agent aggregation happens in log
-space, which is immune to under/overflow at large t.
+space, which is immune to under/overflow at large t.  The holdings pi and
+their diffusions theta_j = d pi_j / dX are formed from q / rho, not from
+the wealth, so they do not depend on the dividend level.
 
 Arrays are agent-major: a path's per-agent quantities are (J, n+1), and
 those of a batch of P paths (J, P, n+1), so every max over agents reduces
@@ -36,12 +39,12 @@ state needs; a path priced alone and inside a batch agree to the bit.
 A simulated path (``EquilibriumPath``) keeps that kernel's ``MarketState``,
 whose exponentials e_j = exp(l_j - m) are the one per-agent array the
 kernel builds and whose drifts are each belief's ``drift_at`` (a float for
-a constant drift), and the log dividend.  It derives delta, S, sigma^S,
-zeta, the shares q = e / s, the per-agent alpha, and w, c, pi and the
-trade diffusions theta from them on first access, so a caller that reads
-only PD, r and log delta (the moment report) never builds a level or a
-per-agent array beyond the kernel's own, and a written path evaluates no
-belief a second time.
+a constant drift), and the log dividend.  It derives delta, S, sigma^S and
+zeta from them on first access, and every per-agent array (alpha, the
+shares q = e / s, w, c, pi and theta) in one derivation, so a caller that
+reads only PD, r and log delta (the moment report) never builds a level or
+a per-agent array beyond the kernel's own, and a written path evaluates no
+belief's drift or log ratio a second time.
 
 ``simulate_paths`` returns a lazy sequence: item p is simulated from
 (seed, p) when it is read, through this module's ``simulate_path`` as it
@@ -127,54 +130,6 @@ class MarketSpec:
         rho = np.array([a.impatience for a in self.agents])
         nu = np.array([a.weight for a in self.agents])
         return rho, nu
-
-
-# ---------------------------------------------------------------------------
-# pointwise equilibrium formulas, agent axis first: per-agent arrays have
-# shape (J, ...), so every aggregate over agents reduces the leading axis
-
-
-def _per_agent(values, like):
-    """A (J,) parameter shaped to broadcast against the (J, ...) ``like``."""
-    return np.reshape(values, (-1,) + (1,) * (np.ndim(like) - 1))
-
-
-def wealth_and_portfolios(rho, q, alpha, dividend, kappa):
-    """Wealth, consumption and risky-asset holdings for every agent, each
-    of shape (J, ...), at a market state whose stock volatility a + kappa
-    does not vanish: ``market_state`` has already raised
-    SingularMarketError where it does."""
-    consumption = dividend * q
-    wealth = consumption / _per_agent(rho, q)
-    # unit net supply: holdings are each agent's share of
-    # sum_j w_j (alpha_j + kappa) = S (a + kappa), normalized by that sum
-    # itself, so they add up to 1 even where a + kappa is small
-    holdings = np.add(alpha, kappa, out=np.empty_like(wealth))
-    holdings *= wealth
-    holdings /= holdings.sum(axis=0)
-    return wealth, consumption, holdings
-
-
-def trade_volume(rho, q, alpha, alphabar, kappa, slope=0.0):
-    """Diffusion coefficients theta_j = d pi_j / dX, shape (J, ...), of the
-    holdings, exact as the state is Markov in (t, X), and their Euclidean
-    norm (the total trading-volume proxy).  alphabar = sum q alpha and
-    kappa = sigma - alphabar are the market state's ``mean_drift`` and
-    ``kappa``.
-
-    With u = q / rho, b = alpha + kappa, N = u b, D = sum N, g = d alpha /
-    dX (``slope``), v = sum q (alpha - alphabar)^2 and gbar = sum q g,
-    N' = u (alpha b + g - v - gbar) is dN / dX up to a multiple of N, and
-    theta = N' / D - (N / D) (sum N' / D)."""
-    v = (q * (alpha - alphabar) ** 2).sum(axis=0)
-    u = q / _per_agent(rho, q)
-    b = alpha + kappa
-    n = u * b
-    d = n.sum(axis=0)
-    dn = u * (alpha * b + slope - v - (q * slope).sum(axis=0))
-    theta = dn / d - n / d * (dn.sum(axis=0) / d)
-    total = np.sqrt((theta * theta).sum(axis=0))
-    return theta, total
 
 
 def solve_market_clearing(inverse_marginals: Sequence[Callable], lam, nu,
@@ -316,13 +271,15 @@ class EquilibriumPath:
     the log dividend and the market state along them.
 
     pd_ratio, rate, kappa and ic_suspect read the state; dividend, stock,
-    stock_vol, zeta, the per-agent drifts and shares q, wealth,
-    consumption, holdings and trade are derived on first access and then
-    kept.  Per-agent fields are (n+1, J) views of agent-major (J, n+1)
-    arrays, built from what the kernel computed: alpha from the state's
-    drifts and q_j = e_j / s from its e = exp(l - m) and s, so a written
-    path calls each belief's ``drift_at`` and ``log_ratio`` once, in the
-    kernel.  trade is ``trade_volume``'s theta_j = d pi_j / dX, exact for
+    stock_vol and zeta are derived on first access and then kept.  The
+    per-agent fields drifts, q, wealth, consumption, holdings and trade
+    are (n+1, J) views of the agent-major (J, n+1) arrays of one
+    derivation, ``_agents``, made on the first read of any of them from
+    what the kernel computed: alpha from the state's drifts and q_j = e_j /
+    s from its e = exp(l - m) and s, so a written path calls each belief's
+    ``drift_at`` and ``log_ratio`` once, in the kernel.  With u = q / rho,
+    b = alpha + kappa and N = u b, the holdings are pi = N / sum N, w =
+    delta u and c = delta q, and trade is theta_j = d pi_j / dX, exact for
     every market.
     """
 
@@ -339,14 +296,38 @@ class EquilibriumPath:
     ic_suspect = property(lambda self: self.state.ic_suspect)
 
     @cached_property
+    @np.errstate(over="ignore")  # w = delta u, where delta is huge
     def _agents(self):
-        """Agent-major (alpha, q): the state's drifts, and q = e / s."""
+        """Agent-major (alpha, q, w, c, pi, theta), each (J, n+1).
+
+        With g = d alpha / dX (each belief's ``drift_slope``), v = sum q
+        (alpha - alphabar)^2 and gbar = sum q g, N' = u (alpha b + g - v -
+        gbar) is dN / dX up to a multiple of N, and theta = N' / D - pi
+        (sum N' / D) with D = sum N."""
         k = self.state
-        return (np.stack(np.broadcast_arrays(self.x, *k.drifts)[1:]),
-                k.weights / k.weight_sum)
+        alpha = np.stack(np.broadcast_arrays(self.x, *k.drifts)[1:])
+        q = k.weights / k.weight_sum
+        slope = np.array([a.belief.drift_slope(self.times)
+                          for a in self.spec.agents])
+        u = q / k.impatience[:, None]
+        b = alpha + k.kappa
+        n = u * b
+        d = n.sum(axis=0)
+        # unit net supply: each agent's share of sum N = PD (a + kappa),
+        # normalized by that sum itself, so the holdings add up to 1 even
+        # where a + kappa is small
+        pi = n / d
+        v = (q * (alpha - k.mean_drift) ** 2).sum(axis=0)
+        dn = u * (alpha * b + slope - v - (q * slope).sum(axis=0))
+        theta = dn / d - pi * (dn.sum(axis=0) / d)
+        return alpha, q, self.dividend * u, self.dividend * q, pi, theta
 
     drifts = property(lambda self: self._agents[0].T)  # alpha^j_t
     q = property(lambda self: self._agents[1].T)  # consumption shares
+    wealth = property(lambda self: self._agents[2].T)
+    consumption = property(lambda self: self._agents[3].T)
+    holdings = property(lambda self: self._agents[4].T)  # units of the asset
+    trade = property(lambda self: self._agents[5].T)  # d holdings / dX
 
     dividend = cached_property(lambda self: np.exp(self.log_dividend))
 
@@ -360,28 +341,11 @@ class EquilibriumPath:
 
     @cached_property
     def zeta(self):
+        # np.log(dividend), not log_dividend: a dividend that underflows to
+        # 0 makes zeta infinite, and that is what refuses such a path when
+        # it is written (check_finite passes a dividend of 0)
         k = self.state
         return np.exp(k.log_max + np.log(k.weight_sum) - np.log(self.dividend))
-
-    @cached_property
-    def _portfolios(self):
-        k = self.state
-        alpha, q = self._agents
-        return tuple(a.T for a in wealth_and_portfolios(
-            k.impatience, q, alpha, self.dividend, k.kappa))
-
-    wealth = property(lambda self: self._portfolios[0])
-    consumption = property(lambda self: self._portfolios[1])
-    holdings = property(lambda self: self._portfolios[2])  # units of the asset
-
-    @cached_property
-    def trade(self):
-        k = self.state
-        slope = np.array([a.belief.drift_slope(self.times)
-                          for a in self.spec.agents])
-        alpha, q = self._agents
-        return trade_volume(k.impatience, q, alpha, k.mean_drift, k.kappa,
-                            slope)[0].T
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def write_csv(self, fp):
@@ -392,10 +356,9 @@ class EquilibriumPath:
         columns = dict(t=self.times, X=self.x, delta=self.dividend,
                        zeta=self.zeta, S=self.stock, PD=self.pd_ratio,
                        r=self.rate, kappa=self.kappa, sigmaS=self.stock_vol)
-        for name, block in dict(q=self.q, w=self.wealth, c=self.consumption,
-                                pi=self.holdings, theta=self.trade).items():
-            columns.update((f"{name}_{j}", v)
-                           for j, v in enumerate(block.T, 1))
+        for name, block in zip(("q", "w", "c", "pi", "theta"),
+                               self._agents[1:]):
+            columns.update((f"{name}_{j}", v) for j, v in enumerate(block, 1))
         table = np.column_stack(tuple(columns.values()))
         check_finite(list(columns), table)
         fp.write(",".join(columns) + "\n")

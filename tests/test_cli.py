@@ -233,8 +233,9 @@ _MARKET_B = _one_agent_market(3.0, 5.0)
     # the dividend underflows to 0 and zeta overflows
     (_one_agent_market(0.3, 0.0), 20000.0, 1.0, 1,
      "column zeta is not finite at t=16695.0"),
-    # the levels overflow, and the portfolio share is inf / inf
-    (_MARKET_B, 100.0, 0.1, 4, "column pi_1 is not finite at t=70.4")],
+    # the levels overflow, S first (the holdings, formed from q / rho,
+    # stay finite)
+    (_MARKET_B, 100.0, 0.1, 4, "column S is not finite at t=70.5")],
     ids=["underflow", "overflow"])
 def test_simulate_log_writes_no_path_that_is_not_finite(
         tmp_path, capsys, market, horizon, dt, n_paths, message):

@@ -15,8 +15,7 @@ from beliefmkt import equilibrium
 from beliefmkt.calibration import compute_moments
 from beliefmkt.equilibrium import (AgentSpec, EquilibriumPath, MarketSpec,
                                    market_state, simulate_path, simulate_paths,
-                                   solve_market_clearing, trade_volume,
-                                   wealth_and_portfolios)
+                                   solve_market_clearing)
 from beliefmkt.errors import (MAX_COUNT, ConfigError, SaturationError,
                               SingularMarketError)
 from conftest import (assert_same_text, benchmark_market, driver_path,
@@ -675,38 +674,29 @@ def test_simulated_paths_share_no_memory():
                                 equilibrium.log_dividend_path(spec, times, x))
 
 
-def test_moments_build_no_portfolio_arrays(monkeypatch):
+def test_moments_build_no_portfolio_arrays():
     # nor any other per-agent array: no log Lambda, drift or share
-    def forbidden(*args):
-        raise AssertionError("per-agent arrays built for the moments")
-
-    monkeypatch.setattr(equilibrium, "wealth_and_portfolios", forbidden)
-    monkeypatch.setattr(equilibrium, "trade_volume", forbidden)
     paths = list(simulate_paths(learner_market(), 2.0, 1 / 52, seed=6,
                                 n_paths=3))
     report = compute_moments(paths)
     assert math.isfinite(report.mean_pd) and math.isfinite(report.sharpe)
     for path in paths:
-        assert not {"zeta", "_agents", "_portfolios", "trade"} \
-            & set(vars(path))
+        assert not {"zeta", "_agents"} & set(vars(path))
 
 
-def test_portfolios_built_once_on_first_access(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return wealth_and_portfolios(*args)
-
-    monkeypatch.setattr(equilibrium, "wealth_and_portfolios", counted)
+def test_portfolios_built_once_on_first_access():
+    # the six per-agent fields are views of one derivation, made on the
+    # first read of any of them and then kept
     path = simulate_path(benchmark_market(), 1.0, 1 / 52, seed=2)
-    assert not calls
+    assert "_agents" not in vars(path)
     holdings = path.holdings
-    assert path.holdings is holdings and path.wealth is path.wealth
-    assert path.trade is path.trade and path.zeta is path.zeta
-    q = path.q   # the per-agent fields are derived once, too
-    assert path.q.base is q.base
-    assert len(calls) == 1
+    derived = vars(path)["_agents"]
+    views = (path.drifts, path.q, path.wealth, path.consumption, holdings,
+             path.trade)
+    assert len(derived) == len(views)
+    assert all(v.base is a for v, a in zip(views, derived))
+    assert path._agents is derived and path.holdings.base is derived[4]
+    assert path.zeta is path.zeta
 
 
 def test_written_path_takes_its_shares_from_the_kernel(monkeypatch):
@@ -748,42 +738,36 @@ def test_ic_violation_flagged_for_divergent_pd():
 # trade volume
 
 
-def mean_drift_and_kappa(q, alpha, sigma):
-    """(alphabar, kappa) at consumption shares q, as the market state
-    holds them."""
-    alphabar = (q * alpha).sum(axis=0)
-    return alphabar, sigma - alphabar
+def trade_at_shares(q, alpha, sigma=0.3):
+    """theta at t = 0 for agents of one impatience with constant drifts
+    alpha and weights nu_j = 1 / q_j, whose shares there are q."""
+    spec = MarketSpec(sigma=sigma, agents=tuple(
+        AgentSpec(impatience=0.1, belief=ConstantDrift(a), weight=1.0 / w)
+        for w, a in zip(q, alpha)))
+    return at_point(spec).trade[0]
 
 
 def test_no_trade_with_homogeneous_beliefs():
-    rho = np.array([0.1, 0.1, 0.1])
-    q = np.array([0.2, 0.5, 0.3])
-    alpha = np.array([0.07, 0.07, 0.07])
-    theta, total = trade_volume(rho, q, alpha, *mean_drift_and_kappa(
-        q, alpha, 0.3))
+    theta = trade_at_shares([0.2, 0.5, 0.3], [0.07, 0.07, 0.07])
     np.testing.assert_allclose(theta, 0.0, atol=1e-16)
-    assert total == pytest.approx(0.0, abs=1e-16)
+    assert np.linalg.norm(theta) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_two_agent_trade_symbolic_value():
     # q = (1/2, 1/2), alpha = (a, -a): alphabar = 0, v = a^2, so
     # theta_1 = (a^2/sigma - a^2/sigma + a) / 2 = a / 2
     a, sigma = 0.2, 0.3
-    q, alpha = np.array([0.5, 0.5]), np.array([a, -a])
-    theta, total = trade_volume(np.array([0.1, 0.1]), q, alpha,
-                                *mean_drift_and_kappa(q, alpha, sigma))
+    theta = trade_at_shares([0.5, 0.5], [a, -a], sigma)
     assert theta[0] == pytest.approx(a / 2.0, rel=1e-14)
     assert theta.sum() == pytest.approx(0.0, abs=1e-16)
-    assert total == pytest.approx(a / math.sqrt(2.0), rel=1e-14)
+    assert np.linalg.norm(theta) == pytest.approx(a / math.sqrt(2.0),
+                                                  rel=1e-14)
 
 
 def test_wider_drift_spread_raises_volume():
-    q = np.array([0.3, 0.7])
-    base = np.array([0.25, -0.15])
-    _, small = trade_volume(np.array([0.1, 0.1]), q, base,
-                            *mean_drift_and_kappa(q, base, 0.3))
-    _, big = trade_volume(np.array([0.1, 0.1]), q, 2.0 * base,
-                          *mean_drift_and_kappa(q, 2.0 * base, 0.3))
+    q, base = [0.3, 0.7], np.array([0.25, -0.15])
+    small = np.linalg.norm(trade_at_shares(q, base))
+    big = np.linalg.norm(trade_at_shares(q, 2.0 * base))
     assert big > small
 
 
@@ -873,6 +857,27 @@ def test_trade_is_the_holdings_quadratic_variation(spec):
         for p in simulate_paths(spec, 10.0, 1 / 252, seed=5, n_paths=200)])
     se = ratios.std(axis=0, ddof=1) / math.sqrt(len(ratios))
     assert np.all(np.abs(ratios.mean(axis=0) - 1.0) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("market", [learner_market, benchmark_market],
+                         ids=["learner", "benchmark3"])
+def test_holdings_and_trade_do_not_depend_on_the_dividend(market):
+    # pi and theta are formed from q / rho, not from the wealth delta q /
+    # rho, so a dividend level that scales w by 1e-300 or makes it
+    # overflow leaves them finite and unchanged to the bit
+    spec = market()
+    t = np.array([0.0, 1.0, 20.0, 50.0])
+    x = np.array([0.0, 0.3, -2.0, 5.0])
+
+    def holdings_and_trade(level):
+        path = grid_path(spec, t, x, np.full_like(t, level), 1.0)
+        return path.holdings, path.trade
+
+    want = holdings_and_trade(1.0)
+    for level in (1e-300, 1e300, 1e308):
+        for got, base in zip(holdings_and_trade(level), want):
+            assert np.all(np.isfinite(got)), level
+            assert np.array_equal(got, base), level
 
 
 # ---------------------------------------------------------------------------

@@ -58,16 +58,18 @@ def test_experiment_scripts_run(tmp_path):
         MOMENT_LABELS.values())
 
     # an A/A run of this checkout against itself on one seed, per mode
-    for mode in ("feedback", "fit", "moments"):
+    gaps = {"moments": "moment", "paths": "path value"}
+    for mode in ("feedback", "fit", "moments", "paths"):
         lines = run_script("ab_timing.py", mode, str(REPO), str(REPO), "3",
                            "3")
-        assert len(lines) == 3 + (mode == "moments")
+        assert len(lines) == 3 + (mode in gaps)
         assert lines[0].startswith("seed   3  old first")
         assert re.fullmatch(r"median ratio \d+\.\d{3}  new faster on [01] "
                             r"of 1 seeds", lines[1])
         assert lines[2] == "quartile spread  old 0.000 s  new 0.000 s"
-    # a checkout against itself: its moments agree to the bit
-    assert lines[3] == "largest relative moment gap 0"
+        if mode in gaps:
+            # a checkout against itself: its values agree to the bit
+            assert lines[3] == f"largest relative {gaps[mode]} gap 0"
 
 
 def test_feedback_scripts_take_whole_steps_only(tmp_path):
@@ -76,25 +78,27 @@ def test_feedback_scripts_take_whole_steps_only(tmp_path):
     for name in ("diligence_severity.py", "bubble_panels.py"):
         lines = run_script(name, "--years", "0.1", returncode=2)
         assert lines[-1].endswith(
-            "error: dt: must cut years into whole steps, not years/dt = "
-            f"{0.1 / (1.0 / 252.0)!r}"), name
-    # and every other bad argument exits 2 as argparse's own errors do,
-    # before any run, table or output directory
+            "error: argument --years: dt: must cut years into whole steps, "
+            f"not years/dt = {0.1 / (1.0 / 252.0)!r}"), name
+    # and every other bad argument exits 2 naming its flag, as argparse's
+    # own errors do, before any run, table or output directory
     out = tmp_path / "panels"
     panels = ["--out", str(out)]
     for name, args, message in [
             ("diligence_severity.py", ["--diligent", "40"],
-             "diligence_values: 40 is not a diligence count: need an int "
-             "in 0..30"),
+             "argument --diligent: diligence_values: 40 is not a diligence "
+             "count: need an int in 0..30"),
             ("diligence_severity.py", ["--agents", "0"],
-             "n_agents must be >= 1"),
-            ("diligence_severity.py", ["--seeds", "0"], "seeds must be >= 1"),
+             "argument --agents: n_agents must be >= 1"),
+            ("diligence_severity.py", ["--seeds", "0"],
+             "argument --seeds: must be >= 1"),
             ("bubble_panels.py", [*panels, "--agents", "0"],
-             "n_agents must be >= 1"),
+             "argument --agents: n_agents must be >= 1"),
             ("bubble_panels.py", [*panels, "--diligent", "0", "31"],
-             "need 0 <= n_diligent <= n_agents"),
+             "argument --diligent: diligence_values: 31 is not a diligence "
+             "count: need an int in 0..30"),
             ("bubble_panels.py", [*panels, "--seed", "-1"],
-             "seed must be >= 0")]:
+             "argument --seed: must be >= 0")]:
         lines = run_script(name, *args, returncode=2)
         assert lines[0].startswith("usage: "), (name, args)
         assert lines[-1].endswith(f"error: {message}"), (name, args)

@@ -16,7 +16,9 @@ REPO = Path(__file__).resolve().parents[1]
 
 # traced names the program has already dropped; their metrics read 0
 _GONE = {("equilibrium", "simulate_driver"), ("equilibrium", "evaluate_grid"),
-         ("equilibrium", "log_ratio_paths"), ("numerics", "logsumexp"),
+         ("equilibrium", "log_ratio_paths"),
+         ("equilibrium", "wealth_and_portfolios"),
+         ("equilibrium", "trade_volume"), ("numerics", "logsumexp"),
          ("numerics", "softmax")}
 # wrapped by the tracer outside its two tables
 _ALSO_WRAPPED = {("feedback", "brentq"),
