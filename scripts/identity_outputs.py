@@ -371,13 +371,18 @@ def feedback_tasks(seeds):
             for n_diligent in SWEEP_COUNTS]
 
 
+def sweep_tasks(seeds):
+    """The tasks of sweep.txt's lines for ``seeds``, in line order."""
+    cfg = sweep_config()
+    return [(cfg, seed) for seed in seeds]
+
+
 def feedback_runs(out):
     write_lines(out, feedback_line, feedback_tasks(range(40)))
 
 
 def sweeps(out):
-    cfg = sweep_config()
-    write_lines(out, sweep_line, [(cfg, seed) for seed in range(40)])
+    write_lines(out, sweep_line, sweep_tasks(range(40)))
 
 
 def sha256(data):

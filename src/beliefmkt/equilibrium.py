@@ -341,18 +341,16 @@ class EquilibriumPath:
 
     @cached_property
     def zeta(self):
-        # np.log(dividend), not log_dividend: a dividend that underflows to
-        # 0 makes zeta infinite, and that is what refuses such a path when
-        # it is written (check_finite passes a dividend of 0)
         k = self.state
-        return np.exp(k.log_max + np.log(k.weight_sum) - np.log(self.dividend))
+        return np.exp(k.log_max + np.log(k.weight_sum) - self.log_dividend)
 
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    @np.errstate(over="ignore", invalid="ignore")
     def write_csv(self, fp):
         """The header row, then one row per grid point.  Raises
         SaturationError (``numerics.check_finite``), having written
-        nothing, when a value is not finite: numpy does not warn of a level
-        that overflows or underflows, as that error names it."""
+        nothing, when a value is not finite or a level (delta, zeta, S) is
+        0: numpy does not warn of a level that overflows or underflows, as
+        that error names it."""
         columns = dict(t=self.times, X=self.x, delta=self.dividend,
                        zeta=self.zeta, S=self.stock, PD=self.pd_ratio,
                        r=self.rate, kappa=self.kappa, sigmaS=self.stock_vol)

@@ -43,11 +43,10 @@ oracle, and the outputs are the same to the bit.
   and exp passes and absorbs the solved moves once for all of them; every
   maximum and every sum over rows runs on one block, so no count's scan
   reads another's rows, and Brent and the update give each count the
-  bits it gets on its own.  ``solve_step`` then solves the counts in turn.
-  A count that fails, and the counts after it, keep their rows, which go
-  on absorbing their last moves but are no longer scanned or solved; the
-  counts before it run to the end, as they would one count at a time, and
-  the first count in order that fails gives the error.
+  bits it gets on its own.  ``solve_step`` then solves the counts in turn,
+  and the first failure stops the seed, so its error is that of the count
+  whose own run fails at the earliest step (at a tied step, the first
+  count in order).
 * Brent's residual stacks the PD numerator and denominator as the two rows
   of one array, so each call makes one exp pass; it joins the diligent
   term in Python floats (``_logaddexp``, numpy's own steps).  The two ends
@@ -282,8 +281,9 @@ class FeedbackResult:
     def write_csv(self, fp):
         """One row per step; xi is an empty field at t = 0, where it is NaN.
         Raises SaturationError (``numerics.check_finite``), having written
-        nothing, when any other value is not finite: numpy does not warn of
-        a level that overflows, as that error names it.
+        nothing, when any other value is not finite or a level (delta, S*,
+        S) is 0: numpy does not warn of a level that overflows or
+        underflows, as that error names it.
 
         The warning counts are whole numbers >= 0, which ``%.17g`` prints
         as ``%d`` does."""
@@ -658,13 +658,11 @@ def _run(config: FeedbackConfig, counts) -> List[FeedbackResult]:
     that sets S*, stays there: its price is S* by definition.  The others
     are stepped together: each step fills the step terms, scans the first
     bracket and absorbs the solved moves once for all of them
-    (``_Observers``), and ``solve_step`` solves each count in turn.  When a
-    count fails, its rows and those of the counts after it keep absorbing
-    their last moves, but are no longer scanned or solved; the counts
-    before it run on to the end, since one of them may fail later.  Raises
-    the ``FixedPointError`` that running the counts one after another
-    would raise, its message prefixed by ``seed S, n_diligent C: `` and
-    both values first in its diagnostics.
+    (``_Observers``), and ``solve_step`` solves each count in turn.  The
+    first failure stops the run: it raises the ``FixedPointError`` of the
+    count whose own run fails at the earliest step (at a tied step, the
+    first count in order), its message prefixed by ``seed S, n_diligent
+    C: `` and both values first in its diagnostics.
     """
     J, n = config.n_agents, config.n_steps
     stepped = [i for i, c in enumerate(counts) if c < J]
@@ -691,34 +689,27 @@ def _run(config: FeedbackConfig, counts) -> List[FeedbackResult]:
     # each stepped count's series, and its rows in observed
     runs = [(log_stock[i], xi_series[i], warnings[i], residuals[i], block)
             for i, block in zip(stepped, observers.blocks)]
-    error = None
-    active = len(runs)
-    for t in range(n):
-        if not active:
-            break
+    for t in range(n if runs else 0):
         d = increments[t]
-        first_scan = observers.start_step(t, d, sigma_step, dil[t, :active])
-        for i, (stock, xis, warn, resid, block) in enumerate(runs[:active]):
+        first_scan = observers.start_step(t, d, sigma_step, dil[t])
+        for i, (stock, xis, warn, resid, block) in enumerate(runs):
             prev = xis[t] if t > 0 else d
             try:
                 xi, n_roots, rel = solve_step(
                     observers, i, t, stock[t], log_div[t + 1], d, prev,
                     sigma_step, dil[t, i], first_scan[i], log_pd_bounds)
             except FixedPointError as exc:
-                error, active = exc, i
-                break
+                seed, count = config.seed, stepping[i]
+                raise FixedPointError(
+                    f"seed {seed}, n_diligent {count}: {exc}", step=exc.step,
+                    diagnostics={"seed": seed, "n_diligent": count,
+                                 **exc.diagnostics}) from exc
             observed[block] = xi
             xis[t + 1] = xi
             warn[t + 1] = n_roots - 1
             resid[t + 1] = rel
             stock[t + 1] = stock[t] + xi
         observers.absorb(observed, t)
-    if error is not None:
-        seed, count = config.seed, stepping[active]
-        raise FixedPointError(
-            f"seed {seed}, n_diligent {count}: {error}", step=error.step,
-            diagnostics={"seed": seed, "n_diligent": count,
-                         **error.diagnostics}) from error
     return [_result(config, inputs, *series)
             for series in zip(log_stock, xi_series, warnings, residuals)]
 
@@ -779,8 +770,11 @@ def diligence_sweep(config: FeedbackConfig, n_diligent_values,
     so ``numerics.fork_map`` splits more than one of them across the
     usable CPUs; a seed's counts are never split.  Its results come back
     in seed order, so the table never depends on the split.  A failing
-    run raises its ``FixedPointError`` as ``_run`` gives it.  The counts
-    are checked first (``diligence_counts``).
+    seed stops at its first failure and raises the ``FixedPointError`` of
+    the count whose own run fails at the earliest step, the first count in
+    order at a tied step (``_run``); of several failing seeds, the first
+    in order gives the error.  The counts are checked first
+    (``diligence_counts``).
     """
     counts = diligence_counts(config, n_diligent_values)
     tasks = [(replace(config, seed=seed), counts) for seed in master_seeds]

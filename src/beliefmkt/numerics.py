@@ -10,11 +10,11 @@ of values per numpy pass; a value whose digits it cannot certify is
 printed by ``%`` itself, NaN and the infinities among them.
 ``check_finite`` is the finite-output rule of the result tables: the
 writers of a path CSV and of a feedback series run it before writing a
-byte, so neither holds ``inf`` or ``nan``.  ``fork_map`` is the
-package's one split of independent work across processes: it maps a
-function over a sequence cut into contiguous ranges, one forked process
-per usable CPU, and returns the results in item order, as an in-order
-loop would give them."""
+byte, so neither holds ``inf``, ``nan`` or a level that underflowed to 0.
+``fork_map`` is the package's one split of independent work across
+processes: it maps a function over a sequence cut into contiguous ranges,
+one forked process per usable CPU, and returns the results in item order,
+as an in-order loop would give them."""
 
 import functools
 import math
@@ -35,6 +35,9 @@ __all__ = ["brentq", "nelder_mead", "solve_decreasing", "scan_sign_changes",
 # call overhead, few enough that a chunk's temporaries stay well under a
 # megabyte
 _CHUNK_VALUES = 4096
+# the result tables' columns of levels: dividend, state-price density and
+# prices, > 0 by definition, so a 0 there is a level that underflowed
+_LEVELS = frozenset(("delta", "zeta", "S", "S_star"))
 # |x| range of the vectorized %.17g digits: 10^(16 - k) and every partial
 # product of Dekker's algorithm stay normal doubles
 _FAST_MIN, _FAST_MAX = 1e-250, 1e250
@@ -457,11 +460,14 @@ def _format_chunk(x, last):
 def check_finite(names, table):
     """Raise SaturationError naming the column (of ``names``) and the t
     (column 0) of the first value of the 2-d float array ``table``, row by
-    row, that is not finite."""
-    finite = np.isfinite(table)
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), table.shape[1])
-        raise SaturationError(f"column {names[j]} is not finite at "
+    row, that is not finite, or that is 0 in a column of levels
+    (``_LEVELS``), which are > 0 unless they underflowed."""
+    not_level = [name not in _LEVELS for name in names]
+    ok = np.isfinite(table) & ((table != 0) | not_level)
+    if not ok.all():
+        i, j = divmod(int(np.argmin(ok)), table.shape[1])
+        what = "is 0" if table[i, j] == 0 else "is not finite"
+        raise SaturationError(f"column {names[j]} {what} at "
                               f"t={table[i, 0].item()!r}")
 
 

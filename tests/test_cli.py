@@ -230,9 +230,9 @@ _MARKET_B = _one_agent_market(3.0, 5.0)
 
 
 @pytest.mark.parametrize("market, horizon, dt, n_paths, message", [
-    # the dividend underflows to 0 and zeta overflows
+    # the dividend underflows to 0
     (_one_agent_market(0.3, 0.0), 20000.0, 1.0, 1,
-     "column zeta is not finite at t=16695.0"),
+     "column delta is 0 at t=16695.0"),
     # the levels overflow, S first (the holdings, formed from q / rho,
     # stay finite)
     (_MARKET_B, 100.0, 0.1, 4, "column S is not finite at t=70.5")],
@@ -648,6 +648,21 @@ def test_feedback_levels_that_overflow_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numeric failure: series.csv: column S_star is not finite at "
         "t=0.23412698412698413; the file is not written\n")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_feedback_levels_that_underflow_exit_3(tmp_path, capsys):
+    # a true growth of -25 a year takes the dividend below the float range
+    # at t = 29.85, and S* and S with it: series.csv is refused rather than
+    # written with levels of 0
+    cfg = write_config(tmp_path, {
+        "n_agents": 3, "n_diligent": 0, "years": 30.0, "seed": 1,
+        "growth_true": -25.0})
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: series.csv: column delta is 0 at "
+        "t=29.845238095238095; the file is not written\n")
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 

@@ -965,7 +965,7 @@ def test_write_csv_special_values_match_per_value_format():
 
     # every array written is the path's own, kept across accesses, so
     # the values are spiked in place
-    for a in (path.zeta, path.rate, path.x, path.holdings, path.trade):
+    for a in (path.wealth, path.rate, path.x, path.holdings, path.trade):
         a.flat[:len(special)] = special
     text = csv_text(path)
     assert_same_text(text, csv_by_value(path))
@@ -981,13 +981,13 @@ def test_write_csv_special_values_match_per_value_format():
 
 
 def test_a_refused_path_warns_no_library_caller():
-    # Market A: the dividend underflows to 0 and zeta = .../delta overflows;
-    # the refusal names the column, so numpy does not warn of the log of 0
+    # Market A: the dividend underflows to 0, and S with it; the refusal
+    # names delta, so numpy does not warn of the level that underflowed
     # (warnings fail the test)
     spec = MarketSpec(sigma=0.3, agents=(
         AgentSpec(impatience=0.05, belief=ConstantDrift(0.1), weight=1.0),))
     fp = io.StringIO()
-    with pytest.raises(SaturationError, match=r"^column zeta is not finite "
+    with pytest.raises(SaturationError, match=r"^column delta is 0 "
                        r"at t=16695\.0$"):
         simulate_path(spec, 20000.0, 1.0, seed=0).write_csv(fp)
     assert fp.getvalue() == ""

@@ -1343,68 +1343,47 @@ def test_error_from_a_forked_child_keeps_its_step_and_diagnostics(
     assert split_err.value.diagnostics == diagnostics
 
 
-def test_lockstep_raises_the_in_order_error(monkeypatch):
-    # seed 10, count 1 failing at step 61 and count 5 at step 73: one after
-    # another, [0, 1, 5] stops at count 1 once count 0 has run to the end,
-    # and [5, 1] at count 5
+def test_lockstep_raises_the_first_failure(monkeypatch):
+    # seed 10, count 1 failing at step 61 and count 5 at step 73: whatever
+    # the order, the seed stops at step 61 with count 1's own error
     cfg = replace(shipped_sweep_config(), seed=10)
-    failing_at(monkeypatch, {(10, 1, 61), (10, 5, 73), (34, 25, 59),
-                             (34, 29, 71)})
+    failing_at(monkeypatch, {(10, 1, 61), (10, 5, 73)})
     single = {}
     for c in (1, 5):
         with pytest.raises(FixedPointError) as err:
             run_feedback(replace(cfg, n_diligent=c))
         single[c] = err.value
     assert (single[1].step, single[5].step) == (61, 73)
-    for c in (1, 5):
-        assert str(single[c]).startswith(f"seed 10, n_diligent {c}: step ")
-        assert list(single[c].diagnostics)[:2] == ["seed", "n_diligent"]
+    assert str(single[1]).startswith("seed 10, n_diligent 1: step 61: ")
+    assert list(single[1].diagnostics)[:2] == ["seed", "n_diligent"]
     calls = tracking_solve_step(monkeypatch)
-    for counts, c in (([0, 1, 5], 1), ([5, 1], 5), ([1, 30], 1)):
+    for counts in ([0, 1, 5], [5, 1]):
         calls.clear()
         with pytest.raises(FixedPointError) as err:
             diligence_sweep(cfg, counts, [10])
-        assert str(err.value) == str(single[c])
-        assert err.value.step == single[c].step
-        assert err.value.diagnostics == single[c].diagnostics
-        if counts[0] == 0:
-            assert [t for b, t, _ in calls if b == 0] == list(range(1260))
-        # no count after the failing one is stepped past its failure
-        assert max(t for b, t, _ in calls if b >= counts.index(c)) \
-            == single[c].step
-    # seed 34: counts 25 and 29 failing at steps 59 and 71
-    cfg = replace(cfg, seed=34)
-    with pytest.raises(FixedPointError, match="^seed 34, n_diligent 25: "
-                       "step 59: forced") as err:
-        diligence_sweep(cfg, [25, 29], [34])
-    assert err.value.step == 59
-
-
-def test_count_running_on_after_a_later_count_fails_keeps_its_bits(
-        monkeypatch):
-    # seed 10, count 1 failing at step 61 and count 0 at step 1000: count 0
-    # runs on while count 1's rows stay in the stepper, and reaches its
-    # failure with the bits of its own run, whose solved xi the error holds
-    cfg = replace(shipped_sweep_config(), seed=10)
-    failing_at(monkeypatch, {(10, 0, 1000)})
-    with pytest.raises(FixedPointError) as alone:
-        run_feedback(replace(cfg, n_diligent=0))
+        assert str(err.value) == str(single[1])
+        assert err.value.step == single[1].step
+        assert err.value.diagnostics == single[1].diagnostics
+        # nothing is solved past the failing step
+        assert max(t for _, t, _ in calls) == 61
+    # at a tied step, the first count in order gives the error
     monkeypatch.undo()
-    failing_at(monkeypatch, {(10, 0, 1000), (10, 1, 61)})
-    with pytest.raises(FixedPointError) as err:
-        _run(cfg, [0, 1])
-    assert err.value.step == alone.value.step == 1000
-    assert err.value.diagnostics == alone.value.diagnostics
-    assert err.value.diagnostics["n_diligent"] == 0
-    assert repr(err.value.diagnostics["xi"]) \
-        == repr(alone.value.diagnostics["xi"])
+    failing_at(monkeypatch, {(10, 1, 61), (10, 5, 61)})
+    for counts, c in (([0, 1, 5], 1), ([5, 1], 5)):
+        with pytest.raises(FixedPointError, match=f"^seed 10, n_diligent {c}: "
+                           "step 61: forced$") as err:
+            _run(cfg, counts)
+        assert err.value.diagnostics["n_diligent"] == c
 
 
 def test_all_diligent_count_keeps_its_place_in_order(monkeypatch):
     # the all-diligent count is not stepped: its price is S*, and before or
     # after a count that fails it changes nothing of that count's error
     cfg = small_config(n_agents=2, n_diligent=2, n_steps=30)
-    want, = _run(cfg, [2])
+    with monkeypatch.context() as patched:
+        # with no count to step, no step is started
+        patched.setattr(feedback._Observers, "start_step", None)
+        want, = _run(cfg, [2])
     ideal = _seed_inputs(cfg, []).log_stock_ideal
     assert want.stock.tobytes() == np.exp(ideal).tobytes()
     assert want.xi[1:].tobytes() == np.diff(ideal).tobytes()
@@ -1473,17 +1452,17 @@ def test_csv_matches_per_value_format():
         fp = io.StringIO()
         r.write_csv(fp)
         assert_same_text(fp.getvalue(), series_by_value(r))
-    # any value that is not finite but row 0's xi is refused before a byte
-    # is written.  A bad log S is named by the first column it spoils: S
-    # for inf and nan, log_ratio for -inf (S = exp(-inf) = 0 is finite)
+    # any value that is not finite but row 0's xi, and any level of 0, is
+    # refused before a byte is written.  A bad log S is named by the first
+    # column it spoils, S: exp(-inf) = 0 is a level that underflowed
     t = re.escape(repr(res.times[8].item()))
-    for value, column in ((-np.inf, "log_ratio"), (np.inf, "S"),
-                          (np.nan, "S")):
+    for value, what in ((-np.inf, "is 0"), (np.inf, "is not finite"),
+                        (np.nan, "is not finite")):
         log_stock = res.log_stock.copy()
         log_stock[8] = value
         fp = io.StringIO()
-        with pytest.raises(SaturationError, match=f"^column {column} is not "
-                           f"finite at t={t}$"):
+        with pytest.raises(SaturationError,
+                           match=f"^column S {what} at t={t}$"):
             replace(res, log_stock=log_stock).write_csv(fp)
         assert fp.getvalue() == ""
 

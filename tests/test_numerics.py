@@ -474,6 +474,24 @@ def test_check_finite_names_the_first_value_row_by_row(cells, message):
         check_finite(_COLUMNS, table)
 
 
+def test_check_finite_names_a_level_of_0():
+    # a 0 in a column of levels is a level that underflowed, the first
+    # failing value row by row wins, and a 0 elsewhere (t, a share) passes
+    names = ("t", "w_1", "delta", "S")
+    table = np.array([[0.0, 0.0, 1.0, 2.0], [0.5, 0.0, 5e-324, -0.0],
+                      [1.0, 0.0, 0.0, np.inf]])
+    with pytest.raises(SaturationError, match=r"^column S is 0 at t=0\.5$"):
+        check_finite(names, table)
+    table[1, 3] = np.nan
+    with pytest.raises(SaturationError,
+                       match=r"^column S is not finite at t=0\.5$"):
+        check_finite(names, table)
+    table[1, 3] = 1.0
+    with pytest.raises(SaturationError,
+                       match=r"^column delta is 0 at t=1\.0$"):
+        check_finite(names, table)
+
+
 _IMPORT_PROBE = """
 import sys
 import beliefmkt.cli

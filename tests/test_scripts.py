@@ -128,8 +128,9 @@ def test_outputs_match_the_recorded_digest(tmp_path, monkeypatch):
     # a subset of scripts/identity_outputs.py's outputs, each byte for byte
     # as recorded in tests/identity_digest.json: errors.txt, the CLI
     # outputs of every shipped config and of the ingest run without a
-    # riskless column, two moment reports, three fits and the feedback runs
-    # of seeds 0-3 at the six counts
+    # riskless column, two moment reports, three fits, and the feedback runs
+    # of seeds 0-3 at the six counts, one at a time and as the sweep's
+    # lockstep
     module = identity_outputs()
     want = json.loads((REPO / "tests" / "identity_digest.json").read_text())
     assert module.versions() == want["versions"], (
@@ -151,7 +152,9 @@ def test_outputs_match_the_recorded_digest(tmp_path, monkeypatch):
         "moments.txt": [module.moment_line(k) for k in range(2)],
         "fits.txt": [module.fit_line(k) for k in range(3)],
         "feedback.txt": list(module.numerics.fork_map(
-            module.feedback_line, module.feedback_tasks(range(4))))}
+            module.feedback_line, module.feedback_tasks(range(4)))),
+        "sweep.txt": list(module.numerics.fork_map(
+            module.sweep_line, module.sweep_tasks(range(4))))}
     for name, got_lines in lines.items():
         assert [module.sha256(line.encode()) for line in got_lines] \
             == want["lines"][name][:len(got_lines)], name
