@@ -31,11 +31,12 @@ writes under OUT:
   together: every count's metrics ``repr``, or the error's type, step and
   diagnostics, leaving out the seed, the count and the message, which
   read as in that count's single run in ``feedback.txt``;
-* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (54 configs
+* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (55 configs
   and flags, each with one fault: a non-object item, a missing field, a
   non-number, a non-finite number, a count past ``MAX_COUNT``, a span
   that dt does not cut into whole steps, a value <= 0, an unknown or
-  misplaced fit parameter, an unread key or flag, and more), run through ``cli.main`` in this process: its name, exit code
+  misplaced fit parameter, an unread key or flag, a repeated key, and
+  more), run through ``cli.main`` in this process: its name, exit code
   and last line of stderr, with the temporary directory shown as
   ``<tmp>``.  An input-layer change shows its messages byte for byte.
 
@@ -245,6 +246,9 @@ ERROR_CASES = {
         _CONTEST, ("agents", 1, "belief_variance"), 0.0), []),
     "beauty-one-agent": ("beauty", {"agents": _CONTEST["agents"][:1]}, []),
     "beauty-flag-unread": ("beauty", _CONTEST, ["--seed", "2"]),
+    # a str config is written as it stands: JSON that json.dumps cannot make
+    "beauty-key-repeated": ("beauty", json.dumps(_CONTEST).replace(
+        '"mean_belief": 0.02', '"mean_belief": 5, "mean_belief": 0.02'), []),
     "fit-start-missing": ("fit", _edit(_FIT, ("free", 0, "start")), []),
     "fit-lower-string": ("fit", _edit(_FIT, ("free", 0, "lower"), "a"), []),
     "fit-horizon-odd-span": ("fit", _edit(_FIT, ("dt",), 0.3), []),
@@ -281,7 +285,8 @@ def error_lines(out):
         for k, (name, (subcommand, cfg, extra)) in enumerate(
                 ERROR_CASES.items()):
             cfg_path = Path(tmp) / f"{k}.json"
-            cfg_path.write_text(json.dumps(cfg))
+            cfg_path.write_text(cfg if isinstance(cfg, str)
+                                else json.dumps(cfg))
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
                 try:

@@ -87,6 +87,7 @@ class ContestEquilibrium:
     price: float
     professed: np.ndarray    # means the demands are based on
     holdings: np.ndarray
+    exponents: np.ndarray    # e_j, so that objective_j = -exp(-e_j) / gamma_j
     objectives: np.ndarray   # true-belief expected utility values
 
 
@@ -110,7 +111,8 @@ def _equilibrium(spec, p, price, professed):
             f"{float(exponent[j])!r}, objective {float(objectives[j])!r}, "
             f"holding {float(holdings[j])!r}")
     return ContestEquilibrium(weights=p, price=price, professed=professed,
-                              holdings=holdings, objectives=objectives)
+                              holdings=holdings, exponents=exponent,
+                              objectives=objectives)
 
 
 def truthful_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
@@ -144,44 +146,37 @@ def pareto_faked_equilibrium(spec: ContestSpec) -> ContestEquilibrium:
 
 @dataclass(frozen=True)
 class WelfareReport:
+    """Both equilibria and who gains: agent j strictly improves where its
+    faked exponent, and so its faked objective, exceeds its truthful one
+    (ties are no improvement), and ``all_worse`` holds where every faked
+    exponent is below."""
+
     truthful: ContestEquilibrium
     faked: ContestEquilibrium
     improved: np.ndarray          # strict per-agent improvement flags
     all_improved: bool            # never True (checked property)
     all_worse: bool
-    identity_gap: float           # residual of the q-weighted variance identity
 
 
 def welfare_comparison(spec: ContestSpec) -> WelfareReport:
-    """Both equilibria, compared agent by agent.
+    """Both equilibria, compared agent by agent through their objectives.
 
-    Agent j strictly improves iff
+    Each objective -exp(-e_j) / gamma_j increases with its exponent e_j, so
+    agent j strictly improves iff its faked exponent exceeds its truthful
+    one, which is 1 / (2 v_j) times the inequality
         (alpha_j - S)^2 < (a_j - F)^2 + 2 (a_j - F)(alpha_j - a_j)
     with S, F the truthful/faked prices and a_j the faked mean; ties count
-    as no improvement.  Also evaluates the identity
-        sum q_j (alpha_j - S)^2 = sum q_j (alpha_j - F)^2 + (S - F)^2,
-    q_j prop. to p_j(1-p_j), whose residual is returned.
+    as no improvement.  The exponents are compared, not the objectives:
+    past e_j of about 708 an objective is subnormal or rounds to -0.0, and
+    two of them could tie where their exponents differ.
     """
     truthful = truthful_equilibrium(spec)
     faked = pareto_faked_equilibrium(spec)
-    a = spec.mean_belief
-    lhs = (a - truthful.price) ** 2
-    rhs = (faked.professed - faked.price) ** 2 \
-        + 2.0 * (faked.professed - faked.price) * (a - faked.professed)
-    improved = lhs < rhs
-    worse = lhs > rhs
-    p = truthful.weights
-    q = p * (1.0 - p)
-    q = q / q.sum()
-    identity_gap = float(
-        q @ (a - truthful.price) ** 2
-        - q @ (a - faked.price) ** 2
-        - (truthful.price - faked.price) ** 2
-    )
+    improved = faked.exponents > truthful.exponents
     return WelfareReport(
         truthful=truthful, faked=faked, improved=improved,
-        all_improved=bool(improved.all()), all_worse=bool(worse.all()),
-        identity_gap=identity_gap)
+        all_improved=bool(improved.all()),
+        all_worse=bool((faked.exponents < truthful.exponents).all()))
 
 
 def format_solution(spec: ContestSpec, report: WelfareReport) -> str:

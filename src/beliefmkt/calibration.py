@@ -194,14 +194,14 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
     annualized real dividend rate, monthly rows.  An optional riskless
     column (annualized rate, decimal) enables the rate moments; otherwise
     those moments are NaN.  The file is read as UTF-8, whatever the
-    locale.
+    locale, skipping a leading byte-order mark.
 
     Annualization: monthly total returns (``total_return`` at dt = 1/12,
     which is P' / P + dividend / (12 P) - 1) scaled by 12 (mean) and
     sqrt(12) (std); PD is price over the annualized dividend, pooled
     monthly.
     """
-    with open(path, newline="", encoding="utf-8") as fp:
+    with open(path, newline="", encoding="utf-8-sig") as fp:
         reader = csv.reader(fp)
         try:
             table = list(reader)

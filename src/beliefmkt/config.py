@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from typing import Any, Dict
 
 from . import __version__, beauty, beliefs, calibration, equilibrium, feedback
@@ -19,11 +20,14 @@ from .errors import MAX_COUNT, ConfigError, step_count
 
 
 class _Node(dict):
-    """A JSON object that records the keys read from it with ``[]``."""
+    """A JSON object that records the keys read from it with ``[]``, and
+    the keys given in it more than once (the last value is kept)."""
 
     def __init__(self, pairs):
         super().__init__(pairs)
         self.read = set()
+        self.repeated = {key for key, n in Counter(
+            key for key, _ in pairs).items() if n > 1}
 
     def __getitem__(self, key):
         self.read.add(key)
@@ -31,13 +35,16 @@ class _Node(dict):
 
 
 def check_read(node, path=""):
-    """Raise a ConfigError naming the first key under ``node`` not read."""
+    """Raise a ConfigError naming the first key under ``node`` given twice
+    or not read."""
     if isinstance(node, list):
         for i, value in enumerate(node):
             check_read(value, f"{path}[{i}]")
     elif isinstance(node, _Node):
         for key, value in node.items():
             name = f"{path}.{key}" if path else key
+            if key in node.repeated:
+                raise ConfigError(f"{name}: duplicate key")
             if key not in node.read:
                 raise ConfigError(f"{name}: key not read by this run")
             check_read(value, name)
@@ -46,7 +53,7 @@ def check_read(node, path=""):
 def load_config(path: str) -> Dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as fp:
-            cfg = json.load(fp, object_hook=_Node)
+            cfg = json.load(fp, object_pairs_hook=_Node)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:

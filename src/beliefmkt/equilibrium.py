@@ -201,8 +201,7 @@ class MarketState(NamedTuple):
     wealth_drift: np.ndarray  # drift average under wealth weights q_j/rho_j
     rate: np.ndarray
     kappa: np.ndarray
-    mean_drift: np.ndarray       # q-weighted average drift
-    mean_impatience: np.ndarray  # q-weighted average impatience
+    mean_drift: np.ndarray  # q-weighted average drift
     ic_suspect: bool   # PD exceeded PD_DIVERGENCE_LIMIT somewhere
 
 
@@ -225,7 +224,8 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     rho_j, the drift average under wealth weights q_j / rho_j,
     alphabar = sum_j q_j alpha_j, rhobar = sum_j q_j rho_j,
     r = rhobar + sigma (alpha* + alphabar) - sigma^2 and kappa = sigma -
-    alphabar.  The state keeps the drifts as ``drift_at`` returned them.
+    alphabar.  The state keeps the drifts as ``drift_at`` returned them,
+    and not rhobar, which only r reads.
     The shares q, an agent-major alpha and log Lambda itself are not
     built (``EquilibriumPath`` derives q and alpha when they are read,
     q = e / s from the state's e and s, and alpha from its drifts)."""
@@ -261,7 +261,7 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     kappa = sigma - abar
     if np.any(np.abs(a + kappa) < _SINGULAR_TOL):
         raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
-    return MarketState(rho, drifts, m, l, s, pd, a, r, kappa, abar, rhobar,
+    return MarketState(rho, drifts, m, l, s, pd, a, r, kappa, abar,
                        bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
 
 

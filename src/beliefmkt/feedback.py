@@ -277,7 +277,7 @@ class FeedbackResult:
     log_ratio = cached_property(  # log(S/S*)
         lambda self: self.log_stock - self.log_stock_ideal)
 
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    @np.errstate(over="ignore")
     def write_csv(self, fp):
         """One row per step; xi is an empty field at t = 0, where it is NaN.
         Raises SaturationError (``numerics.check_finite``), having written

@@ -24,7 +24,7 @@ from beliefmkt.equilibrium import (AgentSpec, MarketSpec, simulate_path,
 from beliefmkt.beliefs import ConstantDrift
 from beliefmkt.feedback import FeedbackConfig, diligence_sweep, run_feedback
 from conftest import benchmark_market
-from test_beauty import best_response
+from test_beauty import best_response, gain_sides, identity_gap
 from test_beliefs import fold
 
 
@@ -252,7 +252,7 @@ def test_zeta_dynamics_regression():
 
 
 # ---------------------------------------------------------------------------
-# 8. contest: residuals, oracle agreement, identity, and welfare sweep
+# 8. contest: residuals, oracle agreement, identity, flags, and welfare sweep
 
 
 def test_beauty_contest_suite():
@@ -261,6 +261,7 @@ def test_beauty_contest_suite():
     worst_identity = 0.0
     worst_oracle = 0.0
     all_improve_count = 0
+    flag_flips = 0
     for i in range(10_000):
         n = int(rng.integers(2, 7))
         spec = ContestSpec(risk_aversion=rng.uniform(0.2, 5.0, n),
@@ -272,8 +273,11 @@ def test_beauty_contest_suite():
                                              + p * faked.price)).max()
         worst_residual = max(worst_residual, float(residual))
         rep = welfare_comparison(spec)
-        worst_identity = max(worst_identity, abs(rep.identity_gap))
+        worst_identity = max(worst_identity, abs(identity_gap(spec, rep)))
         all_improve_count += int(rep.all_improved)
+        lhs, rhs = gain_sides(spec, rep)
+        flag_flips += int((rep.improved != (lhs < rhs)).sum()) \
+            + int(rep.all_worse != bool((lhs > rhs).all()))
         if i < 50:
             j = int(rng.integers(n))
             professed = spec.mean_belief + rng.normal(0, 0.5, n)
@@ -297,12 +301,13 @@ def test_beauty_contest_suite():
     frozen_report = welfare_comparison(frozen)
     ok = (worst_residual < 1e-12 and worst_identity < 1e-12
           and worst_oracle < 1e-8 and all_improve_count == 0
-          and frozen_report.all_worse)
+          and flag_flips == 0 and frozen_report.all_worse)
     report_line(
         "criterion 8: contest suite", ok,
         f"residual {worst_residual:.1e}, identity {worst_identity:.1e}, "
         f"oracle gap {worst_oracle:.1e}, all-improve events "
-        f"{all_improve_count}/10000, frozen all-worse fixture "
+        f"{all_improve_count}/10000, flags against the inequality "
+        f"{flag_flips}, frozen all-worse fixture "
         f"{frozen_report.all_worse}")
     assert ok
 

@@ -26,6 +26,34 @@ def random_spec(rng, n=None):
                      rng.uniform(0.2, 5.0, n))
 
 
+def identity_gap(spec, report):
+    """Residual of the q-weighted variance identity
+        sum q_j (alpha_j - S)^2 = sum q_j (alpha_j - F)^2 + (S - F)^2,
+    q_j prop. to p_j(1-p_j), with S, F the truthful/faked prices."""
+    a, s, f = spec.mean_belief, report.truthful.price, report.faked.price
+    p = report.truthful.weights
+    q = p * (1.0 - p)
+    q = q / q.sum()
+    return float(q @ (a - s) ** 2 - q @ (a - f) ** 2 - (s - f) ** 2)
+
+
+def gain_sides(spec, report):
+    """Both sides of the hand-derived rule: agent j strictly improves iff
+        (alpha_j - S)^2 < (a_j - F)^2 + 2 (a_j - F)(alpha_j - a_j),
+    a_j its faked mean; each side is 2 v_j times one of its exponents."""
+    a, faked = spec.mean_belief, report.faked
+    lhs = (a - report.truthful.price) ** 2
+    rhs = (faked.professed - faked.price) ** 2 \
+        + 2.0 * (faked.professed - faked.price) * (a - faked.professed)
+    return lhs, rhs
+
+
+def assert_flags_follow_the_inequality(spec, report):
+    lhs, rhs = gain_sides(spec, report)
+    np.testing.assert_array_equal(report.improved, lhs < rhs)
+    assert report.all_worse == bool((lhs > rhs).all())
+
+
 # ---------------------------------------------------------------------------
 # oracles: unilateral deviations from a professed profile
 
@@ -266,7 +294,8 @@ def test_never_all_agents_improve(seed):
     spec = random_spec(np.random.default_rng(seed))
     report = welfare_comparison(spec)
     assert not report.all_improved
-    assert abs(report.identity_gap) < 1e-12
+    assert abs(identity_gap(spec, report)) < 1e-12
+    assert_flags_follow_the_inequality(spec, report)
 
 
 def test_everyone_strictly_worse_fixture():
@@ -276,9 +305,25 @@ def test_everyone_strictly_worse_fixture():
     spec = spec_from([1.0, 1.0], [0.0, 1.0], [1.0, 1.0])
     report = welfare_comparison(spec)
     assert report.all_worse
+    assert_flags_follow_the_inequality(spec, report)
     truthful = truthful_equilibrium(spec)
     faked = pareto_faked_equilibrium(spec)
     assert np.all(faked.objectives < truthful.objectives)
+
+
+def test_everyone_worse_where_the_objectives_underflow():
+    # the fixture above with beliefs 100 apart: exponents 1250 (truthful)
+    # and 937.5 (faked), so every objective rounds to -0.0, yet both agents
+    # still strictly lose
+    spec = spec_from([1.0, 1.0], [0.0, 100.0], [1.0, 1.0])
+    report = welfare_comparison(spec)
+    assert not report.truthful.objectives.any()
+    assert not report.faked.objectives.any()
+    np.testing.assert_array_equal(report.truthful.exponents, [1250.0, 1250.0])
+    np.testing.assert_array_equal(report.faked.exponents, [937.5, 937.5])
+    assert report.all_worse
+    assert not report.improved.any()
+    assert_flags_follow_the_inequality(spec, report)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1),

@@ -304,6 +304,20 @@ def test_ingest_missing_column(tmp_path):
         ingest_price_dividend_csv(f)
 
 
+def test_ingest_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one; read as plain UTF-8,
+    # the first header would be "\ufeffdate" and the file would miss "date"
+    sample = Path(__file__).resolve().parents[1] / "configs" \
+        / "sample_price_dividend.csv"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + sample.read_bytes())
+    want = ingest_price_dividend_csv(sample)
+    got = ingest_price_dividend_csv(marked)
+    assert (got.n_rows, got.first_date, got.last_date) \
+        == (want.n_rows, want.first_date, want.last_date)
+    assert got.targets.as_dict() == want.targets.as_dict()
+
+
 def test_ingest_bad_rows_reported_with_line_numbers(tmp_path):
     rows = [f"d{i},100.0,4.0" for i in range(150)]
     rows[7] = "d7,not_a_number,4.0"

@@ -114,9 +114,15 @@ def test_config_error_names_field_and_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content, message", [
-    (b'{"market": "\xff"}', "not UTF-8 text: 'utf-8' codec can't decode"),
-    (b"[" * 100_000, "invalid JSON: nested too deeply")],
-    ids=["not-utf8", "nested-past-recursion-limit"])
+    (b'{"market": "\xff"}',
+     "{cfg}: not UTF-8 text: 'utf-8' codec can't decode"),
+    (b"[" * 100_000, "{cfg}: invalid JSON: nested too deeply"),
+    # json keeps a repeated key's last value, so the first (0.7) would be
+    # dropped unread; the error names the key, not the file
+    (json.dumps(tiny_market_config()).replace(
+        '"impatience": 0.2', '"impatience": 0.7, "impatience": 0.2').encode(),
+     "market.agents[1].impatience: duplicate key\n")],
+    ids=["not-utf8", "nested-past-recursion-limit", "duplicate-key"])
 def test_unparseable_config_exits_2_naming_the_file(tmp_path, capsys, content,
                                                     message):
     cfg = tmp_path / "config.json"
@@ -125,7 +131,7 @@ def test_unparseable_config_exits_2_naming_the_file(tmp_path, capsys, content,
     assert main(["simulate-log", "--config", str(cfg), "--out",
                  str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {cfg}: {message}")
+    assert err.startswith(f"config error: {message.format(cfg=cfg)}")
     assert err.count("\n") == 1 and not out.exists()
 
 

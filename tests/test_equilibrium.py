@@ -206,11 +206,12 @@ def test_rate_and_kappa_single_agent():
     sigma = 0.3
     path = at_point(zero_drift_market(rho, nu, sigma=sigma), 2.0)
     state = path.state
-    r, kappa, q, abar, rhobar = (state.rate[0], state.kappa[0], path.q[0],
-                                 state.mean_drift[0], state.mean_impatience[0])
+    r, kappa, q, abar = (state.rate[0], state.kappa[0], path.q[0],
+                         state.mean_drift[0])
     assert kappa == pytest.approx(sigma)
+    # r = rhobar - sigma^2 with rhobar = 0.07
     assert r == pytest.approx(0.07 - sigma**2)
-    assert q[0] == 1.0 and abar == 0.0 and rhobar == pytest.approx(0.07)
+    assert q[0] == 1.0 and abar == 0.0
 
 
 def test_rate_homogeneous_beliefs_deterministic():
@@ -221,13 +222,11 @@ def test_rate_homogeneous_beliefs_deterministic():
     t = 4.0
     for x in (0.0, 17.0):  # common Lambda = exp(0.1 x - 0.005 t) cancels
         state = at_point(spec, t, x).state
-        r, rhobar = state.rate[0], state.mean_impatience[0]
         expected_rhobar = (
             (math.exp(-0.05 * t) * 0.05 / 1.0 + math.exp(-0.3 * t) * 0.3 / 2.0)
             / (math.exp(-0.05 * t) / 1.0 + math.exp(-0.3 * t) / 2.0))
-        assert rhobar == pytest.approx(expected_rhobar, rel=1e-13)
-        assert r == pytest.approx(-spec.sigma**2 + expected_rhobar
-                                  + spec.sigma * 0.1, rel=1e-13)
+        assert state.rate[0] == pytest.approx(
+            -spec.sigma**2 + expected_rhobar + spec.sigma * 0.1, rel=1e-13)
 
 
 def test_stock_volatility_equal_impatience_reduces_to_sigma():
@@ -337,13 +336,12 @@ def reference_grid(spec, times, x, dividend):
     theta = q * (dev * dev / sigma - v[:, None] / sigma + dev)
     return dict(zeta=zeta, stock=stock, pd_ratio=pd, q=q, wealth=wealth,
                 consumption=dividend[:, None] * q, mean_drift=abar,
-                mean_impatience=rhobar, wealth_drift=a, rate=r, kappa=kappa,
-                stock_vol=kappa + a, holdings=holdings, trade=theta)
+                wealth_drift=a, rate=r, kappa=kappa, stock_vol=kappa + a,
+                holdings=holdings, trade=theta)
 
 
 # strictly positive fields, compared relative to their size
-_POSITIVE = ("zeta", "stock", "pd_ratio", "q", "wealth", "consumption",
-             "mean_impatience")
+_POSITIVE = ("zeta", "stock", "pd_ratio", "q", "wealth", "consumption")
 # fields that can cross zero, where a relative bound means nothing.  Their
 # terms are O(1) and holdings stay O(10) on the markets below
 # (a + kappa >= 0.1), so rounding leaves about 1e-15 of absolute error
@@ -422,8 +420,7 @@ def test_kernel_sums_are_the_share_weighted_formulas(market):
         pd = (q / rho_j).sum(axis=0)
         abar, rhobar = (q * alpha).sum(axis=0), (q * rho_j).sum(axis=0)
         want = dict(
-            pd_ratio=(pd, pd), mean_impatience=(rhobar, rhobar),
-            mean_drift=(abar, drift_size),
+            pd_ratio=(pd, pd), mean_drift=(abar, drift_size),
             wealth_drift=((q * alpha / rho_j).sum(axis=0) / pd,
                           (q * np.abs(alpha) / rho_j).sum(axis=0) / pd),
             kappa=(sigma - abar, sigma + drift_size),
@@ -599,7 +596,7 @@ def test_batch_of_paths_equals_row_by_row():
         assert np.array_equal(alpha[:, p], row_alpha)
         path = grid_path(spec, times, row, dividend, 1 / 52)
         for name in ("pd_ratio", "rate", "kappa", "wealth_drift",
-                     "mean_drift", "mean_impatience"):
+                     "mean_drift"):
             assert np.array_equal(getattr(batch, name)[p],
                                   getattr(path.state, name)), name
 
