@@ -366,8 +366,8 @@ def build_market(values: Dict[str, float],
 def moment_loss(report: MomentReport, targets: MomentReport) -> float:
     """Relative squared error, sum_k ((m_k - t_k)/t_k)^2.
 
-    Moments whose target is NaN are skipped; a non-finite moment makes the
-    loss infinite.
+    Moments whose target is NaN are skipped; a non-finite moment, or a
+    term that overflows, makes the loss infinite.
     """
     total = 0.0
     for name in MOMENT_NAMES:
@@ -375,10 +375,11 @@ def moment_loss(report: MomentReport, targets: MomentReport) -> float:
         if math.isnan(target):
             continue
         m = getattr(report, name)
-        if not math.isfinite(m):
+        try:
+            total += ((m - target) / target) ** 2
+        except OverflowError:  # float ** raises where * would give inf
             return math.inf
-        total += ((m - target) / target) ** 2
-    return total
+    return total if math.isfinite(total) else math.inf
 
 
 #: Grid points (agents x paths x steps) per batch of the fit objective,
@@ -407,15 +408,13 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
     ``_path_sums`` rows, one per path, are concatenated in path order for
     ``_report``."""
     spec = build_market(values, problem.n_agents)
-    rows, ic = [], False
+    rows = []
     for times, x in drivers:
-        state = equilibrium.market_state(spec, times, x)
-        ic = ic or state.ic_suspect
-        rows += _path_sums(state, equilibrium.log_dividend_path(
-            spec, times, x), problem.dt)
+        rows += _path_sums(equilibrium.market_state(spec, times, x),
+                           equilibrium.log_dividend_path(spec, times, x),
+                           problem.dt)
     report = _report(rows, problem.dt)
-    loss = math.inf if ic else moment_loss(report, targets)
-    return loss, report
+    return moment_loss(report, targets), report
 
 
 def _to_box(u, lower, upper):
@@ -443,9 +442,9 @@ def fit_parameters(problem: CalibrationProblem,
 
     Nelder-Mead simplex (``numerics.nelder_mead``, bit-identical to scipy's
     with xatol 1e-4 and fatol 1e-6) on logistic-transformed coordinates
-    keeps every trial point inside its box; non-finite losses (e.g.
-    transversality violations) reject the point.  Deterministic given
-    problem.seed.  Raises NumericError when no trial point has a finite loss.
+    keeps every trial point inside its box; a non-finite loss rejects the
+    point.  Deterministic given problem.seed.  Raises NumericError when no
+    trial point has a finite loss.
     """
     names = [p.name for p in problem.free]
     lower = np.array([p.lower for p in problem.free])
@@ -474,9 +473,7 @@ def fit_parameters(problem: CalibrationProblem,
     if not math.isfinite(loss):
         raise NumericError(
             f"fit found no finite loss in {n_eval} evaluations: at every "
-            f"trial point the price/dividend ratio passed the transversality "
-            f"guard PD_DIVERGENCE_LIMIT = {equilibrium.PD_DIVERGENCE_LIMIT:g} "
-            f"or a moment was not finite")
+            f"trial point a moment or its loss term was not finite")
     return FitResult(values=best, report=report, loss=loss,
                      n_evaluations=n_eval, converged=converged)
 

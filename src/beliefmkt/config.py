@@ -67,6 +67,11 @@ def load_config(path: str) -> Dict[str, Any]:
         raise ConfigError(f"{path}: top level must be an object")
     # a manifest wraps the original config; accept it directly
     if "config" in cfg and "subcommand" in cfg:
+        for key in cfg:
+            if key in cfg.repeated:
+                raise ConfigError(f"{path}: {key}: duplicate key")
+            if key not in ("config", "subcommand", "package", "version"):
+                raise ConfigError(f"{path}: {key}: not a manifest key")
         inner = cfg["config"]
         if not isinstance(inner, dict):
             raise ConfigError(f"{path}: config: must be an object")

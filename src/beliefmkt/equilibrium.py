@@ -76,10 +76,6 @@ from .rngtools import path_rng
 # market rather than silently producing huge portfolio numbers.
 _SINGULAR_TOL = 1e-14
 
-# A price/dividend ratio beyond this almost certainly means the transversality
-# (integrability) requirement fails for the chosen parameters; runs flag it.
-PD_DIVERGENCE_LIMIT = 1e6
-
 
 def _require_finite(owner, prefix=""):
     """ConfigError naming the first number field of ``owner`` not finite."""
@@ -202,7 +198,6 @@ class MarketState(NamedTuple):
     rate: np.ndarray
     kappa: np.ndarray
     mean_drift: np.ndarray  # q-weighted average drift
-    ic_suspect: bool   # PD exceeded PD_DIVERGENCE_LIMIT somewhere
 
 
 def market_state(spec: MarketSpec, times, x) -> MarketState:
@@ -261,8 +256,7 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     kappa = sigma - abar
     if np.any(np.abs(a + kappa) < _SINGULAR_TOL):
         raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
-    return MarketState(rho, drifts, m, l, s, pd, a, r, kappa, abar,
-                       bool(np.any(pd > PD_DIVERGENCE_LIMIT)))
+    return MarketState(rho, drifts, m, l, s, pd, a, r, kappa, abar)
 
 
 @dataclass
@@ -270,7 +264,7 @@ class EquilibriumPath:
     """One simulated equilibrium trajectory on a uniform grid: the driver,
     the log dividend and the market state along them.
 
-    pd_ratio, rate, kappa and ic_suspect read the state; dividend, stock,
+    pd_ratio, rate and kappa read the state; dividend, stock,
     stock_vol and zeta are derived on first access and then kept.  The
     per-agent fields drifts, q, wealth, consumption, holdings and trade
     are (n+1, J) views of the agent-major (J, n+1) arrays of one
@@ -293,7 +287,6 @@ class EquilibriumPath:
     pd_ratio = property(lambda self: self.state.pd_ratio)
     rate = property(lambda self: self.state.rate)
     kappa = property(lambda self: self.state.kappa)
-    ic_suspect = property(lambda self: self.state.ic_suspect)
 
     @cached_property
     @np.errstate(over="ignore")  # w = delta u, where delta is huge

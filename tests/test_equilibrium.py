@@ -607,15 +607,15 @@ def test_batch_of_paths_equals_row_by_row():
 def test_a_path_alone_and_in_a_batch_agree_to_the_bit(market, width):
     # the kernel's agent sums are one matrix product over the whole batch;
     # each path's columns of it are those of the path priced alone.  Every
-    # field but rho, the drifts and ic_suspect has the paths on its
-    # second-last axis: (P, n+1), or (J, P, n+1) for the agent-major
-    # weights; a drift is the same float, or an array of (P, n+1)
+    # field but rho and the drifts has the paths on its second-last axis:
+    # (P, n+1), or (J, P, n+1) for the agent-major weights; a drift is the
+    # same float, or an array of (P, n+1)
     spec = market()
     times, x = equilibrium._drivers(156, 1 / 52, 4, range(width))
     batch = market_state(spec, times, x)
     for p, row in enumerate(x):
         alone = market_state(spec, times, row)
-        for name in batch._fields[2:-1]:
+        for name in batch._fields[2:]:
             assert np.array_equal(getattr(batch, name)[..., p, :],
                                   getattr(alone, name)), name
         for drift, drift_alone in zip(batch.drifts, alone.drifts):
@@ -724,11 +724,17 @@ def test_written_path_takes_its_shares_from_the_kernel(monkeypatch):
                       == agent.belief.drift_at(path.times, path.x))
 
 
-def test_ic_violation_flagged_for_divergent_pd():
-    spec = MarketSpec(sigma=0.2, agents=(
-        AgentSpec(impatience=1e-7, belief=ConstantDrift(0.0), weight=1.0),))
-    path = simulate_path(spec, 1.0, 0.5, seed=0)
-    assert path.ic_suspect
+@pytest.mark.parametrize("market", [benchmark_market, learner_market,
+                                    mixed_learner_market])
+def test_pd_lies_between_the_reciprocal_impatiences(market):
+    # PD = sum_j q_j / rho_j is a q-weighted mean of the 1/rho_j, so any
+    # rho_j > 0 keeps it finite, with no transversality guard
+    spec = market()
+    rho, _ = spec.arrays()
+    pd = simulate_path(spec, 20.0, 1 / 52, seed=6).pd_ratio
+    ulps = 1.0 + 4 * np.finfo(float).eps
+    assert np.all(pd >= 1.0 / rho.max() / ulps)
+    assert np.all(pd <= ulps / rho.min())
 
 
 # ---------------------------------------------------------------------------
