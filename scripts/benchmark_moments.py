@@ -17,7 +17,7 @@ from pathlib import Path
 
 from beliefmkt.calibration import (DEFAULT_TARGETS, compute_moments,
                                    comparison_table)
-from beliefmkt.config import load_config, parse_simulate
+from beliefmkt.config import parse_simulate, read_config
 from beliefmkt.equilibrium import simulate_paths
 
 REPO = Path(__file__).resolve().parents[1]
@@ -29,8 +29,7 @@ def main():
     ap.add_argument("--horizons", type=float, nargs="+", default=[50.0, 128.0])
     args = ap.parse_args()
 
-    cfg = load_config(args.config)
-    cfg.pop("subcommand", None)
+    cfg = read_config(args.config, "simulate-log")
     spec, _, dt, n_paths, seed, _ = parse_simulate(cfg)
     for horizon in args.horizons:
         report = compute_moments(simulate_paths(spec, horizon, dt, seed,

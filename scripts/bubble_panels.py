@@ -1,58 +1,54 @@
 """Two-panel bubble/crash series across diligence counts.
 
-For one master seed, runs the daily feedback simulator with 30 (or
---agents N) investors and a range of diligent counts, writing one
-plot-ready CSV per run: the upper-panel series log(S*/delta) and the
+For the population of a single-run feedback config (by default
+configs/feedback_30agents.json: 30 investors, 25 years, master seed 1),
+runs the daily feedback simulator at a range of diligent counts, writing
+one plot-ready CSV per run: the upper-panel series log(S*/delta) and the
 lower-panel series log(S/S*).  The dividend path (hence the upper panel)
 is identical across runs with the same seed.
 
 Usage:
-    python scripts/bubble_panels.py --out runs/panels --seed 1 --years 25
+    python scripts/bubble_panels.py --config configs/feedback_30agents.json \
+        --out runs/panels --diligent 0 1 5 10 25
 """
 
 import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from beliefmkt.errors import ConfigError, step_count
-from beliefmkt.feedback import FeedbackConfig, diligence_counts, run_feedback
+from beliefmkt.config import check_read, parse_feedback, read_config
+from beliefmkt.errors import ConfigError
+from beliefmkt.feedback import diligence_counts, run_feedback
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def main():
     ap = argparse.ArgumentParser()
+    ap.add_argument("--config", default=str(
+        REPO / "configs" / "feedback_30agents.json"))
     ap.add_argument("--out", default="runs/panels")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--agents", type=int, default=30)
-    ap.add_argument("--years", type=float, default=25.0)
     ap.add_argument("--diligent", type=int, nargs="+",
                     default=[0, 1, 5, 10, 25])
     args = ap.parse_args()
-
-    def check(flag, make):
-        """make(), or exit 2 naming --flag with the ConfigError it raises."""
-        try:
-            return make()
-        except ConfigError as exc:
-            ap.error(f"argument --{flag}: {exc}")
-
-    # every argument is checked on its own before the first run or --out
-    # is made
-    base = check("agents", lambda: FeedbackConfig(
-        n_agents=args.agents, n_diligent=0, n_steps=1, seed=args.seed))
-    n_steps = check("years", lambda: step_count(args.years, FeedbackConfig.dt,
-                                                "years"))
-    check("diligent", lambda: diligence_counts(base, args.diligent))
-    if args.seed < 0:
-        ap.error("argument --seed: must be >= 0")
-    configs = [replace(base, n_diligent=n_dil, n_steps=n_steps)
-               for n_dil in args.diligent]
+    # every argument is checked before the first run or --out is made
+    try:
+        cfg = read_config(args.config, "feedback")
+        setup = parse_feedback(cfg)
+        check_read(cfg)
+    except ConfigError as exc:
+        ap.error(f"argument --config: {exc}")
+    try:
+        counts = diligence_counts(setup, args.diligent)
+    except ConfigError as exc:
+        ap.error(f"argument --diligent: {exc}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"{'diligent':>8} {'range':>8} {'min':>8} {'max':>8} {'jumps':>6}")
-    for n_dil, cfg in zip(args.diligent, configs):
-        res = run_feedback(cfg)
-        name = out / f"panels_{args.agents}A_{n_dil}D_seed{args.seed}.csv"
+    for n_dil in counts:
+        res = run_feedback(replace(setup, n_diligent=n_dil))
+        name = out / f"panels_{setup.n_agents}A_{n_dil}D_seed{setup.seed}.csv"
         with open(name, "w") as fp:
             res.write_csv(fp)
         m = res.metrics

@@ -55,8 +55,8 @@ MOMENT_NAMES = tuple(MOMENT_LABELS)
 
 @dataclass(frozen=True)
 class MomentReport:
-    """The eight moments, of a model or of data; ``provenance`` says where
-    a set of empirical targets came from.  A NaN moment is unavailable."""
+    """The eight moments, of a model or of data.  A NaN moment is
+    unavailable."""
 
     mean_pd: float
     std_pd: float
@@ -66,22 +66,19 @@ class MomentReport:
     std_riskless: float
     equity_premium: float
     sharpe: float
-    provenance: str = ""
 
     def as_dict(self) -> Dict[str, float]:
         return {k: getattr(self, k) for k in MOMENT_NAMES}
 
 
-def _moment_report(mean_pd, std_pd, mean_ret, std_ret, mean_r, std_r,
-                   provenance=""):
+def _moment_report(mean_pd, std_pd, mean_ret, std_ret, mean_r, std_r):
     """Six moments and the premium and Sharpe ratio derived from them."""
     premium = mean_ret - mean_r
     return MomentReport(
         mean_pd=mean_pd, std_pd=std_pd, mean_equity_return=mean_ret,
         std_equity_return=std_ret, mean_riskless=mean_r, std_riskless=std_r,
         equity_premium=premium,
-        sharpe=premium / std_ret if std_ret > 0.0 else math.nan,
-        provenance=provenance)
+        sharpe=premium / std_ret if std_ret > 0.0 else math.nan)
 
 
 #: Long-sample US stock-market targets (S&P real price and dividend,
@@ -90,9 +87,7 @@ DEFAULT_TARGETS = MomentReport(
     mean_pd=25.0, std_pd=7.1,
     mean_equity_return=0.07, std_equity_return=0.18,
     mean_riskless=0.018, std_riskless=0.057,
-    equity_premium=0.06, sharpe=0.33,
-    provenance="built-in long-sample US targets",
-)
+    equity_premium=0.06, sharpe=0.33)
 
 
 @np.errstate(over="ignore")
@@ -105,13 +100,15 @@ def total_return(dlog_dividend, pd, pd_next, dt):
     return np.exp(dlog_dividend) * (pd_next / pd) + dt / pd - 1.0
 
 
+@np.errstate(over="ignore")
 def _path_sums(state, log_dividend, dt):
     """One row of nine floats per path of a MarketState and its log
     dividend, on grid spacing dt: the (count, sum, sum of squares) of P/D,
     of the riskless rate and of the per-step total return.  A batch, with
     one path per row along the last axis, gives a list of one row per path,
     in order; each sum is the row's own numpy reduction, so it has the bits
-    of the path's sum taken alone."""
+    of the path's sum taken alone.  A sum that overflows is inf, of which
+    numpy does not warn, as the moment report names it."""
     pd = state.pd_ratio
     columns = []
     for v in (pd, state.rate, total_return(np.diff(log_dividend),
@@ -122,12 +119,23 @@ def _path_sums(state, log_dividend, dt):
     return list(zip(*columns))
 
 
+def _fsum(column):
+    """math.fsum of ``column``, or inf where the finite terms add past the
+    largest float, which fsum raises as OverflowError.  No column's total
+    can overflow to -inf: P/D > 0, a return is > -1 and the rate is
+    bounded."""
+    try:
+        return math.fsum(column)
+    except OverflowError:
+        return math.inf
+
+
 def _report(rows, dt) -> MomentReport:
     """The MomentReport of ``_path_sums`` rows on grid spacing dt.  Each
     column is reduced with math.fsum, which rounds once whatever the order
     of the rows; the std is E[x^2] - m^2 of those sums.  The return's mean
     is annualized by 1/dt and its std by 1/sqrt(dt)."""
-    sums = [math.fsum(column) for column in zip(*rows)]
+    sums = [_fsum(column) for column in zip(*rows)]
     moments = []
     for n, s, s2 in (sums[0:3], sums[3:6], sums[6:9]):
         m = s / n
@@ -181,6 +189,7 @@ def compute_moments(paths) -> MomentReport:
 @dataclass(frozen=True)
 class IngestReport:
     targets: MomentReport
+    provenance: str      # ingested:<path>
     n_rows: int
     first_date: str
     last_date: str
@@ -250,9 +259,10 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
     targets = _moment_report(
         float(pd_ratio.mean()), float(pd_ratio.std()),
         12.0 * float(ret_m.mean()), math.sqrt(12.0) * float(ret_m.std()),
-        mean_r, std_r, provenance=f"ingested:{path}")
-    return IngestReport(targets=targets, n_rows=len(rows),
-                        first_date=rows[0][0], last_date=rows[-1][0])
+        mean_r, std_r)
+    return IngestReport(targets=targets, provenance=f"ingested:{path}",
+                        n_rows=len(rows), first_date=rows[0][0],
+                        last_date=rows[-1][0])
 
 
 # ---------------------------------------------------------------------------

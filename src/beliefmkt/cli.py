@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import (__version__, beauty, calibration, config, equilibrium,
                feedback)
-from .errors import MAX_COUNT, ConfigError, NumericError, SaturationError
+from .errors import ConfigError, NumericError, SaturationError
 
 
 def _start(args, cfg):
@@ -63,15 +63,9 @@ def cmd_simulate_log(cfg, args):
 
 def cmd_feedback(cfg, args):
     setup = config.parse_feedback(cfg)
-    sweep = config._get(cfg, "seed_sweep", int, default=0)
-    if not 0 <= sweep <= MAX_COUNT:
-        raise ConfigError(f"seed_sweep: must be >= 0 and at most {MAX_COUNT}")
-    if sweep:  # a single run reads no counts, so it rejects diligence_values
-        counts = feedback.diligence_counts(setup, config._get(
-            cfg, "diligence_values", list, default=[0, setup.n_diligent]))
+    seeds, counts = config.parse_sweep(cfg, setup)
     out = _start(args, cfg)
-    if sweep:
-        seeds = list(range(setup.seed, setup.seed + sweep))
+    if seeds:
         # keyed by each distinct count once, in order: the default is [0]
         # when n_diligent is 0
         table = feedback.diligence_sweep(setup, counts, seeds)
@@ -97,8 +91,7 @@ def cmd_feedback(cfg, args):
 
 
 def cmd_beauty(cfg, args):
-    spec = config.parse_contest(cfg)
-    write_csv = config._get(cfg, "csv", bool, default=False)
+    spec, write_csv = config.parse_contest(cfg)
     report = beauty.welfare_comparison(spec)
     out = _start(args, cfg)
     with open(out / "contest.txt", "w") as fp:
@@ -137,21 +130,16 @@ def cmd_fit(cfg, args):
 
 
 def cmd_ingest(cfg, args):
-    csv_path = config._get(cfg, "csv", str)
-    min_years = config._get(cfg, "min_years", float, default=10.0,
-                            positive=True)
     try:
-        report = calibration.ingest_price_dividend_csv(csv_path,
-                                                       min_years=min_years)
+        report = calibration.ingest_price_dividend_csv(
+            *config.parse_ingest(cfg))
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"csv: {exc}") from None
     out = _start(args, cfg)
-    payload = report.targets.as_dict()
-    payload["provenance"] = report.targets.provenance
-    payload["n_rows"] = report.n_rows
-    payload["first_date"] = report.first_date
-    payload["last_date"] = report.last_date
-    config.write_json(out / "targets.json", payload)
+    config.write_json(out / "targets.json", dict(
+        report.targets.as_dict(), provenance=report.provenance,
+        n_rows=report.n_rows, first_date=report.first_date,
+        last_date=report.last_date))
     return 0
 
 
@@ -180,11 +168,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config.load_config(args.config)
-        declared = cfg.pop("subcommand", None)
-        if declared is not None and declared != args.subcommand:
-            raise ConfigError(
-                f"config is for subcommand '{declared}', not '{args.subcommand}'")
+        cfg = config.read_config(args.config, args.subcommand)
         return _COMMANDS[args.subcommand][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,6 +6,10 @@ offending field with its dotted path.  A run's output directory receives a
 the package version; a manifest is itself a valid ``--config`` argument,
 which is what makes every run replayable byte for byte.  ``write_json``
 writes it, and the CLI's other JSON outputs, as strict JSON.
+
+This is the one module that knows a run's keys: the CLI and the feedback
+experiment scripts read a config with ``read_config``, a ``parse_*``
+function per run mode and ``check_read``.
 """
 
 from __future__ import annotations
@@ -77,6 +81,17 @@ def load_config(path: str) -> Dict[str, Any]:
             raise ConfigError(f"{path}: config: must be an object")
         inner.setdefault("subcommand", cfg["subcommand"])
         return inner
+    return cfg
+
+
+def read_config(path: str, subcommand: str) -> Dict[str, Any]:
+    """The config (or manifest) at ``path`` for a ``subcommand`` run, less
+    its ``subcommand`` key, which, where given, must name that run."""
+    cfg = load_config(path)
+    declared = cfg.pop("subcommand", None)
+    if declared is not None and declared != subcommand:
+        raise ConfigError(
+            f"config is for subcommand '{declared}', not '{subcommand}'")
     return cfg
 
 
@@ -217,7 +232,20 @@ def parse_feedback(cfg) -> feedback.FeedbackConfig:
                           default=spec.prior_weight, positive=True))
 
 
-def parse_contest(cfg) -> beauty.ContestSpec:
+def parse_sweep(cfg, setup: feedback.FeedbackConfig):
+    """The master seeds ``seed`` .. ``seed + seed_sweep - 1`` and the
+    distinct diligence counts of a feedback sweep, or two empty lists for a
+    single run, which reads no counts, so it rejects ``diligence_values``."""
+    sweep = _get(cfg, "seed_sweep", int, default=0, positive=True)
+    if not sweep:
+        return [], []
+    counts = feedback.diligence_counts(setup, _get(
+        cfg, "diligence_values", list, default=[0, setup.n_diligent]))
+    return list(range(setup.seed, setup.seed + sweep)), counts
+
+
+def parse_contest(cfg):
+    """The contest and whether to write ``contest.csv``."""
     gammas, alphas, variances = [], [], []
     for i in range(len(_get(cfg, "agents", list))):
         path = f"agents[{i}]"
@@ -229,8 +257,15 @@ def parse_contest(cfg) -> beauty.ContestSpec:
                               positive=True))
     if len(gammas) < 2:
         raise ConfigError("agents: need at least 2 agents")
-    return beauty.ContestSpec(risk_aversion=gammas, mean_belief=alphas,
+    spec = beauty.ContestSpec(risk_aversion=gammas, mean_belief=alphas,
                               belief_variance=variances)
+    return spec, _get(cfg, "csv", bool, default=False)
+
+
+def parse_ingest(cfg):
+    """The price/dividend CSV's path and the fewest years it may span."""
+    return _get(cfg, "csv", str), _get(cfg, "min_years", float,
+                                       default=10.0, positive=True)
 
 
 def parse_targets(cfg) -> calibration.MomentReport:
@@ -245,7 +280,7 @@ def parse_targets(cfg) -> calibration.MomentReport:
     for name, value in kwargs.items():
         if value == 0.0:   # the loss divides by each target
             raise ConfigError(f"targets.{name}: must not be 0")
-    return calibration.MomentReport(provenance="config targets", **kwargs)
+    return calibration.MomentReport(**kwargs)
 
 
 def parse_fit(cfg) -> calibration.CalibrationProblem:

@@ -73,6 +73,17 @@ def test_compute_moments_raises_when_levels_overflow():
         compute_moments(paths)
 
 
+def test_compute_moments_names_a_pooled_sum_that_overflows():
+    # one agent at rho 1.5e-153: P/D = 1/rho, so each path's sum of P/D**2
+    # (101 points of 4.4e305) is finite, but the 8 paths' total is not,
+    # which math.fsum raises as OverflowError
+    paths = equilibrium.simulate_paths(single_agent_market(rho=1.5e-153),
+                                       2.0, 0.02, 1, 8)
+    with pytest.raises(SaturationError,
+                       match="^moment report: std_pd not finite$"):
+        compute_moments(paths)
+
+
 def test_total_return_is_the_return_of_the_levels():
     # where the levels are finite, R = exp(d log delta) PD' / PD + dt / PD - 1
     # is (S' + delta dt - S) / S to rounding

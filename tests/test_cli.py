@@ -602,7 +602,8 @@ def test_feedback_unusable_range_exits_2(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("sweep, values", [
-    (3, [0, 9]), (3, [True]), (3, []), (3, 2), (-1, None), (True, None)])
+    (3, [0, 9]), (3, [True]), (3, []), (3, 2), (-1, None), (True, None),
+    (0, None)])
 def test_feedback_invalid_sweep_exits_2_before_writing(tmp_path, capsys,
                                                        sweep, values):
     payload = {"n_agents": 4, "n_diligent": 0, "n_steps": 20,
@@ -758,7 +759,8 @@ def test_contest_csv_matches_per_value_format(tmp_path, rng):
         out = tmp_path / f"out{k}"
         assert main(["beauty", "--config", str(cfg), "--out", str(out)]) == 0
         got = (out / "contest.csv").read_text()
-        assert_same_text(got, contest_csv_by_value(parse_contest(payload)))
+        assert_same_text(got,
+                         contest_csv_by_value(parse_contest(payload)[0]))
         written += got
     assert "True" in written and ",-0," in written and "1e-300" in written
 
@@ -843,6 +845,31 @@ def test_fit_without_a_finite_loss_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no finite loss" in err
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("rho_0", [
+    # P/D = 1/rho: each path's sum of P/D**2 is finite, the 8 paths' is not
+    1.5e-153,
+    # P/D**2 overflows at each grid point
+    {"name": "rho_0", "lower": 1e-170, "upper": 1e-150, "start": 1e-160}],
+    ids=["pooled-sum", "squares"])
+def test_fit_with_overflowing_pd_exits_3(tmp_path, capsys, rho_0):
+    # the pooled moments are not finite at every trial point: a numeric
+    # failure, not a traceback, and no numpy warning
+    free = [{"name": "sigma", "lower": 0.05, "upper": 0.6, "start": 0.2}]
+    fixed = {"alpha_0": 0.0, "nu_0": 1.0}
+    if isinstance(rho_0, dict):
+        free.append(rho_0)
+    else:
+        fixed["rho_0"] = rho_0
+    cfg = write_config(tmp_path, {
+        "n_agents": 1, "free": free, "fixed": fixed, "n_paths": 8,
+        "horizon_years": 2.0, "dt": 0.02, "seed": 1, "max_iterations": 5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "no finite loss" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, field", [

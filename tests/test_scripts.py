@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from beliefmkt.calibration import MOMENT_LABELS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -26,17 +28,27 @@ def run_script(name, *args, returncode=0):
     return proc.stderr.splitlines()
 
 
+def feedback_config(tmp_path, name, **keys):
+    """A feedback config of 30 agents with ``keys``, in tmp_path/name."""
+    path = tmp_path / name
+    path.write_text(json.dumps({"subcommand": "feedback", "n_agents": 30,
+                                **keys}))
+    return path
+
+
 def test_experiment_scripts_run(tmp_path):
-    # seed 10 of diligence_severity's population crashes beyond +/- 1 of
-    # the dividend move at 5 diligent agents, inside its first year
-    lines = run_script("diligence_severity.py", "--seeds", "11",
-                       "--years", "1")
+    # seed 10 of this sweep crashes beyond +/- 1 of the dividend move at 5
+    # diligent agents, inside its first year
+    sweep = feedback_config(tmp_path, "sweep.json", years=1.0, seed=0,
+                            seed_sweep=11, diligence_values=[0, 5, 10, 25])
+    lines = run_script("diligence_severity.py", "--config", str(sweep))
     assert lines[0].split() == ["diligent", "mean", "range", "median", "max",
                                 "mean", "jumps"]
     assert [line.split()[0] for line in lines[1:]] == ["0", "5", "10", "25"]
     assert all(len(line.split()) == 5 for line in lines[1:])
 
-    lines = run_script("bubble_panels.py", "--years", "1", "--out",
+    single = feedback_config(tmp_path, "single.json", years=1.0, seed=1)
+    lines = run_script("bubble_panels.py", "--config", str(single), "--out",
                        str(tmp_path))
     assert lines[0].split() == ["diligent", "range", "min", "max", "jumps"]
     counts = ["0", "1", "5", "10", "25"]
@@ -72,37 +84,61 @@ def test_experiment_scripts_run(tmp_path):
             assert lines[3] == f"largest relative {gaps[mode]} gap 0"
 
 
-def test_feedback_scripts_take_whole_steps_only(tmp_path):
-    # --years is cut into steps by the rule every span of the engine uses:
-    # 0.1 years is 25.2 daily steps, not a whole number
-    for name in ("diligence_severity.py", "bubble_panels.py"):
-        lines = run_script(name, "--years", "0.1", returncode=2)
-        assert lines[-1].endswith(
-            "error: argument --years: dt: must cut years into whole steps, "
-            f"not years/dt = {0.1 / (1.0 / 252.0)!r}"), name
-    # and every other bad argument exits 2 naming its flag, as argparse's
-    # own errors do, before any run, table or output directory
+#: per script, a config that it runs, but for the fault a case adds
+_RUNS = {"diligence_severity.py": {"years": 1.0, "seed_sweep": 2},
+         "bubble_panels.py": {"years": 1.0}}
+
+
+def assert_script_exits_2(tmp_path, name, keys, args, message):
+    """The script, on its config with ``keys`` (less each key set to None)
+    and given ``args``, exits 2 with ``message``, as argparse's own errors
+    do, before any run, table or output directory."""
+    keys = {k: v for k, v in {**_RUNS[name], **keys}.items() if v is not None}
     out = tmp_path / "panels"
-    panels = ["--out", str(out)]
-    for name, args, message in [
-            ("diligence_severity.py", ["--diligent", "40"],
-             "argument --diligent: diligence_values: 40 is not a diligence "
-             "count: need an int in 0..30"),
-            ("diligence_severity.py", ["--agents", "0"],
-             "argument --agents: n_agents must be >= 1"),
-            ("diligence_severity.py", ["--seeds", "0"],
-             "argument --seeds: must be >= 1"),
-            ("bubble_panels.py", [*panels, "--agents", "0"],
-             "argument --agents: n_agents must be >= 1"),
-            ("bubble_panels.py", [*panels, "--diligent", "0", "31"],
-             "argument --diligent: diligence_values: 31 is not a diligence "
-             "count: need an int in 0..30"),
-            ("bubble_panels.py", [*panels, "--seed", "-1"],
-             "argument --seed: must be >= 0")]:
-        lines = run_script(name, *args, returncode=2)
-        assert lines[0].startswith("usage: "), (name, args)
-        assert lines[-1].endswith(f"error: {message}"), (name, args)
-        assert not out.exists()
+    if name == "bubble_panels.py":
+        args = ["--out", str(out), *args]
+    lines = run_script(name, "--config",
+                       str(feedback_config(tmp_path, "cfg.json", **keys)),
+                       *args, returncode=2)
+    assert lines[0].startswith("usage: "), (name, keys, args)
+    assert lines[-1].endswith(f"error: {message}"), (name, keys, args)
+    assert not out.exists()
+
+
+def test_feedback_scripts_take_whole_steps_only(tmp_path):
+    # years is cut into steps by the rule every span of the engine uses:
+    # 0.1 years is 25.2 daily steps, not a whole number
+    for name in _RUNS:
+        assert_script_exits_2(
+            tmp_path, name, {"years": 0.1}, [],
+            "argument --config: dt: must cut years into whole steps, not "
+            f"years/dt = {0.1 / (1.0 / 252.0)!r}")
+
+
+@pytest.mark.parametrize("name, keys, args, message", [
+    ("diligence_severity.py", {"n_agents": 0}, [],
+     "argument --config: n_agents: must be > 0"),
+    ("bubble_panels.py", {"n_agents": 0}, [],
+     "argument --config: n_agents: must be > 0"),
+    ("diligence_severity.py", {"seed": -1}, [],
+     "argument --config: seed: must be >= 0"),
+    ("bubble_panels.py", {"seed": -1}, [],
+     "argument --config: seed: must be >= 0"),
+    ("diligence_severity.py", {"diligence_values": [0, 40]}, [],
+     "argument --config: diligence_values: 40 is not a diligence count: "
+     "need an int in 0..30"),
+    # a sweep needs seeds; the panels read none
+    ("diligence_severity.py", {"seed_sweep": None}, [],
+     "argument --config: seed_sweep: missing required field"),
+    ("bubble_panels.py", {"seed_sweep": 2}, [],
+     "argument --config: seed_sweep: key not read by this run"),
+    ("bubble_panels.py", {}, ["--diligent", "0", "31"],
+     "argument --diligent: diligence_values: 31 is not a diligence count: "
+     "need an int in 0..30")])
+def test_feedback_scripts_check_every_input_first(tmp_path, name, keys, args,
+                                                  message):
+    # each fault exits 2 naming its field and the flag that gave it
+    assert_script_exits_2(tmp_path, name, keys, args, message)
 
 
 def identity_outputs():
