@@ -13,11 +13,13 @@ Usage:
 """
 
 import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
+from beliefmkt.cli import write_csv
 from beliefmkt.config import check_read, parse_feedback, read_config
-from beliefmkt.errors import ConfigError
+from beliefmkt.errors import ConfigError, NumericError
 from beliefmkt.feedback import diligence_counts, run_feedback
 
 REPO = Path(__file__).resolve().parents[1]
@@ -46,15 +48,18 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"{'diligent':>8} {'range':>8} {'min':>8} {'max':>8} {'jumps':>6}")
-    for n_dil in counts:
-        res = run_feedback(replace(setup, n_diligent=n_dil))
-        name = out / f"panels_{setup.n_agents}A_{n_dil}D_seed{setup.seed}.csv"
-        with open(name, "w") as fp:
-            res.write_csv(fp)
-        m = res.metrics
-        print(f"{n_dil:8d} {m['log_ratio_range']:8.3f} "
-              f"{m['log_ratio_min']:8.3f} {m['log_ratio_max']:8.3f} "
-              f"{m['n_jumps']:6d}   -> {name}")
+    try:
+        for n_dil in counts:
+            res = run_feedback(replace(setup, n_diligent=n_dil))
+            name = f"panels_{setup.n_agents}A_{n_dil}D_seed{setup.seed}.csv"
+            write_csv(out, name, res)
+            m = res.metrics
+            print(f"{n_dil:8d} {m['log_ratio_range']:8.3f} "
+                  f"{m['log_ratio_min']:8.3f} {m['log_ratio_max']:8.3f} "
+                  f"{m['n_jumps']:6d}   -> {out / name}")
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

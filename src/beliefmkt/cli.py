@@ -28,7 +28,7 @@ def _start(args, cfg):
     return out
 
 
-def _write_csv(out, name, result):
+def write_csv(out, name, result):
     """Write ``result.write_csv`` to the file ``name`` in ``out``.  A table
     that it refuses (SaturationError) leaves no file, and the error starts
     with the file's name."""
@@ -49,7 +49,7 @@ def cmd_simulate_log(cfg, args):
         for p, path in enumerate(equilibrium.simulate_paths(
                 spec, horizon, dt, seed, n_paths)):
             if p < write_paths:
-                _write_csv(out, f"path_{p:03d}.csv", path)
+                write_csv(out, f"path_{p:03d}.csv", path)
             yield path
 
     report = calibration.compute_moments(paths())
@@ -76,12 +76,21 @@ def cmd_feedback(cfg, args):
                     fp.write(f"{n_dil},{seed},{row['log_ratio_range']:.17g},"
                              f"{row['n_jumps']}\n")
             for n_dil, rows in table.items():
-                mean_range = sum(r["log_ratio_range"] for r in rows) \
-                    / len(seeds)
-                fp.write(f"mean_range[n_diligent={n_dil}]={mean_range:.17g}\n")
+                # the median as np.median gives it; importing statistics
+                # would add about 4 ms to every CLI start
+                values = [r["log_ratio_range"] for r in rows]
+                ranges, mid = sorted(values), len(values) // 2
+                stats = {
+                    "mean_range": sum(values) / len(values),
+                    "median_range": ranges[mid] if len(ranges) % 2
+                    else (ranges[mid - 1] + ranges[mid]) / 2,
+                    "max_range": ranges[-1],
+                    "mean_jumps": sum(r["n_jumps"] for r in rows) / len(rows)}
+                fp.writelines(f"{name}[n_diligent={n_dil}]={value:.17g}\n"
+                              for name, value in stats.items())
         return 0
     result = feedback.run_feedback(setup)
-    _write_csv(out, "series.csv", result)
+    write_csv(out, "series.csv", result)
     with open(out / "metrics.txt", "w") as fp:
         # the counts are whole numbers below MAX_COUNT < 2**53, which
         # .17g prints as str does
@@ -91,12 +100,12 @@ def cmd_feedback(cfg, args):
 
 
 def cmd_beauty(cfg, args):
-    spec, write_csv = config.parse_contest(cfg)
+    spec, csv = config.parse_contest(cfg)
     report = beauty.welfare_comparison(spec)
     out = _start(args, cfg)
     with open(out / "contest.txt", "w") as fp:
         fp.write(beauty.format_solution(spec, report) + "\n")
-    if write_csv:
+    if csv:
         truthful, faked = report.truthful, report.faked
         columns = (spec.risk_aversion, spec.mean_belief, spec.belief_variance,
                    truthful.weights, truthful.holdings, truthful.objectives,

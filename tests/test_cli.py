@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from beliefmkt.beauty import (pareto_faked_equilibrium, truthful_equilibrium,
@@ -19,6 +20,9 @@ from beliefmkt.errors import step_count
 from conftest import assert_same_text
 
 REPO = Path(__file__).resolve().parents[1]
+
+#: the statistics sweep.txt gives of each count's rows, in its order
+SWEEP_STATS = ("mean_range", "median_range", "max_range", "mean_jumps")
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -562,9 +566,9 @@ def test_feedback_seed_sweep_table(tmp_path):
         "seed_sweep": 3, "diligence_values": [0, 4]})
     out = tmp_path / "out"
     assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 0
-    sweep = (out / "sweep.txt").read_text()
-    assert "mean_range[n_diligent=0]" in sweep
-    assert "mean_range[n_diligent=4]" in sweep
+    lines = (out / "sweep.txt").read_text().splitlines()
+    assert [line.rsplit("=", 1)[0] for line in lines if "=" in line] == [
+        f"{stat}[n_diligent={c}]" for c in (0, 4) for stat in SWEEP_STATS]
 
 
 @pytest.mark.parametrize("values, counts", [(None, [0]), ([4, 0, 4], [4, 0])])
@@ -580,12 +584,47 @@ def test_feedback_sweep_lists_each_count_and_seed_once(tmp_path, values,
                  "--out", str(out)]) == 0
     lines = (out / "sweep.txt").read_text().splitlines()
     assert lines[0] == "n_diligent,seed,log_ratio_range,n_jumps"
-    rows = [line.split(",")[:2] for line in lines[1:]
-            if not line.startswith("mean_range")]
+    rows = [line.split(",")[:2] for line in lines[1:] if "=" not in line]
     assert rows == [[str(c), str(seed)] for c in counts for seed in (1, 2)]
-    means = [line.split("=")[1] for line in lines
-             if line.startswith("mean_range")]
-    assert means == [f"{c}]" for c in counts]
+    stats = [line.rsplit("=", 1)[0] for line in lines if "=" in line]
+    assert stats == [f"{stat}[n_diligent={c}]" for c in counts
+                     for stat in SWEEP_STATS]
+
+
+def test_feedback_sweep_summary_is_its_rows_statistics(tmp_path):
+    # seed 10 of this sweep crashes beyond +/- 1 of the dividend move at 5
+    # diligent agents, inside its first year: a step of the exact bracket
+    cfg = write_config(tmp_path, {
+        "n_agents": 30, "years": 1.0, "seed": 0, "seed_sweep": 11,
+        "diligence_values": [0, 5, 10, 25]})
+    out = tmp_path / "out"
+    assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "sweep.txt").read_text().splitlines()
+    ranges, jumps = {}, {}
+    for line in lines[1:]:
+        if "=" not in line:
+            count, _, value, n_jumps = line.split(",")
+            ranges.setdefault(count, []).append(float(value))
+            jumps.setdefault(count, []).append(int(n_jumps))
+    want = {}
+    for c, values in ranges.items():
+        want.update({
+            f"mean_range[n_diligent={c}]": sum(values) / len(values),
+            f"median_range[n_diligent={c}]": float(np.median(values)),
+            f"max_range[n_diligent={c}]": max(values),
+            f"mean_jumps[n_diligent={c}]": sum(jumps[c]) / len(jumps[c])})
+    got = dict(line.rsplit("=", 1) for line in lines if "=" in line)
+    # each line is its statistic to the bit, in the order of want
+    assert list(got) == list(want)
+    assert {key: float(value) for key, value in got.items()} == want
+    # the table that diligence damps: count, mean, median, max, mean jumps
+    table = [[c] + [f"{want[f'{stat}[n_diligent={c}]']:.4f}"
+                    for stat in SWEEP_STATS] for c in ranges]
+    assert table == [
+        ["0", "0.6258", "0.6260", "1.0503", "2.6364"],
+        ["5", "0.5070", "0.4546", "1.3076", "1.3636"],
+        ["10", "0.5174", "0.4253", "1.2634", "1.2727"],
+        ["25", "0.2210", "0.1767", "0.6564", "0.6364"]]
 
 
 @pytest.mark.parametrize("field, value", [

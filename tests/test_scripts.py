@@ -24,7 +24,8 @@ def run_script(name, *args, returncode=0):
     assert proc.returncode == returncode, proc.stderr
     if returncode == 0:
         return proc.stdout.splitlines()
-    assert proc.stdout == ""   # a failing script prints no table
+    if returncode == 2:
+        assert proc.stdout == ""   # a refused argument prints no table
     return proc.stderr.splitlines()
 
 
@@ -37,16 +38,6 @@ def feedback_config(tmp_path, name, **keys):
 
 
 def test_experiment_scripts_run(tmp_path):
-    # seed 10 of this sweep crashes beyond +/- 1 of the dividend move at 5
-    # diligent agents, inside its first year
-    sweep = feedback_config(tmp_path, "sweep.json", years=1.0, seed=0,
-                            seed_sweep=11, diligence_values=[0, 5, 10, 25])
-    lines = run_script("diligence_severity.py", "--config", str(sweep))
-    assert lines[0].split() == ["diligent", "mean", "range", "median", "max",
-                                "mean", "jumps"]
-    assert [line.split()[0] for line in lines[1:]] == ["0", "5", "10", "25"]
-    assert all(len(line.split()) == 5 for line in lines[1:])
-
     single = feedback_config(tmp_path, "single.json", years=1.0, seed=1)
     lines = run_script("bubble_panels.py", "--config", str(single), "--out",
                        str(tmp_path))
@@ -85,21 +76,18 @@ def test_experiment_scripts_run(tmp_path):
 
 
 #: per script, a config that it runs, but for the fault a case adds
-_RUNS = {"diligence_severity.py": {"years": 1.0, "seed_sweep": 2},
-         "bubble_panels.py": {"years": 1.0}}
+_RUNS = {"bubble_panels.py": {"years": 1.0}}
 
 
 def assert_script_exits_2(tmp_path, name, keys, args, message):
-    """The script, on its config with ``keys`` (less each key set to None)
-    and given ``args``, exits 2 with ``message``, as argparse's own errors
-    do, before any run, table or output directory."""
-    keys = {k: v for k, v in {**_RUNS[name], **keys}.items() if v is not None}
+    """The script, on its config with ``keys`` and given ``args``, exits 2
+    with ``message``, as argparse's own errors do, before any run, table or
+    output directory."""
+    keys = {**_RUNS[name], **keys}
     out = tmp_path / "panels"
-    if name == "bubble_panels.py":
-        args = ["--out", str(out), *args]
     lines = run_script(name, "--config",
                        str(feedback_config(tmp_path, "cfg.json", **keys)),
-                       *args, returncode=2)
+                       "--out", str(out), *args, returncode=2)
     assert lines[0].startswith("usage: "), (name, keys, args)
     assert lines[-1].endswith(f"error: {message}"), (name, keys, args)
     assert not out.exists()
@@ -116,29 +104,51 @@ def test_feedback_scripts_take_whole_steps_only(tmp_path):
 
 
 @pytest.mark.parametrize("name, keys, args, message", [
-    ("diligence_severity.py", {"n_agents": 0}, [],
-     "argument --config: n_agents: must be > 0"),
-    ("bubble_panels.py", {"n_agents": 0}, [],
-     "argument --config: n_agents: must be > 0"),
-    ("diligence_severity.py", {"seed": -1}, [],
-     "argument --config: seed: must be >= 0"),
-    ("bubble_panels.py", {"seed": -1}, [],
-     "argument --config: seed: must be >= 0"),
-    ("diligence_severity.py", {"diligence_values": [0, 40]}, [],
-     "argument --config: diligence_values: 40 is not a diligence count: "
-     "need an int in 0..30"),
-    # a sweep needs seeds; the panels read none
-    ("diligence_severity.py", {"seed_sweep": None}, [],
-     "argument --config: seed_sweep: missing required field"),
+    # the panels read no seeds
     ("bubble_panels.py", {"seed_sweep": 2}, [],
      "argument --config: seed_sweep: key not read by this run"),
+    ("bubble_panels.py", {"n_agents": 0}, [],
+     "argument --config: n_agents: must be > 0"),
     ("bubble_panels.py", {}, ["--diligent", "0", "31"],
      "argument --diligent: diligence_values: 31 is not a diligence count: "
-     "need an int in 0..30")])
+     "need an int in 0..30"),
+    ("bubble_panels.py", {"seed": -1}, [],
+     "argument --config: seed: must be >= 0")])
 def test_feedback_scripts_check_every_input_first(tmp_path, name, keys, args,
                                                   message):
     # each fault exits 2 naming its field and the flag that gave it
     assert_script_exits_2(tmp_path, name, keys, args, message)
+
+
+def test_refused_panel_leaves_no_file(tmp_path):
+    # the dividend falls so fast that delta underflows to 0 within the year
+    cfg = feedback_config(tmp_path, "cfg.json", n_agents=3, years=1.0,
+                          seed=1, growth_true=-1000.0)
+    out = tmp_path / "panels"
+    lines = run_script("bubble_panels.py", "--config", str(cfg), "--out",
+                       str(out), "--diligent", "0", returncode=3)
+    assert lines[-1].startswith("numeric failure: panels_3A_0D_seed1.csv: "
+                                "column delta is 0 at t=")
+    assert lines[-1].endswith("; the file is not written")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("keys, args, message", [
+    ({"wieght": 1}, [], "argument --config: wieght: key not read by this run"),
+    ({"subcommand": "feedback"}, [], "argument --config: config is for "
+     "subcommand 'feedback', not 'simulate-log'"),
+    ({}, ["--horizons", "0.1"], "argument --horizons: dt: must cut horizon "
+     "into whole steps, not horizon/dt = 25.200000000000003")])
+def test_benchmark_moments_checks_every_input_first(tmp_path, keys, args,
+                                                    message):
+    # each fault exits 2 naming the flag that gave it, before any run
+    cfg = json.loads((REPO / "configs" / "benchmark3.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "n_paths": 2, **keys}))
+    lines = run_script("benchmark_moments.py", "--config", str(path), *args,
+                       returncode=2)
+    assert lines[0].startswith("usage: ")
+    assert lines[-1].endswith(f"error: {message}")
 
 
 def identity_outputs():
