@@ -31,14 +31,15 @@ writes under OUT:
   together: every count's metrics ``repr``, or the error's type, step and
   diagnostics, leaving out the seed, the count and the message, which
   read as in that count's single run in ``feedback.txt``;
-* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (55 configs
+* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (58 configs
   and flags, each with one fault: a non-object item, a missing field, a
   non-number, a non-finite number, a count past ``MAX_COUNT``, a span
-  that dt does not cut into whole steps, a value <= 0, an unknown or
-  misplaced fit parameter, an unread key or flag, a repeated key, and
-  more), run through ``cli.main`` in this process: its name, exit code
-  and last line of stderr, with the temporary directory shown as
-  ``<tmp>``.  An input-layer change shows its messages byte for byte.
+  that dt does not cut into whole steps, a value <= 0, a value whose
+  square overflows, an unknown or misplaced fit parameter, an unread key
+  or flag, a repeated key, a config of another subcommand, and more), run
+  through ``cli.main`` in this process: its name, exit code and last line
+  of stderr, with the temporary directory shown as ``<tmp>``.  An
+  input-layer change shows its messages byte for byte.
 
 Run it in both checkouts (copy it into the older one if it is missing
 there), then ``diff -r OUT_A OUT_B``: no output means every output is
@@ -224,12 +225,17 @@ ERROR_CASES = {
     "simulate-flag-unread": ("simulate-log", _MARKET, ["--parallel", "2"]),
     "feedback-agents-missing": ("feedback", _edit(_FEEDBACK, ("n_agents",)),
                                 []),
+    "feedback-agents-zero": ("feedback", _edit(_FEEDBACK, ("n_agents",), 0),
+                             []),
     "feedback-steps-over-ceiling": ("feedback",
                                     _edit(_FEEDBACK, ("n_steps",), _BIG), []),
     "feedback-growth-nan": ("feedback", _edit(
         _FEEDBACK, ("growth_true",), float("nan")), []),
     "feedback-sigma-zero": ("feedback", _edit(_FEEDBACK, ("sigma_true",), 0.0),
                             []),
+    # sigma_true**2 overflows a float
+    "feedback-sigma-huge": ("feedback",
+                            _edit(_FEEDBACK, ("sigma_true",), 1e200), []),
     "feedback-range-string": ("feedback",
                               _edit(_FEEDBACK, ("rho_range",), [0.04, "x"]),
                               []),
@@ -238,6 +244,9 @@ ERROR_CASES = {
     "feedback-years-odd-span": ("feedback", dict(
         _edit(_FEEDBACK, ("n_steps",)), years=0.1), []),
     "feedback-flag-unread": ("feedback", _FEEDBACK, ["--paths", "2"]),
+    "feedback-config-as-simulate": ("simulate-log",
+                                    dict(_FEEDBACK, subcommand="feedback"),
+                                    []),
     "feedback-single-diligence-values": ("feedback", _edit(
         _FEEDBACK, ("diligence_values",), [0, 2]), []),
     "beauty-mean-missing": ("beauty", _edit(

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SaturationError
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -48,8 +48,14 @@ class ConstantDrift:
         return np.zeros(np.shape(t))
 
     def log_ratio(self, t, x):
-        """log Lambda_t, the exponential martingale drift*x - drift^2 t / 2."""
-        return self.drift * x - 0.5 * self.drift**2 * t
+        """log Lambda_t, the exponential martingale drift*x - drift^2 t / 2.
+        Raises SaturationError where a float drift^2 overflows."""
+        try:
+            square = self.drift**2
+        except OverflowError:  # a float ** raises where numpy gives inf
+            raise SaturationError(f"drift = {self.drift!r}: drift**2 "
+                                  f"overflows") from None
+        return self.drift * x - 0.5 * square * t
 
 
 @dataclass(frozen=True)

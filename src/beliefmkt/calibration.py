@@ -209,6 +209,10 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
     which is P' / P + dividend / (12 P) - 1) scaled by 12 (mean) and
     sqrt(12) (std); PD is price over the annualized dividend, pooled
     monthly.
+
+    Raises ConfigError on a file it cannot use, such as one that names a
+    column it reads twice, and SaturationError naming each moment that is
+    not finite (the rate moments only with a riskless column).
     """
     with open(path, newline="", encoding="utf-8-sig") as fp:
         reader = csv.reader(fp)
@@ -219,7 +223,12 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
                 from None
     if not table:
         raise ConfigError(f"{path}: empty file")
-    cols = {name.strip().lower(): i for i, name in enumerate(table[0])}
+    names = [name.strip().lower() for name in table[0]]
+    cols = {name: i for i, name in enumerate(names)}
+    # other names may repeat, such as the empty headers of a spreadsheet
+    for name in ("date", "price", "dividend", "riskless"):
+        if names.count(name) > 1:
+            raise ConfigError(f"{path}: duplicate column '{name}'")
     for required in ("date", "price", "dividend"):
         if required not in cols:
             raise ConfigError(f"{path}: missing column '{required}'")
@@ -251,15 +260,21 @@ def ingest_price_dividend_csv(path, min_years: float = 10.0) -> IngestReport:
             f"least 2 and more than {min_years:g} years)")
 
     _, price, dividend, rate = map(np.array, zip(*rows))
-    pd_ratio = price / dividend
-    ret_m = total_return(np.diff(np.log(dividend)), pd_ratio[:-1],
-                         pd_ratio[1:], 1.0 / 12.0)
-    mean_r, std_r = (float(rate.mean()), float(rate.std())) if has_rate \
-        else (math.nan, math.nan)
-    targets = _moment_report(
-        float(pd_ratio.mean()), float(pd_ratio.std()),
-        12.0 * float(ret_m.mean()), math.sqrt(12.0) * float(ret_m.std()),
-        mean_r, std_r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pd_ratio = price / dividend
+        ret_m = total_return(np.diff(np.log(dividend)), pd_ratio[:-1],
+                             pd_ratio[1:], 1.0 / 12.0)
+        mean_r, std_r = (float(rate.mean()), float(rate.std())) \
+            if has_rate else (math.nan, math.nan)
+        targets = _moment_report(
+            float(pd_ratio.mean()), float(pd_ratio.std()),
+            12.0 * float(ret_m.mean()), math.sqrt(12.0) * float(ret_m.std()),
+            mean_r, std_r)
+    # premium and Sharpe derive; the rate moments are NaN without riskless
+    bad = [name for name in MOMENT_NAMES[:6 if has_rate else 4]
+           if not math.isfinite(getattr(targets, name))]
+    if bad:
+        raise SaturationError(f"{path}: {', '.join(bad)} not finite")
     return IngestReport(targets=targets, provenance=f"ingested:{path}",
                         n_rows=len(rows), first_date=rows[0][0],
                         last_date=rows[-1][0])
@@ -419,10 +434,13 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
     ``_report``."""
     spec = build_market(values, problem.n_agents)
     rows = []
-    for times, x in drivers:
-        rows += _path_sums(equilibrium.market_state(spec, times, x),
-                           equilibrium.log_dividend_path(spec, times, x),
-                           problem.dt)
+    # a trial point's numpy floats give inf or nan where they overflow,
+    # which makes its loss infinite and rejects it, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for times, x in drivers:
+            rows += _path_sums(equilibrium.market_state(spec, times, x),
+                               equilibrium.log_dividend_path(spec, times, x),
+                               problem.dt)
     report = _report(rows, problem.dt)
     return moment_loss(report, targets), report
 

@@ -28,7 +28,7 @@ def _start(args, cfg):
     return out
 
 
-def write_csv(out, name, result):
+def _write_csv(out, name, result):
     """Write ``result.write_csv`` to the file ``name`` in ``out``.  A table
     that it refuses (SaturationError) leaves no file, and the error starts
     with the file's name."""
@@ -49,7 +49,7 @@ def cmd_simulate_log(cfg, args):
         for p, path in enumerate(equilibrium.simulate_paths(
                 spec, horizon, dt, seed, n_paths)):
             if p < write_paths:
-                write_csv(out, f"path_{p:03d}.csv", path)
+                _write_csv(out, f"path_{p:03d}.csv", path)
             yield path
 
     report = calibration.compute_moments(paths())
@@ -90,7 +90,7 @@ def cmd_feedback(cfg, args):
                               for name, value in stats.items())
         return 0
     result = feedback.run_feedback(setup)
-    write_csv(out, "series.csv", result)
+    _write_csv(out, "series.csv", result)
     with open(out / "metrics.txt", "w") as fp:
         # the counts are whole numbers below MAX_COUNT < 2**53, which
         # .17g prints as str does

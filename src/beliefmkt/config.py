@@ -7,9 +7,9 @@ the package version; a manifest is itself a valid ``--config`` argument,
 which is what makes every run replayable byte for byte.  ``write_json``
 writes it, and the CLI's other JSON outputs, as strict JSON.
 
-This is the one module that knows a run's keys: the CLI and the feedback
-experiment scripts read a config with ``read_config``, a ``parse_*``
-function per run mode and ``check_read``.
+This is the one module that knows a run's keys: the CLI, its one reader,
+reads a config with ``read_config``, a ``parse_*`` function per run mode
+and ``check_read``.
 """
 
 from __future__ import annotations

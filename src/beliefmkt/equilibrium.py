@@ -68,7 +68,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .beliefs import ContinuousBelief
-from .errors import ConfigError, SingularMarketError, step_count
+from .errors import (ConfigError, SaturationError, SingularMarketError,
+                     step_count)
 from .numerics import check_finite, solve_decreasing, write_rows
 from .rngtools import path_rng
 
@@ -175,10 +176,15 @@ def _drivers(n, dt, seed, path_indices):
 
 def log_dividend_path(spec: MarketSpec, times, x):
     """log delta on the grid from driver values x of any leading path shape:
-    d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt."""
+    d log delta = sigma dX + (sigma*alpha_star - sigma^2/2) dt.  Raises
+    SaturationError where a float sigma^2 overflows."""
+    try:
+        variance = spec.sigma**2
+    except OverflowError:  # a float ** raises where numpy gives inf
+        raise SaturationError(f"sigma = {spec.sigma!r}: sigma**2 overflows") \
+            from None
     return (math.log(spec.initial_dividend) + spec.sigma * x
-            + (spec.sigma * spec.drift_adjustment - 0.5 * spec.sigma**2)
-            * times)
+            + (spec.sigma * spec.drift_adjustment - 0.5 * variance) * times)
 
 
 class MarketState(NamedTuple):

@@ -142,7 +142,10 @@ class FeedbackConfig:
             raise ConfigError("sigma_true must be > 0")
         if not self.dt > 0.0:
             raise ConfigError("dt must be > 0")
-        variance = self.sigma_true**2 * self.dt
+        try:
+            variance = self.sigma_true**2 * self.dt
+        except OverflowError:  # a float ** raises where numpy gives inf
+            variance = math.inf
         if not (0.0 < variance < math.inf and math.isfinite(1 / variance)):
             raise ConfigError("sigma_true, dt: need a finite tau_true > 0")
         if self.n_steps < 1:

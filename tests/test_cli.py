@@ -252,6 +252,26 @@ def test_simulate_log_reports_market_b_though_its_levels_overflow(tmp_path,
     assert values["mean_pd"] == "20" and values["std_pd"] == "0"
 
 
+@pytest.mark.parametrize("path, message", [
+    (("sigma",), "sigma = 1e+200: sigma**2 overflows"),
+    (("agents", 0, "belief", "drift"), "drift = 1e+200: drift**2 overflows")],
+    ids=["sigma", "drift"])
+def test_simulate_log_square_that_overflows_exits_3(tmp_path, capsys, path,
+                                                    message):
+    # a float ** raises OverflowError where numpy's gives inf: a numeric
+    # failure, not a traceback
+    cfg = tiny_market_config(write_paths=0)
+    node = cfg["market"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 1e200
+    out = tmp_path / "out"
+    assert main(["simulate-log", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def _one_agent_market(sigma, drift_adjustment):
     return {"sigma": sigma, "drift_adjustment": drift_adjustment, "agents": [
         {"impatience": 0.05, "weight": 1.0,
@@ -911,6 +931,19 @@ def test_fit_with_overflowing_pd_exits_3(tmp_path, capsys, rho_0):
     assert "no finite loss" in capsys.readouterr().err
 
 
+def test_fit_whose_trial_squares_overflow_exits_3(tmp_path, capsys):
+    # every trial sigma squares past the float range: each point's loss is
+    # infinite, with no numpy warning on the way
+    cfg = write_config(tmp_path, _fit_config(free=[
+        {"name": "sigma", "lower": 1e150, "upper": 1e160, "start": 1e155}]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "no finite loss" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"dt": 30.0, "horizon_years": 20.0}, "dt"),
     ({"fixed": {"alpha_0": 0.0, "sigma": 0.2}}, "sigma"),
@@ -1016,6 +1049,16 @@ def _csv_not_utf8(tmp_path):
     return path
 
 
+def _csv_with_header(header):
+    """A CSV maker: ``header`` and three rows with as many fields."""
+    def make(tmp_path):
+        path = tmp_path / "twice.csv"
+        row = ",".join(["1"] * len(header.split(",")))
+        path.write_text("\n".join([header] + [row] * 3) + "\n")
+        return path
+    return make
+
+
 def _csv_field_past_limit(tmp_path):
     # csv refuses a field of more than 131072 characters
     path = tmp_path / "long.csv"
@@ -1030,14 +1073,50 @@ def _csv_field_past_limit(tmp_path):
     (_csv_not_utf8, "csv: "),
     (_csv_with_nan_price, "line 9: non-finite value"),
     (_csv_field_past_limit,
-     "long.csv: line 3: field larger than field limit (131072)")],
-    ids=["missing", "directory", "not-utf8", "nan-row", "field-past-limit"])
+     "long.csv: line 3: field larger than field limit (131072)"),
+    # which of two columns of one name is meant is not known
+    (_csv_with_header("date,price,price,dividend"),
+     "twice.csv: duplicate column 'price'"),
+    (_csv_with_header("Date,price,DATE,dividend"),
+     "twice.csv: duplicate column 'date'")],
+    ids=["missing", "directory", "not-utf8", "nan-row", "field-past-limit",
+         "duplicate-column", "duplicate-column-by-case"])
 def test_unreadable_ingest_csv_exits_2_before_writing(tmp_path, capsys, csv,
                                                       message):
     cfg = write_config(tmp_path, {"csv": str(csv(tmp_path))})
     out = tmp_path / "out"
     assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _ingest_rows(tmp_path, header, rows):
+    """An ingest config of min_years 0.1 on a CSV of ``header`` and
+    ``rows``."""
+    csv = tmp_path / "prices.csv"
+    csv.write_text("\n".join([header, *rows]) + "\n")
+    return write_config(tmp_path, {"csv": str(csv), "min_years": 0.1})
+
+
+def test_ingest_reads_past_repeated_empty_headers(tmp_path):
+    # a spreadsheet export ends each line in empty fields
+    cfg = _ingest_rows(tmp_path, "date,price,dividend,,",
+                       [f"2000-0{k},{k},0.1,," for k in range(1, 4)])
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "targets.json").read_text())["mean_pd"] == 20.0
+
+
+def test_ingest_moments_that_are_not_finite_exit_3(tmp_path, capsys):
+    # P/D = 1e308 / 1e-308 overflows: a numeric failure naming the moments,
+    # not a target set of nulls; the rate moments are NaN by design
+    cfg = _ingest_rows(tmp_path, "date,price,dividend",
+                       [f"2000-0{k},1e308,1e-308" for k in range(1, 4)])
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"numeric failure: {tmp_path / 'prices.csv'}: mean_pd, std_pd, "
+        f"mean_equity_return, std_equity_return not finite\n")
     assert not out.exists()
 
 

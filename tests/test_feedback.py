@@ -74,11 +74,13 @@ def test_config_rejects_non_finite_numbers(field, value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("sigma_true", 1e-200), ("sigma_true", 1e-160), ("dt", 1e-320)])
+    ("sigma_true", 1e-200), ("sigma_true", 1e-160), ("dt", 1e-320),
+    ("sigma_true", 1e200)])
 def test_config_rejects_unusable_true_precision(field, value):
     # sigma_true^2 dt underflows to 0 or to a number whose inverse, the
     # true precision tau_true, overflows: a ZeroDivisionError or warnings
-    # and a misleading "no root" error before this check
+    # and a misleading "no root" error before this check.  A float
+    # sigma_true^2 past the float range raises OverflowError, not inf
     with pytest.raises(ConfigError,
                        match="^sigma_true, dt: need a finite tau_true > 0$"):
         FeedbackConfig(n_agents=3, n_diligent=0, n_steps=5, seed=0,
