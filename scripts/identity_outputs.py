@@ -31,12 +31,13 @@ writes under OUT:
   together: every count's metrics ``repr``, or the error's type, step and
   diagnostics, leaving out the seed, the count and the message, which
   read as in that count's single run in ``feedback.txt``;
-* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (58 configs
+* ``errors.txt``: one line per invalid run of ``ERROR_CASES`` (59 configs
   and flags, each with one fault: a non-object item, a missing field, a
   non-number, a non-finite number, a count past ``MAX_COUNT``, a span
   that dt does not cut into whole steps, a value <= 0, a value whose
-  square overflows, an unknown or misplaced fit parameter, an unread key
-  or flag, a repeated key, a config of another subcommand, and more), run
+  square or reciprocal overflows, an unknown or misplaced fit parameter,
+  an unread key or flag, a repeated key, a config of another subcommand,
+  and more), run
   through ``cli.main`` in this process: its name, exit code and last line
   of stderr, with the temporary directory shown as ``<tmp>``.  An
   input-layer change shows its messages byte for byte.
@@ -206,6 +207,9 @@ ERROR_CASES = {
         _MARKET, _AGENT + ("initial_wealth",), 3.0), []),
     "agent-impatience-negative": ("simulate-log", _edit(
         _MARKET, ("market", "agents", 1, "impatience"), -0.2), []),
+    # 1/impatience overflows
+    "agent-impatience-subnormal": ("simulate-log", _edit(
+        _MARKET, ("market", "agents", 1, "impatience"), 5e-324), []),
     "prior-precision-zero": ("simulate-log", _edit(
         _MARKET, ("market", "agents", 1, "belief", "prior_precision"), 0.0),
         []),

@@ -28,6 +28,12 @@ from .errors import ConfigError, SaturationError
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 
+#: Above this prior precision eps a learner's formulas are divided through
+#: by eps, whose sums 2 (eps + t) and products eps * beta would overflow
+#: near the largest float; the learner then holds the prior mean as a
+#: constant drift, to rounding.
+_SCALED_PRECISION = 1e300
+
 
 # ---------------------------------------------------------------------------
 # continuous-time beliefs
@@ -55,7 +61,9 @@ class ConstantDrift:
         except OverflowError:  # a float ** raises where numpy gives inf
             raise SaturationError(f"drift = {self.drift!r}: drift**2 "
                                   f"overflows") from None
-        return self.drift * x - 0.5 * square * t
+        ratio = self.drift * x
+        ratio -= 0.5 * square * t
+        return ratio
 
 
 @dataclass(frozen=True)
@@ -71,9 +79,12 @@ class BayesianGaussian:
             raise ConfigError("prior_precision must be > 0")
 
     def drift_at(self, t, x):
-        """The drift's posterior mean (x + beta*eps) / (eps + t)."""
-        eps = self.prior_precision
-        return (x + self.prior_mean * eps) / (eps + t)
+        """The drift's posterior mean (x + beta*eps) / (eps + t), or (x/eps
+        + beta) / (1 + t/eps) above ``_SCALED_PRECISION``."""
+        beta, eps = self.prior_mean, self.prior_precision
+        if eps > _SCALED_PRECISION:
+            return (x / eps + beta) / (1.0 + t / eps)
+        return (x + beta * eps) / (eps + t)
 
     def drift_slope(self, t):
         """d drift_at / dx = 1 / (eps + t)."""
@@ -81,11 +92,27 @@ class BayesianGaussian:
 
     def log_ratio(self, t, x):
         """log Lambda_t with the prior integrated out: 0.5*log(eps/(eps+t))
-        + (x^2 + 2*beta*eps*x - eps*beta^2*t) / (2*(eps+t))."""
+        + (x^2 + 2*beta*eps*x - eps*beta^2*t) / (2*(eps+t)).  Above
+        ``_SCALED_PRECISION`` it is -0.5*log1p(t/eps) + (x^2/eps + 2*beta*x
+        - beta^2*t) / (2*(1 + t/eps)), which tends to the constant drift's
+        beta*x - beta^2 t / 2.  Raises SaturationError naming prior_mean
+        where the float eps*beta^2 (beta^2 when divided through)
+        overflows."""
         beta, eps = self.prior_mean, self.prior_precision
+        if eps > _SCALED_PRECISION:
+            square = beta * beta
+            if not math.isfinite(square):
+                raise SaturationError(f"prior_mean = {beta!r}: "
+                                      f"prior_mean**2 overflows")
+            return -0.5 * np.log1p(t / eps) + (
+                x * x / eps + 2.0 * beta * x - square * t
+            ) / (2.0 * (1.0 + t / eps))
+        lead, square = 2.0 * beta * eps, eps * beta * beta
+        if not math.isfinite(square):
+            raise SaturationError(f"prior_mean = {beta!r}: prior_precision "
+                                  f"* prior_mean**2 overflows")
         return 0.5 * np.log(eps / (eps + t)) + (
-            x * x + 2.0 * beta * eps * x - eps * beta * beta * t
-        ) / (2.0 * (eps + t))
+            x * x + lead * x - square * t) / (2.0 * (eps + t))
 
 
 ContinuousBelief = Union[ConstantDrift, BayesianGaussian]

@@ -19,10 +19,17 @@ floats, the (count, sum, sum of squares) of P/D, of the riskless rate and
 of the return, and ``_report`` reduces each column with math.fsum, which
 rounds once whatever the order, so the report is invariant to the order
 of the path set.  The pooled std is sqrt(E[x^2] - m^2) of those sums.
-That is what lets ``compute_moments`` take each path's row from
-``numerics.fork_map``, which splits a sequence of paths
-(``simulate_paths``, a list) across the usable CPUs, and reduce them into
-a report identical to the bit to the in-order one.
+A batch of paths priced as one array gives each path the row it has
+alone, so ``compute_moments`` prices the paths of ``simulate_paths`` in
+batches, as the fit objective prices its drivers (``_batch_sums``), and
+takes the rows of those batches, or of the paths of a list, from
+``numerics.fork_map``, which splits them across the usable CPUs; the
+report is identical to the bit to the in-order loop over the paths.
+
+Numpy's overflow warning is ignored by whoever calls the pricing pass:
+``compute_moments`` once per batch or path, and ``evaluate_point`` once
+per fit evaluation; an overflow gives inf, which the report or the loss
+names.
 """
 
 from __future__ import annotations
@@ -90,25 +97,28 @@ DEFAULT_TARGETS = MomentReport(
     equity_premium=0.06, sharpe=0.33)
 
 
-@np.errstate(over="ignore")
 def total_return(dlog_dividend, pd, pd_next, dt):
     """The per-step total return exp(dlog_dividend) pd_next / pd + dt / pd
     - 1 of a stock S = delta PD that pays the dividend flow delta dt, which
     is (S' + delta dt - S) / S.  It reads no level, so it is finite wherever
-    PD is; a log-dividend move that overflows exp gives inf, of which numpy
-    does not warn, as the moment report names it."""
-    return np.exp(dlog_dividend) * (pd_next / pd) + dt / pd - 1.0
+    PD is; a log-dividend move that overflows exp gives inf, which the
+    moment report names (its callers ignore numpy's overflow warning)."""
+    ret = np.exp(dlog_dividend)
+    ret *= pd_next / pd
+    ret += dt / pd
+    ret -= 1.0
+    return ret
 
 
-@np.errstate(over="ignore")
 def _path_sums(state, log_dividend, dt):
     """One row of nine floats per path of a MarketState and its log
     dividend, on grid spacing dt: the (count, sum, sum of squares) of P/D,
     of the riskless rate and of the per-step total return.  A batch, with
     one path per row along the last axis, gives a list of one row per path,
     in order; each sum is the row's own numpy reduction, so it has the bits
-    of the path's sum taken alone.  A sum that overflows is inf, of which
-    numpy does not warn, as the moment report names it."""
+    of the path's sum taken alone.  A sum that overflows is inf, which the
+    moment report names; the caller holds the ``np.errstate`` that ignores
+    numpy's overflow warning."""
     pd = state.pd_ratio
     columns = []
     for v in (pd, state.rate, total_return(np.diff(log_dividend),
@@ -145,6 +155,26 @@ def _report(rows, dt) -> MomentReport:
                           std_ret / math.sqrt(dt), mean_r, std_r)
 
 
+def _batch_sums(spec, times, x, dt):
+    """The ``_path_sums`` rows of a batch of driver paths x (P, n+1) on the
+    grid ``times`` of spacing dt, one per path in order: the pricing pass
+    of ``compute_moments`` and ``evaluate_point``.  The log dividend comes
+    first, as in ``simulate_path``, so a batch raises what its paths raise
+    one at a time.  The caller holds the ``np.errstate``."""
+    log_dividend = equilibrium.log_dividend_path(spec, times, x)
+    return _path_sums(equilibrium.market_state(spec, times, x), log_dividend,
+                      dt)
+
+
+def _batches(n_paths, n_agents, n_steps):
+    """Path indices 0 .. n_paths-1 cut into ranges of whole paths, each of
+    at most ``_BATCH_POINTS`` agent-major grid points (at least one
+    path)."""
+    size = max(1, _BATCH_POINTS // n_agents // (n_steps + 1))
+    return [range(start, min(start + size, n_paths))
+            for start in range(0, n_paths, size)]
+
+
 def compute_moments(paths) -> MomentReport:
     """Pooled moment report over an iterable of EquilibriumPath objects.
 
@@ -154,27 +184,47 @@ def compute_moments(paths) -> MomentReport:
     step's log-dividend move overflows exp.  A NaN Sharpe ratio, from a
     return std of 0, is reported.
 
-    Each path's row of ``_path_sums`` comes from ``numerics.fork_map``,
-    which splits a sequence of more than one path (a list, or
-    ``simulate_paths``) across the usable CPUs, and consumes any other
-    input, such as a generator, in order in this process.  The rows come
-    back in path order, and ``_report`` reduces each column with
-    ``math.fsum``, which rounds exactly once whatever the order, so a split
-    report equals the in-order one to the bit.  An error that reading or
-    adding a path raises is raised here as an in-order loop would raise it,
-    the lowest path's first.
+    The paths of ``simulate_paths`` (a ``PathSequence``) are never built:
+    their indices are cut into batches of whole paths by the rule of
+    ``draw_drivers``, and each batch's drivers are drawn and priced as one
+    array (``_batch_sums``), whose rows are those of its paths priced one
+    at a time.  Any other input is read path by path.  Either way
+    ``numerics.fork_map`` splits a sequence of more than one item (batch or
+    path) across the usable CPUs, and consumes any other input, such as a
+    generator, in order in this process.  The rows come back in path
+    order, and ``_report`` reduces each column with ``math.fsum``, which
+    rounds exactly once whatever the order, so a split or batched report
+    equals the in-order one to the bit.  An error that reading or pricing
+    a path raises is raised here as an in-order loop would raise it, the
+    lowest batch's or path's first.
     """
-    dt, rows = None, []
-    for path_dt, path_rows in fork_map(lambda path: (path.dt, _path_sums(
-            path.state, path.log_dividend, path.dt)), paths):
-        if dt is None:
-            dt = path_dt
-        elif path_dt != dt:
+    if isinstance(paths, equilibrium.PathSequence):
+        spec, dt, seed = paths.spec, paths.dt, paths.seed
+        n_steps = step_count(paths.horizon, dt, "horizon")
+
+        def sums(indices):
+            with np.errstate(over="ignore"):
+                return dt, _batch_sums(spec, *equilibrium._drivers(
+                    n_steps, dt, seed, indices), dt)
+
+        items = _batches(len(paths), len(spec.agents), n_steps)
+    else:
+        def sums(path):
+            with np.errstate(over="ignore"):
+                return path.dt, _path_sums(path.state, path.log_dividend,
+                                           path.dt)
+
+        items = paths
+    spacing, rows = None, []
+    for item_dt, item_rows in fork_map(sums, items):
+        if spacing is None:
+            spacing = item_dt
+        elif item_dt != spacing:
             raise ConfigError("paths do not share a common grid spacing")
-        rows += path_rows
-    if dt is None:
+        rows += item_rows
+    if spacing is None:
         raise ConfigError("compute_moments needs at least one path")
-    report = _report(rows, dt)
+    report = _report(rows, spacing)
     bad = [name for name in MOMENT_NAMES[:6]   # premium and Sharpe derive
            if not math.isfinite(getattr(report, name))]
     if bad:
@@ -407,9 +457,13 @@ def moment_loss(report: MomentReport, targets: MomentReport) -> float:
     return total if math.isfinite(total) else math.inf
 
 
-#: Grid points (agents x paths x steps) per batch of the fit objective,
-#: which bounds each agent-major array of a batch at 512 KiB.
-_BATCH_POINTS = 1 << 16
+#: Grid points (agents x paths x steps) per batch of driver paths, of the
+#: fit objective and of a moment report, which bounds each agent-major
+#: array of a batch at 1 MiB: three 50-year daily paths of a three-agent
+#: market.  Larger batches fall out of the cache: on a 2-core Xeon (4 MiB
+#: L2), such paths took about 2.0 ms each at eight to a batch, against
+#: 0.63-0.80 ms at three or four and 0.76-1.0 ms alone.
+_BATCH_POINTS = 1 << 17
 
 
 def draw_drivers(problem: CalibrationProblem):
@@ -417,11 +471,9 @@ def draw_drivers(problem: CalibrationProblem):
     (times, X) batches of whole paths, each of at most ``_BATCH_POINTS``
     grid points (at least one path).  A search draws them once."""
     n_steps = step_count(problem.horizon, problem.dt, "horizon_years")
-    size = max(1, _BATCH_POINTS // problem.n_agents // (n_steps + 1))
-    return [equilibrium._drivers(
-        n_steps, problem.dt, problem.seed,
-        range(start, min(start + size, problem.n_paths)))
-        for start in range(0, problem.n_paths, size)]
+    return [equilibrium._drivers(n_steps, problem.dt, problem.seed, indices)
+            for indices in _batches(problem.n_paths, problem.n_agents,
+                                    n_steps)]
 
 
 def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
@@ -438,9 +490,7 @@ def evaluate_point(problem: CalibrationProblem, values: Dict[str, float],
     # which makes its loss infinite and rejects it, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for times, x in drivers:
-            rows += _path_sums(equilibrium.market_state(spec, times, x),
-                               equilibrium.log_dividend_path(spec, times, x),
-                               problem.dt)
+            rows += _batch_sums(spec, times, x, problem.dt)
     report = _report(rows, problem.dt)
     return moment_loss(report, targets), report
 

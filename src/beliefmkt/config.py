@@ -178,9 +178,12 @@ def parse_market(cfg) -> equilibrium.MarketSpec:
     for i in range(n_agents):
         path = f"market.agents[{i}]"
         _get(cfg, path, dict)
+        belief = parse_belief(cfg, f"{path}.belief")
+        impatience = _get(cfg, f"{path}.impatience", float, positive=True)
+        if 1.0 / impatience == math.inf:   # P/D is a mean of the 1/rho_j
+            raise ConfigError(f"{path}.impatience: 1/impatience overflows")
         agents.append(equilibrium.AgentSpec(
-            belief=parse_belief(cfg, f"{path}.belief"),
-            impatience=_get(cfg, f"{path}.impatience", float, positive=True),
+            belief=belief, impatience=impatience,
             weight=_get(cfg, f"{path}.weight", float, positive=True)))
     spec = equilibrium.MarketSpec
     sigma = _get(cfg, "market.sigma", float, positive=True)

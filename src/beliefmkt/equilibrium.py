@@ -48,14 +48,16 @@ belief's drift or log ratio a second time.
 
 ``simulate_paths`` returns a lazy sequence: item p is simulated from
 (seed, p) when it is read, through this module's ``simulate_path`` as it
-stands at that moment.  Because any item can be read on its own,
-``calibration.compute_moments`` splits such a sequence into one contiguous
-range of paths per usable CPU (``numerics.fork_map``) when the process
-runs one Python thread: forked children send back only their per-path
-sums, which the report pools with math.fsum, so it is identical to the
-bit to the in-order one, and an error is raised as an in-order loop would
-raise it, the lowest range's first.  A generator of paths is consumed in
-order instead.
+stands at that moment.  ``calibration.compute_moments`` reads no item of
+it: it draws the drivers of whole paths in batches (``_drivers``) and
+prices each batch with one kernel call, as the fit objective does, and
+splits the batches into one contiguous range per usable CPU
+(``numerics.fork_map``) when the process runs one Python thread.  Forked
+children send back only their per-path sums, which the report pools with
+math.fsum, so it is identical to the bit to the in-order loop over the
+items, and an error is raised as that loop would raise it, the lowest
+batch's first.  A list of paths is split path by path, and a generator of
+paths is consumed in order instead.
 """
 
 import math
@@ -165,12 +167,15 @@ def _drivers(n, dt, seed, path_indices):
     """(times, X) with X of shape (P, n+1): row i is the gaussian random
     walk of n steps with N(0, dt) increments drawn from
     path_rng(seed, path_indices[i])."""
-    x = np.zeros((len(path_indices), n + 1))
+    x = np.empty((len(path_indices), n + 1))
+    x[:, 0] = 0.0
     for p, row in zip(path_indices, x):
-        # Generator.normal(0, scale) draws scale * z: the same doubles
-        steps = path_rng(seed, p).standard_normal(out=row[1:])
-        steps *= math.sqrt(dt)
-        np.cumsum(steps, out=steps)
+        path_rng(seed, p).standard_normal(out=row[1:])
+    # Generator.normal(0, scale) draws scale * z: the same doubles; a
+    # cumulative sum adds along each row in order, so a row of a batch has
+    # the bits of that path drawn alone
+    x *= math.sqrt(dt)
+    np.cumsum(x, axis=-1, out=x)
     return _grid(n, dt), x
 
 
@@ -183,8 +188,11 @@ def log_dividend_path(spec: MarketSpec, times, x):
     except OverflowError:  # a float ** raises where numpy gives inf
         raise SaturationError(f"sigma = {spec.sigma!r}: sigma**2 overflows") \
             from None
-    return (math.log(spec.initial_dividend) + spec.sigma * x
-            + (spec.sigma * spec.drift_adjustment - 0.5 * variance) * times)
+    log_dividend = spec.sigma * x
+    log_dividend += math.log(spec.initial_dividend)
+    log_dividend += (spec.sigma * spec.drift_adjustment - 0.5 * variance) \
+        * times
+    return log_dividend
 
 
 class MarketState(NamedTuple):
@@ -255,12 +263,17 @@ def market_state(spec: MarketSpec, times, x) -> MarketState:
     matrix[4, n_agents:] = inv[varying]
     s, su, srho, salpha, sau = np.dot(matrix, e.reshape(len(e), -1)).reshape(
         (5,) + np.shape(x))
-    pd, a = su / s, sau / su
-    abar, rhobar = salpha / s, srho / s
+    pd, a, abar = su / s, sau / su, salpha / s
     sigma = spec.sigma
-    r = rhobar + sigma * (spec.drift_adjustment + abar) - sigma * sigma
+    # r = rhobar + sigma (alpha* + alphabar) - sigma^2 in place, rhobar and
+    # then |a + kappa| in the row of sum e rho, which nothing else reads
+    r = np.add(spec.drift_adjustment, abar)
+    r *= sigma
+    r += np.divide(srho, s, out=srho)
+    r -= sigma * sigma
     kappa = sigma - abar
-    if np.any(np.abs(a + kappa) < _SINGULAR_TOL):
+    gap = np.add(a, kappa, out=srho)
+    if np.any(np.abs(gap, out=gap) < _SINGULAR_TOL):
         raise SingularMarketError("a + kappa = 0: stock volatility degenerate")
     return MarketState(rho, drifts, m, l, s, pd, a, r, kappa, abar)
 
@@ -378,7 +391,8 @@ class PathSequence(abc.Sequence):
     """The n_paths paths of a master seed, each simulated when it is read:
     item p is ``simulate_path(spec, horizon, dt, seed, p)``, and iterating
     goes in path order.  Nothing is kept, so a path read twice is simulated
-    twice."""
+    twice.  ``calibration.compute_moments`` reads its fields, not its
+    items, and prices its paths in batches."""
 
     def __init__(self, spec, horizon, dt, seed, n_paths):
         self.spec, self.horizon, self.dt, self.seed = spec, horizon, dt, seed

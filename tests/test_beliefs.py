@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from beliefmkt.beliefs import (BayesianGaussian, ConstantDrift,
                                log_density_increment, posterior_mean_step)
-from beliefmkt.errors import ConfigError
+from beliefmkt.errors import ConfigError, SaturationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,6 +131,33 @@ def test_bayesian_drift_consistency():
         x_t = rng.normal(0.0, math.sqrt(t), size=400) + b * t
         errors[t] = np.median(np.abs(belief.drift_at(t, x_t) - b))
     assert errors[1e4] < 0.25 * errors[1e2]
+
+
+@pytest.mark.parametrize("eps", [1e300, 1e301, 9e307, 1.7e308,
+                                 np.finfo(float).max])
+@pytest.mark.parametrize("beta", [0.1, 1.0, -2.0])
+def test_a_huge_prior_precision_holds_the_prior_mean(eps, beta):
+    # a precise prior is a constant drift, up to the largest float, where
+    # 2 (eps + t) and eps * beta overflow (warnings fail the test)
+    t = np.array([0.0, 0.3, 50.0])
+    x = np.array([0.0, 0.5, -3.0])
+    learner, constant = BayesianGaussian(beta, eps), ConstantDrift(beta)
+    np.testing.assert_allclose(learner.log_ratio(t, x),
+                               constant.log_ratio(t, x), rtol=1e-12,
+                               atol=1e-15)
+    np.testing.assert_allclose(learner.drift_at(t, x), beta, rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta, eps, message", [
+    (1e154, 2.0, "prior_precision * prior_mean**2 overflows"),
+    (-1e154, 2.0, "prior_precision * prior_mean**2 overflows"),
+    (1e200, 1e305, "prior_mean**2 overflows")])
+def test_a_learner_names_a_prior_mean_whose_square_overflows(beta, eps,
+                                                             message):
+    t, x = np.array([0.0, 1.0]), np.array([0.0, 0.4])
+    with pytest.raises(SaturationError, match=re.escape(
+            f"prior_mean = {beta!r}: {message}")):
+        BayesianGaussian(beta, eps).log_ratio(t, x)
 
 
 def test_prior_precision_must_be_positive():

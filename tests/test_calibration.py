@@ -182,13 +182,35 @@ def test_split_report_equals_the_in_order_loop(forks, market, cpus):
     lazy = equilibrium.simulate_paths(spec, 2.0, 1 / 52, 31, n)
     want = in_order_report(lazy)
     as_list = list(lazy)
-    for paths in (lazy, as_list):
+    # the list is split path by path, and the lazy sequence batch by batch:
+    # its five short paths are one batch
+    for paths, items in ((lazy, 1), (as_list, n)):
         forks.count = 0
         assert compute_moments(paths) == want
-        assert forks.count == min(cpus, n) - 1
+        assert forks.count == min(cpus, items) - 1
     forks.count = 0
     assert compute_moments(iter(as_list)) == want
     assert forks.count == 0
+
+
+@pytest.mark.parametrize("market", [benchmark_market, learner_market])
+def test_batched_report_equals_the_per_path_report(forks, market):
+    # 50-year daily paths of three agents: b paths to a batch, so the counts
+    # give one short batch, one full one, and a short last batch after one
+    # and two full ones
+    spec, horizon, dt = market(), 50.0, 1 / 252
+    b = calibration._BATCH_POINTS // 3 // 12601
+    assert b >= 2
+    for n in (1, b - 1, b, b + 1, 2 * b + 1):
+        lazy = equilibrium.simulate_paths(spec, horizon, dt, 17, n)
+        want = in_order_report(lazy)
+        as_list = list(lazy)
+        for cpus in (1, 2):
+            forks.cpus(cpus)
+            forks.count = 0
+            assert compute_moments(lazy) == want
+            assert forks.count == min(cpus, -(-n // b)) - 1
+            assert compute_moments(as_list) == want
 
 
 class FailingPaths(collections.abc.Sequence):
@@ -576,7 +598,7 @@ def test_batched_objective_raises_as_oracle_on_singular_market():
 def test_batched_objective_equals_oracle_across_batches(n_agents):
     # rows longer than numpy's 8192-element reduction block, in several
     # batches, the last one short
-    problem = oracle_problem(n_agents, n_paths=13, horizon=40.0,
+    problem = oracle_problem(n_agents, n_paths=14, horizon=40.0,
                              dt=1 / 252, seed=5)
     drivers = draw_drivers(problem)
     assert len(drivers) >= 2
@@ -592,7 +614,7 @@ def test_batched_objective_equals_oracle_across_batches(n_agents):
 def test_drawn_drivers_are_the_per_path_drivers():
     # common random numbers and the prefix property: path p is
     # path_rng(seed, p)'s walk whatever the batch or the path count
-    problem = oracle_problem(1, n_paths=70, horizon=20.0, dt=1 / 52, seed=9)
+    problem = oracle_problem(1, n_paths=130, horizon=20.0, dt=1 / 52, seed=9)
     drivers = draw_drivers(problem)
     assert len(drivers) >= 2
     rows = np.concatenate([x for _, x in drivers])

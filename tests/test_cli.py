@@ -272,6 +272,65 @@ def test_simulate_log_square_that_overflows_exits_3(tmp_path, capsys, path,
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
+def _benchmark3_year(agent, **fields):
+    """configs/benchmark3.json over one year at dt 0.25 with two paths, none
+    written, and ``fields`` set on market agent ``agent``."""
+    cfg = json.loads((REPO / "configs" / "benchmark3.json").read_text())
+    cfg.update(horizon_years=1.0, dt=0.25, n_paths=2, write_paths=0)
+    cfg["market"]["agents"][agent].update(fields)
+    return cfg
+
+
+def test_a_learner_with_a_huge_prior_precision_prices_its_prior_mean(
+        tmp_path, capsys):
+    # at eps = 1.7e308, 2 (eps + t) overflows: the learner's log weight
+    # used to read 0 (warnings fail the test)
+    summaries = []
+    for k, belief in enumerate([
+            {"type": "bayesian", "prior_mean": 0.1,
+             "prior_precision": 1.7e308},
+            {"type": "constant", "drift": 0.1}]):
+        out = tmp_path / f"out{k}"
+        cfg = write_config(tmp_path, _benchmark3_year(1, belief=belief))
+        assert main(["simulate-log", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (out / "summary.txt").read_text().splitlines()[1:]
+        summaries.append(dict(line.split("=") for line in lines))
+    learner, constant = summaries
+    assert float(constant["mean_pd"]) == pytest.approx(20.345657, rel=1e-7)
+    for name in MOMENT_NAMES:
+        assert float(learner[name]) == pytest.approx(float(constant[name]),
+                                                     rel=1e-12), name
+
+
+@pytest.mark.parametrize("agents", [None, 1], ids=["three-agents",
+                                                   "one-agent"])
+def test_an_impatience_whose_reciprocal_overflows_exits_2(tmp_path, capsys,
+                                                          agents):
+    cfg = _benchmark3_year(0, impatience=5e-324)
+    cfg["market"]["agents"] = cfg["market"]["agents"][:agents]
+    out = tmp_path / "out"
+    assert main(["simulate-log", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: market.agents[0]."
+                                       "impatience: 1/impatience overflows\n")
+    assert not out.exists()
+
+
+def test_a_learner_prior_mean_whose_square_overflows_exits_3(tmp_path,
+                                                              capsys):
+    cfg = _benchmark3_year(2, belief={
+        "type": "bayesian", "prior_mean": 1e154, "prior_precision": 2.0})
+    out = tmp_path / "out"
+    assert main(["simulate-log", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: prior_mean = 1e+154: prior_precision * "
+        "prior_mean**2 overflows\n")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def _one_agent_market(sigma, drift_adjustment):
     return {"sigma": sigma, "drift_adjustment": drift_adjustment, "agents": [
         {"impatience": 0.05, "weight": 1.0,
